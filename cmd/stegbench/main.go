@@ -232,30 +232,20 @@ func runAblateConcurrency(cfg bench.Config) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("Ablation A5 — parallel read path (goroutines over one shared cached volume,")
-	fmt.Println("latency-emulated disk; wall-clock is real time, disk-sec the simulated clock):")
-	fmt.Println("  goroutines  wall-sec     ops/s   speedup  disk-sec  hit-rate")
-	for _, r := range rows {
-		fmt.Printf("  %10d  %8.3f  %8.1f  %7.2fx  %8.3f  %7.1f%%\n",
-			r.Goroutines, r.WallSeconds, r.OpsPerSec, r.Speedup, r.DiskSeconds, r.HitRate*100)
-		emit("ablate-concurrency", r)
-	}
+	printSweep("ablate-concurrency", `Ablation A5 — parallel read path (goroutines over one shared cached volume,
+latency-emulated disk; wall-clock is real time, disk-sec the simulated clock):`,
+		rows, "", sweepOnly)
 	return nil
 }
 
 func runAblateWriteConcurrency(cfg bench.Config) error {
-	rows, report, err := bench.WriteConcurrencySweep(cfg, nil, 0, 0)
+	rows, report, err := bench.WriteConcurrencySweep(cfg, nil, 0)
 	if err != nil {
 		return err
 	}
-	fmt.Println("Ablation A6 — parallel write path (goroutines over one shared uncached volume,")
-	fmt.Println("mixed create/rewrite/delete on distinct objects; latency-emulated disk):")
-	fmt.Println("  goroutines  wall-sec     ops/s   speedup  disk-sec")
-	for _, r := range rows {
-		fmt.Printf("  %10d  %8.3f  %8.1f  %7.2fx  %8.3f\n",
-			r.Goroutines, r.WallSeconds, r.OpsPerSec, r.Speedup, r.DiskSeconds)
-		emit("ablate-write-concurrency", r)
-	}
+	printSweep("ablate-write-concurrency", `Ablation A6 — parallel write path (goroutines over one shared uncached volume,
+mixed create/rewrite/delete on distinct objects; latency-emulated disk):`,
+		rows, "", sweepOnly)
 	printAllocReport(report)
 	emit("ablate-write-concurrency-alloc", report)
 	return nil
@@ -266,17 +256,15 @@ func runAblateCachedWrite(cfg bench.Config) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("Ablation A7 — cached parallel write path (goroutines over one shared volume")
-	fmt.Println("mounted through the write-back cache with the async flush pipeline; cold reads +")
-	fmt.Println("mixed create/rewrite/delete; window ends at the Sync barrier; latency-emulated disk;")
-	fmt.Println("sync-tail is the closing barrier alone — the elevator (C-SCAN) flusher keeps it short):")
-	fmt.Println("  goroutines  wall-sec     ops/s   speedup  disk-sec  sync-tail  hit-rate  writebacks  batches  wbehind  stalls")
-	for _, r := range rows {
-		fmt.Printf("  %10d  %8.3f  %8.1f  %7.2fx  %8.3f  %9.3f  %7.1f%%  %10d  %7d  %7d  %6d\n",
-			r.Goroutines, r.WallSeconds, r.OpsPerSec, r.Speedup, r.DiskSeconds, r.SyncTailSeconds,
-			r.HitRate*100, r.WriteBacks, r.FlushBatches, r.WriteBehinds, r.FlushStalls)
-		emit("ablate-cached-write", r)
-	}
+	printSweep("ablate-cached-write", `Ablation A7 — cached parallel write path (goroutines over one shared volume
+mounted through the write-back cache with the async flush pipeline; cold reads +
+mixed create/rewrite/delete; window ends at the Sync barrier; latency-emulated disk;
+sync-tail is the closing barrier alone — the elevator (C-SCAN) flusher keeps it short):`,
+		rows, "  sync-tail  writebacks  batches  wbehind  stalls",
+		func(r bench.CachedWriteConcurrencyRow) (bench.SweepRow, string) {
+			return r.SweepRow, fmt.Sprintf("  %9.3f  %10d  %7d  %7d  %6d",
+				r.SyncTailSeconds, r.WriteBacks, r.FlushBatches, r.WriteBehinds, r.FlushStalls)
+		})
 	printAllocReport(report)
 	emit("ablate-cached-write-alloc", report)
 	return nil
@@ -287,15 +275,10 @@ func runAblateStegDB(cfg bench.Config) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("Ablation A8 — concurrent hidden database (goroutines of mixed Get/Put/Delete/")
-	fmt.Println("Scan over ONE shared stegdb table on a cached, latency-emulated volume; scans")
-	fmt.Println("read pager snapshots; write-back Sync runs between levels, unmeasured):")
-	fmt.Println("  goroutines  wall-sec     ops/s   speedup  disk-sec  hit-rate")
-	for _, r := range rows {
-		fmt.Printf("  %10d  %8.3f  %8.1f  %7.2fx  %8.3f  %7.1f%%\n",
-			r.Goroutines, r.WallSeconds, r.OpsPerSec, r.Speedup, r.DiskSeconds, r.HitRate*100)
-		emit("ablate-stegdb", r)
-	}
+	printSweep("ablate-stegdb", `Ablation A8 — concurrent hidden database (goroutines of mixed Get/Put/Delete/
+Scan over ONE shared stegdb table on a cached, latency-emulated volume; scans
+read pager snapshots; write-back Sync runs after each window, outside wall-sec):`,
+		rows, "", sweepOnly)
 	return nil
 }
 
@@ -304,18 +287,46 @@ func runAblateStegDBWrite(cfg bench.Config) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("Ablation A9 — stegdb write scalability (goroutines of a write-heavy mixed")
-	fmt.Println("Put/Delete/Get/Range op set over ONE shared PARTITIONED hidden table — B-link")
-	fmt.Println("tree writers, hash-sharded partitions, group-commit Sync between levels,")
-	fmt.Println("unmeasured; cached, latency-emulated volume; identical op set per level):")
-	fmt.Println("  goroutines  partitions  wall-sec     ops/s   speedup  disk-sec  hit-rate")
-	for _, r := range rows {
-		fmt.Printf("  %10d  %10d  %8.3f  %8.1f  %7.2fx  %8.3f  %7.1f%%\n",
-			r.Goroutines, r.Partitions, r.WallSeconds, r.OpsPerSec, r.Speedup, r.DiskSeconds, r.HitRate*100)
-		emit("ablate-stegdb-write", r)
-	}
+	printSweep("ablate-stegdb-write", `Ablation A9 — stegdb write scalability (goroutines of a write-heavy mixed
+Put/Delete/Get/Range op set over ONE shared PARTITIONED hidden table — B-link
+tree writers, hash-sharded partitions, group-commit Sync after each window,
+outside wall-sec; cached, latency-emulated volume; identical op set per level):`,
+		rows, "  partitions",
+		func(r bench.StegDBWriteRow) (bench.SweepRow, string) {
+			return r.SweepRow, fmt.Sprintf("  %10d", r.Partitions)
+		})
 	return nil
 }
+
+// printSweep prints one A5–A9 table — the shared SweepRow columns (hit-rate
+// only when the sweep is cached), then the experiment's own columns that
+// split returns under extraHdr — and emits every row to the JSON sink.
+func printSweep[R any](exp, title string, rows []R, extraHdr string, split func(R) (bench.SweepRow, string)) {
+	cached := false
+	for _, r := range rows {
+		s, _ := split(r)
+		cached = cached || s.HitRate > 0
+	}
+	fmt.Println(title)
+	hdr := "  goroutines  wall-sec     ops/s   speedup  disk-sec"
+	if cached {
+		hdr += "  hit-rate"
+	}
+	fmt.Println(hdr + extraHdr)
+	for _, r := range rows {
+		s, extra := split(r)
+		line := fmt.Sprintf("  %10d  %8.3f  %8.1f  %7.2fx  %8.3f",
+			s.Goroutines, s.WallSeconds, s.OpsPerSec, s.Speedup, s.DiskSeconds)
+		if cached {
+			line += fmt.Sprintf("  %7.1f%%", s.HitRate*100)
+		}
+		fmt.Println(line + extra)
+		emit(exp, r)
+	}
+}
+
+// sweepOnly is printSweep's split for rows with no columns of their own.
+func sweepOnly(r bench.SweepRow) (bench.SweepRow, string) { return r, "" }
 
 // printAllocReport prints the sharded allocator's group-skew summary under a
 // concurrency sweep's table.

@@ -7,8 +7,6 @@ import (
 
 	"stegfs/internal/adversary"
 	"stegfs/internal/fsapi"
-	"stegfs/internal/stegfs"
-	"stegfs/internal/vdisk"
 	"stegfs/internal/workload"
 )
 
@@ -42,15 +40,8 @@ func AbandonedSweep(cfg Config, pcts []float64, filesToHide int) ([]AbandonedRow
 }
 
 func abandonedPoint(cfg Config, pct float64, filesToHide int) (AbandonedRow, error) {
-	store, err := vdisk.NewMemStore(cfg.NumBlocks(), cfg.BlockSize)
-	if err != nil {
-		return AbandonedRow{}, err
-	}
-	disk := vdisk.NewDisk(store, cfg.Geometry)
-	p := cfg.Steg
-	p.Seed = cfg.Seed
-	p.PctAbandoned = pct
-	fs, err := stegfs.Format(disk, p)
+	cfg.Steg.PctAbandoned = pct
+	_, fs, err := newVolume(cfg)
 	if err != nil {
 		return AbandonedRow{}, err
 	}
@@ -113,15 +104,9 @@ func FreePoolSweep(cfg Config, freeMaxes []int) ([]FreePoolRow, error) {
 	}
 	var out []FreePoolRow
 	for _, fm := range freeMaxes {
-		store, err := vdisk.NewMemStore(cfg.NumBlocks(), cfg.BlockSize)
-		if err != nil {
-			return nil, err
-		}
-		disk := vdisk.NewDisk(store, cfg.Geometry)
-		p := cfg.Steg
-		p.Seed = cfg.Seed
-		p.FreeMax = fm
-		fs, err := stegfs.Format(disk, p)
+		c := cfg
+		c.Steg.FreeMax = fm
+		disk, fs, err := newVolume(c)
 		if err != nil {
 			return nil, fmt.Errorf("FreeMax=%d: %w", fm, err)
 		}
@@ -170,15 +155,9 @@ func DummySweep(cfg Config, counts []int) ([]DummyRow, error) {
 	}
 	var out []DummyRow
 	for _, nd := range counts {
-		store, err := vdisk.NewMemStore(cfg.NumBlocks(), cfg.BlockSize)
-		if err != nil {
-			return nil, err
-		}
-		disk := vdisk.NewDisk(store, cfg.Geometry)
-		p := cfg.Steg
-		p.Seed = cfg.Seed
-		p.NDummy = nd
-		fs, err := stegfs.Format(disk, p)
+		c := cfg
+		c.Steg.NDummy = nd
+		_, fs, err := newVolume(c)
 		if err != nil {
 			return nil, fmt.Errorf("NDummy=%d: %w", nd, err)
 		}

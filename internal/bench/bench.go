@@ -184,6 +184,20 @@ func BuildInstance(scheme string, cfg Config, specs []workload.FileSpec) (*Insta
 	return inst, nil
 }
 
+// newVolume formats a StegFS volume, seeded from cfg, on a fresh in-memory
+// store behind the simulated disk.
+func newVolume(cfg Config, opts ...stegfs.Option) (*vdisk.Disk, *stegfs.FS, error) {
+	store, err := vdisk.NewMemStore(cfg.NumBlocks(), cfg.BlockSize)
+	if err != nil {
+		return nil, nil, err
+	}
+	disk := vdisk.NewDisk(store, cfg.Geometry)
+	p := cfg.Steg
+	p.Seed = cfg.Seed
+	fs, err := stegfs.Format(disk, p, opts...)
+	return disk, fs, err
+}
+
 // maxFilesFor sizes the central directory comfortably above the workload.
 func maxFilesFor(cfg Config) int {
 	n := cfg.NumFiles * 2

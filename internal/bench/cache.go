@@ -6,7 +6,6 @@ import (
 
 	"stegfs/internal/blockcache"
 	"stegfs/internal/stegfs"
-	"stegfs/internal/vdisk"
 	"stegfs/internal/workload"
 )
 
@@ -59,14 +58,7 @@ func CacheSweep(cfg Config, capacities []int, files, rounds int) ([]CacheRow, er
 }
 
 func cachePoint(cfg Config, capacity, files, rounds int) (CacheRow, error) {
-	store, err := vdisk.NewMemStore(cfg.NumBlocks(), cfg.BlockSize)
-	if err != nil {
-		return CacheRow{}, err
-	}
-	disk := vdisk.NewDisk(store, cfg.Geometry)
-	p := cfg.Steg
-	p.Seed = cfg.Seed
-	fs, err := stegfs.Format(disk, p, stegfs.WithCache(capacity), stegfs.WithCachePolicy(cfg.CachePolicy))
+	disk, fs, err := newVolume(cfg, stegfs.WithCache(capacity), stegfs.WithCachePolicy(cfg.CachePolicy))
 	if err != nil {
 		return CacheRow{}, err
 	}

@@ -1,28 +1,20 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
-	"sync"
-	"time"
 
 	"stegfs/internal/alloc"
 	"stegfs/internal/stegfs"
-	"stegfs/internal/vdisk"
 	"stegfs/internal/workload"
 )
 
 // CachedWriteConcurrencyRow is one level of the cached parallel-write-path
 // ablation (A7): the A6 mutation cycle plus a cold-read stream fanned across
 // Goroutines workers on one shared CACHED StegFS instance with the
-// asynchronous write-behind pipeline active.
+// asynchronous write-behind pipeline active. Its window ends at the closing
+// FS.Sync, so WallSeconds includes that barrier.
 type CachedWriteConcurrencyRow struct {
-	Goroutines  int
-	WallSeconds float64 // wall-clock time for the whole op set + in-window Sync
-	OpsPerSec   float64 // totalOps / WallSeconds
-	Speedup     float64 // OpsPerSec relative to the first (1-goroutine) row
-	DiskSeconds float64 // simulated-disk time consumed inside the window
-	HitRate     float64 // cache hit rate inside the window
+	SweepRow
 	// SyncTailSeconds is the closing FS.Sync barrier alone: the dirty
 	// backlog write-behind left for the barrier to drain. The elevator
 	// (C-SCAN) flusher keeps this tail short — without the sweep cursor the
@@ -107,162 +99,95 @@ const (
 // cost of the level's mutations — wall-clock speedup cannot come from
 // deferring device work past the measurement.
 func CachedWriteConcurrencySweep(cfg Config, levels []int, emuScale float64) ([]CachedWriteConcurrencyRow, AllocReport, error) {
-	if levels == nil {
-		levels = []int{1, 2, 4, 8, 16}
-	}
-	if emuScale <= 0 {
-		emuScale = 0.5
-	}
-	totalOps := cwcStripes * cwcOpsPerStripe
-	for _, g := range levels {
-		if g <= 0 {
-			return nil, AllocReport{}, fmt.Errorf("bench: invalid concurrency level %d", g)
-		}
-		if totalOps%g != 0 || (totalOps/g)%cwcOpsPerStripe != 0 {
-			return nil, AllocReport{}, fmt.Errorf("bench: level %d does not tile %d ops in whole %d-op stripes", g, totalOps, cwcOpsPerStripe)
-		}
-	}
-	store, err := vdisk.NewMemStore(cfg.NumBlocks(), cfg.BlockSize)
-	if err != nil {
-		return nil, AllocReport{}, err
-	}
-	disk := vdisk.NewDisk(store, cfg.Geometry)
-	p := cfg.Steg
-	p.Seed = cfg.Seed
-	fs, err := stegfs.Format(disk, p,
-		stegfs.WithCache(cwcCacheBlocks),
-		stegfs.WithCachePolicy(cfg.CachePolicy),
-		stegfs.WithWriteBehind(cwcWriteBehind, cwcFlushWorkers))
-	if err != nil {
-		return nil, AllocReport{}, err
-	}
-	defer fs.Close() // stop the background flusher pool when the sweep ends
-	view := fs.NewHiddenView("cwc")
-
+	var (
+		fs            *stegfs.FS
+		view          *stegfs.HiddenView
+		reads         [cwcReadFiles]string
+		writes        [cwcStripes]string
+		payloads, alt [cwcStripes][]byte // canonical and rewrite content
+		report        AllocReport
+	)
 	bs := int64(cfg.BlockSize)
-	readSpecs := make([]workload.FileSpec, cwcReadFiles)
-	for i := range readSpecs {
-		readSpecs[i] = workload.FileSpec{Name: fmt.Sprintf("r%03d", i), Size: cwcReadBlocks * bs}
-		if err := view.Create(readSpecs[i].Name, workload.Payload(readSpecs[i], cfg.Seed)); err != nil {
-			return nil, AllocReport{}, fmt.Errorf("populate %s: %w", readSpecs[i].Name, err)
-		}
-	}
-	writeSpecs := make([]workload.FileSpec, cwcStripes)
-	payloads := make([][]byte, cwcStripes)
-	alt := make([][]byte, cwcStripes)
-	for i := range writeSpecs {
-		writeSpecs[i] = workload.FileSpec{Name: fmt.Sprintf("w%03d", i), Size: cwcWriteBlocks * bs}
-		payloads[i] = workload.Payload(writeSpecs[i], cfg.Seed)
-		alt[i] = workload.Payload(writeSpecs[i], cfg.Seed+7)
-		if err := view.Create(writeSpecs[i].Name, payloads[i]); err != nil {
-			return nil, AllocReport{}, fmt.Errorf("populate %s: %w", writeSpecs[i].Name, err)
-		}
-	}
-
-	// One op of the deterministic mix. Stripe s owns write object s and the
-	// four read files 4s..4s+3; even positions are cold reads, odd positions
-	// walk the A6 cycle in order: in-place rewrite, delete, re-create
-	// (fresh uniform allocation), rewrite back to the canonical content.
-	doOp := func(i int) error {
-		stripe, pos := i/cwcOpsPerStripe, i%cwcOpsPerStripe
-		if pos%2 == 0 {
-			_, err := view.Read(readSpecs[stripe*4+pos/2].Name)
-			return err
-		}
-		name := writeSpecs[stripe].Name
-		switch pos / 2 {
-		case 0:
-			return view.Write(name, alt[stripe])
-		case 1:
-			return view.Delete(name)
-		case 2:
-			return view.Create(name, alt[stripe])
-		default:
-			return view.Write(name, payloads[stripe])
-		}
-	}
-
-	cache := fs.Cache()
-	var rows []CachedWriteConcurrencyRow
-	for _, g := range levels {
-		// Reset to an identical cold-cache, clean state between levels —
-		// outside the window and without latency emulation.
-		if err := fs.Sync(); err != nil {
-			return nil, AllocReport{}, err
-		}
-		if err := cache.Invalidate(); err != nil {
-			return nil, AllocReport{}, err
-		}
-
-		disk.EmulateLatency(emuScale)
-		preDisk := disk.Elapsed()
-		preStats := cache.Stats()
-		errs := make(chan error, g)
-		var wg sync.WaitGroup
-		start := time.Now()
-		for w := 0; w < g; w++ {
-			lo, hi := w*totalOps/g, (w+1)*totalOps/g
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					if err := doOp(i); err != nil {
-						errs <- fmt.Errorf("op %d: %w", i, err)
-						return
-					}
+	lv, err := sweep{
+		opts: []stegfs.Option{
+			stegfs.WithCache(cwcCacheBlocks),
+			stegfs.WithCachePolicy(cfg.CachePolicy),
+			stegfs.WithWriteBehind(cwcWriteBehind, cwcFlushWorkers),
+		},
+		ops:  cwcStripes * cwcOpsPerStripe,
+		unit: cwcOpsPerStripe,
+		populate: func(f *stegfs.FS) error {
+			fs, view = f, f.NewHiddenView("cwc")
+			for i := range reads {
+				spec := workload.FileSpec{Name: fmt.Sprintf("r%03d", i), Size: cwcReadBlocks * bs}
+				reads[i] = spec.Name
+				if err := view.Create(spec.Name, workload.Payload(spec, cfg.Seed)); err != nil {
+					return fmt.Errorf("%s: %w", spec.Name, err)
 				}
-			}(lo, hi)
-		}
-		wg.Wait()
+			}
+			for i := range payloads {
+				spec := workload.FileSpec{Name: fmt.Sprintf("w%03d", i), Size: cwcWriteBlocks * bs}
+				writes[i] = spec.Name
+				payloads[i] = workload.Payload(spec, cfg.Seed)
+				alt[i] = workload.Payload(spec, cfg.Seed+7)
+				if err := view.Create(spec.Name, payloads[i]); err != nil {
+					return fmt.Errorf("%s: %w", spec.Name, err)
+				}
+			}
+			return nil
+		},
+		// Stripe s owns write object s and the four read files 4s..4s+3;
+		// even positions are cold reads, odd positions walk the A6 cycle in
+		// order: in-place rewrite, delete, re-create (fresh uniform
+		// allocation), rewrite back to the canonical content.
+		op: func(i int) error {
+			stripe, pos := i/cwcOpsPerStripe, i%cwcOpsPerStripe
+			if pos%2 == 0 {
+				_, err := view.Read(reads[stripe*4+pos/2])
+				return err
+			}
+			name := writes[stripe]
+			switch pos / 2 {
+			case 0:
+				return view.Write(name, alt[stripe])
+			case 1:
+				return view.Delete(name)
+			case 2:
+				return view.Create(name, alt[stripe])
+			default:
+				return view.Write(name, payloads[stripe])
+			}
+		},
+		// Identical cold-cache, clean state before every level.
+		reset: func() error {
+			if err := fs.Sync(); err != nil {
+				return err
+			}
+			return fs.Cache().Invalidate()
+		},
 		// The window ends at the Sync barrier: the level's full write-back
-		// cost is inside the measurement. The barrier is timed on its own —
-		// its tail is the write-behind debt the background flushers failed
-		// to retire inside the window.
-		syncStart := time.Now()
-		syncErr := fs.Sync()
-		syncTail := time.Since(syncStart)
-		wall := time.Since(start)
-		disk.EmulateLatency(0)
-		close(errs)
-		for err := range errs {
-			return nil, AllocReport{}, fmt.Errorf("g=%d: %w", g, err)
-		}
-		if syncErr != nil {
-			return nil, AllocReport{}, fmt.Errorf("g=%d: sync: %w", g, syncErr)
-		}
-
-		d := cache.Stats().Sub(preStats)
-		row := CachedWriteConcurrencyRow{
-			Goroutines:      g,
-			WallSeconds:     wall.Seconds(),
-			DiskSeconds:     (disk.Elapsed() - preDisk).Seconds(),
-			HitRate:         d.HitRate(),
-			SyncTailSeconds: syncTail.Seconds(),
-			WriteBacks:      d.WriteBacks,
-			FlushBatches:    d.FlushBatches,
-			WriteBehinds:    d.WriteBehinds,
-			FlushStalls:     d.FlushStalls,
-		}
-		if wall > 0 {
-			row.OpsPerSec = float64(totalOps) / wall.Seconds()
-		}
-		rows = append(rows, row)
-
-		// Verify outside the measured window.
-		for i, s := range writeSpecs {
-			got, err := view.Read(s.Name)
-			if err != nil {
-				return nil, AllocReport{}, fmt.Errorf("g=%d verify %s: %w", g, s.Name, err)
-			}
-			if !bytes.Equal(got, payloads[i]) {
-				return nil, AllocReport{}, fmt.Errorf("g=%d: %s corrupted after cached write window", g, s.Name)
-			}
+		// cost is inside the measurement, and the barrier's own time is the
+		// write-behind debt the background flushers failed to retire.
+		barrier: func() error { return fs.Sync() },
+		after:   func() error { return verifyHidden(view, writes[:], payloads[:]) },
+		finish: func() error {
+			report = NewAllocReport(fs.Alloc())
+			return nil
+		},
+	}.run(cfg, levels, emuScale)
+	if err != nil {
+		return nil, AllocReport{}, err
+	}
+	rows := make([]CachedWriteConcurrencyRow, len(lv))
+	for i, l := range lv {
+		rows[i] = CachedWriteConcurrencyRow{
+			SweepRow:        l.SweepRow,
+			SyncTailSeconds: l.barrier.Seconds(),
+			WriteBacks:      l.cache.WriteBacks,
+			FlushBatches:    l.cache.FlushBatches,
+			WriteBehinds:    l.cache.WriteBehinds,
+			FlushStalls:     l.cache.FlushStalls,
 		}
 	}
-	if len(rows) > 0 && rows[0].OpsPerSec > 0 {
-		for i := range rows {
-			rows[i].Speedup = rows[i].OpsPerSec / rows[0].OpsPerSec
-		}
-	}
-	return rows, NewAllocReport(fs.Alloc()), nil
+	return rows, report, nil
 }

@@ -3,25 +3,10 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"sync"
-	"time"
 
 	"stegfs/internal/stegfs"
-	"stegfs/internal/vdisk"
 	"stegfs/internal/workload"
 )
-
-// ConcurrencyRow is one level of the parallel-read-path ablation (A5): the
-// same mixed-read workload fanned across Goroutines workers on one shared
-// StegFS instance.
-type ConcurrencyRow struct {
-	Goroutines  int
-	WallSeconds float64 // wall-clock time for the whole op set
-	OpsPerSec   float64 // totalOps / WallSeconds
-	Speedup     float64 // OpsPerSec relative to the first (1-goroutine) row
-	DiskSeconds float64 // simulated-disk time consumed inside the window
-	HitRate     float64 // cache hit rate inside the window
-}
 
 // Defaults for the sweep's shared instance. The hot set (plus headers and
 // pointer blocks) fits the cache; the cold set cycles far beyond it, so
@@ -50,207 +35,105 @@ const (
 // many users piled on; with per-object locks, a shared allocation RWMutex
 // and non-blocking cache miss fetches, readers of distinct objects overlap
 // their waits and throughput scales until the op mix's CPU share saturates.
-//
-// The op mix is deterministic and identical at every level (only the
-// partition across goroutines changes): per 8 ops, 5 hot hidden reads
-// (cache hits), 2 cold hidden reads (emulated device latency) and 1 plain
-// file read. Before each level the cache is reset and re-warmed to the same
-// steady state, so the simulated-disk cost of the window stays comparable
-// across levels — concurrency must buy wall-clock time, not charge the
-// simulated disk differently.
-func ConcurrencySweep(cfg Config, levels []int, totalOps int, emuScale float64) ([]ConcurrencyRow, error) {
-	if levels == nil {
-		levels = []int{1, 2, 4, 8, 16}
-	}
+// Per 8 ops: 5 hot hidden reads (cache hits), 2 cold hidden reads (emulated
+// device latency) and 1 plain file read; every level starts from the same
+// re-warmed cache state.
+func ConcurrencySweep(cfg Config, levels []int, totalOps int, emuScale float64) ([]SweepRow, error) {
 	if totalOps <= 0 {
 		totalOps = 256
 	}
-	if emuScale <= 0 {
-		emuScale = 0.5
+	type file struct {
+		name string
+		data []byte
 	}
-	store, err := vdisk.NewMemStore(cfg.NumBlocks(), cfg.BlockSize)
-	if err != nil {
-		return nil, err
-	}
-	disk := vdisk.NewDisk(store, cfg.Geometry)
-	p := cfg.Steg
-	p.Seed = cfg.Seed
-	policy := cfg.CachePolicy
-	if policy == "" {
-		policy = "2q" // scan-resistant: the cold cycle must not evict the hot set
-	}
-	fs, err := stegfs.Format(disk, p, stegfs.WithCache(concCacheBlocks), stegfs.WithCachePolicy(policy))
-	if err != nil {
-		return nil, err
-	}
-	view := fs.NewHiddenView("conc")
-
+	var (
+		fs                     *stegfs.FS
+		view                   *stegfs.HiddenView
+		hot, cold, fill, plain []file
+	)
 	bs := int64(cfg.BlockSize)
-	mkFiles := func(prefix string, count int, blocks int64) ([]workload.FileSpec, [][]byte, error) {
-		specs := make([]workload.FileSpec, count)
-		payloads := make([][]byte, count)
-		for i := range specs {
-			specs[i] = workload.FileSpec{Name: fmt.Sprintf("%s%02d", prefix, i), Size: blocks * bs}
-			payloads[i] = workload.Payload(specs[i], cfg.Seed)
-			if err := view.Create(specs[i].Name, payloads[i]); err != nil {
-				return nil, nil, fmt.Errorf("populate %s: %w", specs[i].Name, err)
+	mkFiles := func(prefix string, count int, blocks int64) ([]file, error) {
+		files := make([]file, count)
+		for i := range files {
+			spec := workload.FileSpec{Name: fmt.Sprintf("%s%02d", prefix, i), Size: blocks * bs}
+			files[i] = file{spec.Name, workload.Payload(spec, cfg.Seed)}
+			if err := view.Create(spec.Name, files[i].data); err != nil {
+				return nil, fmt.Errorf("%s: %w", spec.Name, err)
 			}
 		}
-		return specs, payloads, nil
+		return files, nil
 	}
-	hotSpecs, hotData, err := mkFiles("hot", concHotFiles, concHotBlocks)
-	if err != nil {
-		return nil, err
-	}
-	coldSpecs, coldData, err := mkFiles("cold", concColdFiles, concColdBlocks)
-	if err != nil {
-		return nil, err
-	}
-	fillSpecs, _, err := mkFiles("fill", concFillFiles, concFillBlocks)
-	if err != nil {
-		return nil, err
-	}
-	plainNames := make([]string, concPlainFiles)
-	plainData := make([][]byte, concPlainFiles)
-	for i := range plainNames {
-		plainNames[i] = fmt.Sprintf("plain%02d", i)
-		plainData[i] = workload.Payload(workload.FileSpec{Name: plainNames[i], Size: 8 * bs}, cfg.Seed+3)
-		if err := fs.Create(plainNames[i], plainData[i]); err != nil {
-			return nil, fmt.Errorf("populate %s: %w", plainNames[i], err)
+	// check reads f through read and verifies its content.
+	check := func(read func(string) ([]byte, error), f file) error {
+		got, err := read(f.name)
+		if err != nil {
+			return fmt.Errorf("%s: %w", f.name, err)
 		}
-	}
-	if err := view.Sync(); err != nil {
-		return nil, err
-	}
-
-	// One op of the deterministic mix; the index fixes the op, the level
-	// only decides which goroutine runs it.
-	doOp := func(i int) error {
-		switch {
-		case i%8 == 5:
-			j := (i / 8) % len(plainNames)
-			got, err := fs.Read(plainNames[j])
-			if err != nil {
-				return fmt.Errorf("op %d plain %s: %w", i, plainNames[j], err)
-			}
-			if !bytes.Equal(got, plainData[j]) {
-				return fmt.Errorf("op %d: plain %s corrupted", i, plainNames[j])
-			}
-		case i%4 == 3:
-			j := (i / 4) % len(coldSpecs)
-			got, err := view.Read(coldSpecs[j].Name)
-			if err != nil {
-				return fmt.Errorf("op %d cold %s: %w", i, coldSpecs[j].Name, err)
-			}
-			if !bytes.Equal(got, coldData[j]) {
-				return fmt.Errorf("op %d: cold %s corrupted", i, coldSpecs[j].Name)
-			}
-		default:
-			j := i % len(hotSpecs)
-			got, err := view.Read(hotSpecs[j].Name)
-			if err != nil {
-				return fmt.Errorf("op %d hot %s: %w", i, hotSpecs[j].Name, err)
-			}
-			if !bytes.Equal(got, hotData[j]) {
-				return fmt.Errorf("op %d: hot %s corrupted", i, hotSpecs[j].Name)
-			}
+		if !bytes.Equal(got, f.data) {
+			return fmt.Errorf("%s corrupted", f.name)
 		}
 		return nil
 	}
 
-	// warm re-establishes the canonical cache state: hot pass, a filler scan
-	// (pushes the hot set out of 2Q's probation FIFO — deliberately NOT the
-	// cold set, or whichever cold blocks survived in the FIFO would hand
-	// position-dependent free hits to some window schedules), hot pass (the
-	// re-reference promotes the hot set into the protected region), plain
-	// pass.
-	warm := func() error {
-		pass := func(specs []workload.FileSpec) error {
-			for _, s := range specs {
-				if _, err := view.Read(s.Name); err != nil {
+	lv, err := sweep{
+		ops:  totalOps,
+		opts: []stegfs.Option{stegfs.WithCache(concCacheBlocks), stegfs.WithCachePolicy(scanResistant(cfg))},
+		populate: func(f *stegfs.FS) error {
+			fs, view = f, f.NewHiddenView("conc")
+			var err error
+			if hot, err = mkFiles("hot", concHotFiles, concHotBlocks); err != nil {
+				return err
+			}
+			if cold, err = mkFiles("cold", concColdFiles, concColdBlocks); err != nil {
+				return err
+			}
+			if fill, err = mkFiles("fill", concFillFiles, concFillBlocks); err != nil {
+				return err
+			}
+			plain = make([]file, concPlainFiles)
+			for i := range plain {
+				name := fmt.Sprintf("plain%02d", i)
+				plain[i] = file{name, workload.Payload(workload.FileSpec{Name: name, Size: 8 * bs}, cfg.Seed+3)}
+				if err := fs.Create(name, plain[i].data); err != nil {
+					return fmt.Errorf("%s: %w", name, err)
+				}
+			}
+			return view.Sync()
+		},
+		op: func(i int) error {
+			switch {
+			case i%8 == 5:
+				return check(fs.Read, plain[(i/8)%len(plain)])
+			case i%4 == 3:
+				return check(view.Read, cold[(i/4)%len(cold)])
+			default:
+				return check(view.Read, hot[i%len(hot)])
+			}
+		},
+		// Re-establish the canonical cache state: hot pass, a filler scan
+		// (pushes the hot set out of 2Q's probation FIFO — deliberately NOT
+		// the cold set, or whichever cold blocks survived in the FIFO would
+		// hand position-dependent free hits to some window schedules), hot
+		// pass (the re-reference promotes the hot set into the protected
+		// region), plain pass.
+		reset: func() error {
+			if err := fs.Cache().Invalidate(); err != nil {
+				return err
+			}
+			for _, files := range [][]file{hot, fill, hot} {
+				for _, f := range files {
+					if _, err := view.Read(f.name); err != nil {
+						return err
+					}
+				}
+			}
+			for _, f := range plain {
+				if _, err := fs.Read(f.name); err != nil {
 					return err
 				}
 			}
 			return nil
-		}
-		if err := pass(hotSpecs); err != nil {
-			return err
-		}
-		if err := pass(fillSpecs); err != nil {
-			return err
-		}
-		if err := pass(hotSpecs); err != nil {
-			return err
-		}
-		for _, n := range plainNames {
-			if _, err := fs.Read(n); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	disk.EmulateLatency(emuScale)
-	defer disk.EmulateLatency(0)
-	var rows []ConcurrencyRow
-	for _, g := range levels {
-		if g <= 0 {
-			return nil, fmt.Errorf("bench: invalid concurrency level %d", g)
-		}
-		if err := fs.Cache().Invalidate(); err != nil {
-			return nil, err
-		}
-		disk.EmulateLatency(0) // warm-up is not part of the measurement
-		if err := warm(); err != nil {
-			return nil, fmt.Errorf("g=%d warm-up: %w", g, err)
-		}
-		disk.EmulateLatency(emuScale)
-		preDisk := disk.Elapsed()
-		preStats, _ := fs.CacheStats()
-
-		errs := make(chan error, g)
-		var wg sync.WaitGroup
-		start := time.Now()
-		for w := 0; w < g; w++ {
-			// Contiguous chunks: a strided split (i % g == w) would alias
-			// the op mix's period-4/8 structure and hand every cold op to
-			// the same goroutine at small g.
-			lo, hi := w*totalOps/g, (w+1)*totalOps/g
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					if err := doOp(i); err != nil {
-						errs <- err
-						return
-					}
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
-		close(errs)
-		wall := time.Since(start)
-		for err := range errs {
-			return nil, fmt.Errorf("g=%d: %w", g, err)
-		}
-
-		row := ConcurrencyRow{
-			Goroutines:  g,
-			WallSeconds: wall.Seconds(),
-			DiskSeconds: (disk.Elapsed() - preDisk).Seconds(),
-		}
-		if wall > 0 {
-			row.OpsPerSec = float64(totalOps) / wall.Seconds()
-		}
-		if stats, ok := fs.CacheStats(); ok {
-			row.HitRate = stats.Sub(preStats).HitRate()
-		}
-		rows = append(rows, row)
-	}
-	if len(rows) > 0 && rows[0].OpsPerSec > 0 {
-		for i := range rows {
-			rows[i].Speedup = rows[i].OpsPerSec / rows[0].OpsPerSec
-		}
-	}
-	return rows, nil
+		},
+	}.run(cfg, levels, emuScale)
+	return sweepRows(lv), err
 }

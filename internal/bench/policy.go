@@ -6,7 +6,6 @@ import (
 
 	"stegfs/internal/blockcache"
 	"stegfs/internal/stegfs"
-	"stegfs/internal/vdisk"
 	"stegfs/internal/workload"
 )
 
@@ -89,14 +88,7 @@ func policySpecs(cfg Config) (scan, hot []workload.FileSpec) {
 }
 
 func policyPoint(cfg Config, policy string, capacity, rounds int) (PolicyRow, error) {
-	store, err := vdisk.NewMemStore(cfg.NumBlocks(), cfg.BlockSize)
-	if err != nil {
-		return PolicyRow{}, err
-	}
-	disk := vdisk.NewDisk(store, cfg.Geometry)
-	p := cfg.Steg
-	p.Seed = cfg.Seed
-	fs, err := stegfs.Format(disk, p, stegfs.WithCache(capacity), stegfs.WithCachePolicy(policy))
+	disk, fs, err := newVolume(cfg, stegfs.WithCache(capacity), stegfs.WithCachePolicy(policy))
 	if err != nil {
 		return PolicyRow{}, err
 	}

@@ -6,9 +6,7 @@ import (
 	"math/rand"
 
 	"stegfs/internal/fsapi"
-	"stegfs/internal/stegfs"
 	"stegfs/internal/stegrand"
-	"stegfs/internal/vdisk"
 	"stegfs/internal/workload"
 )
 
@@ -64,14 +62,7 @@ func SpaceUtilStegRand(cfg Config, replication int) SpaceRow {
 // blocks, the dummy files, the inode structures and the internal free pools
 // (§5.2: ">80% with the default settings").
 func SpaceUtilStegFS(cfg Config) (SpaceRow, error) {
-	store, err := vdisk.NewMemStore(cfg.NumBlocks(), cfg.BlockSize)
-	if err != nil {
-		return SpaceRow{}, err
-	}
-	disk := vdisk.NewDisk(store, cfg.Geometry)
-	p := cfg.Steg
-	p.Seed = cfg.Seed
-	fs, err := stegfs.Format(disk, p)
+	_, fs, err := newVolume(cfg)
 	if err != nil {
 		return SpaceRow{}, err
 	}
@@ -93,7 +84,7 @@ func SpaceUtilStegFS(cfg Config) (SpaceRow, error) {
 		Scheme:      "StegFS",
 		Utilization: float64(stored) / float64(cfg.VolumeBytes),
 		Note: fmt.Sprintf("abandoned=%.0f%%, dummies=%d x %dKB avg",
-			p.PctAbandoned*100, p.NDummy, p.DummyAvgSize>>10),
+			cfg.Steg.PctAbandoned*100, cfg.Steg.NDummy, cfg.Steg.DummyAvgSize>>10),
 	}, nil
 }
 

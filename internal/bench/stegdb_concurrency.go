@@ -4,36 +4,22 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"time"
 
 	"stegfs/internal/stegdb"
 	"stegfs/internal/stegfs"
-	"stegfs/internal/vdisk"
 )
 
-// StegDBConcurrencyRow is one level of the stegdb ablation (A8): the same
-// mixed Get/Put/Delete/Scan workload fanned across Goroutines workers on
-// one shared hidden table.
-type StegDBConcurrencyRow struct {
-	Goroutines  int
-	WallSeconds float64 // wall-clock time for the whole op set
-	OpsPerSec   float64 // totalOps / WallSeconds
-	Speedup     float64 // OpsPerSec relative to the first (1-goroutine) row
-	DiskSeconds float64 // simulated-disk time consumed inside the window
-	HitRate     float64 // block-cache hit rate inside the window
-}
-
-// Shared-table shape for the sweep. The whole database file fits both the
-// block cache and the pager page cache, so nothing is evicted mid-window —
-// the window's miss set is exactly the deliberately-cold bucket pages.
+// Shared-table shape of the stegdb sweeps (A8, A9). The database files fit
+// both the block cache and the pager page cache, so nothing is evicted
+// mid-window — the window's miss set is exactly the deliberately-cold key
+// space's pages.
 const (
-	sdbCacheBlocks = 8192 // block cache: comfortably above the file's blocks
-	sdbPageCache   = 1024 // pager page cache frames
-	sdbBuckets     = 256  // hash index buckets
+	sdbCacheBlocks = 8192 // block cache: comfortably above the files' blocks
+	sdbPageCache   = 1024 // pager page cache frames (per partition in A9)
+	sdbBuckets     = 256  // hash index buckets (per partition in A9)
 	sdbHotKeys     = 64   // "a-ro-*": read-only, warmed, hash-path hits
-	sdbRWKeys      = 32   // "b-rw-*": replace targets + snapshot Range window
-	sdbColdKeys    = 4096 // "e-cold-*": each Get pays a bucket-page miss
+	sdbRWKeys      = 32   // "b-rw-*": in-cache replace targets + snapshot Range window
+	sdbColdKeys    = 4096 // never-warmed key space: each access pays page misses
 )
 
 // StegDBConcurrencySweep runs ablation A8: goroutines x {1,2,4,8,16} of a
@@ -43,250 +29,226 @@ const (
 // device latency), 1 replace Put (B-tree + hash, in-cache), 1 transient
 // Put+Delete (exercises both indexes and the rollback-consistent pair), and
 // 1 snapshot Range over the replace window (verifying a consistent view
-// while writers run). The op set is deterministic and identical at every
-// level — only the partition across goroutines changes — and each level
-// restores the same warm state first, so the simulated-disk cost must stay
-// flat while wall-clock time shrinks: scaling has to come from stegdb's
-// latching (pager page latches, hash stripes, snapshot reads), not from
-// charging the disk differently. The measured window covers the concurrent
-// ops; the write-back Sync runs between levels, unmeasured, like A5 — the
-// flush pipeline's cost is ablation A7's subject, and folding its serial
-// drain into this window would measure the block cache, not stegdb's
+// while writers run). Scaling has to come from stegdb's latching (pager
+// page latches, hash stripes, snapshot reads). The write-back Sync runs
+// right after each window, untimed but charged to the level's disk-sec —
+// the flush pipeline's timing is ablation A7's subject, and folding its
+// serial drain into the window would measure the block cache, not stegdb's
 // locking.
-func StegDBConcurrencySweep(cfg Config, levels []int, totalOps int, emuScale float64) ([]StegDBConcurrencyRow, error) {
-	if levels == nil {
-		levels = []int{1, 2, 4, 8, 16}
-	}
+func StegDBConcurrencySweep(cfg Config, levels []int, totalOps int, emuScale float64) ([]SweepRow, error) {
 	if totalOps <= 0 {
 		totalOps = 256
 	}
-	if emuScale <= 0 {
-		emuScale = 0.5
-	}
-	store, err := vdisk.NewMemStore(cfg.NumBlocks(), cfg.BlockSize)
-	if err != nil {
-		return nil, err
-	}
-	disk := vdisk.NewDisk(store, cfg.Geometry)
-	p := cfg.Steg
-	p.Seed = cfg.Seed
-	policy := cfg.CachePolicy
-	if policy == "" {
-		policy = "2q"
-	}
-	fs, err := stegfs.Format(disk, p, stegfs.WithCache(sdbCacheBlocks), stegfs.WithCachePolicy(policy))
-	if err != nil {
-		return nil, err
-	}
-	view := fs.NewHiddenView("dbc")
-	tab, err := stegdb.CreateTable(view, "a8.db", true, sdbBuckets)
-	if err != nil {
-		return nil, err
-	}
-	pg := tab.Pager()
-	pg.SetPageCacheSize(sdbPageCache)
-
-	// Populate. Values are fixed-width so replaces never change page
-	// layout, and every value embeds its key so torn rows are detectable.
-	hotKey := func(i int) string { return fmt.Sprintf("a-ro-%04d", i%sdbHotKeys) }
-	rwKey := func(i int) string { return fmt.Sprintf("b-rw-%04d", i%sdbRWKeys) }
+	var (
+		fs  *stegfs.FS
+		tab *stegdb.Table
+	)
 	coldKey := func(c int) string { return fmt.Sprintf("e-cold-%05d", c%sdbColdKeys) }
+	op := func(i int) error {
+		switch i % 8 {
+		case 1:
+			return putRW(tab, i)
+		case 3, 7: // cold Get: a never-warmed bucket page pays device latency
+			k := coldKey((i/8)*2 + i%8/7)
+			v, ok, err := tab.Get([]byte(k))
+			if err != nil || !ok || string(v) != k+"=coldrow" {
+				return fmt.Errorf("cold get %s = %q %v %v", k, v, ok, err)
+			}
+			return nil
+		case 4:
+			return putDelete(tab, fmt.Sprintf("d-tmp-%06d", i))
+		case 6:
+			return checkRWRange(tab)
+		default: // 0, 2, 5
+			return getHot(tab, i)
+		}
+	}
+
+	lv, err := sweep{
+		opts: []stegfs.Option{stegfs.WithCache(sdbCacheBlocks), stegfs.WithCachePolicy(scanResistant(cfg))},
+		ops:  totalOps,
+		populate: func(f *stegfs.FS) error {
+			fs = f
+			var err error
+			if tab, err = stegdb.CreateTable(f.NewHiddenView("dbc"), "a8.db", true, sdbBuckets); err != nil {
+				return err
+			}
+			tab.Pager().SetPageCacheSize(sdbPageCache)
+			if err := putHotRW(tab); err != nil {
+				return err
+			}
+			for c := 0; c < sdbColdKeys; c++ {
+				if err := tab.Put([]byte(coldKey(c)), []byte(coldKey(c)+"=coldrow")); err != nil {
+					return err
+				}
+			}
+			return settle(tab, totalOps, op)
+		},
+		op: op,
+		// Same cold start every level: drop the pager page cache and the
+		// block cache, then re-warm the tree (one full snapshot scan) and
+		// the hot/rw rows.
+		reset: func() error {
+			if err := tab.Pager().InvalidatePageCache(); err != nil {
+				return err
+			}
+			if err := fs.Cache().Invalidate(); err != nil {
+				return err
+			}
+			if err := tab.Scan(func(k, v []byte) bool { return true }); err != nil {
+				return err
+			}
+			return getHotRW(tab)
+		},
+		drain:  func() error { return tab.Sync() },
+		finish: func() error { return postFlight(tab) },
+	}.run(cfg, levels, emuScale)
+	return sweepRows(lv), err
+}
+
+// kvTable is the row surface shared by A8's stegdb.Table and A9's
+// stegdb.PartitionedTable.
+type kvTable interface {
+	Put(key, val []byte) error
+	Get(key []byte) ([]byte, bool, error)
+	Delete(key []byte) (bool, error)
+	Range(lo, hi []byte, fn func(key, val []byte) bool) error
+	Scan(fn func(key, val []byte) bool) error
+	Rows() (int64, error)
+	Check() error
+	Sync() error
+}
+
+func sdbHotKey(i int) string { return fmt.Sprintf("a-ro-%04d", i%sdbHotKeys) }
+func sdbRWKey(i int) string  { return fmt.Sprintf("b-rw-%04d", i%sdbRWKeys) }
+
+// putHotRW populates the hot and rw rows. Values are fixed-width so
+// replaces never change page layout, and every value embeds its key so
+// torn rows are detectable.
+func putHotRW(t kvTable) error {
 	for i := 0; i < sdbHotKeys; i++ {
-		k := hotKey(i)
-		if err := tab.Put([]byte(k), []byte(k+"=hotrow")); err != nil {
-			return nil, err
+		if err := t.Put([]byte(sdbHotKey(i)), []byte(sdbHotKey(i)+"=hotrow")); err != nil {
+			return err
 		}
 	}
 	for i := 0; i < sdbRWKeys; i++ {
-		k := rwKey(i)
-		if err := tab.Put([]byte(k), []byte(fmt.Sprintf("%s:%06d", k, 0))); err != nil {
-			return nil, err
-		}
-	}
-	for c := 0; c < sdbColdKeys; c++ {
-		k := coldKey(c)
-		if err := tab.Put([]byte(k), []byte(k+"=coldrow")); err != nil {
-			return nil, err
-		}
-	}
-	if err := tab.Sync(); err != nil {
-		return nil, err
-	}
-
-	// One op of the deterministic mix; the index fixes the op, the level
-	// only decides which goroutine runs it.
-	doOp := func(i int) error {
-		switch i % 8 {
-		case 1: // replace Put on the rw window (tree + hash, in-cache)
-			k := rwKey(i / 8)
-			if err := tab.Put([]byte(k), []byte(fmt.Sprintf("%s:%06d", k, i))); err != nil {
-				return fmt.Errorf("op %d rw put: %w", i, err)
-			}
-		case 3, 7: // cold Get: a never-warmed bucket page pays device latency
-			c := (i/8)*2 + i%8/7
-			k := coldKey(c)
-			v, ok, err := tab.Get([]byte(k))
-			if err != nil || !ok || string(v) != k+"=coldrow" {
-				return fmt.Errorf("op %d cold get %s = %q %v %v", i, k, v, ok, err)
-			}
-		case 4: // transient row: Put then Delete through both structures
-			k := []byte(fmt.Sprintf("d-tmp-%06d", i))
-			if err := tab.Put(k, []byte("transient-row!")); err != nil {
-				return fmt.Errorf("op %d tmp put: %w", i, err)
-			}
-			found, err := tab.Delete(k)
-			if err != nil || !found {
-				return fmt.Errorf("op %d tmp delete = %v %v", i, found, err)
-			}
-		case 6: // snapshot Range over the rw window, concurrent with writers
-			var n int
-			err := tab.Range([]byte("b-"), []byte("b-~"), func(k, v []byte) bool {
-				ks, vs := string(k), string(v)
-				if !strings.HasPrefix(vs, ks+":") || len(vs) != len(ks)+1+6 {
-					n = -1 << 20 // torn row; force the count check to fail
-					return false
-				}
-				n++
-				return true
-			})
-			if err != nil {
-				return fmt.Errorf("op %d range: %w", i, err)
-			}
-			if n != sdbRWKeys {
-				return fmt.Errorf("op %d range saw %d rw rows, want %d", i, n, sdbRWKeys)
-			}
-		default: // 0, 2, 5: hot Get through the hash path (pager-cache hit)
-			k := hotKey(i)
-			v, ok, err := tab.Get([]byte(k))
-			if err != nil || !ok || string(v) != k+"=hotrow" {
-				return fmt.Errorf("op %d hot get %s = %q %v %v", i, k, v, ok, err)
-			}
-		}
-		return nil
-	}
-
-	// warm re-establishes the canonical caches: the tree (one full snapshot
-	// scan) plus the directory and hot/rw bucket pages. Cold bucket pages
-	// are deliberately left out — they are the window's fixed miss set.
-	warm := func() error {
-		var n int
-		if err := tab.Scan(func(k, v []byte) bool { n++; return true }); err != nil {
+		if err := t.Put([]byte(sdbRWKey(i)), []byte(fmt.Sprintf("%s:%06d", sdbRWKey(i), 0))); err != nil {
 			return err
 		}
-		for i := 0; i < sdbHotKeys; i++ {
-			if _, _, err := tab.Get([]byte(hotKey(i))); err != nil {
-				return err
-			}
-		}
-		for i := 0; i < sdbRWKeys; i++ {
-			if _, _, err := tab.Get([]byte(rwKey(i))); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
+	return nil
+}
 
-	// Settle pass: run the whole op set once (unmeasured, no emulation) so
-	// one-time page splits, allocations and file growth happen before any
-	// level is timed.
-	for i := 0; i < totalOps; i++ {
-		if err := doOp(i); err != nil {
-			return nil, fmt.Errorf("settle: %w", err)
+// getHotRW re-warms the hot and rw rows' pages: their bucket pages, leaves
+// and interior descent paths. The cold key space is deliberately left out —
+// it is the window's fixed miss set.
+func getHotRW(t kvTable) error {
+	for i := 0; i < sdbHotKeys; i++ {
+		if _, _, err := t.Get([]byte(sdbHotKey(i))); err != nil {
+			return err
 		}
 	}
-	if err := tab.Sync(); err != nil {
-		return nil, err
-	}
-
-	var rows []StegDBConcurrencyRow
-	for _, g := range levels {
-		if g <= 0 {
-			return nil, fmt.Errorf("bench: invalid concurrency level %d", g)
-		}
-		// Same cold start every level: drop the pager page cache, drop the
-		// block cache, re-warm the hot structures with emulation off.
-		if err := pg.InvalidatePageCache(); err != nil {
-			return nil, err
-		}
-		if err := fs.Cache().Invalidate(); err != nil {
-			return nil, err
-		}
-		if err := warm(); err != nil {
-			return nil, fmt.Errorf("g=%d warm-up: %w", g, err)
-		}
-		disk.EmulateLatency(emuScale)
-		preDisk := disk.Elapsed()
-		preStats, _ := fs.CacheStats()
-
-		errs := make(chan error, g)
-		var wg sync.WaitGroup
-		start := time.Now()
-		for w := 0; w < g; w++ {
-			// Contiguous chunks: a strided split would alias the op mix's
-			// period-8 structure and hand every cold op to one goroutine.
-			lo, hi := w*totalOps/g, (w+1)*totalOps/g
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					if err := doOp(i); err != nil {
-						errs <- err
-						return
-					}
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
-		wall := time.Since(start)
-		disk.EmulateLatency(0)
-		close(errs)
-		for err := range errs {
-			return nil, fmt.Errorf("g=%d: %w", g, err)
-		}
-		// Unmeasured Sync barrier: each level's dirty pages reach the
-		// device before the next level resets the caches.
-		if err := tab.Sync(); err != nil {
-			return nil, fmt.Errorf("g=%d sync: %w", g, err)
-		}
-
-		row := StegDBConcurrencyRow{
-			Goroutines:  g,
-			WallSeconds: wall.Seconds(),
-			DiskSeconds: (disk.Elapsed() - preDisk).Seconds(),
-		}
-		if wall > 0 {
-			row.OpsPerSec = float64(totalOps) / wall.Seconds()
-		}
-		if stats, ok := fs.CacheStats(); ok {
-			row.HitRate = stats.Sub(preStats).HitRate()
-		}
-		rows = append(rows, row)
-	}
-	if len(rows) > 0 && rows[0].OpsPerSec > 0 {
-		for i := range rows {
-			rows[i].Speedup = rows[i].OpsPerSec / rows[0].OpsPerSec
+	for i := 0; i < sdbRWKeys; i++ {
+		if _, _, err := t.Get([]byte(sdbRWKey(i))); err != nil {
+			return err
 		}
 	}
+	return nil
+}
 
-	// Post-flight: the table must come out of the sweep fully consistent.
-	wantRows := int64(sdbHotKeys + sdbRWKeys + sdbColdKeys)
-	gotRows, err := tab.Rows()
+// settle commits the populated table, then runs the whole op set once
+// (unmeasured, no emulation) and commits again, so one-time page splits,
+// allocations and file growth happen before any level is timed.
+func settle(t kvTable, ops int, op func(int) error) error {
+	if err := t.Sync(); err != nil {
+		return err
+	}
+	for i := 0; i < ops; i++ {
+		if err := op(i); err != nil {
+			return fmt.Errorf("settle: op %d: %w", i, err)
+		}
+	}
+	return t.Sync()
+}
+
+// getHot is a hot Get through the hash path (a cache hit).
+func getHot(t kvTable, i int) error {
+	k := sdbHotKey(i)
+	v, ok, err := t.Get([]byte(k))
+	if err != nil || !ok || string(v) != k+"=hotrow" {
+		return fmt.Errorf("hot get %s = %q %v %v", k, v, ok, err)
+	}
+	return nil
+}
+
+// putRW replaces an rw row (tree + hash, in-cache).
+func putRW(t kvTable, i int) error {
+	k := sdbRWKey(i / 8)
+	if err := t.Put([]byte(k), []byte(fmt.Sprintf("%s:%06d", k, i))); err != nil {
+		return fmt.Errorf("rw put: %w", err)
+	}
+	return nil
+}
+
+// putDelete puts a transient row and deletes it again, through both
+// indexes.
+func putDelete(t kvTable, key string) error {
+	if err := t.Put([]byte(key), []byte("transient-row!")); err != nil {
+		return fmt.Errorf("tmp put: %w", err)
+	}
+	found, err := t.Delete([]byte(key))
+	if err != nil || !found {
+		return fmt.Errorf("tmp delete = %v %v", found, err)
+	}
+	return nil
+}
+
+// checkRWRange runs a snapshot Range over the rw window, concurrent with
+// its writers, and checks it sees every rw row whole.
+func checkRWRange(t kvTable) error {
+	var n int
+	err := t.Range([]byte("b-"), []byte("b-~"), func(k, v []byte) bool {
+		ks, vs := string(k), string(v)
+		if !strings.HasPrefix(vs, ks+":") || len(vs) != len(ks)+1+6 {
+			n = -1 << 20 // torn row; force the count check to fail
+			return false
+		}
+		n++
+		return true
+	})
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("range: %w", err)
 	}
-	if gotRows != wantRows {
-		return nil, fmt.Errorf("bench: table ended with %d rows, want %d", gotRows, wantRows)
+	if n != sdbRWKeys {
+		return fmt.Errorf("range saw %d rw rows, want %d", n, sdbRWKeys)
 	}
-	if err := tab.Check(); err != nil {
-		return nil, fmt.Errorf("bench: post-sweep check: %w", err)
+	return nil
+}
+
+// postFlight checks the table came out of the sweep fully consistent: the
+// row count, the structural check, and an in-order scan of every row
+// (snapshot reads share this path).
+func postFlight(t kvTable) error {
+	want := int64(sdbHotKeys + sdbRWKeys + sdbColdKeys)
+	got, err := t.Rows()
+	if err != nil {
+		return err
 	}
-	// Keys must still scan in order (snapshot reads share this path).
+	if got != want {
+		return fmt.Errorf("bench: table ended with %d rows, want %d", got, want)
+	}
+	if err := t.Check(); err != nil {
+		return fmt.Errorf("bench: post-sweep check: %w", err)
+	}
 	var keys []string
-	if err := tab.Scan(func(k, v []byte) bool { keys = append(keys, string(k)); return true }); err != nil {
-		return nil, err
+	if err := t.Scan(func(k, v []byte) bool { keys = append(keys, string(k)); return true }); err != nil {
+		return err
 	}
 	if !sort.StringsAreSorted(keys) {
-		return nil, fmt.Errorf("bench: post-sweep scan out of order")
+		return fmt.Errorf("bench: post-sweep scan out of order")
 	}
-	return rows, nil
+	if int64(len(keys)) != want {
+		return fmt.Errorf("bench: post-sweep scan saw %d rows, want %d", len(keys), want)
+	}
+	return nil
 }

@@ -2,42 +2,23 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
-	"time"
 
 	"stegfs/internal/stegdb"
 	"stegfs/internal/stegfs"
-	"stegfs/internal/vdisk"
 )
 
 // StegDBWriteRow is one level of the stegdb write-scalability ablation (A9):
 // a write-heavy mixed Put/Delete/Get/Range op set fanned across Goroutines
 // workers on ONE shared partitioned hidden table.
 type StegDBWriteRow struct {
-	Goroutines  int
-	Partitions  int
-	WallSeconds float64 // wall-clock time for the whole op set
-	OpsPerSec   float64 // totalOps / WallSeconds
-	Speedup     float64 // OpsPerSec relative to the first (1-goroutine) row
-	DiskSeconds float64 // simulated-disk time consumed inside the window
-	HitRate     float64 // block-cache hit rate inside the window
+	SweepRow
+	Partitions int
 }
 
-// Shared-table shape for the write sweep. The cold key space is sized so
-// that cold Puts and Gets touch never-warmed leaf and bucket pages — the
-// window's fixed, emulated-latency miss set — while the hot and rw keys
-// stay resident across the whole level.
-const (
-	sdwPartitions  = 16   // partitioned table width; one hidden file each
-	sdwCacheBlocks = 8192 // block cache: comfortably above the files' blocks
-	sdwPageCache   = 1024 // pager page cache frames, per partition
-	sdwBuckets     = 256  // hash buckets per partition
-	sdwHotKeys     = 64   // "a-ro-*": read-only, warmed, hash-path hits
-	sdwRWKeys      = 32   // "b-rw-*": in-cache replace targets + Range window
-	sdwColdKeys    = 4096 // "c-*": rewrite/read targets on never-warmed pages
-)
+// sdwPartitions is the partitioned table's width; one hidden file each. The
+// rest of the table's shape is the sdb* set A8 uses.
+const sdwPartitions = 16
 
 // StegDBWriteSweep runs ablation A9: goroutines x {1,2,4,8,16} of a
 // write-heavy mixed workload over ONE shared PARTITIONED hidden table on a
@@ -53,254 +34,86 @@ const (
 // serializes every WriteAt — concurrent writers queue behind each other's
 // device-latency page misses. With per-page tree latches and the table
 // sharded across sdwPartitions hidden files, writers touching different
-// keys proceed in parallel and their cold misses overlap.
-//
-// The op set is deterministic and identical at every level — only the
-// partition across goroutines changes — and each level starts from the same
-// reset-and-rewarmed cache state, so the simulated-disk cost must stay flat
-// (±5%) while wall-clock time shrinks: scaling has to come from stegdb's
-// concurrency, not from charging the disk differently. The group-commit
-// Sync runs between levels, unmeasured, like A8.
+// keys proceed in parallel and their cold misses overlap. The group-commit
+// Sync runs right after each window, untimed but charged to disk-sec, like
+// A8.
 func StegDBWriteSweep(cfg Config, levels []int, totalOps int, emuScale float64) ([]StegDBWriteRow, error) {
-	if levels == nil {
-		levels = []int{1, 2, 4, 8, 16}
-	}
 	if totalOps <= 0 {
 		totalOps = 256
 	}
-	if emuScale <= 0 {
-		emuScale = 0.5
-	}
-	store, err := vdisk.NewMemStore(cfg.NumBlocks(), cfg.BlockSize)
-	if err != nil {
-		return nil, err
-	}
-	disk := vdisk.NewDisk(store, cfg.Geometry)
-	p := cfg.Steg
-	p.Seed = cfg.Seed
-	policy := cfg.CachePolicy
-	if policy == "" {
-		policy = "2q"
-	}
-	fs, err := stegfs.Format(disk, p, stegfs.WithCache(sdwCacheBlocks), stegfs.WithCachePolicy(policy))
-	if err != nil {
-		return nil, err
-	}
-	view := fs.NewHiddenView("dbw")
-	pt, err := stegdb.CreatePartitionedTable(view, "a9.db", sdwPartitions, true, sdwBuckets)
-	if err != nil {
-		return nil, err
-	}
-	pt.SetPageCacheSize(sdwPageCache)
-
-	// Populate. Values are fixed-width so replaces never change page layout,
-	// and every value embeds its key so torn rows are detectable.
-	hotKey := func(i int) string { return fmt.Sprintf("a-ro-%04d", i%sdwHotKeys) }
-	rwKey := func(i int) string { return fmt.Sprintf("b-rw-%04d", i%sdwRWKeys) }
-	coldKey := func(c int) string { return fmt.Sprintf("c-%05d", c%sdwColdKeys) }
-	for i := 0; i < sdwHotKeys; i++ {
-		k := hotKey(i)
-		if err := pt.Put([]byte(k), []byte(k+"=hotrow")); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < sdwRWKeys; i++ {
-		k := rwKey(i)
-		if err := pt.Put([]byte(k), []byte(fmt.Sprintf("%s:%06d", k, 0))); err != nil {
-			return nil, err
-		}
-	}
-	for c := 0; c < sdwColdKeys; c++ {
-		k := coldKey(c)
-		if err := pt.Put([]byte(k), []byte(fmt.Sprintf("%s#%06d", k, 0))); err != nil {
-			return nil, err
-		}
-	}
-	if err := pt.Sync(); err != nil {
-		return nil, err
-	}
-
-	// One op of the deterministic mix; the index fixes the op, the level
-	// only decides which goroutine runs it.
-	doOp := func(i int) error {
+	var (
+		fs *stegfs.FS
+		pt *stegdb.PartitionedTable
+	)
+	coldKey := func(c int) string { return fmt.Sprintf("c-%05d", c%sdbColdKeys) }
+	op := func(i int) error {
 		stripe := i / 8
 		switch i % 8 {
 		case 0, 2, 4: // cold Put: rewrite a row on a never-warmed page
 			k := coldKey(stripe*3 + (i%8)/2)
 			if err := pt.Put([]byte(k), []byte(fmt.Sprintf("%s#%06d", k, i))); err != nil {
-				return fmt.Errorf("op %d cold put: %w", i, err)
+				return fmt.Errorf("cold put: %w", err)
 			}
-		case 1: // replace Put on the rw window (tree + hash, in-cache)
-			k := rwKey(stripe)
-			if err := pt.Put([]byte(k), []byte(fmt.Sprintf("%s:%06d", k, i))); err != nil {
-				return fmt.Errorf("op %d rw put: %w", i, err)
-			}
-		case 3: // transient row: Put then Delete through both structures
-			k := []byte(fmt.Sprintf("t-%06d", i))
-			if err := pt.Put(k, []byte("transient-row!")); err != nil {
-				return fmt.Errorf("op %d tmp put: %w", i, err)
-			}
-			found, err := pt.Delete(k)
-			if err != nil || !found {
-				return fmt.Errorf("op %d tmp delete = %v %v", i, found, err)
-			}
-		case 5: // hot Get through the hash path (cache hit)
-			k := hotKey(i)
-			v, ok, err := pt.Get([]byte(k))
-			if err != nil || !ok || string(v) != k+"=hotrow" {
-				return fmt.Errorf("op %d hot get %s = %q %v %v", i, k, v, ok, err)
-			}
-		case 6: // cross-partition snapshot Range over the rw window
-			var n int
-			err := pt.Range([]byte("b-"), []byte("b-~"), func(k, v []byte) bool {
-				ks, vs := string(k), string(v)
-				if !strings.HasPrefix(vs, ks+":") || len(vs) != len(ks)+1+6 {
-					n = -1 << 20 // torn row; force the count check to fail
-					return false
-				}
-				n++
-				return true
-			})
-			if err != nil {
-				return fmt.Errorf("op %d range: %w", i, err)
-			}
-			if n != sdwRWKeys {
-				return fmt.Errorf("op %d range saw %d rw rows, want %d", i, n, sdwRWKeys)
-			}
+			return nil
+		case 1:
+			return putRW(pt, i)
+		case 3:
+			return putDelete(pt, fmt.Sprintf("t-%06d", i))
+		case 5:
+			return getHot(pt, i)
+		case 6: // cross-partition snapshot Range
+			return checkRWRange(pt)
 		default: // 7: cold Get on a never-warmed page
-			k := coldKey(sdwColdKeys - 1 - stripe)
+			k := coldKey(sdbColdKeys - 1 - stripe)
 			v, ok, err := pt.Get([]byte(k))
 			if err != nil || !ok || !strings.HasPrefix(string(v), k+"#") {
-				return fmt.Errorf("op %d cold get %s = %q %v %v", i, k, v, ok, err)
+				return fmt.Errorf("cold get %s = %q %v %v", k, v, ok, err)
 			}
+			return nil
 		}
-		return nil
 	}
 
-	// warm re-establishes the canonical caches: the hot and rw keys (their
-	// bucket pages, leaves, and the interior descent paths). The cold key
-	// space is deliberately left out — it is the window's fixed miss set.
-	warm := func() error {
-		for i := 0; i < sdwHotKeys; i++ {
-			if _, _, err := pt.Get([]byte(hotKey(i))); err != nil {
+	lv, err := sweep{
+		opts: []stegfs.Option{stegfs.WithCache(sdbCacheBlocks), stegfs.WithCachePolicy(scanResistant(cfg))},
+		ops:  totalOps,
+		populate: func(f *stegfs.FS) error {
+			fs = f
+			var err error
+			if pt, err = stegdb.CreatePartitionedTable(f.NewHiddenView("dbw"), "a9.db", sdwPartitions, true, sdbBuckets); err != nil {
 				return err
 			}
-		}
-		for i := 0; i < sdwRWKeys; i++ {
-			if _, _, err := pt.Get([]byte(rwKey(i))); err != nil {
+			pt.SetPageCacheSize(sdbPageCache)
+			if err := putHotRW(pt); err != nil {
 				return err
 			}
-		}
-		return nil
-	}
-
-	// Settle pass: run the whole op set once (unmeasured, no emulation) so
-	// one-time page splits, allocations and file growth happen before any
-	// level is timed.
-	for i := 0; i < totalOps; i++ {
-		if err := doOp(i); err != nil {
-			return nil, fmt.Errorf("settle: %w", err)
-		}
-	}
-	if err := pt.Sync(); err != nil {
-		return nil, err
-	}
-
-	var rows []StegDBWriteRow
-	for _, g := range levels {
-		if g <= 0 {
-			return nil, fmt.Errorf("bench: invalid concurrency level %d", g)
-		}
-		// Same cold start every level: drop every partition's page cache,
-		// drop the block cache, re-warm the hot structures with emulation
-		// off.
-		if err := pt.InvalidatePageCache(); err != nil {
-			return nil, err
-		}
-		if err := fs.Cache().Invalidate(); err != nil {
-			return nil, err
-		}
-		if err := warm(); err != nil {
-			return nil, fmt.Errorf("g=%d warm-up: %w", g, err)
-		}
-		disk.EmulateLatency(emuScale)
-		preDisk := disk.Elapsed()
-		preStats, _ := fs.CacheStats()
-
-		errs := make(chan error, g)
-		var wg sync.WaitGroup
-		start := time.Now()
-		for w := 0; w < g; w++ {
-			// Contiguous chunks: a strided split would alias the op mix's
-			// period-8 structure and hand every cold op to one goroutine.
-			lo, hi := w*totalOps/g, (w+1)*totalOps/g
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					if err := doOp(i); err != nil {
-						errs <- err
-						return
-					}
+			for c := 0; c < sdbColdKeys; c++ {
+				if err := pt.Put([]byte(coldKey(c)), []byte(fmt.Sprintf("%s#%06d", coldKey(c), 0))); err != nil {
+					return err
 				}
-			}(lo, hi)
-		}
-		wg.Wait()
-		wall := time.Since(start)
-		disk.EmulateLatency(0)
-		close(errs)
-		for err := range errs {
-			return nil, fmt.Errorf("g=%d: %w", g, err)
-		}
-		// Unmeasured group-commit barrier: each level's dirty pages reach
-		// the device before the next level resets the caches.
-		if err := pt.Sync(); err != nil {
-			return nil, fmt.Errorf("g=%d sync: %w", g, err)
-		}
-
-		row := StegDBWriteRow{
-			Goroutines:  g,
-			Partitions:  sdwPartitions,
-			WallSeconds: wall.Seconds(),
-			DiskSeconds: (disk.Elapsed() - preDisk).Seconds(),
-		}
-		if wall > 0 {
-			row.OpsPerSec = float64(totalOps) / wall.Seconds()
-		}
-		if stats, ok := fs.CacheStats(); ok {
-			row.HitRate = stats.Sub(preStats).HitRate()
-		}
-		rows = append(rows, row)
-	}
-	if len(rows) > 0 && rows[0].OpsPerSec > 0 {
-		for i := range rows {
-			rows[i].Speedup = rows[i].OpsPerSec / rows[0].OpsPerSec
-		}
-	}
-
-	// Post-flight: the table must come out of the sweep fully consistent.
-	wantRows := int64(sdwHotKeys + sdwRWKeys + sdwColdKeys)
-	gotRows, err := pt.Rows()
+			}
+			return settle(pt, totalOps, op)
+		},
+		op: op,
+		// Same cold start every level: drop every partition's page cache and
+		// the block cache, then re-warm the hot/rw rows.
+		reset: func() error {
+			if err := pt.InvalidatePageCache(); err != nil {
+				return err
+			}
+			if err := fs.Cache().Invalidate(); err != nil {
+				return err
+			}
+			return getHotRW(pt)
+		},
+		drain:  func() error { return pt.Sync() },
+		finish: func() error { return postFlight(pt) },
+	}.run(cfg, levels, emuScale)
 	if err != nil {
 		return nil, err
 	}
-	if gotRows != wantRows {
-		return nil, fmt.Errorf("bench: table ended with %d rows, want %d", gotRows, wantRows)
-	}
-	if err := pt.Check(); err != nil {
-		return nil, fmt.Errorf("bench: post-sweep check: %w", err)
-	}
-	// Keys must still merge-scan in order across all partitions (snapshot
-	// reads share this path).
-	var keys []string
-	if err := pt.Scan(func(k, v []byte) bool { keys = append(keys, string(k)); return true }); err != nil {
-		return nil, err
-	}
-	if !sort.StringsAreSorted(keys) {
-		return nil, fmt.Errorf("bench: post-sweep scan out of order")
-	}
-	if len(keys) != int(wantRows) {
-		return nil, fmt.Errorf("bench: post-sweep scan saw %d rows, want %d", len(keys), wantRows)
+	rows := make([]StegDBWriteRow, len(lv))
+	for i, l := range lv {
+		rows[i] = StegDBWriteRow{SweepRow: l.SweepRow, Partitions: sdwPartitions}
 	}
 	return rows, nil
 }

@@ -3,24 +3,10 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"sync"
-	"time"
 
 	"stegfs/internal/stegfs"
-	"stegfs/internal/vdisk"
 	"stegfs/internal/workload"
 )
-
-// WriteConcurrencyRow is one level of the parallel-write-path ablation (A6):
-// the same mixed create/rewrite/delete workload fanned across Goroutines
-// workers on one shared StegFS instance.
-type WriteConcurrencyRow struct {
-	Goroutines  int
-	WallSeconds float64 // wall-clock time for the whole op set
-	OpsPerSec   float64 // totalOps / WallSeconds
-	Speedup     float64 // OpsPerSec relative to the first (1-goroutine) row
-	DiskSeconds float64 // simulated-disk time consumed inside the window
-}
 
 // Workload shape for the write sweep. Ops come in blocks of opsPerObject
 // consecutive indexes, all touching one object, so any contiguous partition
@@ -42,146 +28,76 @@ const (
 // mutation serialized on fs.mu no matter how many writers piled on; with the
 // sharded allocator, per-object locks and name-striped creates, writers to
 // distinct objects contend only when their allocations land in the same
-// allocation group, and the emulated waits overlap.
-//
-// The op set is deterministic and identical at every level — only the
-// partition across goroutines changes — and every delete is paired with a
-// re-create of the same object at the same size, so volume occupancy is
-// stable across the window and across levels. The simulated-disk cost of
-// the window therefore stays flat (block placement is uniformly random at
-// every level, so expected seek costs match): concurrency must buy
-// wall-clock time, not re-price the device.
-func WriteConcurrencySweep(cfg Config, levels []int, rounds int, emuScale float64) ([]WriteConcurrencyRow, AllocReport, error) {
-	if levels == nil {
-		levels = []int{1, 2, 4, 8, 16}
-	}
-	if rounds <= 0 {
-		rounds = 1
-	}
-	if emuScale <= 0 {
-		emuScale = 0.5
-	}
-	for _, g := range levels {
-		if g <= 0 {
-			return nil, AllocReport{}, fmt.Errorf("bench: invalid concurrency level %d", g)
-		}
-		// Every goroutine boundary w*perObjOps/g must land on an object
-		// boundary, or one object's 4-op block would split across two
-		// goroutines and race; that holds exactly when g divides the op
-		// count into equal chunks of whole objects.
-		perObjOps := wcObjects * wcOpsPerObject
-		if perObjOps%g != 0 || (perObjOps/g)%wcOpsPerObject != 0 {
-			return nil, AllocReport{}, fmt.Errorf("bench: level %d does not tile %d ops in whole %d-op object blocks", g, perObjOps, wcOpsPerObject)
-		}
-	}
-	store, err := vdisk.NewMemStore(cfg.NumBlocks(), cfg.BlockSize)
-	if err != nil {
-		return nil, AllocReport{}, err
-	}
-	disk := vdisk.NewDisk(store, cfg.Geometry)
-	p := cfg.Steg
-	p.Seed = cfg.Seed
-	// Uncached: the sweep prices the write path itself. (The cached regime —
-	// write-back absorption plus the asynchronous flush pipeline — is
-	// ablation A7, CachedWriteConcurrencySweep.)
-	fs, err := stegfs.Format(disk, p)
-	if err != nil {
-		return nil, AllocReport{}, err
-	}
-	view := fs.NewHiddenView("wconc")
-
-	bs := int64(cfg.BlockSize)
-	specs := make([]workload.FileSpec, wcObjects)
-	payloads := make([][]byte, wcObjects)
-	alt := make([][]byte, wcObjects) // alternate content for rewrites
-	for i := range specs {
-		specs[i] = workload.FileSpec{Name: fmt.Sprintf("w%03d", i), Size: wcObjectBlocks * bs}
-		payloads[i] = workload.Payload(specs[i], cfg.Seed)
-		alt[i] = workload.Payload(specs[i], cfg.Seed+7)
-		if err := view.Create(specs[i].Name, payloads[i]); err != nil {
-			return nil, AllocReport{}, fmt.Errorf("populate %s: %w", specs[i].Name, err)
-		}
-	}
-
-	// One op of the deterministic mix. Index i belongs to object i/4; the
-	// four ops of an object run in order within one goroutine: in-place
-	// rewrite, delete, re-create (fresh uniform allocation), rewrite back to
-	// the canonical content.
-	doOp := func(i int) error {
-		obj := i / wcOpsPerObject
-		name := specs[obj].Name
-		switch i % wcOpsPerObject {
-		case 0:
-			return view.Write(name, alt[obj])
-		case 1:
-			return view.Delete(name)
-		case 2:
-			return view.Create(name, alt[obj])
-		default:
-			return view.Write(name, payloads[obj])
-		}
-	}
-	totalOps := wcObjects * wcOpsPerObject * rounds
-
-	disk.EmulateLatency(emuScale)
-	defer disk.EmulateLatency(0)
-	var rows []WriteConcurrencyRow
-	for _, g := range levels {
-		preDisk := disk.Elapsed()
-		errs := make(chan error, g)
-		var wg sync.WaitGroup
-		start := time.Now()
-		perObjOps := wcObjects * wcOpsPerObject
-		for w := 0; w < g; w++ {
-			lo, hi := w*perObjOps/g, (w+1)*perObjOps/g
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for round := 0; round < rounds; round++ {
-					for i := lo; i < hi; i++ {
-						if err := doOp(i); err != nil {
-							errs <- fmt.Errorf("op %d: %w", i, err)
-							return
-						}
-					}
+// allocation group, and the emulated waits overlap. Every delete is paired
+// with a re-create of the same object at the same size, so volume occupancy
+// — and with uniformly random placement, the expected seek cost — is stable
+// across the window and across levels.
+func WriteConcurrencySweep(cfg Config, levels []int, emuScale float64) ([]SweepRow, AllocReport, error) {
+	var (
+		fs            *stegfs.FS
+		view          *stegfs.HiddenView
+		names         [wcObjects]string
+		payloads, alt [wcObjects][]byte // canonical and rewrite content
+		report        AllocReport
+	)
+	lv, err := sweep{
+		// Uncached: the sweep prices the write path itself. (The cached
+		// regime — write-back absorption plus the asynchronous flush
+		// pipeline — is ablation A7, CachedWriteConcurrencySweep.)
+		ops:  wcObjects * wcOpsPerObject,
+		unit: wcOpsPerObject,
+		populate: func(f *stegfs.FS) error {
+			fs, view = f, f.NewHiddenView("wconc")
+			for i := range names {
+				spec := workload.FileSpec{Name: fmt.Sprintf("w%03d", i), Size: wcObjectBlocks * int64(cfg.BlockSize)}
+				names[i] = spec.Name
+				payloads[i] = workload.Payload(spec, cfg.Seed)
+				alt[i] = workload.Payload(spec, cfg.Seed+7)
+				if err := view.Create(spec.Name, payloads[i]); err != nil {
+					return fmt.Errorf("%s: %w", spec.Name, err)
 				}
-			}(lo, hi)
-		}
-		wg.Wait()
-		wall := time.Since(start)
-		close(errs)
-		for err := range errs {
-			return nil, AllocReport{}, fmt.Errorf("g=%d: %w", g, err)
-		}
-
-		row := WriteConcurrencyRow{
-			Goroutines:  g,
-			WallSeconds: wall.Seconds(),
-			DiskSeconds: (disk.Elapsed() - preDisk).Seconds(),
-		}
-		if wall > 0 {
-			row.OpsPerSec = float64(totalOps) / wall.Seconds()
-		}
-		rows = append(rows, row)
-
-		// Verify outside the measured window (the latency stays emulated,
-		// but the cost lands between windows, not in any row).
-		disk.EmulateLatency(0)
-		for i, s := range specs {
-			got, err := view.Read(s.Name)
-			if err != nil {
-				return nil, AllocReport{}, fmt.Errorf("g=%d verify %s: %w", g, s.Name, err)
 			}
-			if !bytes.Equal(got, payloads[i]) {
-				return nil, AllocReport{}, fmt.Errorf("g=%d: %s corrupted after write window", g, s.Name)
+			return nil
+		},
+		// Index i belongs to object i/4; the four ops of an object run in
+		// order within one goroutine: in-place rewrite, delete, re-create
+		// (fresh uniform allocation), rewrite back to the canonical content.
+		op: func(i int) error {
+			obj := i / wcOpsPerObject
+			switch i % wcOpsPerObject {
+			case 0:
+				return view.Write(names[obj], alt[obj])
+			case 1:
+				return view.Delete(names[obj])
+			case 2:
+				return view.Create(names[obj], alt[obj])
+			default:
+				return view.Write(names[obj], payloads[obj])
 			}
-		}
-		disk.EmulateLatency(emuScale)
+		},
+		after: func() error { return verifyHidden(view, names[:], payloads[:]) },
+		finish: func() error {
+			report = NewAllocReport(fs.Alloc())
+			return nil
+		},
+	}.run(cfg, levels, emuScale)
+	if err != nil {
+		return nil, AllocReport{}, err
 	}
-	if len(rows) > 0 && rows[0].OpsPerSec > 0 {
-		for i := range rows {
-			rows[i].Speedup = rows[i].OpsPerSec / rows[0].OpsPerSec
+	return sweepRows(lv), report, nil
+}
+
+// verifyHidden checks that every named hidden file holds its canonical
+// content after a write window.
+func verifyHidden(view *stegfs.HiddenView, names []string, want [][]byte) error {
+	for i, name := range names {
+		got, err := view.Read(name)
+		if err != nil {
+			return fmt.Errorf("verify %s: %w", name, err)
+		}
+		if !bytes.Equal(got, want[i]) {
+			return fmt.Errorf("%s corrupted after write window", name)
 		}
 	}
-	return rows, NewAllocReport(fs.Alloc()), nil
+	return nil
 }

@@ -66,8 +66,8 @@ func TestTableThroughBlockCache(t *testing.T) {
 				t.Fatal(err)
 			}
 			view2 := fs2.NewHiddenView("db")
-			if err := view2.Adopt("accounts"); err != nil {
-				t.Fatalf("Adopt: %v", err)
+			if _, err := CheckAny(view2, view2.Adopt, "accounts"); err != nil {
+				t.Fatal(err)
 			}
 			tbl2, err := OpenTable(view2, "accounts")
 			if err != nil {

@@ -348,16 +348,13 @@ func (p *Pager) releaseCommit(st *commitState) {
 
 // recoverWAL replays the journal into the home file if it holds a complete
 // commit. Called from OpenPager before the meta page is read, with the
-// pager unpublished. A missing/unreadable journal file only disables the
-// journaled commit path (walOK=false) — the home file is always complete
-// on its own.
+// pager unpublished. A missing or unreadable journal file is an error:
+// without it no later commit could be atomic.
 func (p *Pager) recoverWAL() error {
 	var hdr [PageSize]byte
 	if _, err := p.view.ReadAt(p.walName, hdr[:], 0); err != nil {
-		p.walOK = false
-		return nil
+		return fmt.Errorf("stegdb: read journal %s (adopt it with the database file): %w", p.walName, err)
 	}
-	p.walOK = true
 	if string(hdr[:8]) != walMagic {
 		return nil // never committed, or header torn to garbage
 	}

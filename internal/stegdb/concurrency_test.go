@@ -250,7 +250,7 @@ func TestStegDBSyncUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	view2 := fs2.NewHiddenView("db")
-	if err := view2.Adopt("t"); err != nil {
+	if _, err := CheckAny(view2, view2.Adopt, "t"); err != nil {
 		t.Fatal(err)
 	}
 	tab2, err := OpenTable(view2, "t")

@@ -9,11 +9,11 @@ import (
 )
 
 // Group-commit crash consistency: a partitioned table's Sync is run with a
-// vdisk.CutStore dropping every device write past a cut point, the
-// surviving image is remounted (journal recovery runs at open), and the
-// table must be at exactly the old or the new epoch PER PARTITION — never
-// a mix within one partition — at every cut point across the commit's
-// whole write window.
+// vdisk.FaultStore cut (TearAfter(n, 0)) dropping every device write past
+// the cut point, the surviving image is remounted (journal recovery runs at
+// open), and the table must be at exactly the old or the new epoch PER
+// PARTITION — never a mix within one partition — at every cut point across
+// the commit's whole write window.
 
 const (
 	crashBlocks = 32 << 10
@@ -42,7 +42,7 @@ func runPartitionedCrash(t *testing.T, cutAt int64) (img []byte, window int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := vdisk.NewCutStore(mem)
+	cs := vdisk.NewFaultStore(mem, 1)
 	p := stegfs.DefaultParams()
 	p.NDummy = 2
 	p.DummyAvgSize = 8 << 10
@@ -85,7 +85,7 @@ func runPartitionedCrash(t *testing.T, cutAt int64) (img []byte, window int64) {
 	}
 	pre := cs.Writes()
 	if cutAt >= 0 {
-		cs.CutAfter(cutAt)
+		cs.TearAfter(cutAt, 0)
 	}
 	// With the cut armed the live mount may observe its own dropped writes
 	// as stale reads and surface an error — that IS the crash; only the
@@ -208,7 +208,7 @@ func TestStegDBPlainTableCrashRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs := vdisk.NewCutStore(mem)
+		cs := vdisk.NewFaultStore(mem, 1)
 		p := stegfs.DefaultParams()
 		p.NDummy = 2
 		p.DummyAvgSize = 8 << 10
@@ -236,7 +236,7 @@ func TestStegDBPlainTableCrashRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		cs.CutAfter(cut)
+		cs.TearAfter(cut, 0)
 		_ = tab.Sync() // may error: the mount sees its own dropped writes
 
 		mem2, err := vdisk.NewMemStore(crashBlocks, crashBS)

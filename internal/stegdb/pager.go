@@ -98,12 +98,8 @@ type Pager struct {
 	view View
 	name string
 
-	// walName is the sibling journal file; walOK records whether it exists
-	// and is writable. When it does not (a database adopted without its
-	// journal), Sync degrades to the legacy flush path, which is correct
-	// for clean shutdowns but not torn-crash-atomic.
+	// walName is the sibling journal file every commit goes through.
 	walName string
-	walOK   bool
 
 	// commitMu serializes the commit pipeline of this pager (journal write
 	// through home writes). It is held across hidden-file I/O by design and
@@ -117,7 +113,7 @@ type Pager struct {
 
 	// metaMu guards the meta page buffer and its dirty flag. It is the
 	// innermost leveled mutex of the package hierarchy bar the page-cache
-	// mutex; flushMetaLocked deliberately writes the hidden file while
+	// mutex; flushMetaNow deliberately writes the hidden file while
 	// holding it (the meta page must not change mid-write), so it is not
 	// noio.
 	// lockcheck:level 70 stegdb/metaMu
@@ -181,7 +177,6 @@ func CreatePager(view View, name string) (*Pager, error) {
 	if err := view.Create(p.walName, make([]byte, PageSize)); err != nil {
 		return nil, fmt.Errorf("stegdb: create journal: %w", err)
 	}
-	p.walOK = true
 	// lockcheck:ignore the pager has not been published yet; CreatePager has it to itself
 	copy(p.meta[:], pagerMagic)
 	// lockcheck:ignore the pager has not been published yet; CreatePager has it to itself
@@ -193,10 +188,9 @@ func CreatePager(view View, name string) (*Pager, error) {
 }
 
 // OpenPager opens an existing database file, first replaying the sibling
-// journal if it holds a complete commit (crash recovery). A database
-// adopted without its journal file still opens — every commit lands fully
-// in the home file before the journal is needed again — but runs with the
-// legacy non-atomic Sync until recreated.
+// journal if it holds a complete commit (crash recovery). The journal file
+// must be readable through view (adopt name + ".wal" alongside name): every
+// commit goes through it, so a database without one cannot be opened.
 func OpenPager(view View, name string) (*Pager, error) {
 	p := newPager(view, name)
 	if err := p.recoverWAL(); err != nil {
@@ -235,7 +229,7 @@ func (p *Pager) metaField(off int) int64 {
 }
 
 // setMetaField updates one meta page field. The change is write-back: it
-// reaches the device at the next Sync/FlushMeta.
+// reaches the device at the next Sync.
 func (p *Pager) setMetaField(off int, v int64) {
 	p.metaMu.Lock()
 	p.setMeta(off, v)
@@ -250,22 +244,15 @@ func (p *Pager) bumpRows(delta int64) {
 	p.metaMu.Unlock()
 }
 
-// flushMetaLocked persists page 0; the caller holds metaMu.
-//
-// lockcheck:holds stegdb/metaMu
-func (p *Pager) flushMetaLocked() error {
+// flushMetaNow persists page 0 immediately.
+func (p *Pager) flushMetaNow() error {
+	p.metaMu.Lock()
+	defer p.metaMu.Unlock()
 	if _, err := p.view.WriteAt(p.name, p.meta[:], 0); err != nil {
 		return err
 	}
 	p.metaDirty = false
 	return nil
-}
-
-// flushMetaNow persists page 0 immediately.
-func (p *Pager) flushMetaNow() error {
-	p.metaMu.Lock()
-	defer p.metaMu.Unlock()
-	return p.flushMetaLocked()
 }
 
 // NumPages returns the number of pages in use (including the meta page).
@@ -279,13 +266,13 @@ func (p *Pager) Rows() int64 { return p.metaField(metaRows) }
 // frames; dirty frames stay cached until the next commit (no-steal).
 func (p *Pager) SetPageCacheSize(n int) { p.cache.setCap(n) }
 
-// InvalidatePageCache flushes every dirty page and drops all unpinned
-// frames, so subsequent reads go back through the hidden file. Benchmarks
-// use it to restore a cold-cache state between measurement windows. The
-// flush bypasses the commit journal, so it is a maintenance path: call it
-// only at quiescent points, never as a durability barrier.
+// InvalidatePageCache commits every dirty page (a full Sync) and drops all
+// unpinned clean frames, so subsequent reads go back through the hidden
+// file. Benchmarks use it to restore a cold-cache state between
+// measurement windows; frames re-dirtied by concurrent writers after the
+// commit stay cached.
 func (p *Pager) InvalidatePageCache() error {
-	if err := p.FlushPages(); err != nil {
+	if err := p.Sync(); err != nil {
 		return err
 	}
 	p.cache.dropClean()
@@ -364,41 +351,6 @@ func (p *Pager) WritePage(id int64, buf []byte) error {
 	return nil
 }
 
-// FlushPages writes every dirty frame back to the hidden file, coalescing
-// runs of consecutive page ids into single vectored writes. Frames
-// re-dirtied mid-flush stay dirty (write-wins via per-frame generations).
-func (p *Pager) FlushPages() error {
-	dirty := p.cache.dirtyEntries()
-	defer func() {
-		for _, e := range dirty {
-			p.cache.unpin(e)
-		}
-	}()
-	for i := 0; i < len(dirty); {
-		j := i + 1
-		for j < len(dirty) && dirty[j].id == dirty[j-1].id+1 {
-			j++
-		}
-		run := dirty[i:j]
-		buf := make([]byte, len(run)*PageSize)
-		gens := make([]uint64, len(run))
-		for k, e := range run {
-			e.latch.RLock()
-			copy(buf[k*PageSize:], e.buf[:])
-			gens[k] = p.cache.gen(e)
-			e.latch.RUnlock()
-		}
-		if _, err := p.view.WriteAt(p.name, buf, run[0].id*PageSize); err != nil {
-			return err
-		}
-		for k, e := range run {
-			p.cache.clearDirty(e, gens[k])
-		}
-		i = j
-	}
-	return nil
-}
-
 // AllocPage returns a zeroed page, reusing the free list when possible.
 // Atomic against concurrent allocators and frees.
 func (p *Pager) AllocPage() (int64, error) {
@@ -458,33 +410,8 @@ func (p *Pager) FreePage(id int64) error {
 // consistent cut of the dirty pages plus the meta page, barriers, writes
 // everything home, and barriers again. After a torn crash anywhere inside,
 // recovery at OpenPager leaves the database at exactly the old or the new
-// epoch. When the journal file is unavailable (walOK false), Sync falls
-// back to the legacy flush path: durable on success, but a torn crash
-// mid-flush can mix epochs.
-func (p *Pager) Sync() error {
-	if !p.walOK {
-		return p.legacySync()
-	}
-	return p.gc.do(p.commitOnce)
-}
-
-// legacySync is the pre-journal durability path: dirty pages out (data
-// before metadata), then the meta page, then the underlying volume.
-func (p *Pager) legacySync() error {
-	if err := p.FlushPages(); err != nil {
-		return err
-	}
-	p.metaMu.Lock()
-	err := p.flushMetaLocked()
-	p.metaMu.Unlock()
-	if err != nil {
-		return err
-	}
-	// A Sync opens a new epoch, so snapshots taken afterwards are pinned at
-	// a post-Sync boundary.
-	p.bumpEpoch()
-	return p.view.Sync()
-}
+// epoch.
+func (p *Pager) Sync() error { return p.gc.do(p.commitOnce) }
 
 // bumpEpoch opens a new epoch after a commit, so snapshots taken afterwards
 // are pinned at a post-commit boundary.

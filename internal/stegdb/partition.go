@@ -188,13 +188,15 @@ func (pt *PartitionedTable) SetPageCacheSize(frames int) {
 	}
 }
 
-// InvalidatePageCache flushes and drops every partition pager's page cache
-// (a maintenance/benchmark reset; see Pager.InvalidatePageCache).
+// InvalidatePageCache commits the table (one group commit across every
+// partition) and drops every partition pager's clean frames (a benchmark
+// reset; see Pager.InvalidatePageCache).
 func (pt *PartitionedTable) InvalidatePageCache() error {
+	if err := pt.Sync(); err != nil {
+		return err
+	}
 	for _, t := range pt.parts {
-		if err := t.pg.InvalidatePageCache(); err != nil {
-			return err
-		}
+		t.pg.cache.dropClean()
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -130,6 +131,37 @@ func TestPagerPersistence(t *testing.T) {
 	}
 	if _, err := OpenPager(view, "nosuch"); err == nil {
 		t.Fatal("opening a missing database should fail")
+	}
+}
+
+// TestOpenPagerRequiresJournal: every commit goes through the journal, so a
+// database whose journal sibling is not reachable through the view must not
+// open (it would otherwise run without crash-atomic commits).
+func TestOpenPagerRequiresJournal(t *testing.T) {
+	view, store := newView(t, 16<<10)
+	pg, err := CreatePager(view, "db1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pg.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	fs2, err := stegfs.Mount(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view2 := fs2.NewHiddenView("db")
+	if err := view2.Adopt("db1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenPager(view2, "db1"); err == nil || !strings.Contains(err.Error(), "db1.wal") {
+		t.Fatalf("OpenPager without its journal = %v, want an error naming db1.wal", err)
+	}
+	if err := view2.Adopt("db1.wal"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenPager(view2, "db1"); err != nil {
+		t.Fatalf("OpenPager with its journal adopted: %v", err)
 	}
 }
 
@@ -433,7 +465,7 @@ func TestTablePersistenceAcrossRemount(t *testing.T) {
 		t.Fatal(err)
 	}
 	view2 := fs2.NewHiddenView("db")
-	if err := view2.Adopt("t"); err != nil {
+	if _, err := CheckAny(view2, view2.Adopt, "t"); err != nil {
 		t.Fatal(err)
 	}
 	tab2, err := OpenTable(view2, "t")

@@ -8,9 +8,10 @@ import (
 	"stegfs/internal/vdisk"
 )
 
-// Crash-consistency harness: the volume sits on a vdisk.CutStore, which
-// silently drops every device write after a cut point — a power cut that
-// strikes mid-Sync. The tests pin FS.Sync's data-before-metadata barrier
+// Crash-consistency harness: the volume sits on a vdisk.FaultStore armed
+// with a clean cut (TearAfter with a zero-width window), which silently
+// drops every device write after the cut point — a power cut that strikes
+// mid-Sync. The tests pin FS.Sync's data-before-metadata barrier
 // WITH the write-behind pipeline and its background flusher active: no cut
 // point may ever leave the on-device superblock/bitmap referencing state
 // whose data never reached the device.
@@ -55,7 +56,7 @@ func runCrashScenario(t *testing.T, cutAt int64, flushWorkers int) (img []byte, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := vdisk.NewCutStore(mem)
+	cs := vdisk.NewFaultStore(mem, 1)
 	fs, err := Format(cs, crashParams(),
 		WithCache(crashCacheCap), WithWriteBehind(crashWBehind, flushWorkers))
 	if err != nil {
@@ -86,7 +87,7 @@ func runCrashScenario(t *testing.T, cutAt int64, flushWorkers int) (img []byte, 
 
 	pre := cs.Writes()
 	if cutAt >= 0 {
-		cs.CutAfter(cutAt)
+		cs.TearAfter(cutAt, 0)
 	}
 	if err := fs.Sync(); err != nil {
 		t.Fatalf("Sync with cut at %d: %v", cutAt, err)
@@ -306,7 +307,7 @@ func TestSyncWriteOrderDataBeforeMetadata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := vdisk.NewCutStore(mem)
+	cs := vdisk.NewFaultStore(mem, 1)
 	fs, err := Format(cs, crashParams(), WithCache(crashCacheCap), WithWriteBehind(crashWBehind))
 	if err != nil {
 		t.Fatal(err)

@@ -153,3 +153,34 @@ func TestEmulateLatencySmoke(t *testing.T) {
 	}
 	disk.EmulateLatency(-5) // clamps to off, must not panic
 }
+
+// TestBatchAccounting: every batch submission bumps the Batch counters once,
+// regardless of its length; failed batches charge nothing.
+func TestBatchAccounting(t *testing.T) {
+	mem, err := NewMemStore(64, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDisk(mem, DefaultGeometry())
+	bufs := [][]byte{make([]byte, 32), make([]byte, 32), make([]byte, 32)}
+	if err := d.WriteBlocks([]int64{3, 9, 1}, bufs); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.ReadBlocks([]int64{1, 3}, bufs[:2]); err != nil {
+		t.Fatal(err)
+	}
+	st := d.Stats()
+	if st.BatchWrites != 1 || st.BatchReads != 1 {
+		t.Fatalf("batch counters = %d writes / %d reads, want 1/1", st.BatchWrites, st.BatchReads)
+	}
+	if st.Writes != 3 || st.Reads != 2 {
+		t.Fatalf("block counters = %d writes / %d reads, want 3/2", st.Writes, st.Reads)
+	}
+	// A rejected batch (out of range) leaves every counter untouched.
+	if err := d.ReadBlocks([]int64{99}, bufs[:1]); err == nil {
+		t.Fatal("out-of-range batch accepted")
+	}
+	if got := d.Stats(); got != st {
+		t.Fatalf("failed batch mutated stats: %+v -> %+v", st, got)
+	}
+}

@@ -6,9 +6,10 @@ import (
 	"sync"
 )
 
-// FaultStore wraps a Store with deterministic, seeded fault injection — the
-// fault-tolerance sibling of CutStore. Four failure modes are supported, all
-// drawn from one seeded PRNG so a run is exactly reproducible:
+// FaultStore wraps a Store with deterministic, seeded fault injection for
+// fault-tolerance and crash-consistency tests. Four failure modes are
+// supported, all drawn from one seeded PRNG so a run is exactly
+// reproducible:
 //
 //   - transient errors: each read/write independently fails with a configured
 //     probability; once a request faults it keeps failing until it has been
@@ -26,17 +27,19 @@ import (
 //     everything after the window is dropped — a device cache that had
 //     reordered its queue and committed a random subset before power failed.
 //     Per-block old-or-new atomicity is preserved (sector atomicity), only
-//     cross-block ordering is lost.
+//     cross-block ordering is lost. TearAfter(n, 0) is a clean power cut:
+//     a window of 0 draws no coins, so exactly n more writes land.
 //
 // Batch writes arriving via Disk reach the store one block at a time, so both
 // the torn window and the transient coin apply at per-block granularity —
-// exactly how a real device commits.
+// exactly how a real device commits. StartTrace records the block number of
+// every applied write in submission order, for write-ordering assertions.
 type FaultStore struct {
 	store Store
 
 	// f.mu is deliberately NOT noio: the injection decision and the wrapped
-	// store call stay under one mutex hold so the fault schedule is exact
-	// under concurrent callers, mirroring CutStore's cut-point guarantee.
+	// store call stay under one mutex hold so the fault schedule (and a
+	// torn-window cut point) is exact under concurrent callers.
 	//
 	// lockcheck:level 65 volume/faultMu
 	mu sync.Mutex
@@ -74,6 +77,8 @@ type FaultStore struct {
 	writes int64 // writes applied to the wrapped store
 	// lockcheck:guardedby mu
 	stats FaultStats
+	// lockcheck:guardedby mu
+	trace []int64 // applied writes while tracing; nil when not tracing
 }
 
 // FaultStats counts the faults a FaultStore has injected.
@@ -210,6 +215,24 @@ func (f *FaultStore) Stats() FaultStats {
 	return f.stats
 }
 
+// StartTrace begins recording the block number of every applied write, in
+// device submission order. Crash-consistency tests use the trace to assert
+// ordering invariants (e.g. data blocks before superblock/bitmap).
+func (f *FaultStore) StartTrace() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.trace = []int64{}
+}
+
+// StopTrace stops recording and returns the applied-write trace.
+func (f *FaultStore) StopTrace() []int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	out := f.trace
+	f.trace = nil
+	return out
+}
+
 // NumBlocks returns the number of blocks on the wrapped store.
 func (f *FaultStore) NumBlocks() int64 { return f.store.NumBlocks() }
 
@@ -308,6 +331,9 @@ func (f *FaultStore) WriteBlock(n int64, buf []byte) error {
 	}
 	delete(f.flips, n) // a fresh write heals bit rot
 	f.writes++
+	if f.trace != nil {
+		f.trace = append(f.trace, n)
+	}
 	return nil
 }
 

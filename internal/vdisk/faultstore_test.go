@@ -186,6 +186,48 @@ func TestFaultStoreTornWindow(t *testing.T) {
 	}
 }
 
+// TestFaultStoreCutDropsWritesAfterCut: TearAfter(n, 0) is a clean power
+// cut — exactly n more writes land, no coin is drawn, every later write is
+// acknowledged but dropped, and the trace records only the applied writes.
+func TestFaultStoreCutDropsWritesAfterCut(t *testing.T) {
+	_, fs := newFaultFixture(t)
+	fs.StartTrace()
+	fs.TearAfter(2, 0)
+	for i := int64(0); i < 4; i++ {
+		if err := fs.WriteBlock(i, fillBlock(byte(1+i), 512)); err != nil {
+			t.Fatalf("write %d: %v (dropped writes must still acknowledge)", i, err)
+		}
+	}
+	if got := fs.Writes(); got != 2 {
+		t.Fatalf("applied writes = %d, want 2", got)
+	}
+	if st := fs.Stats(); st.Dropped != 2 || st.TornApplied+st.TornDropped != 0 {
+		t.Fatalf("stats = %+v, want 2 dropped and no torn-window coins", st)
+	}
+	if trace := fs.StopTrace(); len(trace) != 2 || trace[0] != 0 || trace[1] != 1 {
+		t.Fatalf("trace = %v, want [0 1]", trace)
+	}
+	// Blocks 0-1 persisted; blocks 2-3 never reached the store.
+	buf := make([]byte, 512)
+	for i := int64(0); i < 4; i++ {
+		want := fillBlock(byte(1+i), 512)
+		if i >= 2 {
+			want = make([]byte, 512)
+		}
+		if err := fs.ReadBlock(i, buf); err != nil || !bytes.Equal(buf, want) {
+			t.Fatalf("block %d content wrong after cut (err=%v)", i, err)
+		}
+	}
+	// Disarm lifts the cut.
+	fs.Disarm()
+	if err := fs.WriteBlock(5, fillBlock(9, 512)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.ReadBlock(5, buf); err != nil || !bytes.Equal(buf, fillBlock(9, 512)) {
+		t.Fatalf("write after Disarm lost (err=%v)", err)
+	}
+}
+
 func TestFaultStoreErrorsClassify(t *testing.T) {
 	_, fs := newFaultFixture(t)
 	buf := fillBlock(6, 512)
