@@ -299,20 +299,20 @@ func BenchmarkExtStegDB(b *testing.B) {
 		b.Fatal(err)
 	}
 	view := fs.NewHiddenView("bench")
-	table, err := stegdb.CreateTable(view, "bench.db", true, 64)
+	table, err := stegdb.CreatePartitionedTable(view, "bench.db", 1, true, 64)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("Put", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := table.PutUint64(uint64(i), []byte("benchmark row payload")); err != nil {
+			if err := table.Put(binary.BigEndian.AppendUint64(nil, uint64(i)), []byte("benchmark row payload")); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("GetHash", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := table.GetUint64(uint64(i % 1000)); err != nil {
+			if _, _, err := table.Get(binary.BigEndian.AppendUint64(nil, uint64(i%1000))); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -12,12 +12,19 @@
 // volumes) or -table. Used blocks no key reaches are reported as a count —
 // they are indistinguishable cover, never an error.
 //
-// Exit status: 0 clean, 1 inconsistencies found, 2 usage error.
+// Exit status:
+//
+//	0  clean
+//	1  inconsistencies found (the check ran to the end)
+//	2  usage error
+//	3  the check could not complete: the image could not be opened or read,
+//	   or a -repair could not be persisted; nothing is known about its state
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -26,32 +33,42 @@ import (
 	"stegfs/internal/vdisk"
 )
 
-func main() {
+// Exit codes; see the package comment.
+const (
+	exitClean        = 0
+	exitInconsistent = 1
+	exitUsage        = 2
+	exitIncomplete   = 3
+)
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run checks the image named by args and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("stegfsck", flag.ContinueOnError)
+	fl.SetOutput(stderr)
 	var (
-		bs     = flag.Int("bs", 1<<10, "block size the image was formatted with")
-		repair = flag.Bool("repair", false, "re-mark reachable-but-free blocks used and persist the bitmap")
-		uid    = flag.String("uid", "", "user id owning -names (DeterministicKeys volumes)")
-		names  = flag.String("names", "", "comma-separated hidden file names under -uid to verify")
-		table  = flag.String("table", "", "embedded stegdb table to check, as uid/name")
-		quiet  = flag.Bool("q", false, "print only errors")
+		bs     = fl.Int("bs", 1<<10, "block size the image was formatted with")
+		repair = fl.Bool("repair", false, "re-mark reachable-but-free blocks used and persist the bitmap")
+		uid    = fl.String("uid", "", "user id owning -names (DeterministicKeys volumes)")
+		names  = fl.String("names", "", "comma-separated hidden file names under -uid to verify")
+		table  = fl.String("table", "", "embedded stegdb table to check, as uid/name")
+		quiet  = fl.Bool("q", false, "print only errors")
 	)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "stegfsck: exactly one volume image required")
-		flag.Usage()
-		os.Exit(2)
+	if err := fl.Parse(args); err != nil {
+		return exitUsage
+	}
+	usage := func(msg string) int {
+		fmt.Fprintln(stderr, "stegfsck:", msg)
+		return exitUsage
+	}
+	if fl.NArg() != 1 {
+		fl.Usage()
+		return usage("exactly one volume image required")
 	}
 	if *names != "" && *uid == "" {
-		fmt.Fprintln(os.Stderr, "stegfsck: -names requires -uid")
-		os.Exit(2)
+		return usage("-names requires -uid")
 	}
-
-	store, err := vdisk.OpenFileStore(flag.Arg(0), *bs)
-	if err != nil {
-		fatal(err)
-	}
-	defer store.Close()
-
 	opts := stegfs.CheckOptions{Repair: *repair}
 	if *names != "" {
 		opts.ViewFiles = map[string][]string{*uid: strings.Split(*names, ",")}
@@ -59,8 +76,7 @@ func main() {
 	if *table != "" {
 		u, n, ok := strings.Cut(*table, "/")
 		if !ok {
-			fmt.Fprintln(os.Stderr, "stegfsck: -table must be uid/name")
-			os.Exit(2)
+			return usage("-table must be uid/name")
 		}
 		opts.Tables = []stegfs.TableRef{{UID: u, Name: n}}
 		// CheckAny discovers whether the name is a plain table or partition
@@ -72,32 +88,37 @@ func main() {
 		}
 	}
 
+	incomplete := func(err error) int {
+		fmt.Fprintln(stderr, "stegfsck: check could not complete:", err)
+		return exitIncomplete
+	}
+	store, err := vdisk.OpenFileStore(fl.Arg(0), *bs)
+	if err != nil {
+		return incomplete(err)
+	}
+	defer store.Close()
 	rep, err := stegfs.Check(store, opts)
 	if err != nil {
-		fatal(err)
+		return incomplete(err)
 	}
 	if *repair {
 		if err := store.Sync(); err != nil {
-			fatal(err)
+			return incomplete(err)
 		}
 	}
 	if !*quiet {
-		fmt.Print(rep.Summary())
+		fmt.Fprint(stdout, rep.Summary())
 	}
 	if !rep.OK() {
 		if *quiet {
 			for _, e := range rep.Errors {
-				fmt.Fprintln(os.Stderr, "stegfsck:", e)
+				fmt.Fprintln(stderr, "stegfsck:", e)
 			}
 		}
-		os.Exit(1)
+		return exitInconsistent
 	}
 	if !*quiet {
-		fmt.Println("clean")
+		fmt.Fprintln(stdout, "clean")
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "stegfsck:", err)
-	os.Exit(1)
+	return exitClean
 }

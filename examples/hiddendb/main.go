@@ -7,6 +7,7 @@
 package main
 
 import (
+	"encoding/binary"
 	"fmt"
 	"log"
 
@@ -31,7 +32,7 @@ func main() {
 	// The HR officer's session. The table is one hidden file: its pages,
 	// B-tree and hash index are all sealed under the file's access key.
 	view := fs.NewHiddenView("hr-officer")
-	table, err := stegdb.CreateTable(view, "salaries.db", true, 64)
+	table, err := stegdb.CreatePartitionedTable(view, "salaries.db", 1, true, 64)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,13 +47,13 @@ func main() {
 		{1004, "Hedy Lamarr, Inventor in Residence, $240k"},
 	}
 	for _, p := range people {
-		if err := table.PutUint64(p.id, []byte(p.record)); err != nil {
+		if err := table.Put(binary.BigEndian.AppendUint64(nil, p.id), []byte(p.record)); err != nil {
 			log.Fatal(err)
 		}
 	}
 
 	// Point lookup through the hash index.
-	rec, ok, err := table.GetUint64(1002)
+	rec, ok, err := table.Get(binary.BigEndian.AppendUint64(nil, 1002))
 	if err != nil || !ok {
 		log.Fatalf("lookup: %v", err)
 	}

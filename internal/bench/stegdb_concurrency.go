@@ -23,25 +23,25 @@ const (
 )
 
 // StegDBConcurrencySweep runs ablation A8: goroutines x {1,2,4,8,16} of a
-// mixed point/range workload over ONE shared hidden table on a cached,
-// latency-emulated volume. Per 8 ops: 3 hot Gets (hash path, pager-cache
-// hits), 2 cold Gets (each touches a never-warmed bucket page — emulated
-// device latency), 1 replace Put (B-tree + hash, in-cache), 1 transient
-// Put+Delete (exercises both indexes and the rollback-consistent pair), and
-// 1 snapshot Range over the replace window (verifying a consistent view
-// while writers run). Scaling has to come from stegdb's latching (pager
-// page latches, hash stripes, snapshot reads). The write-back Sync runs
-// right after each window, untimed but charged to the level's disk-sec —
-// the flush pipeline's timing is ablation A7's subject, and folding its
-// serial drain into the window would measure the block cache, not stegdb's
-// locking.
+// mixed point/range workload over ONE shared one-partition hidden table (one
+// hidden file) on a cached, latency-emulated volume. Per 8 ops: 3 hot Gets
+// (hash path, pager-cache hits), 2 cold Gets (each touches a never-warmed
+// bucket page — emulated device latency), 1 replace Put (B-tree + hash,
+// in-cache), 1 transient Put+Delete (exercises both indexes and the
+// rollback-consistent pair), and 1 snapshot Range over the replace window
+// (verifying a consistent view while writers run). Scaling has to come from
+// stegdb's latching (pager page latches, hash stripes, snapshot reads). The
+// write-back Sync runs right after each window, untimed but charged to the
+// level's disk-sec — the flush pipeline's timing is ablation A7's subject,
+// and folding its serial drain into the window would measure the block
+// cache, not stegdb's locking.
 func StegDBConcurrencySweep(cfg Config, levels []int, totalOps int, emuScale float64) ([]SweepRow, error) {
 	if totalOps <= 0 {
 		totalOps = 256
 	}
 	var (
 		fs  *stegfs.FS
-		tab *stegdb.Table
+		tab *stegdb.PartitionedTable
 	)
 	coldKey := func(c int) string { return fmt.Sprintf("e-cold-%05d", c%sdbColdKeys) }
 	op := func(i int) error {
@@ -70,10 +70,10 @@ func StegDBConcurrencySweep(cfg Config, levels []int, totalOps int, emuScale flo
 		populate: func(f *stegfs.FS) error {
 			fs = f
 			var err error
-			if tab, err = stegdb.CreateTable(f.NewHiddenView("dbc"), "a8.db", true, sdbBuckets); err != nil {
+			if tab, err = stegdb.CreatePartitionedTable(f.NewHiddenView("dbc"), "a8.db", 1, true, sdbBuckets); err != nil {
 				return err
 			}
-			tab.Pager().SetPageCacheSize(sdbPageCache)
+			tab.SetPageCacheSize(sdbPageCache)
 			if err := putHotRW(tab); err != nil {
 				return err
 			}
@@ -89,7 +89,7 @@ func StegDBConcurrencySweep(cfg Config, levels []int, totalOps int, emuScale flo
 		// block cache, then re-warm the tree (one full snapshot scan) and
 		// the hot/rw rows.
 		reset: func() error {
-			if err := tab.Pager().InvalidatePageCache(); err != nil {
+			if err := tab.InvalidatePageCache(); err != nil {
 				return err
 			}
 			if err := fs.Cache().Invalidate(); err != nil {
@@ -106,26 +106,13 @@ func StegDBConcurrencySweep(cfg Config, levels []int, totalOps int, emuScale flo
 	return sweepRows(lv), err
 }
 
-// kvTable is the row surface shared by A8's stegdb.Table and A9's
-// stegdb.PartitionedTable.
-type kvTable interface {
-	Put(key, val []byte) error
-	Get(key []byte) ([]byte, bool, error)
-	Delete(key []byte) (bool, error)
-	Range(lo, hi []byte, fn func(key, val []byte) bool) error
-	Scan(fn func(key, val []byte) bool) error
-	Rows() (int64, error)
-	Check() error
-	Sync() error
-}
-
 func sdbHotKey(i int) string { return fmt.Sprintf("a-ro-%04d", i%sdbHotKeys) }
 func sdbRWKey(i int) string  { return fmt.Sprintf("b-rw-%04d", i%sdbRWKeys) }
 
 // putHotRW populates the hot and rw rows. Values are fixed-width so
 // replaces never change page layout, and every value embeds its key so
 // torn rows are detectable.
-func putHotRW(t kvTable) error {
+func putHotRW(t *stegdb.PartitionedTable) error {
 	for i := 0; i < sdbHotKeys; i++ {
 		if err := t.Put([]byte(sdbHotKey(i)), []byte(sdbHotKey(i)+"=hotrow")); err != nil {
 			return err
@@ -142,7 +129,7 @@ func putHotRW(t kvTable) error {
 // getHotRW re-warms the hot and rw rows' pages: their bucket pages, leaves
 // and interior descent paths. The cold key space is deliberately left out —
 // it is the window's fixed miss set.
-func getHotRW(t kvTable) error {
+func getHotRW(t *stegdb.PartitionedTable) error {
 	for i := 0; i < sdbHotKeys; i++ {
 		if _, _, err := t.Get([]byte(sdbHotKey(i))); err != nil {
 			return err
@@ -159,7 +146,7 @@ func getHotRW(t kvTable) error {
 // settle commits the populated table, then runs the whole op set once
 // (unmeasured, no emulation) and commits again, so one-time page splits,
 // allocations and file growth happen before any level is timed.
-func settle(t kvTable, ops int, op func(int) error) error {
+func settle(t *stegdb.PartitionedTable, ops int, op func(int) error) error {
 	if err := t.Sync(); err != nil {
 		return err
 	}
@@ -172,7 +159,7 @@ func settle(t kvTable, ops int, op func(int) error) error {
 }
 
 // getHot is a hot Get through the hash path (a cache hit).
-func getHot(t kvTable, i int) error {
+func getHot(t *stegdb.PartitionedTable, i int) error {
 	k := sdbHotKey(i)
 	v, ok, err := t.Get([]byte(k))
 	if err != nil || !ok || string(v) != k+"=hotrow" {
@@ -182,7 +169,7 @@ func getHot(t kvTable, i int) error {
 }
 
 // putRW replaces an rw row (tree + hash, in-cache).
-func putRW(t kvTable, i int) error {
+func putRW(t *stegdb.PartitionedTable, i int) error {
 	k := sdbRWKey(i / 8)
 	if err := t.Put([]byte(k), []byte(fmt.Sprintf("%s:%06d", k, i))); err != nil {
 		return fmt.Errorf("rw put: %w", err)
@@ -192,7 +179,7 @@ func putRW(t kvTable, i int) error {
 
 // putDelete puts a transient row and deletes it again, through both
 // indexes.
-func putDelete(t kvTable, key string) error {
+func putDelete(t *stegdb.PartitionedTable, key string) error {
 	if err := t.Put([]byte(key), []byte("transient-row!")); err != nil {
 		return fmt.Errorf("tmp put: %w", err)
 	}
@@ -205,7 +192,7 @@ func putDelete(t kvTable, key string) error {
 
 // checkRWRange runs a snapshot Range over the rw window, concurrent with
 // its writers, and checks it sees every rw row whole.
-func checkRWRange(t kvTable) error {
+func checkRWRange(t *stegdb.PartitionedTable) error {
 	var n int
 	err := t.Range([]byte("b-"), []byte("b-~"), func(k, v []byte) bool {
 		ks, vs := string(k), string(v)
@@ -228,7 +215,7 @@ func checkRWRange(t kvTable) error {
 // postFlight checks the table came out of the sweep fully consistent: the
 // row count, the structural check, and an in-order scan of every row
 // (snapshot reads share this path).
-func postFlight(t kvTable) error {
+func postFlight(t *stegdb.PartitionedTable) error {
 	want := int64(sdbHotKeys + sdbRWKeys + sdbColdKeys)
 	got, err := t.Rows()
 	if err != nil {

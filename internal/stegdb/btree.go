@@ -311,12 +311,16 @@ func loadNode(r pageReader, id int64) (*node, error) {
 
 func (t *BTree) load(id int64) (*node, error) { return loadNode(t.pg, id) }
 
-func (t *BTree) store(id int64, n *node) error {
+// store writes node n to page id. rows is the change the write makes to
+// the tree's key count (+1 or -1 for a leaf store that inserts or removes
+// a key, else 0); the pager applies it to the row counter atomically with
+// the page write, so no snapshot or commit cut sees one without the other.
+func (t *BTree) store(id int64, n *node, rows int64) error {
 	buf := make([]byte, PageSize)
 	if err := encodeNode(n, buf); err != nil {
 		return err
 	}
-	return t.pg.WritePage(id, buf)
+	return t.pg.writePage(id, buf, rows)
 }
 
 // covers reports whether key falls inside n's range (move right otherwise).
@@ -357,16 +361,26 @@ func (ts *TreeSnapshot) Get(key []byte) ([]byte, bool, error) {
 
 // Scan visits every key/value pair in key order as of the snapshot.
 func (ts *TreeSnapshot) Scan(fn func(key, val []byte) bool) error {
-	_, err := rangeFrom(ts.s, ts.root, nil, nil, fn)
-	return err
+	return ts.Range(nil, nil, fn)
 }
 
 // Range visits pairs with lo <= key < hi in key order as of the snapshot
 // (nil bounds are open). The B-link leaf chain makes this a seek plus a
 // bounded walk, not a full scan.
 func (ts *TreeSnapshot) Range(lo, hi []byte, fn func(key, val []byte) bool) error {
-	_, err := rangeFrom(ts.s, ts.root, lo, hi, fn)
-	return err
+	it, err := ts.iter(lo, hi)
+	if err != nil {
+		return err
+	}
+	for !it.done() {
+		if !fn(it.key(), it.val()) {
+			return nil
+		}
+		if err := it.next(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func getFrom(r pageReader, id int64, key []byte) ([]byte, bool, error) {
@@ -392,58 +406,9 @@ func getFrom(r pageReader, id int64, key []byte) ([]byte, bool, error) {
 	return nil, false, nil
 }
 
-// rangeFrom walks pairs with lo <= key < hi (nil = open) in order: descend
-// toward lo, then follow the leaf chain rightward until hi.
-func rangeFrom(r pageReader, root int64, lo, hi []byte, fn func(k, v []byte) bool) (bool, error) {
-	if root == nilPage {
-		return true, nil
-	}
-	id := root
-	var n *node
-	for {
-		var err error
-		n, err = loadNode(r, id)
-		if err != nil {
-			return false, err
-		}
-		if lo != nil && !n.covers(lo) {
-			id = n.right
-			continue
-		}
-		if n.leaf {
-			break
-		}
-		if lo == nil {
-			id = n.children[0]
-		} else {
-			id = n.children[childIndex(n.keys, lo)]
-		}
-	}
-	for {
-		for _, e := range n.entries {
-			if lo != nil && bytes.Compare(e.key, lo) < 0 {
-				continue
-			}
-			if hi != nil && bytes.Compare(e.key, hi) >= 0 {
-				return true, nil
-			}
-			if !fn(e.key, e.val) {
-				return false, nil
-			}
-		}
-		if n.right == nilPage {
-			return true, nil
-		}
-		var err error
-		n, err = loadNode(r, n.right)
-		if err != nil {
-			return false, err
-		}
-	}
-}
-
-// treeIter is a pull iterator over one snapshot's [lo, hi) range, used by
-// partitioned tables to k-way-merge per-partition snapshots into one
+// treeIter is a pull iterator over one snapshot's [lo, hi) range: descend
+// toward lo, then follow the leaf chain rightward until hi. Range loops
+// over one; partitioned tables k-way-merge one per partition into a single
 // ordered stream. done() true means exhausted; key()/val() are valid only
 // while !done().
 type treeIter struct {
@@ -580,6 +545,7 @@ func (t *BTree) PutEx(key, val []byte) (prev []byte, existed bool, err error) {
 		return nil, false, err
 	}
 	var res putResult
+	rows := int64(1)
 	pos := 0
 	for pos < len(n.entries) && bytes.Compare(n.entries[pos].key, key) < 0 {
 		pos++
@@ -587,6 +553,7 @@ func (t *BTree) PutEx(key, val []byte) (prev []byte, existed bool, err error) {
 	if pos < len(n.entries) && bytes.Equal(n.entries[pos].key, key) {
 		res.prev = append([]byte(nil), n.entries[pos].val...)
 		res.existed = true
+		rows = 0
 		n.entries[pos].val = val
 	} else {
 		n.entries = append(n.entries, kv{})
@@ -594,11 +561,11 @@ func (t *BTree) PutEx(key, val []byte) (prev []byte, existed bool, err error) {
 		n.entries[pos] = kv{key: key, val: val}
 	}
 	if n.encodedSize() <= PageSize {
-		err := t.store(id, n)
+		err := t.store(id, n, rows)
 		t.latches.unlock(id)
 		return res.prev, res.existed, err
 	}
-	sep, rightID, level, serr := t.splitStore(id, n)
+	sep, rightID, level, serr := t.splitStore(id, n, rows)
 	t.latches.unlock(id)
 	if serr != nil {
 		return nil, false, serr
@@ -627,7 +594,7 @@ func (t *BTree) ensureRoot() (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := t.store(id, &node{leaf: true}); err != nil {
+	if err := t.store(id, &node{leaf: true}, 0); err != nil {
 		return 0, err
 	}
 	t.setRoot(id)
@@ -690,7 +657,7 @@ func (t *BTree) lockNodeForKey(start int64, key []byte) (int64, *node, error) {
 // left store leaves the tree unchanged (at worst one leaked free page).
 // The caller holds the node's tree latch.
 // lockcheck:holds stegdb/treelatch
-func (t *BTree) splitStore(id int64, n *node) (sep []byte, rightID int64, level uint8, err error) {
+func (t *BTree) splitStore(id int64, n *node, rows int64) (sep []byte, rightID int64, level uint8, err error) {
 	rightID, err = t.pg.AllocPage()
 	if err != nil {
 		return nil, nilPage, 0, err
@@ -711,10 +678,10 @@ func (t *BTree) splitStore(id int64, n *node) (sep []byte, rightID int64, level 
 	}
 	n.right = rightID
 	n.high = sep
-	if err := t.store(rightID, right); err != nil {
+	if err := t.store(rightID, right, 0); err != nil {
 		return nil, nilPage, 0, err
 	}
-	if err := t.store(id, n); err != nil {
+	if err := t.store(id, n, rows); err != nil {
 		return nil, nilPage, 0, err
 	}
 	return sep, rightID, n.level, nil
@@ -750,11 +717,11 @@ func (t *BTree) insertSepChain(stack []int64, sep []byte, rightID, leftID int64,
 		copy(n.children[ci+2:], n.children[ci+1:])
 		n.children[ci+1] = rightID
 		if n.encodedSize() <= PageSize {
-			err := t.store(id, n)
+			err := t.store(id, n, 0)
 			t.latches.unlock(id)
 			return err
 		}
-		nsep, nright, lvl, err := t.splitStore(id, n)
+		nsep, nright, lvl, err := t.splitStore(id, n, 0)
 		t.latches.unlock(id)
 		if err != nil {
 			return err
@@ -780,7 +747,7 @@ func (t *BTree) growOrFindParent(leftID int64, sep []byte, rightID int64, level 
 			keys:     [][]byte{append([]byte(nil), sep...)},
 			children: []int64{leftID, rightID},
 		}
-		if err := t.store(newRoot, rn); err != nil {
+		if err := t.store(newRoot, rn, 0); err != nil {
 			return false, 0, err
 		}
 		t.setRoot(newRoot)
@@ -829,12 +796,14 @@ func (t *BTree) undoLeafChange(key []byte, res putResult) error {
 	defer t.latches.unlock(id)
 	for i, e := range n.entries {
 		if bytes.Equal(e.key, key) {
+			rows := int64(0)
 			if res.existed {
 				n.entries[i].val = res.prev
 			} else {
 				n.entries = append(n.entries[:i], n.entries[i+1:]...)
+				rows = -1
 			}
-			return t.store(id, n)
+			return t.store(id, n, rows)
 		}
 	}
 	return fmt.Errorf("stegdb: undo lost key %q", key)
@@ -914,7 +883,7 @@ func (t *BTree) DeleteEx(key []byte) (prev []byte, found bool, err error) {
 		if bytes.Equal(e.key, key) {
 			prev = append([]byte(nil), e.val...)
 			n.entries = append(n.entries[:i], n.entries[i+1:]...)
-			if err := t.store(id, n); err != nil {
+			if err := t.store(id, n, -1); err != nil {
 				return nil, false, err
 			}
 			return prev, true, nil

@@ -29,12 +29,12 @@ func newCachedView(t *testing.T, blocks int64, cacheBlocks int) (*stegfs.HiddenV
 
 // TestTableThroughBlockCache runs the whole database stack — pager, B-tree,
 // hash index — over a cached StegFS volume and proves the result survives a
-// Pager.Sync plus a cold, uncached remount of the raw store.
+// table Sync plus a cold, uncached remount of the raw store.
 func TestTableThroughBlockCache(t *testing.T) {
 	for _, capacity := range []int{0, 32, 2048} {
 		t.Run(fmt.Sprintf("cache=%d", capacity), func(t *testing.T) {
 			view, fs, store := newCachedView(t, 16<<10, capacity)
-			tbl, err := CreateTable(view, "accounts", true, 64)
+			tbl, err := CreatePartitionedTable(view, "accounts", 1, true, 64)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,7 +47,7 @@ func TestTableThroughBlockCache(t *testing.T) {
 				}
 			}
 			if err := tbl.Sync(); err != nil {
-				t.Fatalf("Table Sync: %v", err)
+				t.Fatalf("table Sync: %v", err)
 			}
 			if capacity > 0 {
 				stats, ok := fs.CacheStats()
@@ -69,9 +69,9 @@ func TestTableThroughBlockCache(t *testing.T) {
 			if _, err := CheckAny(view2, view2.Adopt, "accounts"); err != nil {
 				t.Fatal(err)
 			}
-			tbl2, err := OpenTable(view2, "accounts")
+			tbl2, err := OpenPartitionedTable(view2, "accounts")
 			if err != nil {
-				t.Fatalf("OpenTable after remount: %v", err)
+				t.Fatalf("OpenPartitionedTable after remount: %v", err)
 			}
 			for i := 0; i < rows; i++ {
 				key := fmt.Sprintf("user%04d", i)

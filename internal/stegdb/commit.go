@@ -141,37 +141,73 @@ type commitState struct {
 // bare volume barrier.
 func (st *commitState) empty() bool { return len(st.recs) == 0 && st.metaClean }
 
-// commitOnce runs one full commit of this pager: the single-pager Sync
-// path. PartitionedTable.Sync composes the same phases across partitions
-// with shared barriers (partition.go).
-func (p *Pager) commitOnce() error {
-	p.commitMu.Lock()
-	defer p.commitMu.Unlock()
-	st, err := p.commitPrepare()
-	if err != nil {
-		p.releaseCommit(st)
-		return err
+// commit runs one commit of pgs, every pager a file of view — one pager
+// for Pager.Sync, every partition for PartitionedTable.Sync. The phases
+// above run across the whole set with shared barriers: every non-empty cut
+// is journaled, ONE barrier makes all journals durable, every cut goes
+// home, and ONE more barrier makes the homes durable, whatever the pager
+// count. Commit locks are taken in slice order (the commitMu class is
+// multi for exactly this walk), so concurrent commits cannot deadlock.
+func commit(view View, pgs []*Pager) error {
+	for _, pg := range pgs {
+		pg.commitMu.Lock()
 	}
-	if st.empty() {
-		p.releaseCommit(st)
-		p.bumpEpoch()
-		return p.view.Sync()
+	defer func() {
+		for _, pg := range pgs {
+			pg.commitMu.Unlock()
+		}
+	}()
+	states := make([]*commitState, len(pgs))
+	release := func() {
+		for i, st := range states {
+			pgs[i].releaseCommit(st)
+		}
 	}
-	if err := p.writeWAL(st); err != nil {
-		p.releaseCommit(st)
-		return err
+	work := false
+	for i, pg := range pgs {
+		st, err := pg.commitPrepare()
+		states[i] = st
+		if err != nil {
+			release()
+			return err
+		}
+		if !st.empty() {
+			work = true
+		}
 	}
-	if err := p.view.Sync(); err != nil { // barrier: journal before home
-		p.releaseCommit(st)
-		return err
+	if work {
+		for i, pg := range pgs {
+			if states[i].empty() {
+				continue
+			}
+			if err := pg.writeWAL(states[i]); err != nil {
+				release()
+				return err
+			}
+		}
+		if err := view.Sync(); err != nil { // one barrier: all journals durable
+			release()
+			return err
+		}
+		var errs []error
+		for i, pg := range pgs {
+			if states[i].empty() {
+				continue
+			}
+			if err := pg.commitHome(states[i]); err != nil {
+				errs = append(errs, fmt.Errorf("stegdb: commit %s: %w", pg.name, err))
+			}
+		}
+		if len(errs) > 0 {
+			release()
+			return errors.Join(errs...)
+		}
 	}
-	if err := p.commitHome(st); err != nil {
-		p.releaseCommit(st)
-		return err
+	release()
+	for _, pg := range pgs {
+		pg.bumpEpoch()
 	}
-	p.releaseCommit(st)
-	p.bumpEpoch()
-	return p.view.Sync() // barrier: home durable
+	return view.Sync() // one barrier: all homes durable (a bare barrier when nothing was cut)
 }
 
 // commitPrepare captures a consistent cut of the dirty state: an internal
@@ -364,6 +400,15 @@ func (p *Pager) recoverWAL() error {
 	count := int64(binary.BigEndian.Uint64(hdr[walHdrCount:]))
 	jlen := int64(binary.BigEndian.Uint64(hdr[walHdrLen:]))
 	if count <= 0 || count > walMaxRecords || jlen != count*walRecordSize {
+		return nil
+	}
+	// A header claiming more than the file holds is torn; checking first
+	// also bounds the allocation below by the journal's real size.
+	wfi, err := p.view.Stat(p.walName)
+	if err != nil {
+		return fmt.Errorf("stegdb: stat journal: %w", err)
+	}
+	if wfi.Size < PageSize+jlen {
 		return nil
 	}
 	journal := make([]byte, jlen)

@@ -16,7 +16,7 @@ import (
 // directory and row counter. Run under -race.
 func TestStegDBParallelChurn(t *testing.T) {
 	view, _ := newView(t, 64<<10)
-	tab, err := CreateTable(view, "churn", true, 64)
+	tab, err := CreatePartitionedTable(view, "churn", 1, true, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestStegDBParallelChurn(t *testing.T) {
 // torn rows, no doubled or missing keys from in-flight splits).
 func TestStegDBScanSnapshotIsolation(t *testing.T) {
 	view, _ := newView(t, 64<<10)
-	tab, err := CreateTable(view, "snap", true, 32)
+	tab, err := CreatePartitionedTable(view, "snap", 1, true, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestStegDBScanSnapshotIsolation(t *testing.T) {
 // a final Sync the volume is remounted cold and every row must be there.
 func TestStegDBSyncUnderLoad(t *testing.T) {
 	view, store := newView(t, 64<<10)
-	tab, err := CreateTable(view, "t", true, 32)
+	tab, err := CreatePartitionedTable(view, "t", 1, true, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestStegDBSyncUnderLoad(t *testing.T) {
 	if _, err := CheckAny(view2, view2.Adopt, "t"); err != nil {
 		t.Fatal(err)
 	}
-	tab2, err := OpenTable(view2, "t")
+	tab2, err := OpenPartitionedTable(view2, "t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,12 +283,12 @@ func TestStegDBSyncUnderLoad(t *testing.T) {
 // keeps serving the old state after them.
 func TestStegDBSnapshotPinsState(t *testing.T) {
 	view, _ := newView(t, 64<<10)
-	tab, err := CreateTable(view, "pin", false, 0)
+	tab, err := CreatePartitionedTable(view, "pin", 1, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
-		if err := tab.PutUint64(uint64(i), []byte(fmt.Sprintf("old-%d", i))); err != nil {
+		if err := tab.Put(u64key(i), []byte(fmt.Sprintf("old-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -296,12 +296,12 @@ func TestStegDBSnapshotPinsState(t *testing.T) {
 	defer snap.Close()
 
 	for i := 0; i < 200; i++ {
-		if err := tab.PutUint64(uint64(i), []byte(fmt.Sprintf("new-%d", i))); err != nil {
+		if err := tab.Put(u64key(i), []byte(fmt.Sprintf("new-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 200; i < 400; i++ { // splits after the snapshot
-		if err := tab.PutUint64(uint64(i), []byte("extra")); err != nil {
+		if err := tab.Put(u64key(i), []byte("extra")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -323,7 +323,7 @@ func TestStegDBSnapshotPinsState(t *testing.T) {
 		t.Fatalf("snapshot Rows() = %d, want 200", got)
 	}
 	// The live table sees the new state.
-	v, ok, err := tab.GetUint64(7)
+	v, ok, err := tab.Get(u64key(7))
 	if err != nil || !ok || string(v) != "new-7" {
 		t.Fatalf("live read = %q %v %v", v, ok, err)
 	}

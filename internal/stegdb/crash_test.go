@@ -200,8 +200,8 @@ func TestStegDBPartitionedSyncCrashSweep(t *testing.T) {
 	verifyPartitionedCrash(t, img, window)
 }
 
-// TestStegDBPlainTableCrashRecovery: the single-pager commit path under a
-// cut in the middle of its journal and home writes.
+// TestStegDBPlainTableCrashRecovery: a one-partition (plain) table's commit
+// under a cut in the middle of its journal and home writes.
 func TestStegDBPlainTableCrashRecovery(t *testing.T) {
 	for _, cut := range []int64{0, 1, 3, 7, 15, 40} {
 		mem, err := vdisk.NewMemStore(crashBlocks, crashBS)
@@ -219,7 +219,7 @@ func TestStegDBPlainTableCrashRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		view := fs.NewHiddenView("db")
-		tab, err := CreateTable(view, "t", true, 32)
+		tab, err := CreatePartitionedTable(view, "t", 1, true, 32)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +254,7 @@ func TestStegDBPlainTableCrashRecovery(t *testing.T) {
 		if _, err := CheckAny(view2, view2.Adopt, "t"); err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
-		tab2, err := OpenTable(view2, "t")
+		tab2, err := OpenPartitionedTable(view2, "t")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -79,11 +79,11 @@ func (v *errView) Sync() error { return v.inner.Sync() }
 
 // faultTable builds a hash-indexed table behind an errView, seeded with
 // nSeed rows mirrored in ref.
-func faultTable(t *testing.T, nSeed int) (*Table, *errView, map[string]string) {
+func faultTable(t *testing.T, nSeed int) (*PartitionedTable, *errView, map[string]string) {
 	t.Helper()
 	view, _ := newView(t, 64<<10)
 	ev := &errView{inner: view}
-	tab, err := CreateTable(ev, "ft", true, 16)
+	tab, err := CreatePartitionedTable(ev, "ft", 1, true, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func faultTable(t *testing.T, nSeed int) (*Table, *errView, map[string]string) {
 
 // verifyAgainst asserts the table exactly matches ref through both access
 // paths, the O(1) row counter, and Check's cross-validation.
-func verifyAgainst(t *testing.T, tab *Table, ref map[string]string) {
+func verifyAgainst(t *testing.T, tab *PartitionedTable, ref map[string]string) {
 	t.Helper()
 	for k, want := range ref {
 		hv, ok, err := tab.Get([]byte(k))
@@ -133,13 +133,12 @@ func verifyAgainst(t *testing.T, tab *Table, ref map[string]string) {
 // operation performs gets to fail once. After a faulted run the table must
 // equal ref (the op rolled back); after the clean run, apply mutates ref
 // and the table must equal the new ref.
-func sweepReadFaults(t *testing.T, tab *Table, ev *errView, ref map[string]string,
+func sweepReadFaults(t *testing.T, tab *PartitionedTable, ev *errView, ref map[string]string,
 	op func(round int) error, apply func(round int)) {
 	t.Helper()
-	pg := tab.Pager()
 	for k := 1; k <= 256; k++ {
 		// Empty the page cache so the op's reads actually hit the view.
-		if err := pg.InvalidatePageCache(); err != nil {
+		if err := tab.InvalidatePageCache(); err != nil {
 			t.Fatal(err)
 		}
 		ev.arm("read", k)
@@ -230,7 +229,7 @@ func TestStegDBFaultSyncRetry(t *testing.T) {
 	if err := tab.Sync(); err != nil {
 		t.Fatalf("retried Sync: %v", err)
 	}
-	if err := tab.Pager().InvalidatePageCache(); err != nil {
+	if err := tab.InvalidatePageCache(); err != nil {
 		t.Fatal(err)
 	}
 	verifyAgainst(t, tab, ref)

@@ -4,10 +4,11 @@
 // files, so their very existence is deniable.
 //
 // The package provides a page store (Pager) over a hidden file, a B-tree
-// and a bucket-chain hash index over the pager, and a Table combining them.
-// Everything an adversary can observe is the same encrypted, unlisted
-// blocks as any other hidden file; even the fact that a database exists is
-// hidden behind the (name, key) pair.
+// and a bucket-chain hash index over the pager, and one table type,
+// PartitionedTable, combining them in each of N >= 1 hidden files (N = 1 is
+// the plain one-file table). Everything an adversary can observe is the
+// same encrypted, unlisted blocks as any other hidden file; even the fact
+// that a database exists is hidden behind the (name, key) pair.
 //
 // Concurrency: the pager is safe for concurrent use. Pages live in a small
 // no-steal write-back cache with per-page latches (shared for reads,
@@ -17,18 +18,18 @@
 // must not block behind writers take copy-on-write snapshots
 // (BeginSnapshot) pinned at an epoch; see snapshot.go. Durability point:
 // WritePage is write-back — dirty pages reach the hidden file only at
-// Sync/Close, which runs a group commit through a physical redo journal
-// (commit.go): journal + header, barrier, home writes, barrier. Crash
-// recovery replays a CRC-valid journal at OpenPager, so the on-device
-// state is always exactly some committed epoch (old-or-new, never a mix).
-// Lock order inside the package, outermost first: PartitionedTable
-// snapGate → Table key shards → Pager commit lock → tree latches →
-// HashIndex stripes → HashIndex.dirMu → BTree rootMu → Pager.allocMu →
-// page latches → Pager.snapMu → Pager.metaMu → the pageCache mutex. This
-// order is not just prose: each lock carries a lockcheck:level annotation
-// in the stegdb domain and cmd/lockcheck enforces it in CI — see
-// docs/ANALYSIS.md for the grammar and the level map, and docs/STEGDB.md
-// for the protocols that rely on it.
+// Sync/Close, which commits through a physical redo journal (commit.go):
+// journal + header, barrier, home writes, barrier. Crash recovery replays a
+// CRC-valid journal at OpenPager, so the on-device state is always exactly
+// some committed epoch (old-or-new, never a mix). Lock order inside the
+// package, outermost first: PartitionedTable snapGate → per-partition key
+// shards → Pager commit locks → tree latches → HashIndex stripes →
+// HashIndex.dirMu → BTree rootMu → Pager.allocMu → page latches →
+// Pager.snapMu → Pager.metaMu → the pageCache mutex. This order is not just
+// prose: each lock carries a lockcheck:level annotation in the stegdb
+// domain and cmd/lockcheck enforces it in CI — see docs/ANALYSIS.md for the
+// grammar and the level map, and docs/STEGDB.md for the protocols that rely
+// on it.
 package stegdb
 
 import (
@@ -107,9 +108,6 @@ type Pager struct {
 	// of all its partitions at once, always in partition order.
 	// lockcheck:level 15 stegdb/commitMu multi
 	commitMu sync.Mutex
-
-	// gc batches concurrent Sync callers into shared commits.
-	gc groupCommit
 
 	// metaMu guards the meta page buffer and its dirty flag. It is the
 	// innermost leveled mutex of the package hierarchy bar the page-cache
@@ -236,14 +234,6 @@ func (p *Pager) setMetaField(off int, v int64) {
 	p.metaMu.Unlock()
 }
 
-// bumpRows adjusts the persistent row counter (write-back, like any other
-// meta field).
-func (p *Pager) bumpRows(delta int64) {
-	p.metaMu.Lock()
-	p.setMeta(metaRows, p.getMeta(metaRows)+delta)
-	p.metaMu.Unlock()
-}
-
 // flushMetaNow persists page 0 immediately.
 func (p *Pager) flushMetaNow() error {
 	p.metaMu.Lock()
@@ -258,26 +248,14 @@ func (p *Pager) flushMetaNow() error {
 // NumPages returns the number of pages in use (including the meta page).
 func (p *Pager) NumPages() int64 { return p.metaField(metaNumPages) }
 
-// Rows returns the persistent row counter maintained by Table.
+// Rows returns the persistent row counter: the number of keys in the
+// B-tree, maintained by its leaf writes.
 func (p *Pager) Rows() int64 { return p.metaField(metaRows) }
 
 // SetPageCacheSize adjusts the page cache capacity (frames of PageSize
 // bytes). Shrinking takes effect as later pins evict clean unpinned
 // frames; dirty frames stay cached until the next commit (no-steal).
 func (p *Pager) SetPageCacheSize(n int) { p.cache.setCap(n) }
-
-// InvalidatePageCache commits every dirty page (a full Sync) and drops all
-// unpinned clean frames, so subsequent reads go back through the hidden
-// file. Benchmarks use it to restore a cold-cache state between
-// measurement windows; frames re-dirtied by concurrent writers after the
-// commit stay cached.
-func (p *Pager) InvalidatePageCache() error {
-	if err := p.Sync(); err != nil {
-		return err
-	}
-	p.cache.dropClean()
-	return nil
-}
 
 // ReadPage reads page id into buf (len PageSize).
 func (p *Pager) ReadPage(id int64, buf []byte) error {
@@ -328,7 +306,11 @@ func (p *Pager) ensureLoaded(e *pageEntry) error {
 // stamped at or before that epoch must already be visible to the commit's
 // dirty-list capture — the reverse order could journal a cut that silently
 // misses this page.
-func (p *Pager) WritePage(id int64, buf []byte) error {
+func (p *Pager) WritePage(id int64, buf []byte) error { return p.writePage(id, buf, 0) }
+
+// writePage is WritePage that also adds rows to the row counter, at the
+// same snapshot epoch as the page write (see saveVersionLocked).
+func (p *Pager) writePage(id int64, buf []byte, rows int64) error {
 	if len(buf) != PageSize {
 		return fmt.Errorf("stegdb: page buffer %d != %d", len(buf), PageSize)
 	}
@@ -340,7 +322,7 @@ func (p *Pager) WritePage(id int64, buf []byte) error {
 	e.latch.Lock()
 	defer e.latch.Unlock()
 	wasDirty := p.cache.markDirty(e)
-	if err := p.saveVersionLocked(e); err != nil {
+	if err := p.saveVersionLocked(e, rows); err != nil {
 		if !wasDirty {
 			p.cache.unmarkDirty(e)
 		}
@@ -405,13 +387,13 @@ func (p *Pager) FreePage(id int64) error {
 	return nil
 }
 
-// Sync is the durability barrier and commit point: concurrent callers are
-// batched into shared commits (group commit), each of which journals a
+// Sync is the durability barrier and commit point: it journals a
 // consistent cut of the dirty pages plus the meta page, barriers, writes
 // everything home, and barriers again. After a torn crash anywhere inside,
 // recovery at OpenPager leaves the database at exactly the old or the new
-// epoch.
-func (p *Pager) Sync() error { return p.gc.do(p.commitOnce) }
+// epoch. Concurrent callers serialize on the commit lock; tables batch
+// theirs into group commits (PartitionedTable.Sync).
+func (p *Pager) Sync() error { return commit(p.view, []*Pager{p}) }
 
 // bumpEpoch opens a new epoch after a commit, so snapshots taken afterwards
 // are pinned at a post-commit boundary.

@@ -1,22 +1,22 @@
 package stegdb
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 )
 
-// PartitionedTable shards one logical table by key hash across N hidden
-// files, each a complete Table (own Pager, B-tree, optional hash index,
-// journal). Partitioning multiplies the write paths the same way A6's
+// PartitionedTable is a hidden table, sharded by key hash across N hidden
+// files (partitions), each with its own Pager, B-tree, optional hash index
+// and journal. Partitioning multiplies the write paths the same way A6's
 // distinct-object scaling multiplied file writes: Put/Delete on different
 // partitions share no pager, no tree, no commit lock and no journal, so a
 // write-heavy workload scales with the partition count instead of
-// funneling into one file's allocator and commit pipeline.
+// funneling into one file's allocator and commit pipeline. N = 1 is the
+// plain one-file table.
 //
 // Composition rules:
 //   - Put/Delete route by partFor(key) — a mixing hash deliberately
-//     distinct from the per-table shard hash, so shard striping stays
+//     distinct from the per-partition shard hash, so shard striping stays
 //     uniform within each partition.
 //   - Rows/Scan/Range/Check/Snapshot compose across partitions. A
 //     cross-partition snapshot pins one epoch per partition atomically:
@@ -29,14 +29,17 @@ import (
 //     post-barrier — two volume barriers per batch regardless of
 //     partition count or caller count.
 //
-// Layout: partition i of table "t" lives in hidden file "t.p<i>" (plus its
-// ".wal" journal sibling); each partition's meta page records the
-// partition count and its own index, so fsck and Open can discover and
-// validate the set from any one member.
+// Layout: a one-partition table lives in hidden file "t" (plus its ".wal"
+// journal sibling) and its meta page records partition count 0. Partition
+// i of an N-partition table lives in "t.p<i>"; each partition's meta page
+// records N and its own index, so fsck and Open can discover and validate
+// the set from any one member.
 type PartitionedTable struct {
 	view  View
-	base  string
-	parts []*Table
+	parts []*partition
+	// layout is the partition count every member's meta page records:
+	// 0 for the plain one-file layout.
+	layout int64
 
 	// snapGate makes cross-partition snapshots atomic: Put/Delete hold it
 	// shared for the operation's duration, Snapshot holds it exclusive
@@ -57,58 +60,83 @@ const maxPartitions = 64
 func partName(base string, i int) string { return fmt.Sprintf("%s.p%d", base, i) }
 
 // CreatePartitionedTable creates a table sharded across nParts hidden
-// files. withHash/nBuckets apply to every partition.
+// files; nParts = 1 creates the plain one-file layout. withHash/nBuckets
+// apply to every partition.
 func CreatePartitionedTable(view View, name string, nParts int, withHash bool, nBuckets int) (*PartitionedTable, error) {
 	if nParts < 1 || nParts > maxPartitions {
 		return nil, fmt.Errorf("stegdb: partition count %d out of range [1,%d]", nParts, maxPartitions)
 	}
-	pt := &PartitionedTable{view: view, base: name, parts: make([]*Table, nParts)}
-	for i := range pt.parts {
-		t, err := CreateTable(view, partName(name, i), withHash, nBuckets)
+	pt := &PartitionedTable{view: view, parts: make([]*partition, nParts)}
+	if nParts == 1 {
+		p, err := createPartition(view, name, withHash, nBuckets)
 		if err != nil {
 			return nil, err
 		}
-		t.pg.setMetaField(metaPartCount, int64(nParts))
-		t.pg.setMetaField(metaPartIndex, int64(i))
-		if err := t.pg.flushMetaNow(); err != nil {
+		pt.parts[0] = p
+		return pt, nil
+	}
+	pt.layout = int64(nParts)
+	for i := range pt.parts {
+		p, err := createPartition(view, partName(name, i), withHash, nBuckets)
+		if err != nil {
 			return nil, err
 		}
-		pt.parts[i] = t
+		p.pg.setMetaField(metaPartCount, pt.layout)
+		p.pg.setMetaField(metaPartIndex, int64(i))
+		if err := p.pg.flushMetaNow(); err != nil {
+			return nil, err
+		}
+		pt.parts[i] = p
 	}
 	return pt, nil
 }
 
-// OpenPartitionedTable opens an existing partitioned table; every
-// partition file (name.p0 .. name.p<N-1>) must already be visible in the
-// view. The partition count is read from partition 0's meta page and each
-// member's meta is validated against its position.
+// OpenPartitionedTable opens an existing table. The layout is discovered
+// from the view: the plain file name if it is there, else name.p0, whose
+// meta page gives the partition count; every partition file (name.p0 ..
+// name.p<N-1>) must then be visible in the view too. Each member's meta
+// is validated against its position.
 func OpenPartitionedTable(view View, name string) (*PartitionedTable, error) {
-	t0, err := OpenTable(view, partName(name, 0))
+	first := partName(name, 0)
+	if _, err := view.Stat(name); err == nil {
+		first = name
+	}
+	p0, err := openPartition(view, first)
 	if err != nil {
-		return nil, fmt.Errorf("stegdb: open partition 0: %w", err)
+		return nil, fmt.Errorf("stegdb: open %s: %w", first, err)
 	}
-	n := t0.pg.metaField(metaPartCount)
-	if n < 1 || n > maxPartitions {
-		return nil, fmt.Errorf("stegdb: partition 0 declares %d partitions (max %d)", n, maxPartitions)
+	pt := &PartitionedTable{view: view, parts: []*partition{p0}}
+	if first != name {
+		pt.layout = p0.pg.metaField(metaPartCount)
+		if pt.layout < 1 || pt.layout > maxPartitions {
+			return nil, fmt.Errorf("stegdb: %s declares %d partitions (max %d)", first, pt.layout, maxPartitions)
+		}
+		for i := 1; i < int(pt.layout); i++ {
+			p, err := openPartition(view, partName(name, i))
+			if err != nil {
+				return nil, fmt.Errorf("stegdb: open partition %d: %w", i, err)
+			}
+			pt.parts = append(pt.parts, p)
+		}
 	}
-	pt := &PartitionedTable{view: view, base: name, parts: make([]*Table, n)}
-	pt.parts[0] = t0
-	for i := 1; i < int(n); i++ {
-		t, err := OpenTable(view, partName(name, i))
-		if err != nil {
-			return nil, fmt.Errorf("stegdb: open partition %d: %w", i, err)
-		}
-		pt.parts[i] = t
-	}
-	for i, t := range pt.parts {
-		if got := t.pg.metaField(metaPartCount); got != n {
-			return nil, fmt.Errorf("stegdb: partition %d declares %d partitions, expected %d", i, got, n)
-		}
-		if got := t.pg.metaField(metaPartIndex); got != int64(i) {
-			return nil, fmt.Errorf("stegdb: file %q declares partition index %d, expected %d", partName(name, i), got, i)
-		}
+	if err := pt.checkLayout(); err != nil {
+		return nil, err
 	}
 	return pt, nil
+}
+
+// checkLayout verifies that every member's meta page agrees on the layout:
+// the same partition count, and its own index.
+func (pt *PartitionedTable) checkLayout() error {
+	for i, p := range pt.parts {
+		if got := p.pg.metaField(metaPartCount); got != pt.layout {
+			return fmt.Errorf("stegdb: %s declares %d partitions, expected %d", p.pg.name, got, pt.layout)
+		}
+		if got := p.pg.metaField(metaPartIndex); got != int64(i) {
+			return fmt.Errorf("stegdb: %s declares partition index %d, expected %d", p.pg.name, got, i)
+		}
+	}
+	return nil
 }
 
 // Partitions returns the partition count.
@@ -118,14 +146,14 @@ func (pt *PartitionedTable) Partitions() int { return len(pt.parts) }
 // included — the set fsck must find and verify.
 func (pt *PartitionedTable) Files() []string {
 	out := make([]string, 0, 2*len(pt.parts))
-	for i := range pt.parts {
-		out = append(out, partName(pt.base, i), partName(pt.base, i)+walSuffix)
+	for _, p := range pt.parts {
+		out = append(out, p.pg.name, p.pg.walName)
 	}
 	return out
 }
 
 // partFor routes a key to its partition. The hash mixes harder than the
-// per-table shard hash (plain FNV-1a) on purpose: the two must not
+// per-partition shard hash (plain FNV-1a) on purpose: the two must not
 // correlate, or one partition's keys would pile onto a few shard locks.
 func (pt *PartitionedTable) partFor(key []byte) int {
 	h := uint64(14695981039346656037)
@@ -139,64 +167,69 @@ func (pt *PartitionedTable) partFor(key []byte) int {
 	return int(h % uint64(len(pt.parts)))
 }
 
-// Put inserts or replaces a row in the owning partition.
+// Put inserts or replaces a row in the owning partition. The B-tree and
+// hash index stay error-consistent: a failed Put leaves the prior row.
 func (pt *PartitionedTable) Put(key, val []byte) error {
 	pt.snapGate.RLock()
 	defer pt.snapGate.RUnlock()
-	return pt.parts[pt.partFor(key)].Put(key, val)
+	return pt.parts[pt.partFor(key)].put(key, val)
 }
 
-// Delete removes a row from the owning partition.
+// Delete removes a row from the owning partition, reporting whether it
+// existed. A failed Delete reports (false, err) and leaves the row.
 func (pt *PartitionedTable) Delete(key []byte) (bool, error) {
 	pt.snapGate.RLock()
 	defer pt.snapGate.RUnlock()
-	return pt.parts[pt.partFor(key)].Delete(key)
+	return pt.parts[pt.partFor(key)].delete(key)
 }
 
 // Get returns the row stored under key (hash-index path when present).
 func (pt *PartitionedTable) Get(key []byte) ([]byte, bool, error) {
-	return pt.parts[pt.partFor(key)].Get(key)
+	return pt.parts[pt.partFor(key)].get(key)
 }
 
 // GetOrdered always uses the owning partition's B-tree.
 func (pt *PartitionedTable) GetOrdered(key []byte) ([]byte, bool, error) {
-	return pt.parts[pt.partFor(key)].GetOrdered(key)
+	return pt.parts[pt.partFor(key)].tree.Get(key)
 }
 
-// Rows sums the per-partition row counters — O(partitions).
+// Rows sums the per-partition row counters maintained by Put/Delete —
+// O(partitions). Check cross-validates them against a full scan.
 func (pt *PartitionedTable) Rows() (int64, error) {
 	var total int64
-	for _, t := range pt.parts {
-		total += t.pg.Rows()
+	for _, p := range pt.parts {
+		total += p.pg.Rows()
 	}
 	return total, nil
 }
 
-// Pages sums the per-partition pager footprints.
+// Pages sums the per-partition pager footprints (pages in use).
 func (pt *PartitionedTable) Pages() int64 {
 	var total int64
-	for _, t := range pt.parts {
-		total += t.pg.NumPages()
+	for _, p := range pt.parts {
+		total += p.pg.NumPages()
 	}
 	return total
 }
 
 // SetPageCacheSize sets every partition pager's page cache capacity.
 func (pt *PartitionedTable) SetPageCacheSize(frames int) {
-	for _, t := range pt.parts {
-		t.pg.SetPageCacheSize(frames)
+	for _, p := range pt.parts {
+		p.pg.SetPageCacheSize(frames)
 	}
 }
 
 // InvalidatePageCache commits the table (one group commit across every
-// partition) and drops every partition pager's clean frames (a benchmark
-// reset; see Pager.InvalidatePageCache).
+// partition) and drops every partition pager's unpinned clean frames, so
+// later reads go back through the hidden files. Benchmarks use it to
+// restore a cold-cache state between measurement windows; frames
+// re-dirtied by concurrent writers after the commit stay cached.
 func (pt *PartitionedTable) InvalidatePageCache() error {
 	if err := pt.Sync(); err != nil {
 		return err
 	}
-	for _, t := range pt.parts {
-		t.pg.cache.dropClean()
+	for _, p := range pt.parts {
+		p.pg.cache.dropClean()
 	}
 	return nil
 }
@@ -210,12 +243,17 @@ type PartitionedSnapshot struct {
 }
 
 // Snapshot pins one epoch per partition atomically (writers excluded for
-// the instant of the pinning, not for the life of the snapshot).
+// the instant of the pinning, not for the life of the snapshot). A single
+// pager pins its epoch and meta atomically on its own, so a one-partition
+// snapshot skips the gate and never waits for a writer.
 func (pt *PartitionedTable) Snapshot() *PartitionedSnapshot {
+	if len(pt.parts) == 1 {
+		return &PartitionedSnapshot{pt: pt, snaps: []*TreeSnapshot{pt.parts[0].tree.Snapshot()}}
+	}
 	pt.snapGate.Lock()
 	snaps := make([]*TreeSnapshot, len(pt.parts))
-	for i, t := range pt.parts {
-		snaps[i] = t.Snapshot()
+	for i, p := range pt.parts {
+		snaps[i] = p.tree.Snapshot()
 	}
 	pt.snapGate.Unlock()
 	return &PartitionedSnapshot{pt: pt, snaps: snaps}
@@ -282,47 +320,35 @@ func (s *PartitionedSnapshot) Range(lo, hi []byte, fn func(key, val []byte) bool
 	return nil
 }
 
-// Scan visits every row in global key order from a fresh snapshot.
+// Scan visits every row in global key order from a fresh snapshot: the
+// scan sees the table exactly as of its start and never blocks writers.
 func (pt *PartitionedTable) Scan(fn func(key, val []byte) bool) error {
 	s := pt.Snapshot()
 	defer s.Close()
 	return s.Scan(fn)
 }
 
-// Range visits rows with lo <= key < hi in global key order from a fresh
-// snapshot.
+// Range visits rows with lo <= key < hi (nil bounds are open) in global
+// key order from a fresh snapshot. The B-link leaf chains make this a seek
+// to lo plus a bounded walk per partition, not a filtered full scan.
 func (pt *PartitionedTable) Range(lo, hi []byte, fn func(key, val []byte) bool) error {
 	s := pt.Snapshot()
 	defer s.Close()
 	return s.Range(lo, hi, fn)
 }
 
-// Check verifies every partition's internal consistency, that every key
-// lives in the partition the routing hash assigns it, and that each
-// member's meta agrees on the partition layout.
+// Check verifies, against one snapshot, that each member's meta agrees on
+// the layout, and that every partition is internally consistent and holds
+// only keys the routing hash assigns it.
 func (pt *PartitionedTable) Check() error {
-	n := int64(len(pt.parts))
-	for i, t := range pt.parts {
-		if got := t.pg.metaField(metaPartCount); got != n {
-			return fmt.Errorf("stegdb: partition %d declares %d partitions, expected %d", i, got, n)
-		}
-		if got := t.pg.metaField(metaPartIndex); got != int64(i) {
-			return fmt.Errorf("stegdb: partition %d declares index %d", i, got)
-		}
-		if err := t.Check(); err != nil {
+	if err := pt.checkLayout(); err != nil {
+		return err
+	}
+	s := pt.Snapshot()
+	defer s.Close()
+	for i, p := range pt.parts {
+		if err := p.check(s.snaps[i], func(k []byte) bool { return pt.partFor(k) == i }); err != nil {
 			return fmt.Errorf("stegdb: partition %d: %w", i, err)
-		}
-		var misrouted int
-		if err := t.tree.Scan(func(k, _ []byte) bool {
-			if pt.partFor(k) != i {
-				misrouted++
-			}
-			return true
-		}); err != nil {
-			return err
-		}
-		if misrouted > 0 {
-			return fmt.Errorf("stegdb: partition %d holds %d misrouted keys", i, misrouted)
 		}
 	}
 	return nil
@@ -331,124 +357,48 @@ func (pt *PartitionedTable) Check() error {
 // Sync commits every partition as one batch. Concurrent callers are group
 // committed: each batch journals all partitions, issues one shared
 // journal barrier, homes all partitions, and issues one shared home
-// barrier — the per-caller cost the tentpole exists to amortize.
-func (pt *PartitionedTable) Sync() error { return pt.gc.do(pt.commitAll) }
+// barrier.
+func (pt *PartitionedTable) Sync() error {
+	return pt.gc.do(func() error {
+		pgs := make([]*Pager, len(pt.parts))
+		for i, p := range pt.parts {
+			pgs[i] = p.pg
+		}
+		return commit(pt.view, pgs)
+	})
+}
 
 // Close is the shutdown path: one final cross-partition commit.
 func (pt *PartitionedTable) Close() error { return pt.Sync() }
 
-// commitAll runs one cross-partition commit. Commit locks are taken in
-// partition order (the commitMu class is `multi` for exactly this walk),
-// so concurrent commitAll runs cannot deadlock.
-func (pt *PartitionedTable) commitAll() error {
-	for _, t := range pt.parts {
-		t.pg.commitMu.Lock()
-	}
-	defer func() {
-		for _, t := range pt.parts {
-			t.pg.commitMu.Unlock()
-		}
-	}()
-	states := make([]*commitState, len(pt.parts))
-	release := func() {
-		for i, st := range states {
-			if st != nil {
-				pt.parts[i].pg.releaseCommit(st)
-			}
-		}
-	}
-	work := false
-	for i, t := range pt.parts {
-		st, err := t.pg.commitPrepare()
-		states[i] = st
-		if err != nil {
-			release()
-			return err
-		}
-		if !st.empty() {
-			work = true
-		}
-	}
-	if !work {
-		release()
-		for _, t := range pt.parts {
-			t.pg.bumpEpoch()
-		}
-		return pt.view.Sync()
-	}
-	for i, t := range pt.parts {
-		if states[i].empty() {
-			continue
-		}
-		if err := t.pg.writeWAL(states[i]); err != nil {
-			release()
-			return err
-		}
-	}
-	if err := pt.view.Sync(); err != nil { // one barrier: all journals durable
-		release()
-		return err
-	}
-	var errs []error
-	for i, t := range pt.parts {
-		if states[i].empty() {
-			continue
-		}
-		if err := t.pg.commitHome(states[i]); err != nil {
-			errs = append(errs, fmt.Errorf("stegdb: partition %d: %w", i, err))
-		}
-	}
-	release()
-	if len(errs) > 0 {
-		return errors.Join(errs...)
-	}
-	for _, t := range pt.parts {
-		t.pg.bumpEpoch()
-	}
-	return pt.view.Sync() // one barrier: all homes durable
-}
-
-// CheckAny opens and checks the named table, plain or partitioned,
-// adopting each constituent hidden file into the view via adopt (e.g.
+// CheckAny opens and checks the named table in either layout, adopting
+// each constituent hidden file into the view via adopt (e.g.
 // (*stegfs.HiddenView).Adopt, which derives per-file keys from the view's
-// deterministic key schedule). It returns the names of every hidden file
-// the table occupies — journal siblings included when present — so callers
-// like stegfsck can verify each one's block-level integrity too.
+// deterministic key schedule): the plain file name if it adopts, else
+// name.p0, name.p1, ... for as long as they adopt; OpenPartitionedTable
+// then validates the set. It returns the names of every hidden file
+// adopted — journal siblings included when present — so callers like
+// stegfsck can verify each one's block-level integrity too.
 func CheckAny(view View, adopt func(name string) error, name string) ([]string, error) {
-	if err := adopt(name); err == nil {
-		files := []string{name}
-		if adopt(name+walSuffix) == nil {
-			files = append(files, name+walSuffix)
+	var files []string
+	adoptFile := func(f string) error {
+		if err := adopt(f); err != nil {
+			return err
 		}
-		t, err := OpenTable(view, name)
-		if err != nil {
-			return files, err
+		files = append(files, f)
+		if adopt(f+walSuffix) == nil {
+			files = append(files, f+walSuffix)
 		}
-		return files, t.Check()
+		return nil
 	}
-	if err := adopt(partName(name, 0)); err != nil {
-		return nil, fmt.Errorf("stegdb: table %q not found as plain file or partition 0: %w", name, err)
-	}
-	files := []string{partName(name, 0)}
-	if adopt(partName(name, 0)+walSuffix) == nil {
-		files = append(files, partName(name, 0)+walSuffix)
-	}
-	pg0, err := OpenPager(view, partName(name, 0))
-	if err != nil {
-		return files, err
-	}
-	n := pg0.metaField(metaPartCount)
-	if n < 1 || n > maxPartitions {
-		return files, fmt.Errorf("stegdb: partition 0 of %q declares %d partitions (max %d)", name, n, maxPartitions)
-	}
-	for i := 1; i < int(n); i++ {
-		pn := partName(name, i)
-		if err := adopt(pn); err != nil {
-			return files, fmt.Errorf("stegdb: partition %d of %q missing: %w", i, name, err)
+	if adoptFile(name) != nil {
+		if err := adoptFile(partName(name, 0)); err != nil {
+			return nil, fmt.Errorf("stegdb: table %q not found as plain file or partition 0: %w", name, err)
 		}
-		files = append(files, pn)
-		if adopt(pn+walSuffix) == nil {
-			files = append(files, pn+walSuffix)
+		for i := 1; i < maxPartitions; i++ {
+			if adoptFile(partName(name, i)) != nil {
+				break
+			}
 		}
 	}
 	pt, err := OpenPartitionedTable(view, name)

@@ -1,6 +1,7 @@
 package stegdb
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -133,12 +134,12 @@ func TestPartitionedTableRemountAndCheckAny(t *testing.T) {
 
 func TestCheckAnyPlainTable(t *testing.T) {
 	view, store := newView(t, 64<<10)
-	tab, err := CreateTable(view, "plain", true, 16)
+	tab, err := CreatePartitionedTable(view, "plain", 1, true, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		if err := tab.PutUint64(uint64(i), []byte("x")); err != nil {
+		if err := tab.Put(u64key(i), []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -205,8 +206,8 @@ func TestStegDBPartitionedSnapshotAtomic(t *testing.T) {
 				av := byte('0' + byte((i)%9))
 				bv := byte('0' + byte(8-(i)%9))
 				pt.snapGate.RLock()
-				ea := pt.parts[pt.partFor([]byte(fmt.Sprintf("a%02d", p)))].Put([]byte(fmt.Sprintf("a%02d", p)), []byte{av})
-				eb := pt.parts[pt.partFor([]byte(fmt.Sprintf("b%02d", p)))].Put([]byte(fmt.Sprintf("b%02d", p)), []byte{bv})
+				ea := pt.parts[pt.partFor([]byte(fmt.Sprintf("a%02d", p)))].put([]byte(fmt.Sprintf("a%02d", p)), []byte{av})
+				eb := pt.parts[pt.partFor([]byte(fmt.Sprintf("b%02d", p)))].put([]byte(fmt.Sprintf("b%02d", p)), []byte{bv})
 				pt.snapGate.RUnlock()
 				if ea != nil || eb != nil {
 					errCh <- fmt.Errorf("put: %v %v", ea, eb)
@@ -318,7 +319,7 @@ func TestStegDBPartitionedGroupCommit(t *testing.T) {
 // break contiguity or ordering.
 func TestStegDBSnapshotUnderSplitStress(t *testing.T) {
 	view, _ := newView(t, 64<<10)
-	tab, err := CreateTable(view, "split", false, 0)
+	tab, err := CreatePartitionedTable(view, "split", 1, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,4 +463,79 @@ func TestBTreeParallelWritersDisjoint(t *testing.T) {
 	if h < 2 {
 		t.Fatalf("height = %d, want >= 2 (splits must have happened)", h)
 	}
+}
+
+// TestOnePartitionLayout pins the on-disk layouts a one-partition table can
+// have. CreatePartitionedTable(..., 1, ...) writes the plain layout: exactly
+// the home file and its journal, with partition count 0 in the meta page. A
+// one-partition table in the name.p0 layout (partition count 1) still opens
+// and checks.
+func TestOnePartitionLayout(t *testing.T) {
+	mv := &memView{files: map[string][]byte{}}
+	pt, err := CreatePartitionedTable(mv, "t", 1, true, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mv.files) != 2 || mv.files["t"] == nil || mv.files["t.wal"] == nil {
+		t.Fatalf("one-partition table created files %v, want t and t.wal", keys(mv.files))
+	}
+	if got := binary.BigEndian.Uint64(mv.files["t"][metaPartCount:]); got != 0 {
+		t.Fatalf("plain layout records partition count %d, want 0", got)
+	}
+	if got := pt.Files(); len(got) != 2 || got[0] != "t" || got[1] != "t.wal" {
+		t.Fatalf("Files() = %v", got)
+	}
+
+	view, store := newView(t, 64<<10)
+	p0, err := createPartition(view, "legacy.p0", true, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p0.pg.setMetaField(metaPartCount, 1)
+	p0.pg.setMetaField(metaPartIndex, 0)
+	if err := p0.pg.flushMetaNow(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 30; i++ {
+		if err := p0.put(u64key(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p0.pg.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	fs2, err := stegfs.Mount(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view2 := fs2.NewHiddenView("db")
+	files, err := CheckAny(view2, view2.Adopt, "legacy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 2 || files[0] != "legacy.p0" || files[1] != "legacy.p0.wal" {
+		t.Fatalf("CheckAny files = %v", files)
+	}
+	pt2, err := OpenPartitionedTable(view2, "legacy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pt2.Partitions() != 1 {
+		t.Fatalf("partitions = %d, want 1", pt2.Partitions())
+	}
+	if rows, _ := pt2.Rows(); rows != 30 {
+		t.Fatalf("rows = %d, want 30", rows)
+	}
+	if v, ok, err := pt2.Get(u64key(7)); err != nil || !ok || string(v) != "v7" {
+		t.Fatalf("Get = %q %v %v", v, ok, err)
+	}
+}
+
+func keys(m map[string][]byte) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }

@@ -162,35 +162,39 @@ func (s *Snapshot) ReadPage(id int64, buf []byte) error {
 // exclusive latch; the frame may still be invalid (never loaded), in which
 // case the old content is loaded from the hidden file first.
 //
+// rows is added to the row counter inside the same snapMu hold that stamps
+// the write's epoch, so every snapshot (and commit cut) sees the page write
+// and its row-count change together or neither.
+//
 // lockcheck:holds stegdb/latch
-func (p *Pager) saveVersionLocked(e *pageEntry) error {
-	for {
-		p.snapMu.Lock()
-		if len(p.snaps) == 0 {
-			p.snapMu.Unlock()
-			return nil
-		}
-		old := p.liveEpoch[e.id] // 0 = content predates all snapshots
-		if old > p.maxSnapEpoch {
-			// Already rewritten past every snapshot this epoch range; no
-			// snapshot can see the current content.
-			p.liveEpoch[e.id] = p.epoch
-			p.snapMu.Unlock()
-			return nil
-		}
-		if e.valid {
-			v := pageVersion{epoch: old, data: append([]byte(nil), e.buf[:]...)}
-			p.versions[e.id] = append(p.versions[e.id], v)
-			p.liveEpoch[e.id] = p.epoch
-			p.snapMu.Unlock()
-			return nil
-		}
-		// Frame never loaded: fetch the old content (under the held
-		// exclusive latch, outside snapMu), then re-check.
+func (p *Pager) saveVersionLocked(e *pageEntry, rows int64) error {
+	p.snapMu.Lock()
+	for len(p.snaps) > 0 && p.liveEpoch[e.id] <= p.maxSnapEpoch && !e.valid {
+		// A snapshot may see the content, but the frame was never loaded:
+		// fetch it (under the held exclusive latch, outside snapMu), then
+		// re-check.
 		p.snapMu.Unlock()
 		if _, err := p.view.ReadAt(p.name, e.buf[:], e.id*PageSize); err != nil {
 			return err
 		}
 		e.valid = true
+		p.snapMu.Lock()
 	}
+	if len(p.snaps) > 0 {
+		// old = 0: the content predates all snapshots. When old is past
+		// every snapshot's epoch, no snapshot can see the current content
+		// and no version is needed.
+		if old := p.liveEpoch[e.id]; old <= p.maxSnapEpoch {
+			v := pageVersion{epoch: old, data: append([]byte(nil), e.buf[:]...)}
+			p.versions[e.id] = append(p.versions[e.id], v)
+		}
+		p.liveEpoch[e.id] = p.epoch
+	}
+	if rows != 0 {
+		p.metaMu.Lock()
+		p.setMeta(metaRows, p.getMeta(metaRows)+rows)
+		p.metaMu.Unlock()
+	}
+	p.snapMu.Unlock()
+	return nil
 }

@@ -2,6 +2,7 @@ package stegdb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -31,6 +32,9 @@ func newView(t *testing.T, blocks int64) (*stegfs.HiddenView, *vdisk.MemStore) {
 	}
 	return fs.NewHiddenView("db"), store
 }
+
+// u64key encodes an integer row key big-endian, so keys sort numerically.
+func u64key(i int) []byte { return binary.BigEndian.AppendUint64(nil, uint64(i)) }
 
 func TestPagerAllocReadWrite(t *testing.T) {
 	view, _ := newView(t, 16<<10)
@@ -375,13 +379,13 @@ func TestHashIndexPersistence(t *testing.T) {
 
 func TestTableEndToEnd(t *testing.T) {
 	view, _ := newView(t, 64<<10)
-	tab, err := CreateTable(view, "accounts", true, 32)
+	tab, err := CreatePartitionedTable(view, "accounts", 1, true, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 500
 	for i := 0; i < n; i++ {
-		if err := tab.PutUint64(uint64(i), []byte(fmt.Sprintf("row-%d", i))); err != nil {
+		if err := tab.Put(u64key(i), []byte(fmt.Sprintf("row-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -394,7 +398,7 @@ func TestTableEndToEnd(t *testing.T) {
 	}
 	// Point lookups through the hash path and the ordered path agree.
 	for i := 0; i < n; i += 17 {
-		hv, ok1, _ := tab.GetUint64(uint64(i))
+		hv, ok1, _ := tab.Get(u64key(i))
 		var k [8]byte
 		k[7] = byte(i)
 		k[6] = byte(i >> 8)
@@ -444,16 +448,16 @@ func TestTablePersistenceAcrossRemount(t *testing.T) {
 		t.Fatal(err)
 	}
 	view := fs.NewHiddenView("db")
-	tab, err := CreateTable(view, "t", true, 16)
+	tab, err := CreatePartitionedTable(view, "t", 1, true, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
-		if err := tab.PutUint64(uint64(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
+		if err := tab.Put(u64key(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Table.Sync flushes the pager's dirty pages, then the volume.
+	// Sync commits the pager's dirty pages, then barriers the volume.
 	if err := tab.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -468,12 +472,12 @@ func TestTablePersistenceAcrossRemount(t *testing.T) {
 	if _, err := CheckAny(view2, view2.Adopt, "t"); err != nil {
 		t.Fatal(err)
 	}
-	tab2, err := OpenTable(view2, "t")
+	tab2, err := OpenPartitionedTable(view2, "t")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
-		v, ok, err := tab2.GetUint64(uint64(i))
+		v, ok, err := tab2.Get(u64key(i))
 		if err != nil || !ok || string(v) != fmt.Sprintf("v%d", i) {
 			t.Fatalf("row %d lost across remount (%v)", i, err)
 		}
@@ -486,7 +490,7 @@ func TestTablePersistenceAcrossRemount(t *testing.T) {
 // TestPropertyTableVsMap: arbitrary operation sequences agree with a map.
 func TestPropertyTableVsMap(t *testing.T) {
 	view, _ := newView(t, 64<<10)
-	tab, err := CreateTable(view, "prop", true, 16)
+	tab, err := CreatePartitionedTable(view, "prop", 1, true, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,107 +1,94 @@
 package stegdb
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
 )
 
-// Table is a hidden key-value table: rows live in a B-tree (ordered access,
-// range scans) with an optional hash index for O(1) point lookups — the
-// three structures the paper's future work names (tables, B-trees, hash
-// indices), all stored in one deniable hidden file.
+// partition is one hidden file's share of a table: rows live in a B-tree
+// (ordered access, range scans) with an optional hash index for O(1) point
+// lookups — the three structures the paper's future work names (tables,
+// B-trees, hash indices), all stored in one deniable hidden file.
 //
-// Concurrency: Put/Delete serialize per key via nKeyShards shard locks, so
+// Concurrency: put/delete serialize per key via nKeyShards shard locks, so
 // the B-tree and hash index stay mutually consistent for any one key while
-// distinct keys proceed in parallel (limited below by the tree writer
-// lock). Get/Scan/Range never block behind writers: the hash path stripes
-// by bucket, the tree path reads snapshots.
-type Table struct {
-	pg    *Pager
-	tree  *BTree
-	hash  *HashIndex
-	hashy bool
-	// Outermost lock of the stegdb hierarchy; one shard per operation.
+// distinct keys proceed in parallel (limited below by the tree latches).
+// Gets never block behind writers: the hash path stripes by bucket, the
+// tree path is latch-free.
+type partition struct {
+	pg   *Pager
+	tree *BTree
+	hash *HashIndex // nil without a hash index
+	// Per-key shards; one shard per operation.
 	// lockcheck:level 10 stegdb/shard
 	shards [nKeyShards]sync.Mutex
 }
 
-// nKeyShards is the Put/Delete key striping factor.
+// nKeyShards is the put/delete key striping factor.
 const nKeyShards = 64
+
+// createPartition creates the named hidden file (plus its journal) holding
+// an empty partition. withHash adds the hash index (nBuckets buckets).
+func createPartition(view View, name string, withHash bool, nBuckets int) (*partition, error) {
+	pg, err := CreatePager(view, name)
+	if err != nil {
+		return nil, err
+	}
+	p := &partition{pg: pg, tree: NewBTree(pg)}
+	if withHash {
+		if p.hash, err = NewHashIndex(pg, nBuckets); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
+// openPartition opens an existing partition file, replaying its journal.
+func openPartition(view View, name string) (*partition, error) {
+	pg, err := OpenPager(view, name)
+	if err != nil {
+		return nil, err
+	}
+	p := &partition{pg: pg, tree: NewBTree(pg)}
+	if pg.metaField(metaHashRoot) != nilPage {
+		if p.hash, err = NewHashIndex(pg, 0); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
+}
 
 // shardFor hashes the key (FNV-1a) onto a shard lock.
 //
 // lockcheck:returns stegdb/shard
-func (t *Table) shardFor(key []byte) *sync.Mutex {
+func (p *partition) shardFor(key []byte) *sync.Mutex {
 	h := uint64(14695981039346656037)
 	for _, b := range key {
 		h ^= uint64(b)
 		h *= 1099511628211
 	}
-	return &t.shards[h%nKeyShards]
+	return &p.shards[h%nKeyShards]
 }
 
-// CreateTable creates a new hidden table in the named hidden file.
-// withHash adds the hash index (nBuckets buckets).
-func CreateTable(view View, name string, withHash bool, nBuckets int) (*Table, error) {
-	pg, err := CreatePager(view, name)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{pg: pg, tree: NewBTree(pg), hashy: withHash}
-	if withHash {
-		if t.hash, err = NewHashIndex(pg, nBuckets); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
-}
-
-// OpenTable opens an existing hidden table.
-func OpenTable(view View, name string) (*Table, error) {
-	pg, err := OpenPager(view, name)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{pg: pg, tree: NewBTree(pg)}
-	if pg.metaField(metaHashRoot) != nilPage {
-		t.hashy = true
-		if t.hash, err = NewHashIndex(pg, 0); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
-}
-
-// Pager exposes the table's page store (for Sync/Close and stats).
-func (t *Table) Pager() *Pager { return t.pg }
-
-// Sync persists the table to the device, flushing any block cache the
-// backing volume is mounted through.
-func (t *Table) Sync() error { return t.pg.Sync() }
-
-// Close is the table shutdown path: everything durable on the device.
-func (t *Table) Close() error { return t.pg.Close() }
-
-// Put inserts or replaces a row. The B-tree and hash index are kept
+// put inserts or replaces a row. The B-tree and hash index are kept
 // error-consistent: if the hash insert fails after the tree insert
 // succeeded, the tree change is rolled back before the error returns.
-func (t *Table) Put(key, val []byte) error {
-	sh := t.shardFor(key)
+func (p *partition) put(key, val []byte) error {
+	sh := p.shardFor(key)
 	sh.Lock()
 	defer sh.Unlock()
-	prev, existed, err := t.tree.PutEx(key, val)
+	prev, existed, err := p.tree.PutEx(key, val)
 	if err != nil {
 		return err
 	}
-	if t.hashy {
-		if err := t.hash.Put(key, val); err != nil {
+	if p.hash != nil {
+		if err := p.hash.Put(key, val); err != nil {
 			var rerr error
 			if existed {
-				_, _, rerr = t.tree.PutEx(key, prev)
+				_, _, rerr = p.tree.PutEx(key, prev)
 			} else {
-				_, _, rerr = t.tree.DeleteEx(key)
+				_, _, rerr = p.tree.DeleteEx(key)
 			}
 			if rerr != nil {
 				return errors.Join(err, fmt.Errorf("stegdb: rollback failed: %w", rerr))
@@ -109,103 +96,58 @@ func (t *Table) Put(key, val []byte) error {
 			return err
 		}
 	}
-	if !existed {
-		t.pg.bumpRows(1)
-	}
 	return nil
 }
 
-// Get returns the row stored under key. With a hash index it takes the O(1)
-// path; otherwise the B-tree.
-func (t *Table) Get(key []byte) ([]byte, bool, error) {
-	if t.hashy {
-		return t.hash.Get(key)
+// get returns the row stored under key: the O(1) hash path when there is a
+// hash index, otherwise the B-tree.
+func (p *partition) get(key []byte) ([]byte, bool, error) {
+	if p.hash != nil {
+		return p.hash.Get(key)
 	}
-	return t.tree.Get(key)
+	return p.tree.Get(key)
 }
 
-// GetOrdered always uses the B-tree (for verification and range queries).
-func (t *Table) GetOrdered(key []byte) ([]byte, bool, error) { return t.tree.Get(key) }
-
-// Delete removes a row, reporting whether it existed. Error-consistent like
-// Put: if the hash delete fails after the tree delete succeeded, the row is
+// delete removes a row, reporting whether it existed. Error-consistent like
+// put: if the hash delete fails after the tree delete succeeded, the row is
 // restored and (false, err) returned — the delete did not happen. The hash
 // index is probed even when the tree had no row, repairing any orphaned
 // hash entry from an earlier partial failure.
-func (t *Table) Delete(key []byte) (bool, error) {
-	sh := t.shardFor(key)
+func (p *partition) delete(key []byte) (bool, error) {
+	sh := p.shardFor(key)
 	sh.Lock()
 	defer sh.Unlock()
-	prev, found, err := t.tree.DeleteEx(key)
+	prev, found, err := p.tree.DeleteEx(key)
 	if err != nil {
 		return false, err
 	}
-	if t.hashy {
-		if _, err := t.hash.Delete(key); err != nil {
+	if p.hash != nil {
+		if _, err := p.hash.Delete(key); err != nil {
 			if found {
-				if _, _, rerr := t.tree.PutEx(key, prev); rerr != nil {
+				if _, _, rerr := p.tree.PutEx(key, prev); rerr != nil {
 					return false, errors.Join(err, fmt.Errorf("stegdb: rollback failed: %w", rerr))
 				}
 			}
 			return false, err
 		}
 	}
-	if found {
-		t.pg.bumpRows(-1)
-	}
 	return found, nil
 }
 
-// Scan visits rows in key order, reading from a snapshot: the scan sees the
-// table exactly as of its start and never blocks concurrent writers.
-func (t *Table) Scan(fn func(key, val []byte) bool) error { return t.tree.Scan(fn) }
-
-// Range visits rows with lo <= key < hi in order (nil bounds are open),
-// with the same snapshot semantics as Scan. The B-link leaf chain makes
-// this a seek to lo plus a bounded walk, not a filtered full scan.
-func (t *Table) Range(lo, hi []byte, fn func(key, val []byte) bool) error {
-	s := t.Snapshot()
-	defer s.Close()
-	return s.Range(lo, hi, fn)
-}
-
-// Snapshot pins a point-in-time read view of the table's ordered rows.
-func (t *Table) Snapshot() *TreeSnapshot { return t.tree.Snapshot() }
-
-// Rows returns the row count from the persistent counter maintained by
-// Put/Delete — O(1). Check() cross-validates it against a full scan.
-func (t *Table) Rows() (int64, error) { return t.pg.Rows(), nil }
-
-// Pages reports the pager footprint (pages in use).
-func (t *Table) Pages() int64 { return t.pg.NumPages() }
-
-// PutUint64 is a convenience for integer-keyed rows.
-func (t *Table) PutUint64(key uint64, val []byte) error {
-	var k [8]byte
-	binary.BigEndian.PutUint64(k[:], key)
-	return t.Put(k[:], val)
-}
-
-// GetUint64 fetches an integer-keyed row.
-func (t *Table) GetUint64(key uint64) ([]byte, bool, error) {
-	var k [8]byte
-	binary.BigEndian.PutUint64(k[:], key)
-	return t.Get(k[:])
-}
-
-// Check verifies internal consistency against one snapshot of the tree:
-// every B-tree row resolves through the hash index (when present) with the
-// same value, the hash entry count matches the tree row count, and the O(1)
-// row counter agrees with the snapshot's scan count.
-func (t *Table) Check() error {
-	s := t.Snapshot()
-	defer s.Close()
+// check verifies the partition against its snapshot s in one scan: every
+// B-tree row is one owns accepts and resolves through the hash index (when
+// present) with the same value, the hash entry count matches the tree row
+// count, and the O(1) row counter agrees with the scan count.
+func (p *partition) check(s *TreeSnapshot, owns func(key []byte) bool) error {
 	var scanned int64
-	var missed int
+	var missed, misrouted int
 	err := s.Scan(func(k, v []byte) bool {
 		scanned++
-		if t.hashy {
-			hv, ok, err := t.hash.Get(k)
+		if !owns(k) {
+			misrouted++
+		}
+		if p.hash != nil {
+			hv, ok, err := p.hash.Get(k)
 			if err != nil || !ok || string(hv) != string(v) {
 				missed++
 			}
@@ -215,14 +157,17 @@ func (t *Table) Check() error {
 	if err != nil {
 		return err
 	}
+	if misrouted > 0 {
+		return fmt.Errorf("stegdb: %d misrouted keys", misrouted)
+	}
 	if missed > 0 {
 		return fmt.Errorf("stegdb: %d rows missing or stale in hash index", missed)
 	}
 	if rows := s.Rows(); rows != scanned {
 		return fmt.Errorf("stegdb: row counter %d != scanned rows %d", rows, scanned)
 	}
-	if t.hashy {
-		hc, err := t.hash.Count()
+	if p.hash != nil {
+		hc, err := p.hash.Count()
 		if err != nil {
 			return err
 		}

@@ -48,7 +48,7 @@ func newFsckVolume(t *testing.T) (*vdisk.MemStore, CheckOptions) {
 	if err := bob.Create("plans", []byte("short hidden file")); err != nil {
 		t.Fatal(err)
 	}
-	tab, err := stegdb.CreateTable(fs.NewHiddenView("db"), "accounts", true, 32)
+	tab, err := stegdb.CreatePartitionedTable(fs.NewHiddenView("db"), "accounts", 1, true, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
