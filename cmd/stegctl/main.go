@@ -55,7 +55,7 @@ func run(args []string) error {
 	vol := global.String("vol", "", "volume image path (required)")
 	bs := global.Int("bs", 1<<10, "block size the volume was formatted with")
 	cache := global.Int("cache", 0, "mount through a block cache of this many blocks (0 = uncached)")
-	cachePolicy := global.String("cache-policy", "", "cache replacement policy: lru|arc|2q (default lru)")
+	cachePolicy := global.String("cache-policy", "", "cache replacement policy: lru|2q (default lru)")
 	writeBehind := global.Int("write-behind", 0, "start early write-back once this many dirty blocks accumulate (0 = only at sync)")
 	flushWorkers := global.Int("flush-workers", 0, "background flusher goroutines servicing write-behind runs (0 = default 1, negative = synchronous)")
 	if err := global.Parse(args); err != nil {

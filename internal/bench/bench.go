@@ -13,7 +13,6 @@ import (
 	"math/rand"
 	"time"
 
-	"stegfs/internal/blockcache"
 	"stegfs/internal/fsapi"
 	"stegfs/internal/nativefs"
 	"stegfs/internal/stegcover"
@@ -38,8 +37,7 @@ type Config struct {
 	OpsPerUser  int   // file operations each user performs per data point
 	Seed        int64
 	Geometry    vdisk.Geometry
-	CacheBlocks int    // block-cache capacity between FS and disk (0 = uncached)
-	CachePolicy string // cache replacement policy: "lru" (default), "arc", "2q"
+	CachePolicy string // cache replacement policy: "lru" (default) or "2q"
 
 	CoverBytes  int64 // StegCover cover size (>= FileHi; paper: 2 MB)
 	Replication int   // StegRand replication (paper: 4)
@@ -101,9 +99,6 @@ type Instance struct {
 	Disk   *vdisk.Disk
 	FS     fsapi.CursorFS
 	store  *vdisk.MemStore
-	// Cache is the write-through block cache between the FS and the disk
-	// when Config.CacheBlocks > 0, nil otherwise.
-	Cache *blockcache.Cache
 	// Steg is non-nil for the StegFS instance (exposes volume internals).
 	Steg *stegfs.FS
 	// View is the hidden-file view driving StegFS benchmarks.
@@ -120,34 +115,15 @@ func BuildInstance(scheme string, cfg Config, specs []workload.FileSpec) (*Insta
 	}
 	disk := vdisk.NewDisk(store, cfg.Geometry)
 	inst := &Instance{Scheme: scheme, Disk: disk, store: store}
-	// Experiments read disk.Elapsed() at arbitrary points (inside the
-	// workload runner), so the device-level cache here is WRITE-THROUGH:
-	// every write is charged inside the measurement window and no data is
-	// ever stranded dirty. The write-back mode with explicit flush barriers
-	// is exercised by the cache ablation (CacheSweep), which owns its
-	// measurement window end to end.
-	var dev vdisk.Device = disk
-	if cfg.CacheBlocks > 0 {
-		cache, err := blockcache.NewWithOptions(disk, blockcache.Options{
-			Capacity:     cfg.CacheBlocks,
-			Policy:       cfg.CachePolicy,
-			WriteThrough: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		inst.Cache = cache
-		dev = cache
-	}
 	switch scheme {
 	case "CleanDisk", "FragDisk":
-		fs, err := nativefs.Format(dev, scheme == "CleanDisk", maxFilesFor(cfg), cfg.Seed)
+		fs, err := nativefs.Format(disk, scheme == "CleanDisk", maxFilesFor(cfg), cfg.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", scheme, err)
 		}
 		inst.FS = fs
 	case "StegCover":
-		fs, err := stegcover.Format(dev, stegcover.Config{
+		fs, err := stegcover.Format(disk, stegcover.Config{
 			NumCovers:  16,
 			CoverBytes: cfg.CoverBytes,
 			Seed:       cfg.Seed,
@@ -157,7 +133,7 @@ func BuildInstance(scheme string, cfg Config, specs []workload.FileSpec) (*Insta
 		}
 		inst.FS = fs
 	case "StegRand":
-		fs, err := stegrand.Format(dev, stegrand.Config{Replication: cfg.Replication, Seed: cfg.Seed})
+		fs, err := stegrand.Format(disk, stegrand.Config{Replication: cfg.Replication, Seed: cfg.Seed})
 		if err != nil {
 			return nil, fmt.Errorf("StegRand: %w", err)
 		}
@@ -165,7 +141,7 @@ func BuildInstance(scheme string, cfg Config, specs []workload.FileSpec) (*Insta
 	case "StegFS":
 		p := cfg.Steg
 		p.Seed = cfg.Seed
-		fs, err := stegfs.Format(dev, p)
+		fs, err := stegfs.Format(disk, p)
 		if err != nil {
 			return nil, fmt.Errorf("StegFS: %w", err)
 		}

@@ -46,41 +46,3 @@ func TestCacheSweepSpeedsUpRepeatedReads(t *testing.T) {
 		t.Errorf("larger cache slower: %v vs %v", rows[2].Seconds, rows[1].Seconds)
 	}
 }
-
-// TestBuildInstanceCached checks that every scheme still formats and serves
-// its workload when mounted through the device-level cache.
-func TestBuildInstanceCached(t *testing.T) {
-	cfg := SmallConfig()
-	cfg.VolumeBytes = 16 << 20
-	cfg.NumFiles = 4
-	cfg.FileLo = 16 << 10
-	cfg.FileHi = 32 << 10
-	cfg.CoverBytes = 32 << 10
-	cfg.Steg.DummyAvgSize = 16 << 10
-	cfg.CacheBlocks = 512
-	specs := cfg.Specs()
-	for _, scheme := range SchemeNames {
-		inst, err := BuildInstance(scheme, cfg, specs)
-		if err != nil {
-			t.Fatalf("%s: %v", scheme, err)
-		}
-		if inst.Cache == nil {
-			t.Fatalf("%s: no cache mounted despite CacheBlocks", scheme)
-		}
-		for _, s := range specs {
-			cur, err := inst.FS.ReadCursor(s.Name)
-			if err != nil {
-				t.Fatalf("%s: ReadCursor %s: %v", scheme, s.Name, err)
-			}
-			for {
-				done, err := cur.Step()
-				if err != nil {
-					t.Fatalf("%s: Step %s: %v", scheme, s.Name, err)
-				}
-				if done {
-					break
-				}
-			}
-		}
-	}
-}

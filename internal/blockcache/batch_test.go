@@ -40,7 +40,7 @@ func expectBlock(b int64, bs int) []byte {
 // per block.
 func TestReadBlocksMixedHitMiss(t *testing.T) {
 	store := fillStore(t, 128, 256)
-	c := New(store, 64)
+	c := newCache(t, store, Options{Capacity: 64})
 	// Warm blocks 10 and 12.
 	warm := make([]byte, 256)
 	for _, b := range []int64{10, 12} {
@@ -80,7 +80,7 @@ func TestReadBlocksMixedHitMiss(t *testing.T) {
 // both buffers and fetch the block once.
 func TestReadBlocksDuplicates(t *testing.T) {
 	store := fillStore(t, 64, 256)
-	c := New(store, 16)
+	c := newCache(t, store, Options{Capacity: 16})
 	ns := []int64{7, 7, 7}
 	bufs := [][]byte{make([]byte, 256), make([]byte, 256), make([]byte, 256)}
 	if err := c.ReadBlocks(ns, bufs); err != nil {
@@ -100,7 +100,7 @@ func TestReadBlocksDuplicates(t *testing.T) {
 // reads (cached) and survive Flush to the device.
 func TestWriteBlocksReadYourWrites(t *testing.T) {
 	store := fillStore(t, 64, 256)
-	c := New(store, 16)
+	c := newCache(t, store, Options{Capacity: 16})
 	ns := []int64{9, 3, 30}
 	bufs := make([][]byte, len(ns))
 	for i := range ns {
@@ -135,7 +135,7 @@ func TestWriteBlocksReadYourWrites(t *testing.T) {
 // must produce one device fetch; the waiters are served from the cache.
 func TestSingleflightConcurrentMisses(t *testing.T) {
 	store := fillStore(t, 64, 256)
-	c := New(store, 16)
+	c := newCache(t, store, Options{Capacity: 16})
 	const readers = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, readers)
@@ -190,7 +190,7 @@ func (g *gatedStore) ReadBlock(n int64, buf []byte) error {
 func TestWriteDuringFetchWins(t *testing.T) {
 	mem := fillStore(t, 64, 256)
 	gs := &gatedStore{MemStore: mem, gate: make(chan struct{}), entered: make(chan struct{}, 1), block: 21}
-	c := New(gs, 16)
+	c := newCache(t, gs, Options{Capacity: 16})
 
 	readDone := make(chan []byte, 1)
 	readErr := make(chan error, 1)
@@ -225,45 +225,5 @@ func TestWriteDuringFetchWins(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("stale fetch clobbered the cached write")
-	}
-}
-
-// TestBatchPassThroughAndWriteThrough: cap-0 and write-through caches keep
-// their synchronous device semantics on the batch paths.
-func TestBatchPassThroughAndWriteThrough(t *testing.T) {
-	for _, mode := range []string{"passthrough", "writethrough"} {
-		t.Run(mode, func(t *testing.T) {
-			store := fillStore(t, 64, 256)
-			var c *Cache
-			if mode == "passthrough" {
-				c = New(store, 0)
-			} else {
-				c = NewWriteThrough(store, 16)
-			}
-			ns := []int64{4, 2}
-			w := [][]byte{bytes.Repeat([]byte{1}, 256), bytes.Repeat([]byte{2}, 256)}
-			if err := c.WriteBlocks(ns, w); err != nil {
-				t.Fatal(err)
-			}
-			// The device already holds the data, no Flush needed.
-			got := make([]byte, 256)
-			for i, n := range ns {
-				if err := store.ReadBlock(n, got); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, w[i]) {
-					t.Fatalf("%s: block %d not on device", mode, n)
-				}
-			}
-			r := [][]byte{make([]byte, 256), make([]byte, 256)}
-			if err := c.ReadBlocks(ns, r); err != nil {
-				t.Fatal(err)
-			}
-			for i := range ns {
-				if !bytes.Equal(r[i], w[i]) {
-					t.Fatalf("%s: batch read wrong", mode)
-				}
-			}
-		})
 	}
 }

@@ -147,33 +147,11 @@ func TestAccounting(t *testing.T) {
 			},
 			want: Stats{Hits: 1},
 		},
-		{
-			name:     "capacity zero is pass-through",
-			capacity: 0,
-			run: func(t *testing.T, c *Cache, dev *traceDev) {
-				buf := make([]byte, bs)
-				if err := c.WriteBlock(3, blockPayload(bs, 3)); err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < 3; i++ {
-					if err := c.ReadBlock(3, buf); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if got := dev.writes(); len(got) != 1 || got[0] != 3 {
-					t.Fatalf("pass-through writes = %v, want [3]", got)
-				}
-			},
-			// Pass-through counters mirror the cached modes: every read is a
-			// miss, every write a write-back — not the old asymmetric
-			// miss-only accounting.
-			want: Stats{Misses: 3, WriteBacks: 1},
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dev := newTraceDev(t, 64, bs)
-			c := New(dev, tc.capacity)
+			c := newCache(t, dev, Options{Capacity: tc.capacity})
 			tc.run(t, c, dev)
 			if got := c.Stats(); got != tc.want {
 				t.Errorf("stats = %+v, want %+v", got, tc.want)
@@ -183,10 +161,10 @@ func TestAccounting(t *testing.T) {
 }
 
 func TestReadYourWrites(t *testing.T) {
-	for _, capacity := range []int{0, 1, 3, 64} {
+	for _, capacity := range []int{1, 3, 64} {
 		t.Run(fmt.Sprintf("cap=%d", capacity), func(t *testing.T) {
 			dev := newTraceDev(t, 64, 32)
-			c := New(dev, capacity)
+			c := newCache(t, dev, Options{Capacity: capacity})
 			want := make(map[int64][]byte)
 			// Overwrite a working set larger than the capacity, twice.
 			for round := 0; round < 2; round++ {
@@ -213,7 +191,7 @@ func TestReadYourWrites(t *testing.T) {
 
 func TestFlushOrdering(t *testing.T) {
 	dev := newTraceDev(t, 256, 32)
-	c := New(dev, 128)
+	c := newCache(t, dev, Options{Capacity: 128})
 	// Dirty a scattered set of blocks in descending / shuffled order.
 	blocks := []int64{201, 3, 77, 150, 8, 42, 199, 0, 63}
 	for _, n := range blocks {
@@ -248,7 +226,7 @@ func TestFlushOrdering(t *testing.T) {
 
 func TestFlushInvariants(t *testing.T) {
 	dev := newTraceDev(t, 64, 32)
-	c := New(dev, 16)
+	c := newCache(t, dev, Options{Capacity: 16})
 	for n := int64(0); n < 8; n++ {
 		if err := c.WriteBlock(n, blockPayload(32, byte(n))); err != nil {
 			t.Fatal(err)
@@ -292,14 +270,14 @@ func TestErrorPropagation(t *testing.T) {
 	t.Run("read miss", func(t *testing.T) {
 		dev := newTraceDev(t, 16, 32)
 		dev.readErr = readErr
-		c := New(dev, 4)
+		c := newCache(t, dev, Options{Capacity: 4})
 		if err := c.ReadBlock(1, make([]byte, 32)); !errors.Is(err, readErr) {
 			t.Fatalf("err = %v, want injected", err)
 		}
 	})
 	t.Run("flush", func(t *testing.T) {
 		dev := newTraceDev(t, 16, 32)
-		c := New(dev, 4)
+		c := newCache(t, dev, Options{Capacity: 4})
 		if err := c.WriteBlock(1, blockPayload(32, 1)); err != nil {
 			t.Fatal(err)
 		}
@@ -322,7 +300,7 @@ func TestErrorPropagation(t *testing.T) {
 	})
 	t.Run("bad buffer", func(t *testing.T) {
 		dev := newTraceDev(t, 16, 32)
-		c := New(dev, 4)
+		c := newCache(t, dev, Options{Capacity: 4})
 		if err := c.ReadBlock(0, make([]byte, 16)); !errors.Is(err, vdisk.ErrBadBuffer) {
 			t.Fatalf("err = %v, want ErrBadBuffer", err)
 		}
@@ -332,7 +310,7 @@ func TestErrorPropagation(t *testing.T) {
 	})
 	t.Run("out of range write stays cached-free", func(t *testing.T) {
 		dev := newTraceDev(t, 16, 32)
-		c := New(dev, 4)
+		c := newCache(t, dev, Options{Capacity: 4})
 		if err := c.WriteBlock(99, make([]byte, 32)); !errors.Is(err, vdisk.ErrOutOfRange) {
 			t.Fatalf("err = %v, want ErrOutOfRange", err)
 		}
@@ -342,59 +320,9 @@ func TestErrorPropagation(t *testing.T) {
 	})
 }
 
-func TestWriteThrough(t *testing.T) {
-	dev := newTraceDev(t, 64, 32)
-	c := NewWriteThrough(dev, 8)
-	// Every write reaches the device immediately, in issue order.
-	for _, n := range []int64{9, 3, 7} {
-		if err := c.WriteBlock(n, blockPayload(32, byte(n))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := dev.writes(); len(got) != 3 || got[0] != 9 || got[1] != 3 || got[2] != 7 {
-		t.Fatalf("write-through device writes = %v, want [9 3 7]", got)
-	}
-	if d := c.Dirty(); d != 0 {
-		t.Fatalf("write-through left %d dirty blocks", d)
-	}
-	// Reads of written blocks are hits (the write populated the cache).
-	buf := make([]byte, 32)
-	if err := c.ReadBlock(3, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, blockPayload(32, 3)) {
-		t.Fatal("write-through read-back mismatch")
-	}
-	if got := c.Stats(); got.Hits != 1 {
-		t.Fatalf("read after write-through write missed: %+v", got)
-	}
-	// Flush is a no-op: nothing deferred.
-	dev.resetWrites()
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := dev.writes(); len(got) != 0 {
-		t.Fatalf("flush of write-through cache wrote %v", got)
-	}
-	// A failed device write surfaces immediately and does not populate the
-	// cache with unpersisted data.
-	dev.writeErr = errors.New("injected")
-	if err := c.WriteBlock(11, blockPayload(32, 11)); err == nil {
-		t.Fatal("write-through swallowed device error")
-	}
-	dev.writeErr = nil
-	pre := c.Stats()
-	if err := c.ReadBlock(11, buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Stats(); got.Misses != pre.Misses+1 {
-		t.Fatal("failed write left stale data in the cache")
-	}
-}
-
 func TestInvalidate(t *testing.T) {
 	dev := newTraceDev(t, 16, 32)
-	c := New(dev, 8)
+	c := newCache(t, dev, Options{Capacity: 8})
 	if err := c.WriteBlock(2, blockPayload(32, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +344,7 @@ func TestInvalidate(t *testing.T) {
 
 func TestSyncReachesStore(t *testing.T) {
 	dev := newTraceDev(t, 16, 32)
-	c := New(dev, 8)
+	c := newCache(t, dev, Options{Capacity: 8})
 	if err := c.WriteBlock(5, blockPayload(32, 5)); err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +365,7 @@ func TestSyncReachesStore(t *testing.T) {
 // verifiable.
 func TestConcurrentAccess(t *testing.T) {
 	dev := newTraceDev(t, 256, 32)
-	c := New(dev, 32)
+	c := newCache(t, dev, Options{Capacity: 32})
 	const workers = 8
 	const perWorker = 16
 	var wg sync.WaitGroup
@@ -501,7 +429,7 @@ func TestConcurrentAccess(t *testing.T) {
 // ascending order and leave the cursor alone.
 func TestElevatorSweepCursor(t *testing.T) {
 	dev := newTraceDev(t, 256, 64)
-	c := New(dev, 256)
+	c := newCache(t, dev, Options{Capacity: 256})
 	defer c.Close()
 	payload := blockPayload(64, 0x5A)
 	for i := 0; i < 100; i++ {

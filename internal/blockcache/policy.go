@@ -9,12 +9,11 @@ import (
 // Policy names accepted by NewPolicy and the -cache-policy flags.
 const (
 	PolicyLRU = "lru" // least recently used (the classic buffer-cache default)
-	PolicyARC = "arc" // adaptive replacement cache (Megiddo & Modha, FAST 2003)
 	Policy2Q  = "2q"  // two-queue (Johnson & Shasha, VLDB 1994), simplified variant
 )
 
 // PolicyNames lists the available replacement policies in display order.
-func PolicyNames() []string { return []string{PolicyLRU, PolicyARC, Policy2Q} }
+func PolicyNames() []string { return []string{PolicyLRU, Policy2Q} }
 
 // Policy decides which resident block the cache evicts under capacity
 // pressure. The Cache owns the data and the dirty state; the policy only
@@ -57,8 +56,6 @@ func NewPolicy(name string, capacity int) (Policy, error) {
 	switch strings.ToLower(name) {
 	case "", PolicyLRU:
 		return newLRUPolicy(), nil
-	case PolicyARC:
-		return newARCPolicy(capacity), nil
 	case Policy2Q, "twoq":
 		return newTwoQPolicy(capacity), nil
 	default:
@@ -71,7 +68,7 @@ func NewPolicy(name string, capacity int) (Policy, error) {
 
 // lruPolicy is the classic recency stack: hits and inserts move to the
 // front, the victim is the back. It thrashes on cyclic scans longer than
-// the capacity — exactly the regime ARC and 2Q exist for.
+// the capacity — exactly the regime 2Q exists for.
 type lruPolicy struct {
 	order *list.List // of int64; front = most recently used
 	elems map[int64]*list.Element

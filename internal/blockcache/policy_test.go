@@ -20,7 +20,10 @@ func newCache(t *testing.T, dev vdisk.Device, o Options) *Cache {
 }
 
 func TestPolicyRegistry(t *testing.T) {
-	for _, name := range append(PolicyNames(), "", "twoq", "ARC") {
+	if got := fmt.Sprint(PolicyNames()); got != "[lru 2q]" {
+		t.Fatalf("PolicyNames() = %s, want [lru 2q]", got)
+	}
+	for _, name := range append(PolicyNames(), "", "twoq", "2Q") {
 		p, err := NewPolicy(name, 8)
 		if err != nil {
 			t.Fatalf("NewPolicy(%q): %v", name, err)
@@ -29,11 +32,19 @@ func TestPolicyRegistry(t *testing.T) {
 			t.Fatalf("NewPolicy(%q) returned unnamed policy", name)
 		}
 	}
-	if _, err := NewPolicy("clock", 8); err == nil {
-		t.Fatal("unknown policy accepted")
+	for _, name := range []string{"clock", "arc"} {
+		if _, err := NewPolicy(name, 8); err == nil {
+			t.Fatalf("unknown policy %q accepted", name)
+		}
 	}
 	if _, err := NewWithOptions(nil, Options{Capacity: 4, Policy: "nope"}); err == nil {
 		t.Fatal("cache accepted unknown policy")
+	}
+	// A cache always caches: the uncached configuration is no cache at all.
+	for _, capacity := range []int{0, -1} {
+		if _, err := NewWithOptions(nil, Options{Capacity: capacity}); err == nil {
+			t.Fatalf("cache accepted capacity %d", capacity)
+		}
 	}
 }
 
@@ -122,23 +133,19 @@ func scanHotHitRate(t *testing.T, policy string, capacity, hotBlocks, scanBlocks
 }
 
 // TestScanResistantPoliciesBeatLRUInThrashRegime pins the tentpole's whole
-// point: at a capacity below hot+scan, LRU serves (almost) nothing while ARC
-// and 2Q keep the hot set resident.
+// point: at a capacity below hot+scan, LRU serves (almost) nothing while 2Q
+// keeps the hot set resident.
 func TestScanResistantPoliciesBeatLRUInThrashRegime(t *testing.T) {
 	// 96 hot blocks + 160-block scans, capacity 192: reuse distance 256 >
 	// capacity, hot set exactly half the capacity.
 	const capacity, hot, scan, rounds = 192, 96, 160, 6
 	lru := scanHotHitRate(t, PolicyLRU, capacity, hot, scan, rounds, false)
-	arc := scanHotHitRate(t, PolicyARC, capacity, hot, scan, rounds, false)
 	twoQ := scanHotHitRate(t, Policy2Q, capacity, hot, scan, rounds, false)
-	t.Logf("thrash-regime hit rates: lru=%.1f%% arc=%.1f%% 2q=%.1f%%", lru*100, arc*100, twoQ*100)
+	t.Logf("thrash-regime hit rates: lru=%.1f%% 2q=%.1f%%", lru*100, twoQ*100)
 	if lru > 0.05 {
 		t.Errorf("LRU hit rate %.1f%% in thrash regime; the regime is mis-built if this is high", lru*100)
 	}
 	// The hot set is 96 of 256 accesses per round ~ 37.5% ceiling.
-	if arc < 0.25 {
-		t.Errorf("ARC hit rate %.1f%%, want >= 25%% (hot set should be resident)", arc*100)
-	}
 	if twoQ < 0.25 {
 		t.Errorf("2Q hit rate %.1f%%, want >= 25%% (hot set should be resident)", twoQ*100)
 	}

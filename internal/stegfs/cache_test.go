@@ -9,7 +9,7 @@ import (
 )
 
 // newCachedTestFS formats a volume mounted through a block cache of the
-// given capacity (0 = pass-through, no cache object at all).
+// given capacity (0 = uncached, no cache object at all).
 func newCachedTestFS(t *testing.T, numBlocks int64, blockSize int, cacheBlocks int) (*FS, *vdisk.MemStore) {
 	t.Helper()
 	store, err := vdisk.NewMemStore(numBlocks, blockSize)
@@ -29,7 +29,7 @@ func newCachedTestFS(t *testing.T, numBlocks int64, blockSize int, cacheBlocks i
 }
 
 // TestCacheMountAfterFlushRoundTrip proves correctness is cache-transparent:
-// at every capacity (including 0 = pass-through and 1 = maximal thrashing),
+// at every capacity (including 0 = uncached and 1 = maximal thrashing),
 // hidden and plain files written through a cached mount survive a Sync and
 // are readable from a fresh, UNCACHED mount of the raw store — i.e. no data
 // is ever stranded in the cache.

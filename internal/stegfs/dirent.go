@@ -52,6 +52,12 @@ func decodeEntries(data []byte) ([]Entry, error) {
 		return nil, fmt.Errorf("stegfs: directory payload too short (%d bytes)", len(data))
 	}
 	n := int(binary.BigEndian.Uint32(data))
+	// Each entry takes at least 7 bytes (a flag byte and three 2-byte
+	// lengths); reject a count the payload cannot hold before sizing the
+	// slice by it.
+	if n > (len(data)-4)/7 {
+		return nil, fmt.Errorf("stegfs: directory payload claims %d entries in %d bytes", n, len(data))
+	}
 	off := 4
 	getBytes := func() ([]byte, error) {
 		if off+2 > len(data) {

@@ -88,11 +88,11 @@ func WithCache(blocks int) Option {
 	return func(c *mountConfig) { c.cacheBlocks = blocks }
 }
 
-// WithCachePolicy selects the cache replacement policy ("lru", "arc", "2q";
-// see blockcache.PolicyNames). It composes with WithCache, which sets the
-// capacity; without WithCache it has no effect. Scan-resistant policies
-// (ARC, 2Q) keep the repeatedly probed header/p-tree/directory blocks
-// resident even when hidden-file data scans exceed the cache capacity.
+// WithCachePolicy selects the cache replacement policy ("lru" or "2q"; see
+// blockcache.PolicyNames). It composes with WithCache, which sets the
+// capacity; without WithCache it has no effect. The scan-resistant 2Q keeps
+// the repeatedly probed header/p-tree/directory blocks resident even when
+// hidden-file data scans exceed the cache capacity.
 func WithCachePolicy(name string) Option {
 	return func(c *mountConfig) { c.cachePolicy = name }
 }

@@ -2,6 +2,8 @@ package stegfs
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"stegfs/internal/ptree"
@@ -108,4 +110,47 @@ func FuzzDecodeSuper(f *testing.F) {
 			t.Fatalf("superblock round trip mismatch:\n%+v\n%+v", got, got2)
 		}
 	})
+}
+
+// FuzzDecodeEntries feeds arbitrary bytes to the directory-payload decoder
+// behind every UAK-directory and hidden-directory load. It must never panic
+// or size an allocation by an unchecked entry count, and a successful decode
+// must survive a round trip through encodeEntries.
+func FuzzDecodeEntries(f *testing.F) {
+	f.Add(encodeEntries([]Entry{
+		{Name: "doc", Phys: "alice/doc", FAK: []byte("0123456789abcdef"), Flags: FlagFile},
+		{Name: "sub", Phys: "alice/sub", FAK: []byte("fedcba9876543210"), Flags: FlagDir},
+	}))
+	f.Add(encodeEntries(nil))
+	f.Add([]byte{0x10, 0, 0, 0}) // claims 2^28 entries in an empty body
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte("xyz"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := decodeEntries(data)
+		if err != nil {
+			return
+		}
+		again, err := decodeEntries(encodeEntries(got))
+		if err != nil {
+			t.Fatalf("re-decode of encoded entries failed: %v", err)
+		}
+		if !reflect.DeepEqual(got, again) {
+			t.Fatalf("entries round trip mismatch:\n%+v\n%+v", got, again)
+		}
+	})
+}
+
+// TestDecodeEntriesRejectsImpossibleCount: a 4-byte payload claiming 2^28
+// entries is an error, not a 17 GB allocation.
+func TestDecodeEntriesRejectsImpossibleCount(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := decodeEntries([]byte{0x10, 0, 0, 0}); err == nil {
+		t.Fatal("decodeEntries accepted a count the payload cannot hold")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("rejecting the payload allocated %d bytes", grew)
+	}
 }

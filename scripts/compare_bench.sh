@@ -9,6 +9,8 @@
 # Refresh the baseline deliberately, on a quiet machine, when a PR changes
 # the benched behavior on purpose:
 #   rm -f BENCH_seed.json
+#   go run ./cmd/stegbench -exp ablate-cache        -scale small -json BENCH_seed.json
+#   go run ./cmd/stegbench -exp ablate-policy       -scale small -json BENCH_seed.json
 #   go run ./cmd/stegbench -exp ablate-stegdb       -scale small -json BENCH_seed.json
 #   go run ./cmd/stegbench -exp ablate-stegdb-write -scale small -json BENCH_seed.json
 #   go run ./cmd/stegbench -exp speed              -scale small -json BENCH_seed.json
