@@ -1,10 +1,6 @@
 package sgcrypto
 
-import (
-	"encoding/binary"
-
-	"stegfs/internal/gf256"
-)
+import "encoding/binary"
 
 // This file holds the portable half of the fast CTR path: AES-256 key
 // expansion into the flat 240-byte schedule the assembly keystream kernel
@@ -18,11 +14,20 @@ import (
 var aesSbox [256]byte
 
 func init() {
+	// The field inverse comes from one walk over the powers of the generator
+	// 3 in GF(2^8) mod x^8+x^4+x^3+x+1: with exp[i] = 3^i, the inverse of
+	// 3^i is 3^(255-i).
+	var exp [255]byte
+	var log [256]int
+	for i, x := 0, byte(1); i < 255; i++ {
+		exp[i], log[x] = x, i
+		x ^= x<<1 ^ (x>>7)*0x1b // x *= 3
+	}
 	rotl8 := func(b byte, n uint) byte { return b<<n | b>>(8-n) }
 	for x := 0; x < 256; x++ {
 		var inv byte
 		if x != 0 {
-			inv = gf256.Inv(byte(x))
+			inv = exp[(255-log[x])%255]
 		}
 		aesSbox[x] = inv ^ rotl8(inv, 1) ^ rotl8(inv, 2) ^ rotl8(inv, 3) ^ rotl8(inv, 4) ^ 0x63
 	}

@@ -2,14 +2,25 @@
 
 package sgcrypto
 
-import "stegfs/internal/cpux"
-
 // hasFastCTR gates the assembly keystream kernel: the Sealer precomputes
 // counter blocks in Go and encrypts them 8 at a time with AES-NI, which is
 // both faster than stdlib cipher.NewCTR at block granularity and — unlike
 // it — allocation-free, since no cipher.Stream object is constructed per
 // block.
-var hasFastCTR = cpux.HasAESNI
+var hasFastCTR = hasAESNI()
+
+// cpuid executes CPUID with the given leaf and subleaf. Implemented in
+// ctr_amd64.s.
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+// hasAESNI reports AESENC/AESENCLAST support (CPUID leaf 1, ECX bit 25).
+func hasAESNI() bool {
+	if maxID, _, _, _ := cpuid(0, 0); maxID < 1 {
+		return false
+	}
+	_, _, ecx, _ := cpuid(1, 0)
+	return ecx&(1<<25) != 0
+}
 
 // encryptBlocks256Asm encrypts nblocks 16-byte blocks of buf in place (ECB)
 // with the expanded AES-256 schedule at xk. Implemented in ctr_amd64.s.

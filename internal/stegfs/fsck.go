@@ -211,8 +211,8 @@ func Check(dev vdisk.Device, opts CheckOptions) (*CheckReport, error) {
 	// (openShared re-reads the header and verifies its embedded signature),
 	// walks and claims its ptree blocks, and re-reads the full payload so a
 	// damaged ptree or unreadable block surfaces. Payload *content* is CTR
-	// ciphertext with no per-block MAC — silent data bit flips are invisible
-	// here by design; end-to-end integrity is the IDA share CRC's job.
+	// ciphertext with no per-block MAC, so a flipped payload bit decrypts to
+	// a flipped plaintext bit that neither this check nor a read can see.
 	checkObject := func(label, phys string, fak []byte) bool {
 		r, err := fs.openShared(phys, fak)
 		if err != nil {

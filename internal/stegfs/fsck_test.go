@@ -199,7 +199,8 @@ func TestFsckDetectsCorruptSuperblock(t *testing.T) {
 // TestFsckDetectsCorruptHiddenHeader: a bit flip in a hidden file's header
 // block fails the header signature check, and the object — whose key we
 // hold — is reported missing. (Payload blocks are unauthenticated CTR
-// ciphertext; their end-to-end integrity belongs to the IDA share CRCs.)
+// ciphertext: a flipped payload bit is returned silently and fsck cannot
+// detect it.)
 func TestFsckDetectsCorruptHiddenHeader(t *testing.T) {
 	mem, opts := newFsckVolume(t)
 	fs, err := Mount(mem)

@@ -6,9 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"stegfs/internal/fsapi"
 	"stegfs/internal/ptree"
@@ -158,67 +156,12 @@ func decodeHeaderInto(buf []byte, wantSig [sgcrypto.SignatureLen]byte, h *header
 
 // --- Sealed block I/O --------------------------------------------------------
 
-// Bounds for the per-operation seal/open fan-out: the CTR transform of each
-// block is independent, so large batches spread across a few workers. The
-// cap stays low because the fan-out is per operation — concurrent readers
-// already occupy the remaining cores — and a single-CPU box skips it.
-const (
-	sealMaxWorkers = 4
-	sealFanMin     = 32 // below this many blocks the fan-out overhead loses
-)
-
-// fanBlocks runs fn(0..n-1), fanning out across a bounded worker pool when
-// the batch is large enough and more than one CPU is available. The first
-// error stops the fan-out and is returned.
-func fanBlocks(n int, fn func(i int) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > sealMaxWorkers {
-		workers = sealMaxWorkers
-	}
-	if workers <= 1 || n < sealFanMin {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := fn(i); err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
-}
-
 // encIO is a ptree.BlockIO view of the device that transparently seals and
 // opens blocks with a hidden object's sealer, so everything a hidden object
 // writes is indistinguishable from random bytes on disk. It also implements
 // ptree.BatchBlockIO / the vectored block API: batches go to the device as
-// one sorted submission and the per-block CTR transforms fan out across a
-// bounded worker pool. The ciphertext staging buffer is reused across calls,
+// one sorted submission, and a contiguous span seals or opens in one
+// vectored CTR sweep. The ciphertext staging buffer is reused across calls,
 // so steady-state writes allocate nothing per block.
 //
 // An encIO is bound to one operation on one hidden object; it is not safe
@@ -256,9 +199,12 @@ func (e *encIO) ReadBlocks(ns []int64, bufs [][]byte) error {
 	if err := vdisk.ReadBlocks(e.dev, ns, bufs); err != nil {
 		return err
 	}
-	return fanBlocks(len(ns), func(i int) error {
-		return e.sealer.Open(ns[i], bufs[i], bufs[i])
-	})
+	for i, n := range ns {
+		if err := e.sealer.Open(n, bufs[i], bufs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // WriteBlocks seals the batch into the reused staging area and submits one
@@ -273,10 +219,10 @@ func (e *encIO) WriteBlocks(ns []int64, bufs [][]byte) error {
 	}
 	ct := e.scratch[:len(ns)*bs]
 	cts := e.ctViews(ct, len(ns), bs)
-	if err := fanBlocks(len(ns), func(i int) error {
-		return e.sealer.Seal(ns[i], cts[i], bufs[i])
-	}); err != nil {
-		return err
+	for i, n := range ns {
+		if err := e.sealer.Seal(n, cts[i], bufs[i]); err != nil {
+			return err
+		}
 	}
 	return vdisk.WriteBlocks(e.dev, ns, cts)
 }
@@ -295,17 +241,10 @@ func (e *encIO) ctViews(ct []byte, n, bs int) [][]byte {
 
 // ReadSpan is ReadBlocks for callers whose bufs are back-to-back views of
 // the contiguous buffer flat: the whole span decrypts in one vectored
-// OpenRange sweep instead of per-block Open calls. On a multi-CPU box large
-// batches keep the per-block fan-out, which spreads the CTR work across
-// cores.
+// OpenRange sweep instead of per-block Open calls.
 func (e *encIO) ReadSpan(ns []int64, flat []byte, bufs [][]byte) error {
 	if err := vdisk.ReadBlocks(e.dev, ns, bufs); err != nil {
 		return err
-	}
-	if runtime.GOMAXPROCS(0) > 1 && len(ns) >= sealFanMin {
-		return fanBlocks(len(ns), func(i int) error {
-			return e.sealer.Open(ns[i], bufs[i], bufs[i])
-		})
 	}
 	return e.sealer.OpenRange(ns, flat, flat)
 }
@@ -319,13 +258,7 @@ func (e *encIO) WriteSpan(ns []int64, flat []byte, bufs [][]byte) error {
 	}
 	ct := e.scratch[:len(flat)]
 	cts := e.ctViews(ct, len(ns), bs)
-	if runtime.GOMAXPROCS(0) > 1 && len(ns) >= sealFanMin {
-		if err := fanBlocks(len(ns), func(i int) error {
-			return e.sealer.Seal(ns[i], cts[i], bufs[i])
-		}); err != nil {
-			return err
-		}
-	} else if err := e.sealer.SealRange(ns, ct, flat); err != nil {
+	if err := e.sealer.SealRange(ns, ct, flat); err != nil {
 		return err
 	}
 	return vdisk.WriteBlocks(e.dev, ns, cts)
@@ -827,8 +760,8 @@ func (fs *FS) flushHeader(r *hiddenRef) error {
 }
 
 // readHidden returns the full payload of an open hidden object: one batched
-// sorted device read for the data blocks, decrypted in place by the seal
-// fan-out. The caller holds the object's lock (shared suffices).
+// sorted device read for the data blocks, decrypted in place by one vectored
+// OpenRange sweep. The caller holds the object's lock (shared suffices).
 func (fs *FS) readHidden(r *hiddenRef) ([]byte, error) {
 	io := r.io(fs.dev)
 	blocks, err := ptree.ReadInto(io, r.hdr.root, r.hdr.nblocks, r.blockList)
