@@ -34,7 +34,7 @@ func main() {
 		cache     = flag.Int("cache", 4096, "format through a block cache of this many blocks (0 = uncached)")
 		policy    = flag.String("cache-policy", "", "cache replacement policy: lru|2q (default lru)")
 		wbehind   = flag.Int("write-behind", 0, "start early write-back once this many dirty blocks accumulate (0 = only at sync)")
-		flushers  = flag.Int("flush-workers", 0, "background flusher goroutines servicing write-behind runs (0 = default 1, negative = synchronous)")
+		flushers  = flag.Int("flush-workers", 0, "background flusher goroutines servicing write-behind runs (0 = default 1; negative is rejected)")
 	)
 	flag.Parse()
 	if *vol == "" {

@@ -57,7 +57,7 @@ func run(args []string) error {
 	cache := global.Int("cache", 0, "mount through a block cache of this many blocks (0 = uncached)")
 	cachePolicy := global.String("cache-policy", "", "cache replacement policy: lru|2q (default lru)")
 	writeBehind := global.Int("write-behind", 0, "start early write-back once this many dirty blocks accumulate (0 = only at sync)")
-	flushWorkers := global.Int("flush-workers", 0, "background flusher goroutines servicing write-behind runs (0 = default 1, negative = synchronous)")
+	flushWorkers := global.Int("flush-workers", 0, "background flusher goroutines servicing write-behind runs (0 = default 1; negative is rejected)")
 	if err := global.Parse(args); err != nil {
 		return err
 	}

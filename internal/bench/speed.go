@@ -55,7 +55,7 @@ func speedMeasure(op string, bytesPerOp int, budget time.Duration, fn func()) Sp
 // speedVolume builds a small cached volume for the end-to-end rows. The
 // volume is deliberately cache-resident (~32 MB, fully covered by the block
 // cache) so the rows measure the sealed software path — open, header reload,
-// tree walk, batched cache read, vectored open/seal — rather than the
+// tree walk, batched cache read, per-block open/seal — rather than the
 // simulated disk.
 func speedVolume(cfg Config) (*stegfs.HiddenView, error) {
 	bs := cfg.BlockSize
@@ -105,22 +105,6 @@ func SpeedSuite(cfg Config, budget time.Duration) ([]SpeedRow, error) {
 	}))
 	add(speedMeasure("open-block", bs, budget, func() {
 		_ = sealer.Open(7, dst, src)
-	}))
-
-	// Vectored sealing: one call covering a 32-block span, the shape of the
-	// cached read/write fast path.
-	const spanBlocks = 32
-	nos := make([]int64, spanBlocks)
-	for i := range nos {
-		nos[i] = int64(100 + i)
-	}
-	flatSrc := make([]byte, spanBlocks*bs)
-	flatDst := make([]byte, spanBlocks*bs)
-	add(speedMeasure("seal-range32", spanBlocks*bs, budget, func() {
-		_ = sealer.SealRange(nos, flatDst, flatSrc)
-	}))
-	add(speedMeasure("open-range32", spanBlocks*bs, budget, func() {
-		_ = sealer.OpenRange(nos, flatDst, flatSrc)
 	}))
 
 	// Sealer construction: the fixed cost of a header probe step.

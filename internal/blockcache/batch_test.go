@@ -168,62 +168,87 @@ func TestSingleflightConcurrentMisses(t *testing.T) {
 }
 
 // gatedStore delays reads of one block until released, so tests can hold a
-// miss fetch in flight deterministically.
+// miss fetch in flight deterministically. The gated read copies the block
+// before it parks, so it returns the bytes from before anything that lands
+// while it is held — a device read that raced a write.
 type gatedStore struct {
 	*vdisk.MemStore
 	gate    chan struct{} // closed to release
-	entered chan struct{} // signaled when the gated read begins
+	entered chan struct{} // signaled when the gated read has copied the block
 	block   int64
 }
 
 func (g *gatedStore) ReadBlock(n int64, buf []byte) error {
+	err := g.MemStore.ReadBlock(n, buf)
 	if n == g.block {
 		g.entered <- struct{}{}
 		<-g.gate
 	}
-	return g.MemStore.ReadBlock(n, buf)
+	return err
 }
 
-// TestWriteDuringFetchWins: a WriteBlock that lands while a miss fetch for
-// the same block is in flight must win — the reader returns the written
-// data, and the stale device bytes never enter the cache.
+// TestWriteDuringFetchWins: a write that lands while a miss fetch for the
+// same block is in flight must win — the reader returns the written data,
+// and the stale device bytes never enter the cache. In the "flushed" case
+// the write is also flushed and dropped (Invalidate) before the fetch
+// returns, so the cache no longer holds it and the reader must refetch.
 func TestWriteDuringFetchWins(t *testing.T) {
-	mem := fillStore(t, 64, 256)
-	gs := &gatedStore{MemStore: mem, gate: make(chan struct{}), entered: make(chan struct{}, 1), block: 21}
-	c := newCache(t, gs, Options{Capacity: 16})
+	reads := []struct {
+		name string
+		read func(c *Cache, buf []byte) error
+	}{
+		{"ReadBlock", func(c *Cache, buf []byte) error { return c.ReadBlock(21, buf) }},
+		{"ReadBlocks", func(c *Cache, buf []byte) error {
+			return c.ReadBlocks([]int64{20, 21}, [][]byte{make([]byte, 256), buf})
+		}},
+	}
+	for _, flushed := range []bool{false, true} {
+		for _, rd := range reads {
+			t.Run(fmt.Sprintf("%s/flushed=%v", rd.name, flushed), func(t *testing.T) {
+				mem := fillStore(t, 64, 256)
+				gs := &gatedStore{MemStore: mem, gate: make(chan struct{}), entered: make(chan struct{}, 1), block: 21}
+				c := newCache(t, gs, Options{Capacity: 16})
 
-	readDone := make(chan []byte, 1)
-	readErr := make(chan error, 1)
-	go func() {
-		buf := make([]byte, 256)
-		if err := c.ReadBlock(21, buf); err != nil {
-			readErr <- err
-			return
+				readDone := make(chan []byte, 1)
+				readErr := make(chan error, 1)
+				go func() {
+					buf := make([]byte, 256)
+					if err := rd.read(c, buf); err != nil {
+						readErr <- err
+						return
+					}
+					readDone <- buf
+				}()
+				<-gs.entered // fetch is now parked inside the device read
+
+				want := bytes.Repeat([]byte{0x5A}, 256)
+				if err := c.WriteBlock(21, want); err != nil {
+					t.Fatal(err)
+				}
+				if flushed {
+					if err := c.Invalidate(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				close(gs.gate) // release the fetch
+
+				select {
+				case err := <-readErr:
+					t.Fatal(err)
+				case got := <-readDone:
+					if !bytes.Equal(got, want) {
+						t.Fatal("reader returned stale pre-write data")
+					}
+				}
+				// The cache must still serve the written data.
+				got := make([]byte, 256)
+				if err := c.ReadBlock(21, got); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatal("stale fetch clobbered the cached write")
+				}
+			})
 		}
-		readDone <- buf
-	}()
-	<-gs.entered // fetch is now parked inside the device read
-
-	want := bytes.Repeat([]byte{0x5A}, 256)
-	if err := c.WriteBlock(21, want); err != nil {
-		t.Fatal(err)
-	}
-	close(gs.gate) // release the fetch
-
-	select {
-	case err := <-readErr:
-		t.Fatal(err)
-	case got := <-readDone:
-		if !bytes.Equal(got, want) {
-			t.Fatal("reader returned stale pre-write data")
-		}
-	}
-	// The cache must still serve the written data.
-	got := make([]byte, 256)
-	if err := c.ReadBlock(21, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("stale fetch clobbered the cached write")
 	}
 }

@@ -125,15 +125,14 @@ type Options struct {
 	// many dirty blocks accumulate, the flush pipeline writes dirty blocks
 	// back in ascending block order — lowest block numbers first, so the run
 	// streams across the platter — until half the mark remains, without
-	// waiting for the next Flush. With FlushWorkers > 0 the runs are issued
-	// by background goroutines and the writer returns immediately; writers
-	// only stall once twice the mark is dirty (hard cap back-pressure).
-	// 0 disables write-behind.
+	// waiting for the next Flush. The runs are issued by background
+	// goroutines and the writer returns immediately; writers only stall
+	// once twice the mark is dirty (hard cap back-pressure). 0 disables
+	// write-behind.
 	WriteBehind int
 	// FlushWorkers sets the number of background flusher goroutines that
-	// service write-behind runs. 0 selects the default of 1; negative
-	// disables the background pool, making write-behind synchronous in the
-	// writing goroutine (still batched and outside the mutex). Without
+	// service write-behind runs; write-behind always runs on this pool. 0
+	// selects the default of 1, and a negative count is rejected. Without
 	// WriteBehind no background flusher is started — barriers then own all
 	// deferred writes.
 	FlushWorkers int
@@ -157,14 +156,13 @@ type Cache struct {
 	dev       vdisk.Device
 	cap       int
 	highWater int // write-behind high-water mark; 0 = disabled
-	// lockcheck:guardedby mu
-	workers int // background flusher goroutines (0 = synchronous write-behind)
+	workers   int // background flusher goroutines (0 iff write-behind is disabled)
 	// lockcheck:guardedby mu
 	policy Policy
 	// lockcheck:guardedby mu
 	entries map[int64]*entry
 	// lockcheck:guardedby mu
-	inflight map[int64]*fetch // miss fetches in progress (see ReadBlock)
+	inflight map[int64]*fetch // miss fetches in progress (see ReadBlocks)
 	// lockcheck:guardedby mu
 	dirty int // resident dirty blocks (staged ones included)
 	// lockcheck:guardedby mu
@@ -189,14 +187,17 @@ type Cache struct {
 // are stale and must not enter the cache).
 type fetch struct {
 	done  chan struct{}
-	stale bool // a WriteBlock for this block landed while the fetch was in flight
+	stale bool // a write to this block landed while the fetch was in flight
 }
 
 // NewWithOptions wraps dev in a write-back cache configured by o. It fails
-// on a capacity <= 0 or an unknown policy name.
+// on a capacity <= 0, a negative flusher count or an unknown policy name.
 func NewWithOptions(dev vdisk.Device, o Options) (*Cache, error) {
 	if o.Capacity <= 0 {
 		return nil, fmt.Errorf("blockcache: capacity %d, want > 0", o.Capacity)
+	}
+	if o.FlushWorkers < 0 {
+		return nil, fmt.Errorf("blockcache: %d flush workers, want >= 0", o.FlushWorkers)
 	}
 	pol, err := NewPolicy(o.Policy, o.Capacity)
 	if err != nil {
@@ -208,9 +209,6 @@ func NewWithOptions(dev vdisk.Device, o Options) (*Cache, error) {
 	workers := o.FlushWorkers
 	if workers == 0 {
 		workers = 1
-	}
-	if workers < 0 {
-		workers = 0
 	}
 	if workers > maxFlushWorkers {
 		workers = maxFlushWorkers
@@ -267,84 +265,16 @@ func (c *Cache) FlushInFlight() int {
 	return c.staged
 }
 
-// ReadBlock reads block n into buf, serving from the cache when possible.
-//
-// A miss releases the cache lock while the device request runs, so
-// concurrent misses on distinct blocks overlap at the device instead of
-// convoying behind one mutex. Concurrent misses on the same block are
-// deduplicated: one caller fetches, the rest wait for it and are then served
-// from the cache. A write that lands while a fetch is in flight wins — the
-// cached (written) data is returned and the stale fetched bytes are
-// discarded — so read-your-writes holds even across the unlocked window.
+// ReadBlock reads block n into buf, serving from the cache when possible;
+// it is a one-block ReadBlocks.
 func (c *Cache) ReadBlock(n int64, buf []byte) error {
-	if len(buf) != c.dev.BlockSize() {
-		return fmt.Errorf("%w: %d != %d", vdisk.ErrBadBuffer, len(buf), c.dev.BlockSize())
-	}
-	for {
-		c.mu.Lock()
-		if e, ok := c.entries[n]; ok {
-			c.stats.Hits++
-			c.policy.Touch(n)
-			copy(buf, e.data)
-			c.mu.Unlock()
-			return nil
-		}
-		if f, ok := c.inflight[n]; ok {
-			// Another reader is fetching this block; wait and retry (the
-			// retry normally hits the freshly inserted entry).
-			c.mu.Unlock()
-			<-f.done
-			continue
-		}
-		f := &fetch{done: make(chan struct{})}
-		c.inflight[n] = f
-		c.mu.Unlock()
-
-		err := c.dev.ReadBlock(n, buf)
-
-		c.mu.Lock()
-		delete(c.inflight, n)
-		close(f.done)
-		if err != nil {
-			c.mu.Unlock()
-			return err
-		}
-		if e, ok := c.entries[n]; ok {
-			// A write raced the fetch and inserted newer data; the cache is
-			// authoritative.
-			c.stats.Hits++
-			c.policy.Touch(n)
-			copy(buf, e.data)
-			c.mu.Unlock()
-			return nil
-		}
-		if f.stale {
-			// Written and already flushed+evicted during the fetch: the bytes
-			// read may predate that write. Refetch from the device.
-			c.mu.Unlock()
-			continue
-		}
-		c.stats.Misses++
-		c.insertLocked(n, buf, false)
-		c.mu.Unlock()
-		return nil
-	}
+	return c.ReadBlocks([]int64{n}, [][]byte{buf})
 }
 
 // WriteBlock stores buf for block n in the cache, deferring the device write
-// to the flush pipeline.
+// to the flush pipeline; it is a one-block WriteBlocks.
 func (c *Cache) WriteBlock(n int64, buf []byte) error {
-	if len(buf) != c.dev.BlockSize() {
-		return fmt.Errorf("%w: %d != %d", vdisk.ErrBadBuffer, len(buf), c.dev.BlockSize())
-	}
-	if n < 0 || n >= c.dev.NumBlocks() {
-		return fmt.Errorf("%w: %d (of %d)", vdisk.ErrOutOfRange, n, c.dev.NumBlocks())
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.writeLocked(n, buf)
-	c.afterWriteLocked()
-	return nil
+	return c.WriteBlocks([]int64{n}, [][]byte{buf})
 }
 
 // writeLocked stores buf for block n in the resident set as a dirty block
@@ -370,18 +300,12 @@ func (c *Cache) writeLocked(n int64, buf []byte) {
 }
 
 // afterWriteLocked applies the write-behind policy after new dirty data
-// landed: with a background pool it wakes a flusher past the high-water mark
-// and stalls the writer only at the hard cap (2x the mark); without a pool
-// it runs one synchronous (but batched, outside-the-mutex) write-behind run.
-// Caller holds c.mu.
+// landed: past the high-water mark it wakes a background flusher, and it
+// stalls the writer only at the hard cap (2x the mark). Once the pool is
+// stopped, deferred writes wait for the next barrier. Caller holds c.mu.
 // lockcheck:holds volume/cacheMu
 func (c *Cache) afterWriteLocked() {
-	if c.highWater <= 0 || c.dirty <= c.highWater {
-		return
-	}
-	if c.workers == 0 {
-		c.stats.WriteBehinds++
-		_ = c.flushRunLocked(c.highWater/2, 0, true)
+	if c.highWater <= 0 || c.dirty <= c.highWater || c.closed {
 		return
 	}
 	c.bgWake.Signal()
@@ -400,9 +324,16 @@ func (c *Cache) afterWriteLocked() {
 // ReadBlocks implements vdisk.BatchDevice. Hits and misses are partitioned
 // under a single lock acquisition; the misses are then fetched from the
 // device in one batched request (sorted submission at the device layer)
-// while the lock is released, and inserted under a second acquisition. The
-// same single-flight and write-wins rules as ReadBlock apply per block, so
-// the returned bytes are identical to what the per-block path would produce.
+// while the lock is released, and inserted under a second acquisition.
+//
+// Releasing the lock lets concurrent misses on distinct blocks overlap at
+// the device instead of convoying behind one mutex. Concurrent misses on
+// the same block are deduplicated: one caller fetches, the rest wait for it
+// and are then served from the cache. A write that lands while a fetch is
+// in flight wins — the cached (written) data is returned and the stale
+// fetched bytes are discarded, or refetched if the write was already
+// flushed and evicted — so read-your-writes holds even across the unlocked
+// window.
 func (c *Cache) ReadBlocks(ns []int64, bufs [][]byte) error {
 	if len(ns) != len(bufs) {
 		return fmt.Errorf("%w: %d block numbers, %d buffers", vdisk.ErrBadBuffer, len(ns), len(bufs))
@@ -415,24 +346,25 @@ func (c *Cache) ReadBlocks(ns []int64, bufs [][]byte) error {
 	}
 	// Fast path: when every block is resident, serve the batch under one
 	// lock hold with no bookkeeping allocations (the slow path's index
-	// slice, dedup map and single-flight registrations exist only for
-	// misses). The presence scan runs first so a partial hit does not
+	// slices and single-flight registrations exist only for misses). The
+	// copy pass stops at the first absent block, and stats and policy are
+	// updated only once the whole batch hit, so a partial hit does not
 	// double-count its prefix against the stats below.
 	c.mu.Lock()
-	allHit := true
-	for _, n := range ns {
-		if _, ok := c.entries[n]; !ok {
-			allHit = false
+	hit := 0
+	for i, n := range ns {
+		e, ok := c.entries[n]
+		if !ok {
 			break
 		}
+		copy(bufs[i], e.data)
+		hit++
 	}
-	if allHit {
-		for i, n := range ns {
-			e := c.entries[n]
-			c.stats.Hits++
+	if hit == len(ns) {
+		for _, n := range ns {
 			c.policy.Touch(n)
-			copy(bufs[i], e.data)
 		}
+		c.stats.Hits += int64(len(ns))
 		c.mu.Unlock()
 		return nil
 	}
@@ -443,11 +375,9 @@ func (c *Cache) ReadBlocks(ns []int64, bufs [][]byte) error {
 		remaining[i] = i
 	}
 	for len(remaining) > 0 {
-		var mine []int            // misses this call will fetch
-		var fetches []*fetch      // registered single-flight entries, parallel to mine
-		var foreign []int         // misses someone else is already fetching
+		var mine []int            // misses this call registered a fetch for
+		var foreign []int         // misses a fetch is already registered for
 		var waits []chan struct{} // their completion signals
-		seen := map[int64]int{}   // block -> position in mine (dedup within the batch)
 
 		c.mu.Lock()
 		for _, i := range remaining {
@@ -458,22 +388,16 @@ func (c *Cache) ReadBlocks(ns []int64, bufs [][]byte) error {
 				copy(bufs[i], e.data)
 				continue
 			}
-			if _, ok := seen[n]; ok {
-				// Duplicate within this batch: resolve on the next pass from
-				// the entry the first occurrence inserts.
-				foreign = append(foreign, i)
-				continue
-			}
 			if f, ok := c.inflight[n]; ok {
+				// Another caller is fetching this block, or this batch is (a
+				// duplicate block number; its fetch is closed before the
+				// waits below). Resolve it on the next pass.
 				foreign = append(foreign, i)
 				waits = append(waits, f.done)
 				continue
 			}
-			f := &fetch{done: make(chan struct{})}
-			c.inflight[n] = f
-			seen[n] = len(mine)
+			c.inflight[n] = &fetch{done: make(chan struct{})}
 			mine = append(mine, i)
-			fetches = append(fetches, f)
 		}
 		c.mu.Unlock()
 
@@ -487,20 +411,26 @@ func (c *Cache) ReadBlocks(ns []int64, bufs [][]byte) error {
 			}
 			err := vdisk.ReadBlocks(c.dev, missNs, missBufs)
 			c.mu.Lock()
-			for k, i := range mine {
+			for _, i := range mine {
+				// Only the registrant removes a fetch, so it is still ours.
 				n := ns[i]
+				f := c.inflight[n]
 				delete(c.inflight, n)
-				close(fetches[k].done)
+				close(f.done)
 				if err != nil {
 					continue
 				}
 				if e, ok := c.entries[n]; ok {
+					// A write raced the fetch and inserted newer data; the
+					// cache is authoritative.
 					c.stats.Hits++
 					c.policy.Touch(n)
 					copy(bufs[i], e.data)
 					continue
 				}
-				if fetches[k].stale {
+				if f.stale {
+					// Written and already flushed and dropped during the
+					// fetch: the bytes read may predate that write. Refetch.
 					retry = append(retry, i)
 					continue
 				}
@@ -935,41 +865,27 @@ var _ vdisk.BatchDevice = (*Cache)(nil)
 // flusher pool WITHOUT closing the underlying device. Owners that wrap a
 // device they do not own (stegfs.FS mounts a caller-provided store) use this
 // on teardown so the worker goroutines never outlive the mount. The cache
-// stays usable afterwards — write-behind simply runs synchronously.
+// stays usable afterwards, but write-behind stops: dirty blocks wait for
+// the next barrier.
 func (c *Cache) StopFlushers() error {
 	c.mu.Lock()
 	flushErr := c.drainLocked()
 	if flushErr == nil {
 		flushErr = c.takeStickyLocked()
 	}
-	c.stopPoolLocked()
+	c.closed = true
+	c.bgWake.Broadcast()
+	c.flushDone.Broadcast()
 	c.mu.Unlock()
 	c.wg.Wait()
 	return flushErr
-}
-
-// stopPoolLocked signals every background flusher to exit and converts the
-// cache to synchronous write-behind. Caller holds c.mu.
-// lockcheck:holds volume/cacheMu
-func (c *Cache) stopPoolLocked() {
-	c.closed = true
-	c.workers = 0
-	c.bgWake.Broadcast()
-	c.flushDone.Broadcast()
 }
 
 // Close flushes dirty blocks, stops the background flusher pool and closes
 // the underlying device if it is closable. The cache must not be used
 // afterwards.
 func (c *Cache) Close() error {
-	c.mu.Lock()
-	flushErr := c.drainLocked()
-	if flushErr == nil {
-		flushErr = c.takeStickyLocked()
-	}
-	c.stopPoolLocked()
-	c.mu.Unlock()
-	c.wg.Wait()
+	flushErr := c.StopFlushers()
 	if cl, ok := c.dev.(interface{ Close() error }); ok {
 		if err := cl.Close(); err != nil && flushErr == nil {
 			flushErr = err

@@ -411,8 +411,8 @@ func TestPipelineConcurrentStress(t *testing.T) {
 }
 
 // TestPipelineStopFlushers: StopFlushers drains and terminates the pool
-// without closing the device; the cache stays usable with synchronous
-// write-behind afterwards.
+// without closing the device; the cache stays usable afterwards, with
+// write-behind stopped so dirty blocks wait for the next barrier.
 func TestPipelineStopFlushers(t *testing.T) {
 	dev := newPipeDev(t, 128, 32)
 	c := newCache(t, dev, Options{Capacity: 64, WriteBehind: 8, FlushWorkers: 2})
@@ -427,11 +427,15 @@ func TestPipelineStopFlushers(t *testing.T) {
 	if d := c.Dirty(); d != 0 {
 		t.Fatalf("dirty after StopFlushers = %d, want 0", d)
 	}
-	// Still usable: the device is open and write-behind runs synchronously.
+	// Still usable: the device is open, and past the high-water mark the
+	// writes stay dirty until the barrier.
 	for n := int64(40); n < 60; n++ {
 		if err := c.WriteBlock(n, blockPayload(32, byte(n))); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if d := c.Dirty(); d != 20 {
+		t.Fatalf("dirty before the barrier = %d, want all 20", d)
 	}
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)

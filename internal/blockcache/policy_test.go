@@ -46,6 +46,11 @@ func TestPolicyRegistry(t *testing.T) {
 			t.Fatalf("cache accepted capacity %d", capacity)
 		}
 	}
+	// Write-behind always runs on the background pool; there is no
+	// synchronous mode for a negative count to select.
+	if _, err := NewWithOptions(nil, Options{Capacity: 4, WriteBehind: 2, FlushWorkers: -1}); err == nil {
+		t.Fatal("cache accepted FlushWorkers -1")
+	}
 }
 
 // TestPolicyReadYourWrites reruns the cache-correctness workload under every
@@ -219,16 +224,19 @@ func TestWriteBehindBoundsDirtyBacklog(t *testing.T) {
 
 func TestWriteBehindRunsAscending(t *testing.T) {
 	dev := newTraceDev(t, 512, 32)
-	// FlushWorkers < 0: the synchronous fallback runs the write-behind run
-	// in the writing goroutine, so exactly one deterministic run is observed.
-	c := newCache(t, dev, Options{Capacity: 256, WriteBehind: 8, FlushWorkers: -1})
-	// Scattered dirty blocks, written in a shuffled order.
+	c := newCache(t, dev, Options{Capacity: 256, WriteBehind: 8, FlushWorkers: 1})
+	defer c.Close()
+	// Scattered dirty blocks in a shuffled order, written as one batch: the
+	// mark is crossed once, so the single flusher issues exactly one run.
 	blocks := []int64{300, 7, 150, 42, 9, 260, 81, 13, 199, 2}
-	for _, n := range blocks {
-		if err := c.WriteBlock(n, blockPayload(32, byte(n))); err != nil {
-			t.Fatal(err)
-		}
+	bufs := make([][]byte, len(blocks))
+	for i, n := range blocks {
+		bufs[i] = blockPayload(32, byte(n))
 	}
+	if err := c.WriteBlocks(blocks, bufs); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, func() bool { return c.Stats().WriteBehinds == 1 && c.FlushInFlight() == 0 })
 	got := dev.writes()
 	if len(got) == 0 {
 		t.Fatal("write-behind high-water mark never crossed")
@@ -280,16 +288,26 @@ func TestStickyWriteBackError(t *testing.T) {
 func TestStickyWriteBehindError(t *testing.T) {
 	injected := errors.New("injected write error")
 	dev := newTraceDev(t, 64, 32)
-	// Synchronous write-behind: the failing run records its sticky error
-	// before WriteBlock returns (the async variant lives in pipeline_test).
-	c := newCache(t, dev, Options{Capacity: 32, WriteBehind: 4, FlushWorkers: -1})
+	// The Flush-barrier variant lives in pipeline_test; this one pins that
+	// Sync surfaces the background run's sticky error too.
+	c := newCache(t, dev, Options{Capacity: 32, WriteBehind: 4, FlushWorkers: 1})
+	defer c.Close()
+	dev.mu.Lock()
 	dev.writeErr = injected
+	dev.mu.Unlock()
 	for n := int64(0); n < 8; n++ {
 		if err := c.WriteBlock(n, blockPayload(32, byte(n))); err != nil {
 			t.Fatal(err)
 		}
 	}
+	waitUntil(t, func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.wbErr != nil
+	})
+	dev.mu.Lock()
 	dev.writeErr = nil
+	dev.mu.Unlock()
 	if err := c.Sync(); !errors.Is(err, injected) {
 		t.Fatalf("Sync error = %v, want sticky injected error", err)
 	}

@@ -49,7 +49,7 @@ type Config struct {
 	Policy     Policy
 	FragBlocks int   // fragment length for Fragmented (paper default: 8)
 	MaxFiles   int   // capacity of the central directory
-	Seed       int64 // seed for the allocation RNG (Random policy)
+	Seed       int64 // seed for the allocation RNG (Random and Fragmented placement)
 
 	// Alloc, when non-nil, routes all Random-policy block allocation and
 	// every free through the shared sharded allocator instead of the raw
@@ -67,10 +67,9 @@ func DefaultConfig(policy Policy) Config {
 	return Config{Policy: policy, FragBlocks: 8, MaxFiles: 1024, Seed: 1}
 }
 
-// Volume is a mounted plain filesystem. It can be standalone (owning its
-// superblock and bitmap, as the native baselines do) or embedded inside
-// StegFS (sharing the outer bitmap so plain and hidden allocations never
-// collide).
+// Volume is a mounted plain filesystem, always embedded in an outer file
+// system (nativefs or StegFS) that owns the superblock and the bitmap; the
+// volume shares that bitmap, so plain and hidden allocations never collide.
 type Volume struct {
 	// One big mutex per mounted plain volume; it sits below the allocation
 	// group locks, which its mutators take through the shared allocator, and
@@ -92,10 +91,6 @@ type Volume struct {
 	byName map[string]int // name -> inode slot
 	// lockcheck:guardedby mu
 	nodes []*inode // slot -> inode (cache of the whole table)
-
-	standalone bool
-	bmStart    int64 // standalone only: bitmap region start
-	bmBlocks   int64 // standalone only: bitmap region length
 }
 
 // inodesPerBlock returns how many inode records fit in one device block.

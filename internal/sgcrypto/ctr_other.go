@@ -2,7 +2,7 @@
 
 package sgcrypto
 
-// hasFastCTR is false off amd64; Seal and SealRange fall back to stdlib
+// hasFastCTR is false off amd64; Seal falls back to stdlib
 // cipher.NewCTR per block, which is correct everywhere but allocates a
 // stream object per call.
 const hasFastCTR = false

@@ -94,58 +94,6 @@ func TestSealMatchesStdlibCTR(t *testing.T) {
 	}
 }
 
-func TestSealRangeMatchesPerBlockSeal(t *testing.T) {
-	s := testSealer(t, [16]byte{9, 8, 7, 6, 5, 4, 3, 2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xfe})
-	for _, chunk := range []int{16, 512, 1024, 4096, 24} {
-		for _, k := range []int{1, 2, 3, 7} {
-			nos := make([]int64, k)
-			for i := range nos {
-				nos[i] = int64(i*i + 5)
-			}
-			src := make([]byte, chunk*k)
-			for i := range src {
-				src[i] = byte(i * 31)
-			}
-			got := make([]byte, len(src))
-			want := make([]byte, len(src))
-			if err := s.SealRange(nos, got, src); err != nil {
-				t.Fatal(err)
-			}
-			for i, no := range nos {
-				if err := s.Seal(no, want[i*chunk:(i+1)*chunk], src[i*chunk:(i+1)*chunk]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("chunk %d k %d: SealRange diverges from per-block Seal", chunk, k)
-			}
-			// In-place OpenRange round trip.
-			if err := s.OpenRange(nos, got, got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, src) {
-				t.Fatalf("chunk %d k %d: OpenRange(SealRange(x)) != x", chunk, k)
-			}
-		}
-	}
-}
-
-func TestSealRangeArgumentErrors(t *testing.T) {
-	s := testSealer(t, [16]byte{})
-	if err := s.SealRange([]int64{1}, make([]byte, 8), make([]byte, 16)); err == nil {
-		t.Fatal("length mismatch not rejected")
-	}
-	if err := s.SealRange(nil, make([]byte, 16), make([]byte, 16)); err == nil {
-		t.Fatal("empty nos with nonempty data not rejected")
-	}
-	if err := s.SealRange([]int64{1, 2, 3}, make([]byte, 16), make([]byte, 16)); err == nil {
-		t.Fatal("non-multiple length not rejected")
-	}
-	if err := s.SealRange(nil, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // FuzzSealEquivalence fuzzes data, block number and nonce through the fast
 // path against the stdlib stream.
 func FuzzSealEquivalence(f *testing.F) {
@@ -176,11 +124,8 @@ func TestSealerAllocFree(t *testing.T) {
 	}
 	s := testSealer(t, [16]byte{1})
 	buf := make([]byte, 4096)
-	nos := []int64{3, 9, 27, 81}
-	span := make([]byte, 4*4096)
 	if n := testing.AllocsPerRun(50, func() {
 		_ = s.Seal(7, buf, buf)
-		_ = s.SealRange(nos, span, span)
 	}); n != 0 {
 		t.Fatalf("sealing allocated %v times per op, want 0", n)
 	}
@@ -205,18 +150,6 @@ func BenchmarkSeal(b *testing.B) {
 			}
 		})
 	}
-	span := make([]byte, 16*4096)
-	nos := make([]int64, 16)
-	for i := range nos {
-		nos[i] = int64(i * 3)
-	}
-	b.Run("range/16x4096", func(b *testing.B) {
-		b.SetBytes(int64(len(span)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = s.SealRange(nos, span, span)
-		}
-	})
 }
 
 func BenchmarkFillerFill(b *testing.B) {

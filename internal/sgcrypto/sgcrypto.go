@@ -217,46 +217,6 @@ func (s *Sealer) Open(blockNo int64, dst, src []byte) error {
 	return s.Seal(blockNo, dst, src)
 }
 
-// SealRange encrypts len(nos) equal-sized consecutive chunks of src into
-// dst; chunk i belongs to logical block nos[i]. It produces exactly the
-// bytes of one Seal call per chunk, restarting the counter at each chunk's
-// IV, with one fused-kernel call per chunk (each chunk is many AES blocks,
-// so the 8-way pipeline stays full). dst and src must have equal length, a
-// multiple of len(nos), and may alias exactly.
-func (s *Sealer) SealRange(nos []int64, dst, src []byte) error {
-	if len(dst) != len(src) {
-		return errors.New("sgcrypto: SealRange length mismatch")
-	}
-	if len(nos) == 0 {
-		if len(src) != 0 {
-			return errors.New("sgcrypto: SealRange with no block numbers")
-		}
-		return nil
-	}
-	if len(src)%len(nos) != 0 {
-		return errors.New("sgcrypto: SealRange length not a multiple of chunk count")
-	}
-	chunk := len(src) / len(nos)
-	if !s.fast {
-		for i, no := range nos {
-			if err := s.Seal(no, dst[i*chunk:(i+1)*chunk], src[i*chunk:(i+1)*chunk]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for i, no := range nos {
-		s.ctrXorFast(dst[i*chunk:(i+1)*chunk], src[i*chunk:(i+1)*chunk], s.ivHi, s.ivLo^uint64(no))
-	}
-	return nil
-}
-
-// OpenRange decrypts len(nos) equal-sized chunks; the CTR symmetry makes it
-// the same operation as SealRange.
-func (s *Sealer) OpenRange(nos []int64, dst, src []byte) error {
-	return s.SealRange(nos, dst, src)
-}
-
 // RandomFiller produces a deterministic stream of uniformly-random-looking
 // bytes (an AES-CTR keystream) for initializing freshly formatted volumes,
 // abandoned blocks and dummy hidden files. Determinism keeps experiments

@@ -101,9 +101,9 @@ func WithCachePolicy(name string) Option {
 // blocks accumulate in the cache, the flush pipeline writes dirty blocks
 // back in ascending, batched runs without waiting for the next Sync. The
 // optional second argument sets the number of background flusher goroutines
-// servicing those runs (default 1): the runs are issued outside the cache
-// mutex, so a cached writer never stalls behind the device; pass a negative
-// worker count to keep write-behind synchronous in the writing goroutine.
+// servicing those runs (default 1; a negative count fails the mount):
+// write-behind always runs on that background pool, outside the cache
+// mutex, so a cached writer never stalls behind the device.
 // The data-before-metadata barrier in FS.Sync is unaffected: write-behind
 // may flush any dirty block early (headers and p-tree blocks included — the
 // cache cannot tell them apart), but the on-device image's consistency

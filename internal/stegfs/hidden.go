@@ -159,10 +159,10 @@ func decodeHeaderInto(buf []byte, wantSig [sgcrypto.SignatureLen]byte, h *header
 // encIO is a ptree.BlockIO view of the device that transparently seals and
 // opens blocks with a hidden object's sealer, so everything a hidden object
 // writes is indistinguishable from random bytes on disk. It also implements
-// ptree.BatchBlockIO / the vectored block API: batches go to the device as
-// one sorted submission, and a contiguous span seals or opens in one
-// vectored CTR sweep. The ciphertext staging buffer is reused across calls,
-// so steady-state writes allocate nothing per block.
+// ptree.BatchBlockIO: a batch goes to the device as one sorted submission
+// and is sealed or opened one block at a time. The ciphertext staging
+// buffer is reused across calls, so steady-state writes allocate nothing
+// per block.
 //
 // An encIO is bound to one operation on one hidden object; it is not safe
 // for concurrent use (the sealer is, but the scratch buffer is not).
@@ -217,49 +217,15 @@ func (e *encIO) WriteBlocks(ns []int64, bufs [][]byte) error {
 	if cap(e.scratch) < len(ns)*bs {
 		e.scratch = make([]byte, len(ns)*bs)
 	}
-	ct := e.scratch[:len(ns)*bs]
-	cts := e.ctViews(ct, len(ns), bs)
+	if cap(e.ctBufs) < len(ns) {
+		e.ctBufs = make([][]byte, len(ns))
+	}
+	cts := e.ctBufs[:len(ns)]
 	for i, n := range ns {
+		cts[i] = e.scratch[i*bs : (i+1)*bs]
 		if err := e.sealer.Seal(n, cts[i], bufs[i]); err != nil {
 			return err
 		}
-	}
-	return vdisk.WriteBlocks(e.dev, ns, cts)
-}
-
-// ctViews re-slices the reused view list over the ciphertext staging area.
-func (e *encIO) ctViews(ct []byte, n, bs int) [][]byte {
-	if cap(e.ctBufs) < n {
-		e.ctBufs = make([][]byte, n)
-	}
-	cts := e.ctBufs[:n]
-	for i := range cts {
-		cts[i] = ct[i*bs : (i+1)*bs]
-	}
-	return cts
-}
-
-// ReadSpan is ReadBlocks for callers whose bufs are back-to-back views of
-// the contiguous buffer flat: the whole span decrypts in one vectored
-// OpenRange sweep instead of per-block Open calls.
-func (e *encIO) ReadSpan(ns []int64, flat []byte, bufs [][]byte) error {
-	if err := vdisk.ReadBlocks(e.dev, ns, bufs); err != nil {
-		return err
-	}
-	return e.sealer.OpenRange(ns, flat, flat)
-}
-
-// WriteSpan is WriteBlocks for a contiguous span: one vectored SealRange
-// into the reused staging area, then one sorted device submission.
-func (e *encIO) WriteSpan(ns []int64, flat []byte, bufs [][]byte) error {
-	bs := e.dev.BlockSize()
-	if cap(e.scratch) < len(flat) {
-		e.scratch = make([]byte, len(flat))
-	}
-	ct := e.scratch[:len(flat)]
-	cts := e.ctViews(ct, len(ns), bs)
-	if err := e.sealer.SealRange(ns, ct, flat); err != nil {
-		return err
 	}
 	return vdisk.WriteBlocks(e.dev, ns, cts)
 }
@@ -760,8 +726,8 @@ func (fs *FS) flushHeader(r *hiddenRef) error {
 }
 
 // readHidden returns the full payload of an open hidden object: one batched
-// sorted device read for the data blocks, decrypted in place by one vectored
-// OpenRange sweep. The caller holds the object's lock (shared suffices).
+// sorted device read for the data blocks, decrypted in place. The caller
+// holds the object's lock (shared suffices).
 func (fs *FS) readHidden(r *hiddenRef) ([]byte, error) {
 	io := r.io(fs.dev)
 	blocks, err := ptree.ReadInto(io, r.hdr.root, r.hdr.nblocks, r.blockList)
@@ -771,8 +737,7 @@ func (fs *FS) readHidden(r *hiddenRef) ([]byte, error) {
 	r.blockList = blocks
 	bs := fs.dev.BlockSize()
 	out := make([]byte, r.hdr.nblocks*int64(bs))
-	bufs := r.spanViews(out, len(blocks), bs)
-	if err := io.ReadSpan(blocks, out, bufs); err != nil {
+	if err := io.ReadBlocks(blocks, r.spanViews(out, len(blocks), bs)); err != nil {
 		return nil, err
 	}
 	return out[:r.hdr.size], nil

@@ -209,31 +209,6 @@ func (v *HiddenView) Stat(name string) (fsapi.FileInfo, error) {
 	return fsapi.FileInfo{Name: name, Size: r.hdr.size, Blocks: r.hdr.nblocks}, nil
 }
 
-// OccupiedBlocks returns every block the view's files hold, including
-// header, pointer and pooled free blocks. Space accounting uses this.
-func (v *HiddenView) OccupiedBlocks() (int64, error) {
-	v.mu.RLock()
-	names := make([]string, 0, len(v.faks))
-	for name := range v.faks {
-		names = append(names, name)
-	}
-	v.mu.RUnlock()
-	var total int64
-	for _, name := range names {
-		r, err := v.openShared(name)
-		if err != nil {
-			return 0, err
-		}
-		blocks, err := v.fs.hiddenBlocks(r)
-		v.fs.release(r)
-		if err != nil {
-			return 0, err
-		}
-		total += int64(len(blocks))
-	}
-	return total, nil
-}
-
 // BlocksOf returns the named file's data blocks and the full set of blocks
 // it occupies (header + data + pointer + pooled free blocks). The adversary
 // experiments use the data blocks as attack ground truth.

@@ -82,7 +82,7 @@ func (fs *FS) rwHidden(r *hiddenRef, p []byte, off int64, write bool) (int, erro
 	span := blocks[first : last+1]
 	// The span stages in the ref's reusable arena: with a warm cache the
 	// whole read path — lock, header reload, tree walk, batched read,
-	// vectored open — then runs without a single heap allocation.
+	// in-place open — then runs without a single heap allocation.
 	need := int(int64(len(span)) * bs)
 	if cap(r.staging) < need {
 		r.staging = make([]byte, need)
@@ -92,7 +92,7 @@ func (fs *FS) rwHidden(r *hiddenRef, p []byte, off int64, write bool) (int, erro
 	inOff := off - first*bs // offset of p[0] within the staging area
 
 	if !write {
-		if err := io_.ReadSpan(span, staging, bufs); err != nil {
+		if err := io_.ReadBlocks(span, bufs); err != nil {
 			return 0, err
 		}
 		copy(p, staging[inOff:])
@@ -115,7 +115,7 @@ func (fs *FS) rwHidden(r *hiddenRef, p []byte, off int64, write bool) (int, erro
 		return 0, err
 	}
 	copy(staging[inOff:], p)
-	if err := io_.WriteSpan(span, staging, bufs); err != nil {
+	if err := io_.WriteBlocks(span, bufs); err != nil {
 		return 0, err
 	}
 	return len(p), nil

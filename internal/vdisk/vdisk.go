@@ -15,10 +15,11 @@
 package vdisk
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -381,7 +382,7 @@ func (d *Disk) batch(ns []int64, bufs [][]byte, read bool) error {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return ns[order[a]] < ns[order[b]] })
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(ns[a], ns[b]) })
 
 	// Store pass first: every block transfers (or the whole batch is
 	// rejected) before the clock, head position or statistics move.
