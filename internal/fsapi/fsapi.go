@@ -58,7 +58,7 @@ type FileSystem interface {
 // interleave several users' requests. Each Step issues the physical I/O for
 // one logical block of the file (which may be several device operations: a
 // StegCover step touches every cover file; a StegRand write step updates all
-// replicas).
+// replicas). Every scheme builds its cursors with NewCursor.
 type Cursor interface {
 	// Step performs the next logical-block I/O. It returns done=true when
 	// the file operation has completed; calling Step again after done is an
@@ -68,8 +68,45 @@ type Cursor interface {
 	Remaining() int
 }
 
+// NewCursor returns a Cursor of n steps whose i-th Step calls step(i). A
+// failed step leaves the position unchanged; a Step after the last one
+// returns (true, error).
+func NewCursor(n int, step func(i int) error) Cursor {
+	return &cursor{n: n, step: step}
+}
+
+type cursor struct {
+	n, pos int
+	step   func(i int) error
+}
+
+func (c *cursor) Step() (bool, error) {
+	if c.pos >= c.n {
+		return true, errors.New("fsapi: Step past end of cursor")
+	}
+	if err := c.step(c.pos); err != nil {
+		return false, err
+	}
+	c.pos++
+	return c.pos == c.n, nil
+}
+
+func (c *cursor) Remaining() int { return c.n - c.pos }
+
+// FillBlock copies block i of the flat payload data (blocks of len(buf)
+// bytes) into buf and zero-pads the rest of buf.
+func FillBlock(buf, data []byte, i int) {
+	n := 0
+	if off := i * len(buf); off < len(data) {
+		n = copy(buf, data[off:])
+	}
+	clear(buf[n:])
+}
+
 // CursorFS is implemented by schemes that support interleaved block-level
-// access for the concurrency experiments.
+// access for the concurrency experiments. Their cursors are NewCursor over
+// a per-block step; lookup and metadata updates happen when the cursor is
+// opened.
 type CursorFS interface {
 	FileSystem
 	// ReadCursor starts a block-by-block read of the named file.

@@ -136,16 +136,9 @@ func mountPrepared(dev vdisk.Device, bm *bitmapvec.Bitmap, clean bool, maxFiles 
 // Sync persists the allocation bitmap to its on-volume region.
 func (f *FS) Sync() error {
 	raw := f.bm.Marshal()
-	bs := f.dev.BlockSize()
-	buf := make([]byte, bs)
+	buf := make([]byte, f.dev.BlockSize())
 	for i := int64(0); i < f.bmLen; i++ {
-		for j := range buf {
-			buf[j] = 0
-		}
-		off := i * int64(bs)
-		if off < int64(len(raw)) {
-			copy(buf, raw[off:])
-		}
+		fsapi.FillBlock(buf, raw, int(i))
 		if err := f.dev.WriteBlock(f.bmStart+i, buf); err != nil {
 			return err
 		}

@@ -1,22 +1,14 @@
 package plainfs
 
 import (
-	"errors"
 	"fmt"
 
 	"stegfs/internal/fsapi"
 	"stegfs/internal/ptree"
 )
 
-// readCursor steps through a file one data block per Step.
-type readCursor struct {
-	v      *Volume
-	blocks []int64
-	pos    int
-	buf    []byte
-}
-
-// ReadCursor implements fsapi.CursorFS: a block-by-block read of name.
+// ReadCursor implements fsapi.CursorFS: a block-by-block read of name, one
+// data block per Step.
 func (v *Volume) ReadCursor(name string) (fsapi.Cursor, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -28,31 +20,10 @@ func (v *Volume) ReadCursor(name string) (fsapi.Cursor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &readCursor{v: v, blocks: blocks, buf: make([]byte, v.dev.BlockSize())}, nil
-}
-
-// Step reads the next data block.
-func (c *readCursor) Step() (bool, error) {
-	if c.pos >= len(c.blocks) {
-		return true, errors.New("plainfs: Step past end of cursor")
-	}
-	if err := c.v.dev.ReadBlock(c.blocks[c.pos], c.buf); err != nil {
-		return false, err
-	}
-	c.pos++
-	return c.pos == len(c.blocks), nil
-}
-
-// Remaining returns the number of block steps left.
-func (c *readCursor) Remaining() int { return len(c.blocks) - c.pos }
-
-// writeCursor overwrites a file's existing blocks one per Step.
-type writeCursor struct {
-	v      *Volume
-	blocks []int64
-	data   []byte
-	pos    int
-	buf    []byte
+	buf := make([]byte, v.dev.BlockSize())
+	return fsapi.NewCursor(len(blocks), func(i int) error {
+		return v.dev.ReadBlock(blocks[i], buf)
+	}), nil
 }
 
 // WriteCursor implements fsapi.CursorFS: a block-by-block in-place overwrite
@@ -78,30 +49,11 @@ func (v *Volume) WriteCursor(name string, data []byte) (fsapi.Cursor, error) {
 	if err := v.flushInode(slot); err != nil {
 		return nil, err
 	}
-	return &writeCursor{v: v, blocks: blocks, data: data, buf: make([]byte, v.dev.BlockSize())}, nil
+	buf := make([]byte, v.dev.BlockSize())
+	return fsapi.NewCursor(len(blocks), func(i int) error {
+		fsapi.FillBlock(buf, data, i)
+		return v.dev.WriteBlock(blocks[i], buf)
+	}), nil
 }
-
-// Step writes the next data block.
-func (c *writeCursor) Step() (bool, error) {
-	if c.pos >= len(c.blocks) {
-		return true, errors.New("plainfs: Step past end of cursor")
-	}
-	bs := len(c.buf)
-	for j := range c.buf {
-		c.buf[j] = 0
-	}
-	off := c.pos * bs
-	if off < len(c.data) {
-		copy(c.buf, c.data[off:])
-	}
-	if err := c.v.dev.WriteBlock(c.blocks[c.pos], c.buf); err != nil {
-		return false, err
-	}
-	c.pos++
-	return c.pos == len(c.blocks), nil
-}
-
-// Remaining returns the number of block steps left.
-func (c *writeCursor) Remaining() int { return len(c.blocks) - c.pos }
 
 var _ fsapi.CursorFS = (*Volume)(nil)

@@ -356,16 +356,9 @@ func (v *Volume) createLocked(name string, data []byte) error {
 
 // writeData writes data across the given blocks, zero-padding the tail.
 func (v *Volume) writeData(blocks []int64, data []byte) error {
-	bs := v.dev.BlockSize()
-	buf := make([]byte, bs)
+	buf := make([]byte, v.dev.BlockSize())
 	for i, b := range blocks {
-		for j := range buf {
-			buf[j] = 0
-		}
-		off := i * bs
-		if off < len(data) {
-			copy(buf, data[off:])
-		}
+		fsapi.FillBlock(buf, data, i)
 		if err := v.dev.WriteBlock(b, buf); err != nil {
 			return err
 		}

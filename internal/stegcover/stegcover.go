@@ -17,7 +17,6 @@
 package stegcover
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -150,12 +149,9 @@ func (fs *FS) Create(name string, data []byte) error {
 func (fs *FS) writeLevel(meta fileMeta, data []byte) error {
 	bs := fs.dev.BlockSize()
 	n := (int64(len(data)) + int64(bs) - 1) / int64(bs)
+	chunk := make([]byte, bs)
 	for idx := int64(0); idx < n; idx++ {
-		chunk := make([]byte, bs)
-		off := idx * int64(bs)
-		if off < int64(len(data)) {
-			copy(chunk, data[off:])
-		}
+		fsapi.FillBlock(chunk, data, int(idx))
 		if err := fs.writeLevelBlock(meta.set, meta.level, idx, chunk); err != nil {
 			return err
 		}
@@ -327,17 +323,8 @@ func equal(a, b []byte) bool {
 	return true
 }
 
-var _ fsapi.FileSystem = (*FS)(nil)
-
-// readCursor steps one logical block (level reads + XOR) per Step.
-type readCursor struct {
-	fs   *FS
-	meta fileMeta
-	n    int64
-	pos  int64
-}
-
-// ReadCursor implements fsapi.CursorFS.
+// ReadCursor implements fsapi.CursorFS: each Step reconstructs one logical
+// block (level reads + XOR).
 func (fs *FS) ReadCursor(name string) (fsapi.Cursor, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -346,37 +333,16 @@ func (fs *FS) ReadCursor(name string) (fsapi.Cursor, error) {
 		return nil, fmt.Errorf("%w: %q", fsapi.ErrNotFound, name)
 	}
 	bs := int64(fs.dev.BlockSize())
-	return &readCursor{fs: fs, meta: meta, n: (meta.size + bs - 1) / bs}, nil
+	return fsapi.NewCursor(int((meta.size+bs-1)/bs), func(i int) error {
+		fs.mu.Lock()
+		defer fs.mu.Unlock()
+		_, err := fs.readLevelBlock(meta.set, meta.level, int64(i))
+		return err
+	}), nil
 }
 
-// Step reconstructs the next logical block.
-func (c *readCursor) Step() (bool, error) {
-	if c.pos >= c.n {
-		return true, errors.New("stegcover: Step past end of cursor")
-	}
-	c.fs.mu.Lock()
-	_, err := c.fs.readLevelBlock(c.meta.set, c.meta.level, c.pos)
-	c.fs.mu.Unlock()
-	if err != nil {
-		return false, err
-	}
-	c.pos++
-	return c.pos == c.n, nil
-}
-
-// Remaining returns the logical blocks left.
-func (c *readCursor) Remaining() int { return int(c.n - c.pos) }
-
-// writeCursor steps one logical block (read-all + re-fix writes) per Step.
-type writeCursor struct {
-	fs   *FS
-	meta fileMeta
-	data []byte
-	n    int64
-	pos  int64
-}
-
-// WriteCursor implements fsapi.CursorFS.
+// WriteCursor implements fsapi.CursorFS: each Step writes one logical block
+// (read every cover + re-fix writes).
 func (fs *FS) WriteCursor(name string, data []byte) (fsapi.Cursor, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -390,31 +356,13 @@ func (fs *FS) WriteCursor(name string, data []byte) (fsapi.Cursor, error) {
 	meta.size = int64(len(data))
 	fs.files[name] = meta
 	bs := int64(fs.dev.BlockSize())
-	return &writeCursor{fs: fs, meta: meta, data: data, n: (meta.size + bs - 1) / bs}, nil
-}
-
-// Step writes the next logical block.
-func (c *writeCursor) Step() (bool, error) {
-	if c.pos >= c.n {
-		return true, errors.New("stegcover: Step past end of cursor")
-	}
-	bs := c.fs.dev.BlockSize()
 	chunk := make([]byte, bs)
-	off := c.pos * int64(bs)
-	if off < int64(len(c.data)) {
-		copy(chunk, c.data[off:])
-	}
-	c.fs.mu.Lock()
-	err := c.fs.writeLevelBlock(c.meta.set, c.meta.level, c.pos, chunk)
-	c.fs.mu.Unlock()
-	if err != nil {
-		return false, err
-	}
-	c.pos++
-	return c.pos == c.n, nil
+	return fsapi.NewCursor(int((meta.size+bs-1)/bs), func(i int) error {
+		fsapi.FillBlock(chunk, data, i)
+		fs.mu.Lock()
+		defer fs.mu.Unlock()
+		return fs.writeLevelBlock(meta.set, meta.level, int64(i), chunk)
+	}), nil
 }
-
-// Remaining returns the logical blocks left.
-func (c *writeCursor) Remaining() int { return int(c.n - c.pos) }
 
 var _ fsapi.CursorFS = (*FS)(nil)

@@ -9,7 +9,6 @@ import (
 
 	"stegfs/internal/alloc"
 	"stegfs/internal/bitmapvec"
-	"stegfs/internal/plainfs"
 	"stegfs/internal/vdisk"
 )
 
@@ -207,30 +206,11 @@ func Recover(dev vdisk.Device, rd io.Reader) (*FS, error) {
 			return nil, err
 		}
 	}
-	params := Params{
-		PctAbandoned:      sb.pctAband,
-		FreeMin:           int(sb.freeMin),
-		FreeMax:           int(sb.freeMax),
-		NDummy:            int(sb.nDummy),
-		DummyAvgSize:      int64(sb.dummyAvg),
-		MaxPlainFiles:     int(sb.maxPlain),
-		MaxHeaderProbes:   int(sb.headerProbe),
-		FreeProbeStop:     int(sb.freeStop),
-		DeterministicKeys: sb.flags&flagDeterministicKeys != 0,
-		Seed:              sb.seed,
-		FillVolume:        true,
-	}
 	al, err := alloc.New(bm, int64(sb.dataStart), 0, sb.seed+3)
 	if err != nil {
 		return nil, err
 	}
-	fs := &FS{dev: dev, alloc: al, sb: sb, params: params, objs: newLockTable(), sealers: newSealerCache()}
-	fs.plain, err = plainfs.NewEmbedded(dev, bm, int64(sb.inoStart), int64(sb.inoLen), int64(sb.dataStart), plainfs.Config{
-		Policy:   plainfs.Random,
-		MaxFiles: int(sb.maxPlain),
-		Seed:     sb.seed + 1,
-		Alloc:    al,
-	})
+	fs, err := newFS(dev, nil, nil, sb, sb.params(), bm, al)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package stegfs
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 
 	"stegfs/internal/vdisk"
@@ -348,5 +349,105 @@ func TestSyncWriteOrderDataBeforeMetadata(t *testing.T) {
 	}
 	if !metaSeen {
 		t.Fatal("Sync stream carried no superblock/bitmap write")
+	}
+}
+
+// syncStore records the order of its block writes and Syncs. A Sync is
+// logged as block -1.
+type syncStore struct {
+	vdisk.Store
+	mu  sync.Mutex
+	log []int64
+}
+
+func (s *syncStore) WriteBlock(n int64, buf []byte) error {
+	s.mu.Lock()
+	s.log = append(s.log, n)
+	s.mu.Unlock()
+	return s.Store.WriteBlock(n, buf)
+}
+
+func (s *syncStore) Sync() error {
+	s.mu.Lock()
+	s.log = append(s.log, -1)
+	s.mu.Unlock()
+	return nil
+}
+
+func (s *syncStore) take() []int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	log := s.log
+	s.log = nil
+	return log
+}
+
+// TestSyncBarrierReachesDevice: FS.Sync makes the data durable with a device
+// Sync before it writes the superblock, and ends with a Sync covering the
+// metadata writes — on cached and uncached mounts alike.
+func TestSyncBarrierReachesDevice(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"uncached", nil},
+		{"cached", []Option{WithCache(crashCacheCap), WithWriteBehind(crashWBehind)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mem, err := vdisk.NewMemStore(crashBlocks, crashBS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := &syncStore{Store: mem}
+			fs, err := Format(st, crashParams(), tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fs.Close()
+			view := fs.NewHiddenView("crash")
+			for i := 0; i < crashFiles; i++ {
+				if err := view.Create(fmt.Sprintf("f%d", i), crashPayload(i, 0xA0)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := fs.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			st.take()
+			for i := 0; i < crashFiles; i++ {
+				if err := view.Write(fmt.Sprintf("f%d", i), crashPayload(i, 0xB0)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := fs.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			log := st.take()
+			super, lastData := -1, -1
+			for i, b := range log {
+				if b == 0 && super < 0 {
+					super = i
+				}
+				if b >= fs.DataStart() {
+					lastData = i
+				}
+			}
+			if super < 0 || lastData < 0 {
+				t.Fatalf("no superblock or data write in %v", log)
+			}
+			if lastData > super {
+				t.Fatalf("data block written at %d after the superblock at %d: %v", lastData, super, log)
+			}
+			synced := false
+			for _, b := range log[lastData:super] {
+				synced = synced || b == -1
+			}
+			if !synced {
+				t.Fatalf("no Sync between the last data write (%d) and the superblock (%d): %v", lastData, super, log)
+			}
+			if log[len(log)-1] != -1 {
+				t.Fatalf("FS.Sync did not end with a device Sync: %v", log)
+			}
+		})
 	}
 }

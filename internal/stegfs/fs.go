@@ -334,13 +334,7 @@ func Format(dev vdisk.Device, params Params, opts ...Option) (_ *FS, retErr erro
 		}
 	}
 
-	fs := &FS{dev: dev, cache: cache, retry: mcfg.retry, alloc: al, sb: sb, params: params, objs: newLockTable(), sealers: newSealerCache()}
-	fs.plain, err = plainfs.NewEmbedded(dev, bm, inoStart, inoLen, dataStart, plainfs.Config{
-		Policy:   plainfs.Random,
-		MaxFiles: params.MaxPlainFiles,
-		Seed:     params.Seed + 1,
-		Alloc:    al,
-	})
+	fs, err := newFS(dev, cache, mcfg.retry, sb, params, bm, al)
 	if err != nil {
 		return nil, err
 	}
@@ -403,25 +397,18 @@ func Mount(dev vdisk.Device, opts ...Option) (_ *FS, retErr error) {
 	if err != nil {
 		return nil, err
 	}
-	params := Params{
-		PctAbandoned:      sb.pctAband,
-		FreeMin:           int(sb.freeMin),
-		FreeMax:           int(sb.freeMax),
-		NDummy:            int(sb.nDummy),
-		DummyAvgSize:      int64(sb.dummyAvg),
-		MaxPlainFiles:     int(sb.maxPlain),
-		MaxHeaderProbes:   int(sb.headerProbe),
-		FreeProbeStop:     int(sb.freeStop),
-		Seed:              sb.seed,
-		FillVolume:        true,
-		DeterministicKeys: sb.flags&flagDeterministicKeys != 0,
-	}
 	al, err := alloc.New(bm, int64(sb.dataStart), resolveAllocGroups(mcfg.allocGroups, dev.NumBlocks()-int64(sb.dataStart)), sb.seed+2)
 	if err != nil {
 		return nil, err
 	}
-	fs := &FS{dev: dev, cache: cache, retry: mcfg.retry, alloc: al, sb: sb, params: params, objs: newLockTable(), sealers: newSealerCache()}
-	fs.plain, err = plainfs.NewEmbedded(dev, bm, int64(sb.inoStart), int64(sb.inoLen), int64(sb.dataStart), plainfs.Config{
+	return newFS(dev, cache, mcfg.retry, sb, sb.params(), bm, al)
+}
+
+// newFS assembles a volume over its superblock, in-memory bitmap and
+// allocator: the FS itself and the embedded plain file system, whose
+// central directory it loads from the device.
+func newFS(dev vdisk.Device, cache *blockcache.Cache, retry *vdisk.RetryDevice, sb *superblock, params Params, bm *bitmapvec.Bitmap, al *alloc.Allocator) (*FS, error) {
+	plain, err := plainfs.NewEmbedded(dev, bm, int64(sb.inoStart), int64(sb.inoLen), int64(sb.dataStart), plainfs.Config{
 		Policy:   plainfs.Random,
 		MaxFiles: int(sb.maxPlain),
 		Seed:     sb.seed + 1,
@@ -430,19 +417,19 @@ func Mount(dev vdisk.Device, opts ...Option) (_ *FS, retErr error) {
 	if err != nil {
 		return nil, err
 	}
-	return fs, nil
+	return &FS{dev: dev, cache: cache, retry: retry, alloc: al, sb: sb, params: params, plain: plain, objs: newLockTable(), sealers: newSealerCache()}, nil
 }
 
-// Sync persists the superblock and the allocation bitmap. When the volume is
-// mounted through a cache, dirty data blocks are flushed to the device first
-// (so no metadata ever references data that has not reached the device) and
-// the metadata writes are flushed after, leaving the on-device image fully
-// consistent at return. The freeze gate drains every in-flight mutator
-// first — hidden-object operations hold it through their object locks and
-// plain-file mutators hold it around their calls — otherwise the bitmap
-// could be written while a rewrite has allocated blocks whose data has not
-// reached the cache yet, and the flushed image would pair fresh metadata
-// with stale data. The bitmap serialization itself additionally quiesces
+// Sync persists the superblock and the allocation bitmap. Dirty data blocks
+// are flushed out of any cache and made durable with a device Sync first
+// (so no metadata ever references data that has not reached stable
+// storage), and the metadata writes are flushed and synced after, leaving
+// the on-device image fully consistent and durable at return. The freeze
+// gate drains every in-flight mutator first — hidden-object operations hold
+// it through their object locks and plain-file mutators hold it around
+// their calls — otherwise the bitmap could be written while a rewrite has
+// allocated blocks whose data has not reached the cache yet, and the
+// flushed image would pair fresh metadata with stale data. The bitmap serialization itself additionally quiesces
 // every allocation group (alloc.MarshalBitmap), so even a mutator slipping
 // past the gate could never yield a torn bitmap image.
 func (fs *FS) Sync() error {
@@ -458,11 +445,10 @@ func (fs *FS) Sync() error {
 
 // lockcheck:holds volume/fsMu
 func (fs *FS) syncLocked() error {
-	if fs.cache != nil {
-		// Data blocks before the metadata that references them.
-		if err := fs.cache.Flush(); err != nil {
-			return err
-		}
+	// Data blocks reach stable storage before the metadata that references
+	// them is written.
+	if err := fs.barrier(); err != nil {
+		return err
 	}
 	buf := make([]byte, fs.dev.BlockSize())
 	if err := encodeSuper(fs.sb, buf); err != nil {
@@ -472,24 +458,22 @@ func (fs *FS) syncLocked() error {
 		return err
 	}
 	raw := fs.alloc.MarshalBitmap()
-	bs := fs.dev.BlockSize()
 	for i := int64(0); i < int64(fs.sb.bmLen); i++ {
-		for j := range buf {
-			buf[j] = 0
-		}
-		off := i * int64(bs)
-		if off < int64(len(raw)) {
-			copy(buf, raw[off:])
-		}
+		fsapi.FillBlock(buf, raw, int(i))
 		if err := fs.dev.WriteBlock(int64(fs.sb.bmStart)+i, buf); err != nil {
 			return err
 		}
 	}
-	if fs.cache != nil {
-		// Push the superblock/bitmap writes out too.
-		if err := fs.cache.Flush(); err != nil {
-			return err
-		}
+	// Then the superblock/bitmap writes themselves.
+	return fs.barrier()
+}
+
+// barrier makes every write issued so far durable through the device's
+// Sync, when it has one. On a cached mount fs.dev is the cache, whose Sync
+// flushes every dirty block before syncing the device below it.
+func (fs *FS) barrier() error {
+	if s, ok := fs.dev.(interface{ Sync() error }); ok {
+		return s.Sync()
 	}
 	return nil
 }

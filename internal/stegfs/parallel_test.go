@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"stegfs/internal/fsapi"
+	"stegfs/internal/ptree"
 )
 
 // TestParallelReadHiddenDistinctObjects: many goroutines read disjoint
@@ -278,16 +279,20 @@ func TestVectoredReadMatchesBlockwise(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("vectored read mismatch")
 	}
-	// Serial path: walk the cursor, reassembling one block per Step.
-	cur, err := view.ReadCursor("big")
+	// Serial path: walk the p-tree and open one sealed block at a time.
+	r, err := view.openShared("big")
 	if err != nil {
 		t.Fatal(err)
 	}
-	hc := cur.(*hiddenCursor)
+	defer fs.release(r)
+	blocks, err := ptree.Read(r.io(fs.dev), r.hdr.root, r.hdr.nblocks)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var serial []byte
 	buf := make([]byte, 512)
-	for _, b := range hc.blocks {
-		if err := hc.io.ReadBlock(b, buf); err != nil {
+	for _, b := range blocks {
+		if err := r.io(fs.dev).ReadBlock(b, buf); err != nil {
 			t.Fatal(err)
 		}
 		serial = append(serial, buf...)

@@ -44,6 +44,24 @@ type superblock struct {
 // from the seed (experiment volumes).
 const flagDeterministicKeys = 1 << 0
 
+// params returns the volume parameters the superblock records. FillVolume
+// only matters to Format, so it reads as its default, true.
+func (sb *superblock) params() Params {
+	return Params{
+		PctAbandoned:      sb.pctAband,
+		FreeMin:           int(sb.freeMin),
+		FreeMax:           int(sb.freeMax),
+		NDummy:            int(sb.nDummy),
+		DummyAvgSize:      int64(sb.dummyAvg),
+		MaxPlainFiles:     int(sb.maxPlain),
+		MaxHeaderProbes:   int(sb.headerProbe),
+		FreeProbeStop:     int(sb.freeStop),
+		Seed:              sb.seed,
+		FillVolume:        true,
+		DeterministicKeys: sb.flags&flagDeterministicKeys != 0,
+	}
+}
+
 // superblockLen is the serialized length; it must fit the smallest block.
 const superblockLen = 8 + 4 + 4 + 8*7 + 8 + 4 + 4 + 4 + 8 + 8 + 32 + 8 + 4 + 4 + 1
 

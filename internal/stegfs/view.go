@@ -1,7 +1,6 @@
 package stegfs
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -107,8 +106,7 @@ func (v *HiddenView) Create(name string, data []byte) error {
 	v.mu.Unlock()
 	var fak []byte
 	if v.fs.params.DeterministicKeys {
-		sig := sgcrypto.Signature("stegfs.view.fak\x00"+v.uid+"\x00"+name, v.fs.sb.volKey[:])
-		fak = sig[:]
+		fak = deriveViewFAK(v.fs.sb, v.uid, name)
 	} else {
 		var err error
 		if fak, err = sgcrypto.NewFAK(); err != nil {
@@ -131,8 +129,7 @@ func (v *HiddenView) Adopt(name string) error {
 	if !v.fs.params.DeterministicKeys {
 		return fmt.Errorf("stegfs: Adopt requires DeterministicKeys; use AdoptWithFAK")
 	}
-	sig := sgcrypto.Signature("stegfs.view.fak\x00"+v.uid+"\x00"+name, v.fs.sb.volKey[:])
-	return v.AdoptWithFAK(name, sig[:])
+	return v.AdoptWithFAK(name, deriveViewFAK(v.fs.sb, v.uid, name))
 }
 
 // AdoptWithFAK registers an existing hidden file under its file access key,
@@ -229,22 +226,12 @@ func (v *HiddenView) BlocksOf(name string) (data, all []int64, err error) {
 	return data, all, nil
 }
 
-// hiddenCursor steps a hidden-file read or write one data block per Step.
-// Every Step performs the device I/O plus the seal/open, as the real system
-// would ("data blocks ... are decrypted on-the-fly during retrieval", §4).
-// The cursor holds no locks between Steps; it belongs to one goroutine.
-type hiddenCursor struct {
-	fs     *FS
-	io     *encIO
-	blocks []int64
-	data   []byte // nil for reads
-	pos    int
-	buf    []byte
-}
-
-// ReadCursor implements fsapi.CursorFS. The header probe happens here, so
-// the cursor's steps are pure data-block I/O — matching the paper's model
-// where the header is located once at open time.
+// ReadCursor implements fsapi.CursorFS: each Step reads and opens one data
+// block, as the real system would ("data blocks ... are decrypted
+// on-the-fly during retrieval", §4). The header probe happens here, so the
+// steps are pure data-block I/O — matching the paper's model where the
+// header is located once at open time. The cursor holds no locks between
+// Steps; it belongs to one goroutine.
 func (v *HiddenView) ReadCursor(name string) (fsapi.Cursor, error) {
 	r, err := v.openShared(name)
 	if err != nil {
@@ -259,11 +246,14 @@ func (v *HiddenView) ReadCursor(name string) (fsapi.Cursor, error) {
 	// encIO rather than the ref's pooled one. The sealer itself is shared
 	// and concurrency-safe.
 	cio := &encIO{dev: v.fs.dev, sealer: r.sealer}
-	return &hiddenCursor{fs: v.fs, io: cio, blocks: blocks, buf: make([]byte, v.fs.dev.BlockSize())}, nil
+	buf := make([]byte, v.fs.dev.BlockSize())
+	return fsapi.NewCursor(len(blocks), func(i int) error {
+		return cio.ReadBlock(blocks[i], buf)
+	}), nil
 }
 
 // WriteCursor implements fsapi.CursorFS for an in-place like-shaped
-// overwrite.
+// overwrite: each Step seals and writes one data block.
 func (v *HiddenView) WriteCursor(name string, data []byte) (fsapi.Cursor, error) {
 	r, err := v.openExclusive(name)
 	if err != nil {
@@ -283,36 +273,11 @@ func (v *HiddenView) WriteCursor(name string, data []byte) (fsapi.Cursor, error)
 		return nil, err
 	}
 	cio := &encIO{dev: v.fs.dev, sealer: r.sealer}
-	return &hiddenCursor{fs: v.fs, io: cio, blocks: blocks, data: data, buf: make([]byte, v.fs.dev.BlockSize())}, nil
+	buf := make([]byte, bs)
+	return fsapi.NewCursor(len(blocks), func(i int) error {
+		fsapi.FillBlock(buf, data, i)
+		return cio.WriteBlock(blocks[i], buf)
+	}), nil
 }
-
-// Step performs the next block's sealed I/O.
-func (c *hiddenCursor) Step() (bool, error) {
-	if c.pos >= len(c.blocks) {
-		return true, errors.New("stegfs: Step past end of cursor")
-	}
-	b := c.blocks[c.pos]
-	if c.data == nil {
-		if err := c.io.ReadBlock(b, c.buf); err != nil {
-			return false, err
-		}
-	} else {
-		for j := range c.buf {
-			c.buf[j] = 0
-		}
-		off := c.pos * len(c.buf)
-		if off < len(c.data) {
-			copy(c.buf, c.data[off:])
-		}
-		if err := c.io.WriteBlock(b, c.buf); err != nil {
-			return false, err
-		}
-	}
-	c.pos++
-	return c.pos == len(c.blocks), nil
-}
-
-// Remaining returns the number of block steps left.
-func (c *hiddenCursor) Remaining() int { return len(c.blocks) - c.pos }
 
 var _ fsapi.CursorFS = (*HiddenView)(nil)

@@ -17,54 +17,82 @@ type LoadResult struct {
 // each file once regardless of replication.
 //
 // numBlocks and blockSize describe the volume; fileSize draws the next file
-// size in bytes; replication is the number of copies per block.
+// size in bytes; replication is the number of copies per block. k-fold
+// replication is dispersal with m = 1: every block is a group of k shares,
+// lost once none survives.
 func SimulateLoad(numBlocks int64, blockSize int, replication int, seed int64, fileSize func(*rand.Rand) int64) LoadResult {
+	return SimulateLoadIDA(numBlocks, blockSize, 1, replication, seed, fileSize)
+}
+
+// SimulateLoadIDA models the Mnemosyne variant of the random-addressing
+// scheme (Hand & Roscoe, IPTPS'02 — the paper's reference [10]): instead of
+// k full replicas, each file is dispersed with Rabin's IDA into n shares of
+// size 1/m of the file, any m of which reconstruct it. The storage overhead
+// is n/m (vs k for replication). It loads files one at a time, as
+// SimulateLoad does, until some file drops below a reconstruction quorum,
+// and reports the effective space utilization at that point; the E-IDA
+// extension experiment compares the two at equal overhead.
+//
+// Dispersal is at block-group granularity, as in Mnemosyne: every run of m
+// logical blocks becomes n share blocks written to fresh pseudorandom
+// addresses (storage overhead n/m, the same physical write count as
+// (n/m)-fold replication). A group survives while at least m of its n share
+// blocks are intact; a file is lost when any of its groups dies. Compared
+// with replication at equal overhead k = n/m, the group tolerates *any*
+// n-m losses, whereas replication fails as soon as the k copies of one
+// particular block are all hit.
+func SimulateLoadIDA(numBlocks int64, blockSize, m, n int, seed int64, fileSize func(*rand.Rand) int64) LoadResult {
+	if m <= 0 || n < m {
+		return LoadResult{}
+	}
 	rng := rand.New(rand.NewSource(seed))
 	type slot struct {
-		fileID int32
-		idx    int32
+		fileID  int32
+		groupID int32
 	}
 	owners := make(map[int64]slot, numBlocks/4)
-	// alive[fileID][idx] counts intact replicas.
-	var alive [][]int16
+	// groupAlive[fileID][groupID] counts intact share blocks of the group.
+	var groupAlive [][]int16
+
 	var bytesLoaded int64
 	filesLoaded := 0
-
 	for fileID := 0; ; fileID++ {
 		size := fileSize(rng)
-		n := (size + int64(blockSize) - 1) / int64(blockSize)
-		if n <= 0 {
-			n = 1
+		logical := (size + int64(blockSize) - 1) / int64(blockSize)
+		if logical <= 0 {
+			logical = 1
 		}
-		fa := make([]int16, n)
-		alive = append(alive, fa)
+		groups := int((logical + int64(m) - 1) / int64(m))
+		ga := make([]int16, groups)
+		groupAlive = append(groupAlive, ga)
 		lost := false
 
-		for idx := int64(0); idx < n && !lost; idx++ {
-			for r := 0; r < replication; r++ {
-				// One fresh pseudorandom address per (file, replica, idx).
-				// Drawing from the rng is statistically identical to the
-				// SHA-256 chain and an order of magnitude faster, which
-				// matters when sweeping 8 block sizes x 7 replication
-				// factors.
-				b := 1 + rng.Int63n(numBlocks-1)
-				if prev, ok := owners[b]; ok {
-					pa := alive[prev.fileID]
-					pa[prev.idx]--
-					if pa[prev.idx] == 0 {
+		for g := 0; g < groups && !lost; g++ {
+			for sh := 0; sh < n; sh++ {
+				// One fresh pseudorandom address per share. Drawing from
+				// the rng is statistically identical to the SHA-256 chain
+				// and an order of magnitude faster, which matters when
+				// sweeping 8 block sizes x 7 replication factors.
+				addr := 1 + rng.Int63n(numBlocks-1)
+				if prev, ok := owners[addr]; ok {
+					pa := groupAlive[prev.fileID]
+					pa[prev.groupID]--
+					if pa[prev.groupID] == int16(m)-1 {
+						// The victim group just dropped below quorum.
 						lost = true
 					}
 				}
-				owners[b] = slot{fileID: int32(fileID), idx: int32(idx)}
-				fa[idx]++
+				owners[addr] = slot{fileID: int32(fileID), groupID: int32(g)}
+				ga[g]++
 			}
-			if fa[idx] == 0 {
+			if ga[g] < int16(m) {
 				lost = true
 			}
 		}
 		if lost {
-			// This load destroyed the last replica of some block (its own or
-			// an earlier file's): the safe-recovery limit has been passed.
+			// This load destroyed the last quorum of some group (its own
+			// or an earlier file's): the safe-recovery limit has been
+			// passed.
 			break
 		}
 		filesLoaded++

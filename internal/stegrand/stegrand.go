@@ -170,19 +170,12 @@ func (fs *FS) Create(name string, data []byte) error {
 
 // writeAllReplicas writes every replica of every block of f.
 func (fs *FS) writeAllReplicas(f *fileState, data []byte) error {
-	bs := fs.dev.BlockSize()
-	buf := make([]byte, bs)
+	buf := make([]byte, fs.dev.BlockSize())
 	for i := range f.alive {
 		f.alive[i] = 0
 	}
 	for idx := int64(0); idx < f.nblocks; idx++ {
-		for j := range buf {
-			buf[j] = 0
-		}
-		off := idx * int64(bs)
-		if off < int64(len(data)) {
-			copy(buf, data[off:])
-		}
+		fsapi.FillBlock(buf, data, int(idx))
 		for r := 0; r < fs.cfg.Replication; r++ {
 			b := f.addrs[r][idx]
 			fs.claim(f, r, idx, b)
@@ -323,16 +316,11 @@ func (fs *FS) AnyCorrupt() bool {
 	return false
 }
 
-// readCursor hunts replicas block by block.
-type readCursor struct {
-	fs   *FS
-	f    *fileState
-	pos  int64
-	buf  []byte
-	lost int
-}
-
-// ReadCursor implements fsapi.CursorFS.
+// ReadCursor implements fsapi.CursorFS: each Step reads the next logical
+// block, hunting replicas as needed. Unlike the whole-file Read, a cursor
+// tolerates unrecoverable blocks: the reader has already paid the I/O for
+// every replica before discovering the loss, which is the cost the paper's
+// access-time experiments measure.
 func (fs *FS) ReadCursor(name string) (fsapi.Cursor, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -340,47 +328,23 @@ func (fs *FS) ReadCursor(name string) (fsapi.Cursor, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", fsapi.ErrNotFound, name)
 	}
-	return &readCursor{fs: fs, f: f, buf: make([]byte, fs.dev.BlockSize())}, nil
-}
-
-// Step reads the next logical block (hunting replicas as needed). Unlike
-// the whole-file Read, a cursor tolerates unrecoverable blocks: the reader
-// has already paid the I/O for every replica before discovering the loss,
-// which is the cost the paper's access-time experiments measure. Losses are
-// counted in Lost().
-func (c *readCursor) Step() (bool, error) {
-	if c.pos >= c.f.nblocks {
-		return true, errors.New("stegrand: Step past end of cursor")
-	}
-	c.fs.mu.Lock()
-	err := c.fs.readBlockHunting(c.f, c.pos, c.buf)
-	c.fs.mu.Unlock()
-	if err != nil {
-		if !errors.Is(err, fsapi.ErrCorrupt) {
-			return false, err
+	buf := make([]byte, fs.dev.BlockSize())
+	return fsapi.NewCursor(int(f.nblocks), func(i int) error {
+		fs.mu.Lock()
+		defer fs.mu.Unlock()
+		if err := fs.checkCursor(f, i); err != nil {
+			return err
 		}
-		c.lost++
-	}
-	c.pos++
-	return c.pos == c.f.nblocks, nil
+		err := fs.readBlockHunting(f, int64(i), buf)
+		if errors.Is(err, fsapi.ErrCorrupt) {
+			return nil // a lost block: every replica was read, nothing intact
+		}
+		return err
+	}), nil
 }
 
-// Lost returns how many unrecoverable blocks the cursor encountered.
-func (c *readCursor) Lost() int { return c.lost }
-
-// Remaining returns the logical blocks left.
-func (c *readCursor) Remaining() int { return int(c.f.nblocks - c.pos) }
-
-// writeCursor rewrites all replicas block by block.
-type writeCursor struct {
-	fs   *FS
-	f    *fileState
-	data []byte
-	pos  int64
-	buf  []byte
-}
-
-// WriteCursor implements fsapi.CursorFS (same-shape overwrite).
+// WriteCursor implements fsapi.CursorFS (same-shape overwrite): each Step
+// rewrites all replicas of the next logical block.
 func (fs *FS) WriteCursor(name string, data []byte) (fsapi.Cursor, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -393,37 +357,32 @@ func (fs *FS) WriteCursor(name string, data []byte) (fsapi.Cursor, error) {
 		return nil, fmt.Errorf("stegrand: write cursor size mismatch")
 	}
 	f.size = int64(len(data))
-	return &writeCursor{fs: fs, f: f, data: data, buf: make([]byte, fs.dev.BlockSize())}, nil
-}
-
-// Step writes all replicas of the next logical block.
-func (c *writeCursor) Step() (bool, error) {
-	if c.pos >= c.f.nblocks {
-		return true, errors.New("stegrand: Step past end of cursor")
-	}
-	bs := len(c.buf)
-	for j := range c.buf {
-		c.buf[j] = 0
-	}
-	off := c.pos * int64(bs)
-	if off < int64(len(c.data)) {
-		copy(c.buf, c.data[off:])
-	}
-	c.fs.mu.Lock()
-	for r := 0; r < c.fs.cfg.Replication; r++ {
-		b := c.f.addrs[r][c.pos]
-		c.fs.claim(c.f, r, c.pos, b)
-		if err := c.fs.dev.WriteBlock(b, c.buf); err != nil {
-			c.fs.mu.Unlock()
-			return false, err
+	buf := make([]byte, bs)
+	return fsapi.NewCursor(int(f.nblocks), func(i int) error {
+		fsapi.FillBlock(buf, data, i)
+		fs.mu.Lock()
+		defer fs.mu.Unlock()
+		if err := fs.checkCursor(f, i); err != nil {
+			return err
 		}
-	}
-	c.fs.mu.Unlock()
-	c.pos++
-	return c.pos == c.f.nblocks, nil
+		for r := 0; r < fs.cfg.Replication; r++ {
+			b := f.addrs[r][i]
+			fs.claim(f, r, int64(i), b)
+			if err := fs.dev.WriteBlock(b, buf); err != nil {
+				return err
+			}
+		}
+		return nil
+	}), nil
 }
 
-// Remaining returns the logical blocks left.
-func (c *writeCursor) Remaining() int { return int(c.f.nblocks - c.pos) }
+// checkCursor reports whether block i of f still exists: a whole-file Write
+// between two Steps may have shortened f. Caller holds fs.mu.
+func (fs *FS) checkCursor(f *fileState, i int) error {
+	if int64(i) >= f.nblocks {
+		return fmt.Errorf("stegrand: %q shortened to %d blocks under its cursor", f.name, f.nblocks)
+	}
+	return nil
+}
 
 var _ fsapi.CursorFS = (*FS)(nil)

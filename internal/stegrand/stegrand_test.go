@@ -112,6 +112,37 @@ func TestCorruptReadReturnsErrCorrupt(t *testing.T) {
 	if _, err := fs.Read("a"); !errors.Is(err, fsapi.ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt, got %v", err)
 	}
+	// A cursor pays for the lost block's replicas and carries on.
+	cur, err := fs.ReadCursor("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if steps, err := fsapi.Drain(cur); err != nil || steps != 30 {
+		t.Fatalf("ReadCursor over a corrupt file: %d steps, err %v; want 30, nil", steps, err)
+	}
+}
+
+func TestCursorOverShortenedFile(t *testing.T) {
+	fs, _ := newTestFS(t, 128, 512, 2)
+	if err := fs.Create("a", mk(512*4, 1)); err != nil {
+		t.Fatal(err)
+	}
+	rc, err := fs.ReadCursor("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc, err := fs.WriteCursor("a", mk(512*4, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Write("a", mk(512, 3)); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []fsapi.Cursor{rc, wc} {
+		if steps, err := fsapi.Drain(c); err == nil || steps != 1 {
+			t.Fatalf("cursor over a shortened file: %d steps, err %v; want 1 step, then an error", steps, err)
+		}
+	}
 }
 
 func TestReplicationSavesData(t *testing.T) {

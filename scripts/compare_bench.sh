@@ -14,6 +14,9 @@
 #   go run ./cmd/stegbench -exp ablate-stegdb       -scale small -json BENCH_seed.json
 #   go run ./cmd/stegbench -exp ablate-stegdb-write -scale small -json BENCH_seed.json
 #   go run ./cmd/stegbench -exp speed              -scale small -json BENCH_seed.json
+#   for exp in space fig6 fig7 fig8 fig9 ida; do
+#     go run ./cmd/stegbench -exp "$exp" -scale small -json BENCH_seed.json
+#   done
 set -euo pipefail
 
 if [ "$#" -ne 2 ]; then
