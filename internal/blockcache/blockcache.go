@@ -52,7 +52,9 @@
 package blockcache
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -164,7 +166,7 @@ type Cache struct {
 	// lockcheck:guardedby mu
 	inflight map[int64]*fetch // miss fetches in progress (see ReadBlocks)
 	// lockcheck:guardedby mu
-	dirty int // resident dirty blocks (staged ones included)
+	dirty map[int64]*entry // every resident dirty entry, staged ones included
 	// lockcheck:guardedby mu
 	staged int // dirty blocks currently flush-in-flight
 	// lockcheck:guardedby mu
@@ -226,6 +228,7 @@ func NewWithOptions(dev vdisk.Device, o Options) (*Cache, error) {
 		policy:    pol,
 		entries:   make(map[int64]*entry, o.Capacity),
 		inflight:  make(map[int64]*fetch),
+		dirty:     make(map[int64]*entry),
 	}
 	c.bgWake = sync.NewCond(&c.mu)
 	c.flushDone = sync.NewCond(&c.mu)
@@ -254,7 +257,7 @@ func (c *Cache) Stats() Stats {
 func (c *Cache) Dirty() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.dirty
+	return len(c.dirty)
 }
 
 // FlushInFlight returns the number of blocks currently staged in the flush
@@ -291,7 +294,7 @@ func (c *Cache) writeLocked(n int64, buf []byte) {
 		e.gen++
 		if !e.dirty {
 			e.dirty = true
-			c.dirty++
+			c.dirty[n] = e
 		}
 		c.policy.Touch(n)
 	} else {
@@ -305,18 +308,18 @@ func (c *Cache) writeLocked(n int64, buf []byte) {
 // stopped, deferred writes wait for the next barrier. Caller holds c.mu.
 // lockcheck:holds volume/cacheMu
 func (c *Cache) afterWriteLocked() {
-	if c.highWater <= 0 || c.dirty <= c.highWater || c.closed {
+	if c.highWater <= 0 || len(c.dirty) <= c.highWater || c.closed {
 		return
 	}
 	c.bgWake.Signal()
-	if c.dirty < 2*c.highWater {
+	if len(c.dirty) < 2*c.highWater {
 		return
 	}
 	// Hard cap: the pipeline is more than a full mark behind. Wait for it
 	// rather than growing the backlog without bound. A sticky error pauses
 	// the pipeline until the next barrier, so don't wait on it then.
 	c.stats.FlushStalls++
-	for c.dirty >= 2*c.highWater && c.wbErr == nil && !c.closed {
+	for len(c.dirty) >= 2*c.highWater && c.wbErr == nil && !c.closed {
 		c.flushDone.Wait()
 	}
 }
@@ -483,7 +486,7 @@ func (c *Cache) insertLocked(n int64, buf []byte, dirty bool) {
 	e := &entry{block: n, data: append(make([]byte, 0, len(buf)), buf...), dirty: dirty}
 	c.entries[n] = e
 	if dirty {
-		c.dirty++
+		c.dirty[n] = e
 	}
 	c.policy.Insert(n)
 	for len(c.entries) > c.cap {
@@ -532,7 +535,7 @@ func (c *Cache) evictLocked() bool {
 		}
 		c.stats.WriteBacks++
 		victim.dirty = false
-		c.dirty--
+		delete(c.dirty, n)
 	}
 	c.policy.Remove(n)
 	delete(c.entries, n)
@@ -541,7 +544,8 @@ func (c *Cache) evictLocked() bool {
 }
 
 // dirtyRunLocked returns up to limit unstaged dirty entries (limit <= 0
-// means all, in ascending block order — the barrier path).
+// means all, in ascending block order — the barrier path). It reads the
+// dirty index, so its cost follows the dirty set, not the resident set.
 //
 // When the limit truncates the backlog, selection is an elevator (C-SCAN):
 // the run starts at the first dirty block at or above the sweep cursor left
@@ -559,13 +563,13 @@ func (c *Cache) evictLocked() bool {
 // next run resumes mid-stroke, not at zero.
 // lockcheck:holds volume/cacheMu
 func (c *Cache) dirtyRunLocked(limit int) []*entry {
-	run := make([]*entry, 0, c.dirty-c.staged)
-	for _, e := range c.entries {
-		if e.dirty && !e.flushing {
+	run := make([]*entry, 0, len(c.dirty)-c.staged)
+	for _, e := range c.dirty {
+		if !e.flushing {
 			run = append(run, e)
 		}
 	}
-	sort.Slice(run, func(i, j int) bool { return run[i].block < run[j].block })
+	slices.SortFunc(run, byBlock)
 	if limit <= 0 || len(run) <= limit {
 		return run
 	}
@@ -580,12 +584,14 @@ func (c *Cache) dirtyRunLocked(limit int) []*entry {
 		wrapped := run[:min(rem, start)] // C-SCAN return stroke
 		c.sweep = wrapped[len(wrapped)-1].block + 1
 		picked = append(picked, wrapped...)
-		sort.Slice(picked, func(i, j int) bool { return picked[i].block < picked[j].block })
+		slices.SortFunc(picked, byBlock)
 	} else {
 		c.sweep = picked[len(picked)-1].block + 1
 	}
 	return picked
 }
+
+func byBlock(a, b *entry) int { return cmp.Compare(a.block, b.block) }
 
 // minWorkerRun is the smallest backlog share worth waking another flusher
 // for — below this, one worker's sorted run beats the extra submissions.
@@ -603,7 +609,7 @@ func (c *Cache) flushRunLocked(lowTarget, runCap int, background bool) error {
 		limit = runCap
 	}
 	if lowTarget > 0 {
-		want := c.dirty - lowTarget
+		want := len(c.dirty) - lowTarget
 		if want <= 0 {
 			return nil
 		}
@@ -657,7 +663,7 @@ func (c *Cache) flushEntriesLocked(run []*entry, background bool) error {
 		e.flushing = false
 		if err == nil && e.dirty && e.gen == gens[i] {
 			e.dirty = false
-			c.dirty--
+			delete(c.dirty, n)
 		}
 	}
 	c.staged -= len(run)
@@ -685,12 +691,12 @@ func (c *Cache) flushEntriesLocked(run []*entry, background bool) error {
 // re-arms).
 // lockcheck:holds volume/cacheMu
 func (c *Cache) flushNeededLocked() bool {
-	if c.wbErr != nil || c.highWater <= 0 || c.dirty-c.staged <= 0 {
+	if c.wbErr != nil || c.highWater <= 0 || len(c.dirty)-c.staged <= 0 {
 		return false
 	}
-	if c.dirty > c.highWater {
+	if len(c.dirty) > c.highWater {
 		c.draining = true
-	} else if c.dirty <= c.highWater/2 {
+	} else if len(c.dirty) <= c.highWater/2 {
 		c.draining = false
 	}
 	return c.draining
@@ -718,7 +724,7 @@ func (c *Cache) flusher() {
 		// serialized mega-run.
 		low := c.highWater / 2
 		runCap := 0
-		if want := c.dirty - low; c.workers > 1 && want > minWorkerRun {
+		if want := len(c.dirty) - low; c.workers > 1 && want > minWorkerRun {
 			runCap = (want + c.workers - 1) / c.workers
 			if runCap < minWorkerRun {
 				runCap = minWorkerRun
@@ -850,7 +856,7 @@ func (c *Cache) Invalidate() error {
 		if err := c.drainLocked(); err != nil {
 			return err
 		}
-		if c.dirty == 0 {
+		if len(c.dirty) == 0 {
 			break
 		}
 	}

@@ -326,9 +326,11 @@ func TestInvalidate(t *testing.T) {
 	if err := c.WriteBlock(2, blockPayload(32, 2)); err != nil {
 		t.Fatal(err)
 	}
+	checkDirtyIndex(t, c)
 	if err := c.Invalidate(); err != nil {
 		t.Fatal(err)
 	}
+	checkDirtyIndex(t, c)
 	buf := make([]byte, 32)
 	pre := c.Stats()
 	if err := c.ReadBlock(2, buf); err != nil {
@@ -482,4 +484,41 @@ func TestElevatorSweepCursor(t *testing.T) {
 	// An untruncated run (the barrier path) is the whole backlog ascending,
 	// regardless of where the sweep cursor sits.
 	want("barrier run", blocksOf(c.dirtyRunLocked(0)), 0, 100)
+}
+
+// BenchmarkSyncOneDirty measures one barrier over a full cache holding a
+// single dirty block: fill the cache with clean blocks, then each iteration
+// writes one resident block and Syncs. The cost should follow the dirty set
+// (one block), not the resident set. Wall clock only; not gated.
+func BenchmarkSyncOneDirty(b *testing.B) {
+	const bs = 1024
+	for _, resident := range []int{1024, 16384} {
+		b.Run(fmt.Sprintf("resident=%d", resident), func(b *testing.B) {
+			store, err := vdisk.NewMemStore(int64(resident), bs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			c, err := NewWithOptions(store, Options{Capacity: resident})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			buf := make([]byte, bs)
+			for n := int64(0); n < int64(resident); n++ {
+				if err := c.ReadBlock(n, buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			n := int64(0)
+			for b.Loop() {
+				if err := c.WriteBlock(n, buf); err != nil {
+					b.Fatal(err)
+				}
+				if err := c.Sync(); err != nil {
+					b.Fatal(err)
+				}
+				n = (n + 1) % int64(resident)
+			}
+		})
+	}
 }

@@ -99,6 +99,7 @@ func TestPipelineResumeAfterEvictionFault(t *testing.T) {
 	if d := c.Dirty(); d != 6 {
 		t.Fatalf("dirty = %d, want all 6 retained across failed evictions", d)
 	}
+	checkDirtyIndex(t, c)
 	fs.Disarm()
 	if err := c.Flush(); !errors.Is(err, vdisk.ErrTransient) {
 		t.Fatalf("Flush = %v, want sticky transient fault", err)
@@ -106,6 +107,7 @@ func TestPipelineResumeAfterEvictionFault(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatalf("second Flush = %v, want nil", err)
 	}
+	checkDirtyIndex(t, c)
 	buf := make([]byte, 32)
 	for n := int64(0); n < 6; n++ {
 		if err := mem.ReadBlock(n, buf); err != nil {
@@ -125,6 +127,7 @@ func TestPipelineResumeAfterEvictionFault(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatalf("post-recovery Flush = %v", err)
 	}
+	checkDirtyIndex(t, c)
 	for n := int64(20); n < 26; n++ {
 		if err := mem.ReadBlock(n, buf); err != nil {
 			t.Fatal(err)

@@ -25,6 +25,36 @@ func waitUntil(t *testing.T, cond func() bool) {
 	}
 }
 
+// checkDirtyIndex asserts the dirty index holds exactly the resident entries
+// whose dirty flag is set, and that Dirty reports its size. Call it only
+// where no flush is in flight.
+func checkDirtyIndex(t *testing.T, c *Cache) {
+	t.Helper()
+	c.mu.Lock()
+	want := 0
+	for n, e := range c.entries {
+		if !e.dirty {
+			continue
+		}
+		want++
+		if c.dirty[n] != e {
+			t.Errorf("dirty block %d missing from the dirty index", n)
+		}
+	}
+	for n, e := range c.dirty {
+		if c.entries[n] != e || !e.dirty {
+			t.Errorf("dirty index holds block %d, which is not a resident dirty entry", n)
+		}
+	}
+	if len(c.dirty) != want {
+		t.Errorf("dirty index has %d entries, want %d", len(c.dirty), want)
+	}
+	c.mu.Unlock()
+	if d := c.Dirty(); d != want {
+		t.Errorf("Dirty() = %d, want %d", d, want)
+	}
+}
+
 // pipeDev is a BatchDevice test double for the flush pipeline: it records
 // every batch submission, can park batch writes on a gate, and can fail
 // them. Per-block writes (evictions) pass straight through.
@@ -188,12 +218,14 @@ func TestPipelineWriteWins(t *testing.T) {
 
 	// The completed run must NOT have marked block 10 clean.
 	waitUntil(t, func() bool { return c.FlushInFlight() == 0 })
+	checkDirtyIndex(t, c)
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if d := c.Dirty(); d != 0 {
 		t.Fatalf("dirty after barrier = %d, want 0", d)
 	}
+	checkDirtyIndex(t, c)
 	if err := dev.MemStore.ReadBlock(10, buf); err != nil {
 		t.Fatal(err)
 	}
@@ -227,6 +259,7 @@ func TestPipelineStickyAsyncError(t *testing.T) {
 	if got := len(dev.batchSizes()); got != attempts {
 		t.Fatalf("pipeline kept retrying a failing device: %d -> %d attempts", attempts, got)
 	}
+	checkDirtyIndex(t, c) // the failed run left its blocks dirty and indexed
 	dev.mu.Lock()
 	dev.writeErr = nil
 	dev.mu.Unlock()
@@ -236,6 +269,7 @@ func TestPipelineStickyAsyncError(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatalf("second barrier = %v, want nil", err)
 	}
+	checkDirtyIndex(t, c)
 	buf := make([]byte, 32)
 	for n := int64(0); n < 8; n++ {
 		if err := dev.MemStore.ReadBlock(n, buf); err != nil {
@@ -399,6 +433,10 @@ func TestPipelineConcurrentStress(t *testing.T) {
 			}
 			if err := c.Close(); err != nil {
 				t.Fatal(err)
+			}
+			checkDirtyIndex(t, c)
+			if d := c.Dirty(); d != 0 {
+				t.Fatalf("dirty after the final barrier = %d, want 0", d)
 			}
 			img := dev.Snapshot()
 			for n := int64(0); n < writers*perWorker; n++ {

@@ -371,6 +371,7 @@ func TestFailedWriteBackStillEvictsCleanBlocks(t *testing.T) {
 			if got := c.Stats().Evictions; got < 3 {
 				t.Fatalf("evictions = %d, want >= 3 (clean blocks must still evict)", got)
 			}
+			checkDirtyIndex(t, c)
 			dev.writeErr = nil
 			if err := c.Flush(); err != nil {
 				// The sticky error may or may not have been recorded depending
@@ -380,6 +381,7 @@ func TestFailedWriteBackStillEvictsCleanBlocks(t *testing.T) {
 					t.Fatalf("second Flush = %v, want nil", err2)
 				}
 			}
+			checkDirtyIndex(t, c)
 			for n := int64(10); n < 13; n++ {
 				if err := dev.MemStore.ReadBlock(n, buf); err != nil {
 					t.Fatal(err)

@@ -126,6 +126,7 @@ func verifyAgainst(t *testing.T, tab *PartitionedTable, ref map[string]string) {
 	if err := tab.Check(); err != nil {
 		t.Fatal(err)
 	}
+	checkPageDirtyIndex(t, tab)
 }
 
 // sweepReadFaults runs op repeatedly, injecting a read fault at call
@@ -225,10 +226,12 @@ func TestStegDBFaultSyncRetry(t *testing.T) {
 	if err := tab.Sync(); !errors.Is(err, errInjected) {
 		t.Fatalf("Sync with write fault = %v, want injected error", err)
 	}
+	checkPageDirtyIndex(t, tab)
 	ev.arm("", 0)
 	if err := tab.Sync(); err != nil {
 		t.Fatalf("retried Sync: %v", err)
 	}
+	checkPageDirtyIndex(t, tab)
 	if err := tab.InvalidatePageCache(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 package stegdb
 
 import (
+	"cmp"
 	"container/list"
+	"slices"
 	"sync"
 )
 
@@ -44,6 +46,8 @@ type pageCache struct {
 	entries map[int64]*pageEntry
 	// lockcheck:guardedby mu
 	lru *list.List // front = most recently used; holds *pageEntry
+	// lockcheck:guardedby mu
+	dirty map[int64]*pageEntry // every frame with dirty set
 }
 
 func newPageCache(capacity int) *pageCache {
@@ -54,6 +58,7 @@ func newPageCache(capacity int) *pageCache {
 		cap:     capacity,
 		entries: make(map[int64]*pageEntry),
 		lru:     list.New(),
+		dirty:   make(map[int64]*pageEntry),
 	}
 }
 
@@ -127,6 +132,7 @@ func (c *pageCache) markDirty(e *pageEntry) (wasDirty bool) {
 	wasDirty = e.dirty
 	e.dirty = true
 	e.gen++
+	c.dirty[e.id] = e
 	c.mu.Unlock()
 	return wasDirty
 }
@@ -138,6 +144,7 @@ func (c *pageCache) markDirty(e *pageEntry) (wasDirty bool) {
 func (c *pageCache) unmarkDirty(e *pageEntry) {
 	c.mu.Lock()
 	e.dirty = false
+	delete(c.dirty, e.id)
 	c.mu.Unlock()
 }
 
@@ -155,34 +162,24 @@ func (c *pageCache) clearDirty(e *pageEntry, g uint64) {
 	c.mu.Lock()
 	if e.gen == g {
 		e.dirty = false
+		delete(c.dirty, e.id)
 	}
 	c.mu.Unlock()
 }
 
 // dirtyEntries returns every dirty frame, pinned and sorted by page id.
-// The caller flushes them and unpins.
+// It reads the dirty index, so a commit's cut costs O(dirty), not
+// O(resident). The caller flushes them and unpins.
 func (c *pageCache) dirtyEntries() []*pageEntry {
 	c.mu.Lock()
-	var out []*pageEntry
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*pageEntry)
-		if e.dirty {
-			e.refs++
-			out = append(out, e)
-		}
+	out := make([]*pageEntry, 0, len(c.dirty))
+	for _, e := range c.dirty {
+		e.refs++
+		out = append(out, e)
 	}
 	c.mu.Unlock()
-	sortEntriesByID(out)
+	slices.SortFunc(out, func(a, b *pageEntry) int { return cmp.Compare(a.id, b.id) })
 	return out
-}
-
-func sortEntriesByID(es []*pageEntry) {
-	// Insertion sort: dirty sets are small and usually nearly ordered.
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0 && es[j-1].id > es[j].id; j-- {
-			es[j-1], es[j] = es[j], es[j-1]
-		}
-	}
 }
 
 // dropClean removes every clean, unpinned frame (cache invalidation for

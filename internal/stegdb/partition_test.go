@@ -285,6 +285,7 @@ func TestStegDBPartitionedGroupCommit(t *testing.T) {
 	if err := pt.Sync(); err != nil {
 		t.Fatal(err)
 	}
+	checkPageDirtyIndex(t, pt)
 	fs2, err := stegfs.Mount(store)
 	if err != nil {
 		t.Fatal(err)
@@ -388,6 +389,11 @@ func TestStegDBSnapshotUnderSplitStress(t *testing.T) {
 	if err := tab.Check(); err != nil {
 		t.Fatal(err)
 	}
+	checkPageDirtyIndex(t, tab)
+	if err := tab.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	checkPageDirtyIndex(t, tab)
 }
 
 // TestBTreeParallelWritersDisjoint: concurrent Put/Delete across disjoint

@@ -14,7 +14,7 @@
 #   go run ./cmd/stegbench -exp ablate-stegdb       -scale small -json BENCH_seed.json
 #   go run ./cmd/stegbench -exp ablate-stegdb-write -scale small -json BENCH_seed.json
 #   go run ./cmd/stegbench -exp speed              -scale small -json BENCH_seed.json
-#   for exp in space fig6 fig7 fig8 fig9 ida; do
+#   for exp in space fig6 fig7 fig8 fig9 ida ablate-abandoned ablate-pool ablate-dummy; do
 #     go run ./cmd/stegbench -exp "$exp" -scale small -json BENCH_seed.json
 #   done
 set -euo pipefail
