@@ -1,11 +1,13 @@
 package bench
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"time"
 
 	"stegfs/internal/sgcrypto"
+	"stegfs/internal/stegdb"
 	"stegfs/internal/stegfs"
 	"stegfs/internal/vdisk"
 )
@@ -145,6 +147,52 @@ func SpeedSuite(cfg Config, budget time.Duration) ([]SpeedRow, error) {
 	add(speedMeasure("cached-writeat-16k", len(wbuf), budget, func() {
 		_, _ = v.WriteAt("f", wbuf, 0)
 	}))
+
+	// A 4 KiB WriteAt at the end of a 2 MiB hidden file: at 1 KiB blocks
+	// the span lies deep in the double-indirect region, so the row times
+	// mapping just the span rather than the whole pointer tree.
+	if err := v.Create("big", make([]byte, 2<<20)); err != nil {
+		return nil, err
+	}
+	w4k := make([]byte, 4096)
+	add(speedMeasure("cached-writeat-4k-2m", len(w4k), budget, func() {
+		_, _ = v.WriteAt("big", w4k, 2<<20-int64(len(w4k)))
+	}))
+
+	// stegdb reads over a cache-resident table shaped like perfbench's
+	// stegdb-oltp: 8 partitions with a hash index, 8-byte keys and 100-byte
+	// values. Get and Range walk pages in place, so they allocate only the
+	// returned value and per-partition snapshot state.
+	tab, err := stegdb.CreatePartitionedTable(v, "speed.db", 8, true, 256)
+	if err != nil {
+		return nil, err
+	}
+	const dbRows = 2000
+	val := make([]byte, 100)
+	for i := uint64(0); i < dbRows; i++ {
+		if err := tab.Put(binary.BigEndian.AppendUint64(nil, i), val); err != nil {
+			return nil, err
+		}
+	}
+	if err := tab.Sync(); err != nil {
+		return nil, err
+	}
+	key, hi := make([]byte, 8), make([]byte, 8)
+	var next uint64
+	add(speedMeasure("stegdb-get", len(val), budget, func() {
+		next = (next + 7919) % dbRows
+		binary.BigEndian.PutUint64(key, next)
+		_, _, _ = tab.Get(key)
+	}))
+	add(speedMeasure("stegdb-range-50", 50*len(val), budget, func() {
+		next = (next + 7919) % (dbRows - 50)
+		binary.BigEndian.PutUint64(key, next)
+		binary.BigEndian.PutUint64(hi, next+50)
+		_ = tab.Range(key, hi, func(k, v []byte) bool { return true })
+	}))
+	if err := tab.Close(); err != nil {
+		return nil, err
+	}
 	if err := v.Close(); err != nil {
 		return nil, err
 	}
@@ -153,13 +201,13 @@ func SpeedSuite(cfg Config, budget time.Duration) ([]SpeedRow, error) {
 
 // FormatSpeedRows renders the table body for cmd/stegbench.
 func FormatSpeedRows(rows []SpeedRow) []string {
-	out := []string{fmt.Sprintf("  %-18s %8s %12s %10s %10s", "op", "bytes", "ns/op", "MB/s", "allocs/op")}
+	out := []string{fmt.Sprintf("  %-20s %8s %12s %10s %10s", "op", "bytes", "ns/op", "MB/s", "allocs/op")}
 	for _, r := range rows {
 		mbps := "-"
 		if r.MBps > 0 {
 			mbps = fmt.Sprintf("%.1f", r.MBps)
 		}
-		out = append(out, fmt.Sprintf("  %-18s %8d %12.0f %10s %10.1f",
+		out = append(out, fmt.Sprintf("  %-20s %8d %12.0f %10s %10.1f",
 			r.Op, r.Bytes, r.NsPerOp, mbps, r.AllocsPerOp))
 	}
 	return out

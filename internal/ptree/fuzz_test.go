@@ -27,7 +27,7 @@ func FuzzParsePtrs(f *testing.F) {
 		// parsePtrs is only ever handed a whole block.
 		io := newMemIO(len(data) &^ 7)
 		buf := data[:io.BlockSize()]
-		got := parsePtrs(io, buf, maxPtrs, nil)
+		got := parsePtrs(buf, maxPtrs, nil)
 
 		limit := min(maxPtrs, ptrsPerBlock(io))
 		if int64(len(got)) > max(limit, 0) {
@@ -49,7 +49,7 @@ func FuzzParsePtrs(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		again, err := readPtrBlock(io, b, maxPtrs, nil)
+		again, err := readPtrBlock(io, b, 0, maxPtrs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

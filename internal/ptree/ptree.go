@@ -169,38 +169,48 @@ func writePtrBlock(io BlockIO, alloc AllocFunc, ptrs []int64) (int64, error) {
 	return b, nil
 }
 
-// ptrBufPool recycles the scratch block buffers pointer-block reads decode
-// from, so traversing a tree allocates nothing once warm.
-var ptrBufPool sync.Pool
-
-func getPtrBuf(bs int) *[]byte {
-	if p, _ := ptrBufPool.Get().(*[]byte); p != nil && cap(*p) >= bs {
-		*p = (*p)[:bs]
-		return p
-	}
-	b := make([]byte, bs)
-	return &b
+// ptrScratch is the staging a pointer-tree read works in: raw holds the
+// pointer blocks, bufs views it one block each, and ns lists the L1 blocks
+// a double-indirect read fetches.
+type ptrScratch struct {
+	raw  []byte
+	bufs [][]byte
+	ns   []int64
 }
 
-// readPtrBlock reads up to max pointers from a pointer block, stopping at
-// the first NilBlock, appending them to dst.
-func readPtrBlock(io BlockIO, b int64, max int64, dst []int64) ([]int64, error) {
-	p := getPtrBuf(io.BlockSize())
-	defer ptrBufPool.Put(p)
-	if err := io.ReadBlock(b, *p); err != nil {
+// ptrBufPool recycles ptrScratch values, so traversing a tree allocates
+// nothing once warm.
+var ptrBufPool = sync.Pool{New: func() any { return new(ptrScratch) }}
+
+// views sizes raw to n blocks of bs bytes and returns one view per block.
+func (s *ptrScratch) views(n, bs int) [][]byte {
+	if cap(s.raw) < n*bs {
+		s.raw = make([]byte, n*bs)
+	}
+	s.bufs = s.bufs[:0]
+	for i := 0; i < n; i++ {
+		s.bufs = append(s.bufs, s.raw[i*bs:(i+1)*bs])
+	}
+	return s.bufs
+}
+
+// readPtrBlock appends pointers [from, to) of pointer block b to dst,
+// stopping at the first NilBlock.
+func readPtrBlock(io BlockIO, b, from, to int64, dst []int64) ([]int64, error) {
+	s := ptrBufPool.Get().(*ptrScratch)
+	defer ptrBufPool.Put(s)
+	buf := s.views(1, io.BlockSize())[0]
+	if err := io.ReadBlock(b, buf); err != nil {
 		return dst, err
 	}
-	return parsePtrs(io, *p, max, dst), nil
+	from = min(max(from, 0), int64(len(buf)/8))
+	return parsePtrs(buf[from*8:], to-from, dst), nil
 }
 
-// parsePtrs decodes up to max pointers from a raw pointer block, stopping at
+// parsePtrs decodes up to max pointers from the start of buf, stopping at
 // the first NilBlock, appending them to dst.
-func parsePtrs(io BlockIO, buf []byte, max int64, dst []int64) []int64 {
-	ppb := ptrsPerBlock(io)
-	if max > ppb {
-		max = ppb
-	}
-	for i := int64(0); i < max; i++ {
+func parsePtrs(buf []byte, max int64, dst []int64) []int64 {
+	for i := int64(0); i < max && i < int64(len(buf)/8); i++ {
 		p := int64(binary.BigEndian.Uint64(buf[i*8:]))
 		if p == NilBlock {
 			break
@@ -213,70 +223,80 @@ func parsePtrs(io BlockIO, buf []byte, max int64, dst []int64) []int64 {
 // Read returns the data-block list of a file with nBlocks blocks stored
 // under root.
 func Read(io BlockIO, root Root, nBlocks int64) ([]int64, error) {
-	return ReadInto(io, root, nBlocks, nil)
+	return ReadInto(io, root, nBlocks, 0, nBlocks, nil)
 }
 
-// ReadInto is Read appending into dst[:0], so callers that traverse the same
-// tree repeatedly can reuse one backing array; it returns the (possibly
-// regrown) slice. Pointer-block scratch comes from an internal pool — a warm
-// caller passing an adequately sized dst triggers no allocation at all.
-func ReadInto(io BlockIO, root Root, nBlocks int64, dst []int64) ([]int64, error) {
+// ReadInto appends to dst[:0] the pointers of data blocks [from, to) of a
+// file with nBlocks blocks stored under root, and returns the (possibly
+// regrown) slice. It opens only the pointer blocks that cover the range: a
+// 4 KiB span deep in a large file costs the double-indirect block and one
+// or two L1 blocks, not the whole tree. Several L1 blocks are fetched in
+// one batched request when the IO offers one, so the full range [0,
+// nBlocks) issues exactly the requests a whole-tree walk does. Scratch
+// comes from an internal pool — a warm caller passing an adequately sized
+// dst triggers no allocation at all.
+func ReadInto(io BlockIO, root Root, nBlocks, from, to int64, dst []int64) ([]int64, error) {
 	if nBlocks < 0 {
 		return nil, fmt.Errorf("ptree: negative block count %d", nBlocks)
 	}
+	if from < 0 || from > to || to > nBlocks {
+		return nil, fmt.Errorf("ptree: range [%d,%d) outside a file of %d blocks", from, to, nBlocks)
+	}
 	out := dst[:0]
-	for i := 0; int64(i) < nBlocks && i < len(root.Direct); i++ {
+	nd, ppb := int64(len(root.Direct)), ptrsPerBlock(io)
+	for i := from; i < min(to, nd); i++ {
 		out = append(out, root.Direct[i])
 	}
-	if int64(len(out)) == nBlocks {
-		return out, nil
-	}
-	if root.Single == NilBlock {
-		return nil, errors.New("ptree: missing single-indirect block")
-	}
-	out, err := readPtrBlock(io, root.Single, nBlocks-int64(len(out)), out)
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(out)) == nBlocks {
-		return out, nil
-	}
-	if root.Double == NilBlock {
-		return nil, errors.New("ptree: missing double-indirect block")
-	}
-	l1, err := readPtrBlock(io, root.Double, ptrsPerBlock(io), nil)
-	if err != nil {
-		return nil, err
-	}
-	if bio, ok := io.(BatchBlockIO); ok && len(l1) > 1 {
-		// One batched request for every L1 pointer block of the tree.
-		raw := make([]byte, len(l1)*io.BlockSize())
-		bufs := make([][]byte, len(l1))
-		for i := range l1 {
-			bufs[i] = raw[i*io.BlockSize() : (i+1)*io.BlockSize()]
+	var err error
+	if lo, hi := max(from, nd), min(to, nd+ppb); lo < hi {
+		if root.Single == NilBlock {
+			return nil, errors.New("ptree: missing single-indirect block")
 		}
-		if err := bio.ReadBlocks(l1, bufs); err != nil {
+		if out, err = readPtrBlock(io, root.Single, lo-nd, hi-nd, out); err != nil {
 			return nil, err
 		}
-		for _, buf := range bufs {
-			out = parsePtrs(io, buf, nBlocks-int64(len(out)), out)
-			if int64(len(out)) == nBlocks {
-				return out, nil
-			}
+	}
+	if lo := max(from, nd+ppb); lo < to {
+		if root.Double == NilBlock {
+			return nil, errors.New("ptree: missing double-indirect block")
 		}
-	} else {
-		for _, ib := range l1 {
-			out, err = readPtrBlock(io, ib, nBlocks-int64(len(out)), out)
-			if err != nil {
-				return nil, err
-			}
-			if int64(len(out)) == nBlocks {
-				return out, nil
-			}
+		if out, err = readDouble(io, root.Double, lo-nd-ppb, to-nd-ppb, out); err != nil {
+			return nil, err
 		}
 	}
-	if int64(len(out)) != nBlocks {
-		return nil, fmt.Errorf("ptree: found %d of %d blocks", len(out), nBlocks)
+	if int64(len(out)) != to-from {
+		return nil, fmt.Errorf("ptree: found %d of %d blocks", len(out), to-from)
+	}
+	return out, nil
+}
+
+// readDouble appends the pointers [lo, hi) of the double-indirect region
+// under block dbl: one read of dbl, then one read of the L1 blocks the
+// range touches, batched when there are several and the IO can.
+func readDouble(io BlockIO, dbl, lo, hi int64, out []int64) ([]int64, error) {
+	bs, ppb := io.BlockSize(), ptrsPerBlock(io)
+	s := ptrBufPool.Get().(*ptrScratch)
+	defer ptrBufPool.Put(s)
+	first := lo / ppb
+	var err error
+	if s.ns, err = readPtrBlock(io, dbl, first, (hi-1)/ppb+1, s.ns[:0]); err != nil {
+		return out, err
+	}
+	bufs := s.views(len(s.ns), bs)
+	if bio, ok := io.(BatchBlockIO); ok && len(s.ns) > 1 {
+		err = bio.ReadBlocks(s.ns, bufs)
+	} else {
+		for i := 0; i < len(s.ns) && err == nil; i++ {
+			err = io.ReadBlock(s.ns[i], bufs[i])
+		}
+	}
+	if err != nil {
+		return out, err
+	}
+	for i, buf := range bufs {
+		base := (first + int64(i)) * ppb
+		a := max(lo-base, 0)
+		out = parsePtrs(buf[a*8:], min(hi-base, ppb)-a, out)
 	}
 	return out, nil
 }
@@ -300,7 +320,7 @@ func MetaBlocks(io BlockIO, root Root, nBlocks int64) ([]int64, error) {
 	if root.Double == NilBlock {
 		return nil, errors.New("ptree: missing double-indirect block")
 	}
-	out, err := readPtrBlock(io, root.Double, ptrsPerBlock(io), out)
+	out, err := readPtrBlock(io, root.Double, 0, ptrsPerBlock(io), out)
 	if err != nil {
 		return nil, err
 	}

@@ -294,3 +294,93 @@ func TestReadUsesBatchForL1Indirects(t *testing.T) {
 		t.Fatalf("batch covered %d blocks, want all L1 indirects", bio.batchBlocks)
 	}
 }
+
+// TestReadRangeMatchesRead: for every [from, to) over trees ending in the
+// direct, single-indirect and double-indirect regions, a range read returns
+// exactly Read()[from:to], through both the plain and the batched IO.
+func TestReadRangeMatchesRead(t *testing.T) {
+	const bs, nDirect = 64, 4 // 8 pointers per block
+	for _, n := range []int{3, 4, 9, 12, 13, 20, 40, 44, 76} {
+		plain := newMemIO(bs)
+		root, _, err := Write(plain, newSeqAlloc().alloc, nDirect, blockList(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		all, err := Read(plain, root, int64(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, io := range []BlockIO{plain, &batchIO{memIO: plain}} {
+			for from := 0; from <= n; from++ {
+				for to := from; to <= n; to++ {
+					got, err := ReadInto(io, root, int64(n), int64(from), int64(to), nil)
+					if err != nil {
+						t.Fatalf("n=%d [%d,%d): %v", n, from, to, err)
+					}
+					if fmt.Sprint(got) != fmt.Sprint(all[from:to]) {
+						t.Fatalf("n=%d [%d,%d): got %v, want %v", n, from, to, got, all[from:to])
+					}
+				}
+			}
+		}
+		if _, err := ReadInto(plain, root, int64(n), 0, int64(n)+1, nil); err == nil {
+			t.Fatalf("n=%d: a range past the end should fail", n)
+		}
+	}
+}
+
+// countIO is a batchIO that records every block read, single or batched.
+type countIO struct {
+	batchIO
+	reads []int64
+}
+
+func (c *countIO) ReadBlock(n int64, buf []byte) error {
+	c.reads = append(c.reads, n)
+	return c.memIO.ReadBlock(n, buf)
+}
+
+func (c *countIO) ReadBlocks(ns []int64, bufs [][]byte) error {
+	c.reads = append(c.reads, ns...)
+	return c.batchIO.ReadBlocks(ns, bufs)
+}
+
+// TestSpanReadOpensOnlyCoveringBlocks: a hidden file's header holds 24
+// direct pointers and the volume's blocks are 1 KiB (128 pointers each), so
+// a 2 MiB file ends deep in the double-indirect region, under 15 L1
+// blocks. Mapping the 4 KiB at its end — what a 4 KiB WriteAt there needs —
+// opens at most 3 pointer blocks: the double-indirect block and the one or
+// two L1 blocks under the span. The whole-file read opens all 17.
+func TestSpanReadOpensOnlyCoveringBlocks(t *testing.T) {
+	const bs, nDirect, n = 1024, 24, 2048
+	c := &countIO{batchIO: batchIO{memIO: newMemIO(bs)}}
+	blocks := make([]int64, n)
+	for i := range blocks {
+		blocks[i] = int64(1<<20 + i)
+	}
+	root, meta, err := Write(c, newSeqAlloc().alloc, nDirect, blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The end of the file, a span inside one L1 block, and one across two.
+	for _, r := range [][2]int64{{n - 4, n}, {1400, 1404}, {1814, 1818}} {
+		c.reads = nil
+		got, err := ReadInto(c, root, n, r[0], r[1], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(blocks[r[0]:r[1]]) {
+			t.Fatalf("span %v mapped to %v", r, got)
+		}
+		if len(c.reads) > 3 {
+			t.Fatalf("span %v opened %d pointer blocks %v, want <= 3", r, len(c.reads), c.reads)
+		}
+	}
+	c.reads = nil
+	if _, err := Read(c, root, n); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.reads) != len(meta) {
+		t.Fatalf("whole-file read opened %d pointer blocks, tree has %d", len(c.reads), len(meta))
+	}
+}

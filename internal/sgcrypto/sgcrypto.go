@@ -115,8 +115,11 @@ func writeLenPrefixed(w io.Writer, b []byte) {
 
 // Sealer encrypts and decrypts the fixed-size blocks of one hidden object
 // with AES-256 in CTR mode. The IV for block i is nonce XOR i, so every
-// block of every file uses a distinct keystream and ciphertext blocks are
-// indistinguishable from uniformly random bytes.
+// block position of every file has its own keystream and ciphertext blocks
+// are indistinguishable from uniformly random bytes. The keystream is
+// distinct per block, not per write: rewriting block i in place reuses it,
+// so the XOR of two raw images of that block is the XOR of its two
+// plaintexts (the snapshot-diff attack; see ROADMAP.md, open item 1).
 //
 // On amd64 with AES-NI the sealer carries an expanded key schedule and runs
 // a fused counter-mode kernel: counters are materialized, encrypted 8 at a

@@ -220,62 +220,149 @@ func encodeNode(n *node, buf []byte) error {
 	return nil
 }
 
+// pagePool recycles the PageSize buffers the read paths walk pages in, so a
+// warm Get, descent or Range allocates only what it returns.
+var pagePool = sync.Pool{New: func() any { return new([PageSize]byte) }}
+
+var errCorruptPage = errors.New("stegdb: corrupt page entry")
+
+// kvCursor walks the remaining entries of a page in place: leaf and bucket
+// entries [klen u16][vlen u16][key][val], or, with sep set, internal
+// separators [klen u16][key][child u64], whose val is the child pointer.
+type kvCursor struct {
+	buf  []byte
+	off  int
+	left int
+	sep  bool
+}
+
+// next returns the following entry (ok false once the page is exhausted).
+// key and val alias the page, capacity-capped so an append never writes
+// into it.
+func (c *kvCursor) next() (key, val []byte, ok bool, err error) {
+	if c.left <= 0 {
+		return nil, nil, false, nil
+	}
+	hdr, vl := 4, 8
+	if c.sep {
+		hdr = 2
+	} else if c.off+4 <= len(c.buf) {
+		vl = int(binary.BigEndian.Uint16(c.buf[c.off+2:]))
+	}
+	if c.off+hdr <= len(c.buf) {
+		k := c.off + hdr
+		v := k + int(binary.BigEndian.Uint16(c.buf[c.off:]))
+		if e := v + vl; e <= len(c.buf) {
+			c.off, c.left = e, c.left-1
+			return c.buf[k:v:v], c.buf[v:e:e], true, nil
+		}
+	}
+	c.left = 0
+	return nil, nil, false, errCorruptPage
+}
+
+// all returns the remaining entries, leaving c where it is.
+func (c kvCursor) all() ([]kv, error) {
+	out := make([]kv, 0, min(c.left, len(c.buf)/4))
+	for {
+		k, v, ok, err := c.next()
+		if !ok {
+			return out, err
+		}
+		out = append(out, kv{key: k, val: v})
+	}
+}
+
+// seek advances past every entry whose key sorts before key, returning the
+// first remaining entry (ok false when none is left).
+func (c *kvCursor) seek(key []byte) (k, v []byte, ok bool, err error) {
+	for {
+		if k, v, ok, err = c.next(); !ok || bytes.Compare(k, key) >= 0 {
+			return k, v, ok, err
+		}
+	}
+}
+
+// nodeView is a B-link page read in place: the one parser of the node
+// format. Read paths walk it without copying; decodeNode copies a page out
+// through it for writers. Bounds are checked against the page length, so
+// a corrupt page is an error, never a panic.
+type nodeView struct {
+	leaf    bool
+	level   uint8
+	right   int64
+	high    []byte   // aliases the page; nil = +inf
+	entries kvCursor // leaf entries, or separators after children[0]
+}
+
+func parseNode(buf []byte) (nodeView, error) {
+	if len(buf) < nodeHdr {
+		return nodeView{}, fmt.Errorf("stegdb: node page too short (%d bytes)", len(buf))
+	}
+	first := nodeHdr + int(binary.BigEndian.Uint16(buf[12:]))
+	if first > len(buf) {
+		return nodeView{}, fmt.Errorf("stegdb: corrupt node header (high key)")
+	}
+	v := nodeView{leaf: buf[0] == nodeLeaf, level: buf[1], right: int64(binary.BigEndian.Uint64(buf[4:]))}
+	if first > nodeHdr {
+		v.high = buf[nodeHdr:first:first]
+	}
+	if !v.leaf {
+		if first += 8; buf[0] != nodeInternal {
+			return nodeView{}, fmt.Errorf("stegdb: unknown node type %d", buf[0])
+		} else if first > len(buf) {
+			return nodeView{}, fmt.Errorf("stegdb: corrupt internal page")
+		}
+	}
+	v.entries = kvCursor{buf: buf, off: first, left: int(binary.BigEndian.Uint16(buf[2:])), sep: !v.leaf}
+	return v, nil
+}
+
+// readNode reads page id into buf and parses it in place.
+func readNode(r pageReader, id int64, buf *[PageSize]byte) (nodeView, error) {
+	if err := r.ReadPage(id, buf[:]); err != nil {
+		return nodeView{}, err
+	}
+	return parseNode(buf[:])
+}
+
+// child0 is an internal node's leftmost child.
+func (v *nodeView) child0() int64 {
+	return int64(binary.BigEndian.Uint64(v.entries.buf[v.entries.off-8:]))
+}
+
+// child returns the child of an internal node owning key: the child right
+// of the last separator <= key (childIndex on the encoded page). A nil key
+// picks children[0].
+func (v *nodeView) child(key []byte) (int64, error) {
+	id, c := v.child0(), v.entries
+	for key != nil {
+		k, ptr, ok, err := c.next()
+		if !ok || bytes.Compare(key, k) < 0 {
+			return id, err
+		}
+		id = int64(binary.BigEndian.Uint64(ptr))
+	}
+	return id, nil
+}
+
+// decodeNode copies a page out into the writers' node form, parsing it with
+// the in-place accessors. Keys and values share one private copy of buf.
 func decodeNode(buf []byte) (*node, error) {
-	n := &node{level: buf[1]}
-	count := int(binary.BigEndian.Uint16(buf[2:]))
-	n.right = int64(binary.BigEndian.Uint64(buf[4:]))
-	hklen := int(binary.BigEndian.Uint16(buf[12:]))
-	off := nodeHdr
-	if off+hklen > PageSize {
-		return nil, fmt.Errorf("stegdb: corrupt node header (high key)")
+	v, err := parseNode(bytes.Clone(buf))
+	if err != nil {
+		return nil, err
 	}
-	if hklen > 0 {
-		n.high = append([]byte(nil), buf[off:off+hklen]...)
+	n := &node{leaf: v.leaf, level: v.level, right: v.right, high: v.high}
+	if n.entries, err = v.entries.all(); err != nil || n.leaf {
+		return n, err
 	}
-	off += hklen
-	switch buf[0] {
-	case nodeLeaf:
-		n.leaf = true
-		for i := 0; i < count; i++ {
-			if off+4 > PageSize {
-				return nil, fmt.Errorf("stegdb: corrupt leaf page")
-			}
-			kl := int(binary.BigEndian.Uint16(buf[off:]))
-			vl := int(binary.BigEndian.Uint16(buf[off+2:]))
-			off += 4
-			if off+kl+vl > PageSize {
-				return nil, fmt.Errorf("stegdb: corrupt leaf entry")
-			}
-			e := kv{
-				key: append([]byte(nil), buf[off:off+kl]...),
-				val: append([]byte(nil), buf[off+kl:off+kl+vl]...),
-			}
-			off += kl + vl
-			n.entries = append(n.entries, e)
-		}
-	case nodeInternal:
-		if off+8 > PageSize {
-			return nil, fmt.Errorf("stegdb: corrupt internal page")
-		}
-		n.children = append(n.children, int64(binary.BigEndian.Uint64(buf[off:])))
-		off += 8
-		for i := 0; i < count; i++ {
-			if off+2 > PageSize {
-				return nil, fmt.Errorf("stegdb: corrupt internal page")
-			}
-			kl := int(binary.BigEndian.Uint16(buf[off:]))
-			off += 2
-			if off+kl+8 > PageSize {
-				return nil, fmt.Errorf("stegdb: corrupt internal entry")
-			}
-			n.keys = append(n.keys, append([]byte(nil), buf[off:off+kl]...))
-			off += kl
-			n.children = append(n.children, int64(binary.BigEndian.Uint64(buf[off:])))
-			off += 8
-		}
-	default:
-		return nil, fmt.Errorf("stegdb: unknown node type %d", buf[0])
+	n.keys, n.children = make([][]byte, len(n.entries)), make([]int64, len(n.entries)+1)
+	n.children[0] = v.child0()
+	for i, e := range n.entries {
+		n.keys[i], n.children[i+1] = e.key, int64(binary.BigEndian.Uint64(e.val))
 	}
+	n.entries = nil
 	return n, nil
 }
 
@@ -301,32 +388,32 @@ type pageReader interface {
 	ReadPage(id int64, buf []byte) error
 }
 
-func loadNode(r pageReader, id int64) (*node, error) {
-	buf := make([]byte, PageSize)
-	if err := r.ReadPage(id, buf); err != nil {
+// load reads and decodes page id for a writer.
+func (t *BTree) load(id int64) (*node, error) {
+	buf := pagePool.Get().(*[PageSize]byte)
+	defer pagePool.Put(buf)
+	if err := t.pg.ReadPage(id, buf[:]); err != nil {
 		return nil, err
 	}
-	return decodeNode(buf)
+	return decodeNode(buf[:])
 }
-
-func (t *BTree) load(id int64) (*node, error) { return loadNode(t.pg, id) }
 
 // store writes node n to page id. rows is the change the write makes to
 // the tree's key count (+1 or -1 for a leaf store that inserts or removes
 // a key, else 0); the pager applies it to the row counter atomically with
 // the page write, so no snapshot or commit cut sees one without the other.
 func (t *BTree) store(id int64, n *node, rows int64) error {
-	buf := make([]byte, PageSize)
-	if err := encodeNode(n, buf); err != nil {
+	buf := pagePool.Get().(*[PageSize]byte)
+	defer pagePool.Put(buf)
+	if err := encodeNode(n, buf[:]); err != nil {
 		return err
 	}
-	return t.pg.writePage(id, buf, rows)
+	return t.pg.writePage(id, buf[:], rows)
 }
 
-// covers reports whether key falls inside n's range (move right otherwise).
-func (n *node) covers(key []byte) bool {
-	return n.high == nil || bytes.Compare(key, n.high) < 0
-}
+// covers reports whether key falls below a node's high key (move right
+// otherwise).
+func covers(high, key []byte) bool { return high == nil || bytes.Compare(key, high) < 0 }
 
 // --- snapshot reads ----------------------------------------------------------
 
@@ -366,123 +453,122 @@ func (ts *TreeSnapshot) Scan(fn func(key, val []byte) bool) error {
 
 // Range visits pairs with lo <= key < hi in key order as of the snapshot
 // (nil bounds are open). The B-link leaf chain makes this a seek plus a
-// bounded walk, not a full scan.
+// bounded walk, not a full scan. key and val alias a pooled page buffer:
+// they are valid only until fn returns, so fn must copy what it keeps.
 func (ts *TreeSnapshot) Range(lo, hi []byte, fn func(key, val []byte) bool) error {
-	it, err := ts.iter(lo, hi)
-	if err != nil {
-		return err
-	}
-	for !it.done() {
-		if !fn(it.key(), it.val()) {
-			return nil
-		}
-		if err := it.next(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return mergeRange([]*TreeSnapshot{ts}, lo, hi, fn)
 }
 
+// getFrom looks key up in place, copying out only the value it returns.
 func getFrom(r pageReader, id int64, key []byte) ([]byte, bool, error) {
-	for id != nilPage {
-		n, err := loadNode(r, id)
-		if err != nil {
-			return nil, false, err
-		}
-		if !n.covers(key) {
-			id = n.right
-			continue
-		}
-		if n.leaf {
-			for _, e := range n.entries {
-				if bytes.Equal(e.key, key) {
-					return e.val, true, nil
-				}
-			}
-			return nil, false, nil
-		}
-		id = n.children[childIndex(n.keys, key)]
+	if id == nilPage {
+		return nil, false, nil
 	}
-	return nil, false, nil
+	buf := pagePool.Get().(*[PageSize]byte)
+	defer pagePool.Put(buf)
+	_, leaf, err := seekLevel(r, id, key, 0, buf, nil)
+	if err != nil {
+		return nil, false, err
+	}
+	k, val, ok, err := leaf.entries.seek(key)
+	if !ok || err != nil || !bytes.Equal(k, key) {
+		return nil, false, err
+	}
+	return append([]byte(nil), val...), true, nil
+}
+
+// seekLevel descends in place in buf from page id to the node at level
+// (0 = leaf) owning key (nil: the leftmost), moving right past splits.
+// stack, when non-nil, collects the internal node taken at each level.
+func seekLevel(r pageReader, id int64, key []byte, level uint8, buf *[PageSize]byte, stack *[]int64) (int64, nodeView, error) {
+	for {
+		v, err := readNode(r, id, buf)
+		switch {
+		case err != nil:
+			return 0, v, err
+		case !covers(v.high, key):
+			id = v.right
+		case v.level == level && v.leaf == (level == 0):
+			return id, v, nil
+		case v.leaf || v.level < level:
+			return 0, v, fmt.Errorf("stegdb: btree level %d unreachable from root", level)
+		default:
+			if stack != nil {
+				*stack = append(*stack, id)
+			}
+			if id, err = v.child(key); err != nil {
+				return 0, v, err
+			}
+		}
+	}
 }
 
 // treeIter is a pull iterator over one snapshot's [lo, hi) range: descend
-// toward lo, then follow the leaf chain rightward until hi. Range loops
-// over one; partitioned tables k-way-merge one per partition into a single
-// ordered stream. done() true means exhausted; key()/val() are valid only
-// while !done().
+// toward lo, then follow the leaf chain rightward until hi, walking each
+// leaf in place in a pooled page buffer. Both Range methods k-way-merge one
+// per snapshot (mergeRange). done() true means exhausted, and the buffer is
+// back in the pool; key()/val() alias the buffer, valid only until next().
 type treeIter struct {
-	r        pageReader
-	cur      *node
-	idx      int
-	hi       []byte
-	finished bool
+	r     pageReader
+	buf   *[PageSize]byte // nil once done
+	right int64           // the current leaf's right sibling
+	c     kvCursor
+	k, v  []byte
+	hi    []byte
 }
 
-// iter positions a new iterator at the first key >= lo of the snapshot.
-func (ts *TreeSnapshot) iter(lo, hi []byte) (*treeIter, error) {
-	it := &treeIter{r: ts.s, hi: hi}
-	if ts.root == nilPage {
-		it.finished = true
-		return it, nil
+// seek positions it at the first key >= lo of the snapshot.
+func (it *treeIter) seek(ts *TreeSnapshot, lo, hi []byte) error {
+	if *it = (treeIter{r: ts.s, hi: hi}); ts.root == nilPage {
+		return nil
 	}
-	id := ts.root
+	it.buf = pagePool.Get().(*[PageSize]byte)
+	_, leaf, err := seekLevel(it.r, ts.root, lo, 0, it.buf, nil)
+	if err != nil {
+		it.close()
+		return err
+	}
+	it.right, it.c = leaf.right, leaf.entries
+	return it.settle(lo)
+}
+
+// settle moves to the first entry >= lo, crossing to right siblings past
+// exhausted leaves. It closes the iterator at hi, at the end of the leaf
+// chain and on error.
+func (it *treeIter) settle(lo []byte) error {
 	for {
-		n, err := loadNode(it.r, id)
-		if err != nil {
-			return nil, err
-		}
-		if lo != nil && !n.covers(lo) {
-			id = n.right
-			continue
-		}
-		if n.leaf {
-			it.cur = n
-			break
-		}
-		if lo == nil {
-			id = n.children[0]
-		} else {
-			id = n.children[childIndex(n.keys, lo)]
-		}
-	}
-	for it.idx < len(it.cur.entries) && lo != nil && bytes.Compare(it.cur.entries[it.idx].key, lo) < 0 {
-		it.idx++
-	}
-	return it, it.settle()
-}
-
-// settle advances past exhausted leaves and enforces the hi bound.
-func (it *treeIter) settle() error {
-	for !it.finished {
-		if it.idx < len(it.cur.entries) {
-			if it.hi != nil && bytes.Compare(it.cur.entries[it.idx].key, it.hi) >= 0 {
-				it.finished = true
-			}
+		k, v, ok, err := it.c.seek(lo)
+		switch {
+		case ok && (it.hi == nil || bytes.Compare(k, it.hi) < 0):
+			it.k, it.v = k, v
 			return nil
-		}
-		if it.cur.right == nilPage {
-			it.finished = true
-			return nil
-		}
-		n, err := loadNode(it.r, it.cur.right)
-		if err != nil {
+		case ok || err != nil || it.right == nilPage:
+			it.close()
 			return err
 		}
-		it.cur, it.idx = n, 0
+		leaf, err := readNode(it.r, it.right, it.buf)
+		if err != nil {
+			it.close()
+			return err
+		}
+		it.right, it.c = leaf.right, leaf.entries
 	}
-	return nil
 }
 
-func (it *treeIter) done() bool  { return it.finished }
-func (it *treeIter) key() []byte { return it.cur.entries[it.idx].key }
-func (it *treeIter) val() []byte { return it.cur.entries[it.idx].val }
+// close returns the buffer to the pool; the iterator is done afterwards.
+func (it *treeIter) close() {
+	if it.buf != nil {
+		pagePool.Put(it.buf)
+	}
+	*it = treeIter{}
+}
+
+func (it *treeIter) done() bool  { return it.buf == nil }
+func (it *treeIter) key() []byte { return it.k }
+func (it *treeIter) val() []byte { return it.v }
 
 // next advances to the following key.
-func (it *treeIter) next() error {
-	it.idx++
-	return it.settle()
-}
+func (it *treeIter) next() error { return it.settle(nil) }
 
 // --- operations ----------------------------------------------------------------
 
@@ -607,22 +693,10 @@ func (t *BTree) ensureRoot() (int64, error) {
 // ever shed range to the right, and the ascent re-finds the exact parent by
 // moving right under its latch.
 func descendToLeaf(r pageReader, rootID int64, key []byte) (stack []int64, leafID int64, err error) {
-	id := rootID
-	for {
-		n, err := loadNode(r, id)
-		if err != nil {
-			return nil, 0, err
-		}
-		if !n.covers(key) {
-			id = n.right
-			continue
-		}
-		if n.leaf {
-			return stack, id, nil
-		}
-		stack = append(stack, id)
-		id = n.children[childIndex(n.keys, key)]
-	}
+	buf := pagePool.Get().(*[PageSize]byte)
+	defer pagePool.Put(buf)
+	leafID, _, err = seekLevel(r, rootID, key, 0, buf, &stack)
+	return stack, leafID, err
 }
 
 // lockNodeForKey latches the node that currently owns key's range in
@@ -639,7 +713,7 @@ func (t *BTree) lockNodeForKey(start int64, key []byte) (int64, *node, error) {
 		if err != nil {
 			return id, nil, err
 		}
-		if n.covers(key) {
+		if covers(n.high, key) {
 			return id, n, nil
 		}
 		next := n.right
@@ -761,24 +835,10 @@ func (t *BTree) growOrFindParent(leftID int64, sep []byte, rightID int64, level 
 // findAtLevel descends the live tree to the node owning key at the given
 // level (used after a concurrent root growth stole the ascent's target).
 func (t *BTree) findAtLevel(key []byte, level uint8) (int64, error) {
-	id := t.root()
-	for {
-		n, err := t.load(id)
-		if err != nil {
-			return 0, err
-		}
-		if !n.covers(key) {
-			id = n.right
-			continue
-		}
-		if n.level == level {
-			return id, nil
-		}
-		if n.leaf || n.level < level {
-			return 0, fmt.Errorf("stegdb: btree level %d unreachable from root", level)
-		}
-		id = n.children[childIndex(n.keys, key)]
-	}
+	buf := pagePool.Get().(*[PageSize]byte)
+	defer pagePool.Put(buf)
+	id, _, err := seekLevel(t.pg, t.root(), key, level, buf, nil)
+	return id, err
 }
 
 // undoLeafChange reverses a committed leaf mutation after a later step of
@@ -894,7 +954,8 @@ func (t *BTree) DeleteEx(key []byte) (prev []byte, found bool, err error) {
 
 // Scan visits every key/value pair in key order, reading from a snapshot so
 // concurrent writers are neither blocked nor observed mid-operation. fn
-// returning false stops the scan early.
+// returning false stops the scan early; key and val are valid only until
+// fn returns.
 func (t *BTree) Scan(fn func(key, val []byte) bool) error {
 	s := t.Snapshot()
 	defer s.Close()
@@ -908,9 +969,11 @@ func (t *BTree) Height() (int, error) {
 	if s.root == nilPage {
 		return 0, nil
 	}
-	n, err := loadNode(s.s, s.root)
+	buf := pagePool.Get().(*[PageSize]byte)
+	defer pagePool.Put(buf)
+	v, err := readNode(s.s, s.root, buf)
 	if err != nil {
 		return 0, err
 	}
-	return int(n.level) + 1, nil
+	return int(v.level) + 1, nil
 }

@@ -7,6 +7,7 @@ import (
 	"hash/crc64"
 	"io"
 	"reflect"
+	"slices"
 	"testing"
 
 	"stegfs/internal/fsapi"
@@ -38,8 +39,21 @@ func FuzzDecodeBucket(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		bp, err := decodeBucket(data)
+		// The in-place walk every chain lookup runs must agree with the
+		// copy-out: the same entries in order, or an error where it errs.
+		var walked []kv
+		next, c, werr := parseBucket(data)
+		if werr == nil {
+			walked, werr = c.all()
+		}
+		if (werr != nil) != (err != nil) {
+			t.Fatalf("in-place walk err %v, decodeBucket err %v", werr, err)
+		}
 		if err != nil {
 			return // rejected: fine, as long as it didn't panic
+		}
+		if next != bp.next || !reflect.DeepEqual(walked, bp.entries) {
+			t.Fatalf("in-place walk %d/%v != decoded %d/%v", next, walked, bp.next, bp.entries)
 		}
 		if bp.size() > len(data) {
 			t.Fatalf("accepted bucket claims %d bytes from %d input", bp.size(), len(data))
@@ -109,6 +123,124 @@ func FuzzDecodeNode(f *testing.F) {
 			t.Fatalf("round trip mismatch:\n%+v\n%+v", n, n2)
 		}
 	})
+}
+
+// FuzzNodeInPlace is the differential check of the in-place read path. Each
+// input yields two pages: the raw bytes (mostly corrupt), and a valid node
+// built from them — sorted, distinct keys cut from the input, as a leaf or
+// an internal node. On every page the in-place accessors must never panic,
+// and a full in-place walk fails exactly when decodeNode does. On pages
+// with sorted keys, the lookup, child choice and leaf iteration the read
+// paths run must match decodeNode followed by a linear scan.
+func FuzzNodeInPlace(f *testing.F) {
+	f.Add([]byte("\x03abc\x01d\x02ef\x04ghij\x00\x02mn"), []byte("ef"), true)
+	f.Add([]byte("\x03abc\x01d\x02ef\x04ghij\x00\x02mn"), []byte("e"), false)
+	f.Add([]byte{nodeLeaf, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 'a', 'b'}, []byte("a"), true)
+	f.Add([]byte{nodeInternal, 1, 0xff, 0xff}, []byte{}, false)
+	f.Fuzz(func(t *testing.T, data, probe []byte, leaf bool) {
+		page := make([]byte, PageSize) // the pager hands the parsers whole pages
+		copy(page, data)
+		checkNodeInPlace(t, page, probe)
+		if valid, ok := nodeFromBytes(data, leaf); ok {
+			clear(page)
+			if err := encodeNode(valid, page); err == nil {
+				checkNodeInPlace(t, page, probe)
+			}
+		}
+	})
+}
+
+// nodeFromBytes cuts sorted, distinct keys out of data (each a length byte
+// then up to 15 bytes) and builds a leaf, with the next bytes as values,
+// or an internal node with arbitrary child pointers.
+func nodeFromBytes(data []byte, leaf bool) (*node, bool) {
+	var keys [][]byte
+	for len(data) > 0 {
+		l := min(int(data[0]%16), len(data)-1)
+		keys, data = append(keys, data[1:1+l]), data[1+l:]
+	}
+	slices.SortFunc(keys, bytes.Compare)
+	keys = slices.CompactFunc(keys, bytes.Equal)
+	if len(keys) < 2 {
+		return nil, false
+	}
+	n := &node{leaf: leaf, right: 7, high: keys[len(keys)-1]}
+	keys = keys[:len(keys)-1]
+	for i, k := range keys {
+		if leaf {
+			n.entries = append(n.entries, kv{key: k, val: k[:i%(len(k)+1)]})
+		} else {
+			n.keys = append(n.keys, k)
+		}
+	}
+	if !leaf {
+		n.level = 1
+		for i := 0; i <= len(keys); i++ {
+			n.children = append(n.children, int64(100+i))
+		}
+	}
+	return n, true
+}
+
+func checkNodeInPlace(t *testing.T, page, probe []byte) {
+	n, derr := decodeNode(page)
+	v, err := parseNode(page)
+	if err == nil {
+		c := v.entries
+		_, err = c.all()
+	}
+	if (err != nil) != (derr != nil) {
+		t.Fatalf("in-place walk err %v, decodeNode err %v", err, derr)
+	}
+	if err != nil {
+		// Corrupt: the partial walks the read paths run must not panic.
+		if v, perr := parseNode(page); perr == nil {
+			if v.leaf {
+				c := v.entries
+				c.seek(probe)
+			} else {
+				v.child(probe)
+			}
+		}
+		return
+	}
+	if !bytes.Equal(v.high, n.high) || (v.high == nil) != (n.high == nil) || v.right != n.right || v.level != n.level {
+		t.Fatalf("header: in place high %q right %d level %d, decoded %q %d %d", v.high, v.right, v.level, n.high, n.right, n.level)
+	}
+	keys := n.keys
+	if n.leaf {
+		keys = nil
+		for _, e := range n.entries {
+			keys = append(keys, e.key)
+		}
+	}
+	if !slices.IsSortedFunc(keys, bytes.Compare) || len(slices.CompactFunc(slices.Clone(keys), bytes.Equal)) != len(keys) {
+		return // decodes, but no B-link page is unsorted: nothing to compare
+	}
+	if !n.leaf {
+		got, err := v.child(probe)
+		if want := n.children[childIndex(n.keys, probe)]; err != nil || got != want {
+			t.Fatalf("child(%q) = %d, %v; linear scan picks %d", probe, got, err, want)
+		}
+		return
+	}
+	// Leaf: seek then iterate to the end, against the linear scan.
+	i := 0
+	for i < len(n.entries) && bytes.Compare(n.entries[i].key, probe) < 0 {
+		i++
+	}
+	c := v.entries
+	k, val, ok, err := c.seek(probe)
+	for ; i < len(n.entries); i++ {
+		if err != nil || !ok || !bytes.Equal(k, n.entries[i].key) || !bytes.Equal(val, n.entries[i].val) {
+			t.Fatalf("entry %d after seek(%q): in place %q=%q ok=%v err=%v, decoded %q=%q",
+				i, probe, k, val, ok, err, n.entries[i].key, n.entries[i].val)
+		}
+		k, val, ok, err = c.next()
+	}
+	if ok || err != nil {
+		t.Fatalf("in-place walk past the last entry: ok=%v err=%v", ok, err)
+	}
 }
 
 // memView is a map-backed View with no volume underneath, so a fuzz

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -78,14 +79,10 @@ func (h *HashIndex) stripeFor(bucket int) *sync.RWMutex {
 	return &h.stripes[bucket%nStripes]
 }
 
-// dir reads the directory page and returns (rootID, buf).
-func (h *HashIndex) dir() (int64, []byte, error) {
+// dir reads the directory page into buf and returns its page id.
+func (h *HashIndex) dir(buf *[PageSize]byte) (int64, error) {
 	root := h.pg.metaField(metaHashRoot)
-	buf := make([]byte, PageSize)
-	if err := h.pg.ReadPage(root, buf); err != nil {
-		return 0, nil, err
-	}
-	return root, buf, nil
+	return root, h.pg.ReadPage(root, buf[:])
 }
 
 // updateHead rewrites one bucket's head pointer with a fresh read-modify-
@@ -94,12 +91,14 @@ func (h *HashIndex) dir() (int64, []byte, error) {
 func (h *HashIndex) updateHead(bucket int, id int64) error {
 	h.dirMu.Lock()
 	defer h.dirMu.Unlock()
-	root, dirBuf, err := h.dir()
+	buf := pagePool.Get().(*[PageSize]byte)
+	defer pagePool.Put(buf)
+	root, err := h.dir(buf)
 	if err != nil {
 		return err
 	}
-	setHead(dirBuf, bucket, id)
-	return h.pg.WritePage(root, dirBuf)
+	setHead(buf[:], bucket, id)
+	return h.pg.WritePage(root, buf[:])
 }
 
 func headOf(dirBuf []byte, bucket int) int64 {
@@ -116,32 +115,57 @@ type bucketPage struct {
 	entries []kv
 }
 
-// decodeBucket parses a chain page, tolerating corrupt or truncated input
-// (bounds are taken from len(buf), never assumed).
-func decodeBucket(buf []byte) (*bucketPage, error) {
+// parseBucket reads a chain page in place: its next pointer and a cursor
+// over its entries. It is the one parser of the bucket format; bounds are
+// taken from len(buf), never assumed.
+func parseBucket(buf []byte) (next int64, c kvCursor, err error) {
 	if len(buf) < bucketHdr {
-		return nil, fmt.Errorf("stegdb: bucket page too short (%d bytes)", len(buf))
+		return 0, c, fmt.Errorf("stegdb: bucket page too short (%d bytes)", len(buf))
 	}
-	bp := &bucketPage{next: int64(binary.BigEndian.Uint64(buf))}
-	n := int(binary.BigEndian.Uint16(buf[8:]))
-	off := bucketHdr
-	for i := 0; i < n; i++ {
-		if off+4 > len(buf) {
-			return nil, fmt.Errorf("stegdb: corrupt bucket page")
-		}
-		kl := int(binary.BigEndian.Uint16(buf[off:]))
-		vl := int(binary.BigEndian.Uint16(buf[off+2:]))
-		off += 4
-		if off+kl+vl > len(buf) {
-			return nil, fmt.Errorf("stegdb: corrupt bucket entry")
-		}
-		bp.entries = append(bp.entries, kv{
-			key: append([]byte(nil), buf[off:off+kl]...),
-			val: append([]byte(nil), buf[off+kl:off+kl+vl]...),
-		})
-		off += kl + vl
+	c = kvCursor{buf: buf, off: bucketHdr, left: int(binary.BigEndian.Uint16(buf[8:]))}
+	return int64(binary.BigEndian.Uint64(buf)), c, nil
+}
+
+// decodeBucket copies a chain page out through parseBucket; the entries
+// share one private copy of buf.
+func decodeBucket(buf []byte) (*bucketPage, error) {
+	next, c, err := parseBucket(bytes.Clone(buf))
+	if err != nil {
+		return nil, err
 	}
-	return bp, nil
+	entries, err := c.all()
+	if err != nil {
+		return nil, err
+	}
+	return &bucketPage{next: next, entries: entries}, nil
+}
+
+// find walks bucket's chain in place in buf looking for key. It returns the
+// chain's head, the page holding key (buf then holds that page, and val
+// aliases it) and the page before it; when key is absent, cur is nilPage
+// and prev is the last page visited (buf holds it).
+func (h *HashIndex) find(bucket int, key []byte, buf *[PageSize]byte) (head, cur, prev int64, val []byte, err error) {
+	if _, err = h.dir(buf); err != nil {
+		return 0, 0, 0, nil, err
+	}
+	head = headOf(buf[:], bucket)
+	var next int64
+	for cur = head; cur != nilPage; prev, cur = cur, next {
+		var c kvCursor
+		if err = h.pg.ReadPage(cur, buf[:]); err == nil {
+			next, c, err = parseBucket(buf[:])
+		}
+		for ok := err == nil; ok; {
+			var k []byte
+			if k, val, ok, err = c.next(); ok && bytes.Equal(k, key) {
+				return head, cur, prev, val, nil
+			}
+		}
+		if err != nil {
+			return 0, 0, 0, nil, err
+		}
+	}
+	return head, nilPage, prev, nil, nil
 }
 
 func encodeBucket(bp *bucketPage, buf []byte) error {
@@ -204,53 +228,45 @@ func (h *HashIndex) Put(key, val []byte) error {
 //
 // lockcheck:holds stegdb/stripe
 func (h *HashIndex) putLocked(bucket int, key, val []byte) (again bool, err error) {
-	_, dirBuf, err := h.dir()
+	pb := pagePool.Get().(*[PageSize]byte)
+	defer pagePool.Put(pb)
+	buf := pb[:]
+	// Walk the chain in place; only the page that changes is decoded.
+	head, cur, last, _, err := h.find(bucket, key, pb)
 	if err != nil {
 		return false, err
 	}
-	head := headOf(dirBuf, bucket)
-	buf := make([]byte, PageSize)
-	// Walk the chain once: replace in place if the key exists, and keep the
-	// head page's decoded form so a fresh insert needn't re-read it.
-	var headBP *bucketPage
-	for cur := head; cur != nilPage; {
-		if err := h.pg.ReadPage(cur, buf); err != nil {
+	if cur != nilPage {
+		bp, err := decodeBucket(buf)
+		if err != nil {
 			return false, err
+		}
+		i := slices.IndexFunc(bp.entries, func(e kv) bool { return bytes.Equal(e.key, key) })
+		bp.entries[i].val = val
+		if again = bp.size() > PageSize; again {
+			// Replacement grew past the page: remove here, reinsert.
+			bp.entries = slices.Delete(bp.entries, i, i+1)
+		}
+		if err := encodeBucket(bp, buf); err != nil {
+			return false, err
+		}
+		return again, h.pg.WritePage(cur, buf)
+	}
+	// Fresh insert into the head page if it has room. The walk left the last
+	// chain page in buf; re-read the head unless that was it.
+	if head != nilPage {
+		if last != head {
+			if err := h.pg.ReadPage(head, buf); err != nil {
+				return false, err
+			}
 		}
 		bp, err := decodeBucket(buf)
 		if err != nil {
 			return false, err
 		}
-		if cur == head {
-			headBP = bp
-		}
-		for i := range bp.entries {
-			if bytes.Equal(bp.entries[i].key, key) {
-				bp.entries[i].val = val
-				if bp.size() <= PageSize {
-					if err := encodeBucket(bp, buf); err != nil {
-						return false, err
-					}
-					return false, h.pg.WritePage(cur, buf)
-				}
-				// Replacement grew past the page: remove here, reinsert.
-				bp.entries = append(bp.entries[:i], bp.entries[i+1:]...)
-				if err := encodeBucket(bp, buf); err != nil {
-					return false, err
-				}
-				if err := h.pg.WritePage(cur, buf); err != nil {
-					return false, err
-				}
-				return true, nil
-			}
-		}
-		cur = bp.next
-	}
-	// Fresh insert: reuse the head page decoded during the walk.
-	if headBP != nil {
-		headBP.entries = append(headBP.entries, kv{key: key, val: val})
-		if headBP.size() <= PageSize {
-			if err := encodeBucket(headBP, buf); err != nil {
+		bp.entries = append(bp.entries, kv{key: key, val: val})
+		if bp.size() <= PageSize {
+			if err := encodeBucket(bp, buf); err != nil {
 				return false, err
 			}
 			return false, h.pg.WritePage(head, buf)
@@ -271,33 +287,20 @@ func (h *HashIndex) putLocked(bucket int, key, val []byte) (again bool, err erro
 	return false, h.updateHead(bucket, fresh)
 }
 
-// Get returns the value stored under key, or (nil, false).
+// Get returns the value stored under key, or (nil, false). The chain is
+// walked in place; only the returned value is copied.
 func (h *HashIndex) Get(key []byte) ([]byte, bool, error) {
 	bucket := h.bucketOf(key)
 	st := h.stripeFor(bucket)
 	st.RLock()
 	defer st.RUnlock()
-	_, dirBuf, err := h.dir()
-	if err != nil {
+	pb := pagePool.Get().(*[PageSize]byte)
+	defer pagePool.Put(pb)
+	_, cur, _, val, err := h.find(bucket, key, pb)
+	if cur == nilPage || err != nil {
 		return nil, false, err
 	}
-	buf := make([]byte, PageSize)
-	for cur := headOf(dirBuf, bucket); cur != nilPage; {
-		if err := h.pg.ReadPage(cur, buf); err != nil {
-			return nil, false, err
-		}
-		bp, err := decodeBucket(buf)
-		if err != nil {
-			return nil, false, err
-		}
-		for _, e := range bp.entries {
-			if bytes.Equal(e.key, key) {
-				return e.val, true, nil
-			}
-		}
-		cur = bp.next
-	}
-	return nil, false, nil
+	return append([]byte(nil), val...), true, nil
 }
 
 // Delete removes key, reporting whether it was present. Emptied chain pages
@@ -307,75 +310,56 @@ func (h *HashIndex) Delete(key []byte) (bool, error) {
 	st := h.stripeFor(bucket)
 	st.Lock()
 	defer st.Unlock()
-	_, dirBuf, err := h.dir()
+	pb := pagePool.Get().(*[PageSize]byte)
+	defer pagePool.Put(pb)
+	buf := pb[:]
+	_, cur, prev, _, err := h.find(bucket, key, pb)
+	if cur == nilPage || err != nil {
+		return false, err
+	}
+	bp, err := decodeBucket(buf)
 	if err != nil {
 		return false, err
 	}
-	buf := make([]byte, PageSize)
-	prev := nilPage
-	for cur := headOf(dirBuf, bucket); cur != nilPage; {
-		if err := h.pg.ReadPage(cur, buf); err != nil {
+	i := slices.IndexFunc(bp.entries, func(e kv) bool { return bytes.Equal(e.key, key) })
+	bp.entries = slices.Delete(bp.entries, i, i+1)
+	if len(bp.entries) > 0 {
+		if err := encodeBucket(bp, buf); err != nil {
 			return false, err
 		}
-		bp, err := decodeBucket(buf)
-		if err != nil {
-			return false, err
-		}
-		for i := range bp.entries {
-			if !bytes.Equal(bp.entries[i].key, key) {
-				continue
-			}
-			bp.entries = append(bp.entries[:i], bp.entries[i+1:]...)
-			if len(bp.entries) > 0 {
-				if err := encodeBucket(bp, buf); err != nil {
-					return false, err
-				}
-				return true, h.pg.WritePage(cur, buf)
-			}
-			// Unlink the empty page from the chain.
-			if prev == nilPage {
-				if err := h.updateHead(bucket, bp.next); err != nil {
-					return false, err
-				}
-			} else {
-				pbuf := make([]byte, PageSize)
-				if err := h.pg.ReadPage(prev, pbuf); err != nil {
-					return false, err
-				}
-				pbp, err := decodeBucket(pbuf)
-				if err != nil {
-					return false, err
-				}
-				pbp.next = bp.next
-				if err := encodeBucket(pbp, pbuf); err != nil {
-					return false, err
-				}
-				if err := h.pg.WritePage(prev, pbuf); err != nil {
-					return false, err
-				}
-			}
-			return true, h.pg.FreePage(cur)
-		}
-		prev = cur
-		cur = bp.next
+		return true, h.pg.WritePage(cur, buf)
 	}
-	return false, nil
+	// Unlink the empty page from the chain.
+	if prev == nilPage {
+		if err := h.updateHead(bucket, bp.next); err != nil {
+			return false, err
+		}
+	} else {
+		// Only the predecessor's next pointer changes: patch it in place.
+		if err := h.pg.ReadPage(prev, buf); err != nil {
+			return false, err
+		}
+		binary.BigEndian.PutUint64(buf, uint64(bp.next))
+		if err := h.pg.WritePage(prev, buf); err != nil {
+			return false, err
+		}
+	}
+	return true, h.pg.FreePage(cur)
 }
 
 // Count returns the number of entries in the index by walking every bucket
 // chain (Check cross-validation; O(pages)).
 func (h *HashIndex) Count() (int64, error) {
 	var total int64
-	buf := make([]byte, PageSize)
+	buf, dirBuf := make([]byte, PageSize), new([PageSize]byte)
 	for b := 0; b < h.nBuckets; b++ {
 		st := h.stripeFor(b)
 		st.RLock()
-		_, dirBuf, err := h.dir()
-		if err != nil {
+		if _, err := h.dir(dirBuf); err != nil {
 			st.RUnlock()
 			return 0, err
 		}
-		for cur := headOf(dirBuf, b); cur != nilPage; {
+		for cur := headOf(dirBuf[:], b); cur != nilPage; {
 			if err := h.pg.ReadPage(cur, buf); err != nil {
 				st.RUnlock()
 				return 0, err

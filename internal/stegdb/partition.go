@@ -287,41 +287,46 @@ func (s *PartitionedSnapshot) Scan(fn func(key, val []byte) bool) error {
 
 // Range visits rows with lo <= key < hi in global key order: a k-way merge
 // of the per-partition leaf chains (linear min over <= maxPartitions
-// iterators per step — partitions are few, keys are many).
+// iterators per step — partitions are few, keys are many). As with
+// TreeSnapshot.Range, key and val alias page buffers and are valid only
+// until fn returns.
 func (s *PartitionedSnapshot) Range(lo, hi []byte, fn func(key, val []byte) bool) error {
-	iters := make([]*treeIter, 0, len(s.snaps))
-	for _, ts := range s.snaps {
-		it, err := ts.iter(lo, hi)
-		if err != nil {
+	return mergeRange(s.snaps, lo, hi, fn)
+}
+
+// mergeRange is the k-way merge behind both Range methods, one treeIter per
+// snapshot. Every iterator is closed on every return.
+func mergeRange(snaps []*TreeSnapshot, lo, hi []byte, fn func(key, val []byte) bool) error {
+	iters := make([]treeIter, len(snaps))
+	defer func() {
+		for i := range iters {
+			iters[i].close()
+		}
+	}()
+	for i, ts := range snaps {
+		if err := iters[i].seek(ts, lo, hi); err != nil {
 			return err
 		}
-		if !it.done() {
-			iters = append(iters, it)
-		}
 	}
-	for len(iters) > 0 {
-		min := 0
-		for i := 1; i < len(iters); i++ {
-			if string(iters[i].key()) < string(iters[min].key()) {
+	for {
+		min := -1
+		for i := range iters {
+			if !iters[i].done() && (min < 0 || string(iters[i].key()) < string(iters[min].key())) {
 				min = i
 			}
 		}
-		if !fn(iters[min].key(), iters[min].val()) {
+		if min < 0 || !fn(iters[min].key(), iters[min].val()) {
 			return nil
 		}
 		if err := iters[min].next(); err != nil {
 			return err
 		}
-		if iters[min].done() {
-			iters[min] = iters[len(iters)-1]
-			iters = iters[:len(iters)-1]
-		}
 	}
-	return nil
 }
 
 // Scan visits every row in global key order from a fresh snapshot: the
 // scan sees the table exactly as of its start and never blocks writers.
+// key and val are valid only until fn returns; fn copies what it keeps.
 func (pt *PartitionedTable) Scan(fn func(key, val []byte) bool) error {
 	s := pt.Snapshot()
 	defer s.Close()
@@ -330,7 +335,8 @@ func (pt *PartitionedTable) Scan(fn func(key, val []byte) bool) error {
 
 // Range visits rows with lo <= key < hi (nil bounds are open) in global
 // key order from a fresh snapshot. The B-link leaf chains make this a seek
-// to lo plus a bounded walk per partition, not a filtered full scan.
+// to lo plus a bounded walk per partition, not a filtered full scan. key
+// and val are valid only until fn returns; fn copies what it keeps.
 func (pt *PartitionedTable) Range(lo, hi []byte, fn func(key, val []byte) bool) error {
 	s := pt.Snapshot()
 	defer s.Close()

@@ -730,7 +730,7 @@ func (fs *FS) flushHeader(r *hiddenRef) error {
 // holds the object's lock (shared suffices).
 func (fs *FS) readHidden(r *hiddenRef) ([]byte, error) {
 	io := r.io(fs.dev)
-	blocks, err := ptree.ReadInto(io, r.hdr.root, r.hdr.nblocks, r.blockList)
+	blocks, err := ptree.ReadInto(io, r.hdr.root, r.hdr.nblocks, 0, r.hdr.nblocks, r.blockList)
 	if err != nil {
 		return nil, err
 	}

@@ -69,17 +69,17 @@ func (fs *FS) rwHidden(r *hiddenRef, p []byte, off int64, write bool) (int, erro
 	}
 	bs := int64(fs.dev.BlockSize())
 	io_ := r.io(fs.dev)
-	blocks, err := ptree.ReadInto(io_, r.hdr.root, r.hdr.nblocks, r.blockList)
+	first := off / bs
+	last := (off + int64(len(p)) - 1) / bs
+	if last >= r.hdr.nblocks {
+		return 0, fmt.Errorf("stegfs: offset %d beyond mapped blocks", off+int64(len(p))-1)
+	}
+	// Map only the span: the pointer blocks covering [first, last].
+	span, err := ptree.ReadInto(io_, r.hdr.root, r.hdr.nblocks, first, last+1, r.blockList)
 	if err != nil {
 		return 0, err
 	}
-	r.blockList = blocks
-	first := off / bs
-	last := (off + int64(len(p)) - 1) / bs
-	if last >= int64(len(blocks)) {
-		return 0, fmt.Errorf("stegfs: offset %d beyond mapped blocks", off+int64(len(p))-1)
-	}
-	span := blocks[first : last+1]
+	r.blockList = span
 	// The span stages in the ref's reusable arena: with a warm cache the
 	// whole read path — lock, header reload, tree walk, batched read,
 	// in-place open — then runs without a single heap allocation.
