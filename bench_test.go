@@ -282,8 +282,8 @@ func BenchmarkExtIDA(b *testing.B) {
 }
 
 // BenchmarkExtStegDB measures the hidden-database extension (paper §6): row
-// inserts and point lookups through a B-tree + hash index living entirely in
-// hidden pages.
+// inserts and point lookups through a B-link tree living entirely in hidden
+// pages.
 func BenchmarkExtStegDB(b *testing.B) {
 	store, err := vdisk.NewMemStore(64<<10, 1<<10)
 	if err != nil {
@@ -299,7 +299,7 @@ func BenchmarkExtStegDB(b *testing.B) {
 		b.Fatal(err)
 	}
 	view := fs.NewHiddenView("bench")
-	table, err := stegdb.CreatePartitionedTable(view, "bench.db", 1, true, 64)
+	table, err := stegdb.CreatePartitionedTable(view, "bench.db", 1, false, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -310,18 +310,11 @@ func BenchmarkExtStegDB(b *testing.B) {
 			}
 		}
 	})
-	b.Run("GetHash", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := table.Get(binary.BigEndian.AppendUint64(nil, uint64(i%1000))); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("GetBTree", func(b *testing.B) {
+	b.Run("Get", func(b *testing.B) {
 		var k [8]byte
 		for i := 0; i < b.N; i++ {
 			binary.BigEndian.PutUint64(k[:], uint64(i%1000))
-			if _, _, err := table.GetOrdered(k[:]); err != nil {
+			if _, _, err := table.Get(k[:]); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -33,7 +33,7 @@ func newImage(t *testing.T) string {
 	if err := fs.NewHiddenView("alice").Create("diary", []byte("dear diary")); err != nil {
 		t.Fatal(err)
 	}
-	tab, err := stegdb.CreatePartitionedTable(fs.NewHiddenView("db"), "accounts", 1, true, 8)
+	tab, err := stegdb.CreatePartitionedTable(fs.NewHiddenView("db"), "accounts", 1, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
-// Hiddendb: the paper's future-work direction (§6) — database tables,
-// B-trees and hash indices hidden inside StegFS. A salary table lives in a
-// hidden file; to anyone without the key, the volume shows only encrypted,
-// unlisted blocks.
+// Hiddendb: the paper's future-work direction (§6) — database tables and
+// B-trees hidden inside StegFS. A salary table lives in a hidden file; to
+// anyone without the key, the volume shows only encrypted, unlisted blocks.
 //
 //	go run ./examples/hiddendb
 package main
@@ -29,10 +28,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The HR officer's session. The table is one hidden file: its pages,
-	// B-tree and hash index are all sealed under the file's access key.
+	// The HR officer's session. The table is one hidden file: its pages and
+	// B-tree are all sealed under the file's access key.
 	view := fs.NewHiddenView("hr-officer")
-	table, err := stegdb.CreatePartitionedTable(view, "salaries.db", 1, true, 64)
+	table, err := stegdb.CreatePartitionedTable(view, "salaries.db", 1, false, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +51,7 @@ func main() {
 		}
 	}
 
-	// Point lookup through the hash index.
+	// Point lookup: a descent of the B-tree.
 	rec, ok, err := table.Get(binary.BigEndian.AppendUint64(nil, 1002))
 	if err != nil || !ok {
 		log.Fatalf("lookup: %v", err)

@@ -160,10 +160,10 @@ func SpeedSuite(cfg Config, budget time.Duration) ([]SpeedRow, error) {
 	}))
 
 	// stegdb reads over a cache-resident table shaped like perfbench's
-	// stegdb-oltp: 8 partitions with a hash index, 8-byte keys and 100-byte
-	// values. Get and Range walk pages in place, so they allocate only the
-	// returned value and per-partition snapshot state.
-	tab, err := stegdb.CreatePartitionedTable(v, "speed.db", 8, true, 256)
+	// stegdb-oltp: 8 partitions, 8-byte keys and 100-byte values. Get and
+	// Range walk pages in place, so they allocate only the returned value
+	// and per-partition snapshot state.
+	tab, err := stegdb.CreatePartitionedTable(v, "speed.db", 8, false, 0)
 	if err != nil {
 		return nil, err
 	}

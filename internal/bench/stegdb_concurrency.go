@@ -16,21 +16,23 @@ import (
 const (
 	sdbCacheBlocks = 8192 // block cache: comfortably above the files' blocks
 	sdbPageCache   = 1024 // pager page cache frames (per partition in A9)
-	sdbBuckets     = 256  // hash index buckets (per partition in A9)
-	sdbHotKeys     = 64   // "a-ro-*": read-only, warmed, hash-path hits
+	sdbHotKeys     = 64   // "a-ro-*": read-only, warmed, page-cache hits
 	sdbRWKeys      = 32   // "b-rw-*": in-cache replace targets + snapshot Range window
 	sdbColdKeys    = 4096 // never-warmed key space: each access pays page misses
+	// sdbColdStride spaces A8's successive cold Gets further apart than
+	// the cold rows one leaf holds (about 56 after ascending-order splits),
+	// so each cold Get misses on a leaf of its own.
+	sdbColdStride = 64
 )
 
 // StegDBConcurrencySweep runs ablation A8: goroutines x {1,2,4,8,16} of a
 // mixed point/range workload over ONE shared one-partition hidden table (one
 // hidden file) on a cached, latency-emulated volume. Per 8 ops: 3 hot Gets
-// (hash path, pager-cache hits), 2 cold Gets (each touches a never-warmed
-// bucket page — emulated device latency), 1 replace Put (B-tree + hash,
-// in-cache), 1 transient Put+Delete (exercises both indexes and the
-// rollback-consistent pair), and 1 snapshot Range over the replace window
-// (verifying a consistent view while writers run). Scaling has to come from
-// stegdb's latching (pager page latches, hash stripes, snapshot reads). The
+// (pager-cache hits), 2 cold Gets (each misses on a never-warmed leaf —
+// emulated device latency), 1 replace Put (in-cache), 1 transient
+// Put+Delete, and 1 snapshot Range over the replace window (verifying a
+// consistent view while writers run). Scaling has to come from stegdb's
+// latching (pager page latches, tree latches, snapshot reads). The
 // write-back Sync runs right after each window, untimed but charged to the
 // level's disk-sec — the flush pipeline's timing is ablation A7's subject,
 // and folding its serial drain into the window would measure the block
@@ -48,8 +50,8 @@ func StegDBConcurrencySweep(cfg Config, levels []int, totalOps int, emuScale flo
 		switch i % 8 {
 		case 1:
 			return putRW(tab, i)
-		case 3, 7: // cold Get: a never-warmed bucket page pays device latency
-			k := coldKey((i/8)*2 + i%8/7)
+		case 3, 7: // cold Get: a never-warmed leaf pays device latency
+			k := coldKey(((i/8)*2 + i%8/7) * sdbColdStride)
 			v, ok, err := tab.Get([]byte(k))
 			if err != nil || !ok || string(v) != k+"=coldrow" {
 				return fmt.Errorf("cold get %s = %q %v %v", k, v, ok, err)
@@ -70,7 +72,7 @@ func StegDBConcurrencySweep(cfg Config, levels []int, totalOps int, emuScale flo
 		populate: func(f *stegfs.FS) error {
 			fs = f
 			var err error
-			if tab, err = stegdb.CreatePartitionedTable(f.NewHiddenView("dbc"), "a8.db", 1, true, sdbBuckets); err != nil {
+			if tab, err = stegdb.CreatePartitionedTable(f.NewHiddenView("dbc"), "a8.db", 1, false, 0); err != nil {
 				return err
 			}
 			tab.SetPageCacheSize(sdbPageCache)
@@ -86,8 +88,9 @@ func StegDBConcurrencySweep(cfg Config, levels []int, totalOps int, emuScale flo
 		},
 		op: op,
 		// Same cold start every level: drop the pager page cache and the
-		// block cache, then re-warm the tree (one full snapshot scan) and
-		// the hot/rw rows.
+		// block cache, then re-warm the tree short of the cold key space
+		// (one snapshot Range over every leaf below "e-") and the hot/rw
+		// rows.
 		reset: func() error {
 			if err := tab.InvalidatePageCache(); err != nil {
 				return err
@@ -95,7 +98,7 @@ func StegDBConcurrencySweep(cfg Config, levels []int, totalOps int, emuScale flo
 			if err := fs.Cache().Invalidate(); err != nil {
 				return err
 			}
-			if err := tab.Scan(func(k, v []byte) bool { return true }); err != nil {
+			if err := tab.Range(nil, []byte("e-"), func(k, v []byte) bool { return true }); err != nil {
 				return err
 			}
 			return getHotRW(tab)
@@ -126,9 +129,9 @@ func putHotRW(t *stegdb.PartitionedTable) error {
 	return nil
 }
 
-// getHotRW re-warms the hot and rw rows' pages: their bucket pages, leaves
-// and interior descent paths. The cold key space is deliberately left out —
-// it is the window's fixed miss set.
+// getHotRW re-warms the hot and rw rows' pages: their leaves and interior
+// descent paths. The cold key space is deliberately left out — it is the
+// window's fixed miss set.
 func getHotRW(t *stegdb.PartitionedTable) error {
 	for i := 0; i < sdbHotKeys; i++ {
 		if _, _, err := t.Get([]byte(sdbHotKey(i))); err != nil {
@@ -158,7 +161,7 @@ func settle(t *stegdb.PartitionedTable, ops int, op func(int) error) error {
 	return t.Sync()
 }
 
-// getHot is a hot Get through the hash path (a cache hit).
+// getHot is a hot Get (a page-cache hit).
 func getHot(t *stegdb.PartitionedTable, i int) error {
 	k := sdbHotKey(i)
 	v, ok, err := t.Get([]byte(k))
@@ -168,7 +171,7 @@ func getHot(t *stegdb.PartitionedTable, i int) error {
 	return nil
 }
 
-// putRW replaces an rw row (tree + hash, in-cache).
+// putRW replaces an rw row (in-cache).
 func putRW(t *stegdb.PartitionedTable, i int) error {
 	k := sdbRWKey(i / 8)
 	if err := t.Put([]byte(k), []byte(fmt.Sprintf("%s:%06d", k, i))); err != nil {
@@ -177,8 +180,7 @@ func putRW(t *stegdb.PartitionedTable, i int) error {
 	return nil
 }
 
-// putDelete puts a transient row and deletes it again, through both
-// indexes.
+// putDelete puts a transient row and deletes it again.
 func putDelete(t *stegdb.PartitionedTable, key string) error {
 	if err := t.Put([]byte(key), []byte("transient-row!")); err != nil {
 		return fmt.Errorf("tmp put: %w", err)

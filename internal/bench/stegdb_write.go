@@ -23,9 +23,9 @@ const sdwPartitions = 16
 // StegDBWriteSweep runs ablation A9: goroutines x {1,2,4,8,16} of a
 // write-heavy mixed workload over ONE shared PARTITIONED hidden table on a
 // cached, latency-emulated volume. Per 8 ops: 3 cold Puts (each rewrites a
-// row on a never-warmed leaf, paying device latency for the leaf and hash
-// bucket page reads), 1 in-cache replace Put on the rw window, 1 transient
-// Put+Delete pair, 1 hot Get (hash path, cache hit), 1 cold Get, and 1
+// row on a never-warmed leaf, paying device latency for the leaf read), 1
+// in-cache replace Put on the rw window, 1 transient Put+Delete pair, 1 hot
+// Get (cache hit), 1 cold Get (a leaf miss), and 1
 // cross-partition snapshot Range over the rw window (verifying a consistent
 // merged view while writers run).
 //
@@ -79,7 +79,7 @@ func StegDBWriteSweep(cfg Config, levels []int, totalOps int, emuScale float64) 
 		populate: func(f *stegfs.FS) error {
 			fs = f
 			var err error
-			if pt, err = stegdb.CreatePartitionedTable(f.NewHiddenView("dbw"), "a9.db", sdwPartitions, true, sdbBuckets); err != nil {
+			if pt, err = stegdb.CreatePartitionedTable(f.NewHiddenView("dbw"), "a9.db", sdwPartitions, false, 0); err != nil {
 				return err
 			}
 			pt.SetPageCacheSize(sdbPageCache)

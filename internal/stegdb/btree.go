@@ -226,8 +226,8 @@ var pagePool = sync.Pool{New: func() any { return new([PageSize]byte) }}
 
 var errCorruptPage = errors.New("stegdb: corrupt page entry")
 
-// kvCursor walks the remaining entries of a page in place: leaf and bucket
-// entries [klen u16][vlen u16][key][val], or, with sep set, internal
+// kvCursor walks the remaining entries of a page in place: leaf entries
+// [klen u16][vlen u16][key][val], or, with sep set, internal
 // separators [klen u16][key][child u64], whose val is the child pointer.
 type kvCursor struct {
 	buf  []byte
@@ -588,47 +588,42 @@ func childIndex(keys [][]byte, key []byte) int {
 	return i
 }
 
-// Put inserts or replaces key -> val.
-func (t *BTree) Put(key, val []byte) error {
-	_, _, err := t.PutEx(key, val)
-	return err
-}
-
-// putResult carries the replaced value out of the leaf apply step.
+// putResult carries the replaced value out of the leaf apply step, so a
+// failed split can undo the leaf change exactly.
 type putResult struct {
 	prev    []byte
 	existed bool
 }
 
-// PutEx inserts or replaces key -> val and reports the previous value (and
-// whether one existed) so callers can undo the operation exactly.
+// Put inserts or replaces key -> val.
 //
 // Failure atomicity: the leaf store is the commit point. Every error before
 // it leaves the tree untouched; an error after it (a failed ancestor
 // separator insert) triggers an exact undo of the leaf change before the
-// error returns, so a failed PutEx always leaves the table at its prior
+// error returns, so a failed Put always leaves the table at its prior
 // state. Completed splits are kept either way — a B-link tree is consistent
 // with or without the parent pointer, since searches reach the new sibling
-// through the right link.
-func (t *BTree) PutEx(key, val []byte) (prev []byte, existed bool, err error) {
+// through the right link. The undo restores the row this Put replaced, so
+// callers serialize Puts of one key (the table's per-key shards).
+func (t *BTree) Put(key, val []byte) error {
 	if len(key) == 0 {
-		return nil, false, fmt.Errorf("stegdb: empty key")
+		return fmt.Errorf("stegdb: empty key")
 	}
 	if len(key)+len(val) > MaxEntry {
-		return nil, false, fmt.Errorf("stegdb: entry %d bytes exceeds max %d", len(key)+len(val), MaxEntry)
+		return fmt.Errorf("stegdb: entry %d bytes exceeds max %d", len(key)+len(val), MaxEntry)
 	}
 	rootID, err := t.ensureRoot()
 	if err != nil {
-		return nil, false, err
+		return err
 	}
 	stack, leafID, err := descendToLeaf(t.pg, rootID, key)
 	if err != nil {
-		return nil, false, err
+		return err
 	}
 	id, n, err := t.lockNodeForKey(leafID, key)
 	if err != nil {
 		t.latches.unlock(id)
-		return nil, false, err
+		return err
 	}
 	var res putResult
 	rows := int64(1)
@@ -649,20 +644,20 @@ func (t *BTree) PutEx(key, val []byte) (prev []byte, existed bool, err error) {
 	if n.encodedSize() <= PageSize {
 		err := t.store(id, n, rows)
 		t.latches.unlock(id)
-		return res.prev, res.existed, err
+		return err
 	}
-	sep, rightID, level, serr := t.splitStore(id, n, rows)
+	sep, rightID, level, err := t.splitStore(id, n, rows)
 	t.latches.unlock(id)
-	if serr != nil {
-		return nil, false, serr
+	if err != nil {
+		return err
 	}
 	if err := t.insertSepChain(stack, sep, rightID, id, level); err != nil {
 		if uerr := t.undoLeafChange(key, res); uerr != nil {
-			return nil, false, errors.Join(err, fmt.Errorf("stegdb: put rollback failed: %w", uerr))
+			return errors.Join(err, fmt.Errorf("stegdb: put rollback failed: %w", uerr))
 		}
-		return nil, false, err
+		return err
 	}
-	return res.prev, res.existed, nil
+	return nil
 }
 
 // ensureRoot returns the root page, creating an empty leaf root under
@@ -915,41 +910,34 @@ func splitPointInternal(keys [][]byte) int {
 
 // Delete removes key if present, reporting whether it was found. Pages are
 // not rebalanced or freed; an emptied leaf stays in place so concurrent
-// descents and snapshots never chase a link into a recycled page.
+// descents and snapshots never chase a link into a recycled page. A failed
+// Delete reports (false, err) and leaves the tree untouched: the single
+// leaf store is its only mutation.
 func (t *BTree) Delete(key []byte) (bool, error) {
-	_, found, err := t.DeleteEx(key)
-	return found, err
-}
-
-// DeleteEx removes key and reports the removed value, so callers can undo
-// the deletion exactly. A failed DeleteEx leaves the tree untouched (the
-// single leaf store is the only mutation).
-func (t *BTree) DeleteEx(key []byte) (prev []byte, found bool, err error) {
 	rootID := t.root()
 	if rootID == nilPage {
-		return nil, false, nil
+		return false, nil
 	}
 	_, leafID, err := descendToLeaf(t.pg, rootID, key)
 	if err != nil {
-		return nil, false, err
+		return false, err
 	}
 	id, n, err := t.lockNodeForKey(leafID, key)
 	if err != nil {
 		t.latches.unlock(id)
-		return nil, false, err
+		return false, err
 	}
 	defer t.latches.unlock(id)
 	for i, e := range n.entries {
 		if bytes.Equal(e.key, key) {
-			prev = append([]byte(nil), e.val...)
 			n.entries = append(n.entries[:i], n.entries[i+1:]...)
 			if err := t.store(id, n, -1); err != nil {
-				return nil, false, err
+				return false, err
 			}
-			return prev, true, nil
+			return true, nil
 		}
 	}
-	return nil, false, nil
+	return false, nil
 }
 
 // Scan visits every key/value pair in key order, reading from a snapshot so

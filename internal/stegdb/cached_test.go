@@ -28,13 +28,13 @@ func newCachedView(t *testing.T, blocks int64, cacheBlocks int) (*stegfs.HiddenV
 }
 
 // TestTableThroughBlockCache runs the whole database stack — pager, B-tree,
-// hash index — over a cached StegFS volume and proves the result survives a
+// table — over a cached StegFS volume and proves the result survives a
 // table Sync plus a cold, uncached remount of the raw store.
 func TestTableThroughBlockCache(t *testing.T) {
 	for _, capacity := range []int{0, 32, 2048} {
 		t.Run(fmt.Sprintf("cache=%d", capacity), func(t *testing.T) {
 			view, fs, store := newCachedView(t, 16<<10, capacity)
-			tbl, err := CreatePartitionedTable(view, "accounts", 1, true, 64)
+			tbl, err := CreatePartitionedTable(view, "accounts", 1, false, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

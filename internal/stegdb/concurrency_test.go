@@ -12,11 +12,11 @@ import (
 )
 
 // TestStegDBParallelChurn: goroutines churn disjoint key ranges through one
-// shared table; the table must survive races on the pager, free list, hash
-// directory and row counter. Run under -race.
+// shared table; the table must survive races on the pager, page allocation,
+// tree latches and row counter. Run under -race.
 func TestStegDBParallelChurn(t *testing.T) {
 	view, _ := newView(t, 64<<10)
-	tab, err := CreatePartitionedTable(view, "churn", 1, true, 64)
+	tab, err := CreatePartitionedTable(view, "churn", 1, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestStegDBParallelChurn(t *testing.T) {
 // torn rows, no doubled or missing keys from in-flight splits).
 func TestStegDBScanSnapshotIsolation(t *testing.T) {
 	view, _ := newView(t, 64<<10)
-	tab, err := CreatePartitionedTable(view, "snap", 1, true, 32)
+	tab, err := CreatePartitionedTable(view, "snap", 1, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestStegDBScanSnapshotIsolation(t *testing.T) {
 // a final Sync the volume is remounted cold and every row must be there.
 func TestStegDBSyncUnderLoad(t *testing.T) {
 	view, store := newView(t, 64<<10)
-	tab, err := CreatePartitionedTable(view, "t", 1, true, 32)
+	tab, err := CreatePartitionedTable(view, "t", 1, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

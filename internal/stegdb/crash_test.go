@@ -53,7 +53,7 @@ func runPartitionedCrash(t *testing.T, cutAt int64) (img []byte, window int64) {
 		t.Fatal(err)
 	}
 	view := fs.NewHiddenView("db")
-	pt, err := CreatePartitionedTable(view, "t", crashParts, true, 32)
+	pt, err := CreatePartitionedTable(view, "t", crashParts, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestStegDBPlainTableCrashRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		view := fs.NewHiddenView("db")
-		tab, err := CreatePartitionedTable(view, "t", 1, true, 32)
+		tab, err := CreatePartitionedTable(view, "t", 1, false, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package stegdb
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -11,8 +12,8 @@ import (
 )
 
 // errView wraps a HiddenView and fails exactly one armed call (the n-th of
-// the armed kind), then disarms — modeling a transient device fault. The
-// table's rollback paths must leave the B-tree and hash index consistent.
+// the armed kind), then disarms — modeling a transient device fault. A
+// failed table op must leave the table at its prior state.
 type errView struct {
 	inner *stegfs.HiddenView
 	mu    sync.Mutex
@@ -77,20 +78,26 @@ func (v *errView) Stat(name string) (fsapi.FileInfo, error) { return v.inner.Sta
 
 func (v *errView) Sync() error { return v.inner.Sync() }
 
-// faultTable builds a hash-indexed table behind an errView, seeded with
+// faultTable builds a one-partition table behind an errView, seeded with
 // nSeed rows mirrored in ref.
 func faultTable(t *testing.T, nSeed int) (*PartitionedTable, *errView, map[string]string) {
 	t.Helper()
+	return seededFaultTable(t, nSeed, func(i int) string { return fmt.Sprintf("seed-%d", i) })
+}
+
+// seededFaultTable is faultTable with row i's value given by val.
+func seededFaultTable(t *testing.T, nSeed int, val func(i int) string) (*PartitionedTable, *errView, map[string]string) {
+	t.Helper()
 	view, _ := newView(t, 64<<10)
 	ev := &errView{inner: view}
-	tab, err := CreatePartitionedTable(ev, "ft", 1, true, 16)
+	tab, err := CreatePartitionedTable(ev, "ft", 1, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := make(map[string]string, nSeed)
 	for i := 0; i < nSeed; i++ {
 		k := fmt.Sprintf("fk%04d", i)
-		v := fmt.Sprintf("seed-%d", i)
+		v := val(i)
 		if err := tab.Put([]byte(k), []byte(v)); err != nil {
 			t.Fatal(err)
 		}
@@ -102,18 +109,14 @@ func faultTable(t *testing.T, nSeed int) (*PartitionedTable, *errView, map[strin
 	return tab, ev, ref
 }
 
-// verifyAgainst asserts the table exactly matches ref through both access
-// paths, the O(1) row counter, and Check's cross-validation.
+// verifyAgainst asserts the table exactly matches ref through Get, the O(1)
+// row counter, Check's scan, and the page caches' dirty indexes.
 func verifyAgainst(t *testing.T, tab *PartitionedTable, ref map[string]string) {
 	t.Helper()
 	for k, want := range ref {
-		hv, ok, err := tab.Get([]byte(k))
-		if err != nil || !ok || string(hv) != want {
-			t.Fatalf("hash path %s = %q %v %v, want %q", k, hv, ok, err, want)
-		}
-		bv, ok, err := tab.GetOrdered([]byte(k))
-		if err != nil || !ok || string(bv) != want {
-			t.Fatalf("tree path %s = %q %v %v, want %q", k, bv, ok, err, want)
+		v, ok, err := tab.Get([]byte(k))
+		if err != nil || !ok || string(v) != want {
+			t.Fatalf("Get %s = %q %v %v, want %q", k, v, ok, err, want)
 		}
 	}
 	rows, err := tab.Rows()
@@ -129,12 +132,13 @@ func verifyAgainst(t *testing.T, tab *PartitionedTable, ref map[string]string) {
 	checkPageDirtyIndex(t, tab)
 }
 
-// sweepReadFaults runs op repeatedly, injecting a read fault at call
-// positions 1, 2, 3, ... until an unfaulted run completes — every read the
-// operation performs gets to fail once. After a faulted run the table must
-// equal ref (the op rolled back); after the clean run, apply mutates ref
-// and the table must equal the new ref.
-func sweepReadFaults(t *testing.T, tab *PartitionedTable, ev *errView, ref map[string]string,
+// sweepFaults runs op repeatedly, injecting a fault of kind ("read",
+// "write" or "resize") at call positions 1, 2, 3, ... until an unfaulted
+// run completes — every such call the operation performs gets to fail
+// once. After a faulted run the table must equal ref (the op rolled back);
+// after the clean run, apply mutates ref and the table must equal the new
+// ref.
+func sweepFaults(t *testing.T, tab *PartitionedTable, ev *errView, kind string, ref map[string]string,
 	op func(round int) error, apply func(round int)) {
 	t.Helper()
 	for k := 1; k <= 256; k++ {
@@ -142,7 +146,7 @@ func sweepReadFaults(t *testing.T, tab *PartitionedTable, ev *errView, ref map[s
 		if err := tab.InvalidatePageCache(); err != nil {
 			t.Fatal(err)
 		}
-		ev.arm("read", k)
+		ev.arm(kind, k)
 		err := op(k)
 		fired := ev.didFire()
 		ev.arm("", 0)
@@ -164,37 +168,36 @@ func sweepReadFaults(t *testing.T, tab *PartitionedTable, ev *errView, ref map[s
 		verifyAgainst(t, tab, ref)
 		return
 	}
-	t.Fatal("sweep did not terminate (op performs >256 reads?)")
+	t.Fatalf("sweep did not terminate (op performs >256 %s calls?)", kind)
 }
 
-// TestStegDBFaultPutReplace: a replace Put that fails anywhere (tree read,
-// hash chain walk, rollback load) must leave the old row intact in BOTH
-// structures.
+// TestStegDBFaultPutReplace: a replace Put that fails anywhere must leave
+// the old row intact.
 func TestStegDBFaultPutReplace(t *testing.T) {
 	tab, ev, ref := faultTable(t, 60)
 	const key = "fk0031"
-	sweepReadFaults(t, tab, ev, ref,
+	sweepFaults(t, tab, ev, "read", ref,
 		func(round int) error { return tab.Put([]byte(key), []byte(fmt.Sprintf("rep-%d", round))) },
 		func(round int) { ref[key] = fmt.Sprintf("rep-%d", round) })
 }
 
-// TestStegDBFaultPutFresh: a fresh-key Put that fails after the tree insert
-// must roll the insert back — the key absent everywhere, row count flat.
+// TestStegDBFaultPutFresh: a fresh-key Put that fails must leave the key
+// absent and the row count flat.
 func TestStegDBFaultPutFresh(t *testing.T) {
 	tab, ev, ref := faultTable(t, 60)
-	sweepReadFaults(t, tab, ev, ref,
+	sweepFaults(t, tab, ev, "read", ref,
 		func(round int) error {
 			return tab.Put([]byte(fmt.Sprintf("fresh-%04d", round)), []byte("newrow"))
 		},
 		func(round int) { ref[fmt.Sprintf("fresh-%04d", round)] = "newrow" })
 }
 
-// TestStegDBFaultDelete: a Delete whose hash-side fails must restore the
-// tree row and report (false, err) — the delete did not happen.
+// TestStegDBFaultDelete: a failed Delete must leave the row and report
+// (false, err) — the delete did not happen.
 func TestStegDBFaultDelete(t *testing.T) {
 	tab, ev, ref := faultTable(t, 60)
 	const key = "fk0017"
-	sweepReadFaults(t, tab, ev, ref,
+	sweepFaults(t, tab, ev, "read", ref,
 		func(round int) error {
 			found, err := tab.Delete([]byte(key))
 			if err != nil {
@@ -209,6 +212,52 @@ func TestStegDBFaultDelete(t *testing.T) {
 			return nil
 		},
 		func(round int) { delete(ref, key) })
+}
+
+// TestStegDBFaultPutSplitGrowsRoot: a Put into a full root leaf splits it —
+// the leaf store commits the split — and then grows a new root. A fault in
+// the root growth fails insertSepChain after the leaf store, and
+// undoLeafChange must take the new row back out, so after every fault of
+// every kind the table equals ref.
+func TestStegDBFaultPutSplitGrowsRoot(t *testing.T) {
+	const key = "fk0008"
+	val := func(i int) string { return fmt.Sprintf("%03d", i) + strings.Repeat("v", 477) }
+	late := 0 // faults that struck after the split's leaf store
+	for _, kind := range []string{"read", "write", "resize"} {
+		t.Run(kind, func(t *testing.T) {
+			// Eight 490-byte entries fill the root leaf; a ninth splits it.
+			tab, ev, ref := seededFaultTable(t, 8, val)
+			if h, err := tab.parts[0].tree.Height(); err != nil || h != 1 {
+				t.Fatalf("seeded tree height %d (%v), want a single leaf", h, err)
+			}
+			// Pad the file so the split's right sibling takes its last page
+			// and the new root's page must grow it: the resize fault then
+			// lands after the leaf store.
+			pg := tab.parts[0].pg
+			fi, err := ev.Stat(pg.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pg.NumPages() < fi.Size/PageSize-1 {
+				if _, err := pg.AllocPage(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sweepFaults(t, tab, ev, kind, ref,
+				func(round int) error {
+					pages := tab.Pages()
+					err := tab.Put([]byte(key), []byte(val(8)))
+					if err != nil && tab.Pages() > pages {
+						late++
+					}
+					return err
+				},
+				func(round int) { ref[key] = val(8) })
+		})
+	}
+	if late == 0 {
+		t.Fatal("no fault struck after the leaf store; undoLeafChange never ran")
+	}
 }
 
 // TestStegDBFaultSyncRetry: a write fault during Sync leaves dirty pages

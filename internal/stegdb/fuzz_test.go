@@ -13,74 +13,6 @@ import (
 	"stegfs/internal/fsapi"
 )
 
-// FuzzDecodeBucket drives the bucket-chain codec's corruption paths: an
-// adversarially mangled page must never panic the decoder, and anything it
-// accepts must survive an encode/decode round trip.
-func FuzzDecodeBucket(f *testing.F) {
-	valid := make([]byte, PageSize)
-	if err := encodeBucket(&bucketPage{
-		next:    7,
-		entries: []kv{{key: []byte("key-a"), val: []byte("val-a")}, {key: []byte("k"), val: nil}},
-	}, valid); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	f.Add(valid[:bucketHdr])  // header only, zero entries claimed? (count=2, truncated)
-	f.Add(valid[:PageSize/2]) // truncated mid-entries
-	f.Add([]byte{})
-	f.Add([]byte{1, 2, 3})
-	lying := make([]byte, PageSize)
-	binary.BigEndian.PutUint16(lying[8:], 0xffff) // claims 65535 entries
-	f.Add(lying)
-	huge := make([]byte, bucketHdr+4)
-	binary.BigEndian.PutUint16(huge[8:], 1)
-	binary.BigEndian.PutUint16(huge[bucketHdr:], 0xffff) // klen past the page
-	f.Add(huge)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		bp, err := decodeBucket(data)
-		// The in-place walk every chain lookup runs must agree with the
-		// copy-out: the same entries in order, or an error where it errs.
-		var walked []kv
-		next, c, werr := parseBucket(data)
-		if werr == nil {
-			walked, werr = c.all()
-		}
-		if (werr != nil) != (err != nil) {
-			t.Fatalf("in-place walk err %v, decodeBucket err %v", werr, err)
-		}
-		if err != nil {
-			return // rejected: fine, as long as it didn't panic
-		}
-		if next != bp.next || !reflect.DeepEqual(walked, bp.entries) {
-			t.Fatalf("in-place walk %d/%v != decoded %d/%v", next, walked, bp.next, bp.entries)
-		}
-		if bp.size() > len(data) {
-			t.Fatalf("accepted bucket claims %d bytes from %d input", bp.size(), len(data))
-		}
-		if bp.size() > PageSize {
-			return // can't re-encode into one page
-		}
-		buf := make([]byte, PageSize)
-		if err := encodeBucket(bp, buf); err != nil {
-			t.Fatalf("re-encode of accepted bucket failed: %v", err)
-		}
-		bp2, err := decodeBucket(buf)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if bp2.next != bp.next || len(bp2.entries) != len(bp.entries) {
-			t.Fatalf("round trip mismatch: %d/%d entries", len(bp2.entries), len(bp.entries))
-		}
-		for i := range bp.entries {
-			if !bytes.Equal(bp.entries[i].key, bp2.entries[i].key) ||
-				!bytes.Equal(bp.entries[i].val, bp2.entries[i].val) {
-				t.Fatalf("entry %d round trip mismatch", i)
-			}
-		}
-	})
-}
-
 // FuzzDecodeNode drives the B-link node codec's corruption paths: a mangled
 // tree page must never panic the decoder, and any page it accepts must
 // survive an encode/decode round trip.
@@ -348,7 +280,7 @@ func FuzzRecoverWAL(f *testing.F) {
 	// A real database with two commits: the home file the journals replay
 	// into, and the second commit's journal as the seed.
 	mv := &memView{files: map[string][]byte{}}
-	tab, err := CreatePartitionedTable(mv, "db", 1, true, 4)
+	tab, err := CreatePartitionedTable(mv, "db", 1, false, 0)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -9,12 +9,12 @@ import (
 // allocTable builds an 8-partition table of rows 8-byte keys and 100-byte
 // values on a memView, committed, so every page is resident in the page
 // caches.
-func allocTable(t *testing.T, withHash bool, rows int) *PartitionedTable {
+func allocTable(t *testing.T, rows int) *PartitionedTable {
 	t.Helper()
 	if testing.CoverMode() != "" || raceEnabled {
 		t.Skip("coverage and race instrumentation allocate")
 	}
-	tab, err := CreatePartitionedTable(&memView{files: map[string][]byte{}}, "t", 8, withHash, 64)
+	tab, err := CreatePartitionedTable(&memView{files: map[string][]byte{}}, "t", 8, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,21 +30,18 @@ func allocTable(t *testing.T, withHash bool, rows int) *PartitionedTable {
 	return tab
 }
 
-// TestCachedGetAllocatesOnlyValue: a cached Get walks the hash chain or the
-// B-link descent in pooled page buffers, so its one allocation is the value
-// it returns.
+// TestCachedGetAllocatesOnlyValue: a cached Get walks the B-link descent in
+// pooled page buffers, so its one allocation is the value it returns.
 func TestCachedGetAllocatesOnlyValue(t *testing.T) {
-	for _, withHash := range []bool{true, false} {
-		tab := allocTable(t, withHash, 2000)
-		key := u64key(1234)
-		allocs := testing.AllocsPerRun(200, func() {
-			if v, ok, err := tab.Get(key); err != nil || !ok || len(v) != 100 {
-				t.Fatalf("Get = %d bytes, %v, %v", len(v), ok, err)
-			}
-		})
-		if allocs != 1 {
-			t.Errorf("hash=%v: cached Get allocates %.1f objects/op, want 1 (the value)", withHash, allocs)
+	tab := allocTable(t, 2000)
+	key := u64key(1234)
+	allocs := testing.AllocsPerRun(200, func() {
+		if v, ok, err := tab.Get(key); err != nil || !ok || len(v) != 100 {
+			t.Fatalf("Get = %d bytes, %v, %v", len(v), ok, err)
 		}
+	})
+	if allocs != 1 {
+		t.Errorf("cached Get allocates %.1f objects/op, want 1 (the value)", allocs)
 	}
 }
 
@@ -52,7 +49,7 @@ func TestCachedGetAllocatesOnlyValue(t *testing.T) {
 // partition (one snapshot each) and per call, never per row, page or entry:
 // a 400-row Range allocates exactly what a 50-row one does.
 func TestRangeAllocsIndependentOfRows(t *testing.T) {
-	tab := allocTable(t, true, 2000)
+	tab := allocTable(t, 2000)
 	rangeAllocs := func(rows int) float64 {
 		lo, hi := u64key(100), u64key(100+rows)
 		return testing.AllocsPerRun(100, func() {
@@ -153,67 +150,4 @@ func TestTreeIterReturnsBuffers(t *testing.T) {
 			t.Errorf("%s: Range allocates %.0f bytes per call, a page buffer leaked", c.name, b)
 		}
 	}
-}
-
-// TestHashIndexLongChains drives the in-place chain walk over multi-page
-// chains: one bucket, so inserts fill the head page, prepend new heads and
-// land in a head the walk has already left behind; deleting a run of keys
-// empties and unlinks pages in the middle of the chain and at its head.
-func TestHashIndexLongChains(t *testing.T) {
-	pg, err := CreatePager(&memView{files: map[string][]byte{}}, "h")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := NewHashIndex(pg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := map[int]int{} // key -> version
-	val := func(i int) []byte { return bytes.Repeat([]byte{byte(i + live[i])}, 150+i%40) }
-	put := func(from, to, step int) {
-		for i := from; i < to; i += step {
-			live[i]++
-			if err := h.Put(u64key(i), val(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	del := func(from, to int, keep func(int) bool) {
-		for i := from; i < to; i++ {
-			if !keep(i) {
-				if found, err := h.Delete(u64key(i)); err != nil || !found {
-					t.Fatalf("delete %d: %v %v", i, found, err)
-				}
-				delete(live, i)
-			}
-		}
-	}
-	check := func(phase string) {
-		t.Helper()
-		for i := 0; i < 300; i++ {
-			v, ok, err := h.Get(u64key(i))
-			_, want := live[i]
-			if err != nil || ok != want || (ok && !bytes.Equal(v, val(i))) {
-				t.Fatalf("%s: key %d: ok=%v err=%v, want present=%v", phase, i, ok, err, want)
-			}
-		}
-		if n, err := h.Count(); err != nil || n != int64(len(live)) {
-			t.Fatalf("%s: Count = %d, %v; want %d", phase, n, err, len(live))
-		}
-	}
-	put(0, 200, 1)
-	check("insert")
-	// About 20 entries fit a page; a fresh insert that skipped the head
-	// would prepend a page each time.
-	if pages := pg.NumPages(); pages > 20 {
-		t.Fatalf("200 entries took %d pages", pages)
-	}
-	put(0, 200, 3) // replacements, some of which grow
-	check("replace")
-	del(40, 160, func(int) bool { return false }) // empties middle pages
-	check("delete run")
-	put(200, 260, 1) // fresh inserts into a chain with holes
-	check("refill")
-	del(0, 260, func(i int) bool { _, ok := live[i]; return !ok || i%5 == 0 })
-	check("thin")
 }

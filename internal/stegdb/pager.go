@@ -3,18 +3,19 @@
 // effectively" — database structures stored entirely inside StegFS hidden
 // files, so their very existence is deniable.
 //
-// The package provides a page store (Pager) over a hidden file, a B-tree
-// and a bucket-chain hash index over the pager, and one table type,
-// PartitionedTable, combining them in each of N >= 1 hidden files (N = 1 is
-// the plain one-file table). Everything an adversary can observe is the
-// same encrypted, unlisted blocks as any other hidden file; even the fact
-// that a database exists is hidden behind the (name, key) pair.
+// The package provides a page store (Pager) over a hidden file, a B-link
+// tree over the pager, and one table type, PartitionedTable, keeping one
+// tree in each of N >= 1 hidden files (N = 1 is the plain one-file table).
+// The tree serves every lookup; each row is stored once. Everything an
+// adversary can observe is the same encrypted, unlisted blocks as any other
+// hidden file; even the fact that a database exists is hidden behind the
+// (name, key) pair.
 //
 // Concurrency: the pager is safe for concurrent use. Pages live in a small
 // no-steal write-back cache with per-page latches (shared for reads,
-// exclusive for writes), the meta page has its own mutex, and
-// AllocPage/FreePage are atomic against concurrent allocators. Structural
-// writers run in parallel over the B-link tree (btree.go); readers that
+// exclusive for writes), the meta page has its own mutex, and AllocPage is
+// atomic against concurrent allocators. Structural writers run in parallel
+// over the B-link tree (btree.go); readers that
 // must not block behind writers take copy-on-write snapshots
 // (BeginSnapshot) pinned at an epoch; see snapshot.go. Durability point:
 // WritePage is write-back — dirty pages reach the hidden file only at
@@ -23,9 +24,9 @@
 // CRC-valid journal at OpenPager, so the on-device state is always exactly
 // some committed epoch (old-or-new, never a mix). Lock order inside the
 // package, outermost first: PartitionedTable snapGate → per-partition key
-// shards → Pager commit locks → tree latches → HashIndex stripes →
-// HashIndex.dirMu → BTree rootMu → Pager.allocMu → page latches →
-// Pager.snapMu → Pager.metaMu → the pageCache mutex. This order is not just
+// shards → Pager commit locks → tree latches → BTree rootMu →
+// Pager.allocMu → page latches → Pager.snapMu → Pager.metaMu → the
+// pageCache mutex. This order is not just
 // prose: each lock carries a lockcheck:level annotation in the stegdb
 // domain and cmd/lockcheck enforces it in CI — see docs/ANALYSIS.md for the
 // grammar and the level map, and docs/STEGDB.md for the protocols that rely
@@ -53,10 +54,12 @@ const pagerMagic = "SGDB0001"
 // hashRoot(8) rows(8) commitEpoch(8) partCount(8) partIndex(8).
 // commitEpoch is stamped into the journaled meta image at each commit;
 // partCount/partIndex are zero for plain tables and identify the shard for
-// partitioned ones (partition.go).
+// partitioned ones (partition.go). freeHead and hashRoot are reserved: they
+// held a page free list and a hash index that older versions kept. Pages
+// are never freed now, and openPartition clears a leftover hashRoot.
 const (
 	metaNumPages    = 8
-	metaFreeHead    = 16
+	_               = 16 // freeHead, reserved
 	metaBTreeRoot   = 24
 	metaHashRoot    = 32
 	metaRows        = 40
@@ -91,8 +94,8 @@ type View interface {
 	Sync() error
 }
 
-// Pager provides page-granular storage inside one hidden file, with a
-// free-list for recycling, amortized-doubling growth, and a physical redo
+// Pager provides page-granular storage inside one hidden file, with
+// amortized-doubling growth (pages are never freed), and a physical redo
 // journal (a sibling hidden file, name + ".wal") making every Sync an
 // atomic commit.
 type Pager struct {
@@ -123,10 +126,10 @@ type Pager struct {
 	// lockcheck:guardedby metaMu
 	metaGen uint64 // bumped on every setMeta; write-wins on commit
 
-	// allocMu serializes AllocPage/FreePage so free-list updates, file
-	// growth and the numPages counter stay atomic under concurrency. It
-	// sits above the latches/snapMu/metaMu it takes, and is not noio:
-	// AllocPage stats and grows the hidden file under it by design.
+	// allocMu serializes AllocPage so file growth and the numPages counter
+	// stay atomic under concurrency. It sits above the metaMu it takes, and
+	// is not noio: AllocPage stats and grows the hidden file under it by
+	// design.
 	// lockcheck:level 40 stegdb/allocMu
 	allocMu sync.Mutex
 
@@ -333,24 +336,11 @@ func (p *Pager) writePage(id int64, buf []byte, rows int64) error {
 	return nil
 }
 
-// AllocPage returns a zeroed page, reusing the free list when possible.
-// Atomic against concurrent allocators and frees.
+// AllocPage returns a fresh page at the end of the file, growing the file
+// when needed. Atomic against concurrent allocators.
 func (p *Pager) AllocPage() (int64, error) {
 	p.allocMu.Lock()
 	defer p.allocMu.Unlock()
-	if head := p.metaField(metaFreeHead); head != nilPage {
-		buf := make([]byte, PageSize)
-		if err := p.ReadPage(head, buf); err != nil {
-			return 0, err
-		}
-		next := int64(binary.BigEndian.Uint64(buf))
-		p.setMetaField(metaFreeHead, next)
-		zero := make([]byte, PageSize)
-		if err := p.WritePage(head, zero); err != nil {
-			return 0, err
-		}
-		return head, nil
-	}
 	id := p.metaField(metaNumPages)
 	// Grow the backing hidden file when the next page would not fit.
 	fi, err := p.view.Stat(p.name)
@@ -368,23 +358,6 @@ func (p *Pager) AllocPage() (int64, error) {
 	}
 	p.setMetaField(metaNumPages, id+1)
 	return id, nil
-}
-
-// FreePage returns a page to the free list. Atomic against concurrent
-// allocators.
-func (p *Pager) FreePage(id int64) error {
-	if id <= nilPage || id >= p.NumPages() {
-		return fmt.Errorf("stegdb: freeing page %d out of range", id)
-	}
-	p.allocMu.Lock()
-	defer p.allocMu.Unlock()
-	buf := make([]byte, PageSize)
-	binary.BigEndian.PutUint64(buf, uint64(p.metaField(metaFreeHead)))
-	if err := p.WritePage(id, buf); err != nil {
-		return err
-	}
-	p.setMetaField(metaFreeHead, id)
-	return nil
 }
 
 // Sync is the durability barrier and commit point: it journals a

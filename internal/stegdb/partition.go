@@ -6,9 +6,9 @@ import (
 )
 
 // PartitionedTable is a hidden table, sharded by key hash across N hidden
-// files (partitions), each with its own Pager, B-tree, optional hash index
-// and journal. Partitioning multiplies the write paths the same way A6's
-// distinct-object scaling multiplied file writes: Put/Delete on different
+// files (partitions), each with its own Pager, B-link tree and journal.
+// Partitioning multiplies the write paths the same way A6's distinct-object
+// scaling multiplied file writes: Put/Delete on different
 // partitions share no pager, no tree, no commit lock and no journal, so a
 // write-heavy workload scales with the partition count instead of
 // funneling into one file's allocator and commit pipeline. N = 1 is the
@@ -60,15 +60,15 @@ const maxPartitions = 64
 func partName(base string, i int) string { return fmt.Sprintf("%s.p%d", base, i) }
 
 // CreatePartitionedTable creates a table sharded across nParts hidden
-// files; nParts = 1 creates the plain one-file layout. withHash/nBuckets
-// apply to every partition.
+// files; nParts = 1 creates the plain one-file layout. withHash and
+// nBuckets are accepted and ignored: every lookup goes through the tree.
 func CreatePartitionedTable(view View, name string, nParts int, withHash bool, nBuckets int) (*PartitionedTable, error) {
 	if nParts < 1 || nParts > maxPartitions {
 		return nil, fmt.Errorf("stegdb: partition count %d out of range [1,%d]", nParts, maxPartitions)
 	}
 	pt := &PartitionedTable{view: view, parts: make([]*partition, nParts)}
 	if nParts == 1 {
-		p, err := createPartition(view, name, withHash, nBuckets)
+		p, err := createPartition(view, name)
 		if err != nil {
 			return nil, err
 		}
@@ -77,7 +77,7 @@ func CreatePartitionedTable(view View, name string, nParts int, withHash bool, n
 	}
 	pt.layout = int64(nParts)
 	for i := range pt.parts {
-		p, err := createPartition(view, partName(name, i), withHash, nBuckets)
+		p, err := createPartition(view, partName(name, i))
 		if err != nil {
 			return nil, err
 		}
@@ -167,8 +167,8 @@ func (pt *PartitionedTable) partFor(key []byte) int {
 	return int(h % uint64(len(pt.parts)))
 }
 
-// Put inserts or replaces a row in the owning partition. The B-tree and
-// hash index stay error-consistent: a failed Put leaves the prior row.
+// Put inserts or replaces a row in the owning partition. A failed Put
+// leaves the prior row.
 func (pt *PartitionedTable) Put(key, val []byte) error {
 	pt.snapGate.RLock()
 	defer pt.snapGate.RUnlock()
@@ -183,13 +183,8 @@ func (pt *PartitionedTable) Delete(key []byte) (bool, error) {
 	return pt.parts[pt.partFor(key)].delete(key)
 }
 
-// Get returns the row stored under key (hash-index path when present).
+// Get returns the row stored under key, from the owning partition's tree.
 func (pt *PartitionedTable) Get(key []byte) ([]byte, bool, error) {
-	return pt.parts[pt.partFor(key)].get(key)
-}
-
-// GetOrdered always uses the owning partition's B-tree.
-func (pt *PartitionedTable) GetOrdered(key []byte) ([]byte, bool, error) {
 	return pt.parts[pt.partFor(key)].tree.Get(key)
 }
 

@@ -12,7 +12,7 @@ import (
 
 func TestPartitionedTableCRUDAndMerge(t *testing.T) {
 	view, _ := newView(t, 64<<10)
-	pt, err := CreatePartitionedTable(view, "pt", 4, true, 32)
+	pt, err := CreatePartitionedTable(view, "pt", 4, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,17 +30,12 @@ func TestPartitionedTableCRUDAndMerge(t *testing.T) {
 	if rows != n {
 		t.Fatalf("rows = %d, want %d", rows, n)
 	}
-	// Every key resolves via both paths.
 	for i := 0; i < n; i++ {
 		key := []byte(fmt.Sprintf("k%05d", i))
 		want := fmt.Sprintf("v-%d", i)
 		v, ok, err := pt.Get(key)
 		if err != nil || !ok || string(v) != want {
 			t.Fatalf("Get %s = %q %v %v", key, v, ok, err)
-		}
-		v, ok, err = pt.GetOrdered(key)
-		if err != nil || !ok || string(v) != want {
-			t.Fatalf("GetOrdered %s = %q %v %v", key, v, ok, err)
 		}
 	}
 	// Scan merges the partitions back into global key order.
@@ -86,7 +81,7 @@ func TestPartitionedTableCRUDAndMerge(t *testing.T) {
 
 func TestPartitionedTableRemountAndCheckAny(t *testing.T) {
 	view, store := newView(t, 64<<10)
-	pt, err := CreatePartitionedTable(view, "pt", 3, true, 16)
+	pt, err := CreatePartitionedTable(view, "pt", 3, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +129,7 @@ func TestPartitionedTableRemountAndCheckAny(t *testing.T) {
 
 func TestCheckAnyPlainTable(t *testing.T) {
 	view, store := newView(t, 64<<10)
-	tab, err := CreatePartitionedTable(view, "plain", 1, true, 16)
+	tab, err := CreatePartitionedTable(view, "plain", 1, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +243,7 @@ func TestStegDBPartitionedSnapshotAtomic(t *testing.T) {
 // committed. Verified by remounting cold after the storm.
 func TestStegDBPartitionedGroupCommit(t *testing.T) {
 	view, store := newView(t, 64<<10)
-	pt, err := CreatePartitionedTable(view, "gc", 4, true, 32)
+	pt, err := CreatePartitionedTable(view, "gc", 4, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +473,7 @@ func TestBTreeParallelWritersDisjoint(t *testing.T) {
 // and checks.
 func TestOnePartitionLayout(t *testing.T) {
 	mv := &memView{files: map[string][]byte{}}
-	pt, err := CreatePartitionedTable(mv, "t", 1, true, 8)
+	pt, err := CreatePartitionedTable(mv, "t", 1, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +488,7 @@ func TestOnePartitionLayout(t *testing.T) {
 	}
 
 	view, store := newView(t, 64<<10)
-	p0, err := createPartition(view, "legacy.p0", true, 16)
+	p0, err := createPartition(view, "legacy.p0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,6 +529,84 @@ func TestOnePartitionLayout(t *testing.T) {
 	}
 	if v, ok, err := pt2.Get(u64key(7)); err != nil || !ok || string(v) != "v7" {
 		t.Fatalf("Get = %q %v %v", v, ok, err)
+	}
+}
+
+// TestOpenDropsLegacyHashIndex: older versions kept a hash index beside the
+// tree and named it in metaHashRoot. Such a table opens with every row
+// served by the tree, and the next commit clears the field, so an older
+// binary reopening the table reads its tree too instead of a stale index.
+func TestOpenDropsLegacyHashIndex(t *testing.T) {
+	mv := &memView{files: map[string][]byte{}}
+	pt, err := CreatePartitionedTable(mv, "t", 1, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := map[string]string{}
+	for i := 0; i < 300; i++ {
+		ref[string(u64key(i))] = fmt.Sprintf("v%d", i)
+		if err := pt.Put(u64key(i), []byte(ref[string(u64key(i))])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pg := pt.parts[0].pg
+	dir, err := pg.AllocPage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg.setMetaField(metaHashRoot, dir)
+	if err := pt.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	hashRoot := func() int64 { return int64(binary.BigEndian.Uint64(mv.files["t"][metaHashRoot:])) }
+	if got := hashRoot(); got != dir {
+		t.Fatalf("setup: metaHashRoot on disk = %d, want %d", got, dir)
+	}
+
+	pt2, err := OpenPartitionedTable(mv, "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i += 3 {
+		ref[string(u64key(i))] = fmt.Sprintf("r%d", i)
+		if err := pt2.Put(u64key(i), []byte(ref[string(u64key(i))])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1; i < 300; i += 7 {
+		delete(ref, string(u64key(i)))
+		if found, err := pt2.Delete(u64key(i)); err != nil || !found {
+			t.Fatalf("Delete %d = %v %v", i, found, err)
+		}
+	}
+	if err := pt2.Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	pt3, err := OpenPartitionedTable(mv, "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, want := range ref {
+		if v, ok, err := pt3.Get([]byte(k)); err != nil || !ok || string(v) != want {
+			t.Fatalf("Get %x = %q %v %v, want %q", k, v, ok, err, want)
+		}
+	}
+	scanned := 0
+	if err := pt3.Scan(func(k, v []byte) bool {
+		scanned++
+		if ref[string(k)] != string(v) {
+			t.Errorf("Scan %x = %q, want %q", k, v, ref[string(k)])
+		}
+		return true
+	}); err != nil || scanned != len(ref) {
+		t.Fatalf("Scan saw %d rows (%v), want %d", scanned, err, len(ref))
+	}
+	if err := pt3.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if got := hashRoot(); got != nilPage {
+		t.Fatalf("metaHashRoot on disk = %d after a commit, want nilPage", got)
 	}
 }
 

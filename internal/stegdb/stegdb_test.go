@@ -72,41 +72,6 @@ func TestPagerAllocReadWrite(t *testing.T) {
 	}
 }
 
-func TestPagerFreeListRecycles(t *testing.T) {
-	view, _ := newView(t, 16<<10)
-	pg, err := CreatePager(view, "db1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := pg.AllocPage()
-	b, _ := pg.AllocPage()
-	grown := pg.NumPages()
-	if err := pg.FreePage(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := pg.FreePage(b); err != nil {
-		t.Fatal(err)
-	}
-	c, _ := pg.AllocPage()
-	d, _ := pg.AllocPage()
-	if pg.NumPages() != grown {
-		t.Fatalf("free list not recycled: %d pages, had %d", pg.NumPages(), grown)
-	}
-	if (c != a && c != b) || (d != a && d != b) || c == d {
-		t.Fatalf("recycled ids wrong: %d %d from {%d %d}", c, d, a, b)
-	}
-	// Recycled pages come back zeroed.
-	buf := make([]byte, PageSize)
-	if err := pg.ReadPage(c, buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range buf {
-		if x != 0 {
-			t.Fatal("recycled page not zeroed")
-		}
-	}
-}
-
 func TestPagerPersistence(t *testing.T) {
 	view, _ := newView(t, 16<<10)
 	pg, err := CreatePager(view, "db1")
@@ -305,81 +270,9 @@ func TestBTreeLargeValues(t *testing.T) {
 	}
 }
 
-func TestHashIndexCRUD(t *testing.T) {
-	view, _ := newView(t, 64<<10)
-	pg, _ := CreatePager(view, "db1")
-	h, err := NewHashIndex(pg, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 1000
-	for i := 0; i < n; i++ {
-		if err := h.Put([]byte(fmt.Sprintf("hk%05d", i)), []byte(fmt.Sprintf("hv%d", i))); err != nil {
-			t.Fatalf("put %d: %v", i, err)
-		}
-	}
-	for i := 0; i < n; i++ {
-		v, ok, err := h.Get([]byte(fmt.Sprintf("hk%05d", i)))
-		if err != nil || !ok || string(v) != fmt.Sprintf("hv%d", i) {
-			t.Fatalf("get %d: %q %v %v", i, v, ok, err)
-		}
-	}
-	// Replace.
-	if err := h.Put([]byte("hk00001"), []byte("fresh")); err != nil {
-		t.Fatal(err)
-	}
-	v, _, _ := h.Get([]byte("hk00001"))
-	if string(v) != "fresh" {
-		t.Fatal("hash replace failed")
-	}
-	// Delete.
-	for i := 0; i < n; i += 3 {
-		found, err := h.Delete([]byte(fmt.Sprintf("hk%05d", i)))
-		if err != nil || !found {
-			t.Fatalf("delete %d: %v %v", i, found, err)
-		}
-	}
-	for i := 0; i < n; i++ {
-		_, ok, _ := h.Get([]byte(fmt.Sprintf("hk%05d", i)))
-		if ok != (i%3 != 0) {
-			t.Fatalf("key %d presence %v", i, ok)
-		}
-	}
-	if found, _ := h.Delete([]byte("never")); found {
-		t.Fatal("missing delete reported found")
-	}
-}
-
-func TestHashIndexPersistence(t *testing.T) {
-	view, _ := newView(t, 32<<10)
-	pg, _ := CreatePager(view, "db1")
-	h, err := NewHashIndex(pg, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Put([]byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if err := pg.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	pg2, err := OpenPager(view, "db1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := NewHashIndex(pg2, 0) // reopening ignores nBuckets
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, ok, err := h2.Get([]byte("k"))
-	if err != nil || !ok || string(v) != "v" {
-		t.Fatal("hash index lost across reopen")
-	}
-}
-
 func TestTableEndToEnd(t *testing.T) {
 	view, _ := newView(t, 64<<10)
-	tab, err := CreatePartitionedTable(view, "accounts", 1, true, 32)
+	tab, err := CreatePartitionedTable(view, "accounts", 1, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,15 +289,9 @@ func TestTableEndToEnd(t *testing.T) {
 	if err != nil || rows != n {
 		t.Fatalf("Rows = %d %v", rows, err)
 	}
-	// Point lookups through the hash path and the ordered path agree.
 	for i := 0; i < n; i += 17 {
-		hv, ok1, _ := tab.Get(u64key(i))
-		var k [8]byte
-		k[7] = byte(i)
-		k[6] = byte(i >> 8)
-		bv, ok2, _ := tab.GetOrdered(k[:])
-		if !ok1 || !ok2 || !bytes.Equal(hv, bv) {
-			t.Fatalf("row %d: hash %q vs btree %q", i, hv, bv)
+		if v, ok, err := tab.Get(u64key(i)); err != nil || !ok || string(v) != fmt.Sprintf("row-%d", i) {
+			t.Fatalf("row %d = %q %v %v", i, v, ok, err)
 		}
 	}
 	// Range query.
@@ -421,13 +308,12 @@ func TestTableEndToEnd(t *testing.T) {
 	if len(got) != 10 || got[0] != "row-10" || got[9] != "row-19" {
 		t.Fatalf("range [10,20) = %v", got)
 	}
-	// Delete through both structures.
 	found, err := tab.Delete(lo)
 	if err != nil || !found {
 		t.Fatal("table delete failed")
 	}
 	if _, ok, _ := tab.Get(lo); ok {
-		t.Fatal("deleted row still visible via hash")
+		t.Fatal("deleted row still visible")
 	}
 	if err := tab.Check(); err != nil {
 		t.Fatal(err)
@@ -448,7 +334,7 @@ func TestTablePersistenceAcrossRemount(t *testing.T) {
 		t.Fatal(err)
 	}
 	view := fs.NewHiddenView("db")
-	tab, err := CreatePartitionedTable(view, "t", 1, true, 16)
+	tab, err := CreatePartitionedTable(view, "t", 1, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +376,7 @@ func TestTablePersistenceAcrossRemount(t *testing.T) {
 // TestPropertyTableVsMap: arbitrary operation sequences agree with a map.
 func TestPropertyTableVsMap(t *testing.T) {
 	view, _ := newView(t, 64<<10)
-	tab, err := CreatePartitionedTable(view, "prop", 1, true, 16)
+	tab, err := CreatePartitionedTable(view, "prop", 1, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,10 +409,6 @@ func TestPropertyTableVsMap(t *testing.T) {
 		for key, want := range ref {
 			got, ok, err := tab.Get([]byte(key))
 			if err != nil || !ok || string(got) != want {
-				return false
-			}
-			got2, ok2, err := tab.GetOrdered([]byte(key))
-			if err != nil || !ok2 || string(got2) != want {
 				return false
 			}
 		}

@@ -48,7 +48,7 @@ func newFsckVolume(t *testing.T) (*vdisk.MemStore, CheckOptions) {
 	if err := bob.Create("plans", []byte("short hidden file")); err != nil {
 		t.Fatal(err)
 	}
-	tab, err := stegdb.CreatePartitionedTable(fs.NewHiddenView("db"), "accounts", 1, true, 32)
+	tab, err := stegdb.CreatePartitionedTable(fs.NewHiddenView("db"), "accounts", 1, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestFsckPartitionedTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := stegdb.CreatePartitionedTable(fs.NewHiddenView("db"), "ledger", 3, true, 32)
+	pt, err := stegdb.CreatePartitionedTable(fs.NewHiddenView("db"), "ledger", 3, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
