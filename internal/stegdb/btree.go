@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -26,12 +27,17 @@ import (
 //     latch-free, then holds at most two per-page tree latches (hand over
 //     hand, moving right) while it modifies a node, so Put/Delete on
 //     different leaves never serialize against each other.
-//   - Readers are latch-free. Get/Scan move right by high key and never
+//   - Readers are latch-free. Get and Range move right by high key and never
 //     block behind a writer's descent.
 //   - Snapshots need no tree lock at all. BeginSnapshot pins an epoch and
 //     the meta page atomically; every page pointer a snapshot can follow
 //     leads to content written before the pin (split ordering), so splits
 //     in flight are invisible to it.
+//
+// Put and Delete also serialize per key on one of nKeyShards shard locks,
+// so the undo a failed split-Put runs restores exactly the row that Put
+// replaced; distinct keys proceed in parallel, limited below by the tree
+// latches.
 //
 // The tree never frees pages: an emptied leaf stays in place (reachable,
 // zero entries) so no snapshot or concurrent descent can ever chase a right
@@ -40,12 +46,19 @@ type BTree struct {
 	pg      *Pager
 	latches *treeLatches
 
+	// Per-key shards; one shard per Put or Delete.
+	// lockcheck:level 10 stegdb/shard
+	shards [nKeyShards]sync.Mutex
+
 	// rootMu serializes root growth (and first-root creation): the check
 	// "is this node still the root?" and the swap to a taller root must be
 	// atomic. It is never held together with a tree latch.
 	// lockcheck:level 35 stegdb/rootMu
 	rootMu sync.Mutex
 }
+
+// nKeyShards is the Put/Delete key striping factor.
+const nKeyShards = 64
 
 // MaxEntry bounds key+value length. The bound keeps every split half
 // encodable: a post-split node holds at least one max-size entry, a
@@ -79,8 +92,16 @@ type node struct {
 }
 
 // NewBTree opens the tree rooted in the pager's meta (creating an empty
-// tree if none exists).
-func NewBTree(pg *Pager) *BTree { return &BTree{pg: pg, latches: newTreeLatches()} }
+// tree if none exists). A hash index an older version stored beside the
+// tree is dropped: the tree holds every row, and clearing metaHashRoot
+// (persisted by the next commit) keeps an older binary from serving the
+// index's now stale values.
+func NewBTree(pg *Pager) *BTree {
+	if pg.metaField(metaHashRoot) != nilPage {
+		pg.setMetaField(metaHashRoot, nilPage)
+	}
+	return &BTree{pg: pg, latches: newTreeLatches()}
+}
 
 func (t *BTree) root() int64 { return t.pg.metaField(metaBTreeRoot) }
 
@@ -162,58 +183,33 @@ func (t *treeLatches) unlock(id int64) {
 // --- node codec --------------------------------------------------------------
 
 func encodeNode(n *node, buf []byte) error {
-	for i := range buf {
-		buf[i] = 0
+	if size := n.encodedSize(); size > len(buf) {
+		return fmt.Errorf("stegdb: %d-byte node overflows its page", size)
 	}
+	clear(buf)
+	buf[0], buf[1] = nodeInternal, n.level
+	count := len(n.keys)
 	if n.leaf {
-		buf[0] = nodeLeaf
-	} else {
-		buf[0] = nodeInternal
-	}
-	buf[1] = n.level
-	count := len(n.entries)
-	if !n.leaf {
-		count = len(n.keys)
+		buf[0], count = nodeLeaf, len(n.entries)
 	}
 	binary.BigEndian.PutUint16(buf[2:], uint16(count))
 	binary.BigEndian.PutUint64(buf[4:], uint64(n.right))
 	binary.BigEndian.PutUint16(buf[12:], uint16(len(n.high)))
-	off := nodeHdr
-	if off+len(n.high) > PageSize {
-		return fmt.Errorf("stegdb: high key overflow during encode")
-	}
-	copy(buf[off:], n.high)
-	off += len(n.high)
+	off := nodeHdr + copy(buf[nodeHdr:], n.high)
 	if n.leaf {
 		for _, e := range n.entries {
-			need := 4 + len(e.key) + len(e.val)
-			if off+need > PageSize {
-				return fmt.Errorf("stegdb: leaf overflow during encode (%d entries)", len(n.entries))
-			}
 			binary.BigEndian.PutUint16(buf[off:], uint16(len(e.key)))
 			binary.BigEndian.PutUint16(buf[off+2:], uint16(len(e.val)))
-			off += 4
-			copy(buf[off:], e.key)
-			off += len(e.key)
-			copy(buf[off:], e.val)
-			off += len(e.val)
+			off += 4 + copy(buf[off+4:], e.key)
+			off += copy(buf[off:], e.val)
 		}
 		return nil
-	}
-	if off+8 > PageSize {
-		return fmt.Errorf("stegdb: internal overflow during encode")
 	}
 	binary.BigEndian.PutUint64(buf[off:], uint64(n.children[0]))
 	off += 8
 	for i, k := range n.keys {
-		need := 2 + len(k) + 8
-		if off+need > PageSize {
-			return fmt.Errorf("stegdb: internal overflow during encode (%d keys)", len(n.keys))
-		}
 		binary.BigEndian.PutUint16(buf[off:], uint16(len(k)))
-		off += 2
-		copy(buf[off:], k)
-		off += len(k)
+		off += 2 + copy(buf[off+2:], k)
 		binary.BigEndian.PutUint64(buf[off:], uint64(n.children[i+1]))
 		off += 8
 	}
@@ -332,7 +328,7 @@ func (v *nodeView) child0() int64 {
 }
 
 // child returns the child of an internal node owning key: the child right
-// of the last separator <= key (childIndex on the encoded page). A nil key
+// of the last separator <= key, read on the encoded page. A nil key
 // picks children[0].
 func (v *nodeView) child(key []byte) (int64, error) {
 	id, c := v.child0(), v.entries
@@ -415,49 +411,7 @@ func (t *BTree) store(id int64, n *node, rows int64) error {
 // otherwise).
 func covers(high, key []byte) bool { return high == nil || bytes.Compare(key, high) < 0 }
 
-// --- snapshot reads ----------------------------------------------------------
-
-// TreeSnapshot is a point-in-time read-only view of the tree: the root and
-// every page are frozen at the snapshot's epoch. Close it when done.
-type TreeSnapshot struct {
-	s    *Snapshot
-	root int64
-}
-
-// Snapshot pins the tree at the current instant. No tree lock is needed:
-// BeginSnapshot pins the epoch and the meta page atomically, and the
-// B-link write ordering (right sibling before left half before parent)
-// guarantees every page pointer reachable from the pinned root leads to
-// content written before the pin. Reads through the snapshot never block
-// writers.
-func (t *BTree) Snapshot() *TreeSnapshot {
-	s := t.pg.BeginSnapshot()
-	return &TreeSnapshot{s: s, root: s.BTreeRoot()}
-}
-
-// Close releases the snapshot's pinned page versions.
-func (ts *TreeSnapshot) Close() { ts.s.Close() }
-
-// Rows returns the table row counter as of the snapshot.
-func (ts *TreeSnapshot) Rows() int64 { return ts.s.RowsAtSnapshot() }
-
-// Get returns the value stored under key as of the snapshot.
-func (ts *TreeSnapshot) Get(key []byte) ([]byte, bool, error) {
-	return getFrom(ts.s, ts.root, key)
-}
-
-// Scan visits every key/value pair in key order as of the snapshot.
-func (ts *TreeSnapshot) Scan(fn func(key, val []byte) bool) error {
-	return ts.Range(nil, nil, fn)
-}
-
-// Range visits pairs with lo <= key < hi in key order as of the snapshot
-// (nil bounds are open). The B-link leaf chain makes this a seek plus a
-// bounded walk, not a full scan. key and val alias a pooled page buffer:
-// they are valid only until fn returns, so fn must copy what it keeps.
-func (ts *TreeSnapshot) Range(lo, hi []byte, fn func(key, val []byte) bool) error {
-	return mergeRange([]*TreeSnapshot{ts}, lo, hi, fn)
-}
+// --- reads --------------------------------------------------------------------
 
 // getFrom looks key up in place, copying out only the value it returns.
 func getFrom(r pageReader, id int64, key []byte) ([]byte, bool, error) {
@@ -466,7 +420,7 @@ func getFrom(r pageReader, id int64, key []byte) ([]byte, bool, error) {
 	}
 	buf := pagePool.Get().(*[PageSize]byte)
 	defer pagePool.Put(buf)
-	_, leaf, err := seekLevel(r, id, key, 0, buf, nil)
+	_, leaf, err := seekLevel(r, id, key, 0, buf)
 	if err != nil {
 		return nil, false, err
 	}
@@ -479,8 +433,7 @@ func getFrom(r pageReader, id int64, key []byte) ([]byte, bool, error) {
 
 // seekLevel descends in place in buf from page id to the node at level
 // (0 = leaf) owning key (nil: the leftmost), moving right past splits.
-// stack, when non-nil, collects the internal node taken at each level.
-func seekLevel(r pageReader, id int64, key []byte, level uint8, buf *[PageSize]byte, stack *[]int64) (int64, nodeView, error) {
+func seekLevel(r pageReader, id int64, key []byte, level uint8, buf *[PageSize]byte) (int64, nodeView, error) {
 	for {
 		v, err := readNode(r, id, buf)
 		switch {
@@ -493,9 +446,6 @@ func seekLevel(r pageReader, id int64, key []byte, level uint8, buf *[PageSize]b
 		case v.leaf || v.level < level:
 			return 0, v, fmt.Errorf("stegdb: btree level %d unreachable from root", level)
 		default:
-			if stack != nil {
-				*stack = append(*stack, id)
-			}
 			if id, err = v.child(key); err != nil {
 				return 0, v, err
 			}
@@ -518,12 +468,12 @@ type treeIter struct {
 }
 
 // seek positions it at the first key >= lo of the snapshot.
-func (it *treeIter) seek(ts *TreeSnapshot, lo, hi []byte) error {
-	if *it = (treeIter{r: ts.s, hi: hi}); ts.root == nilPage {
+func (it *treeIter) seek(s *Snapshot, lo, hi []byte) error {
+	if *it = (treeIter{r: s, hi: hi}); s.btreeRoot == nilPage {
 		return nil
 	}
 	it.buf = pagePool.Get().(*[PageSize]byte)
-	_, leaf, err := seekLevel(it.r, ts.root, lo, 0, it.buf, nil)
+	_, leaf, err := seekLevel(it.r, s.btreeRoot, lo, 0, it.buf)
 	if err != nil {
 		it.close()
 		return err
@@ -579,20 +529,41 @@ func (t *BTree) Get(key []byte) ([]byte, bool, error) {
 	return getFrom(t.pg, t.root(), key)
 }
 
-// childIndex returns the child slot for key: the number of separators <= key.
-func childIndex(keys [][]byte, key []byte) int {
-	i := 0
-	for i < len(keys) && bytes.Compare(key, keys[i]) >= 0 {
-		i++
-	}
-	return i
-}
-
 // putResult carries the replaced value out of the leaf apply step, so a
 // failed split can undo the leaf change exactly.
 type putResult struct {
 	prev    []byte
 	existed bool
+}
+
+// findEntry returns the position of key among a leaf's sorted entries.
+func (n *node) findEntry(key []byte) (int, bool) {
+	return slices.BinarySearchFunc(n.entries, key, func(e kv, k []byte) int { return bytes.Compare(e.key, k) })
+}
+
+// setEntry inserts or replaces key in a leaf, returning what it replaced
+// and the change to the row count.
+func (n *node) setEntry(key, val []byte) (putResult, int64) {
+	i, found := n.findEntry(key)
+	if found {
+		prev := n.entries[i].val
+		n.entries[i].val = val
+		return putResult{prev: bytes.Clone(prev), existed: true}, 0
+	}
+	n.entries = slices.Insert(n.entries, i, kv{key: key, val: val})
+	return putResult{}, 1
+}
+
+// shardFor hashes the key (FNV-1a) onto a shard lock.
+//
+// lockcheck:returns stegdb/shard
+func (t *BTree) shardFor(key []byte) *sync.Mutex {
+	h := uint64(14695981039346656037)
+	for _, b := range key {
+		h ^= uint64(b)
+		h *= 1099511628211
+	}
+	return &t.shards[h%nKeyShards]
 }
 
 // Put inserts or replaces key -> val.
@@ -603,8 +574,9 @@ type putResult struct {
 // error returns, so a failed Put always leaves the table at its prior
 // state. Completed splits are kept either way — a B-link tree is consistent
 // with or without the parent pointer, since searches reach the new sibling
-// through the right link. The undo restores the row this Put replaced, so
-// callers serialize Puts of one key (the table's per-key shards).
+// through the right link. The undo restores the row this Put replaced; the
+// key's shard, held for the whole Put, keeps any other Put or Delete of the
+// key from landing in between.
 func (t *BTree) Put(key, val []byte) error {
 	if len(key) == 0 {
 		return fmt.Errorf("stegdb: empty key")
@@ -612,35 +584,17 @@ func (t *BTree) Put(key, val []byte) error {
 	if len(key)+len(val) > MaxEntry {
 		return fmt.Errorf("stegdb: entry %d bytes exceeds max %d", len(key)+len(val), MaxEntry)
 	}
-	rootID, err := t.ensureRoot()
+	sh := t.shardFor(key)
+	sh.Lock()
+	defer sh.Unlock()
+	if err := t.ensureRoot(); err != nil {
+		return err
+	}
+	id, n, err := t.lockOwner(key, 0)
 	if err != nil {
 		return err
 	}
-	stack, leafID, err := descendToLeaf(t.pg, rootID, key)
-	if err != nil {
-		return err
-	}
-	id, n, err := t.lockNodeForKey(leafID, key)
-	if err != nil {
-		t.latches.unlock(id)
-		return err
-	}
-	var res putResult
-	rows := int64(1)
-	pos := 0
-	for pos < len(n.entries) && bytes.Compare(n.entries[pos].key, key) < 0 {
-		pos++
-	}
-	if pos < len(n.entries) && bytes.Equal(n.entries[pos].key, key) {
-		res.prev = append([]byte(nil), n.entries[pos].val...)
-		res.existed = true
-		rows = 0
-		n.entries[pos].val = val
-	} else {
-		n.entries = append(n.entries, kv{})
-		copy(n.entries[pos+1:], n.entries[pos:])
-		n.entries[pos] = kv{key: key, val: val}
-	}
+	res, rows := n.setEntry(key, val)
 	if n.encodedSize() <= PageSize {
 		err := t.store(id, n, rows)
 		t.latches.unlock(id)
@@ -651,7 +605,7 @@ func (t *BTree) Put(key, val []byte) error {
 	if err != nil {
 		return err
 	}
-	if err := t.insertSepChain(stack, sep, rightID, id, level); err != nil {
+	if err := t.postSep(sep, rightID, level); err != nil {
 		if uerr := t.undoLeafChange(key, res); uerr != nil {
 			return errors.Join(err, fmt.Errorf("stegdb: put rollback failed: %w", uerr))
 		}
@@ -660,53 +614,47 @@ func (t *BTree) Put(key, val []byte) error {
 	return nil
 }
 
-// ensureRoot returns the root page, creating an empty leaf root under
-// rootMu if the tree is empty.
-func (t *BTree) ensureRoot() (int64, error) {
-	if id := t.root(); id != nilPage {
-		return id, nil
+// ensureRoot creates an empty leaf root under rootMu if the tree is empty.
+func (t *BTree) ensureRoot() error {
+	if t.root() != nilPage {
+		return nil
 	}
 	t.rootMu.Lock()
 	defer t.rootMu.Unlock()
-	if id := t.root(); id != nilPage {
-		return id, nil
+	if t.root() != nilPage {
+		return nil
 	}
 	id, err := t.pg.AllocPage()
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if err := t.store(id, &node{leaf: true}, 0); err != nil {
-		return 0, err
+		return err
 	}
 	t.setRoot(id)
-	return id, nil
+	return nil
 }
 
-// descendToLeaf walks from rootID to the leaf owning key without latches,
-// recording one ancestor per level (the rightmost node visited at that
-// level) for the ascent after a split. Stale entries are fine: nodes only
-// ever shed range to the right, and the ascent re-finds the exact parent by
-// moving right under its latch.
-func descendToLeaf(r pageReader, rootID int64, key []byte) (stack []int64, leafID int64, err error) {
-	buf := pagePool.Get().(*[PageSize]byte)
-	defer pagePool.Put(buf)
-	leafID, _, err = seekLevel(r, rootID, key, 0, buf, &stack)
-	return stack, leafID, err
-}
-
-// lockNodeForKey latches the node that currently owns key's range in
-// start's level chain: latch start, re-read, and move right (latch
-// coupling) while key is at or beyond the node's high key. On success the
-// latch on the returned id is held; on error it is too — the caller always
-// unlocks the returned id.
+// lockOwner latches the node at level that currently owns key: it
+// descends latch-free from the root, latches the node it lands on,
+// re-reads it, and moves right (latch coupling) while key is at or beyond
+// the node's high key — nodes only ever shed range to the right. On
+// success the caller holds the latch on the returned id; on error no latch
+// is held.
 // lockcheck:acquire stegdb/treelatch
-func (t *BTree) lockNodeForKey(start int64, key []byte) (int64, *node, error) {
-	id := start
+func (t *BTree) lockOwner(key []byte, level uint8) (int64, *node, error) {
+	buf := pagePool.Get().(*[PageSize]byte)
+	id, _, err := seekLevel(t.pg, t.root(), key, level, buf)
+	pagePool.Put(buf)
+	if err != nil {
+		return 0, nil, err
+	}
 	t.latches.lock(id)
 	for {
 		n, err := t.load(id)
 		if err != nil {
-			return id, nil, err
+			t.latches.unlock(id)
+			return 0, nil, err
 		}
 		if covers(n.high, key) {
 			return id, n, nil
@@ -756,112 +704,99 @@ func (t *BTree) splitStore(id int64, n *node, rows int64) (sep []byte, rightID i
 	return sep, rightID, n.level, nil
 }
 
-// insertSepChain walks back up the ancestor stack inserting the separator
-// produced by a split, splitting ancestors in turn as needed. When the
-// stack runs out the tree grows a new root (or, if another writer grew it
-// first, the insert re-descends to the right level).
-func (t *BTree) insertSepChain(stack []int64, sep []byte, rightID, leftID int64, level uint8) error {
+// postSep inserts the separator sep of a split at level, which points at
+// the new right sibling rightID, into the level above, splitting that
+// parent in turn when it overflows. Each parent is found afresh from the
+// current root, so the ascent needs no record of the descent; a root still
+// at level grows first (growRoot). A separator already in the parent came
+// with a root grown over the level's chain and is skipped: a node's low
+// bound never changes, so it already points at rightID.
+func (t *BTree) postSep(sep []byte, rightID int64, level uint8) error {
 	for {
-		var start int64
-		if len(stack) > 0 {
-			start = stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-		} else {
-			grown, id, err := t.growOrFindParent(leftID, sep, rightID, level)
-			if err != nil || grown {
-				return err
-			}
-			start = id
-		}
-		id, n, err := t.lockNodeForKey(start, sep)
-		if err != nil {
-			t.latches.unlock(id)
+		if err := t.growRoot(level); err != nil {
 			return err
 		}
-		ci := childIndex(n.keys, sep)
-		n.keys = append(n.keys, nil)
-		copy(n.keys[ci+1:], n.keys[ci:])
-		n.keys[ci] = sep
-		n.children = append(n.children, nilPage)
-		copy(n.children[ci+2:], n.children[ci+1:])
-		n.children[ci+1] = rightID
+		id, n, err := t.lockOwner(sep, level+1)
+		if err != nil {
+			return err
+		}
+		ci, found := slices.BinarySearchFunc(n.keys, sep, bytes.Compare)
+		if found {
+			t.latches.unlock(id)
+			return nil
+		}
+		n.keys = slices.Insert(n.keys, ci, sep)
+		n.children = slices.Insert(n.children, ci+1, rightID)
 		if n.encodedSize() <= PageSize {
 			err := t.store(id, n, 0)
 			t.latches.unlock(id)
 			return err
 		}
-		nsep, nright, lvl, err := t.splitStore(id, n, 0)
+		sep, rightID, level, err = t.splitStore(id, n, 0)
 		t.latches.unlock(id)
 		if err != nil {
 			return err
 		}
-		sep, rightID, leftID, level = nsep, nright, id, lvl
 	}
 }
 
-// growOrFindParent handles a split that exhausted the ancestor stack: if
-// the split node is still the root, grow the tree by one level; otherwise
-// another writer grew it first and the separator belongs in the (now
-// existing) level above — find it.
-func (t *BTree) growOrFindParent(leftID int64, sep []byte, rightID int64, level uint8) (grown bool, parent int64, err error) {
+// growRoot makes the tree one level taller if its root is still at level
+// below. The new root's children are the root's whole level chain, its
+// separators their high keys: a split root gives the classic two-child
+// root, and a longer chain is what a failed growth or two racing first
+// splits leave. The chain is cut where the new root would overflow its
+// page: like a node whose post failed, a node past the cut has no
+// downlink but stays reachable by its left neighbour's right link.
+func (t *BTree) growRoot(below uint8) error {
 	t.rootMu.Lock()
-	if t.root() == leftID {
-		defer t.rootMu.Unlock()
-		newRoot, err := t.pg.AllocPage()
-		if err != nil {
-			return false, 0, err
-		}
-		rn := &node{
-			level:    level + 1,
-			keys:     [][]byte{append([]byte(nil), sep...)},
-			children: []int64{leftID, rightID},
-		}
-		if err := t.store(newRoot, rn, 0); err != nil {
-			return false, 0, err
-		}
-		t.setRoot(newRoot)
-		return true, 0, nil
-	}
-	t.rootMu.Unlock()
-	id, err := t.findAtLevel(sep, level+1)
-	return false, id, err
-}
-
-// findAtLevel descends the live tree to the node owning key at the given
-// level (used after a concurrent root growth stole the ascent's target).
-func (t *BTree) findAtLevel(key []byte, level uint8) (int64, error) {
+	defer t.rootMu.Unlock()
 	buf := pagePool.Get().(*[PageSize]byte)
 	defer pagePool.Put(buf)
-	id, _, err := seekLevel(t.pg, t.root(), key, level, buf, nil)
-	return id, err
+	id := t.root()
+	v, err := readNode(t.pg, id, buf)
+	if err != nil || v.level != below {
+		return err
+	}
+	rn := &node{level: below + 1, children: []int64{id}}
+	for size := nodeHdr + 8; v.right != nilPage; {
+		if size += 10 + len(v.high); size > PageSize {
+			break
+		}
+		rn.keys = append(rn.keys, bytes.Clone(v.high))
+		rn.children = append(rn.children, v.right)
+		if v, err = readNode(t.pg, v.right, buf); err != nil {
+			return err
+		}
+	}
+	newRoot, err := t.pg.AllocPage()
+	if err != nil {
+		return err
+	}
+	if err := t.store(newRoot, rn, 0); err != nil {
+		return err
+	}
+	t.setRoot(newRoot)
+	return nil
 }
 
 // undoLeafChange reverses a committed leaf mutation after a later step of
 // the same Put failed, restoring the exact prior row state.
 func (t *BTree) undoLeafChange(key []byte, res putResult) error {
-	_, leafID, err := descendToLeaf(t.pg, t.root(), key)
+	id, n, err := t.lockOwner(key, 0)
 	if err != nil {
-		return err
-	}
-	id, n, err := t.lockNodeForKey(leafID, key)
-	if err != nil {
-		t.latches.unlock(id)
 		return err
 	}
 	defer t.latches.unlock(id)
-	for i, e := range n.entries {
-		if bytes.Equal(e.key, key) {
-			rows := int64(0)
-			if res.existed {
-				n.entries[i].val = res.prev
-			} else {
-				n.entries = append(n.entries[:i], n.entries[i+1:]...)
-				rows = -1
-			}
-			return t.store(id, n, rows)
-		}
+	if res.existed {
+		_, rows := n.setEntry(key, res.prev)
+		return t.store(id, n, rows)
 	}
-	return fmt.Errorf("stegdb: undo lost key %q", key)
+	i, found := n.findEntry(key)
+	if !found {
+		return fmt.Errorf("stegdb: undo lost key %q", key)
+	}
+	n.entries = slices.Delete(n.entries, i, i+1)
+	return t.store(id, n, -1)
 }
 
 // splitPointLeaf finds the entry index closest to half the encoded size.
@@ -914,54 +849,110 @@ func splitPointInternal(keys [][]byte) int {
 // Delete reports (false, err) and leaves the tree untouched: the single
 // leaf store is its only mutation.
 func (t *BTree) Delete(key []byte) (bool, error) {
-	rootID := t.root()
-	if rootID == nilPage {
+	sh := t.shardFor(key)
+	sh.Lock()
+	defer sh.Unlock()
+	if t.root() == nilPage {
 		return false, nil
 	}
-	_, leafID, err := descendToLeaf(t.pg, rootID, key)
+	id, n, err := t.lockOwner(key, 0)
 	if err != nil {
-		return false, err
-	}
-	id, n, err := t.lockNodeForKey(leafID, key)
-	if err != nil {
-		t.latches.unlock(id)
 		return false, err
 	}
 	defer t.latches.unlock(id)
-	for i, e := range n.entries {
-		if bytes.Equal(e.key, key) {
-			n.entries = append(n.entries[:i], n.entries[i+1:]...)
-			if err := t.store(id, n, -1); err != nil {
-				return false, err
-			}
-			return true, nil
-		}
+	i, found := n.findEntry(key)
+	if !found {
+		return false, nil
 	}
-	return false, nil
+	n.entries = slices.Delete(n.entries, i, i+1)
+	if err := t.store(id, n, -1); err != nil {
+		return false, err
+	}
+	return true, nil
 }
 
-// Scan visits every key/value pair in key order, reading from a snapshot so
-// concurrent writers are neither blocked nor observed mid-operation. fn
-// returning false stops the scan early; key and val are valid only until
-// fn returns.
-func (t *BTree) Scan(fn func(key, val []byte) bool) error {
-	s := t.Snapshot()
-	defer s.Close()
-	return s.Scan(fn)
+// --- checking ------------------------------------------------------------------
+
+// downlink is a child pointer with the low bound its parent gives it: the
+// separator left of it, or for an internal node's leftmost child the
+// node's own low bound (nil = -inf).
+type downlink struct {
+	low   []byte
+	child int64
 }
 
-// Height returns the tree height (0 = empty).
-func (t *BTree) Height() (int, error) {
-	s := t.Snapshot()
-	defer s.Close()
-	if s.root == nilPage {
-		return 0, nil
-	}
+// checkTree verifies the tree as of snapshot s. Each level, walked once
+// from its leftmost node, must be a chain of nodes of that level whose
+// high keys strictly ascend and end in +inf, and the downlinks of the
+// level above must reach into it in chain order, each at a node whose
+// left neighbour's high key is its low bound. A chain node without a
+// downlink (a failed post leaves one) is legal. Then every row must be one
+// owns accepts, and the row counter must match a full scan.
+func checkTree(s *Snapshot, owns func(key []byte) bool) error {
 	buf := pagePool.Get().(*[PageSize]byte)
 	defer pagePool.Put(buf)
-	v, err := readNode(s.s, s.root, buf)
-	if err != nil {
-		return 0, err
+	for level, above := -1, []downlink{{child: s.btreeRoot}}; s.btreeRoot != nilPage; level-- {
+		var below []downlink
+		var low []byte // the left neighbour's high key
+		next := 0      // the first downlink of above not yet met
+		for id := above[0].child; id != nilPage; {
+			v, err := readNode(s, id, buf)
+			if err != nil {
+				return err
+			}
+			if level < 0 {
+				level = int(v.level)
+			}
+			switch {
+			case int(v.level) != level || v.leaf != (level == 0):
+				return fmt.Errorf("stegdb: page %d of level %d is in the level-%d chain", id, v.level, level)
+			case (v.high == nil) != (v.right == nilPage):
+				return fmt.Errorf("stegdb: page %d: high key and right link disagree", id)
+			case low != nil && v.high != nil && bytes.Compare(v.high, low) <= 0:
+				return fmt.Errorf("stegdb: level %d: high keys out of order at page %d", level, id)
+			case next < len(above) && above[next].child == id:
+				if !bytes.Equal(above[next].low, low) {
+					return fmt.Errorf("stegdb: level %d: separator %q points at page %d, right of high key %q", level, above[next].low, id, low)
+				}
+				next++
+			}
+			if !v.leaf {
+				below = append(below, downlink{low, v.child0()})
+				for c := v.entries; ; {
+					k, ptr, ok, err := c.next()
+					if err != nil {
+						return err
+					} else if !ok {
+						break
+					}
+					below = append(below, downlink{bytes.Clone(k), int64(binary.BigEndian.Uint64(ptr))})
+				}
+			}
+			low, id = bytes.Clone(v.high), v.right
+		}
+		if next < len(above) {
+			return fmt.Errorf("stegdb: level %d: downlink to page %d is out of chain order or off the chain", level, above[next].child)
+		}
+		if level == 0 {
+			break
+		}
+		above = below
 	}
-	return int(v.level) + 1, nil
+	var scanned, misrouted int64
+	err := mergeRange([]*Snapshot{s}, nil, nil, func(k, v []byte) bool {
+		scanned++
+		if !owns(k) {
+			misrouted++
+		}
+		return true
+	})
+	switch {
+	case err != nil:
+		return err
+	case misrouted > 0:
+		return fmt.Errorf("stegdb: %d misrouted keys", misrouted)
+	case s.rows != scanned:
+		return fmt.Errorf("stegdb: row counter %d != scanned rows %d", s.rows, scanned)
+	}
+	return nil
 }

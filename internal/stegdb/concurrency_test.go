@@ -328,3 +328,57 @@ func TestStegDBSnapshotPinsState(t *testing.T) {
 		t.Fatalf("live read = %q %v %v", v, ok, err)
 	}
 }
+
+// TestStegDBConcurrentFirstSplits races the first splits of fresh one-leaf
+// tables: writers insert distinct keys with 480-byte values at once into a
+// root leaf one row short of full, so one writer can split the right
+// sibling of a root split whose root growth has not landed yet. Every Put
+// must succeed, every row read back, and Check pass.
+func TestStegDBConcurrentFirstSplits(t *testing.T) {
+	const rounds, writers, perWriter = 100, 8, 3
+	view, _ := newView(t, 64<<10)
+	val := strings.Repeat("v", 480)
+	for r := 0; r < rounds; r++ {
+		tab, err := CreatePartitionedTable(view, fmt.Sprintf("fs%d", r), 1, false, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 7; i++ {
+			if err := tab.Put([]byte(fmt.Sprintf("a%d", i)), []byte(val)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		start := make(chan struct{})
+		errCh := make(chan error, writers)
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				for i := 0; i < perWriter; i++ {
+					if err := tab.Put([]byte(fmt.Sprintf("k%d-%d", i, w)), []byte(val)); err != nil {
+						errCh <- err
+						return
+					}
+				}
+			}(w)
+		}
+		close(start)
+		wg.Wait()
+		close(errCh)
+		for err := range errCh {
+			t.Fatalf("round %d: %v", r, err)
+		}
+		for w := 0; w < writers; w++ {
+			for i := 0; i < perWriter; i++ {
+				if _, ok, err := tab.Get([]byte(fmt.Sprintf("k%d-%d", i, w))); err != nil || !ok {
+					t.Fatalf("round %d: key k%d-%d: ok=%v err=%v", r, i, w, ok, err)
+				}
+			}
+		}
+		if err := tab.Check(); err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package stegdb
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -216,7 +217,7 @@ func TestStegDBFaultDelete(t *testing.T) {
 
 // TestStegDBFaultPutSplitGrowsRoot: a Put into a full root leaf splits it —
 // the leaf store commits the split — and then grows a new root. A fault in
-// the root growth fails insertSepChain after the leaf store, and
+// the root growth fails postSep after the leaf store, and
 // undoLeafChange must take the new row back out, so after every fault of
 // every kind the table equals ref.
 func TestStegDBFaultPutSplitGrowsRoot(t *testing.T) {
@@ -227,22 +228,13 @@ func TestStegDBFaultPutSplitGrowsRoot(t *testing.T) {
 		t.Run(kind, func(t *testing.T) {
 			// Eight 490-byte entries fill the root leaf; a ninth splits it.
 			tab, ev, ref := seededFaultTable(t, 8, val)
-			if h, err := tab.parts[0].tree.Height(); err != nil || h != 1 {
-				t.Fatalf("seeded tree height %d (%v), want a single leaf", h, err)
+			if h := treeHeight(t, tab.parts[0]); h != 1 {
+				t.Fatalf("seeded tree height %d, want a single leaf", h)
 			}
 			// Pad the file so the split's right sibling takes its last page
 			// and the new root's page must grow it: the resize fault then
 			// lands after the leaf store.
-			pg := tab.parts[0].pg
-			fi, err := ev.Stat(pg.name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for pg.NumPages() < fi.Size/PageSize-1 {
-				if _, err := pg.AllocPage(); err != nil {
-					t.Fatal(err)
-				}
-			}
+			padToLastPages(t, tab, ev, 1)
 			sweepFaults(t, tab, ev, kind, ref,
 				func(round int) error {
 					pages := tab.Pages()
@@ -285,4 +277,220 @@ func TestStegDBFaultSyncRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	verifyAgainst(t, tab, ref)
+}
+
+// padToLastPages allocates pages of tab's one partition until free pages
+// are left before its file must grow, so the allocation after them is the
+// one that resizes.
+func padToLastPages(t *testing.T, tab *PartitionedTable, ev *errView, free int64) {
+	t.Helper()
+	pg := tab.parts[0].pg
+	fi, err := ev.Stat(pg.name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pg.NumPages() < fi.Size/PageSize-free {
+		if _, err := pg.AllocPage(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// faultedGrowthTable seeds a one-partition table with 8 rows that fill its
+// root leaf, then fails the Put of a ninth after its leaf split: a resize
+// fault strikes the new root's page. The root is left a leaf with a right
+// sibling, and the table holds the 8 rows of ref.
+func faultedGrowthTable(t *testing.T) (*PartitionedTable, map[string]string, func(i int) string) {
+	t.Helper()
+	val := func(i int) string { return fmt.Sprintf("%03d", i) + strings.Repeat("v", 477) }
+	tab, ev, ref := seededFaultTable(t, 8, val)
+	padToLastPages(t, tab, ev, 1)
+	ev.arm("resize", 1)
+	if err := tab.Put([]byte("fk0008"), []byte(val(8))); !errors.Is(err, errInjected) {
+		t.Fatalf("Put with the root growth faulted = %v, want the injected fault", err)
+	}
+	ev.arm("", 0)
+	if root, err := tab.parts[0].load(tab.parts[0].root()); err != nil || !root.leaf || root.right == nilPage {
+		t.Fatalf("after the faulted growth the root should be a leaf with a right sibling (err %v)", err)
+	}
+	verifyAgainst(t, tab, ref)
+	return tab, ref, val
+}
+
+// TestStegDBFaultRootGrowthLeavesChain: after a failed root growth, later
+// splits in the root's chain must still find their parent: the next split
+// grows a root over the whole chain.
+func TestStegDBFaultRootGrowthLeavesChain(t *testing.T) {
+	tab, ref, val := faultedGrowthTable(t)
+	for i := 8; i < 39; i++ {
+		k := fmt.Sprintf("fk%04d", i)
+		if err := tab.Put([]byte(k), []byte(val(i))); err != nil {
+			t.Fatalf("ascending Put %d (%s) after the faulted growth: %v", i-7, k, err)
+		}
+		ref[k] = val(i)
+	}
+	verifyAgainst(t, tab, ref)
+}
+
+// TestStegDBSecondPostIsSkipped: when two first splits race, the root one
+// of them grows over the chain already holds the other's separator. The
+// second post of a separator must find it present and add nothing.
+func TestStegDBSecondPostIsSkipped(t *testing.T) {
+	tab, ref, _ := faultedGrowthTable(t)
+	tree := tab.parts[0]
+	leaf, err := tree.load(tree.root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := tree.postSep(leaf.high, leaf.right, 0); err != nil {
+			t.Fatalf("post %d: %v", i+1, err)
+		}
+	}
+	if root, err := tree.load(tree.root()); err != nil || len(root.keys) != 1 {
+		t.Fatalf("the root holds %d separators (err %v), want 1", len(root.keys), err)
+	}
+	verifyAgainst(t, tab, ref)
+}
+
+// chainKey is row i of chainTable. Long keys fill an internal node within
+// a few dozen rows.
+func chainKey(i int) string { return fmt.Sprintf("fk%04d", i) + strings.Repeat("k", 250) }
+
+var chainVal = strings.Repeat("v", 200)
+
+// chainTable puts ascending chainKey rows 0, 1, ... into a fresh
+// one-partition table behind an errView. The Put of row failAt (unless
+// negative) splits its leaf and the full level-1 root, and has the root
+// growth after that faulted by a resize on the new root's page: the root
+// stays at level 1 with a right sibling. The build stops when row stop is
+// next, or after the Put that makes the tree three levels tall; it returns
+// the next row.
+func chainTable(t *testing.T, failAt, stop int) (*PartitionedTable, *errView, map[string]string, int) {
+	t.Helper()
+	tab, ev, ref := seededFaultTable(t, 0, nil)
+	tree := tab.parts[0]
+	for i := 0; i < stop; i++ {
+		k := chainKey(i)
+		if i == failAt {
+			if h := treeHeight(t, tree); h != 2 {
+				t.Fatalf("row %d: tree height %d before the faulted growth, want 2", i, h)
+			}
+			// The leaf and the root split into the last two pages.
+			padToLastPages(t, tab, ev, 2)
+			ev.arm("resize", 1)
+			if err := tab.Put([]byte(k), []byte(chainVal)); !errors.Is(err, errInjected) {
+				t.Fatalf("row %d: Put with the root growth faulted = %v, want the injected fault", i, err)
+			}
+			ev.arm("", 0)
+			root, err := tree.load(tree.root())
+			if err != nil || root.level != 1 || root.right == nilPage {
+				t.Fatalf("row %d: the faulted growth should leave a level-1 root with a right sibling (err %v)", i, err)
+			}
+			continue
+		}
+		if err := tab.Put([]byte(k), []byte(chainVal)); err != nil {
+			t.Fatalf("row %d: %v", i, err)
+		}
+		ref[k] = chainVal
+		if treeHeight(t, tree) == 3 {
+			return tab, ev, ref, i + 1
+		}
+	}
+	return tab, ev, ref, stop
+}
+
+// TestStegDBFaultPutSplitsParentGrowsChain sweeps faults over a Put that
+// splits a leaf and its full parent, whose separator then has no level
+// above it: the parent's chain (the root, its right sibling a failed growth
+// left, and the parent's new half) gets a root grown over all three. Each
+// resize case puts the one resize on another of the Put's three page
+// allocations: the leaf's new half, the parent's, and the new root. After
+// every fault the undo must leave the table exactly as it was.
+func TestStegDBFaultPutSplitsParentGrowsChain(t *testing.T) {
+	_, _, _, next := chainTable(t, -1, 1<<20)
+	failAt := next - 1 // the row whose Put first grows a third level
+	_, _, _, next = chainTable(t, failAt, 1<<20)
+	target := next - 1 // with that growth faulted, the Put that grows over the chain
+	for _, c := range []struct {
+		kind string
+		free int64 // pages left before the file must grow
+	}{{"read", -1}, {"write", -1}, {"resize", 0}, {"resize", 1}, {"resize", 2}} {
+		t.Run(fmt.Sprintf("%s%d", c.kind, c.free), func(t *testing.T) {
+			tab, ev, ref, next := chainTable(t, failAt, target)
+			if next != target {
+				t.Fatalf("build stopped at row %d, want %d", next, target)
+			}
+			tree := tab.parts[0]
+			if c.free >= 0 {
+				padToLastPages(t, tab, ev, c.free)
+			}
+			faulted := 0
+			key := chainKey(target)
+			sweepFaults(t, tab, ev, c.kind, ref,
+				func(round int) error {
+					err := tab.Put([]byte(key), []byte(chainVal))
+					if err != nil {
+						faulted++
+					}
+					return err
+				},
+				func(round int) { ref[key] = chainVal })
+			root, err := tree.load(tree.root())
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case c.kind == "resize" && faulted != 1:
+				t.Fatalf("%d faulted Puts, want 1", faulted)
+			case faulted == 0 && (root.level != 2 || len(root.children) < 3):
+				t.Fatalf("clean Put left a level-%d root with %d children, want a level-2 root over a chain of 3 or more",
+					root.level, len(root.children))
+			}
+		})
+	}
+}
+
+// TestStegDBCheckCatchesBadSeparator corrupts one separator of a
+// three-level tree's leftmost level-1 node in each way a wrong post could,
+// and Check must report each.
+func TestStegDBCheckCatchesBadSeparator(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func(n *node)
+	}{
+		{"changed", func(n *node) { n.keys[0] = append(bytes.Clone(n.keys[0]), 0) }},
+		{"double-posted", func(n *node) {
+			n.keys = append([][]byte{n.keys[0]}, n.keys...)
+			n.children = append([]int64{n.children[0], n.children[1]}, n.children[1:]...)
+		}},
+		{"misordered", func(n *node) {
+			n.keys[0], n.keys[1] = n.keys[1], n.keys[0]
+			n.children[1], n.children[2] = n.children[2], n.children[1]
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tab, _, _, _ := chainTable(t, -1, 1<<20)
+			if err := tab.Check(); err != nil {
+				t.Fatalf("before the corruption: %v", err)
+			}
+			tree := tab.parts[0]
+			root, err := tree.load(tree.root())
+			if err != nil || root.level != 2 {
+				t.Fatalf("want a level-2 root, got err %v", err)
+			}
+			id := root.children[0]
+			n, err := tree.load(id)
+			if err != nil || len(n.keys) < 2 {
+				t.Fatalf("want a level-1 node with 2 separators, got err %v", err)
+			}
+			c.edit(n)
+			if err := tree.store(id, n, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := tab.Check(); err == nil || !strings.Contains(err.Error(), "level 0") {
+				t.Fatalf("Check after a %s separator = %v, want a level-0 structural error", c.name, err)
+			}
+		})
+	}
 }

@@ -349,3 +349,13 @@ func FuzzRecoverWAL(f *testing.F) {
 		}
 	})
 }
+
+// childIndex is the linear-scan oracle for nodeView.child: the child slot
+// for key is the number of separators <= key.
+func childIndex(keys [][]byte, key []byte) int {
+	i := 0
+	for i < len(keys) && bytes.Compare(key, keys[i]) >= 0 {
+		i++
+	}
+	return i
+}

@@ -101,7 +101,7 @@ func TestTreeIterReturnsBuffers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	good := tree.Snapshot()
+	good := pg.BeginSnapshot()
 	defer good.Close()
 
 	// A second tree whose second leaf is corrupt: a Range over it fails
@@ -124,18 +124,18 @@ func TestTreeIterReturnsBuffers(t *testing.T) {
 	if err := pg2.WritePage(root.children[1], junk); err != nil {
 		t.Fatal(err)
 	}
-	bad := tree2.Snapshot()
+	bad := pg2.BeginSnapshot()
 	defer bad.Close()
 
 	for _, c := range []struct {
 		name    string
-		snaps   []*TreeSnapshot
+		snaps   []*Snapshot
 		stop    int // fn returns false at this row; 0 = never
 		wantErr bool
 	}{
-		{"exhaustion", []*TreeSnapshot{good}, 0, false},
-		{"fn-false", []*TreeSnapshot{good, good, good}, 10, false},
-		{"error", []*TreeSnapshot{good, bad, good}, 0, true},
+		{"exhaustion", []*Snapshot{good}, 0, false},
+		{"fn-false", []*Snapshot{good, good, good}, 10, false},
+		{"error", []*Snapshot{good, bad, good}, 0, true},
 	} {
 		run := func() {
 			n := 0

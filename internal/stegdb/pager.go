@@ -4,7 +4,8 @@
 // files, so their very existence is deniable.
 //
 // The package provides a page store (Pager) over a hidden file, a B-link
-// tree over the pager, and one table type, PartitionedTable, keeping one
+// tree over the pager (BTree: rows, per-key shards, splits and their
+// separator posts), and one table type, PartitionedTable, keeping one
 // tree in each of N >= 1 hidden files (N = 1 is the plain one-file table).
 // The tree serves every lookup; each row is stored once. Everything an
 // adversary can observe is the same encrypted, unlisted blocks as any other
@@ -23,7 +24,7 @@
 // journal + header, barrier, home writes, barrier. Crash recovery replays a
 // CRC-valid journal at OpenPager, so the on-device state is always exactly
 // some committed epoch (old-or-new, never a mix). Lock order inside the
-// package, outermost first: PartitionedTable snapGate → per-partition key
+// package, outermost first: PartitionedTable snapGate → BTree key
 // shards → Pager commit locks → tree latches → BTree rootMu →
 // Pager.allocMu → page latches → Pager.snapMu → Pager.metaMu → the
 // pageCache mutex. This order is not just
@@ -56,7 +57,7 @@ const pagerMagic = "SGDB0001"
 // partCount/partIndex are zero for plain tables and identify the shard for
 // partitioned ones (partition.go). freeHead and hashRoot are reserved: they
 // held a page free list and a hash index that older versions kept. Pages
-// are never freed now, and openPartition clears a leftover hashRoot.
+// are never freed now, and NewBTree clears a leftover hashRoot.
 const (
 	metaNumPages    = 8
 	_               = 16 // freeHead, reserved

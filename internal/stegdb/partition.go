@@ -36,7 +36,7 @@ import (
 // the set from any one member.
 type PartitionedTable struct {
 	view  View
-	parts []*partition
+	parts []*BTree // one tree per partition, each in its own Pager
 	// layout is the partition count every member's meta page records:
 	// 0 for the plain one-file layout.
 	layout int64
@@ -66,27 +66,27 @@ func CreatePartitionedTable(view View, name string, nParts int, withHash bool, n
 	if nParts < 1 || nParts > maxPartitions {
 		return nil, fmt.Errorf("stegdb: partition count %d out of range [1,%d]", nParts, maxPartitions)
 	}
-	pt := &PartitionedTable{view: view, parts: make([]*partition, nParts)}
+	pt := &PartitionedTable{view: view, parts: make([]*BTree, nParts)}
 	if nParts == 1 {
-		p, err := createPartition(view, name)
+		pg, err := CreatePager(view, name)
 		if err != nil {
 			return nil, err
 		}
-		pt.parts[0] = p
+		pt.parts[0] = NewBTree(pg)
 		return pt, nil
 	}
 	pt.layout = int64(nParts)
 	for i := range pt.parts {
-		p, err := createPartition(view, partName(name, i))
+		pg, err := CreatePager(view, partName(name, i))
 		if err != nil {
 			return nil, err
 		}
-		p.pg.setMetaField(metaPartCount, pt.layout)
-		p.pg.setMetaField(metaPartIndex, int64(i))
-		if err := p.pg.flushMetaNow(); err != nil {
+		pg.setMetaField(metaPartCount, pt.layout)
+		pg.setMetaField(metaPartIndex, int64(i))
+		if err := pg.flushMetaNow(); err != nil {
 			return nil, err
 		}
-		pt.parts[i] = p
+		pt.parts[i] = NewBTree(pg)
 	}
 	return pt, nil
 }
@@ -101,22 +101,22 @@ func OpenPartitionedTable(view View, name string) (*PartitionedTable, error) {
 	if _, err := view.Stat(name); err == nil {
 		first = name
 	}
-	p0, err := openPartition(view, first)
+	pg0, err := OpenPager(view, first)
 	if err != nil {
 		return nil, fmt.Errorf("stegdb: open %s: %w", first, err)
 	}
-	pt := &PartitionedTable{view: view, parts: []*partition{p0}}
+	pt := &PartitionedTable{view: view, parts: []*BTree{NewBTree(pg0)}}
 	if first != name {
-		pt.layout = p0.pg.metaField(metaPartCount)
+		pt.layout = pg0.metaField(metaPartCount)
 		if pt.layout < 1 || pt.layout > maxPartitions {
 			return nil, fmt.Errorf("stegdb: %s declares %d partitions (max %d)", first, pt.layout, maxPartitions)
 		}
 		for i := 1; i < int(pt.layout); i++ {
-			p, err := openPartition(view, partName(name, i))
+			pg, err := OpenPager(view, partName(name, i))
 			if err != nil {
 				return nil, fmt.Errorf("stegdb: open partition %d: %w", i, err)
 			}
-			pt.parts = append(pt.parts, p)
+			pt.parts = append(pt.parts, NewBTree(pg))
 		}
 	}
 	if err := pt.checkLayout(); err != nil {
@@ -172,7 +172,7 @@ func (pt *PartitionedTable) partFor(key []byte) int {
 func (pt *PartitionedTable) Put(key, val []byte) error {
 	pt.snapGate.RLock()
 	defer pt.snapGate.RUnlock()
-	return pt.parts[pt.partFor(key)].put(key, val)
+	return pt.parts[pt.partFor(key)].Put(key, val)
 }
 
 // Delete removes a row from the owning partition, reporting whether it
@@ -180,12 +180,12 @@ func (pt *PartitionedTable) Put(key, val []byte) error {
 func (pt *PartitionedTable) Delete(key []byte) (bool, error) {
 	pt.snapGate.RLock()
 	defer pt.snapGate.RUnlock()
-	return pt.parts[pt.partFor(key)].delete(key)
+	return pt.parts[pt.partFor(key)].Delete(key)
 }
 
 // Get returns the row stored under key, from the owning partition's tree.
 func (pt *PartitionedTable) Get(key []byte) ([]byte, bool, error) {
-	return pt.parts[pt.partFor(key)].tree.Get(key)
+	return pt.parts[pt.partFor(key)].Get(key)
 }
 
 // Rows sums the per-partition row counters maintained by Put/Delete —
@@ -230,11 +230,11 @@ func (pt *PartitionedTable) InvalidatePageCache() error {
 }
 
 // PartitionedSnapshot is a point-in-time view across every partition: one
-// pinned TreeSnapshot per partition, all taken with writers excluded, so
+// pinned pager Snapshot per partition, all taken with writers excluded, so
 // the merged state is a single instant of the logical table.
 type PartitionedSnapshot struct {
 	pt    *PartitionedTable
-	snaps []*TreeSnapshot
+	snaps []*Snapshot
 }
 
 // Snapshot pins one epoch per partition atomically (writers excluded for
@@ -243,12 +243,12 @@ type PartitionedSnapshot struct {
 // snapshot skips the gate and never waits for a writer.
 func (pt *PartitionedTable) Snapshot() *PartitionedSnapshot {
 	if len(pt.parts) == 1 {
-		return &PartitionedSnapshot{pt: pt, snaps: []*TreeSnapshot{pt.parts[0].tree.Snapshot()}}
+		return &PartitionedSnapshot{pt: pt, snaps: []*Snapshot{pt.parts[0].pg.BeginSnapshot()}}
 	}
 	pt.snapGate.Lock()
-	snaps := make([]*TreeSnapshot, len(pt.parts))
+	snaps := make([]*Snapshot, len(pt.parts))
 	for i, p := range pt.parts {
-		snaps[i] = p.tree.Snapshot()
+		snaps[i] = p.pg.BeginSnapshot()
 	}
 	pt.snapGate.Unlock()
 	return &PartitionedSnapshot{pt: pt, snaps: snaps}
@@ -265,14 +265,15 @@ func (s *PartitionedSnapshot) Close() {
 func (s *PartitionedSnapshot) Rows() int64 {
 	var total int64
 	for _, ts := range s.snaps {
-		total += ts.Rows()
+		total += ts.rows
 	}
 	return total
 }
 
 // Get returns the value stored under key as of the snapshot.
 func (s *PartitionedSnapshot) Get(key []byte) ([]byte, bool, error) {
-	return s.snaps[s.pt.partFor(key)].Get(key)
+	ts := s.snaps[s.pt.partFor(key)]
+	return getFrom(ts, ts.btreeRoot, key)
 }
 
 // Scan visits every row of every partition in global key order.
@@ -282,16 +283,16 @@ func (s *PartitionedSnapshot) Scan(fn func(key, val []byte) bool) error {
 
 // Range visits rows with lo <= key < hi in global key order: a k-way merge
 // of the per-partition leaf chains (linear min over <= maxPartitions
-// iterators per step — partitions are few, keys are many). As with
-// TreeSnapshot.Range, key and val alias page buffers and are valid only
-// until fn returns.
+// iterators per step — partitions are few, keys are many). key and val
+// alias pooled page buffers and are valid only until fn returns, so fn
+// must copy what it keeps.
 func (s *PartitionedSnapshot) Range(lo, hi []byte, fn func(key, val []byte) bool) error {
 	return mergeRange(s.snaps, lo, hi, fn)
 }
 
-// mergeRange is the k-way merge behind both Range methods, one treeIter per
-// snapshot. Every iterator is closed on every return.
-func mergeRange(snaps []*TreeSnapshot, lo, hi []byte, fn func(key, val []byte) bool) error {
+// mergeRange is the k-way merge behind Range and Check's row scan, one
+// treeIter per snapshot. Every iterator is closed on every return.
+func mergeRange(snaps []*Snapshot, lo, hi []byte, fn func(key, val []byte) bool) error {
 	iters := make([]treeIter, len(snaps))
 	defer func() {
 		for i := range iters {
@@ -339,16 +340,17 @@ func (pt *PartitionedTable) Range(lo, hi []byte, fn func(key, val []byte) bool) 
 }
 
 // Check verifies, against one snapshot, that each member's meta agrees on
-// the layout, and that every partition is internally consistent and holds
-// only keys the routing hash assigns it.
+// the layout, and that every partition's tree is structurally sound
+// (checkTree), counts its rows right and holds only keys the routing hash
+// assigns it.
 func (pt *PartitionedTable) Check() error {
 	if err := pt.checkLayout(); err != nil {
 		return err
 	}
 	s := pt.Snapshot()
 	defer s.Close()
-	for i, p := range pt.parts {
-		if err := p.check(s.snaps[i], func(k []byte) bool { return pt.partFor(k) == i }); err != nil {
+	for i := range pt.parts {
+		if err := checkTree(s.snaps[i], func(k []byte) bool { return pt.partFor(k) == i }); err != nil {
 			return fmt.Errorf("stegdb: partition %d: %w", i, err)
 		}
 	}

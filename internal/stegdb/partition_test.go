@@ -201,8 +201,8 @@ func TestStegDBPartitionedSnapshotAtomic(t *testing.T) {
 				av := byte('0' + byte((i)%9))
 				bv := byte('0' + byte(8-(i)%9))
 				pt.snapGate.RLock()
-				ea := pt.parts[pt.partFor([]byte(fmt.Sprintf("a%02d", p)))].put([]byte(fmt.Sprintf("a%02d", p)), []byte{av})
-				eb := pt.parts[pt.partFor([]byte(fmt.Sprintf("b%02d", p)))].put([]byte(fmt.Sprintf("b%02d", p)), []byte{bv})
+				ea := pt.parts[pt.partFor([]byte(fmt.Sprintf("a%02d", p)))].Put([]byte(fmt.Sprintf("a%02d", p)), []byte{av})
+				eb := pt.parts[pt.partFor([]byte(fmt.Sprintf("b%02d", p)))].Put([]byte(fmt.Sprintf("b%02d", p)), []byte{bv})
 				pt.snapGate.RUnlock()
 				if ea != nil || eb != nil {
 					errCh <- fmt.Errorf("put: %v %v", ea, eb)
@@ -392,7 +392,7 @@ func TestStegDBSnapshotUnderSplitStress(t *testing.T) {
 }
 
 // TestBTreeParallelWritersDisjoint: concurrent Put/Delete across disjoint
-// key ranges on the bare tree (no table shard locks), exercising the B-link
+// key ranges on the bare tree (no table around it), exercising the B-link
 // split path and root growth under contention.
 func TestBTreeParallelWritersDisjoint(t *testing.T) {
 	view, _ := newView(t, 64<<10)
@@ -437,7 +437,7 @@ func TestBTreeParallelWritersDisjoint(t *testing.T) {
 	}
 	// Every key present, scan sorted, height grown past a single leaf.
 	var keys []string
-	if err := tree.Scan(func(k, v []byte) bool {
+	if err := scanTree(tree, func(k, v []byte) bool {
 		keys = append(keys, string(k))
 		return true
 	}); err != nil {
@@ -457,11 +457,7 @@ func TestBTreeParallelWritersDisjoint(t *testing.T) {
 			}
 		}
 	}
-	h, err := tree.Height()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h < 2 {
+	if h := treeHeight(t, tree); h < 2 {
 		t.Fatalf("height = %d, want >= 2 (splits must have happened)", h)
 	}
 }
@@ -488,17 +484,18 @@ func TestOnePartitionLayout(t *testing.T) {
 	}
 
 	view, store := newView(t, 64<<10)
-	p0, err := createPartition(view, "legacy.p0")
+	pg0, err := CreatePager(view, "legacy.p0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	p0 := NewBTree(pg0)
 	p0.pg.setMetaField(metaPartCount, 1)
 	p0.pg.setMetaField(metaPartIndex, 0)
 	if err := p0.pg.flushMetaNow(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
-		if err := p0.put(u64key(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
+		if err := p0.Put(u64key(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -105,15 +105,6 @@ func (s *Snapshot) Close() {
 	p.snapMu.Unlock()
 }
 
-// NumPages returns the page count as of the snapshot.
-func (s *Snapshot) NumPages() int64 { return s.numPages }
-
-// BTreeRoot returns the B-tree root page as of the snapshot.
-func (s *Snapshot) BTreeRoot() int64 { return s.btreeRoot }
-
-// RowsAtSnapshot returns the row counter as of the snapshot.
-func (s *Snapshot) RowsAtSnapshot() int64 { return s.rows }
-
 // ReadPage reads page id as of the snapshot's epoch: the live frame when
 // the page has not been rewritten since, else the newest saved pre-image
 // the snapshot is allowed to see.

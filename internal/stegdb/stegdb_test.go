@@ -36,6 +36,26 @@ func newView(t *testing.T, blocks int64) (*stegfs.HiddenView, *vdisk.MemStore) {
 // u64key encodes an integer row key big-endian, so keys sort numerically.
 func u64key(i int) []byte { return binary.BigEndian.AppendUint64(nil, uint64(i)) }
 
+// treeHeight returns bt's height (0 = empty): its root's level plus one.
+func treeHeight(t *testing.T, bt *BTree) int {
+	t.Helper()
+	if bt.root() == nilPage {
+		return 0
+	}
+	n, err := bt.load(bt.root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int(n.level) + 1
+}
+
+// scanTree visits every row of bt in key order from a snapshot.
+func scanTree(bt *BTree, fn func(key, val []byte) bool) error {
+	s := bt.pg.BeginSnapshot()
+	defer s.Close()
+	return mergeRange([]*Snapshot{s}, nil, nil, fn)
+}
+
 func TestPagerAllocReadWrite(t *testing.T) {
 	view, _ := newView(t, 16<<10)
 	pg, err := CreatePager(view, "db1")
@@ -192,11 +212,7 @@ func TestBTreeManyKeysSplitsAndOrder(t *testing.T) {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
-	h, err := bt.Height()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h < 2 {
+	if h := treeHeight(t, bt); h < 2 {
 		t.Fatalf("3000 keys but height %d — splits never happened", h)
 	}
 	// Every key resolves.
@@ -212,7 +228,7 @@ func TestBTreeManyKeysSplitsAndOrder(t *testing.T) {
 	}
 	// Scan yields sorted order, all keys exactly once.
 	var scanned []string
-	if err := bt.Scan(func(k, v []byte) bool {
+	if err := scanTree(bt, func(k, v []byte) bool {
 		scanned = append(scanned, string(k))
 		return true
 	}); err != nil {
