@@ -37,21 +37,10 @@ type FS struct {
 	bmLen   int64
 }
 
-// layout computes the on-volume region boundaries.
-func layout(dev vdisk.Device, maxFiles int) (bmStart, bmLen, inoStart, inoLen, dataStart int64) {
-	bs := int64(dev.BlockSize())
-	bmStart = 1
-	bmLen = (int64(bitmapvec.MarshaledLen(dev.NumBlocks())) + bs - 1) / bs
-	inoStart = bmStart + bmLen
-	inoLen = plainfs.InodeBlocksFor(dev, maxFiles)
-	dataStart = inoStart + inoLen
-	return
-}
-
 // Format initializes dev as a native volume and mounts it. clean selects the
 // CleanDisk (contiguous) layout; otherwise FragDisk (8-block fragments).
 func Format(dev vdisk.Device, clean bool, maxFiles int, seed int64) (*FS, error) {
-	_, _, inoStart, inoLen, dataStart := layout(dev, maxFiles)
+	_, _, inoStart, inoLen, dataStart := plainfs.Layout(dev, maxFiles)
 	if dataStart >= dev.NumBlocks() {
 		return nil, fmt.Errorf("nativefs: volume too small (%d blocks, metadata needs %d)", dev.NumBlocks(), dataStart)
 	}
@@ -103,7 +92,7 @@ func Mount(dev vdisk.Device, seed int64) (*FS, error) {
 	}
 	clean := buf[8] == 1
 	maxFiles := int(binary.BigEndian.Uint64(buf[9:]))
-	bmStart, bmLen, _, _, _ := layout(dev, maxFiles)
+	bmStart, bmLen, _, _, _ := plainfs.Layout(dev, maxFiles)
 	raw := make([]byte, bmLen*int64(dev.BlockSize()))
 	for i := int64(0); i < bmLen; i++ {
 		if err := dev.ReadBlock(bmStart+i, raw[i*int64(dev.BlockSize()):(i+1)*int64(dev.BlockSize())]); err != nil {
@@ -119,7 +108,7 @@ func Mount(dev vdisk.Device, seed int64) (*FS, error) {
 
 // mountPrepared wires up the plainfs volume over an in-memory bitmap.
 func mountPrepared(dev vdisk.Device, bm *bitmapvec.Bitmap, clean bool, maxFiles int, seed int64) (*FS, error) {
-	bmStart, bmLen, inoStart, inoLen, dataStart := layout(dev, maxFiles)
+	bmStart, bmLen, inoStart, inoLen, dataStart := plainfs.Layout(dev, maxFiles)
 	cfg := plainfs.Config{Policy: plainfs.Fragmented, FragBlocks: FragBlocks, MaxFiles: maxFiles, Seed: seed}
 	name := "FragDisk"
 	if clean {

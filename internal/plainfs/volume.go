@@ -73,7 +73,8 @@ func DefaultConfig(policy Policy) Config {
 type Volume struct {
 	// One big mutex per mounted plain volume; it sits below the allocation
 	// group locks, which its mutators take through the shared allocator, and
-	// above FS.mu: stegfs.Backup walks the plain directory under fs.mu.
+	// above the stegfs freeze gate: stegfs.Backup walks the plain directory
+	// with the gate held exclusively.
 	//
 	// lockcheck:level 45 volume/plainMu
 	mu  sync.Mutex
@@ -107,6 +108,20 @@ func inodesPerBlock(dev vdisk.Device) int64 {
 func InodeBlocksFor(dev vdisk.Device, maxFiles int) int64 {
 	per := inodesPerBlock(dev)
 	return (int64(maxFiles) + per - 1) / per
+}
+
+// Layout returns the region boundaries shared by the volumes that embed a
+// plain file system (nativefs and StegFS): the superblock in block 0, then
+// the allocation bitmap, the central directory of maxFiles entries, and the
+// data region from dataStart on.
+func Layout(dev vdisk.Device, maxFiles int) (bmStart, bmLen, inoStart, inoLen, dataStart int64) {
+	bs := int64(dev.BlockSize())
+	bmStart = 1
+	bmLen = (int64(bitmapvec.MarshaledLen(dev.NumBlocks())) + bs - 1) / bs
+	inoStart = bmStart + bmLen
+	inoLen = InodeBlocksFor(dev, maxFiles)
+	dataStart = inoStart + inoLen
+	return
 }
 
 // NewEmbedded mounts a plain volume inside an outer file system. The caller

@@ -76,7 +76,7 @@ func (s *Session) physFor(objname string) string { return s.uid + "/" + objname 
 // releases the object lock — the snapshot-read primitive of every directory
 // walk.
 func (fs *FS) readHiddenObject(phys string, fak []byte) ([]byte, error) {
-	r, err := fs.openShared(phys, fak)
+	r, err := fs.open(phys, fak, false)
 	if err != nil {
 		return nil, err
 	}
@@ -102,7 +102,7 @@ func (fs *FS) loadUAKDir(uid string, uak []byte) ([]Entry, error) {
 func (fs *FS) saveUAKDir(uid string, uak []byte, entries []Entry) error {
 	payload := encodeEntries(entries)
 	fak := uakDirFAK(uid, uak)
-	if r, err := fs.openExclusive(uakDirPhys(uid), fak); err == nil {
+	if r, err := fs.open(uakDirPhys(uid), fak, true); err == nil {
 		defer fs.release(r)
 		return fs.rewriteHidden(r, payload)
 	}
@@ -207,7 +207,7 @@ func (fs *FS) updateParent(uid string, uak []byte, objname string, fn func([]Ent
 	if parent.Flags&FlagDir == 0 {
 		return fmt.Errorf("%w: %q", fsapi.ErrNotDir, parent.Name)
 	}
-	r, err := fs.openExclusive(parent.Phys, parent.FAK)
+	r, err := fs.open(parent.Phys, parent.FAK, true)
 	if err != nil {
 		return err
 	}
@@ -527,7 +527,7 @@ func (s *Session) Connect(objname string, uak []byte) error {
 func (s *Session) connectEntry(objname string, e Entry) error {
 	// steg_connect "first locates the hidden object through the (objname,
 	// UAK) pair" — a dangling entry (e.g. after revocation) fails here.
-	r, err := s.fs.openShared(e.Phys, e.FAK)
+	r, err := s.fs.open(e.Phys, e.FAK, false)
 	if err != nil {
 		return err
 	}
@@ -589,7 +589,7 @@ func (s *Session) ReadHidden(objname string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q not connected", fsapi.ErrNotFound, objname)
 	}
-	r, err := s.fs.openShared(e.Phys, e.FAK)
+	r, err := s.fs.open(e.Phys, e.FAK, false)
 	if err != nil {
 		return nil, err
 	}
@@ -608,7 +608,7 @@ func (s *Session) WriteHidden(objname string, data []byte) error {
 	if !ok {
 		return fmt.Errorf("%w: %q not connected", fsapi.ErrNotFound, objname)
 	}
-	r, err := s.fs.openExclusive(e.Phys, e.FAK)
+	r, err := s.fs.open(e.Phys, e.FAK, true)
 	if err != nil {
 		return err
 	}

@@ -27,12 +27,9 @@ func (fs *FS) Backup(w io.Writer) error {
 	// hidden-object operations hold it through their object locks, plain
 	// mutators around their calls — and blocks new ones, so the imaged
 	// blocks, the bitmap and the plain files form one consistent snapshot.
-	// fs.mu (taken after the gate, per the lock hierarchy) serializes the
-	// metadata read against Sync.
+	// The exclusive gate hold also serializes the metadata read against Sync.
 	fs.objs.Freeze()
 	defer fs.objs.Unfreeze()
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	bm := fs.alloc.Snapshot()
 
 	bw := bufio.NewWriter(w)

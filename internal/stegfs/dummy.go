@@ -79,7 +79,7 @@ func (fs *FS) TickDummies() error {
 }
 
 func (fs *FS) tickDummy(i int) error {
-	r, err := fs.openExclusive(dummyPhys(i), fs.dummyFAK(i))
+	r, err := fs.open(dummyPhys(i), fs.dummyFAK(i), true)
 	if err != nil {
 		return fmt.Errorf("dummy %d lost: %w", i, err)
 	}
@@ -115,7 +115,7 @@ func (fs *FS) tickDummy(i int) error {
 func (fs *FS) DummyBlocks() (int64, error) {
 	var total int64
 	for i := 0; i < fs.params.NDummy; i++ {
-		r, err := fs.openShared(dummyPhys(i), fs.dummyFAK(i))
+		r, err := fs.open(dummyPhys(i), fs.dummyFAK(i), false)
 		if err != nil {
 			return 0, err
 		}

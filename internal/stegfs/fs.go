@@ -28,21 +28,20 @@ const createStripes = 64
 // Lock hierarchy (outermost first):
 //
 //	nsMu → objs gate (then one per-object lock) → createMu stripe →
-//	mu → allocation-group locks → cache/device internals
+//	allocation-group locks → cache/device internals
 //
 // Block allocation lives in the sharded allocator (internal/alloc): the
 // data region is split into allocation groups, each with its own mutex, so
 // writers to distinct hidden objects — and plain-file mutators — contend
-// only when their blocks land in the same group. mu is demoted to guarding
-// the superblock fields and serializing the Sync/Backup metadata writes;
-// every mutator (hidden or plain) holds the freeze gate shared, which is
-// what lets Sync/Backup quiesce the whole volume, all allocation groups
-// included, before imaging or writing the bitmap.
+// only when their blocks land in the same group. Every mutator (hidden or
+// plain) holds the freeze gate shared, so Sync and Backup, which take it
+// exclusively, quiesce the whole volume, all allocation groups included,
+// before imaging or writing the bitmap; that exclusive hold also
+// serializes them against each other. No superblock field changes once
+// Format or Mount returns, so the superblock needs no lock of its own.
 type FS struct {
 	// lockcheck:level 10 volume/nsMu
-	nsMu sync.Mutex // serializes compound namespace ops (directory updates)
-	// lockcheck:level 40 volume/fsMu
-	mu      sync.RWMutex // guards sb fields; serializes Sync/Backup metadata writes
+	nsMu    sync.Mutex   // serializes compound namespace ops (directory updates)
 	objs    *lockTable   // per-hidden-object locks, keyed by header block
 	sealers *sealerCache // open-state hints keyed by header signature (see sealcache.go)
 	// lockcheck:level 30 volume/createMu
@@ -207,17 +206,6 @@ func applyOptions(dev vdisk.Device, opts []Option) (vdisk.Device, *blockcache.Ca
 	return dev, nil, cfg, nil
 }
 
-// layoutFor computes region boundaries for a volume on dev.
-func layoutFor(dev vdisk.Device, maxPlain int) (bmStart, bmLen, inoStart, inoLen, dataStart int64) {
-	bs := int64(dev.BlockSize())
-	bmStart = 1
-	bmLen = (int64(bitmapvec.MarshaledLen(dev.NumBlocks())) + bs - 1) / bs
-	inoStart = bmStart + bmLen
-	inoLen = plainfs.InodeBlocksFor(dev, maxPlain)
-	dataStart = inoStart + inoLen
-	return
-}
-
 // Format initializes dev as a StegFS volume: writes random patterns into all
 // blocks, reserves metadata regions, abandons a random fraction of blocks,
 // creates the dummy hidden files, and mounts the result.
@@ -236,7 +224,7 @@ func Format(dev vdisk.Device, params Params, opts ...Option) (_ *FS, retErr erro
 			_ = cache.StopFlushers()
 		}
 	}()
-	bmStart, bmLen, inoStart, inoLen, dataStart := layoutFor(dev, params.MaxPlainFiles)
+	bmStart, bmLen, inoStart, inoLen, dataStart := plainfs.Layout(dev, params.MaxPlainFiles)
 	n := dev.NumBlocks()
 	if dataStart+16 >= n {
 		return nil, fmt.Errorf("stegfs: volume too small: %d blocks, metadata needs %d", n, dataStart)
@@ -435,15 +423,14 @@ func newFS(dev vdisk.Device, cache *blockcache.Cache, retry *vdisk.RetryDevice, 
 func (fs *FS) Sync() error {
 	fs.objs.Freeze()
 	defer fs.objs.Unfreeze()
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	// A failed barrier means the device could not persist data that mutators
 	// already believe durable — if it is a device-class fault, degrade the
 	// mount so further mutations fail fast instead of widening the loss.
 	return fs.observe(fs.syncLocked())
 }
 
-// lockcheck:holds volume/fsMu
+// syncLocked writes the superblock and bitmap between two barriers. The
+// caller holds the freeze gate exclusively.
 func (fs *FS) syncLocked() error {
 	// Data blocks reach stable storage before the metadata that references
 	// them is written.
@@ -528,11 +515,11 @@ func (fs *FS) FreeBlocks() int64 { return fs.alloc.FreeBlocks() }
 // SchemeName implements fsapi.FileSystem.
 func (fs *FS) SchemeName() string { return "StegFS" }
 
-// Plain mutators hold the freeze gate shared (never fs.mu): their block
-// allocations go through the sharded allocator — which the embedded plainfs
-// volume shares with the hidden-file machinery — so they contend with hidden
-// writers only per allocation group, while the gate hold gives Sync and
-// Backup a point where no plain mutation is in flight either. Plain readers
+// Plain mutators hold the freeze gate shared: their block allocations go
+// through the sharded allocator — which the embedded plainfs volume shares
+// with the hidden-file machinery — so they contend with hidden writers only
+// per allocation group, while the gate hold gives Sync and Backup a point
+// where no plain mutation is in flight either. Plain readers
 // need no FS-level lock at all: plainfs's own internal lock serializes its
 // directory state, so plain reads never block hidden operations (or each
 // other's probe phases).

@@ -208,13 +208,13 @@ func Check(dev vdisk.Device, opts CheckOptions) (*CheckReport, error) {
 	}
 
 	// checkObject opens one hidden object, validates its header checksum
-	// (openShared re-reads the header and verifies its embedded signature),
+	// (open re-reads the header and verifies its embedded signature),
 	// walks and claims its ptree blocks, and re-reads the full payload so a
 	// damaged ptree or unreadable block surfaces. Payload *content* is CTR
 	// ciphertext with no per-block MAC, so a flipped payload bit decrypts to
 	// a flipped plaintext bit that neither this check nor a read can see.
 	checkObject := func(label, phys string, fak []byte) bool {
-		r, err := fs.openShared(phys, fak)
+		r, err := fs.open(phys, fak, false)
 		if err != nil {
 			rep.errf("%s: %v", label, err)
 			return false

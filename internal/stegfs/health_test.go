@@ -181,3 +181,25 @@ func TestHealthSyncFailureDegrades(t *testing.T) {
 		t.Fatalf("create after failed barrier = %v, want ErrReadOnly", err)
 	}
 }
+
+// TestHealthWriteAtFaultDegrades: an in-place WriteAt writes payload through
+// the same mover as Write, so its unrecoverable device write fault degrades
+// the mount too.
+func TestHealthWriteAtFaultDegrades(t *testing.T) {
+	fstore, fs := newHealthVolume(t)
+	view := fs.NewHiddenView("alice")
+	if err := view.Create("f", bytes.Repeat([]byte{1}, 2000)); err != nil {
+		t.Fatal(err)
+	}
+	fstore.SetTransientRates(0, 1, 1<<30)
+	if _, err := view.WriteAt("f", []byte("patch"), 600); err == nil {
+		t.Fatal("WriteAt on a dead device succeeded")
+	}
+	fstore.Disarm()
+	if h := fs.Health(); !h.ReadOnly || h.Faults == 0 {
+		t.Fatalf("mount not degraded after a failed WriteAt: %+v", h)
+	}
+	if _, err := view.WriteAt("f", []byte("patch"), 600); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("WriteAt after degradation = %v, want ErrReadOnly", err)
+	}
+}

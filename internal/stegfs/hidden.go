@@ -234,7 +234,7 @@ var _ ptree.BatchBlockIO = (*encIO)(nil)
 
 // hiddenRef is an open handle to a located hidden object. Refs come from a
 // pool and carry every piece of per-operation scratch the data path needs
-// (header storage, sealed-I/O adapter, block list, staging arena), so a
+// (header storage, sealed-I/O adapter, block list, staged edge blocks), so a
 // steady-state cached read allocates nothing. The storage is reused the
 // moment release returns the ref — callers must not retain the ref, r.hdr,
 // or anything r.io returned past release.
@@ -248,12 +248,14 @@ type hiddenRef struct {
 	exclusive bool // lock mode held on fs.objs (set by open/createHidden)
 
 	// Reusable per-operation storage, retained across pool round trips.
-	hdrStore  header   // backing store for hdr
-	hdrBuf    []byte   // header-block read/write scratch
-	enc       encIO    // the adapter r.io returns
-	blockList []int64  // ptree.ReadInto destination
-	staging   []byte   // rwHidden span arena
-	spanBufs  [][]byte // block views over staging
+	hdrStore  header    // backing store for hdr
+	hdrBuf    []byte    // header-block read/write scratch
+	enc       encIO     // the adapter r.io returns
+	blockList []int64   // ptree.ReadInto destination
+	spanBufs  [][]byte  // moveSpan's per-block buffers
+	edges     [2][]byte // moveSpan's staged partial edge blocks
+	edgeNs    [2]int64  // moveSpan's edge read batch
+	edgeBufs  [2][]byte
 }
 
 var refPool = sync.Pool{New: func() any { return new(hiddenRef) }}
@@ -302,8 +304,7 @@ func (r *hiddenRef) blockBuf(bs int) []byte {
 // for an instant, so any number of probes — and writers to unrelated
 // objects — run in parallel. The returned ref carries a header snapshot
 // that is only trustworthy while no writer runs; callers that need a stable
-// view go through openShared/openExclusive, which re-read the header under
-// the object lock.
+// view go through open, which re-reads the header under the object lock.
 func (fs *FS) probeHeader(physName string, fak []byte) (*hiddenRef, error) {
 	sealer, err := sgcrypto.NewSealer(physName, fak)
 	if err != nil {
@@ -313,7 +314,6 @@ func (fs *FS) probeHeader(physName string, fak []byte) (*hiddenRef, error) {
 	gen := sgcrypto.NewPRBG(sgcrypto.HeaderSeed(physName, fak), fs.dev.NumBlocks())
 	r := getRef()
 	r.physName, r.fak, r.sealer, r.sig = physName, fak, sealer, want
-	buf := r.blockBuf(fs.dev.BlockSize())
 	freeSeen := 0
 	for i := 0; i < fs.params.MaxHeaderProbes; i++ {
 		cand := gen.Next()
@@ -337,22 +337,12 @@ func (fs *FS) probeHeader(physName string, fak []byte) (*hiddenRef, error) {
 			}
 			continue
 		}
-		if err := fs.dev.ReadBlock(cand, buf); err != nil {
-			putRef(r)
-			return nil, err
-		}
-		if err := sealer.Open(cand, buf, buf); err != nil {
-			putRef(r)
-			return nil, err
-		}
-		ok, err := decodeHeaderInto(buf, want, &r.hdrStore)
+		ok, err := fs.readHeader(r, cand)
 		if err != nil {
 			putRef(r)
 			return nil, err
 		}
 		if ok {
-			r.hdr = &r.hdrStore
-			r.headerBlk = cand
 			fs.sealers.add(want, sealer, cand)
 			return r, nil
 		}
@@ -361,54 +351,52 @@ func (fs *FS) probeHeader(physName string, fak []byte) (*hiddenRef, error) {
 	return nil, fmt.Errorf("%w: hidden object %q", fsapi.ErrNotFound, physName)
 }
 
-// reloadHeader re-reads and re-decodes the object's header block. Called
-// with the object lock held, it upgrades a probe-time snapshot to the
-// current state (the object may have been rewritten — or deleted, reported
-// as ErrNotFound — between the probe and the lock acquisition).
-func (fs *FS) reloadHeader(r *hiddenRef) error {
+// readHeader reads and opens block blk and decodes it as r's header. On a
+// signature match it points r.hdr at the decoded header and records blk as
+// r's header block; a mismatch reports false and leaves r as it was.
+func (fs *FS) readHeader(r *hiddenRef, blk int64) (bool, error) {
 	buf := r.blockBuf(fs.dev.BlockSize())
-	if err := fs.dev.ReadBlock(r.headerBlk, buf); err != nil {
-		return err
+	if err := fs.dev.ReadBlock(blk, buf); err != nil {
+		return false, err
 	}
-	if err := r.sealer.Open(r.headerBlk, buf, buf); err != nil {
-		return err
+	if err := r.sealer.Open(blk, buf, buf); err != nil {
+		return false, err
 	}
 	ok, err := decodeHeaderInto(buf, r.sig, &r.hdrStore)
-	if err != nil {
-		return err
+	if ok && err == nil {
+		r.hdr, r.headerBlk = &r.hdrStore, blk
 	}
-	if !ok {
-		return fmt.Errorf("%w: hidden object %q", fsapi.ErrNotFound, r.physName)
+	return ok, err
+}
+
+// reloadHeader re-reads the object's header block. Called with the object
+// lock held, it upgrades a probe-time snapshot to the current state (the
+// object may have been rewritten — or deleted, reported as ErrNotFound —
+// between the probe and the lock acquisition).
+func (fs *FS) reloadHeader(r *hiddenRef) error {
+	ok, err := fs.readHeader(r, r.headerBlk)
+	if err == nil && !ok {
+		err = fmt.Errorf("%w: hidden object %q", fsapi.ErrNotFound, r.physName)
 	}
-	r.hdr = &r.hdrStore
-	return nil
+	return err
 }
 
-// openShared locates (physName, fak) and returns a ref holding the object's
-// shared lock with a current header. Release with fs.release.
-func (fs *FS) openShared(physName string, fak []byte) (*hiddenRef, error) {
-	return fs.openHidden(physName, fak, false)
+// open locates (physName, fak) and returns a ref holding the object's lock —
+// exclusive for callers that will mutate it, shared otherwise — with a
+// current header. Release with fs.release.
+func (fs *FS) open(physName string, fak []byte, exclusive bool) (*hiddenRef, error) {
+	return fs.openSig(physName, fak, sgcrypto.Signature(physName, fak), exclusive)
 }
 
-// openExclusive is openShared with the exclusive object lock, for callers
-// that will mutate the object.
-func (fs *FS) openExclusive(physName string, fak []byte) (*hiddenRef, error) {
-	return fs.openHidden(physName, fak, true)
-}
-
-func (fs *FS) openHidden(physName string, fak []byte, exclusive bool) (*hiddenRef, error) {
-	return fs.openHiddenSig(physName, fak, sgcrypto.Signature(physName, fak), exclusive)
-}
-
-// openHiddenSig is openHidden for callers that already hold the object's
-// header signature (views precompute it per name), saving the hash on the
-// hot path. The sealer cache turns the common case into a single sealed
-// header read: a cached (sealer, header block) hint skips both the key
-// derivation and the pseudorandom probe chain. The hint is verified under
-// the object lock — reloadHeader re-checks the embedded signature — and a
-// stale hint (object deleted, or re-created at a different block) falls
-// back to the full probe.
-func (fs *FS) openHiddenSig(physName string, fak []byte, sig [sgcrypto.SignatureLen]byte, exclusive bool) (*hiddenRef, error) {
+// openSig is open for callers that already hold the object's header
+// signature (views precompute it per name), saving the hash on the hot
+// path. The sealer cache turns the common case into a single sealed header
+// read: a cached (sealer, header block) hint skips both the key derivation
+// and the pseudorandom probe chain. The hint is verified under the object
+// lock — reloadHeader re-checks the embedded signature — and a stale hint
+// (object deleted, or re-created at a different block) falls back to the
+// full probe.
+func (fs *FS) openSig(physName string, fak []byte, sig [sgcrypto.SignatureLen]byte, exclusive bool) (*hiddenRef, error) {
 	if exclusive {
 		// Exclusive opens exist to mutate; a degraded mount refuses them
 		// up front (reads — shared opens — keep serving).
@@ -416,47 +404,45 @@ func (fs *FS) openHiddenSig(physName string, fak []byte, sig [sgcrypto.Signature
 			return nil, err
 		}
 	}
-	if sealer, hb, ok := fs.sealers.get(sig); ok {
-		r := getRef()
-		r.physName, r.fak, r.sealer, r.headerBlk = physName, fak, sealer, hb
-		r.sig, r.exclusive = sig, exclusive
+	var r *hiddenRef
+	var err error
+	sealer, hb, hinted := fs.sealers.get(sig)
+	if hinted {
+		r = getRef()
+		r.physName, r.fak, r.sealer, r.headerBlk, r.sig = physName, fak, sealer, hb, sig
+	} else if r, err = fs.probeHeader(physName, fak); err != nil {
+		return nil, err
+	}
+	for {
+		r.exclusive = exclusive
 		if exclusive {
-			fs.objs.Lock(hb)
+			fs.objs.Lock(r.headerBlk)
 		} else {
-			fs.objs.RLock(hb)
+			fs.objs.RLock(r.headerBlk)
 		}
-		err := fs.reloadHeader(r)
-		if err == nil {
+		if err = fs.reloadHeader(r); err == nil {
 			return r, nil
 		}
 		fs.release(r)
+		if !hinted {
+			return nil, err
+		}
 		fs.sealers.drop(sig)
 		if !errors.Is(err, fsapi.ErrNotFound) {
 			return nil, err
 		}
 		// Not-found on a hint only means the hint was stale; the full probe
-		// below is the authority.
+		// is the authority.
+		hinted = false
+		if r, err = fs.probeHeader(physName, fak); err != nil {
+			return nil, err
+		}
 	}
-	r, err := fs.probeHeader(physName, fak)
-	if err != nil {
-		return nil, err
-	}
-	r.exclusive = exclusive
-	if exclusive {
-		fs.objs.Lock(r.headerBlk)
-	} else {
-		fs.objs.RLock(r.headerBlk)
-	}
-	if err := fs.reloadHeader(r); err != nil {
-		fs.release(r)
-		return nil, err
-	}
-	return r, nil
 }
 
-// release drops the object lock taken by openShared/openExclusive and
-// returns the ref to the pool — the caller must not touch r (or anything it
-// handed out: r.hdr, r.io results, ptree.ReadInto lists) afterwards.
+// release drops the object lock taken by open and returns the ref to the
+// pool — the caller must not touch r (or anything it handed out: r.hdr, r.io
+// results, ptree.ReadInto lists) afterwards.
 //
 // lockcheck:release volume/objLock
 // lockcheck:release volume/gate shared
@@ -675,13 +661,11 @@ func (fs *FS) writeHiddenData(r *hiddenRef, data []byte) error {
 		blocks = append(blocks, b)
 	}
 
-	io := r.io(fs.dev)
-	bufs := payloadBufs(data, len(blocks), bs)
-	if err := io.WriteBlocks(blocks, bufs); err != nil {
+	if err := fs.moveSpan(r, blocks, data, 0, int64(len(data)), true); err != nil {
 		fs.releaseFailedWrite(r, blocks)
-		return fs.observe(err)
+		return err
 	}
-	root, meta, err := ptree.Write(io, fs.poolAlloc(r), hdrNumDirect, blocks)
+	root, meta, err := ptree.Write(r.io(fs.dev), fs.poolAlloc(r), hdrNumDirect, blocks)
 	if err != nil {
 		// ptree.Write reports the pointer blocks it had already claimed;
 		// release them along with the data blocks or a failed large write
@@ -695,25 +679,6 @@ func (fs *FS) writeHiddenData(r *hiddenRef, data []byte) error {
 	return nil
 }
 
-// payloadBufs splits data into nBlocks block-sized write buffers. Full
-// blocks alias data directly (WriteBlocks only reads them while sealing into
-// its own ciphertext staging); only the final partial block — if any — is
-// copied into a fresh zero-padded buffer, so a hidden write never duplicates
-// the whole payload.
-func payloadBufs(data []byte, nBlocks, bs int) [][]byte {
-	bufs := make([][]byte, nBlocks)
-	full := len(data) / bs
-	for i := 0; i < full && i < nBlocks; i++ {
-		bufs[i] = data[i*bs : (i+1)*bs]
-	}
-	if full < nBlocks {
-		tail := make([]byte, bs)
-		copy(tail, data[full*bs:])
-		bufs[full] = tail
-	}
-	return bufs
-}
-
 // flushHeader seals and writes the header block.
 func (fs *FS) flushHeader(r *hiddenRef) error {
 	buf := r.blockBuf(fs.dev.BlockSize())
@@ -725,34 +690,14 @@ func (fs *FS) flushHeader(r *hiddenRef) error {
 	return fs.observe(r.io(fs.dev).WriteBlock(r.headerBlk, buf))
 }
 
-// readHidden returns the full payload of an open hidden object: one batched
-// sorted device read for the data blocks, decrypted in place. The caller
+// readHidden returns the full payload of an open hidden object. The caller
 // holds the object's lock (shared suffices).
 func (fs *FS) readHidden(r *hiddenRef) ([]byte, error) {
-	io := r.io(fs.dev)
-	blocks, err := ptree.ReadInto(io, r.hdr.root, r.hdr.nblocks, 0, r.hdr.nblocks, r.blockList)
-	if err != nil {
+	out := make([]byte, r.hdr.size)
+	if _, err := fs.rwHidden(r, out, 0, false); err != nil {
 		return nil, err
 	}
-	r.blockList = blocks
-	bs := fs.dev.BlockSize()
-	out := make([]byte, r.hdr.nblocks*int64(bs))
-	if err := io.ReadBlocks(blocks, r.spanViews(out, len(blocks), bs)); err != nil {
-		return nil, err
-	}
-	return out[:r.hdr.size], nil
-}
-
-// spanViews re-slices the ref's reusable view list over a contiguous span.
-func (r *hiddenRef) spanViews(flat []byte, n, bs int) [][]byte {
-	if cap(r.spanBufs) < n {
-		r.spanBufs = make([][]byte, n)
-	}
-	bufs := r.spanBufs[:n]
-	for i := range bufs {
-		bufs[i] = flat[i*bs : (i+1)*bs]
-	}
-	return bufs
+	return out, nil
 }
 
 // rewriteHidden replaces the payload of an open hidden object. Same-shape
@@ -760,19 +705,18 @@ func (r *hiddenRef) spanViews(flat []byte, n, bs int) [][]byte {
 // the pool and fresh ones allocated. The caller holds the object's exclusive
 // lock.
 func (fs *FS) rewriteHidden(r *hiddenRef, data []byte) error {
-	bs := fs.dev.BlockSize()
-	n := (int64(len(data)) + int64(bs) - 1) / int64(bs)
+	bs := int64(fs.dev.BlockSize())
+	if (int64(len(data))+bs-1)/bs == r.hdr.nblocks {
+		r.hdr.size = int64(len(data))
+		if _, err := fs.rwHidden(r, data, 0, true); err != nil {
+			return err
+		}
+		return fs.flushHeader(r)
+	}
 	io := r.io(fs.dev)
-	blocks, err := ptree.Read(io, r.hdr.root, r.hdr.nblocks)
+	staged, err := ptree.Read(io, r.hdr.root, r.hdr.nblocks)
 	if err != nil {
 		return err
-	}
-	if n == r.hdr.nblocks {
-		if err := io.WriteBlocks(blocks, payloadBufs(data, len(blocks), bs)); err != nil {
-			return fs.observe(err)
-		}
-		r.hdr.size = int64(len(data))
-		return fs.flushHeader(r)
 	}
 	// Stage the release of the old data and pointer blocks: they go back to
 	// the pool only after the replacement payload AND the header referencing
@@ -783,7 +727,6 @@ func (fs *FS) rewriteHidden(r *hiddenRef, data []byte) error {
 	// trade-off is that a reshaping rewrite transiently holds both the old
 	// and the new blocks — and, on failure, leaves the old payload intact
 	// and readable instead of half-released.
-	staged := blocks
 	if err := ptree.Free(io, r.hdr.root, r.hdr.nblocks, func(b int64) { staged = append(staged, b) }); err != nil {
 		return err
 	}

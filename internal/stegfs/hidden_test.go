@@ -153,7 +153,7 @@ func TestHiddenHeaderRelocatable(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		name := fmt.Sprintf("u/f%d", i)
-		r, err := fs.openShared(name, []byte("k"))
+		r, err := fs.open(name, []byte("k"), false)
 		if err != nil {
 			t.Fatalf("lost %s: %v", name, err)
 		}

@@ -18,8 +18,8 @@ import "sync"
 // Lock hierarchy (outermost first):
 //
 //	FS.nsMu  →  lockTable (gate, then one object lock)  →  FS.createMu
-//	stripe  →  FS.mu  →  allocation-group locks (internal/alloc)  →
-//	cache/device locks
+//	stripe  →  allocation-group locks (internal/alloc)  →  cache/device
+//	locks
 //
 // Allocation-group mutexes are leaves: the sharded allocator never takes
 // another lock while holding one, and callers hold at most one group lock
@@ -167,9 +167,9 @@ func (t *lockTable) LockGateHeld(b int64) { t.get(b).mu.Lock() }
 
 // Freeze blocks until no per-object lock is held and prevents new ones from
 // being taken until Unfreeze. Whole-volume operations (Backup, Sync) use
-// this to quiesce hidden-object activity. Freeze is taken BEFORE FS.mu by
-// its callers; since object holders never nest a second object acquisition
-// (hand-over-hand only), a pending Freeze cannot deadlock a holder.
+// this to quiesce hidden-object activity. Since object holders never nest a
+// second object acquisition (hand-over-hand only), a pending Freeze cannot
+// deadlock a holder.
 // lockcheck:acquire volume/gate
 func (t *lockTable) Freeze() { t.gate.Lock() }
 

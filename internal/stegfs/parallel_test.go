@@ -195,7 +195,7 @@ func TestConcurrentCreateSameKey(t *testing.T) {
 	if okCount != 1 || existsCount != 1 {
 		t.Fatalf("want exactly one winner and one ErrExists, got %d/%d", okCount, existsCount)
 	}
-	r, err := fs.openShared("u/race", []byte("k"))
+	r, err := fs.open("u/race", []byte("k"), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestVectoredReadMatchesBlockwise(t *testing.T) {
 		t.Fatal("vectored read mismatch")
 	}
 	// Serial path: walk the p-tree and open one sealed block at a time.
-	r, err := view.openShared("big")
+	r, err := view.open("big", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,8 +303,8 @@ func TestVectoredReadMatchesBlockwise(t *testing.T) {
 }
 
 // TestCreateBackupSyncNoDeadlock is the regression test for the freeze-gate
-// lock order: createHidden pre-takes the gate before fs.mu, while
-// Backup/Sync take the gate exclusively before fs.mu. Creates, backups and
+// lock order: createHidden pre-takes the gate before its name stripe, while
+// Backup/Sync take the gate exclusively. Creates, backups and
 // syncs race here; any ordering mistake deadlocks and trips the test
 // timeout.
 func TestCreateBackupSyncNoDeadlock(t *testing.T) {
@@ -313,7 +313,7 @@ func TestCreateBackupSyncNoDeadlock(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, 3)
 	wg.Add(1)
-	go func() { // creator: every create crosses the gate-while-holding-fs.mu path
+	go func() { // creator: every create locks its object while holding the stripe
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
 			if err := view.Create(fmt.Sprintf("c%d", i), mkPayload(2000, byte(i))); err != nil {
@@ -323,7 +323,7 @@ func TestCreateBackupSyncNoDeadlock(t *testing.T) {
 		}
 	}()
 	wg.Add(1)
-	go func() { // backup: freeze gate exclusively, then fs.mu
+	go func() { // backup: freeze gate exclusively
 		defer wg.Done()
 		for i := 0; i < 6; i++ {
 			var img bytes.Buffer

@@ -72,6 +72,31 @@ func TestCachedReadAllocFree(t *testing.T) {
 		}
 	})
 
+	// Writes go through the same mover: a block-aligned span seals straight
+	// from the caller's buffer, and an unaligned one stages its two edge
+	// blocks in the ref, so neither allocates once the pools are warm. Each
+	// writes the bytes already there, leaving data valid for the next case.
+	for _, c := range []struct {
+		name string
+		off  int64
+		n    int
+	}{{"WriteAt-4KiB-aligned", 4096, 4096}, {"WriteAt-100B-unaligned", 4000, 100}} {
+		t.Run(c.name, func(t *testing.T) {
+			buf := append([]byte(nil), data[c.off:c.off+int64(c.n)]...)
+			writeAt := func() {
+				if _, err := v.WriteAt("f", buf, c.off); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 8; i++ {
+				writeAt()
+			}
+			if allocs := testing.AllocsPerRun(200, writeAt); allocs != 0 {
+				t.Fatalf("cached %s allocates %.1f objects/op, want 0", c.name, allocs)
+			}
+		})
+	}
+
 	// testing.AllocsPerRun pins GOMAXPROCS to 1 while it measures, so it
 	// cannot see allocations the read path makes only on a multi-CPU box.
 	// This case raises GOMAXPROCS itself and counts heap allocations from
@@ -161,7 +186,7 @@ func TestSealerCacheStaleHint(t *testing.T) {
 	// outlived its object), then re-create it: the PRBG chain may pick a
 	// different header block this time, so the hint can point at a block
 	// now owned by the new generation's data.
-	r, err := fs.openExclusive(vf.phys, vf.fak)
+	r, err := fs.open(vf.phys, vf.fak, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func TestPropertyHiddenRoundTrip(t *testing.T) {
 		if _, err := fs.createHidden(name, key, FlagFile, data); err != nil {
 			return false
 		}
-		r, err := fs.openShared(name, key)
+		r, err := fs.open(name, key, false)
 		if err != nil {
 			return false
 		}
@@ -34,7 +34,7 @@ func TestPropertyHiddenRoundTrip(t *testing.T) {
 			return false
 		}
 		// Clean up so the volume does not fill.
-		r, err = fs.openExclusive(name, key)
+		r, err = fs.open(name, key, true)
 		if err != nil {
 			return false
 		}

@@ -78,22 +78,13 @@ func (v *HiddenView) fakFor(name string) ([]byte, error) {
 	return vf.fak, nil
 }
 
-// openShared opens the named file with its object lock held shared.
-func (v *HiddenView) openShared(name string) (*hiddenRef, error) {
+// open opens the named file with its object lock held, exclusive or shared.
+func (v *HiddenView) open(name string, exclusive bool) (*hiddenRef, error) {
 	vf, err := v.fileFor(name)
 	if err != nil {
 		return nil, err
 	}
-	return v.fs.openHiddenSig(vf.phys, vf.fak, vf.sig, false)
-}
-
-// openExclusive opens the named file with its object lock held exclusively.
-func (v *HiddenView) openExclusive(name string) (*hiddenRef, error) {
-	vf, err := v.fileFor(name)
-	if err != nil {
-		return nil, err
-	}
-	return v.fs.openHiddenSig(vf.phys, vf.fak, vf.sig, true)
+	return v.fs.openSig(vf.phys, vf.fak, vf.sig, exclusive)
 }
 
 // Create stores a hidden file with a fresh random FAK.
@@ -148,7 +139,7 @@ func (v *HiddenView) AdoptWithFAK(name string, fak []byte) error {
 
 // Read returns a hidden file's contents.
 func (v *HiddenView) Read(name string) ([]byte, error) {
-	r, err := v.openShared(name)
+	r, err := v.open(name, false)
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +149,7 @@ func (v *HiddenView) Read(name string) ([]byte, error) {
 
 // Write replaces a hidden file's contents.
 func (v *HiddenView) Write(name string, data []byte) error {
-	r, err := v.openExclusive(name)
+	r, err := v.open(name, true)
 	if err != nil {
 		return err
 	}
@@ -168,7 +159,7 @@ func (v *HiddenView) Write(name string, data []byte) error {
 
 // Delete removes a hidden file.
 func (v *HiddenView) Delete(name string) error {
-	r, err := v.openExclusive(name)
+	r, err := v.open(name, true)
 	if err != nil {
 		return err
 	}
@@ -198,7 +189,7 @@ func (v *HiddenView) Close() error {
 
 // Stat describes a hidden file.
 func (v *HiddenView) Stat(name string) (fsapi.FileInfo, error) {
-	r, err := v.openShared(name)
+	r, err := v.open(name, false)
 	if err != nil {
 		return fsapi.FileInfo{}, err
 	}
@@ -210,7 +201,7 @@ func (v *HiddenView) Stat(name string) (fsapi.FileInfo, error) {
 // it occupies (header + data + pointer + pooled free blocks). The adversary
 // experiments use the data blocks as attack ground truth.
 func (v *HiddenView) BlocksOf(name string) (data, all []int64, err error) {
-	r, err := v.openShared(name)
+	r, err := v.open(name, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -233,7 +224,7 @@ func (v *HiddenView) BlocksOf(name string) (data, all []int64, err error) {
 // header is located once at open time. The cursor holds no locks between
 // Steps; it belongs to one goroutine.
 func (v *HiddenView) ReadCursor(name string) (fsapi.Cursor, error) {
-	r, err := v.openShared(name)
+	r, err := v.open(name, false)
 	if err != nil {
 		return nil, err
 	}
@@ -255,7 +246,7 @@ func (v *HiddenView) ReadCursor(name string) (fsapi.Cursor, error) {
 // WriteCursor implements fsapi.CursorFS for an in-place like-shaped
 // overwrite: each Step seals and writes one data block.
 func (v *HiddenView) WriteCursor(name string, data []byte) (fsapi.Cursor, error) {
-	r, err := v.openExclusive(name)
+	r, err := v.open(name, true)
 	if err != nil {
 		return nil, err
 	}

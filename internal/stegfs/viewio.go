@@ -17,7 +17,7 @@ import (
 // off. It returns io.EOF semantics like os.File.ReadAt: a short read at the
 // end of the file reports io.EOF.
 func (v *HiddenView) ReadAt(name string, p []byte, off int64) (int, error) {
-	r, err := v.openShared(name)
+	r, err := v.open(name, false)
 	if err != nil {
 		return 0, err
 	}
@@ -45,7 +45,7 @@ func (v *HiddenView) ReadAt(name string, p []byte, off int64) (int, error) {
 // WriteAt writes p into the named hidden file at offset off, in place. The
 // write must lie within the file's current size; use Resize to grow first.
 func (v *HiddenView) WriteAt(name string, p []byte, off int64) (int, error) {
-	r, err := v.openExclusive(name)
+	r, err := v.open(name, true)
 	if err != nil {
 		return 0, err
 	}
@@ -57,68 +57,94 @@ func (v *HiddenView) WriteAt(name string, p []byte, off int64) (int, error) {
 	return v.fs.rwHidden(r, p, off, true)
 }
 
-// rwHidden performs a sealed partial read or write across the file's data
-// blocks, with read-modify-write on partially covered edge blocks. The
-// spanned blocks are staged in one buffer and submitted as a single vectored
-// request (reads: one batch in; writes: edge blocks batched in, then the
-// whole span batched out). The caller holds the object's lock — shared for
-// reads, exclusive for writes.
+// rwHidden reads or writes p at offset off of an open hidden object: it maps
+// only the pointer blocks covering the span, then moves p with moveSpan. The
+// caller holds the object's lock — shared for reads, exclusive for writes.
 func (fs *FS) rwHidden(r *hiddenRef, p []byte, off int64, write bool) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
 	bs := int64(fs.dev.BlockSize())
-	io_ := r.io(fs.dev)
 	first := off / bs
 	last := (off + int64(len(p)) - 1) / bs
 	if last >= r.hdr.nblocks {
 		return 0, fmt.Errorf("stegfs: offset %d beyond mapped blocks", off+int64(len(p))-1)
 	}
-	// Map only the span: the pointer blocks covering [first, last].
-	span, err := ptree.ReadInto(io_, r.hdr.root, r.hdr.nblocks, first, last+1, r.blockList)
+	span, err := ptree.ReadInto(r.io(fs.dev), r.hdr.root, r.hdr.nblocks, first, last+1, r.blockList)
 	if err != nil {
 		return 0, err
 	}
 	r.blockList = span
-	// The span stages in the ref's reusable arena: with a warm cache the
-	// whole read path — lock, header reload, tree walk, batched read,
-	// in-place open — then runs without a single heap allocation.
-	need := int(int64(len(span)) * bs)
-	if cap(r.staging) < need {
-		r.staging = make([]byte, need)
-	}
-	staging := r.staging[:need]
-	bufs := r.spanViews(staging, len(span), int(bs))
-	inOff := off - first*bs // offset of p[0] within the staging area
-
-	if !write {
-		if err := io_.ReadBlocks(span, bufs); err != nil {
-			return 0, err
-		}
-		copy(p, staging[inOff:])
-		return len(p), nil
-	}
-
-	// Read-modify-write: only partially covered edge blocks need their old
-	// contents fetched.
-	var edgeNs []int64
-	var edgeBufs [][]byte
-	if inOff != 0 {
-		edgeNs = append(edgeNs, span[0])
-		edgeBufs = append(edgeBufs, bufs[0])
-	}
-	if tail := inOff + int64(len(p)); tail != int64(len(span))*bs && (len(edgeNs) == 0 || span[len(span)-1] != edgeNs[0]) {
-		edgeNs = append(edgeNs, span[len(span)-1])
-		edgeBufs = append(edgeBufs, bufs[len(span)-1])
-	}
-	if err := io_.ReadBlocks(edgeNs, edgeBufs); err != nil {
-		return 0, err
-	}
-	copy(staging[inOff:], p)
-	if err := io_.WriteBlocks(span, bufs); err != nil {
+	if err := fs.moveSpan(r, span, p, off-first*bs, r.hdr.size-first*bs, write); err != nil {
 		return 0, err
 	}
 	return len(p), nil
+}
+
+// moveSpan is the one path hidden payload bytes take between a caller's
+// buffer and the sealed data blocks: it reads or writes p across blocks in
+// one vectored request per direction. p starts inOff bytes into blocks[0],
+// and eof is the file size counted from the same point. Blocks p covers
+// whole alias p, so they are opened into it or sealed from it without a
+// staging copy; only the partially covered edge blocks, at most two, are
+// staged in the ref. Bytes of the last block past eof are not file content:
+// a write reads a staged edge back first only when it holds content outside
+// p, and zero-fills it otherwise. A failed payload write degrades the mount
+// (see observe). Once the ref's buffers have grown, moveSpan allocates
+// nothing. The caller holds the object's lock.
+func (fs *FS) moveSpan(r *hiddenRef, blocks []int64, p []byte, inOff, eof int64, write bool) error {
+	bs := int64(fs.dev.BlockSize())
+	end := inOff + int64(len(p))
+	if cap(r.spanBufs) < len(blocks) {
+		r.spanBufs = make([][]byte, len(blocks))
+	}
+	bufs := r.spanBufs[:len(blocks)]
+	// Drop the views of p, so a pooled ref does not pin the caller's buffer.
+	defer clear(bufs)
+	var staged [2]int // indexes of the staged edges in blocks
+	nStaged, nRead := 0, 0
+	for i := range blocks {
+		lo, hi := int64(i)*bs, int64(i+1)*bs
+		if lo >= inOff && hi <= end {
+			bufs[i] = p[lo-inOff : hi-inOff]
+			continue
+		}
+		if int64(cap(r.edges[nStaged])) < bs {
+			r.edges[nStaged] = make([]byte, bs)
+		}
+		edge := r.edges[nStaged][:bs]
+		bufs[i], staged[nStaged] = edge, i
+		nStaged++
+		switch {
+		case !write:
+		case lo < inOff || end < min(hi, eof):
+			r.edgeNs[nRead], r.edgeBufs[nRead] = blocks[i], edge
+			nRead++
+		default:
+			clear(edge)
+		}
+	}
+	io := r.io(fs.dev)
+	if !write {
+		if err := io.ReadBlocks(blocks, bufs); err != nil {
+			return err
+		}
+	} else if err := io.ReadBlocks(r.edgeNs[:nRead], r.edgeBufs[:nRead]); err != nil {
+		return err
+	}
+	for _, i := range staged[:nStaged] {
+		lo := int64(i) * bs
+		from, to := max(lo, inOff), min(lo+bs, end)
+		if write {
+			copy(bufs[i][from-lo:], p[from-inOff:to-inOff])
+		} else {
+			copy(p[from-inOff:to-inOff], bufs[i][from-lo:])
+		}
+	}
+	if !write {
+		return nil
+	}
+	return fs.observe(io.WriteBlocks(blocks, bufs))
 }
 
 // Resize grows or shrinks the named hidden file to newSize bytes, preserving
@@ -127,7 +153,7 @@ func (v *HiddenView) Resize(name string, newSize int64) error {
 	if newSize < 0 {
 		return fmt.Errorf("stegfs: negative size %d", newSize)
 	}
-	r, err := v.openExclusive(name)
+	r, err := v.open(name, true)
 	if err != nil {
 		return err
 	}
@@ -140,32 +166,19 @@ func (v *HiddenView) Resize(name string, newSize int64) error {
 	if newBlocks == r.hdr.nblocks {
 		// Same shape: only the logical size changes. Zero the now-exposed
 		// tail when growing within the last block.
-		if newSize > r.hdr.size {
-			zeroFrom := r.hdr.size
-			zeroLen := newSize - r.hdr.size
-			z := make([]byte, zeroLen)
-			old := r.hdr.size
+		if old := r.hdr.size; newSize > old {
 			r.hdr.size = newSize
-			if _, err := v.fs.rwHidden(r, z, zeroFrom, true); err != nil {
-				r.hdr.size = old
+			if _, err := v.fs.rwHidden(r, make([]byte, newSize-old), old, true); err != nil {
 				return err
 			}
 		}
 		r.hdr.size = newSize
 		return v.fs.flushHeader(r)
 	}
-	// Shape change: preserve the prefix, rewrite.
-	keep := r.hdr.size
-	if newSize < keep {
-		keep = newSize
-	}
-	prefix := make([]byte, keep)
-	if keep > 0 {
-		if _, err := v.fs.rwHidden(r, prefix, 0, false); err != nil {
-			return err
-		}
-	}
+	// Shape change: read the kept prefix straight into the new payload.
 	data := make([]byte, newSize)
-	copy(data, prefix)
+	if _, err := v.fs.rwHidden(r, data[:min(newSize, r.hdr.size)], 0, false); err != nil {
+		return err
+	}
 	return v.fs.rewriteHidden(r, data)
 }

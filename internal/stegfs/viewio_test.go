@@ -5,6 +5,8 @@ import (
 	"io"
 	"testing"
 	"testing/quick"
+
+	"stegfs/internal/vdisk"
 )
 
 func newIOView(t *testing.T) *HiddenView {
@@ -163,4 +165,80 @@ func TestPropertyWriteAtReadAt(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestMoveSpanEdgeRules pins how the payload mover treats partially covered
+// edge blocks, counting device block reads across each WriteAt on an
+// uncached mount of a 2500-byte file in 1 KiB blocks (blocks 0 and 1 full,
+// block 2 holding bytes 2048..2499). Every open reads the header block once
+// (the sealer hint skips the probe); all three data pointers are direct, so
+// the tree walk reads nothing. A staged edge is read back only when it holds
+// file content outside the write; bytes past EOF are not content.
+func TestMoveSpanEdgeRules(t *testing.T) {
+	store, err := vdisk.NewMemStore(4096, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk := vdisk.NewDisk(store, vdisk.DefaultGeometry())
+	p := DefaultParams()
+	p.NDummy = 2
+	p.DummyAvgSize = 4096
+	p.MaxPlainFiles = 64
+	fs, err := Format(disk, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := fs.NewHiddenView("edges")
+	want := mkPayload(2500, 9)
+	if err := v.Create("f", append([]byte(nil), want...)); err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string) {
+		t.Helper()
+		got, err := v.Read("f")
+		if err != nil {
+			t.Fatalf("%s: Read: %v", label, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: content mismatch (len %d, want %d)", label, len(got), len(want))
+		}
+	}
+	cases := []struct {
+		label     string
+		off, n    int
+		wantReads int64 // header + edges read back
+	}{
+		{"(a) aligned, ends at EOF", 2048, 452, 1},
+		{"unaligned start, ends at EOF", 1500, 1000, 2},
+		{"(b) aligned, ends before EOF", 1024, 100, 2},
+		{"(c) both edges in one block", 1100, 50, 2},
+		{"whole blocks", 0, 2048, 1},
+	}
+	for i, c := range cases {
+		patch := bytes.Repeat([]byte{byte(0xA0 + i)}, c.n)
+		before := disk.Stats().Reads
+		if _, err := v.WriteAt("f", patch, int64(c.off)); err != nil {
+			t.Fatalf("%s: WriteAt: %v", c.label, err)
+		}
+		if reads := disk.Stats().Reads - before; reads != c.wantReads {
+			t.Errorf("%s: WriteAt read %d blocks, want %d", c.label, reads, c.wantReads)
+		}
+		copy(want[c.off:], patch)
+		check(c.label)
+	}
+
+	// (d) A size that is not a block multiple reads back exactly.
+	if got, err := v.Read("f"); err != nil || len(got) != 2500 {
+		t.Fatalf("(d) Read = %d bytes, %v; want 2500", len(got), err)
+	}
+
+	// (e) A same-shape shrink then grow exposes zeros, not the old bytes.
+	if err := v.Resize("f", 2100); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Resize("f", 2500); err != nil {
+		t.Fatal(err)
+	}
+	clear(want[2100:])
+	check("(e) shrink then grow")
 }
