@@ -219,8 +219,8 @@ func runAblatePolicy(cfg bench.Config) error {
 	fmt.Println("Ablation A4b — replacement policy x capacity (scan+hot hidden-file workload):")
 	fmt.Println("  policy    cache-blocks  disk-sec   speedup  hit-rate    hits  misses  writebacks")
 	for _, r := range rows {
-		fmt.Printf("  %-8s  %12d  %8.4f  %7.2fx  %7.1f%%  %6d  %6d  %10d\n",
-			r.Policy, r.CacheBlocks, r.Seconds, r.Speedup, r.HitRate*100,
+		fmt.Printf("  %-8s  %12d  %8.4f  %8s  %7.1f%%  %6d  %6d  %10d\n",
+			r.Policy, r.CacheBlocks, r.Seconds, speedup(r.Speedup, r.Seconds), r.HitRate*100,
 			r.Stats.Hits, r.Stats.Misses, r.Stats.WriteBacks)
 		emit("ablate-policy", r)
 	}
@@ -348,12 +348,21 @@ func runAblateCache(cfg bench.Config) error {
 	fmt.Println("Ablation A4 — block cache capacity (repeated-read hidden-file workload):")
 	fmt.Println("  cache-blocks  disk-sec   speedup  hit-rate   hits  misses  writebacks")
 	for _, r := range rows {
-		fmt.Printf("  %12d  %8.4f  %7.2fx  %7.1f%%  %5d  %6d  %10d\n",
-			r.CacheBlocks, r.Seconds, r.Speedup, r.HitRate*100,
+		fmt.Printf("  %12d  %8.4f  %8s  %7.1f%%  %5d  %6d  %10d\n",
+			r.CacheBlocks, r.Seconds, speedup(r.Speedup, r.Seconds), r.HitRate*100,
 			r.Stats.Hits, r.Stats.Misses, r.Stats.WriteBacks)
 		emit("ablate-cache", r)
 	}
 	return nil
+}
+
+// speedup renders a cache-ablation speedup column. A row that did no device
+// I/O (zero simulated seconds) has no defined ratio; its JSON Speedup is 0.
+func speedup(x, seconds float64) string {
+	if seconds == 0 {
+		return "no I/O"
+	}
+	return fmt.Sprintf("%.2fx", x)
 }
 
 func runIDA(cfg bench.Config) error {

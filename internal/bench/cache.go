@@ -15,7 +15,7 @@ import (
 type CacheRow struct {
 	CacheBlocks int
 	Seconds     float64 // simulated disk time for the whole workload
-	Speedup     float64 // baseline seconds / this row's seconds
+	Speedup     float64 // baseline seconds / this row's seconds; 0 (undefined) when the row did no device I/O
 	HitRate     float64
 	Stats       blockcache.Stats
 }

@@ -16,7 +16,7 @@ type PolicyRow struct {
 	Policy      string
 	CacheBlocks int
 	Seconds     float64 // simulated disk time for the measured rounds
-	Speedup     float64 // uncached baseline seconds / this row's seconds
+	Speedup     float64 // uncached baseline seconds / this row's seconds; 0 (undefined) when the row did no device I/O
 	HitRate     float64
 	Stats       blockcache.Stats
 }

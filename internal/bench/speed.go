@@ -3,7 +3,9 @@ package bench
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime"
+	"runtime/debug"
 	"time"
 
 	"stegfs/internal/sgcrypto"
@@ -25,32 +27,69 @@ type SpeedRow struct {
 }
 
 // speedMeasure times fn until one doubling run lasts at least budget, then
-// reports that run's per-op time, throughput and heap allocations. One
-// unmeasured warm-up call primes pools, caches and lazily built tables.
+// reports that run's per-op time and throughput, and the heap allocations
+// speedAllocs counts. One unmeasured warm-up call primes pools, caches and
+// lazily built tables.
 func speedMeasure(op string, bytesPerOp int, budget time.Duration, fn func()) SpeedRow {
 	fn()
-	var before, after runtime.MemStats
+	row := SpeedRow{Op: op, Bytes: bytesPerOp, AllocsPerOp: speedAllocs(fn)}
 	for iters := 1; ; iters *= 2 {
-		runtime.ReadMemStats(&before)
 		start := time.Now()
 		for i := 0; i < iters; i++ {
 			fn()
 		}
 		elapsed := time.Since(start)
-		runtime.ReadMemStats(&after)
 		if elapsed < budget && iters < 1<<22 {
 			continue
 		}
-		row := SpeedRow{
-			Op:          op,
-			Bytes:       bytesPerOp,
-			NsPerOp:     float64(elapsed.Nanoseconds()) / float64(iters),
-			AllocsPerOp: float64(after.Mallocs-before.Mallocs) / float64(iters),
-		}
+		row.NsPerOp = float64(elapsed.Nanoseconds()) / float64(iters)
 		if bytesPerOp > 0 && elapsed > 0 {
 			row.MBps = float64(bytesPerOp) * float64(iters) / elapsed.Seconds() / 1e6
 		}
 		return row
+	}
+}
+
+// allocRuns is the number of calls one allocation count averages over, and
+// allocBatches how many such counts speedAllocs takes.
+const allocRuns, allocBatches = 64, 8
+
+// speedAllocs returns fn's heap allocations per call: the least average over
+// allocBatches loops of allocRuns calls, with the garbage collector paused.
+// A collection empties the sync.Pools the data path recycles its buffers
+// through, and their refills would count as op allocations; with the
+// collector off after one more warm-up call, the count is the op's own, a
+// whole number. Stray allocations still land in some loops: a pooled buffer
+// left on another P after the goroutine migrated, the first growth of a map
+// the op fills, and about one allocation per few hundred calls of
+// sealer-new that comes from below this repository's code. None lands in
+// every loop, so the least count is the op's cost. A regression that
+// allocates in every call, or at least once in every allocRuns calls, shows
+// in every loop. The pause covers only these short loops, not the timed one, whose
+// ops may allocate far more in total.
+func speedAllocs(fn func()) float64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	fn()
+	best := math.Inf(1)
+	var before, after runtime.MemStats
+	for range allocBatches {
+		runtime.ReadMemStats(&before)
+		for range allocRuns {
+			fn()
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, float64(after.Mallocs-before.Mallocs)/allocRuns)
+	}
+	return best
+}
+
+// stampBlocks writes v into the first bytes of every bs-byte block of buf.
+// The block cache absorbs a write of the bytes a block already holds, so a
+// row that rewrote the same buffer every call would time that no-op
+// instead of sealing and dirtying blocks.
+func stampBlocks(buf []byte, bs int, v uint64) {
+	for p := 0; p < len(buf); p += bs {
+		binary.LittleEndian.PutUint64(buf[p:], v)
 	}
 }
 
@@ -143,8 +182,13 @@ func SpeedSuite(cfg Config, budget time.Duration) ([]SpeedRow, error) {
 	add(speedMeasure("cached-read-64k", len(fileData), budget, func() {
 		_, _ = v.Read("f")
 	}))
+	// Every write stamps a fresh counter into each block it covers, so it
+	// changes every block and the cache cannot absorb it.
+	var stamp uint64
 	wbuf := make([]byte, 16<<10)
 	add(speedMeasure("cached-writeat-16k", len(wbuf), budget, func() {
+		stamp++
+		stampBlocks(wbuf, bs, stamp)
 		_, _ = v.WriteAt("f", wbuf, 0)
 	}))
 
@@ -156,6 +200,8 @@ func SpeedSuite(cfg Config, budget time.Duration) ([]SpeedRow, error) {
 	}
 	w4k := make([]byte, 4096)
 	add(speedMeasure("cached-writeat-4k-2m", len(w4k), budget, func() {
+		stamp++
+		stampBlocks(w4k, bs, stamp)
 		_, _ = v.WriteAt("big", w4k, 2<<20-int64(len(w4k)))
 	}))
 

@@ -39,6 +39,17 @@
 // the write wins and the next run picks up the fresh data — so read-your-
 // writes and barrier completeness hold across the unlocked window.
 //
+// # Unchanged writes
+//
+// A write of the bytes a resident block already holds is absorbed: the
+// entry is not dirtied and no write-back follows (Stats.Unchanged counts
+// them). Callers therefore need no dirty tracking of their own — FS.Sync
+// rewrites the whole superblock and bitmap, and stegdb's commit rewrites
+// whole pages, yet only the blocks that changed reach the device. The
+// on-device image is the same as if every write had been issued, since an
+// absorbed write would have stored the bytes already there. A block the
+// cache does not hold has nothing to compare against and is always written.
+//
 // The cache is a write-back cache, so crash consistency is the caller's
 // responsibility: callers must Flush (or Sync) before any point where the
 // on-device image has to be self-consistent. stegfs.FS does this around its
@@ -52,6 +63,7 @@
 package blockcache
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
@@ -74,6 +86,7 @@ type Stats struct {
 	WriteBehinds int64 // write-behind runs triggered by the high-water mark
 	FlushBatches int64 // batched (sorted, multi-block) flush submissions to the device
 	FlushStalls  int64 // writers stalled at the hard dirty cap waiting for the flusher
+	Unchanged    int64 // block writes absorbed because the resident block already held those bytes
 }
 
 // Sub returns s - o counter-wise. Benchmarks snapshot the counters before a
@@ -88,6 +101,7 @@ func (s Stats) Sub(o Stats) Stats {
 		WriteBehinds: s.WriteBehinds - o.WriteBehinds,
 		FlushBatches: s.FlushBatches - o.FlushBatches,
 		FlushStalls:  s.FlushStalls - o.FlushStalls,
+		Unchanged:    s.Unchanged - o.Unchanged,
 	}
 }
 
@@ -281,7 +295,12 @@ func (c *Cache) WriteBlock(n int64, buf []byte) error {
 }
 
 // writeLocked stores buf for block n in the resident set as a dirty block
-// (caller holds c.mu).
+// (caller holds c.mu). A write of the bytes a resident block already holds
+// changes nothing and is absorbed: the entry keeps its dirty state and
+// generation, so a clean block issues no write-back. This is exact: a
+// clean entry holds what the device holds, a dirty one is written at the
+// next barrier anyway, and a flight whose generation still matches carries
+// these same bytes, so clearing dirty on its completion stays correct.
 // lockcheck:holds volume/cacheMu
 func (c *Cache) writeLocked(n int64, buf []byte) {
 	if f, ok := c.inflight[n]; ok {
@@ -290,13 +309,17 @@ func (c *Cache) writeLocked(n int64, buf []byte) {
 		f.stale = true
 	}
 	if e, ok := c.entries[n]; ok {
+		c.policy.Touch(n)
+		if bytes.Equal(e.data, buf) {
+			c.stats.Unchanged++
+			return
+		}
 		copy(e.data, buf)
 		e.gen++
 		if !e.dirty {
 			e.dirty = true
 			c.dirty[n] = e
 		}
-		c.policy.Touch(n)
 	} else {
 		c.insertLocked(n, buf, true)
 	}

@@ -38,6 +38,11 @@ import (
 // both valid and older than the home file (the home writes of commit N+1
 // start only after commit N+1's journal landed). The database therefore
 // remounts at exactly the old or the new epoch — never a mix.
+//
+// Journal records and home images are whole pages, but on a cached mount
+// the block cache absorbs every block of them whose sealed bytes did not
+// change (blockcache, "Unchanged writes"), so a commit puts only the
+// changed blocks on the device.
 
 // walSuffix names the journal sibling of a database file.
 const walSuffix = ".wal"

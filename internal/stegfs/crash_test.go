@@ -302,7 +302,10 @@ func TestSyncTornBatchSweep(t *testing.T) {
 // TestSyncWriteOrderDataBeforeMetadata pins the barrier at the device-write
 // level: within one Sync's accepted-write stream, every data-region write
 // precedes the first superblock/bitmap write. With the background flusher
-// active this is exactly the property the cut sweep relies on.
+// active this is exactly the property the cut sweep relies on. The cache
+// absorbs rewrites of unchanged blocks, so the second round also creates a
+// file: its allocation changes the bitmap, whose write must then follow
+// the data.
 func TestSyncWriteOrderDataBeforeMetadata(t *testing.T) {
 	mem, err := vdisk.NewMemStore(crashBlocks, crashBS)
 	if err != nil {
@@ -326,6 +329,9 @@ func TestSyncWriteOrderDataBeforeMetadata(t *testing.T) {
 		if err := view.Write(fmt.Sprintf("f%d", i), crashPayload(i, 0xB0)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := view.Create("new0", crashPayload(0, 0xC0)); err != nil {
+		t.Fatal(err)
 	}
 	cs.StartTrace()
 	if err := fs.Sync(); err != nil {
@@ -383,15 +389,21 @@ func (s *syncStore) take() []int64 {
 }
 
 // TestSyncBarrierReachesDevice: FS.Sync makes the data durable with a device
-// Sync before it writes the superblock, and ends with a Sync covering the
-// metadata writes — on cached and uncached mounts alike.
+// Sync before it writes its first metadata block, and ends with a Sync
+// covering the metadata writes — on cached and uncached mounts alike. The
+// second round creates a file, so the bitmap changes and must be written.
+// An uncached mount rewrites every metadata block and starts at the
+// superblock (block 0); a cached mount writes only the metadata blocks
+// that changed, so the first write below DataStart marks its metadata.
 func TestSyncBarrierReachesDevice(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		opts []Option
+		name   string
+		opts   []Option
+		isMeta func(b, dataStart int64) bool
 	}{
-		{"uncached", nil},
-		{"cached", []Option{WithCache(crashCacheCap), WithWriteBehind(crashWBehind)}},
+		{"uncached", nil, func(b, _ int64) bool { return b == 0 }},
+		{"cached", []Option{WithCache(crashCacheCap), WithWriteBehind(crashWBehind)},
+			func(b, dataStart int64) bool { return b >= 0 && b < dataStart }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mem, err := vdisk.NewMemStore(crashBlocks, crashBS)
@@ -419,31 +431,34 @@ func TestSyncBarrierReachesDevice(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			if err := view.Create("new0", crashPayload(0, 0xC0)); err != nil {
+				t.Fatal(err)
+			}
 			if err := fs.Sync(); err != nil {
 				t.Fatal(err)
 			}
 			log := st.take()
-			super, lastData := -1, -1
+			meta, lastData := -1, -1
 			for i, b := range log {
-				if b == 0 && super < 0 {
-					super = i
+				if tc.isMeta(b, fs.DataStart()) && meta < 0 {
+					meta = i
 				}
 				if b >= fs.DataStart() {
 					lastData = i
 				}
 			}
-			if super < 0 || lastData < 0 {
-				t.Fatalf("no superblock or data write in %v", log)
+			if meta < 0 || lastData < 0 {
+				t.Fatalf("no metadata or data write in %v", log)
 			}
-			if lastData > super {
-				t.Fatalf("data block written at %d after the superblock at %d: %v", lastData, super, log)
+			if lastData > meta {
+				t.Fatalf("data block written at %d after the first metadata write at %d: %v", lastData, meta, log)
 			}
 			synced := false
-			for _, b := range log[lastData:super] {
+			for _, b := range log[lastData:meta] {
 				synced = synced || b == -1
 			}
 			if !synced {
-				t.Fatalf("no Sync between the last data write (%d) and the superblock (%d): %v", lastData, super, log)
+				t.Fatalf("no Sync between the last data write (%d) and the first metadata write (%d): %v", lastData, meta, log)
 			}
 			if log[len(log)-1] != -1 {
 				t.Fatalf("FS.Sync did not end with a device Sync: %v", log)

@@ -430,7 +430,9 @@ func (fs *FS) Sync() error {
 }
 
 // syncLocked writes the superblock and bitmap between two barriers. The
-// caller holds the freeze gate exclusively.
+// caller holds the freeze gate exclusively. It writes every metadata block;
+// on a cached mount the cache absorbs those whose bytes did not change, so
+// only changed ones reach the device.
 func (fs *FS) syncLocked() error {
 	// Data blocks reach stable storage before the metadata that references
 	// them is written.

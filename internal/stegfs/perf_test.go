@@ -43,7 +43,7 @@ func TestCachedReadAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	_, v := perfVolume(t)
+	fs, v := perfVolume(t)
 	data := make([]byte, 65536)
 	for i := range data {
 		data[i] = byte(i * 7)
@@ -75,15 +75,30 @@ func TestCachedReadAllocFree(t *testing.T) {
 	// Writes go through the same mover: a block-aligned span seals straight
 	// from the caller's buffer, and an unaligned one stages its two edge
 	// blocks in the ref, so neither allocates once the pools are warm. Each
-	// writes the bytes already there, leaving data valid for the next case.
+	// write stamps a fresh counter into every block it covers, so it really
+	// changes them: the block cache absorbs a rewrite of unchanged bytes,
+	// which the last case pins on its own. data tracks the file throughout.
+	var stamp uint64
 	for _, c := range []struct {
-		name string
-		off  int64
-		n    int
-	}{{"WriteAt-4KiB-aligned", 4096, 4096}, {"WriteAt-100B-unaligned", 4000, 100}} {
+		name    string
+		off     int64
+		n       int
+		stamped bool
+	}{
+		{"WriteAt-4KiB-aligned", 4096, 4096, true},
+		{"WriteAt-100B-unaligned", 4000, 100, true},
+		{"WriteAt-4KiB-unchanged", 4096, 4096, false},
+	} {
 		t.Run(c.name, func(t *testing.T) {
 			buf := append([]byte(nil), data[c.off:c.off+int64(c.n)]...)
+			before, _ := fs.CacheStats()
+			calls := 0
 			writeAt := func() {
+				calls++
+				if c.stamped {
+					stamp++
+					stampBlocks(buf, c.off, 1024, stamp)
+				}
 				if _, err := v.WriteAt("f", buf, c.off); err != nil {
 					t.Fatal(err)
 				}
@@ -94,6 +109,11 @@ func TestCachedReadAllocFree(t *testing.T) {
 			if allocs := testing.AllocsPerRun(200, writeAt); allocs != 0 {
 				t.Fatalf("cached %s allocates %.1f objects/op, want 0", c.name, allocs)
 			}
+			after, _ := fs.CacheStats()
+			if u := after.Sub(before).Unchanged; !c.stamped && u < int64(calls*c.n/1024) {
+				t.Fatalf("%d identical rewrites of %d blocks absorbed only %d block writes", calls, c.n/1024, u)
+			}
+			copy(data[c.off:], buf)
 		})
 	}
 
@@ -122,6 +142,16 @@ func TestCachedReadAllocFree(t *testing.T) {
 			t.Fatal("read returned wrong bytes")
 		}
 	})
+}
+
+// stampBlocks writes v into the leading bytes of every block that a write
+// of buf at offset off covers, in blocks of bs bytes.
+func stampBlocks(buf []byte, off int64, bs int, v uint64) {
+	for p := 0; p < len(buf); p += bs - int((off+int64(p))%int64(bs)) {
+		for k := 0; k < 8 && p+k < len(buf); k++ {
+			buf[p+k] = byte(v >> (8 * k))
+		}
+	}
 }
 
 // TestSealerCacheRecycle exercises the staleness paths of the sealer cache:
