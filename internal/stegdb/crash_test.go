@@ -1,7 +1,10 @@
 package stegdb
 
 import (
+	"encoding/binary"
 	"fmt"
+	"maps"
+	"strings"
 	"testing"
 
 	"stegfs/internal/stegfs"
@@ -280,4 +283,200 @@ func TestStegDBPlainTableCrashRecovery(t *testing.T) {
 			}
 		}
 	}
+}
+
+// crashModel is one partition's expected rows before and after the cut
+// round; a key absent from a map is absent from that epoch.
+type crashModel struct{ old, new map[string]string }
+
+// runRecordKindsCrash is runPartitionedCrash for a cut round that makes
+// every kind of journal record. Partition 0 takes enough inserts to split
+// a leaf (the new right half is written blind, so it is journaled whole)
+// and in-place replaces (range records); partition 1 takes replaces only;
+// partition 2 takes only a Put+Delete of a fresh key, so its leaf is dirty
+// but back at its committed bytes and is neither journaled nor homed. It
+// returns the surviving image, the window's write count and each
+// partition's model.
+func runRecordKindsCrash(t *testing.T, cutAt int64) ([]byte, int64, []crashModel) {
+	t.Helper()
+	mem, err := vdisk.NewMemStore(crashBlocks, crashBS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := vdisk.NewFaultStore(mem, 1)
+	p := stegfs.DefaultParams()
+	p.NDummy = 2
+	p.DummyAvgSize = 8 << 10
+	p.DeterministicKeys = true
+	p.Seed = 42
+	fs, err := stegfs.Format(cs, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := CreatePartitionedTable(fs.NewHiddenView("db"), "t", crashParts, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := make([]crashModel, crashParts)
+	for i := range models {
+		models[i] = crashModel{old: map[string]string{}, new: map[string]string{}}
+	}
+	put := func(k, v string) {
+		if err := pt.Put([]byte(k), []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < crashKeys; i++ {
+		k := string(crashKey(i))
+		put(k, crashOldVal(i))
+		m := models[pt.partFor([]byte(k))]
+		m.old[k], m.new[k] = crashOldVal(i), crashOldVal(i)
+	}
+	if err := pt.Sync(); err != nil { // the old epoch every cut must preserve
+		t.Fatal(err)
+	}
+	pages := pt.parts[0].pg.NumPages()
+	for i := 0; i < crashKeys; i++ {
+		k := string(crashKey(i))
+		if part := pt.partFor([]byte(k)); part < 2 && i%3 == 0 {
+			put(k, crashNewVal(i))
+			models[part].new[k] = crashNewVal(i)
+		}
+	}
+	for i, n := 0, 0; n < 100; i++ {
+		k := fmt.Sprintf("s%04d", i)
+		if pt.partFor([]byte(k)) != 0 {
+			continue
+		}
+		v := strings.Repeat(crashNewVal(i), 5)
+		put(k, v)
+		models[0].new[k] = v
+		n++
+	}
+	for i := 0; ; i++ {
+		k := fmt.Sprintf("z%04d", i)
+		if pt.partFor([]byte(k)) != 2 {
+			continue
+		}
+		put(k, "transient")
+		if _, err := pt.Delete([]byte(k)); err != nil {
+			t.Fatal(err)
+		}
+		break
+	}
+	if pt.parts[0].pg.NumPages() == pages {
+		t.Fatal("the cut round split no leaf of partition 0")
+	}
+	pre := cs.Writes()
+	if cutAt >= 0 {
+		cs.TearAfter(cutAt, 0)
+	}
+	if err := pt.Sync(); err != nil && cutAt < 0 {
+		t.Fatalf("probe Sync: %v", err)
+	}
+	if cutAt < 0 {
+		checkRecordKinds(t, pt)
+	}
+	return mem.Snapshot(), cs.Writes() - pre, models
+}
+
+// checkRecordKinds reads back the journal each partition just committed
+// and checks the record kinds the cut round was built to make: a whole new
+// page and byte ranges in partition 0, only ranges in partition 1, and
+// only the meta page in partition 2.
+func checkRecordKinds(t *testing.T, pt *PartitionedTable) {
+	t.Helper()
+	for part := range pt.parts {
+		pg := pt.parts[part].pg
+		hdr := make([]byte, walHdrEnd)
+		if _, err := pt.view.ReadAt(pg.walName, hdr, 0); err != nil {
+			t.Fatal(err)
+		}
+		body := make([]byte, binary.BigEndian.Uint64(hdr[walHdrLen:]))
+		if _, err := pt.view.ReadAt(pg.walName, body, walHdrEnd); err != nil {
+			t.Fatal(err)
+		}
+		recs, err := parseJournal(body, int(binary.BigEndian.Uint64(hdr[walHdrCount:])), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole, ranges := 0, 0 // data-page records; the meta's is page 0
+		for _, r := range recs {
+			switch {
+			case r.id == 0:
+			case len(r.data) == PageSize:
+				whole++
+			default:
+				ranges++
+			}
+		}
+		switch {
+		case part == 0 && (whole == 0 || ranges == 0),
+			part == 1 && (whole != 0 || ranges == 0),
+			part == 2 && whole+ranges != 0:
+			t.Fatalf("partition %d journaled %d whole pages and %d ranges", part, whole, ranges)
+		}
+	}
+}
+
+// verifyRecordKindsCrash remounts a surviving image and requires every
+// partition to equal its old or its new model exactly.
+func verifyRecordKindsCrash(t *testing.T, img []byte, cutAt int64, models []crashModel) {
+	t.Helper()
+	mem, err := vdisk.NewMemStore(crashBlocks, crashBS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Restore(img); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := stegfs.Mount(mem)
+	if err != nil {
+		t.Fatalf("cut %d: remount: %v", cutAt, err)
+	}
+	view := fs.NewHiddenView("db")
+	if _, err := CheckAny(view, view.Adopt, "t"); err != nil {
+		t.Fatalf("cut %d: CheckAny: %v", cutAt, err)
+	}
+	pt, err := OpenPartitionedTable(view, "t")
+	if err != nil {
+		t.Fatalf("cut %d: open: %v", cutAt, err)
+	}
+	for part, m := range models {
+		got := map[string]string{}
+		s := pt.parts[part].pg.BeginSnapshot()
+		err := mergeRange([]*Snapshot{s}, nil, nil, func(k, v []byte) bool {
+			got[string(k)] = string(v)
+			return true
+		})
+		s.Close()
+		if err != nil {
+			t.Fatalf("cut %d: scan partition %d: %v", cutAt, part, err)
+		}
+		if !maps.Equal(got, m.old) && !maps.Equal(got, m.new) {
+			t.Fatalf("cut %d: partition %d holds %d rows matching neither epoch (old %d rows, new %d)",
+				cutAt, part, len(got), len(m.old), len(m.new))
+		}
+	}
+}
+
+// TestStegDBPartitionedCrashSweepRecordKinds sweeps the cut point across a
+// commit that journals whole pages, byte ranges and an unchanged page side
+// by side: every cut must remount each partition entirely old or entirely
+// new.
+func TestStegDBPartitionedCrashSweepRecordKinds(t *testing.T) {
+	_, window, _ := runRecordKindsCrash(t, -1)
+	if window < 10 {
+		t.Fatalf("commit window only %d writes; workload too small to sweep", window)
+	}
+	stride := max(window/24, 1)
+	if testing.Short() {
+		stride = max(window/6, 1)
+	}
+	for cut := int64(0); cut < window; cut += stride {
+		img, _, models := runRecordKindsCrash(t, cut)
+		verifyRecordKindsCrash(t, img, cut, models)
+	}
+	img, _, models := runRecordKindsCrash(t, window)
+	verifyRecordKindsCrash(t, img, window, models)
 }

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
 	"testing"
 
 	"stegfs/internal/fsapi"
 	"stegfs/internal/stegfs"
+	"stegfs/internal/vdisk"
 )
 
 // errView wraps a HiddenView and fails exactly one armed call (the n-th of
@@ -492,5 +494,126 @@ func TestStegDBCheckCatchesBadSeparator(t *testing.T) {
 				t.Fatalf("Check after a %s separator = %v, want a level-0 structural error", c.name, err)
 			}
 		})
+	}
+}
+
+// TestStegDBFaultHomeDropsBase: a commit whose home writes fail part way
+// leaves the home file holding a mix of two commits, so the next commit
+// may not cut its records against the bases it had. Leaves A and B are
+// dirty; the commit's home write of A lands and B's fails. A is then put
+// back to its committed value — equal to A's old base, but not to what its
+// home page now holds — and the commit retried: first with its first home
+// write failing (the image a crash right after the journal barrier
+// leaves, which recovery must replay to the model), then cleanly (a fresh
+// mount must read the model).
+func TestStegDBFaultHomeDropsBase(t *testing.T) {
+	view, store := newView(t, 16<<10)
+	ev := &errView{inner: view}
+	tab, err := CreatePartitionedTable(ev, "ft", 1, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := func(i int, tag string) string { return fmt.Sprintf("%s-%04d-", tag, i) + strings.Repeat("v", 190) }
+	ref := map[string]string{}
+	for i := 0; i < 40; i++ {
+		k := fmt.Sprintf("fk%04d", i)
+		ref[k] = val(i, "old")
+		if err := tab.Put([]byte(k), []byte(ref[k])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tab.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	pg := tab.parts[0].pg
+	// dirtyPage puts key i's new value and returns the one page it dirtied.
+	dirtyPage := func(i int) int64 {
+		t.Helper()
+		dirty := func() map[int64]*pageEntry {
+			pg.cache.mu.Lock()
+			defer pg.cache.mu.Unlock()
+			return maps.Clone(pg.cache.dirty)
+		}
+		before := dirty()
+		if err := tab.Put([]byte(fmt.Sprintf("fk%04d", i)), []byte(val(i, "new"))); err != nil {
+			t.Fatal(err)
+		}
+		after := dirty()
+		for id := range before {
+			delete(after, id)
+		}
+		if len(after) != 1 {
+			t.Fatalf("Put of key %d newly dirtied %d pages, want 1", i, len(after))
+		}
+		for id := range after {
+			return id
+		}
+		return 0
+	}
+	keyA, keyB := 0, 39
+	idA, idB := dirtyPage(keyA), dirtyPage(keyB)
+	if idA > idB { // A names the leaf homed first
+		keyA, keyB, idA, idB = keyB, keyA, idB, idA
+	}
+	ref[fmt.Sprintf("fk%04d", keyB)] = val(keyB, "new")
+	homePage := func(id int64) []byte {
+		t.Helper()
+		b := make([]byte, PageSize)
+		if _, err := view.ReadAt(pg.name, b, id*PageSize); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	ev.arm("write", 3) // the journal, A's home range, then B's
+	if err := tab.Sync(); !errors.Is(err, errInjected) {
+		t.Fatalf("Sync with B's home write faulted = %v, want the injected fault", err)
+	}
+	ev.arm("", 0)
+	if !bytes.Contains(homePage(idA), []byte(val(keyA, "new"))) || bytes.Contains(homePage(idB), []byte(val(keyB, "new"))) {
+		t.Fatal("the failed commit should have homed A's range and not B's")
+	}
+	if err := tab.Put([]byte(fmt.Sprintf("fk%04d", keyA)), []byte(val(keyA, "old"))); err != nil {
+		t.Fatal(err)
+	}
+
+	ev.arm("write", 2) // the journal lands, the first home write fails
+	if err := tab.Sync(); !errors.Is(err, errInjected) {
+		t.Fatalf("retried Sync with its first home write faulted = %v, want the injected fault", err)
+	}
+	ev.arm("", 0)
+	replayed := store.Snapshot()
+	if err := tab.Sync(); err != nil {
+		t.Fatalf("retried Sync: %v", err)
+	}
+	verifyAgainst(t, tab, ref)
+	for _, c := range []struct {
+		name string
+		img  []byte
+	}{{"journal replay", replayed}, {"fresh mount", store.Snapshot()}} {
+		mem, err := vdisk.NewMemStore(16<<10, 1<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mem.Restore(c.img); err != nil {
+			t.Fatal(err)
+		}
+		fs, err := stegfs.Mount(mem)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		v := fs.NewHiddenView("db")
+		if _, err := CheckAny(v, v.Adopt, "ft"); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		reopened, err := OpenPartitionedTable(v, "ft")
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for k, want := range ref {
+			if got, ok, err := reopened.Get([]byte(k)); err != nil || !ok || string(got) != want {
+				t.Fatalf("%s: %s = %.12q %v %v, want %.12q", c.name, k, got, ok, err, want)
+			}
+		}
 	}
 }

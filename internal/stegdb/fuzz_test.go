@@ -241,50 +241,139 @@ func (v *memView) Stat(name string) (fsapi.FileInfo, error) {
 
 func (v *memView) Sync() error { return nil }
 
-// Compact journals keep FuzzRecoverWAL's inputs small: the header's
-// walHdrEnd bytes, then walStub bytes per record — its page id and the
-// first 8 bytes of its image, the rest of which is zero. Recovery parses
-// only the header and the ids, so the fuzzer still controls every field it
-// reads without carrying 4 KiB page images through each mutation.
+// v1Journal lays out a journal of the older whole-page format: the header
+// page, then one walV1RecordSize record (page id, image) per page.
+func v1Journal(epoch int64, ids []int64, imgs [][]byte) []byte {
+	j := make([]byte, PageSize, PageSize+len(ids)*walV1RecordSize)
+	for i, id := range ids {
+		j = binary.BigEndian.AppendUint64(j, uint64(id))
+		j = append(j, imgs[i]...)
+	}
+	copy(j, walMagicV1)
+	binary.BigEndian.PutUint64(j[walHdrEpoch:], uint64(epoch))
+	binary.BigEndian.PutUint64(j[walHdrCount:], uint64(len(ids)))
+	binary.BigEndian.PutUint64(j[walHdrLen:], uint64(len(j)-PageSize))
+	sealJournal(j)
+	return j
+}
+
+// sealJournal recomputes a journal's body and header CRCs in place, for
+// either magic; a body shorter than the header claims keeps its old CRC.
+func sealJournal(j []byte) {
+	if len(j) < walHdrEnd {
+		return
+	}
+	body := uint64(walHdrEnd)
+	if string(j[:8]) == walMagicV1 {
+		body = PageSize
+	}
+	if jlen := binary.BigEndian.Uint64(j[walHdrLen:]); body <= uint64(len(j)) && jlen <= uint64(len(j))-body {
+		binary.BigEndian.PutUint64(j[walHdrJCRC:], crc64.Checksum(j[body:body+jlen], walCRCTable))
+	}
+	binary.BigEndian.PutUint64(j[walHdrHCRC:], crc64.Checksum(j[:walHdrJCRC+8], walCRCTable))
+}
+
+// A range journal is small, so FuzzRecoverWAL takes it as the journal file
+// itself. A v1 journal carries a 4 KiB image per record, so its inputs are
+// compact: the header's walHdrEnd bytes, then walStub bytes per record —
+// its page id and the first 8 bytes of its image, the rest of which is
+// zero. Recovery parses only the header and the ids, so the fuzzer still
+// controls every field it reads.
 const walStub = 16
 
-// expandJournal lays a compact journal out as the journal file: the header
-// page, then one walRecordSize record per stub (a trailing partial stub is
-// dropped).
-func expandJournal(c []byte) []byte {
+// journalFile turns a fuzz input into the journal file: a v1 input is
+// expanded (a trailing partial stub is dropped); any other is used as is.
+func journalFile(c []byte) []byte {
+	if len(c) < 8 || string(c[:8]) != walMagicV1 {
+		return append([]byte(nil), c...)
+	}
 	j := make([]byte, PageSize)
 	copy(j, c[:min(len(c), walHdrEnd)])
 	for off := walHdrEnd; off+walStub <= len(c); off += walStub {
-		rec := make([]byte, walRecordSize)
+		rec := make([]byte, walV1RecordSize)
 		copy(rec, c[off:off+walStub])
 		j = append(j, rec...)
 	}
 	return j
 }
 
-// compactJournal is expandJournal's inverse for a journal with n records.
-func compactJournal(j []byte, n int) []byte {
+// compactV1Journal is journalFile's inverse for a v1 journal.
+func compactV1Journal(j []byte) []byte {
+	n := int(binary.BigEndian.Uint64(j[walHdrCount:]))
 	c := append([]byte(nil), j[:walHdrEnd]...)
 	for i := 0; i < n; i++ {
-		c = append(c, j[PageSize+i*walRecordSize:][:walStub]...)
+		c = append(c, j[PageSize+i*walV1RecordSize:][:walStub]...)
 	}
 	return c
 }
 
-// FuzzRecoverWAL feeds crash recovery arbitrary journals. Each is either
-// rejected with the home file byte-identical, or replayed in full: every
-// record's image lands at its page, in journal order. A partial replay
-// fails the target. fixCRC re-seals the fuzzed header and body CRCs, so the
-// fuzzer also reaches the checks that run after them.
+// replayOracle applies a journal to home the way recovery must: every
+// record's bytes at id*PageSize+off, in journal order, the file grown to
+// the highest page first. It parses the journal independently of
+// parseJournal and fails the test on a journal no valid replay could come
+// from.
+func replayOracle(t testing.TB, home, journal []byte) []byte {
+	t.Helper()
+	type rec struct {
+		id   int64
+		off  int
+		data []byte
+	}
+	count := int(binary.BigEndian.Uint64(journal[walHdrCount:]))
+	var recs []rec
+	if string(journal[:8]) == walMagicV1 {
+		for i := 0; i < count; i++ {
+			r := journal[PageSize+i*walV1RecordSize : PageSize+(i+1)*walV1RecordSize]
+			recs = append(recs, rec{int64(binary.BigEndian.Uint64(r)), 0, r[8:]})
+		}
+	} else {
+		body := journal[walHdrEnd:]
+		for i := 0; i < count; i++ {
+			if len(body) < walRecHdr {
+				t.Fatalf("record %d of a replayed journal overruns it", i)
+			}
+			id := int64(binary.BigEndian.Uint64(body))
+			off := int(binary.BigEndian.Uint32(body[8:]))
+			n := int(binary.BigEndian.Uint32(body[12:]))
+			if off+n > PageSize || n > len(body)-walRecHdr {
+				t.Fatalf("record %d of a replayed journal does not fit: [%d,+%d)", i, off, n)
+			}
+			recs = append(recs, rec{id, off, body[walRecHdr : walRecHdr+n]})
+			body = body[walRecHdr+n:]
+		}
+	}
+	want := append([]byte(nil), home...)
+	for _, r := range recs {
+		if r.id < 0 {
+			t.Fatalf("replayed a record of page %d", r.id)
+		}
+		if end := (r.id + 1) * PageSize; end > int64(len(want)) {
+			want = append(want, make([]byte, end-int64(len(want)))...)
+		}
+	}
+	for _, r := range recs {
+		copy(want[r.id*PageSize+int64(r.off):], r.data)
+	}
+	return want
+}
+
+// FuzzRecoverWAL feeds crash recovery arbitrary journals of both formats.
+// Each is either rejected with the home file byte-identical, or replayed
+// in full: every record's bytes land at id*PageSize+off, in journal order.
+// A partial replay fails the target. fixCRC re-seals the fuzzed header and
+// body CRCs, so the fuzzer also reaches the checks that run after them.
 func FuzzRecoverWAL(f *testing.F) {
-	// A real database with two commits: the home file the journals replay
-	// into, and the second commit's journal as the seed.
+	// A real database with two commits: the home file as the first left
+	// it, which the journals replay into, and the second commit's range
+	// journal as the seed.
 	mv := &memView{files: map[string][]byte{}}
 	tab, err := CreatePartitionedTable(mv, "db", 1, false, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
+	var home []byte
 	for round := 0; round < 2; round++ {
+		home = append([]byte(nil), mv.files["db"]...)
 		for i := 0; i < 20; i++ {
 			if err := tab.Put(u64key(i), []byte(fmt.Sprintf("row-%d-%d", i, round))); err != nil {
 				f.Fatal(err)
@@ -294,32 +383,59 @@ func FuzzRecoverWAL(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	home := mv.files["db"]
 	wal := mv.files["db.wal"]
-	valid := compactJournal(wal, int(binary.BigEndian.Uint64(wal[walHdrCount:])))
+	// Replaying the seed must turn the first commit's home file into the
+	// second's.
+	if got := replayOracle(f, home, wal); !bytes.Equal(got, mv.files["db"]) {
+		f.Fatal("the seed journal does not replay the first commit's home file into the second's")
+	}
+	valid := wal[:walHdrEnd+binary.BigEndian.Uint64(wal[walHdrLen:])]
+	if string(valid[:8]) != walMagic || binary.BigEndian.Uint64(valid[walHdrCount:]) < 2 {
+		f.Fatalf("seed journal %q holds %d records, want a range journal of 2 or more",
+			valid[:8], binary.BigEndian.Uint64(valid[walHdrCount:]))
+	}
+	edit := func(j []byte, fn func(j []byte)) []byte {
+		j = append([]byte(nil), j...)
+		fn(j)
+		return j
+	}
 	f.Add(valid, true)
-	f.Add(valid, false) // stubbed images do not match the body CRC
+	f.Add(valid, false)
 	f.Add(valid[:walHdrEnd], true)
-	f.Add(valid[:walHdrEnd+walStub], true) // body shorter than the header claims
-	lying := append([]byte(nil), valid...)
-	binary.BigEndian.PutUint64(lying[walHdrCount:], walMaxRecords)
-	binary.BigEndian.PutUint64(lying[walHdrLen:], walMaxRecords*walRecordSize)
-	f.Add(lying, true)
-	farPage := append([]byte(nil), valid...)
-	binary.BigEndian.PutUint64(farPage[walHdrEnd+walStub:], 1<<19) // replay past memViewMax
-	f.Add(farPage, true)
-	badID := append([]byte(nil), valid...)
-	binary.BigEndian.PutUint64(badID[len(badID)-walStub:], 1<<63) // a negative page id, last
-	f.Add(badID, true)
+	f.Add(valid[:len(valid)-1], true) // body shorter than the header claims
+	f.Add(edit(valid, func(j []byte) {
+		binary.BigEndian.PutUint64(j[walHdrCount:], walMaxRecords)
+		binary.BigEndian.PutUint64(j[walHdrLen:], walMaxRecords*walRecHdr)
+	}), true)
+	f.Add(edit(valid, func(j []byte) { // replay past memViewMax
+		binary.BigEndian.PutUint64(j[walHdrEnd:], 1<<19)
+	}), true)
+	f.Add(edit(valid, func(j []byte) { // a range running off its page
+		binary.BigEndian.PutUint32(j[walHdrEnd+8:], PageSize-1)
+	}), true)
+	f.Add(edit(valid, func(j []byte) { // records that do not fill the body
+		binary.BigEndian.PutUint64(j[walHdrCount:], 1)
+	}), true)
+	// v1 seeds: the second commit as whole pages, and the same mangled.
+	ids := []int64{1, 0}
+	imgs := [][]byte{home[PageSize : 2*PageSize], home[:PageSize]}
+	v1 := compactV1Journal(v1Journal(2, ids, imgs))
+	f.Add(v1, true)
+	f.Add(v1, false) // stubbed images do not match the body CRC
+	f.Add(v1[:walHdrEnd], true)
+	f.Add(v1[:walHdrEnd+walStub], true) // body shorter than the header claims
+	f.Add(edit(v1, func(j []byte) {
+		binary.BigEndian.PutUint64(j[walHdrCount:], walMaxRecords)
+		binary.BigEndian.PutUint64(j[walHdrLen:], walMaxRecords*walV1RecordSize)
+	}), true)
+	f.Add(edit(v1, func(j []byte) { binary.BigEndian.PutUint64(j[walHdrEnd:], 1<<19) }), true)
+	f.Add(edit(v1, func(j []byte) { binary.BigEndian.PutUint64(j[len(j)-walStub:], 1<<63) }), true)
 	f.Add([]byte{}, false)
 
-	f.Fuzz(func(t *testing.T, compact []byte, fixCRC bool) {
-		journal := expandJournal(compact)
+	f.Fuzz(func(t *testing.T, input []byte, fixCRC bool) {
+		journal := journalFile(input)
 		if fixCRC {
-			if jlen := binary.BigEndian.Uint64(journal[walHdrLen:]); jlen <= uint64(len(journal)-PageSize) {
-				binary.BigEndian.PutUint64(journal[walHdrJCRC:], crc64.Checksum(journal[PageSize:PageSize+jlen], walCRCTable))
-			}
-			binary.BigEndian.PutUint64(journal[walHdrHCRC:], crc64.Checksum(journal[:walHdrJCRC+8], walCRCTable))
+			sealJournal(journal)
 		}
 		v := &memView{files: map[string][]byte{
 			"db":     append([]byte(nil), home...),
@@ -334,18 +450,44 @@ func FuzzRecoverWAL(f *testing.F) {
 			t.Fatalf("recovery failed (%v) after changing the home file", err)
 		}
 		// Changed: it must be exactly the full replay.
-		want := append([]byte(nil), home...)
-		count := int64(binary.BigEndian.Uint64(journal[walHdrCount:]))
-		for i := int64(0); i < count; i++ {
-			rec := journal[PageSize+i*walRecordSize : PageSize+(i+1)*walRecordSize]
-			end := (int64(binary.BigEndian.Uint64(rec)) + 1) * PageSize
-			if end > int64(len(want)) {
-				want = append(want, make([]byte, end-int64(len(want)))...)
-			}
-			copy(want[end-PageSize:end], rec[8:])
+		if want := replayOracle(t, home, journal); !bytes.Equal(got, want) {
+			t.Fatal("home file is neither untouched nor the full replay of the journal")
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("home file is neither untouched nor the full replay of %d records", count)
+	})
+}
+
+// FuzzJournalRange pins changedRange, which decides every byte a commit
+// journals and homes: for any base and image, writing img[lo:hi] at lo into
+// the base gives the image, the range is tight (its end bytes differ), and
+// it is empty exactly when the two are equal.
+func FuzzJournalRange(f *testing.F) {
+	page := bytes.Repeat([]byte("stegdb page "), 40) // several 64-byte chunks
+	f.Add(page, page)
+	f.Add(page, append(append([]byte(nil), page[:100]...), make([]byte, len(page)-100)...))
+	f.Add([]byte{1, 2, 3}, []byte{1, 9, 3})
+	f.Add([]byte{}, []byte{7})
+	f.Fuzz(func(t *testing.T, base, img []byte) {
+		if len(base) < len(img) {
+			base = append(base, make([]byte, len(img)-len(base))...)
+		}
+		base = base[:len(img)]
+		lo, hi := changedRange(base, img)
+		if lo < 0 || lo > hi || hi > len(img) {
+			t.Fatalf("range [%d,%d) outside a %d-byte page", lo, hi, len(img))
+		}
+		if (lo == hi) != bytes.Equal(base, img) {
+			t.Fatalf("empty range %v, but base and image equal %v", lo == hi, bytes.Equal(base, img))
+		}
+		if lo < hi && (base[lo] == img[lo] || base[hi-1] == img[hi-1]) {
+			t.Fatalf("range [%d,%d) is not tight", lo, hi)
+		}
+		got := append([]byte(nil), base...)
+		copy(got[lo:], img[lo:hi])
+		if !bytes.Equal(got, img) {
+			t.Fatalf("base with img[%d:%d] written back is not the image", lo, hi)
+		}
+		if lo, hi := changedRange(nil, img); lo != 0 || hi != len(img) {
+			t.Fatalf("no base gave [%d,%d), want the whole page", lo, hi)
 		}
 	})
 }

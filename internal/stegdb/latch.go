@@ -23,6 +23,11 @@ type pageEntry struct {
 	valid bool // buf holds the page's current content
 	// lockcheck:guardedby latch
 	buf [PageSize]byte
+	// base is the page's home image as of the last successful commit,
+	// held while the frame is dirty; nil when the frame is clean or its
+	// home image is unknown (see commit.go, "Bases").
+	// lockcheck:guardedby latch
+	base []byte
 
 	// lockcheck:guardedby stegdb/cacheMu
 	refs int // pins; >0 keeps the frame out of eviction
@@ -154,6 +159,14 @@ func (c *pageCache) gen(e *pageEntry) uint64 {
 	g := e.gen
 	c.mu.Unlock()
 	return g
+}
+
+// isDirty reads the frame's dirty flag.
+func (c *pageCache) isDirty(e *pageEntry) bool {
+	c.mu.Lock()
+	d := e.dirty
+	c.mu.Unlock()
+	return d
 }
 
 // clearDirty marks the frame clean if no write landed since generation g

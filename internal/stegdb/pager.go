@@ -112,6 +112,11 @@ type Pager struct {
 	// of all its partitions at once, always in partition order.
 	// lockcheck:level 15 stegdb/commitMu multi
 	commitMu sync.Mutex
+	// metaBase is page 0's home image as of the last successful commit
+	// (nil before the first one, and after a failed one): the base the
+	// next commit's meta record is cut against (commit.go).
+	// lockcheck:guardedby commitMu
+	metaBase []byte
 
 	// metaMu guards the meta page buffer and its dirty flag. It is the
 	// innermost leveled mutex of the package hierarchy bar the page-cache
@@ -331,6 +336,12 @@ func (p *Pager) writePage(id int64, buf []byte, rows int64) error {
 			p.cache.unmarkDirty(e)
 		}
 		return err
+	}
+	if !wasDirty && e.valid {
+		// Clean→dirty: the frame holds the page's home image, which the
+		// next commit's record is cut against (commit.go).
+		e.base = make([]byte, PageSize)
+		copy(e.base, e.buf[:])
 	}
 	copy(e.buf[:], buf)
 	e.valid = true
