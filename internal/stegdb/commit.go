@@ -9,28 +9,37 @@ import (
 	"sync"
 )
 
-// Commit pipeline: stegdb turns every Pager.Sync into an atomic commit via
-// a physical redo journal kept in a sibling hidden file (name + ".wal").
-// The cache is no-steal (dirty pages never reach the home file outside a
-// commit), so the home file always holds exactly the last committed epoch,
-// and the commit sequence is:
+// Commit pipeline: stegdb turns every Sync into an atomic commit via a
+// physical redo journal kept in a sibling hidden file (name + ".wal"). A
+// commit covers a group of pagers — every partition of a table, or one
+// pager on its own — and writes ONE journal for the whole group, into the
+// journal file of the group's first member. The cache is no-steal (dirty
+// pages never reach a home file outside a commit), so every home file
+// always holds exactly the last committed epoch, and the commit sequence
+// is:
 //
-//  1. prepare  — pin an internal snapshot (epoch + full meta image,
-//     atomically) and capture every dirty page AS OF that epoch: the live
-//     frame when its last write predates the pin, else the copy-on-write
-//     version the snapshot machinery saved. The captured cut is exactly
-//     the snapshot's state, hence consistent even while writers keep
-//     running. Each captured image is compared with the page's base (see
-//     below) to find the one byte range [lo,hi) outside which they agree.
-//  2. journal  — write the header (epoch, count, length, CRCs) and the
-//     range records packed after it, meta last.
+//  1. prepare  — per member, pin an internal snapshot (epoch + full meta
+//     image, atomically) and capture every dirty page AS OF that epoch:
+//     the live frame when its last write predates the pin, else the
+//     copy-on-write version the snapshot machinery saved. The captured
+//     cut is exactly the snapshot's state, hence consistent even while
+//     writers keep running. Each captured image is compared with the
+//     page's base (see below) to find the one byte range [lo,hi) outside
+//     which they agree.
+//  2. journal  — write the header (epoch, record count, member count,
+//     length, CRCs) and every member's range records, each tagged with
+//     its member index, in one write.
 //  3. barrier  — view.Sync(): journal durable before any home write.
-//  4. home     — write each record's range to the home file, then clear
-//     dirty flags write-wins (a frame or the meta re-dirtied since capture
-//     stays dirty for the next commit).
+//  4. home     — write each record's range to its member's home file,
+//     then clear dirty flags write-wins (a frame or the meta re-dirtied
+//     since capture stays dirty for the next commit).
 //  5. epoch++  — later snapshots pin post-commit state.
-//  6. barrier  — view.Sync(): home durable; the journal is now dead weight
-//     until the next commit overwrites it.
+//  6. barrier  — view.Sync(): homes durable; the journal is now dead
+//     weight until the next commit overwrites it.
+//
+// A commit whose cut holds no record — every dirty page, and the meta, is
+// back at its committed bytes — skips steps 2–4: it writes no journal and
+// nothing home, clears the dirty flags and keeps the step 6 barrier.
 //
 // Bases: a frame's base is its page's home image as of the last successful
 // commit, kept in memory (pageEntry.base, Pager.metaBase for page 0) and
@@ -43,45 +52,60 @@ import (
 // and a page that returned to its committed bytes moves nothing.
 //
 // Failure rule: a commit that fails after prepare — in the journal write,
-// either barrier or a home write — may leave the home file holding a mix
+// either barrier or a home write — may leave the home files holding a mix
 // of two commits, so it drops every base it captured (and metaBase): the
 // next commit journals and homes those pages whole.
 //
-// Recovery (recoverWAL, at OpenPager): if the journal header and body
-// check out, replay every record into the home file and barrier. A crash
-// before step 3 leaves an invalid journal (CRC) and an untouched home file
-// (old epoch); a crash after it leaves a valid journal whose replay
+// Recovery (replayJournal, run by OpenPartitionedTable and OpenPager
+// before any meta page is read): if the group's journal header and body
+// check out, replay every record into its member's home file and barrier.
+// A crash before step 3 leaves an invalid journal (CRC) and untouched home
+// files (old epoch); a crash after it leaves a valid journal whose replay
 // produces the new epoch: outside its ranges the new epoch equals the
-// bases, which are what the home file held, so a partly homed commit is
+// bases, which are what the home files held, so a partly homed commit is
 // completed. Replay is idempotent, and a journal can never be both valid
-// and older than the home file (the home writes of commit N+1 start only
-// after commit N+1's journal landed). The database therefore remounts at
-// exactly the old or the new epoch — never a mix. Journals of the older
-// whole-page format (walMagicV1) replay through the same loop.
+// and older than a home file (the home writes of commit N+1 start only
+// after commit N+1's journal landed). One CRC covers every member's
+// records, so the whole table remounts at exactly the old or the new
+// epoch — never a mix, not even across partitions.
+//
+// Older journals were written per file: whole-page records (walMagicV1)
+// or range records (walMagicV2), one journal in each member's own ".wal".
+// They still replay, each into its own file. A group commit never
+// rewrites the journal file of a member other than the first, so a
+// legacy journal left there would stay valid and, replayed after a later
+// commit, roll its partition back: OpenPartitionedTable invalidates it
+// (zeroes its magic, then barriers) before it returns the table.
 
 // walSuffix names the journal sibling of a database file.
 const walSuffix = ".wal"
 
-// walMagic marks a journal header followed by packed range records;
-// walMagicV1 marks the older layout, whose whole-page records start at
-// byte PageSize.
+// walMagic marks a group journal: a header carrying the member count,
+// then member-tagged range records. walMagicV2 marks one file's journal of
+// range records, walMagicV1 one file's journal of whole-page records
+// starting at byte PageSize.
 const (
-	walMagic   = "SGWL0002"
+	walMagic   = "SGWL0003"
+	walMagicV2 = "SGWL0002"
 	walMagicV1 = "SGWL0001"
 )
 
-// walHeader layout (the journal file's first bytes): magic(8) epoch(8)
-// count(8) journalLen(8) journalCRC(8) headerCRC(8). A record is
-// page id(8) off(4) len(4) then len bytes; a v1 record is page id(8) and
-// a whole page image.
+// Journal header (the journal file's first bytes): magic(8) epoch(8)
+// count(8) journalLen(8) journalCRC(8) members(8) headerCRC(8); the
+// header CRC covers every byte before it. A group record is member(4)
+// page id(8) off(4) len(4), then len bytes. A v2 header has no members
+// field (its CRC sits at walHdrMembers) and its records no member tag; a
+// v1 record is page id(8) and a whole page image.
 const (
 	walHdrEpoch     = 8
 	walHdrCount     = 16
 	walHdrLen       = 24
 	walHdrJCRC      = 32
-	walHdrHCRC      = 40
-	walHdrEnd       = 48
-	walRecHdr       = 16
+	walHdrMembers   = 40
+	walHdrHCRC      = 48
+	walHdrEnd       = 56
+	walRecHdr       = 20
+	walV2RecHdr     = 16
 	walV1RecordSize = 8 + PageSize
 )
 
@@ -141,12 +165,14 @@ func (g *groupCommit) do(fn func() error) error {
 	return b.err
 }
 
-// walRecord is one journal record: data belongs at byte off of page id.
-// The same records drive the journal, the home writes and replay.
+// walRecord is one journal record: data belongs at byte off of page id in
+// the home file of the group's member'th pager. The same records drive the
+// journal, the home writes and replay.
 type walRecord struct {
-	id   int64
-	off  int
-	data []byte
+	member int
+	id     int64
+	off    int
+	data   []byte
 }
 
 // pageCut is one dirty page captured for a commit.
@@ -158,20 +184,15 @@ type pageCut struct {
 	gen    uint64 // ... unless a write since generation gen re-dirtied it
 }
 
-// commitState carries one commit's consistent cut between pipeline phases.
+// commitState carries one pager's consistent cut between pipeline phases.
 type commitState struct {
-	entries   []*pageEntry // every dirty frame at capture, pinned
-	cuts      []pageCut    // captured pages, ascending id
-	recs      []walRecord  // the changed ranges of cuts, then of the meta
-	meta      [PageSize]byte
-	metaGen   uint64
-	metaClean bool // meta unchanged since its last commit
-	epoch     int64
+	entries []*pageEntry // every dirty frame at capture, pinned
+	cuts    []pageCut    // captured pages, ascending id
+	recs    []walRecord  // the changed ranges of cuts, then of the meta
+	meta    [PageSize]byte
+	metaGen uint64
+	epoch   int64
 }
-
-// empty reports a commit with nothing to journal: Sync degenerates to a
-// bare volume barrier.
-func (st *commitState) empty() bool { return len(st.cuts) == 0 && st.metaClean }
 
 // changedRange returns the one range [lo,hi) outside which img equals
 // base: writing img[lo:hi] at lo into base yields img, and lo == hi
@@ -197,51 +218,37 @@ func changedRange(base, img []byte) (lo, hi int) {
 	return lo, hi
 }
 
-// commit runs one commit of pgs, every pager a file of view — one pager
-// for Pager.Sync, every partition for PartitionedTable.Sync. The phases
-// above run across the whole set with shared barriers: every non-empty cut
-// is journaled, ONE barrier makes all journals durable, every cut goes
-// home, and ONE more barrier makes the homes durable, whatever the pager
-// count. Commit locks are taken in slice order (the commitMu class is
-// multi for exactly this walk), so concurrent commits cannot deadlock.
+// commit runs one commit of the group pgs, every pager a file of view —
+// one pager for Pager.Sync, every partition for PartitionedTable.Sync. The
+// phases above run across the whole group: ONE journal in pgs[0]'s journal
+// file holds every member's records, ONE barrier makes it durable, every
+// member's records go home, and ONE more barrier makes the homes durable,
+// whatever the pager count. Commit locks are taken in slice order (the
+// commitMu class is multi for exactly this walk), so concurrent commits
+// cannot deadlock.
 func commit(view View, pgs []*Pager) error {
 	lockCommits(pgs)
 	defer unlockCommits(pgs)
 	states := make([]*commitState, len(pgs))
-	release := func() {
-		for i, st := range states {
-			pgs[i].releaseCommit(st)
-		}
-	}
-	work := false
+	records := false
 	for i, pg := range pgs {
 		st, err := pg.commitPrepare()
 		states[i] = st
 		if err != nil {
-			release()
+			releaseCommits(pgs, states)
 			return err
 		}
-		if !st.empty() {
-			work = true
-		}
+		records = records || len(st.recs) > 0
 	}
-	if work {
-		for i, pg := range pgs {
-			if states[i].empty() {
-				continue
-			}
-			if err := pg.writeWAL(states[i]); err != nil {
-				return abortCommit(pgs, states, err)
-			}
+	if records {
+		if err := writeJournal(view, pgs[0].walName, states); err != nil {
+			return abortCommit(pgs, states, err)
 		}
-		if err := view.Sync(); err != nil { // one barrier: all journals durable
+		if err := view.Sync(); err != nil { // one barrier: the journal is durable
 			return abortCommit(pgs, states, err)
 		}
 		var errs []error
 		for i, pg := range pgs {
-			if states[i].empty() {
-				continue
-			}
 			if err := pg.commitHome(states[i]); err != nil {
 				errs = append(errs, fmt.Errorf("stegdb: commit %s: %w", pg.name, err))
 			}
@@ -250,13 +257,14 @@ func commit(view View, pgs []*Pager) error {
 			return abortCommit(pgs, states, errors.Join(errs...))
 		}
 	}
-	for _, pg := range pgs {
+	for i, pg := range pgs {
+		pg.commitDone(states[i])
 		pg.bumpEpoch()
 	}
-	if err := view.Sync(); err != nil { // one barrier: all homes durable (a bare barrier when nothing was cut)
+	if err := view.Sync(); err != nil { // one barrier: all homes durable (a bare barrier when nothing was recorded)
 		return abortCommit(pgs, states, err)
 	}
-	release()
+	releaseCommits(pgs, states)
 	return nil
 }
 
@@ -268,9 +276,16 @@ func commit(view View, pgs []*Pager) error {
 func abortCommit(pgs []*Pager, states []*commitState, err error) error {
 	for i, st := range states {
 		pgs[i].dropBases(st)
+	}
+	releaseCommits(pgs, states)
+	return err
+}
+
+// releaseCommits releases every member's commit state.
+func releaseCommits(pgs []*Pager, states []*commitState) {
+	for i, st := range states {
 		pgs[i].releaseCommit(st)
 	}
-	return err
 }
 
 // lockCommits takes every pager's commit lock, in slice order.
@@ -309,11 +324,10 @@ func (p *Pager) commitPrepare() (*commitState, error) {
 		}
 		c := pageCut{e: e, img: make([]byte, PageSize)}
 		ok, cerr := p.captureAsOf(&c, s.epoch)
-		if cerr != nil {
-			err = cerr
-			break
-		}
-		if !ok {
+		if cerr != nil || !ok {
+			if err = cerr; err != nil {
+				break
+			}
 			continue // transiently-dirty invalid frame; nothing to persist
 		}
 		st.cuts = append(st.cuts, c)
@@ -325,19 +339,14 @@ func (p *Pager) commitPrepare() (*commitState, error) {
 	if err != nil {
 		return st, err
 	}
-	// Stamp the commit epoch into the captured meta image so the home file
-	// records which epoch it holds (recovery re-reads it from there).
-	binary.BigEndian.PutUint64(st.meta[metaCommitEpoch:], uint64(st.epoch))
-	if lo, hi := changedRange(p.metaBase, st.meta[:]); lo < hi {
+	// A meta unchanged since it was last committed (or read) clean is what
+	// its home file holds, base or not.
+	p.metaMu.Lock()
+	clean := !p.metaDirty && p.metaGen == st.metaGen
+	p.metaMu.Unlock()
+	if lo, hi := changedRange(p.metaBase, st.meta[:]); lo < hi && !clean {
 		st.recs = append(st.recs, walRecord{id: 0, off: lo, data: st.meta[lo:hi]})
 	}
-	// If the meta has not changed since it was last committed clean, the
-	// cut may still be empty overall.
-	p.metaMu.Lock()
-	if !p.metaDirty && p.metaGen == st.metaGen {
-		st.metaClean = true
-	}
-	p.metaMu.Unlock()
 	return st, nil
 }
 
@@ -376,49 +385,54 @@ func (p *Pager) captureAsOf(c *pageCut, epoch int64) (ok bool, err error) {
 	return true, nil
 }
 
-// writeWAL writes the commit's journal: the validating header with the
-// records packed straight after it, in one write. Nothing here is a
-// durability point; the caller barriers afterwards.
-func (p *Pager) writeWAL(st *commitState) error {
-	jlen := 0
-	for _, r := range st.recs {
-		jlen += walRecHdr + len(r.data)
+// writeJournal writes the group's one journal into wal: the validating
+// header, then every member's records, each tagged with the member's
+// index in states, in one write. Nothing here is a durability point; the
+// caller barriers afterwards.
+func writeJournal(view View, wal string, states []*commitState) error {
+	count, jlen := 0, 0
+	for _, st := range states {
+		for _, r := range st.recs {
+			count++
+			jlen += walRecHdr + len(r.data)
+		}
 	}
 	buf := make([]byte, walHdrEnd+jlen)
 	journal := buf[walHdrEnd:]
 	off := 0
-	for _, r := range st.recs {
-		binary.BigEndian.PutUint64(journal[off:], uint64(r.id))
-		binary.BigEndian.PutUint32(journal[off+8:], uint32(r.off))
-		binary.BigEndian.PutUint32(journal[off+12:], uint32(len(r.data)))
-		off += walRecHdr + copy(journal[off+walRecHdr:], r.data)
+	for m, st := range states {
+		for _, r := range st.recs {
+			binary.BigEndian.PutUint32(journal[off:], uint32(m))
+			binary.BigEndian.PutUint64(journal[off+4:], uint64(r.id))
+			binary.BigEndian.PutUint32(journal[off+12:], uint32(r.off))
+			binary.BigEndian.PutUint32(journal[off+16:], uint32(len(r.data)))
+			off += walRecHdr + copy(journal[off+walRecHdr:], r.data)
+		}
 	}
 	copy(buf[:8], walMagic)
-	binary.BigEndian.PutUint64(buf[walHdrEpoch:], uint64(st.epoch))
-	binary.BigEndian.PutUint64(buf[walHdrCount:], uint64(len(st.recs)))
+	binary.BigEndian.PutUint64(buf[walHdrEpoch:], uint64(states[0].epoch))
+	binary.BigEndian.PutUint64(buf[walHdrCount:], uint64(count))
 	binary.BigEndian.PutUint64(buf[walHdrLen:], uint64(jlen))
 	binary.BigEndian.PutUint64(buf[walHdrJCRC:], crc64.Checksum(journal, walCRCTable))
-	binary.BigEndian.PutUint64(buf[walHdrHCRC:], crc64.Checksum(buf[:walHdrJCRC+8], walCRCTable))
-	fi, err := p.view.Stat(p.walName)
+	binary.BigEndian.PutUint64(buf[walHdrMembers:], uint64(len(states)))
+	binary.BigEndian.PutUint64(buf[walHdrHCRC:], crc64.Checksum(buf[:walHdrHCRC], walCRCTable))
+	fi, err := view.Stat(wal)
 	if err != nil {
 		return fmt.Errorf("stegdb: stat journal: %w", err)
 	}
 	if need := int64(len(buf)); fi.Size < need {
 		// Grow in whole pages, so commits of similar size share a length.
-		if err := p.view.Resize(p.walName, (need+PageSize-1)/PageSize*PageSize); err != nil {
+		if err := view.Resize(wal, (need+PageSize-1)/PageSize*PageSize); err != nil {
 			return fmt.Errorf("stegdb: grow journal: %w", err)
 		}
 	}
-	if _, err := p.view.WriteAt(p.walName, buf, 0); err != nil {
+	if _, err := view.WriteAt(wal, buf, 0); err != nil {
 		return fmt.Errorf("stegdb: write journal: %w", err)
 	}
 	return nil
 }
 
-// commitHome writes every record's range into the home file, then clears
-// dirty flags write-wins — a frame (or the meta) redirtied since capture
-// stays dirty for the next commit — and moves each base to the image just
-// homed: kept while its frame is still dirty, dropped once it is clean.
+// commitHome writes every record's range into the home file.
 //
 // lockcheck:holds stegdb/commitMu
 func (p *Pager) commitHome(st *commitState) error {
@@ -427,7 +441,18 @@ func (p *Pager) commitHome(st *commitState) error {
 			return err
 		}
 	}
-	for _, c := range st.cuts {
+	return nil
+}
+
+// commitDone ends a successful commit of p: it clears dirty flags
+// write-wins — a frame (or the meta) redirtied since capture stays dirty
+// for the next commit — and moves each base to the image just homed: kept
+// while its frame is still dirty, dropped once it is clean.
+//
+// lockcheck:holds stegdb/commitMu
+func (p *Pager) commitDone(st *commitState) {
+	for i := range st.cuts {
+		c := &st.cuts[i]
 		c.e.latch.Lock()
 		if c.live {
 			p.cache.clearDirty(c.e, c.gen)
@@ -447,11 +472,7 @@ func (p *Pager) commitHome(st *commitState) error {
 	if p.metaGen == st.metaGen {
 		p.metaDirty = false
 	}
-	// Keep the live buffer's commit-epoch field in step with what just
-	// landed home; no gen bump — it is already durable.
-	binary.BigEndian.PutUint64(p.meta[metaCommitEpoch:], uint64(st.epoch))
 	p.metaMu.Unlock()
-	return nil
 }
 
 // dropBases applies the failure rule to one pager's cut: every captured
@@ -479,98 +500,154 @@ func (p *Pager) releaseCommit(st *commitState) {
 	for _, e := range st.entries {
 		p.cache.unpin(e)
 	}
-	st.entries = nil
+	st.entries, st.cuts, st.recs = nil, nil, nil
 }
 
-// recoverWAL replays the journal into the home file if it holds a complete
-// commit. Called from OpenPager before the meta page is read, with the
-// pager unpublished. A missing or unreadable journal file is an error:
+// soleMember is the files argument of replayJournal for a journal that
+// belongs to the database file name alone.
+func soleMember(name string) func(n int) ([]string, error) {
+	return func(n int) ([]string, error) {
+		if n != 1 {
+			return nil, fmt.Errorf("stegdb: %s%s holds a commit of %d files; open the table they form", name, walSuffix, n)
+		}
+		return []string{name}, nil
+	}
+}
+
+// replayJournal replays the journal in wal into its members' home files
+// if it holds a complete commit. files(n) names a journal's n members in
+// member order, or refuses n; a v1 or v2 journal is one file's (n = 1).
+// It returns the member count it replayed, 0 when the journal holds no
+// complete commit. It does not barrier: the caller does, before anything
+// relies on the replay. A missing or unreadable journal file is an error:
 // without it no later commit could be atomic.
-func (p *Pager) recoverWAL() error {
+func replayJournal(view View, wal string, files func(n int) ([]string, error)) (int, error) {
 	var hdr [walHdrEnd]byte
-	if _, err := p.view.ReadAt(p.walName, hdr[:], 0); err != nil {
-		return fmt.Errorf("stegdb: read journal %s (adopt it with the database file): %w", p.walName, err)
+	if _, err := view.ReadAt(wal, hdr[:], 0); err != nil {
+		return 0, fmt.Errorf("stegdb: read journal %s (adopt it with the database file): %w", wal, err)
 	}
-	v1 := string(hdr[:8]) == walMagicV1
-	if !v1 && string(hdr[:8]) != walMagic {
-		return nil // never committed, or header torn to garbage
+	ver := 0
+	switch string(hdr[:8]) {
+	case walMagic:
+		ver = 3
+	case walMagicV2:
+		ver = 2
+	case walMagicV1:
+		ver = 1
+	default:
+		return 0, nil // never committed, invalidated, or header torn to garbage
 	}
-	if crc64.Checksum(hdr[:walHdrJCRC+8], walCRCTable) != binary.BigEndian.Uint64(hdr[walHdrHCRC:]) {
-		return nil // torn header: the previous commit fully homed, skip
+	hcrc := walHdrHCRC
+	if ver < 3 {
+		hcrc = walHdrMembers
+	}
+	if crc64.Checksum(hdr[:hcrc], walCRCTable) != binary.BigEndian.Uint64(hdr[hcrc:]) {
+		return 0, nil // torn header: the previous commit fully homed, skip
+	}
+	members := int64(1)
+	if ver == 3 {
+		members = int64(binary.BigEndian.Uint64(hdr[walHdrMembers:]))
 	}
 	count := int64(binary.BigEndian.Uint64(hdr[walHdrCount:]))
 	jlen := int64(binary.BigEndian.Uint64(hdr[walHdrLen:]))
-	bodyOff, minLen, maxLen := int64(walHdrEnd), count*walRecHdr, count*(walRecHdr+PageSize)
-	if v1 {
-		bodyOff, minLen, maxLen = PageSize, count*walV1RecordSize, count*walV1RecordSize
+	bodyOff, recHdr := int64(walHdrEnd), int64(walRecHdr)
+	switch ver {
+	case 2:
+		bodyOff, recHdr = walHdrMembers+8, walV2RecHdr
+	case 1:
+		bodyOff, recHdr = PageSize, walV1RecordSize-PageSize
 	}
-	if count <= 0 || count > walMaxRecords || jlen < minLen || jlen > maxLen {
-		return nil
+	minLen, maxLen := count*recHdr, count*(recHdr+PageSize)
+	if ver == 1 {
+		minLen = maxLen
+	}
+	if members < 1 || members > maxPartitions || count <= 0 || count > walMaxRecords || jlen < minLen || jlen > maxLen {
+		return 0, nil
 	}
 	// A header claiming more than the file holds is torn; checking first
 	// also bounds the allocation below by the journal's real size.
-	wfi, err := p.view.Stat(p.walName)
+	wfi, err := view.Stat(wal)
 	if err != nil {
-		return fmt.Errorf("stegdb: stat journal: %w", err)
+		return 0, fmt.Errorf("stegdb: stat journal: %w", err)
 	}
 	if wfi.Size < bodyOff+jlen {
-		return nil
+		return 0, nil
 	}
 	journal := make([]byte, jlen)
-	if _, err := p.view.ReadAt(p.walName, journal, bodyOff); err != nil {
-		return nil // journal shorter than the header claims: torn commit
+	if _, err := view.ReadAt(wal, journal, bodyOff); err != nil {
+		return 0, nil // journal shorter than the header claims: torn commit
 	}
 	if crc64.Checksum(journal, walCRCTable) != binary.BigEndian.Uint64(hdr[walHdrJCRC:]) {
-		return nil // torn journal body: home file holds the old epoch
+		return 0, nil // torn journal body: the home files hold the old epoch
 	}
 	// Valid journal: parse every record before replaying any, then pre-grow
-	// the home file if the crash lost a Resize that preceded the commit.
-	recs, err := parseJournal(journal, int(count), v1)
+	// each home file if the crash lost a Resize that preceded the commit.
+	recs, err := parseJournal(journal, int(count), ver, int(members))
 	if err != nil {
-		return err
+		return 0, err
 	}
-	maxID := int64(0)
+	names, err := files(int(members))
+	if err != nil {
+		return 0, err
+	}
+	need := make([]int64, members)
 	for _, r := range recs {
-		maxID = max(maxID, r.id)
+		need[r.member] = max(need[r.member], (r.id+1)*PageSize)
 	}
-	fi, err := p.view.Stat(p.name)
-	if err != nil {
-		return fmt.Errorf("stegdb: stat for replay: %w", err)
-	}
-	if need := (maxID + 1) * PageSize; fi.Size < need {
-		if err := p.view.Resize(p.name, need); err != nil {
-			return fmt.Errorf("stegdb: grow for replay: %w", err)
+	for m, name := range names {
+		if need[m] == 0 {
+			continue
+		}
+		fi, err := view.Stat(name)
+		if err != nil {
+			return 0, fmt.Errorf("stegdb: stat %s for replay: %w", name, err)
+		}
+		if fi.Size < need[m] {
+			if err := view.Resize(name, need[m]); err != nil {
+				return 0, fmt.Errorf("stegdb: grow %s for replay: %w", name, err)
+			}
 		}
 	}
 	for _, r := range recs {
-		if _, err := p.view.WriteAt(p.name, r.data, r.id*PageSize+int64(r.off)); err != nil {
-			return fmt.Errorf("stegdb: replay page %d: %w", r.id, err)
+		if _, err := view.WriteAt(names[r.member], r.data, r.id*PageSize+int64(r.off)); err != nil {
+			return 0, fmt.Errorf("stegdb: replay page %d of %s: %w", r.id, names[r.member], err)
 		}
 	}
-	return p.view.Sync()
+	return int(members), nil
 }
 
-// parseJournal splits a CRC-valid journal body into its count records:
-// whole-page records for a v1 journal, range records otherwise. A record
-// that does not fit its page, or a body its records do not exactly fill,
-// is corruption, not a torn commit.
-func parseJournal(journal []byte, count int, v1 bool) ([]walRecord, error) {
+// parseJournal splits a CRC-valid journal body of version ver into its
+// count records: whole-page records for v1, range records for v2, and
+// range records tagged with one of members member indexes for a group
+// journal. A record that does not fit its page or names no member, or a
+// body its records do not exactly fill, is corruption, not a torn commit.
+func parseJournal(journal []byte, count, ver, members int) ([]walRecord, error) {
 	recs := make([]walRecord, 0, count)
 	off := 0
 	for i := 0; i < count; i++ {
 		r := walRecord{}
-		if v1 {
+		if ver == 1 {
 			r.id = int64(binary.BigEndian.Uint64(journal[off:]))
 			r.data = journal[off+8 : off+walV1RecordSize]
 			off += walV1RecordSize
 		} else {
-			if off+walRecHdr > len(journal) {
+			hdr := walV2RecHdr
+			if ver == 3 {
+				hdr = walRecHdr
+			}
+			if off+hdr > len(journal) {
 				return nil, fmt.Errorf("stegdb: journal record %d overruns the journal", i)
+			}
+			if ver == 3 {
+				if r.member = int(binary.BigEndian.Uint32(journal[off:])); r.member >= members {
+					return nil, fmt.Errorf("stegdb: journal record %d names member %d of %d", i, r.member, members)
+				}
+				off += 4
 			}
 			r.id = int64(binary.BigEndian.Uint64(journal[off:]))
 			ro := binary.BigEndian.Uint32(journal[off+8:])
 			rn := binary.BigEndian.Uint32(journal[off+12:])
-			off += walRecHdr
+			off += walV2RecHdr
 			if uint64(ro)+uint64(rn) > PageSize || rn > uint32(len(journal)-off) {
 				return nil, fmt.Errorf("stegdb: journal record %d range [%d,+%d) does not fit", i, ro, rn)
 			}

@@ -14,9 +14,9 @@ import (
 // Group-commit crash consistency: a partitioned table's Sync is run with a
 // vdisk.FaultStore cut (TearAfter(n, 0)) dropping every device write past
 // the cut point, the surviving image is remounted (journal recovery runs at
-// open), and the table must be at exactly the old or the new epoch PER
-// PARTITION — never a mix within one partition — at every cut point across
-// the commit's whole write window.
+// open), and the WHOLE table must be at exactly the old or the new epoch —
+// never a mix within a partition, nor one partition old and another new —
+// at every cut point across the commit's whole write window.
 
 const (
 	crashBlocks = 32 << 10
@@ -100,7 +100,8 @@ func runPartitionedCrash(t *testing.T, cutAt int64) (img []byte, window int64) {
 }
 
 // verifyPartitionedCrash remounts a surviving image (running journal
-// recovery), checks the table, and enforces old-or-new per partition.
+// recovery), checks the table, and enforces one old-or-new verdict for the
+// whole table.
 func verifyPartitionedCrash(t *testing.T, img []byte, cutAt int64) {
 	t.Helper()
 	mem, err := vdisk.NewMemStore(crashBlocks, crashBS)
@@ -122,16 +123,16 @@ func verifyPartitionedCrash(t *testing.T, img []byte, cutAt int64) {
 	if err != nil {
 		t.Fatalf("cut %d: open: %v", cutAt, err)
 	}
-	// Classify each partition: every key routed to it must be uniformly at
-	// the old or the new epoch.
+	// Classify the table: every key, whichever partition it routes to, must
+	// be uniformly at the old or the new epoch.
+	verdict, verdictPart := "", 0 // "", "old" or "new"; the partition that set it
 	for part := 0; part < crashParts; part++ {
-		verdict := "" // "", "old" or "new"
 		note := func(i int, state string) {
 			if verdict == "" {
-				verdict = state
+				verdict, verdictPart = state, part
 			} else if verdict != state {
-				t.Fatalf("cut %d: partition %d mixes epochs (key %d is %s, partition was %s)",
-					cutAt, part, i, state, verdict)
+				t.Fatalf("cut %d: table mixes epochs (key %d in partition %d is %s, partition %d was %s)",
+					cutAt, i, part, state, verdictPart, verdict)
 			}
 		}
 		for i := 0; i < crashKeys; i++ {
@@ -380,30 +381,34 @@ func runRecordKindsCrash(t *testing.T, cutAt int64) ([]byte, int64, []crashModel
 	return mem.Snapshot(), cs.Writes() - pre, models
 }
 
-// checkRecordKinds reads back the journal each partition just committed
+// checkRecordKinds reads back the group journal the table just committed
 // and checks the record kinds the cut round was built to make: a whole new
-// page and byte ranges in partition 0, only ranges in partition 1, and
-// only the meta page in partition 2.
+// page and byte ranges in partition 0, only ranges in partition 1, and no
+// data page of partition 2.
 func checkRecordKinds(t *testing.T, pt *PartitionedTable) {
 	t.Helper()
+	wal := pt.parts[0].pg.walName
+	hdr := make([]byte, walHdrEnd)
+	if _, err := pt.view.ReadAt(wal, hdr, 0); err != nil {
+		t.Fatal(err)
+	}
+	if string(hdr[:8]) != walMagic || binary.BigEndian.Uint64(hdr[walHdrMembers:]) != crashParts {
+		t.Fatalf("journal %s is %q of %d members, want a group journal of %d",
+			wal, hdr[:8], binary.BigEndian.Uint64(hdr[walHdrMembers:]), crashParts)
+	}
+	body := make([]byte, binary.BigEndian.Uint64(hdr[walHdrLen:]))
+	if _, err := pt.view.ReadAt(wal, body, walHdrEnd); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := parseJournal(body, int(binary.BigEndian.Uint64(hdr[walHdrCount:])), 3, crashParts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for part := range pt.parts {
-		pg := pt.parts[part].pg
-		hdr := make([]byte, walHdrEnd)
-		if _, err := pt.view.ReadAt(pg.walName, hdr, 0); err != nil {
-			t.Fatal(err)
-		}
-		body := make([]byte, binary.BigEndian.Uint64(hdr[walHdrLen:]))
-		if _, err := pt.view.ReadAt(pg.walName, body, walHdrEnd); err != nil {
-			t.Fatal(err)
-		}
-		recs, err := parseJournal(body, int(binary.BigEndian.Uint64(hdr[walHdrCount:])), false)
-		if err != nil {
-			t.Fatal(err)
-		}
 		whole, ranges := 0, 0 // data-page records; the meta's is page 0
 		for _, r := range recs {
 			switch {
-			case r.id == 0:
+			case r.member != part, r.id == 0:
 			case len(r.data) == PageSize:
 				whole++
 			default:
@@ -420,7 +425,8 @@ func checkRecordKinds(t *testing.T, pt *PartitionedTable) {
 }
 
 // verifyRecordKindsCrash remounts a surviving image and requires every
-// partition to equal its old or its new model exactly.
+// partition to equal its old model exactly, or every partition its new
+// one.
 func verifyRecordKindsCrash(t *testing.T, img []byte, cutAt int64, models []crashModel) {
 	t.Helper()
 	mem, err := vdisk.NewMemStore(crashBlocks, crashBS)
@@ -442,6 +448,7 @@ func verifyRecordKindsCrash(t *testing.T, img []byte, cutAt int64, models []cras
 	if err != nil {
 		t.Fatalf("cut %d: open: %v", cutAt, err)
 	}
+	verdict := ""
 	for part, m := range models {
 		got := map[string]string{}
 		s := pt.parts[part].pg.BeginSnapshot()
@@ -453,16 +460,29 @@ func verifyRecordKindsCrash(t *testing.T, img []byte, cutAt int64, models []cras
 		if err != nil {
 			t.Fatalf("cut %d: scan partition %d: %v", cutAt, part, err)
 		}
-		if !maps.Equal(got, m.old) && !maps.Equal(got, m.new) {
+		state := ""
+		switch {
+		case maps.Equal(got, m.old) && maps.Equal(got, m.new):
+			continue // the cut round left this partition's rows alone
+		case maps.Equal(got, m.old):
+			state = "old"
+		case maps.Equal(got, m.new):
+			state = "new"
+		default:
 			t.Fatalf("cut %d: partition %d holds %d rows matching neither epoch (old %d rows, new %d)",
 				cutAt, part, len(got), len(m.old), len(m.new))
+		}
+		if verdict == "" {
+			verdict = state
+		} else if verdict != state {
+			t.Fatalf("cut %d: partition %d is %s, an earlier partition %s", cutAt, part, state, verdict)
 		}
 	}
 }
 
 // TestStegDBPartitionedCrashSweepRecordKinds sweeps the cut point across a
 // commit that journals whole pages, byte ranges and an unchanged page side
-// by side: every cut must remount each partition entirely old or entirely
+// by side: every cut must remount the whole table entirely old or entirely
 // new.
 func TestStegDBPartitionedCrashSweepRecordKinds(t *testing.T) {
 	_, window, _ := runRecordKindsCrash(t, -1)

@@ -257,20 +257,48 @@ func v1Journal(epoch int64, ids []int64, imgs [][]byte) []byte {
 	return j
 }
 
+// v2Journal lays out one file's journal of the older range format
+// (SGWL0002): a header without a member count, then untagged range
+// records.
+func v2Journal(epoch int64, recs []walRecord) []byte {
+	j := make([]byte, walHdrMembers+8)
+	for _, r := range recs {
+		j = binary.BigEndian.AppendUint64(j, uint64(r.id))
+		j = binary.BigEndian.AppendUint32(j, uint32(r.off))
+		j = binary.BigEndian.AppendUint32(j, uint32(len(r.data)))
+		j = append(j, r.data...)
+	}
+	copy(j, walMagicV2)
+	binary.BigEndian.PutUint64(j[walHdrEpoch:], uint64(epoch))
+	binary.BigEndian.PutUint64(j[walHdrCount:], uint64(len(recs)))
+	binary.BigEndian.PutUint64(j[walHdrLen:], uint64(len(j)-walHdrMembers-8))
+	sealJournal(j)
+	return j
+}
+
+// journalLayout returns where a journal's header CRC and body start, by
+// its magic.
+func journalLayout(j []byte) (hcrc, body int) {
+	switch string(j[:8]) {
+	case walMagicV1:
+		return walHdrMembers, PageSize
+	case walMagicV2:
+		return walHdrMembers, walHdrMembers + 8
+	}
+	return walHdrHCRC, walHdrEnd
+}
+
 // sealJournal recomputes a journal's body and header CRCs in place, for
-// either magic; a body shorter than the header claims keeps its old CRC.
+// any magic; a body shorter than the header claims keeps its old CRC.
 func sealJournal(j []byte) {
 	if len(j) < walHdrEnd {
 		return
 	}
-	body := uint64(walHdrEnd)
-	if string(j[:8]) == walMagicV1 {
-		body = PageSize
+	hcrc, body := journalLayout(j)
+	if jlen := binary.BigEndian.Uint64(j[walHdrLen:]); uint64(body) <= uint64(len(j)) && jlen <= uint64(len(j)-body) {
+		binary.BigEndian.PutUint64(j[walHdrJCRC:], crc64.Checksum(j[body:uint64(body)+jlen], walCRCTable))
 	}
-	if jlen := binary.BigEndian.Uint64(j[walHdrLen:]); body <= uint64(len(j)) && jlen <= uint64(len(j))-body {
-		binary.BigEndian.PutUint64(j[walHdrJCRC:], crc64.Checksum(j[body:body+jlen], walCRCTable))
-	}
-	binary.BigEndian.PutUint64(j[walHdrHCRC:], crc64.Checksum(j[:walHdrJCRC+8], walCRCTable))
+	binary.BigEndian.PutUint64(j[hcrc:], crc64.Checksum(j[:hcrc], walCRCTable))
 }
 
 // A range journal is small, so FuzzRecoverWAL takes it as the journal file
@@ -307,74 +335,105 @@ func compactV1Journal(j []byte) []byte {
 	return c
 }
 
-// replayOracle applies a journal to home the way recovery must: every
-// record's bytes at id*PageSize+off, in journal order, the file grown to
-// the highest page first. It parses the journal independently of
+// replayOracle applies a journal found in table's first member's journal
+// file to the member files home the way recovery must: every record's
+// bytes at id*PageSize+off of its member's file, in journal order, each
+// file grown to its highest page first. A v1 or v2 journal's records all
+// belong to partition 0. It parses the journal independently of
 // parseJournal and fails the test on a journal no valid replay could come
 // from.
-func replayOracle(t testing.TB, home, journal []byte) []byte {
+func replayOracle(t testing.TB, table string, home map[string][]byte, journal []byte) map[string][]byte {
 	t.Helper()
 	type rec struct {
+		file string
 		id   int64
 		off  int
 		data []byte
 	}
 	count := int(binary.BigEndian.Uint64(journal[walHdrCount:]))
 	var recs []rec
-	if string(journal[:8]) == walMagicV1 {
-		for i := 0; i < count; i++ {
-			r := journal[PageSize+i*walV1RecordSize : PageSize+(i+1)*walV1RecordSize]
-			recs = append(recs, rec{int64(binary.BigEndian.Uint64(r)), 0, r[8:]})
-		}
-	} else {
-		body := journal[walHdrEnd:]
-		for i := 0; i < count; i++ {
-			if len(body) < walRecHdr {
+	_, bodyOff := journalLayout(journal)
+	body := journal[bodyOff:]
+	for i := 0; i < count; i++ {
+		r := rec{file: partName(table, 0)}
+		switch string(journal[:8]) {
+		case walMagicV1:
+			r.id, r.data = int64(binary.BigEndian.Uint64(body)), body[8:walV1RecordSize]
+			body = body[walV1RecordSize:]
+			recs = append(recs, r)
+			continue
+		case walMagic:
+			if len(body) < 4 {
 				t.Fatalf("record %d of a replayed journal overruns it", i)
 			}
-			id := int64(binary.BigEndian.Uint64(body))
-			off := int(binary.BigEndian.Uint32(body[8:]))
-			n := int(binary.BigEndian.Uint32(body[12:]))
-			if off+n > PageSize || n > len(body)-walRecHdr {
-				t.Fatalf("record %d of a replayed journal does not fit: [%d,+%d)", i, off, n)
-			}
-			recs = append(recs, rec{id, off, body[walRecHdr : walRecHdr+n]})
-			body = body[walRecHdr+n:]
+			r.file = partName(table, int(binary.BigEndian.Uint32(body)))
+			body = body[4:]
+		}
+		if len(body) < walV2RecHdr {
+			t.Fatalf("record %d of a replayed journal overruns it", i)
+		}
+		r.id = int64(binary.BigEndian.Uint64(body))
+		r.off = int(binary.BigEndian.Uint32(body[8:]))
+		n := int(binary.BigEndian.Uint32(body[12:]))
+		if r.off+n > PageSize || n > len(body)-walV2RecHdr {
+			t.Fatalf("record %d of a replayed journal does not fit: [%d,+%d)", i, r.off, n)
+		}
+		r.data = body[walV2RecHdr : walV2RecHdr+n]
+		body = body[walV2RecHdr+n:]
+		recs = append(recs, r)
+	}
+	want := map[string][]byte{}
+	for name, img := range home {
+		want[name] = append([]byte(nil), img...)
+	}
+	for _, r := range recs {
+		f, ok := want[r.file]
+		if !ok || r.id < 0 {
+			t.Fatalf("replayed a record of page %d of %s", r.id, r.file)
+		}
+		if end := (r.id + 1) * PageSize; end > int64(len(f)) {
+			want[r.file] = append(f, make([]byte, end-int64(len(f)))...)
 		}
 	}
-	want := append([]byte(nil), home...)
 	for _, r := range recs {
-		if r.id < 0 {
-			t.Fatalf("replayed a record of page %d", r.id)
-		}
-		if end := (r.id + 1) * PageSize; end > int64(len(want)) {
-			want = append(want, make([]byte, end-int64(len(want)))...)
-		}
-	}
-	for _, r := range recs {
-		copy(want[r.id*PageSize+int64(r.off):], r.data)
+		copy(want[r.file][r.id*PageSize+int64(r.off):], r.data)
 	}
 	return want
 }
 
-// FuzzRecoverWAL feeds crash recovery arbitrary journals of both formats.
-// Each is either rejected with the home file byte-identical, or replayed
-// in full: every record's bytes land at id*PageSize+off, in journal order.
-// A partial replay fails the target. fixCRC re-seals the fuzzed header and
-// body CRCs, so the fuzzer also reaches the checks that run after them.
+// zeroGrown reports whether got is img, possibly followed by zero bytes:
+// a file that a replay grew but never wrote.
+func zeroGrown(got, img []byte) bool {
+	return len(got) >= len(img) && bytes.Equal(got[:len(img)], img) && !slices.ContainsFunc(got[len(img):], func(b byte) bool { return b != 0 })
+}
+
+// FuzzRecoverWAL feeds crash recovery arbitrary journals of every format,
+// found where a two-partition table keeps its group journal. Each is
+// either rejected with every member file untouched (or, when recovery
+// fails, only grown by zero bytes: a replay pre-grows every file before it
+// writes any), or replayed
+// in full: every record's bytes land at id*PageSize+off of its member's
+// file, in journal order. A partial replay fails the target. fixCRC
+// re-seals the fuzzed header and body CRCs, so the fuzzer also reaches the
+// checks that run after them.
 func FuzzRecoverWAL(f *testing.F) {
-	// A real database with two commits: the home file as the first left
-	// it, which the journals replay into, and the second commit's range
-	// journal as the seed.
+	// A real two-partition table with two commits: the member files as the
+	// first left them, which the journals replay into, and the second
+	// commit's group journal as the seed. The second round rewrites every
+	// row and inserts one, so both members have records and one meta page
+	// changes.
+	const parts = 2
 	mv := &memView{files: map[string][]byte{}}
-	tab, err := CreatePartitionedTable(mv, "db", 1, false, 0)
+	tab, err := CreatePartitionedTable(mv, "db", parts, false, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
-	var home []byte
+	home := map[string][]byte{}
 	for round := 0; round < 2; round++ {
-		home = append([]byte(nil), mv.files["db"]...)
-		for i := 0; i < 20; i++ {
+		for i := 0; i < parts; i++ {
+			home[partName("db", i)] = append([]byte(nil), mv.files[partName("db", i)]...)
+		}
+		for i := 0; i < 20+round; i++ {
 			if err := tab.Put(u64key(i), []byte(fmt.Sprintf("row-%d-%d", i, round))); err != nil {
 				f.Fatal(err)
 			}
@@ -383,16 +442,32 @@ func FuzzRecoverWAL(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	wal := mv.files["db.wal"]
-	// Replaying the seed must turn the first commit's home file into the
+	wal := mv.files["db.p0.wal"]
+	// Replaying the seed must turn the first commit's member files into the
 	// second's.
-	if got := replayOracle(f, home, wal); !bytes.Equal(got, mv.files["db"]) {
-		f.Fatal("the seed journal does not replay the first commit's home file into the second's")
+	for name, img := range replayOracle(f, "db", home, wal) {
+		if !bytes.Equal(img, mv.files[name]) {
+			f.Fatalf("the seed journal does not replay the first commit's %s into the second's", name)
+		}
 	}
 	valid := wal[:walHdrEnd+binary.BigEndian.Uint64(wal[walHdrLen:])]
-	if string(valid[:8]) != walMagic || binary.BigEndian.Uint64(valid[walHdrCount:]) < 2 {
-		f.Fatalf("seed journal %q holds %d records, want a range journal of 2 or more",
-			valid[:8], binary.BigEndian.Uint64(valid[walHdrCount:]))
+	if string(valid[:8]) != walMagic || binary.BigEndian.Uint64(valid[walHdrCount:]) < 2 ||
+		binary.BigEndian.Uint64(valid[walHdrMembers:]) != parts {
+		f.Fatalf("seed journal %q holds %d records of %d members, want a group journal of 2 or more records",
+			valid[:8], binary.BigEndian.Uint64(valid[walHdrCount:]), binary.BigEndian.Uint64(valid[walHdrMembers:]))
+	}
+	recs, err := parseJournal(valid[walHdrEnd:], int(binary.BigEndian.Uint64(valid[walHdrCount:])), 3, parts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var members [parts]int
+	meta := false
+	for _, r := range recs {
+		members[r.member]++
+		meta = meta || r.id == 0
+	}
+	if members[0] == 0 || members[1] == 0 || !meta {
+		f.Fatalf("seed journal holds %v records per member (meta page: %v), want records of both and a meta page", members, meta)
 	}
 	edit := func(j []byte, fn func(j []byte)) []byte {
 		j = append([]byte(nil), j...)
@@ -408,17 +483,36 @@ func FuzzRecoverWAL(f *testing.F) {
 		binary.BigEndian.PutUint64(j[walHdrLen:], walMaxRecords*walRecHdr)
 	}), true)
 	f.Add(edit(valid, func(j []byte) { // replay past memViewMax
-		binary.BigEndian.PutUint64(j[walHdrEnd:], 1<<19)
+		binary.BigEndian.PutUint64(j[walHdrEnd+4:], 1<<19)
 	}), true)
 	f.Add(edit(valid, func(j []byte) { // a range running off its page
-		binary.BigEndian.PutUint32(j[walHdrEnd+8:], PageSize-1)
+		binary.BigEndian.PutUint32(j[walHdrEnd+12:], PageSize-1)
 	}), true)
 	f.Add(edit(valid, func(j []byte) { // records that do not fill the body
 		binary.BigEndian.PutUint64(j[walHdrCount:], 1)
 	}), true)
-	// v1 seeds: the second commit as whole pages, and the same mangled.
+	f.Add(edit(valid, func(j []byte) { // a record naming no member
+		binary.BigEndian.PutUint32(j[walHdrEnd:], parts)
+	}), true)
+	for _, n := range []uint64{0, 1, parts + 1, maxPartitions + 1} { // member counts the records do not match
+		f.Add(edit(valid, func(j []byte) { binary.BigEndian.PutUint64(j[walHdrMembers:], n) }), true)
+	}
+	// v2 seed: partition 0's records of the second commit as one file's
+	// journal, and the same mangled.
+	var p0 []walRecord
+	for _, r := range recs {
+		if r.member == 0 {
+			p0 = append(p0, r)
+		}
+	}
+	v2 := v2Journal(2, p0)
+	f.Add(v2, true)
+	f.Add(v2[:walHdrMembers+8], true)
+	f.Add(edit(v2, func(j []byte) { binary.BigEndian.PutUint32(j[walHdrMembers+8+8:], PageSize-1) }), true)
+	// v1 seeds: partition 0 as whole pages, and the same mangled.
 	ids := []int64{1, 0}
-	imgs := [][]byte{home[PageSize : 2*PageSize], home[:PageSize]}
+	first := home["db.p0"]
+	imgs := [][]byte{first[PageSize : 2*PageSize], first[:PageSize]}
 	v1 := compactV1Journal(v1Journal(2, ids, imgs))
 	f.Add(v1, true)
 	f.Add(v1, false) // stubbed images do not match the body CRC
@@ -437,21 +531,34 @@ func FuzzRecoverWAL(f *testing.F) {
 		if fixCRC {
 			sealJournal(journal)
 		}
-		v := &memView{files: map[string][]byte{
-			"db":     append([]byte(nil), home...),
-			"db.wal": journal,
-		}}
-		err := newPager(v, "db").recoverWAL()
-		got := v.files["db"]
-		if bytes.Equal(got, home) {
-			return // rejected, or a replay that changed nothing
+		v := &memView{files: map[string][]byte{"db.p0.wal": journal}}
+		for name, img := range home {
+			v.files[name] = append([]byte(nil), img...)
 		}
-		if err != nil {
-			t.Fatalf("recovery failed (%v) after changing the home file", err)
+		n, err := replayJournal(v, "db.p0.wal", partMembers("db"))
+		untouched := true
+		for name, img := range home {
+			if err != nil {
+				// A replay that fails growing a later member may leave
+				// the earlier ones grown.
+				untouched = untouched && zeroGrown(v.files[name], img)
+			} else {
+				untouched = untouched && bytes.Equal(v.files[name], img)
+			}
 		}
-		// Changed: it must be exactly the full replay.
-		if want := replayOracle(t, home, journal); !bytes.Equal(got, want) {
-			t.Fatal("home file is neither untouched nor the full replay of the journal")
+		switch {
+		case err != nil && !untouched:
+			t.Fatalf("recovery failed (%v) after changing a member file", err)
+		case n == 0 && !untouched:
+			t.Fatal("recovery replayed no journal but changed a member file")
+		case n == 0:
+			return // rejected
+		}
+		// Replayed: every member must be exactly the full replay.
+		for name, img := range replayOracle(t, "db", home, journal) {
+			if !bytes.Equal(v.files[name], img) {
+				t.Fatalf("%s is neither untouched nor the full replay of the journal", name)
+			}
 		}
 	})
 }

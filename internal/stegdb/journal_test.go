@@ -30,8 +30,8 @@ func (v *countingView) WriteAt(name string, p []byte, off int64) (int, error) {
 // TestStegDBJournalIsChangedBytes: a commit journals and homes the bytes
 // it changed, not the pages it touched. One 100-byte replace Put plus Sync
 // writes under 512 B to the journal and under 512 B home; a Put that puts
-// a row's committed value back changes no page, so its commit journals
-// only the meta page's new epoch.
+// a row's committed value back changes no page and no meta field, so its
+// commit writes nothing to the journal and nothing home.
 func TestStegDBJournalIsChangedBytes(t *testing.T) {
 	view, _ := newView(t, 16<<10)
 	cv := &countingView{View: view}
@@ -49,12 +49,11 @@ func TestStegDBJournalIsChangedBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		name  string
-		val   byte
-		under int
+		name     string
+		min, max int
 	}{
-		{"replace", 'b', 512},
-		{"restore", 'b', walHdrEnd + walRecHdr + 8 + 1}, // at most the 8-byte epoch stamp
+		{"replace", 1, 511},
+		{"restore", 0, 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cv.walBytes, cv.homeBytes = 0, 0
@@ -64,15 +63,15 @@ func TestStegDBJournalIsChangedBytes(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := tab.Put(u64key(30), val(c.val)); err != nil {
+			if err := tab.Put(u64key(30), val('b')); err != nil {
 				t.Fatal(err)
 			}
 			if err := tab.Sync(); err != nil {
 				t.Fatal(err)
 			}
-			if cv.walBytes == 0 || cv.walBytes >= c.under || cv.homeBytes >= c.under {
-				t.Fatalf("commit wrote %d journal and %d home bytes, want 1..%d each",
-					cv.walBytes, cv.homeBytes, c.under-1)
+			if cv.walBytes < c.min || cv.walBytes > c.max || cv.homeBytes < c.min || cv.homeBytes > c.max {
+				t.Fatalf("commit wrote %d journal and %d home bytes, want %d..%d each",
+					cv.walBytes, cv.homeBytes, c.min, c.max)
 			}
 		})
 	}
@@ -135,4 +134,90 @@ func TestStegDBReplaysV1Journal(t *testing.T) {
 			t.Fatalf("key %d = %q %v %v, want %q", 2*i, v, ok, err, row(i, 1))
 		}
 	}
+}
+
+// TestStegDBLegacyJournalsInvalidated: a table last committed by the older
+// per-file format has a valid SGWL0002 journal in every member's journal
+// file. Opening it replays each, and must invalidate those of the members
+// past the first: a group commit never rewrites them, so one left valid
+// would replay over the group commit's home writes at the next open and
+// roll its partition back. The table is rolled back to its first commit
+// with hand-built v2 journals holding the second; it is opened, group
+// committed (the reopen reads the member files as the commit's home writes
+// left them), and reopened: every row must hold the group commit's value.
+func TestStegDBLegacyJournalsInvalidated(t *testing.T) {
+	const parts = 3
+	mv := &memView{files: map[string][]byte{}}
+	tab, err := CreatePartitionedTable(mv, "db", parts, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := func(i, round int) []byte { return []byte(fmt.Sprintf("row-%d-%d", i, round)) }
+	put := func(tab *PartitionedTable, round int) {
+		t.Helper()
+		for i := 0; i < 200; i++ {
+			if err := tab.Put(u64key(i), row(i, round)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tab.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(tab *PartitionedTable, round int) {
+		t.Helper()
+		if err := tab.Check(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 200; i++ {
+			if v, ok, err := tab.Get(u64key(i)); err != nil || !ok || !bytes.Equal(v, row(i, round)) {
+				t.Fatalf("key %d = %q %v %v, want %q", i, v, ok, err, row(i, round))
+			}
+		}
+	}
+	first := map[string][]byte{}
+	for round := 0; round < 2; round++ {
+		if round == 1 {
+			for i := 0; i < parts; i++ {
+				first[partName("db", i)] = append([]byte(nil), mv.files[partName("db", i)]...)
+			}
+		}
+		put(tab, round)
+	}
+	// Roll every member back to the first commit and leave it a v2 journal
+	// of the second: the per-file format's state after its last commit.
+	for name, img := range first {
+		second := mv.files[name]
+		var recs []walRecord
+		for id := int64(0); id < int64(len(second))/PageSize; id++ {
+			base := []byte(nil)
+			if id*PageSize < int64(len(img)) {
+				base = img[id*PageSize : (id+1)*PageSize]
+			}
+			if lo, hi := changedRange(base, second[id*PageSize:(id+1)*PageSize]); lo < hi {
+				recs = append(recs, walRecord{id: id, off: lo, data: second[id*PageSize+int64(lo) : id*PageSize+int64(hi)]})
+			}
+		}
+		if len(recs) == 0 {
+			t.Fatalf("the second commit changed nothing in %s", name)
+		}
+		mv.files[name+walSuffix] = v2Journal(2, recs)
+		mv.files[name] = append(img, make([]byte, len(second)-len(img))...)
+	}
+	tab, err = OpenPartitionedTable(mv, "db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(tab, 1)
+	for i := 1; i < parts; i++ {
+		if wal := mv.files[partName("db", i)+walSuffix]; string(wal[:8]) == walMagicV2 {
+			t.Fatalf("%s%s still holds a v2 journal after the open", partName("db", i), walSuffix)
+		}
+	}
+	put(tab, 2)
+	tab, err = OpenPartitionedTable(mv, "db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(tab, 2)
 }

@@ -22,7 +22,7 @@
 // WritePage is write-back — dirty pages reach the hidden file only at
 // Sync/Close, which commits through a physical redo journal (commit.go):
 // journal + header, barrier, home writes, barrier. Crash recovery replays a
-// CRC-valid journal at OpenPager, so the on-device state is always exactly
+// CRC-valid journal at open, so the on-device state is always exactly
 // some committed epoch (old-or-new, never a mix). Lock order inside the
 // package, outermost first: PartitionedTable snapGate → BTree key
 // shards → Pager commit locks → tree latches → BTree rootMu →
@@ -53,20 +53,21 @@ const pagerMagic = "SGDB0001"
 
 // metaLayout (page 0): magic(8) numPages(8) freeHead(8) btreeRoot(8)
 // hashRoot(8) rows(8) commitEpoch(8) partCount(8) partIndex(8).
-// commitEpoch is stamped into the journaled meta image at each commit;
 // partCount/partIndex are zero for plain tables and identify the shard for
-// partitioned ones (partition.go). freeHead and hashRoot are reserved: they
-// held a page free list and a hash index that older versions kept. Pages
-// are never freed now, and NewBTree clears a leftover hashRoot.
+// partitioned ones (partition.go). freeHead, hashRoot and commitEpoch are
+// reserved: they held a page free list, a hash index and a per-commit
+// epoch stamp that older versions kept. Pages are never freed now,
+// NewBTree clears a leftover hashRoot, and nothing reads or writes
+// commitEpoch, so a commit that changes no meta field leaves page 0 alone.
 const (
-	metaNumPages    = 8
-	_               = 16 // freeHead, reserved
-	metaBTreeRoot   = 24
-	metaHashRoot    = 32
-	metaRows        = 40
-	metaCommitEpoch = 48
-	metaPartCount   = 56
-	metaPartIndex   = 64
+	metaNumPages  = 8
+	_             = 16 // freeHead, reserved
+	metaBTreeRoot = 24
+	metaHashRoot  = 32
+	metaRows      = 40
+	_             = 48 // commitEpoch, reserved
+	metaPartCount = 56
+	metaPartIndex = 64
 )
 
 // nilPage is the null page id (page 0 is the meta page, never allocatable).
@@ -197,17 +198,31 @@ func CreatePager(view View, name string) (*Pager, error) {
 // OpenPager opens an existing database file, first replaying the sibling
 // journal if it holds a complete commit (crash recovery). The journal file
 // must be readable through view (adopt name + ".wal" alongside name): every
-// commit goes through it, so a database without one cannot be opened.
+// commit goes through it, so a database without one cannot be opened. A
+// journal of a commit across several files (a partitioned table's) is
+// refused: OpenPartitionedTable recovers those.
 func OpenPager(view View, name string) (*Pager, error) {
-	p := newPager(view, name)
-	if err := p.recoverWAL(); err != nil {
+	n, err := replayJournal(view, name+walSuffix, soleMember(name))
+	if err != nil {
 		return nil, err
 	}
-	// lockcheck:ignore the pager has not been published yet; OpenPager has it to itself
+	if n > 0 {
+		if err := view.Sync(); err != nil {
+			return nil, fmt.Errorf("stegdb: barrier after recovery: %w", err)
+		}
+	}
+	return openPager(view, name)
+}
+
+// openPager reads the meta page of a database file whose journal has
+// already been recovered.
+func openPager(view View, name string) (*Pager, error) {
+	p := newPager(view, name)
+	// lockcheck:ignore the pager has not been published yet; openPager has it to itself
 	if _, err := view.ReadAt(name, p.meta[:], 0); err != nil {
 		return nil, fmt.Errorf("stegdb: read meta page: %w", err)
 	}
-	// lockcheck:ignore the pager has not been published yet; OpenPager has it to itself
+	// lockcheck:ignore the pager has not been published yet; openPager has it to itself
 	if string(p.meta[:8]) != pagerMagic {
 		return nil, errors.New("stegdb: not a stegdb file (bad magic)")
 	}
@@ -215,7 +230,7 @@ func OpenPager(view View, name string) (*Pager, error) {
 }
 
 // getMeta/setMeta access the meta buffer; callers hold metaMu (or have the
-// pager to themselves, as in CreatePager/OpenPager, which carry audited
+// pager to themselves, as in CreatePager/openPager, which carry audited
 // lockcheck:ignore annotations for exactly that reason).
 //
 // lockcheck:holds stegdb/metaMu
@@ -377,7 +392,9 @@ func (p *Pager) AllocPage() (int64, error) {
 // everything home, and barriers again. After a torn crash anywhere inside,
 // recovery at OpenPager leaves the database at exactly the old or the new
 // epoch. Concurrent callers serialize on the commit lock; tables batch
-// theirs into group commits (PartitionedTable.Sync).
+// theirs into group commits (PartitionedTable.Sync), and a table's
+// partitions are committed only through their table: the table's journal
+// lives with its first partition.
 func (p *Pager) Sync() error { return commit(p.view, []*Pager{p}) }
 
 // bumpEpoch opens a new epoch after a commit, so snapshots taken afterwards

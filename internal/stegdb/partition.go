@@ -6,13 +6,12 @@ import (
 )
 
 // PartitionedTable is a hidden table, sharded by key hash across N hidden
-// files (partitions), each with its own Pager, B-link tree and journal.
+// files (partitions), each with its own Pager and B-link tree.
 // Partitioning multiplies the write paths the same way A6's distinct-object
-// scaling multiplied file writes: Put/Delete on different
-// partitions share no pager, no tree, no commit lock and no journal, so a
-// write-heavy workload scales with the partition count instead of
-// funneling into one file's allocator and commit pipeline. N = 1 is the
-// plain one-file table.
+// scaling multiplied file writes: Put/Delete on different partitions share
+// no pager, no tree and no latch, so a write-heavy workload scales with the
+// partition count instead of funneling into one file's allocator. N = 1 is
+// the plain one-file table.
 //
 // Composition rules:
 //   - Put/Delete route by partFor(key) — a mixing hash deliberately
@@ -24,16 +23,21 @@ import (
 //     half-landed while the per-partition epochs are pinned, and the
 //     merged view is a true point in time.
 //   - Sync is a cross-partition group commit: concurrent committers batch
-//     into one pipeline run that journals every partition, issues ONE
-//     shared pre-barrier, homes every partition, and issues ONE shared
-//     post-barrier — two volume barriers per batch regardless of
-//     partition count or caller count.
+//     into one pipeline run that writes ONE journal holding every
+//     partition's records, issues ONE shared pre-barrier, homes every
+//     partition, and issues ONE shared post-barrier — one journal write
+//     and two volume barriers per batch regardless of partition count or
+//     caller count. The table commits as a whole: a crash leaves every
+//     partition at the old epoch or every partition at the new one.
 //
 // Layout: a one-partition table lives in hidden file "t" (plus its ".wal"
 // journal sibling) and its meta page records partition count 0. Partition
-// i of an N-partition table lives in "t.p<i>"; each partition's meta page
-// records N and its own index, so fsck and Open can discover and validate
-// the set from any one member.
+// i of an N-partition table lives in "t.p<i>", plus "t.p<i>.wal"; each
+// partition's meta page records N and its own index, so fsck and Open can
+// discover and validate the set from any one member. The group journal
+// lives in "t.p0.wal"; the other members' journal files are kept (created,
+// listed by Files, adopted by CheckAny) but only legacy per-file journals
+// are ever found in them (commit.go).
 type PartitionedTable struct {
 	view  View
 	parts []*BTree // one tree per partition, each in its own Pager
@@ -58,6 +62,18 @@ const maxPartitions = 64
 
 // partName names partition i of a partitioned table.
 func partName(base string, i int) string { return fmt.Sprintf("%s.p%d", base, i) }
+
+// partMembers is the files argument of replayJournal for the group
+// journal of the partitioned table name: member i is partition i.
+func partMembers(name string) func(n int) ([]string, error) {
+	return func(n int) ([]string, error) {
+		names := make([]string, n)
+		for i := range names {
+			names[i] = partName(name, i)
+		}
+		return names, nil
+	}
+}
 
 // CreatePartitionedTable creates a table sharded across nParts hidden
 // files; nParts = 1 creates the plain one-file layout. withHash and
@@ -94,30 +110,66 @@ func CreatePartitionedTable(view View, name string, nParts int, withHash bool, n
 // OpenPartitionedTable opens an existing table. The layout is discovered
 // from the view: the plain file name if it is there, else name.p0, whose
 // meta page gives the partition count; every partition file (name.p0 ..
-// name.p<N-1>) must then be visible in the view too. Each member's meta
-// is validated against its position.
+// name.p<N-1>) and its journal file must then be visible in the view too.
+// Each member's meta is validated against its position.
+//
+// Crash recovery runs first: the group journal in the first member's
+// journal file is replayed into every member file before any meta page is
+// read. A legacy per-file journal in another member's journal file is
+// replayed into that member and then invalidated, so no later commit can
+// be rolled back by it (commit.go).
 func OpenPartitionedTable(view View, name string) (*PartitionedTable, error) {
-	first := partName(name, 0)
+	first, members := partName(name, 0), partMembers(name)
 	if _, err := view.Stat(name); err == nil {
-		first = name
+		first, members = name, soleMember(name)
 	}
-	pg0, err := OpenPager(view, first)
+	replayed, err := replayJournal(view, first+walSuffix, members)
+	if err != nil {
+		return nil, fmt.Errorf("stegdb: recover %s: %w", first, err)
+	}
+	pg0, err := openPager(view, first)
 	if err != nil {
 		return nil, fmt.Errorf("stegdb: open %s: %w", first, err)
 	}
 	pt := &PartitionedTable{view: view, parts: []*BTree{NewBTree(pg0)}}
+	var stale []string // legacy journals replayed past the first member
 	if first != name {
 		pt.layout = pg0.metaField(metaPartCount)
 		if pt.layout < 1 || pt.layout > maxPartitions {
 			return nil, fmt.Errorf("stegdb: %s declares %d partitions (max %d)", first, pt.layout, maxPartitions)
 		}
 		for i := 1; i < int(pt.layout); i++ {
-			pg, err := OpenPager(view, partName(name, i))
+			part := partName(name, i)
+			n, err := replayJournal(view, part+walSuffix, soleMember(part))
 			if err != nil {
-				return nil, fmt.Errorf("stegdb: open partition %d: %w", i, err)
+				return nil, fmt.Errorf("stegdb: recover partition %d: %w", i, err)
 			}
-			pt.parts = append(pt.parts, NewBTree(pg))
+			if n > 0 {
+				stale = append(stale, part+walSuffix)
+			}
 		}
+	}
+	if replayed > 0 || len(stale) > 0 {
+		if err := view.Sync(); err != nil { // every replay durable before an invalidation lands
+			return nil, fmt.Errorf("stegdb: barrier after recovery: %w", err)
+		}
+	}
+	if len(stale) > 0 {
+		for _, wal := range stale {
+			if _, err := view.WriteAt(wal, make([]byte, len(walMagic)), 0); err != nil {
+				return nil, fmt.Errorf("stegdb: invalidate %s: %w", wal, err)
+			}
+		}
+		if err := view.Sync(); err != nil {
+			return nil, fmt.Errorf("stegdb: barrier after invalidation: %w", err)
+		}
+	}
+	for i := 1; i < int(pt.layout); i++ {
+		pg, err := openPager(view, partName(name, i))
+		if err != nil {
+			return nil, fmt.Errorf("stegdb: open partition %d: %w", i, err)
+		}
+		pt.parts = append(pt.parts, NewBTree(pg))
 	}
 	if err := pt.checkLayout(); err != nil {
 		return nil, err
@@ -358,9 +410,9 @@ func (pt *PartitionedTable) Check() error {
 }
 
 // Sync commits every partition as one batch. Concurrent callers are group
-// committed: each batch journals all partitions, issues one shared
-// journal barrier, homes all partitions, and issues one shared home
-// barrier.
+// committed: each batch writes one journal holding all partitions'
+// records, issues one shared journal barrier, homes all partitions, and
+// issues one shared home barrier.
 func (pt *PartitionedTable) Sync() error {
 	return pt.gc.do(func() error {
 		pgs := make([]*Pager, len(pt.parts))

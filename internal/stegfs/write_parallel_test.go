@@ -220,14 +220,29 @@ func TestSyncUnderWriteLoad(t *testing.T) {
 			}
 		}(w)
 	}
+	// The plain writer cycles a bounded name set, deleting each name before
+	// it creates it again, so however slowly the Syncs run it never fills
+	// the 64-entry central directory. last[i] is the round that last
+	// created name q<i>.
+	const plainNames = 16
+	var last [plainNames]int
+	plainPayload := func(r int) []byte { return mkPayload(1500, byte(r)) }
 	wg.Add(1)
 	go func() { // plain writer crossing the same Sync barriers
 		defer wg.Done()
 		for r := 0; !stop.Load(); r++ {
-			if err := fs.Create(fmt.Sprintf("q%d", r), mkPayload(1500, byte(r))); err != nil {
+			name := fmt.Sprintf("q%d", r%plainNames)
+			if r >= plainNames {
+				if err := fs.Delete(name); err != nil {
+					errs <- fmt.Errorf("plain delete %d: %w", r, err)
+					return
+				}
+			}
+			if err := fs.Create(name, plainPayload(r)); err != nil {
 				errs <- fmt.Errorf("plain create %d: %w", r, err)
 				return
 			}
+			last[r%plainNames] = r
 		}
 	}()
 	syncs := 0
@@ -277,8 +292,16 @@ func TestSyncUnderWriteLoad(t *testing.T) {
 		}
 	}
 	for _, name := range fs2.PlainNames() {
-		if _, err := fs2.Read(name); err != nil {
+		got, err := fs2.Read(name)
+		if err != nil {
 			t.Fatalf("plain %s on remount: %v", name, err)
+		}
+		var i int
+		if _, err := fmt.Sscanf(name, "q%d", &i); err != nil || i >= plainNames {
+			t.Fatalf("unexpected plain file %s on remount", name)
+		}
+		if !bytes.Equal(got, plainPayload(last[i])) {
+			t.Fatalf("plain %s on remount is not its last write (round %d)", name, last[i])
 		}
 	}
 }
