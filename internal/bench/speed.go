@@ -93,12 +93,13 @@ func stampBlocks(buf []byte, bs int, v uint64) {
 	}
 }
 
-// speedVolume builds a small cached volume for the end-to-end rows. The
-// volume is deliberately cache-resident (~32 MB, fully covered by the block
-// cache) so the rows measure the sealed software path — open, header reload,
-// tree walk, batched cache read, per-block open/seal — rather than the
-// simulated disk.
-func speedVolume(cfg Config) (*stegfs.HiddenView, error) {
+// speedVolume builds a small cached volume for the end-to-end rows. With
+// cacheBlocks 0 the volume is cache-resident (~32 MB, fully covered by the
+// block cache), so the rows measure the sealed software path — open, header
+// reload, tree walk, batched cache read, per-block open/seal — rather than
+// the simulated disk; a smaller cache makes the rows that cycle over more
+// than it holds time the miss path instead.
+func speedVolume(cfg Config, cacheBlocks int) (*stegfs.HiddenView, error) {
 	bs := cfg.BlockSize
 	nBlocks := int64(32<<20) / int64(bs)
 	store, err := vdisk.NewMemStore(nBlocks, bs)
@@ -111,7 +112,10 @@ func speedVolume(cfg Config) (*stegfs.HiddenView, error) {
 	p.DeterministicKeys = true
 	p.NDummy = 4
 	p.DummyAvgSize = int64(4 * bs)
-	fs, err := stegfs.Format(store, p, stegfs.WithCache(int(nBlocks)))
+	if cacheBlocks == 0 {
+		cacheBlocks = int(nBlocks)
+	}
+	fs, err := stegfs.Format(store, p, stegfs.WithCache(cacheBlocks))
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +164,7 @@ func SpeedSuite(cfg Config, budget time.Duration) ([]SpeedRow, error) {
 	}))
 
 	// End-to-end cached data path through a hidden file.
-	v, err := speedVolume(cfg)
+	v, err := speedVolume(cfg, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -182,6 +186,31 @@ func SpeedSuite(cfg Config, budget time.Duration) ([]SpeedRow, error) {
 	add(speedMeasure("cached-read-64k", len(fileData), budget, func() {
 		_, _ = v.Read("f")
 	}))
+	// The cache miss path: a second volume whose 256-block cache is smaller
+	// than the eight 64 KiB files the row reads in turn, so under LRU every
+	// block of a read was evicted since that file's last read, and every
+	// call misses and evicts all 66 of its blocks (64 data blocks, the
+	// header and a pointer block).
+	mv, err := speedVolume(cfg, 256)
+	if err != nil {
+		return nil, err
+	}
+	missNames := make([]string, 8)
+	for i := range missNames {
+		missNames[i] = fmt.Sprintf("m%d", i)
+		if err := mv.Create(missNames[i], fileData); err != nil {
+			return nil, err
+		}
+	}
+	var missNext int
+	add(speedMeasure("cached-read-miss-64k", len(fileData), budget, func() {
+		missNext = (missNext + 1) % len(missNames)
+		_, _ = mv.Read(missNames[missNext])
+	}))
+	if err := mv.Close(); err != nil {
+		return nil, err
+	}
+
 	// Every write stamps a fresh counter into each block it covers, so it
 	// changes every block and the cache cannot absorb it.
 	var stamp uint64

@@ -39,6 +39,20 @@
 // the write wins and the next run picks up the fresh data — so read-your-
 // writes and barrier completeness hold across the unlocked window.
 //
+// # Recycled entries
+//
+// Once its resident set has grown, the cache allocates nothing per block: an
+// evicted entry goes on a free list with its one-block buffer, and the next
+// insert takes it. New entries and buffers come from slabs that grow with
+// the resident set, never past the capacity ahead of need. The rule that
+// makes reuse safe is that an entry's buffer never leaves c.mu: readers
+// copy out of it and writers into it under the lock, a flush run copies
+// its blocks into a staging slab of its own before it drops the lock, and
+// eviction write-back runs under the lock. Code that waits across an
+// unlocked window keeps block numbers, not entries, and re-resolves them
+// when it holds the lock again, since the entry may hold another block by
+// then (see drainLocked).
+//
 // # Unchanged writes
 //
 // A write of the bytes a resident block already holds is absorbed: the
@@ -178,6 +192,8 @@ type Cache struct {
 	// lockcheck:guardedby mu
 	entries map[int64]*entry
 	// lockcheck:guardedby mu
+	free []*entry // evicted entries, buffers included, ready for reuse
+	// lockcheck:guardedby mu
 	inflight map[int64]*fetch // miss fetches in progress (see ReadBlocks)
 	// lockcheck:guardedby mu
 	dirty map[int64]*entry // every resident dirty entry, staged ones included
@@ -196,15 +212,23 @@ type Cache struct {
 	stats Stats
 }
 
-// fetch tracks one in-flight miss read. Misses release c.mu while the device
-// request runs, so concurrent readers can overlap their device waits; the
-// fetch entry dedups concurrent misses of the same block (single-flight) and
-// records whether a write raced the fetch (in which case the fetched bytes
-// are stale and must not enter the cache).
+// fetch tracks one block of an in-flight miss batch. Misses release c.mu
+// while the device request runs, so concurrent readers can overlap their
+// device waits; the fetch record dedups concurrent misses of the same block
+// (single-flight) and records whether a write raced the fetch (in which case
+// the fetched bytes are stale and must not enter the cache). A batch's
+// records come from one slab and share one done channel, closed when the
+// whole batch has landed.
 type fetch struct {
 	done  chan struct{}
 	stale bool // a write to this block landed while the fetch was in flight
 }
+
+// Entry slabs: an empty free list is refilled with a slab as large as the
+// resident set, between minSlab and maxSlab entries, and never reaching past
+// the capacity; past it (eviction stalled on a flushing or failing victim)
+// slabs are minSlab entries.
+const minSlab, maxSlab = 16, 1024
 
 // NewWithOptions wraps dev in a write-back cache configured by o. It fails
 // on a capacity <= 0, a negative flusher count or an unknown policy name.
@@ -396,14 +420,22 @@ func (c *Cache) ReadBlocks(ns []int64, bufs [][]byte) error {
 	}
 	c.mu.Unlock()
 
-	remaining := make([]int, len(ns))
+	// One allocation holds the batch's index lists, each with room for
+	// every block: those left to resolve, those this pass fetches, those to
+	// retry on the next pass, and the fetched block numbers. Indices are
+	// int64 so the block numbers can share it.
+	k := len(ns)
+	scratch := make([]int64, 4*k)
+	remaining, mine, retry := scratch[0:k:k], scratch[k:k:2*k], scratch[2*k:2*k:3*k]
+	missNs := scratch[3*k : 3*k : 4*k]
 	for i := range remaining {
-		remaining[i] = i
+		remaining[i] = int64(i)
 	}
 	for len(remaining) > 0 {
-		var mine []int            // misses this call registered a fetch for
-		var foreign []int         // misses a fetch is already registered for
-		var waits []chan struct{} // their completion signals
+		mine, retry, missNs = mine[:0], retry[:0], missNs[:0]
+		var waits []chan struct{} // completion signals of other callers' fetches
+		var flight []fetch        // this pass's fetch records
+		var done chan struct{}
 
 		c.mu.Lock()
 		for _, i := range remaining {
@@ -418,31 +450,34 @@ func (c *Cache) ReadBlocks(ns []int64, bufs [][]byte) error {
 				// Another caller is fetching this block, or this batch is (a
 				// duplicate block number; its fetch is closed before the
 				// waits below). Resolve it on the next pass.
-				foreign = append(foreign, i)
+				retry = append(retry, i)
 				waits = append(waits, f.done)
 				continue
 			}
-			c.inflight[n] = &fetch{done: make(chan struct{})}
+			if flight == nil {
+				// Sized for every block left, so the records never move
+				// while c.inflight points into them.
+				done = make(chan struct{})
+				flight = make([]fetch, 0, len(remaining))
+			}
+			flight = append(flight, fetch{done: done})
+			c.inflight[n] = &flight[len(flight)-1]
 			mine = append(mine, i)
+			missNs = append(missNs, n)
 		}
 		c.mu.Unlock()
 
-		retry := foreign
 		if len(mine) > 0 {
-			missNs := make([]int64, len(mine))
 			missBufs := make([][]byte, len(mine))
-			for k, i := range mine {
-				missNs[k] = ns[i]
-				missBufs[k] = bufs[i]
+			for j, i := range mine {
+				missBufs[j] = bufs[i]
 			}
 			err := vdisk.ReadBlocks(c.dev, missNs, missBufs)
 			c.mu.Lock()
-			for _, i := range mine {
+			for j, i := range mine {
 				// Only the registrant removes a fetch, so it is still ours.
 				n := ns[i]
-				f := c.inflight[n]
 				delete(c.inflight, n)
-				close(f.done)
 				if err != nil {
 					continue
 				}
@@ -454,7 +489,7 @@ func (c *Cache) ReadBlocks(ns []int64, bufs [][]byte) error {
 					copy(bufs[i], e.data)
 					continue
 				}
-				if f.stale {
+				if flight[j].stale {
 					// Written and already flushed and dropped during the
 					// fetch: the bytes read may predate that write. Refetch.
 					retry = append(retry, i)
@@ -463,15 +498,16 @@ func (c *Cache) ReadBlocks(ns []int64, bufs [][]byte) error {
 				c.stats.Misses++
 				c.insertLocked(n, bufs[i], false)
 			}
+			close(done)
 			c.mu.Unlock()
 			if err != nil {
 				return err
 			}
 		}
-		for _, done := range waits {
-			<-done
+		for _, w := range waits {
+			<-w
 		}
-		remaining = retry
+		remaining, retry = retry, remaining
 	}
 	return nil
 }
@@ -503,10 +539,15 @@ func (c *Cache) WriteBlocks(ns []int64, bufs [][]byte) error {
 }
 
 // insertLocked adds a new entry for block n (caller holds c.mu) and evicts
-// policy-chosen victims while the cache is over capacity.
+// policy-chosen victims while the cache is over capacity. It inserts before
+// it evicts — a policy's victim may depend on the new block (2Q's A1in
+// length counts it) — so at capacity the entry comes from the one the
+// previous eviction freed.
 // lockcheck:holds volume/cacheMu
 func (c *Cache) insertLocked(n int64, buf []byte, dirty bool) {
-	e := &entry{block: n, data: append(make([]byte, 0, len(buf)), buf...), dirty: dirty}
+	e := c.newEntryLocked(len(buf))
+	*e = entry{block: n, data: e.data, dirty: dirty}
+	copy(e.data, buf)
 	c.entries[n] = e
 	if dirty {
 		c.dirty[n] = e
@@ -517,6 +558,27 @@ func (c *Cache) insertLocked(n int64, buf []byte, dirty bool) {
 			break // over capacity until the device (or the pipeline) recovers
 		}
 	}
+}
+
+// newEntryLocked takes an entry with a bs-byte buffer off the free list,
+// refilling the list from a fresh slab when it is empty. Caller holds c.mu.
+// lockcheck:holds volume/cacheMu
+func (c *Cache) newEntryLocked(bs int) *entry {
+	if len(c.free) == 0 {
+		size := minSlab
+		if grown := len(c.entries); grown < c.cap {
+			size = min(max(grown, minSlab), maxSlab, c.cap-grown)
+		}
+		slab := make([]entry, size)
+		data := make([]byte, size*bs)
+		for i := range slab {
+			slab[i].data = data[i*bs : (i+1)*bs : (i+1)*bs]
+			c.free = append(c.free, &slab[i])
+		}
+	}
+	e := c.free[len(c.free)-1]
+	c.free = c.free[:len(c.free)-1]
+	return e
 }
 
 // evictLocked removes the policy's victim, writing it back first when dirty.
@@ -562,6 +624,7 @@ func (c *Cache) evictLocked() bool {
 	}
 	c.policy.Remove(n)
 	delete(c.entries, n)
+	c.free = append(c.free, victim)
 	c.stats.Evictions++
 	return true
 }
@@ -769,7 +832,10 @@ func (c *Cache) flusher() {
 // wrote — belongs to the NEXT barrier, exactly like a write that blocked on
 // the mutex behind the old single-hold flush pass; that keeps the barrier
 // terminating under sustained concurrent writers instead of chasing them
-// forever. Caller holds c.mu.
+// forever. The obligation is kept as block numbers and re-resolved under the
+// lock after every unlocked window: an entry evicted meanwhile was written
+// back first, and may already hold another block from the free list.
+// Caller holds c.mu.
 // lockcheck:holds volume/cacheMu
 func (c *Cache) drainLocked() error {
 	c.stats.Flushes++
@@ -777,24 +843,29 @@ func (c *Cache) drainLocked() error {
 		c.flushDone.Wait()
 	}
 	// staged == 0, so this is ALL currently dirty blocks, sorted ascending.
-	obligation := c.dirtyRunLocked(0)
+	run := c.dirtyRunLocked(0)
+	obligation := make([]int64, len(run))
+	for i, e := range run {
+		obligation[i] = e.block
+	}
 	for len(obligation) > 0 {
-		var run []*entry
-		rest := make([]*entry, 0, len(obligation))
+		run = run[:0]
+		rest := obligation[:0] // filtered in place
 		waiting := false
-		for _, e := range obligation {
+		for _, n := range obligation {
+			e, ok := c.entries[n]
 			switch {
-			case !e.dirty:
+			case !ok || !e.dirty:
 				// Already durable (a background run or eviction got there).
 			case e.flushing:
 				// A background flusher staged it during one of our unlocked
 				// windows; wait for that flight and re-examine.
 				waiting = true
-				rest = append(rest, e)
+				rest = append(rest, n)
 			case len(run) < maxFlushRun:
 				run = append(run, e)
 			default:
-				rest = append(rest, e)
+				rest = append(rest, n)
 			}
 		}
 		obligation = rest
@@ -883,7 +954,10 @@ func (c *Cache) Invalidate() error {
 			break
 		}
 	}
-	c.entries = make(map[int64]*entry, c.cap)
+	for _, e := range c.entries {
+		c.free = append(c.free, e)
+	}
+	clear(c.entries)
 	c.policy.Reset()
 	return c.takeStickyLocked()
 }

@@ -1,7 +1,6 @@
 package blockcache
 
 import (
-	"container/list"
 	"fmt"
 	"strings"
 )
@@ -64,54 +63,140 @@ func NewPolicy(name string, capacity int) (Policy, error) {
 	}
 }
 
+// --- Slot-indexed lists ------------------------------------------------------
+
+// slotLists threads up to three doubly linked lists of block numbers through
+// one slice of nodes addressed by slot index. Node i < lists is list i's
+// sentinel. A removed node is chained onto a free list and reused before the
+// slice grows, and moving a node within or between lists only relinks it, so
+// a policy in steady state — one insert per eviction — allocates nothing.
+type slotLists struct {
+	nodes []slotNode
+	lens  [3]int // resident nodes per list
+	lists int32
+	free  int32 // head of the free chain through next; -1 when empty
+}
+
+type slotNode struct {
+	block      int64
+	prev, next int32
+	list       int32 // which list the node is linked into
+}
+
+func newSlotLists(lists int32) slotLists {
+	s := slotLists{lists: lists}
+	s.reset()
+	return s
+}
+
+// reset empties every list, keeping the node slice's memory.
+func (s *slotLists) reset() {
+	s.nodes = s.nodes[:0]
+	for i := range s.lists {
+		s.nodes = append(s.nodes, slotNode{prev: i, next: i, list: i})
+	}
+	s.lens = [3]int{}
+	s.free = -1
+}
+
+// pushFront links a node holding block at the front of list and returns its
+// slot.
+func (s *slotLists) pushFront(list int32, block int64) int32 {
+	i := s.free
+	if i >= 0 {
+		s.free = s.nodes[i].next
+	} else {
+		i = int32(len(s.nodes))
+		s.nodes = append(s.nodes, slotNode{})
+	}
+	s.nodes[i].block = block
+	s.link(list, i)
+	return i
+}
+
+// moveToFront relinks slot i at the front of list, which may be the list it
+// is already in.
+func (s *slotLists) moveToFront(list, i int32) {
+	s.unlink(i)
+	s.link(list, i)
+}
+
+// remove unlinks slot i and puts it on the free chain.
+func (s *slotLists) remove(i int32) {
+	s.unlink(i)
+	s.nodes[i].next = s.free
+	s.free = i
+}
+
+// back returns the slot at the back of list; ok is false when it is empty.
+func (s *slotLists) back(list int32) (i int32, ok bool) {
+	i = s.nodes[list].prev
+	return i, i != list
+}
+
+func (s *slotLists) link(list, i int32) {
+	next := s.nodes[list].next
+	s.nodes[i].prev, s.nodes[i].next, s.nodes[i].list = list, next, list
+	s.nodes[next].prev = i
+	s.nodes[list].next = i
+	s.lens[list]++
+}
+
+func (s *slotLists) unlink(i int32) {
+	n := s.nodes[i]
+	s.nodes[n.prev].next = n.next
+	s.nodes[n.next].prev = n.prev
+	s.lens[n.list]--
+}
+
 // --- LRU ---------------------------------------------------------------------
 
 // lruPolicy is the classic recency stack: hits and inserts move to the
 // front, the victim is the back. It thrashes on cyclic scans longer than
 // the capacity — exactly the regime 2Q exists for.
 type lruPolicy struct {
-	order *list.List // of int64; front = most recently used
-	elems map[int64]*list.Element
+	order slotLists // one list; front = most recently used
+	slot  map[int64]int32
 }
 
 func newLRUPolicy() *lruPolicy {
-	return &lruPolicy{order: list.New(), elems: make(map[int64]*list.Element)}
+	return &lruPolicy{order: newSlotLists(1), slot: make(map[int64]int32)}
 }
 
 func (p *lruPolicy) Name() string { return PolicyLRU }
 
 func (p *lruPolicy) Touch(n int64) {
-	if e, ok := p.elems[n]; ok {
-		p.order.MoveToFront(e)
+	if i, ok := p.slot[n]; ok {
+		p.order.moveToFront(0, i)
 	}
 }
 
 func (p *lruPolicy) Insert(n int64) {
-	if e, ok := p.elems[n]; ok {
-		p.order.MoveToFront(e)
+	if i, ok := p.slot[n]; ok {
+		p.order.moveToFront(0, i)
 		return
 	}
-	p.elems[n] = p.order.PushFront(n)
+	p.slot[n] = p.order.pushFront(0, n)
 }
 
 func (p *lruPolicy) Victim() (int64, bool) {
-	back := p.order.Back()
-	if back == nil {
+	i, ok := p.order.back(0)
+	if !ok {
 		return 0, false
 	}
-	return back.Value.(int64), true
+	return p.order.nodes[i].block, true
 }
 
 func (p *lruPolicy) Remove(n int64) {
-	if e, ok := p.elems[n]; ok {
-		p.order.Remove(e)
-		delete(p.elems, n)
+	if i, ok := p.slot[n]; ok {
+		p.order.remove(i)
+		delete(p.slot, n)
 	}
 }
 
 func (p *lruPolicy) Reset() {
-	p.order.Init()
-	p.elems = make(map[int64]*list.Element)
+	p.order.reset()
+	clear(p.slot)
 }
 
 var _ Policy = (*lruPolicy)(nil)

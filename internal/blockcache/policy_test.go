@@ -2,8 +2,10 @@ package blockcache
 
 import (
 	"bytes"
+	"container/list"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -456,5 +458,258 @@ func TestPolicyConcurrentAccess(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// refLRU and refTwoQ are the container/list implementations the slot-indexed
+// lruPolicy and twoQPolicy replaced, kept as oracles: the replacement must
+// choose exactly the same victims.
+type refLRU struct {
+	order *list.List // of int64; front = most recently used
+	elems map[int64]*list.Element
+}
+
+func newRefLRU() *refLRU {
+	return &refLRU{order: list.New(), elems: make(map[int64]*list.Element)}
+}
+
+func (p *refLRU) Name() string { return "ref-lru" }
+
+func (p *refLRU) Touch(n int64) {
+	if e, ok := p.elems[n]; ok {
+		p.order.MoveToFront(e)
+	}
+}
+
+func (p *refLRU) Insert(n int64) {
+	if e, ok := p.elems[n]; ok {
+		p.order.MoveToFront(e)
+		return
+	}
+	p.elems[n] = p.order.PushFront(n)
+}
+
+func (p *refLRU) Victim() (int64, bool) {
+	back := p.order.Back()
+	if back == nil {
+		return 0, false
+	}
+	return back.Value.(int64), true
+}
+
+func (p *refLRU) Remove(n int64) {
+	if e, ok := p.elems[n]; ok {
+		p.order.Remove(e)
+		delete(p.elems, n)
+	}
+}
+
+func (p *refLRU) Reset() {
+	p.order.Init()
+	p.elems = make(map[int64]*list.Element)
+}
+
+type refTwoQ struct {
+	kin, kout       int
+	a1in, am, a1out *list.List
+	where           map[int64]*refTwoQEntry
+}
+
+type refTwoQEntry struct {
+	elem *list.Element
+	list int32
+}
+
+func newRefTwoQ(capacity int) *refTwoQ {
+	if capacity < 1 {
+		capacity = 1
+	}
+	return &refTwoQ{
+		kin:   max(1, capacity/4),
+		kout:  max(1, 2*capacity),
+		a1in:  list.New(),
+		am:    list.New(),
+		a1out: list.New(),
+		where: make(map[int64]*refTwoQEntry),
+	}
+}
+
+func (p *refTwoQ) Name() string { return "ref-2q" }
+
+func (p *refTwoQ) Touch(n int64) {
+	e, ok := p.where[n]
+	if !ok {
+		return
+	}
+	switch e.list {
+	case twoQAm:
+		p.am.MoveToFront(e.elem)
+	case twoQA1in:
+		p.a1in.MoveToFront(e.elem)
+	}
+}
+
+func (p *refTwoQ) Insert(n int64) {
+	if e, ok := p.where[n]; ok {
+		switch e.list {
+		case twoQA1in, twoQAm:
+			p.Touch(n)
+		case twoQA1out:
+			p.a1out.Remove(e.elem)
+			e.elem = p.am.PushFront(n)
+			e.list = twoQAm
+		}
+		return
+	}
+	p.where[n] = &refTwoQEntry{elem: p.a1in.PushFront(n), list: twoQA1in}
+}
+
+func (p *refTwoQ) Victim() (int64, bool) {
+	if p.a1in.Len() > p.kin || p.am.Len() == 0 {
+		if back := p.a1in.Back(); back != nil {
+			return back.Value.(int64), true
+		}
+	}
+	if back := p.am.Back(); back != nil {
+		return back.Value.(int64), true
+	}
+	return 0, false
+}
+
+func (p *refTwoQ) Remove(n int64) {
+	e, ok := p.where[n]
+	if !ok {
+		return
+	}
+	switch e.list {
+	case twoQA1in:
+		p.a1in.Remove(e.elem)
+		e.elem = p.a1out.PushFront(n)
+		e.list = twoQA1out
+		for p.a1out.Len() > p.kout {
+			back := p.a1out.Back()
+			old := back.Value.(int64)
+			p.a1out.Remove(back)
+			delete(p.where, old)
+		}
+	case twoQAm:
+		p.am.Remove(e.elem)
+		delete(p.where, n)
+	case twoQA1out:
+		p.a1out.Remove(e.elem)
+		delete(p.where, n)
+	}
+}
+
+func (p *refTwoQ) Reset() {
+	p.a1in.Init()
+	p.am.Init()
+	p.a1out.Init()
+	p.where = make(map[int64]*refTwoQEntry)
+}
+
+// TestPolicyMatchesReference drives each policy and its oracle through the
+// same seeded random sequence of Insert, Touch, Victim, Remove and Reset —
+// inserting past capacity and evicting the way the cache does, sometimes
+// failing the write-back (Touch instead of Remove) — and requires every
+// Victim to agree.
+func TestPolicyMatchesReference(t *testing.T) {
+	oracles := map[string]func(int) Policy{
+		PolicyLRU: func(int) Policy { return newRefLRU() },
+		Policy2Q:  func(capacity int) Policy { return newRefTwoQ(capacity) },
+	}
+	for _, name := range PolicyNames() {
+		for _, capacity := range []int{1, 3, 64} {
+			for seed := int64(1); seed <= 8; seed++ {
+				got, err := NewPolicy(name, capacity)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := oracles[name](capacity)
+				rng := rand.New(rand.NewSource(seed))
+				universe := int64(4*capacity + 4) // residents, ghosts and strangers
+				resident := make(map[int64]bool)
+				step := 0
+				victim := func() (int64, bool) {
+					gn, gok := got.Victim()
+					wn, wok := want.Victim()
+					if gn != wn || gok != wok {
+						t.Fatalf("%s cap=%d seed=%d step %d: Victim() = (%d, %v), reference (%d, %v)",
+							name, capacity, seed, step, gn, gok, wn, wok)
+					}
+					return gn, gok
+				}
+				for ; step < 5000; step++ {
+					n := rng.Int63n(universe)
+					switch r := rng.Intn(200); {
+					case r < 90: // a miss fill or fresh write, then eviction
+						if resident[n] {
+							continue
+						}
+						got.Insert(n)
+						want.Insert(n)
+						resident[n] = true
+						for len(resident) > capacity {
+							v, _ := victim()
+							if rng.Intn(8) == 0 { // failed write-back
+								got.Touch(v)
+								want.Touch(v)
+								break
+							}
+							got.Remove(v)
+							want.Remove(v)
+							delete(resident, v)
+						}
+					case r < 150:
+						got.Touch(n)
+						want.Touch(n)
+					case r < 175:
+						victim()
+					case r < 199:
+						got.Remove(n)
+						want.Remove(n)
+						delete(resident, n)
+					default:
+						got.Reset()
+						want.Reset()
+						clear(resident)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPolicyTwoQEvictsItsOwnInsert pins the case that forbids evicting before
+// inserting: at capacity 1, a 2Q ghost readmitted to Am is itself the
+// victim, because A1in is within its share and Am's only block is the new
+// one. The cache must insert first, evict the new block, and keep the old.
+func TestPolicyTwoQEvictsItsOwnInsert(t *testing.T) {
+	for _, p := range []Policy{newTwoQPolicy(1), newRefTwoQ(1)} {
+		p.Insert(1)
+		p.Insert(2)
+		if v, _ := p.Victim(); v != 1 {
+			t.Fatalf("%s: victim %d, want 1", p.Name(), v)
+		}
+		p.Remove(1) // 1 becomes a ghost
+		p.Insert(1) // ghost hit: 1 enters Am
+		if v, _ := p.Victim(); v != 1 {
+			t.Fatalf("%s: victim %d after readmitting ghost 1, want 1 itself", p.Name(), v)
+		}
+	}
+
+	store := fillStore(t, 8, 32)
+	c := newCache(t, store, Options{Capacity: 1, Policy: Policy2Q})
+	buf := make([]byte, 32)
+	for _, n := range []int64{1, 2, 1, 2} {
+		if err := c.ReadBlock(n, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, expectBlock(n, 32)) {
+			t.Fatalf("block %d read back wrong", n)
+		}
+	}
+	if s := c.Stats(); s.Hits != 1 || s.Evictions != 2 {
+		t.Fatalf("hits=%d evictions=%d, want 1 and 2: the readmitted ghost must evict itself, not block 2", s.Hits, s.Evictions)
 	}
 }

@@ -1,7 +1,5 @@
 package blockcache
 
-import "container/list"
-
 // twoQPolicy implements the simplified 2Q algorithm (Johnson & Shasha,
 // "2Q: A Low Overhead High Performance Buffer Management Replacement
 // Algorithm", VLDB 1994). New blocks enter the A1in FIFO; only blocks
@@ -13,39 +11,36 @@ import "container/list"
 // Tuning follows the paper's recommendation: Kin (FIFO share) is a quarter
 // of the capacity; Kout (ghost length) is sized at twice the capacity so a
 // hot block's ghost survives one full scan between touches.
+//
+// The three queues share one slotLists, so a block moving from A1in to the
+// A1out ghost queue, or from A1out to Am, keeps its node, and a ghost
+// trimmed off A1out's tail frees its node for the next insert.
 type twoQPolicy struct {
 	kin  int // max A1in residents before the FIFO is preferred for eviction
 	kout int // max A1out ghost entries
 
-	a1in  *list.List // resident FIFO; front = newest
-	am    *list.List // resident LRU; front = MRU
-	a1out *list.List // ghost FIFO of block numbers; front = newest
-	where map[int64]*twoQEntry
+	// queues holds A1in (resident FIFO; front = newest), Am (resident LRU;
+	// front = MRU) and A1out (ghost FIFO of block numbers; front = newest).
+	queues slotLists
+	where  map[int64]int32 // block → its node in queues
 }
 
-// 2Q list tags for twoQEntry.list.
+// 2Q queue numbers in twoQPolicy.queues.
 const (
-	twoQA1in = iota
+	twoQA1in int32 = iota
 	twoQAm
 	twoQA1out
 )
-
-type twoQEntry struct {
-	elem *list.Element
-	list int
-}
 
 func newTwoQPolicy(capacity int) *twoQPolicy {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &twoQPolicy{
-		kin:   max(1, capacity/4),
-		kout:  max(1, 2*capacity),
-		a1in:  list.New(),
-		am:    list.New(),
-		a1out: list.New(),
-		where: make(map[int64]*twoQEntry),
+		kin:    max(1, capacity/4),
+		kout:   max(1, 2*capacity),
+		queues: newSlotLists(3),
+		where:  make(map[int64]int32),
 	}
 }
 
@@ -58,15 +53,12 @@ func (p *twoQPolicy) Name() string { return Policy2Q }
 // Policy contract requires Touch(victim) after a failed write-back to
 // de-prioritize the victim so eviction can make progress on other blocks.
 func (p *twoQPolicy) Touch(n int64) {
-	e, ok := p.where[n]
+	i, ok := p.where[n]
 	if !ok {
 		return
 	}
-	switch e.list {
-	case twoQAm:
-		p.am.MoveToFront(e.elem)
-	case twoQA1in:
-		p.a1in.MoveToFront(e.elem)
+	if q := p.queues.nodes[i].list; q != twoQA1out {
+		p.queues.moveToFront(q, i)
 	}
 }
 
@@ -74,30 +66,27 @@ func (p *twoQPolicy) Touch(n int64) {
 // (their re-reference proves reuse beyond a single pass), everything else
 // starts in A1in.
 func (p *twoQPolicy) Insert(n int64) {
-	if e, ok := p.where[n]; ok {
-		switch e.list {
-		case twoQA1in, twoQAm:
+	if i, ok := p.where[n]; ok {
+		if p.queues.nodes[i].list == twoQA1out {
+			p.queues.moveToFront(twoQAm, i)
+		} else {
 			p.Touch(n) // defensive; the cache never double-inserts
-		case twoQA1out:
-			p.a1out.Remove(e.elem)
-			e.elem = p.am.PushFront(n)
-			e.list = twoQAm
 		}
 		return
 	}
-	p.where[n] = &twoQEntry{elem: p.a1in.PushFront(n), list: twoQA1in}
+	p.where[n] = p.queues.pushFront(twoQA1in, n)
 }
 
 // Victim prefers draining the FIFO once it exceeds its share, so scans
 // evict their own blocks instead of Am's.
 func (p *twoQPolicy) Victim() (int64, bool) {
-	if p.a1in.Len() > p.kin || p.am.Len() == 0 {
-		if back := p.a1in.Back(); back != nil {
-			return back.Value.(int64), true
+	if p.queues.lens[twoQA1in] > p.kin || p.queues.lens[twoQAm] == 0 {
+		if i, ok := p.queues.back(twoQA1in); ok {
+			return p.queues.nodes[i].block, true
 		}
 	}
-	if back := p.am.Back(); back != nil {
-		return back.Value.(int64), true
+	if i, ok := p.queues.back(twoQAm); ok {
+		return p.queues.nodes[i].block, true
 	}
 	return 0, false
 }
@@ -105,35 +94,26 @@ func (p *twoQPolicy) Victim() (int64, bool) {
 // Remove retires an evicted block: FIFO evictions leave a ghost in A1out,
 // Am evictions are forgotten entirely.
 func (p *twoQPolicy) Remove(n int64) {
-	e, ok := p.where[n]
+	i, ok := p.where[n]
 	if !ok {
 		return
 	}
-	switch e.list {
-	case twoQA1in:
-		p.a1in.Remove(e.elem)
-		e.elem = p.a1out.PushFront(n)
-		e.list = twoQA1out
-		for p.a1out.Len() > p.kout {
-			back := p.a1out.Back()
-			old := back.Value.(int64)
-			p.a1out.Remove(back)
-			delete(p.where, old)
-		}
-	case twoQAm:
-		p.am.Remove(e.elem)
+	if p.queues.nodes[i].list != twoQA1in {
+		p.queues.remove(i)
 		delete(p.where, n)
-	case twoQA1out:
-		p.a1out.Remove(e.elem)
-		delete(p.where, n)
+		return
+	}
+	p.queues.moveToFront(twoQA1out, i)
+	for p.queues.lens[twoQA1out] > p.kout {
+		old, _ := p.queues.back(twoQA1out)
+		delete(p.where, p.queues.nodes[old].block)
+		p.queues.remove(old)
 	}
 }
 
 func (p *twoQPolicy) Reset() {
-	p.a1in.Init()
-	p.am.Init()
-	p.a1out.Init()
-	p.where = make(map[int64]*twoQEntry)
+	p.queues.reset()
+	clear(p.where)
 }
 
 var _ Policy = (*twoQPolicy)(nil)
