@@ -4,6 +4,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"stegfs/internal/stegdb"
@@ -76,5 +77,44 @@ func TestExitCodes(t *testing.T) {
 		if got := run(tc.args, io.Discard, io.Discard); got != tc.want {
 			t.Errorf("%s: exit %d, want %d", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestOldFormatTable: a table of the stegdb format before this one
+// (magic SGDB0001 in its first member) is not checked as if it were
+// current: -table reports it and exits non-zero.
+func TestOldFormatTable(t *testing.T) {
+	img := newImage(t)
+	if got := run([]string{"-table", "db/accounts", img}, io.Discard, io.Discard); got != exitClean {
+		t.Fatalf("setup: clean table exit %d", got)
+	}
+	store, err := vdisk.OpenFileStore(img, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	fs, err := stegfs.Mount(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := fs.NewHiddenView("db")
+	if err := view.Adopt("accounts.p0"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := view.WriteAt("accounts.p0", []byte("SGDB0001"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if got := run([]string{"-table", "db/accounts", img}, &out, io.Discard); got == exitClean {
+		t.Fatalf("an SGDB0001 table checked clean:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "SGDB0001") {
+		t.Fatalf("the report does not name the old format:\n%s", out.String())
 	}
 }

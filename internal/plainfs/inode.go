@@ -62,12 +62,7 @@ func encodeInode(in *inode, buf []byte) error {
 	if len(in.root.Direct) != NumDirect {
 		return fmt.Errorf("plainfs: inode root has %d direct slots, want %d", len(in.root.Direct), NumDirect)
 	}
-	for i := 0; i < NumDirect; i++ {
-		binary.BigEndian.PutUint64(buf[off+i*8:], uint64(in.root.Direct[i]))
-	}
-	off += NumDirect * 8
-	binary.BigEndian.PutUint64(buf[off:], uint64(in.root.Single))
-	binary.BigEndian.PutUint64(buf[off+8:], uint64(in.root.Double))
+	in.root.Put(buf[off:])
 	return nil
 }
 
@@ -89,12 +84,6 @@ func decodeInode(buf []byte) (*inode, error) {
 	off := 3 + maxNameLen
 	in.size = int64(binary.BigEndian.Uint64(buf[off:]))
 	in.nblocks = int64(binary.BigEndian.Uint64(buf[off+8:]))
-	off += 16
-	for i := 0; i < NumDirect; i++ {
-		in.root.Direct[i] = int64(binary.BigEndian.Uint64(buf[off+i*8:]))
-	}
-	off += NumDirect * 8
-	in.root.Single = int64(binary.BigEndian.Uint64(buf[off:]))
-	in.root.Double = int64(binary.BigEndian.Uint64(buf[off+8:]))
+	in.root.Get(buf[off+16:], NumDirect)
 	return in, nil
 }

@@ -1,8 +1,10 @@
 package ptree
 
 import (
+	"bytes"
 	"encoding/binary"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -58,6 +60,46 @@ func FuzzParsePtrs(f *testing.F) {
 		}
 		if !reflect.DeepEqual(got, again) {
 			t.Fatalf("pointer round trip mismatch:\n%v\n%v", got, again)
+		}
+	})
+}
+
+// FuzzRootRoundTrip pins the Root codec that hidden-file headers and plain
+// inodes store their pointers with: Get reads nDirect+2 big-endian
+// PtrSize-byte slots from the start of any buffer that holds them and
+// reuses the root's Direct capacity, and Put writes back exactly the bytes
+// Get read.
+func FuzzRootRoundTrip(f *testing.F) {
+	buf := make([]byte, 26*PtrSize)
+	for i := range 26 {
+		binary.BigEndian.PutUint64(buf[i*PtrSize:], uint64(1000+i))
+	}
+	f.Add(buf, 24)
+	f.Add(buf, 0)
+	f.Add(buf[:3*PtrSize], 1)
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 0, 0, 0, 1}, 0)
+
+	f.Fuzz(func(t *testing.T, data []byte, nDirect int) {
+		if nDirect < 0 || (nDirect+2)*PtrSize > len(data) {
+			return
+		}
+		r := NewRoot(64)
+		store := &r.Direct[:1][0]
+		n := r.Get(data, nDirect)
+		if n != (nDirect+2)*PtrSize || len(r.Direct) != nDirect {
+			t.Fatalf("Get read %d bytes into %d direct slots, want %d and %d", n, len(r.Direct), (nDirect+2)*PtrSize, nDirect)
+		}
+		if nDirect > 0 && nDirect <= 64 && &r.Direct[0] != store {
+			t.Fatal("Get did not reuse the root's Direct capacity")
+		}
+		for i, p := range append(slices.Clone(r.Direct), r.Single, r.Double) {
+			if want := int64(binary.BigEndian.Uint64(data[i*PtrSize:])); p != want {
+				t.Fatalf("slot %d = %d, buffer holds %d", i, p, want)
+			}
+		}
+		out := make([]byte, len(data))
+		if m := r.Put(out); m != n || !bytes.Equal(out[:m], data[:n]) {
+			t.Fatalf("Put wrote %d bytes %x, Get read %d bytes %x", m, out[:m], n, data[:n])
 		}
 	})
 }

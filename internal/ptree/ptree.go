@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -46,6 +47,10 @@ type AllocFunc func() (int64, error)
 // FreeFunc releases a pointer block.
 type FreeFunc func(int64)
 
+// PtrSize is the on-disk width of one block pointer, big-endian: an entry
+// of a pointer block, and a slot of a Root as Put lays it out.
+const PtrSize = 8
+
 // Root is the pointer set stored inside an inode or hidden-file header.
 type Root struct {
 	Direct []int64 // len fixed by the owner's on-disk format
@@ -53,14 +58,34 @@ type Root struct {
 	Double int64   // double-indirect pointer block (NilBlock if unused)
 }
 
-// NewRoot returns an empty root with nDirect direct slots.
-func NewRoot(nDirect int) Root {
-	d := make([]int64, nDirect)
-	for i := range d {
-		d[i] = NilBlock
+// Put encodes r at the start of buf: its direct pointers, then Single and
+// Double, PtrSize bytes each. It returns the length written,
+// (len(r.Direct)+2)*PtrSize.
+func (r Root) Put(buf []byte) int {
+	for i, p := range r.Direct {
+		binary.BigEndian.PutUint64(buf[i*PtrSize:], uint64(p))
 	}
-	return Root{Direct: d, Single: NilBlock, Double: NilBlock}
+	off := len(r.Direct) * PtrSize
+	binary.BigEndian.PutUint64(buf[off:], uint64(r.Single))
+	binary.BigEndian.PutUint64(buf[off+PtrSize:], uint64(r.Double))
+	return off + 2*PtrSize
 }
+
+// Get decodes a root of nDirect direct slots laid out by Put at the start
+// of buf, reusing r.Direct's capacity, and returns the length read.
+func (r *Root) Get(buf []byte, nDirect int) int {
+	r.Direct = slices.Grow(r.Direct[:0], nDirect)[:nDirect]
+	for i := range r.Direct {
+		r.Direct[i] = int64(binary.BigEndian.Uint64(buf[i*PtrSize:]))
+	}
+	off := nDirect * PtrSize
+	r.Single = int64(binary.BigEndian.Uint64(buf[off:]))
+	r.Double = int64(binary.BigEndian.Uint64(buf[off+PtrSize:]))
+	return off + 2*PtrSize
+}
+
+// NewRoot returns an empty root with nDirect direct slots, all NilBlock (0).
+func NewRoot(nDirect int) Root { return Root{Direct: make([]int64, nDirect)} }
 
 // ErrTooLarge reports a file that exceeds the addressable range of the tree.
 var ErrTooLarge = errors.New("ptree: file exceeds maximum addressable size")
@@ -68,12 +93,12 @@ var ErrTooLarge = errors.New("ptree: file exceeds maximum addressable size")
 // MaxBlocks returns the number of data blocks addressable with nDirect
 // direct pointers and the given block size.
 func MaxBlocks(nDirect, blockSize int) int64 {
-	ppb := int64(blockSize / 8)
+	ppb := int64(blockSize / PtrSize)
 	return int64(nDirect) + ppb + ppb*ppb
 }
 
-// ptrsPerBlock returns how many 8-byte pointers fit in one block.
-func ptrsPerBlock(io BlockIO) int64 { return int64(io.BlockSize() / 8) }
+// ptrsPerBlock returns how many pointers fit in one block.
+func ptrsPerBlock(io BlockIO) int64 { return int64(io.BlockSize() / PtrSize) }
 
 // Write stores the data-block list under a root, allocating indirect blocks
 // with alloc as needed. It returns the root and the list of indirect blocks
@@ -161,7 +186,7 @@ func writePtrBlock(io BlockIO, alloc AllocFunc, ptrs []int64) (int64, error) {
 	}
 	buf := make([]byte, io.BlockSize())
 	for i, p := range ptrs {
-		binary.BigEndian.PutUint64(buf[i*8:], uint64(p))
+		binary.BigEndian.PutUint64(buf[i*PtrSize:], uint64(p))
 	}
 	if err := io.WriteBlock(b, buf); err != nil {
 		return b, err
@@ -203,15 +228,15 @@ func readPtrBlock(io BlockIO, b, from, to int64, dst []int64) ([]int64, error) {
 	if err := io.ReadBlock(b, buf); err != nil {
 		return dst, err
 	}
-	from = min(max(from, 0), int64(len(buf)/8))
-	return parsePtrs(buf[from*8:], to-from, dst), nil
+	from = min(max(from, 0), int64(len(buf)/PtrSize))
+	return parsePtrs(buf[from*PtrSize:], to-from, dst), nil
 }
 
 // parsePtrs decodes up to max pointers from the start of buf, stopping at
 // the first NilBlock, appending them to dst.
 func parsePtrs(buf []byte, max int64, dst []int64) []int64 {
-	for i := int64(0); i < max && i < int64(len(buf)/8); i++ {
-		p := int64(binary.BigEndian.Uint64(buf[i*8:]))
+	for i := int64(0); i < max && i < int64(len(buf)/PtrSize); i++ {
+		p := int64(binary.BigEndian.Uint64(buf[i*PtrSize:]))
 		if p == NilBlock {
 			break
 		}
@@ -296,7 +321,7 @@ func readDouble(io BlockIO, dbl, lo, hi int64, out []int64) ([]int64, error) {
 	for i, buf := range bufs {
 		base := (first + int64(i)) * ppb
 		a := max(lo-base, 0)
-		out = parsePtrs(buf[a*8:], min(hi-base, ppb)-a, out)
+		out = parsePtrs(buf[a*PtrSize:], min(hi-base, ppb)-a, out)
 	}
 	return out, nil
 }

@@ -92,16 +92,8 @@ type node struct {
 }
 
 // NewBTree opens the tree rooted in the pager's meta (creating an empty
-// tree if none exists). A hash index an older version stored beside the
-// tree is dropped: the tree holds every row, and clearing metaHashRoot
-// (persisted by the next commit) keeps an older binary from serving the
-// index's now stale values.
-func NewBTree(pg *Pager) *BTree {
-	if pg.metaField(metaHashRoot) != nilPage {
-		pg.setMetaField(metaHashRoot, nilPage)
-	}
-	return &BTree{pg: pg, latches: newTreeLatches()}
-}
+// tree if none exists).
+func NewBTree(pg *Pager) *BTree { return &BTree{pg: pg, latches: newTreeLatches()} }
 
 func (t *BTree) root() int64 { return t.pg.metaField(metaBTreeRoot) }
 

@@ -9,14 +9,12 @@ import (
 	"sync"
 )
 
-// Commit pipeline: stegdb turns every Sync into an atomic commit via a
-// physical redo journal kept in a sibling hidden file (name + ".wal"). A
-// commit covers a group of pagers — every partition of a table, or one
-// pager on its own — and writes ONE journal for the whole group, into the
-// journal file of the group's first member. The cache is no-steal (dirty
-// pages never reach a home file outside a commit), so every home file
-// always holds exactly the last committed epoch, and the commit sequence
-// is:
+// Commit pipeline: stegdb turns every table Sync into an atomic commit via
+// a physical redo journal kept in the table's one journal file (name +
+// ".wal"). A commit covers every member pager of the table and writes ONE
+// journal for the whole group. The cache is no-steal (dirty pages never
+// reach a home file outside a commit), so every home file always holds
+// exactly the last committed epoch, and the commit sequence is:
 //
 //  1. prepare  — per member, pin an internal snapshot (epoch + full meta
 //     image, atomically) and capture every dirty page AS OF that epoch:
@@ -56,10 +54,11 @@ import (
 // of two commits, so it drops every base it captured (and metaBase): the
 // next commit journals and homes those pages whole.
 //
-// Recovery (replayJournal, run by OpenPartitionedTable and OpenPager
-// before any meta page is read): if the group's journal header and body
-// check out, replay every record into its member's home file and barrier.
-// A crash before step 3 leaves an invalid journal (CRC) and untouched home
+// Recovery (replayJournal, run by OpenPartitionedTable after it has read
+// the first member's magic and partition count, and before it reads any
+// other meta field): if the journal's header and body check out and the
+// header names as many members as the table has, replay every record
+// into its member's home file and barrier. A crash before step 3 leaves an invalid journal (CRC) and untouched home
 // files (old epoch); a crash after it leaves a valid journal whose replay
 // produces the new epoch: outside its ranges the new epoch equals the
 // bases, which are what the home files held, so a partly homed commit is
@@ -68,45 +67,27 @@ import (
 // after commit N+1's journal landed). One CRC covers every member's
 // records, so the whole table remounts at exactly the old or the new
 // epoch — never a mix, not even across partitions.
-//
-// Older journals were written per file: whole-page records (walMagicV1)
-// or range records (walMagicV2), one journal in each member's own ".wal".
-// They still replay, each into its own file. A group commit never
-// rewrites the journal file of a member other than the first, so a
-// legacy journal left there would stay valid and, replayed after a later
-// commit, roll its partition back: OpenPartitionedTable invalidates it
-// (zeroes its magic, then barriers) before it returns the table.
 
-// walSuffix names the journal sibling of a database file.
+// walSuffix names a table's journal file: table name + walSuffix.
 const walSuffix = ".wal"
 
-// walMagic marks a group journal: a header carrying the member count,
-// then member-tagged range records. walMagicV2 marks one file's journal of
-// range records, walMagicV1 one file's journal of whole-page records
-// starting at byte PageSize.
-const (
-	walMagic   = "SGWL0003"
-	walMagicV2 = "SGWL0002"
-	walMagicV1 = "SGWL0001"
-)
+// walMagic marks a journal: a header carrying the member count, then
+// member-tagged range records.
+const walMagic = "SGWL0003"
 
 // Journal header (the journal file's first bytes): magic(8) epoch(8)
 // count(8) journalLen(8) journalCRC(8) members(8) headerCRC(8); the
-// header CRC covers every byte before it. A group record is member(4)
-// page id(8) off(4) len(4), then len bytes. A v2 header has no members
-// field (its CRC sits at walHdrMembers) and its records no member tag; a
-// v1 record is page id(8) and a whole page image.
+// header CRC covers every byte before it. A record is member(4) page
+// id(8) off(4) len(4), then len bytes.
 const (
-	walHdrEpoch     = 8
-	walHdrCount     = 16
-	walHdrLen       = 24
-	walHdrJCRC      = 32
-	walHdrMembers   = 40
-	walHdrHCRC      = 48
-	walHdrEnd       = 56
-	walRecHdr       = 20
-	walV2RecHdr     = 16
-	walV1RecordSize = 8 + PageSize
+	walHdrEpoch   = 8
+	walHdrCount   = 16
+	walHdrLen     = 24
+	walHdrJCRC    = 32
+	walHdrMembers = 40
+	walHdrHCRC    = 48
+	walHdrEnd     = 56
+	walRecHdr     = 20
 )
 
 // walMaxRecords bounds a plausible journal (sanity check on recovery).
@@ -218,15 +199,14 @@ func changedRange(base, img []byte) (lo, hi int) {
 	return lo, hi
 }
 
-// commit runs one commit of the group pgs, every pager a file of view —
-// one pager for Pager.Sync, every partition for PartitionedTable.Sync. The
-// phases above run across the whole group: ONE journal in pgs[0]'s journal
-// file holds every member's records, ONE barrier makes it durable, every
-// member's records go home, and ONE more barrier makes the homes durable,
-// whatever the pager count. Commit locks are taken in slice order (the
-// commitMu class is multi for exactly this walk), so concurrent commits
-// cannot deadlock.
-func commit(view View, pgs []*Pager) error {
+// commit runs one commit of the group pgs, every pager a file of view
+// (every partition of a table, in member order) journaled in wal. The
+// phases above run across the whole group: ONE journal in wal holds every
+// member's records, ONE barrier makes it durable, every member's records
+// go home, and ONE more barrier makes the homes durable, whatever the
+// pager count. Commit locks are taken in slice order (the commitMu class
+// is multi for exactly this walk), so concurrent commits cannot deadlock.
+func commit(view View, wal string, pgs []*Pager) error {
 	lockCommits(pgs)
 	defer unlockCommits(pgs)
 	states := make([]*commitState, len(pgs))
@@ -241,7 +221,7 @@ func commit(view View, pgs []*Pager) error {
 		records = records || len(st.recs) > 0
 	}
 	if records {
-		if err := writeJournal(view, pgs[0].walName, states); err != nil {
+		if err := writeJournal(view, wal, states); err != nil {
 			return abortCommit(pgs, states, err)
 		}
 		if err := view.Sync(); err != nil { // one barrier: the journal is durable
@@ -503,94 +483,55 @@ func (p *Pager) releaseCommit(st *commitState) {
 	st.entries, st.cuts, st.recs = nil, nil, nil
 }
 
-// soleMember is the files argument of replayJournal for a journal that
-// belongs to the database file name alone.
-func soleMember(name string) func(n int) ([]string, error) {
-	return func(n int) ([]string, error) {
-		if n != 1 {
-			return nil, fmt.Errorf("stegdb: %s%s holds a commit of %d files; open the table they form", name, walSuffix, n)
-		}
-		return []string{name}, nil
-	}
-}
-
-// replayJournal replays the journal in wal into its members' home files
-// if it holds a complete commit. files(n) names a journal's n members in
-// member order, or refuses n; a v1 or v2 journal is one file's (n = 1).
-// It returns the member count it replayed, 0 when the journal holds no
-// complete commit. It does not barrier: the caller does, before anything
-// relies on the replay. A missing or unreadable journal file is an error:
-// without it no later commit could be atomic.
-func replayJournal(view View, wal string, files func(n int) ([]string, error)) (int, error) {
+// replayJournal replays the journal in wal into the member files names
+// (in member order) if it holds a complete commit, and reports whether it
+// did. A complete commit whose header names a member count other than
+// len(names) belongs to some other table shape: it is refused with an
+// error, and no file is touched. It does not barrier: the caller does,
+// before anything relies on the replay. A missing or unreadable journal
+// file is an error: without it no later commit could be atomic.
+func replayJournal(view View, wal string, names []string) (bool, error) {
 	var hdr [walHdrEnd]byte
 	if _, err := view.ReadAt(wal, hdr[:], 0); err != nil {
-		return 0, fmt.Errorf("stegdb: read journal %s (adopt it with the database file): %w", wal, err)
+		return false, fmt.Errorf("stegdb: read journal %s (adopt it with the table's files): %w", wal, err)
 	}
-	ver := 0
-	switch string(hdr[:8]) {
-	case walMagic:
-		ver = 3
-	case walMagicV2:
-		ver = 2
-	case walMagicV1:
-		ver = 1
-	default:
-		return 0, nil // never committed, invalidated, or header torn to garbage
+	if string(hdr[:8]) != walMagic {
+		return false, nil // never committed, or header torn to garbage
 	}
-	hcrc := walHdrHCRC
-	if ver < 3 {
-		hcrc = walHdrMembers
+	if crc64.Checksum(hdr[:walHdrHCRC], walCRCTable) != binary.BigEndian.Uint64(hdr[walHdrHCRC:]) {
+		return false, nil // torn header: the previous commit fully homed, skip
 	}
-	if crc64.Checksum(hdr[:hcrc], walCRCTable) != binary.BigEndian.Uint64(hdr[hcrc:]) {
-		return 0, nil // torn header: the previous commit fully homed, skip
-	}
-	members := int64(1)
-	if ver == 3 {
-		members = int64(binary.BigEndian.Uint64(hdr[walHdrMembers:]))
+	if members := binary.BigEndian.Uint64(hdr[walHdrMembers:]); members != uint64(len(names)) {
+		return false, fmt.Errorf("stegdb: journal %s holds a commit of %d members, the table has %d", wal, members, len(names))
 	}
 	count := int64(binary.BigEndian.Uint64(hdr[walHdrCount:]))
 	jlen := int64(binary.BigEndian.Uint64(hdr[walHdrLen:]))
-	bodyOff, recHdr := int64(walHdrEnd), int64(walRecHdr)
-	switch ver {
-	case 2:
-		bodyOff, recHdr = walHdrMembers+8, walV2RecHdr
-	case 1:
-		bodyOff, recHdr = PageSize, walV1RecordSize-PageSize
-	}
-	minLen, maxLen := count*recHdr, count*(recHdr+PageSize)
-	if ver == 1 {
-		minLen = maxLen
-	}
-	if members < 1 || members > maxPartitions || count <= 0 || count > walMaxRecords || jlen < minLen || jlen > maxLen {
-		return 0, nil
+	if count <= 0 || count > walMaxRecords || jlen < count*walRecHdr || jlen > count*(walRecHdr+PageSize) {
+		return false, nil
 	}
 	// A header claiming more than the file holds is torn; checking first
 	// also bounds the allocation below by the journal's real size.
 	wfi, err := view.Stat(wal)
 	if err != nil {
-		return 0, fmt.Errorf("stegdb: stat journal: %w", err)
+		return false, fmt.Errorf("stegdb: stat journal: %w", err)
 	}
-	if wfi.Size < bodyOff+jlen {
-		return 0, nil
+	if wfi.Size < walHdrEnd+jlen {
+		return false, nil
 	}
 	journal := make([]byte, jlen)
-	if _, err := view.ReadAt(wal, journal, bodyOff); err != nil {
-		return 0, nil // journal shorter than the header claims: torn commit
+	if _, err := view.ReadAt(wal, journal, walHdrEnd); err != nil {
+		return false, nil // journal shorter than the header claims: torn commit
 	}
 	if crc64.Checksum(journal, walCRCTable) != binary.BigEndian.Uint64(hdr[walHdrJCRC:]) {
-		return 0, nil // torn journal body: the home files hold the old epoch
+		return false, nil // torn journal body: the home files hold the old epoch
 	}
 	// Valid journal: parse every record before replaying any, then pre-grow
 	// each home file if the crash lost a Resize that preceded the commit.
-	recs, err := parseJournal(journal, int(count), ver, int(members))
+	recs, err := parseJournal(journal, int(count), len(names))
 	if err != nil {
-		return 0, err
+		return false, err
 	}
-	names, err := files(int(members))
-	if err != nil {
-		return 0, err
-	}
-	need := make([]int64, members)
+	need := make([]int64, len(names))
 	for _, r := range recs {
 		need[r.member] = max(need[r.member], (r.id+1)*PageSize)
 	}
@@ -600,63 +541,51 @@ func replayJournal(view View, wal string, files func(n int) ([]string, error)) (
 		}
 		fi, err := view.Stat(name)
 		if err != nil {
-			return 0, fmt.Errorf("stegdb: stat %s for replay: %w", name, err)
+			return false, fmt.Errorf("stegdb: stat %s for replay: %w", name, err)
 		}
 		if fi.Size < need[m] {
 			if err := view.Resize(name, need[m]); err != nil {
-				return 0, fmt.Errorf("stegdb: grow %s for replay: %w", name, err)
+				return false, fmt.Errorf("stegdb: grow %s for replay: %w", name, err)
 			}
 		}
 	}
 	for _, r := range recs {
 		if _, err := view.WriteAt(names[r.member], r.data, r.id*PageSize+int64(r.off)); err != nil {
-			return 0, fmt.Errorf("stegdb: replay page %d of %s: %w", r.id, names[r.member], err)
+			return false, fmt.Errorf("stegdb: replay page %d of %s: %w", r.id, names[r.member], err)
 		}
 	}
-	return int(members), nil
+	return true, nil
 }
 
-// parseJournal splits a CRC-valid journal body of version ver into its
-// count records: whole-page records for v1, range records for v2, and
-// range records tagged with one of members member indexes for a group
-// journal. A record that does not fit its page or names no member, or a
-// body its records do not exactly fill, is corruption, not a torn commit.
-func parseJournal(journal []byte, count, ver, members int) ([]walRecord, error) {
+// parseJournal splits a CRC-valid journal body into its count records,
+// each tagged with one of members member indexes. A record that does not
+// fit its page or names no member, or a body its records do not exactly
+// fill, is corruption, not a torn commit.
+func parseJournal(journal []byte, count, members int) ([]walRecord, error) {
 	recs := make([]walRecord, 0, count)
 	off := 0
 	for i := 0; i < count; i++ {
-		r := walRecord{}
-		if ver == 1 {
-			r.id = int64(binary.BigEndian.Uint64(journal[off:]))
-			r.data = journal[off+8 : off+walV1RecordSize]
-			off += walV1RecordSize
-		} else {
-			hdr := walV2RecHdr
-			if ver == 3 {
-				hdr = walRecHdr
-			}
-			if off+hdr > len(journal) {
-				return nil, fmt.Errorf("stegdb: journal record %d overruns the journal", i)
-			}
-			if ver == 3 {
-				if r.member = int(binary.BigEndian.Uint32(journal[off:])); r.member >= members {
-					return nil, fmt.Errorf("stegdb: journal record %d names member %d of %d", i, r.member, members)
-				}
-				off += 4
-			}
-			r.id = int64(binary.BigEndian.Uint64(journal[off:]))
-			ro := binary.BigEndian.Uint32(journal[off+8:])
-			rn := binary.BigEndian.Uint32(journal[off+12:])
-			off += walV2RecHdr
-			if uint64(ro)+uint64(rn) > PageSize || rn > uint32(len(journal)-off) {
-				return nil, fmt.Errorf("stegdb: journal record %d range [%d,+%d) does not fit", i, ro, rn)
-			}
-			r.off, r.data = int(ro), journal[off:off+int(rn)]
-			off += int(rn)
+		if off+walRecHdr > len(journal) {
+			return nil, fmt.Errorf("stegdb: journal record %d overruns the journal", i)
+		}
+		r := walRecord{
+			member: int(binary.BigEndian.Uint32(journal[off:])),
+			id:     int64(binary.BigEndian.Uint64(journal[off+4:])),
+		}
+		ro := binary.BigEndian.Uint32(journal[off+12:])
+		rn := binary.BigEndian.Uint32(journal[off+16:])
+		off += walRecHdr
+		if r.member >= members {
+			return nil, fmt.Errorf("stegdb: journal record %d names member %d of %d", i, r.member, members)
 		}
 		if r.id < 0 || r.id > walMaxRecords {
 			return nil, fmt.Errorf("stegdb: journal record %d has implausible page id %d", i, r.id)
 		}
+		if uint64(ro)+uint64(rn) > PageSize || rn > uint32(len(journal)-off) {
+			return nil, fmt.Errorf("stegdb: journal record %d range [%d,+%d) does not fit", i, ro, rn)
+		}
+		r.off, r.data = int(ro), journal[off:off+int(rn)]
+		off += int(rn)
 		recs = append(recs, r)
 	}
 	if off != len(journal) {

@@ -91,7 +91,7 @@ func runPartitionedCrash(t *testing.T, cutAt int64) (img []byte, window int64) {
 		cs.TearAfter(cutAt, 0)
 	}
 	// With the cut armed the live mount may observe its own dropped writes
-	// as stale reads and surface an error — that IS the crash; only the
+	// as outdated reads and surface an error — that IS the crash; only the
 	// surviving image matters. Without a cut the commit must succeed.
 	if err := pt.Sync(); err != nil && cutAt < 0 {
 		t.Fatalf("probe Sync: %v", err)
@@ -387,7 +387,7 @@ func runRecordKindsCrash(t *testing.T, cutAt int64) ([]byte, int64, []crashModel
 // data page of partition 2.
 func checkRecordKinds(t *testing.T, pt *PartitionedTable) {
 	t.Helper()
-	wal := pt.parts[0].pg.walName
+	wal := pt.wal
 	hdr := make([]byte, walHdrEnd)
 	if _, err := pt.view.ReadAt(wal, hdr, 0); err != nil {
 		t.Fatal(err)
@@ -400,7 +400,7 @@ func checkRecordKinds(t *testing.T, pt *PartitionedTable) {
 	if _, err := pt.view.ReadAt(wal, body, walHdrEnd); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := parseJournal(body, int(binary.BigEndian.Uint64(hdr[walHdrCount:])), 3, crashParts)
+	recs, err := parseJournal(body, int(binary.BigEndian.Uint64(hdr[walHdrCount:])), crashParts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -241,105 +241,42 @@ func (v *memView) Stat(name string) (fsapi.FileInfo, error) {
 
 func (v *memView) Sync() error { return nil }
 
-// v1Journal lays out a journal of the older whole-page format: the header
-// page, then one walV1RecordSize record (page id, image) per page.
-func v1Journal(epoch int64, ids []int64, imgs [][]byte) []byte {
-	j := make([]byte, PageSize, PageSize+len(ids)*walV1RecordSize)
-	for i, id := range ids {
-		j = binary.BigEndian.AppendUint64(j, uint64(id))
-		j = append(j, imgs[i]...)
-	}
-	copy(j, walMagicV1)
-	binary.BigEndian.PutUint64(j[walHdrEpoch:], uint64(epoch))
-	binary.BigEndian.PutUint64(j[walHdrCount:], uint64(len(ids)))
-	binary.BigEndian.PutUint64(j[walHdrLen:], uint64(len(j)-PageSize))
-	sealJournal(j)
-	return j
-}
-
-// v2Journal lays out one file's journal of the older range format
-// (SGWL0002): a header without a member count, then untagged range
-// records.
-func v2Journal(epoch int64, recs []walRecord) []byte {
-	j := make([]byte, walHdrMembers+8)
+// groupJournal lays out a journal of members members holding recs, as
+// writeJournal does.
+func groupJournal(epoch int64, members int, recs []walRecord) []byte {
+	j := make([]byte, walHdrEnd)
 	for _, r := range recs {
+		j = binary.BigEndian.AppendUint32(j, uint32(r.member))
 		j = binary.BigEndian.AppendUint64(j, uint64(r.id))
 		j = binary.BigEndian.AppendUint32(j, uint32(r.off))
 		j = binary.BigEndian.AppendUint32(j, uint32(len(r.data)))
 		j = append(j, r.data...)
 	}
-	copy(j, walMagicV2)
+	copy(j, walMagic)
 	binary.BigEndian.PutUint64(j[walHdrEpoch:], uint64(epoch))
 	binary.BigEndian.PutUint64(j[walHdrCount:], uint64(len(recs)))
-	binary.BigEndian.PutUint64(j[walHdrLen:], uint64(len(j)-walHdrMembers-8))
+	binary.BigEndian.PutUint64(j[walHdrLen:], uint64(len(j)-walHdrEnd))
+	binary.BigEndian.PutUint64(j[walHdrMembers:], uint64(members))
 	sealJournal(j)
 	return j
 }
 
-// journalLayout returns where a journal's header CRC and body start, by
-// its magic.
-func journalLayout(j []byte) (hcrc, body int) {
-	switch string(j[:8]) {
-	case walMagicV1:
-		return walHdrMembers, PageSize
-	case walMagicV2:
-		return walHdrMembers, walHdrMembers + 8
-	}
-	return walHdrHCRC, walHdrEnd
-}
-
-// sealJournal recomputes a journal's body and header CRCs in place, for
-// any magic; a body shorter than the header claims keeps its old CRC.
+// sealJournal recomputes a journal's body and header CRCs in place; a body
+// shorter than the header claims keeps its old CRC.
 func sealJournal(j []byte) {
 	if len(j) < walHdrEnd {
 		return
 	}
-	hcrc, body := journalLayout(j)
-	if jlen := binary.BigEndian.Uint64(j[walHdrLen:]); uint64(body) <= uint64(len(j)) && jlen <= uint64(len(j)-body) {
-		binary.BigEndian.PutUint64(j[walHdrJCRC:], crc64.Checksum(j[body:uint64(body)+jlen], walCRCTable))
+	if jlen := binary.BigEndian.Uint64(j[walHdrLen:]); jlen <= uint64(len(j)-walHdrEnd) {
+		binary.BigEndian.PutUint64(j[walHdrJCRC:], crc64.Checksum(j[walHdrEnd:walHdrEnd+jlen], walCRCTable))
 	}
-	binary.BigEndian.PutUint64(j[hcrc:], crc64.Checksum(j[:hcrc], walCRCTable))
+	binary.BigEndian.PutUint64(j[walHdrHCRC:], crc64.Checksum(j[:walHdrHCRC], walCRCTable))
 }
 
-// A range journal is small, so FuzzRecoverWAL takes it as the journal file
-// itself. A v1 journal carries a 4 KiB image per record, so its inputs are
-// compact: the header's walHdrEnd bytes, then walStub bytes per record —
-// its page id and the first 8 bytes of its image, the rest of which is
-// zero. Recovery parses only the header and the ids, so the fuzzer still
-// controls every field it reads.
-const walStub = 16
-
-// journalFile turns a fuzz input into the journal file: a v1 input is
-// expanded (a trailing partial stub is dropped); any other is used as is.
-func journalFile(c []byte) []byte {
-	if len(c) < 8 || string(c[:8]) != walMagicV1 {
-		return append([]byte(nil), c...)
-	}
-	j := make([]byte, PageSize)
-	copy(j, c[:min(len(c), walHdrEnd)])
-	for off := walHdrEnd; off+walStub <= len(c); off += walStub {
-		rec := make([]byte, walV1RecordSize)
-		copy(rec, c[off:off+walStub])
-		j = append(j, rec...)
-	}
-	return j
-}
-
-// compactV1Journal is journalFile's inverse for a v1 journal.
-func compactV1Journal(j []byte) []byte {
-	n := int(binary.BigEndian.Uint64(j[walHdrCount:]))
-	c := append([]byte(nil), j[:walHdrEnd]...)
-	for i := 0; i < n; i++ {
-		c = append(c, j[PageSize+i*walV1RecordSize:][:walStub]...)
-	}
-	return c
-}
-
-// replayOracle applies a journal found in table's first member's journal
-// file to the member files home the way recovery must: every record's
-// bytes at id*PageSize+off of its member's file, in journal order, each
-// file grown to its highest page first. A v1 or v2 journal's records all
-// belong to partition 0. It parses the journal independently of
+// replayOracle applies a journal found in table's journal file to the
+// member files home the way recovery must: every record's bytes at
+// id*PageSize+off of its member's file, in journal order, each file grown
+// to its highest page first. It parses the journal independently of
 // parseJournal and fails the test on a journal no valid replay could come
 // from.
 func replayOracle(t testing.TB, table string, home map[string][]byte, journal []byte) map[string][]byte {
@@ -352,34 +289,20 @@ func replayOracle(t testing.TB, table string, home map[string][]byte, journal []
 	}
 	count := int(binary.BigEndian.Uint64(journal[walHdrCount:]))
 	var recs []rec
-	_, bodyOff := journalLayout(journal)
-	body := journal[bodyOff:]
+	body := journal[walHdrEnd:]
 	for i := 0; i < count; i++ {
-		r := rec{file: partName(table, 0)}
-		switch string(journal[:8]) {
-		case walMagicV1:
-			r.id, r.data = int64(binary.BigEndian.Uint64(body)), body[8:walV1RecordSize]
-			body = body[walV1RecordSize:]
-			recs = append(recs, r)
-			continue
-		case walMagic:
-			if len(body) < 4 {
-				t.Fatalf("record %d of a replayed journal overruns it", i)
-			}
-			r.file = partName(table, int(binary.BigEndian.Uint32(body)))
-			body = body[4:]
-		}
-		if len(body) < walV2RecHdr {
+		if len(body) < 20 {
 			t.Fatalf("record %d of a replayed journal overruns it", i)
 		}
-		r.id = int64(binary.BigEndian.Uint64(body))
-		r.off = int(binary.BigEndian.Uint32(body[8:]))
-		n := int(binary.BigEndian.Uint32(body[12:]))
-		if r.off+n > PageSize || n > len(body)-walV2RecHdr {
+		r := rec{file: partName(table, int(binary.BigEndian.Uint32(body)))}
+		r.id = int64(binary.BigEndian.Uint64(body[4:]))
+		r.off = int(binary.BigEndian.Uint32(body[12:]))
+		n := int(binary.BigEndian.Uint32(body[16:]))
+		if r.off+n > PageSize || n > len(body)-20 {
 			t.Fatalf("record %d of a replayed journal does not fit: [%d,+%d)", i, r.off, n)
 		}
-		r.data = body[walV2RecHdr : walV2RecHdr+n]
-		body = body[walV2RecHdr+n:]
+		r.data = body[20 : 20+n]
+		body = body[20+n:]
 		recs = append(recs, r)
 	}
 	want := map[string][]byte{}
@@ -407,20 +330,21 @@ func zeroGrown(got, img []byte) bool {
 	return len(got) >= len(img) && bytes.Equal(got[:len(img)], img) && !slices.ContainsFunc(got[len(img):], func(b byte) bool { return b != 0 })
 }
 
-// FuzzRecoverWAL feeds crash recovery arbitrary journals of every format,
-// found where a two-partition table keeps its group journal. Each is
-// either rejected with every member file untouched (or, when recovery
-// fails, only grown by zero bytes: a replay pre-grows every file before it
-// writes any), or replayed
+// FuzzRecoverWAL feeds crash recovery arbitrary journals, found where a
+// two-partition table keeps its journal. Each is either rejected with
+// every member file untouched (or, when recovery fails, only grown by zero
+// bytes: a replay pre-grows every file before it writes any), or replayed
 // in full: every record's bytes land at id*PageSize+off of its member's
-// file, in journal order. A partial replay fails the target. fixCRC
-// re-seals the fuzzed header and body CRCs, so the fuzzer also reaches the
-// checks that run after them.
+// file, in journal order. A partial replay fails the target. A journal
+// whose header names a member count other than the table's is never
+// replayed and leaves every member byte-identical. fixCRC re-seals the
+// fuzzed header and body CRCs, so the fuzzer also reaches the checks that
+// run after them.
 func FuzzRecoverWAL(f *testing.F) {
 	// A real two-partition table with two commits: the member files as the
 	// first left them, which the journals replay into, and the second
-	// commit's group journal as the seed. The second round rewrites every
-	// row and inserts one, so both members have records and one meta page
+	// commit's journal as the seed. The second round rewrites every row
+	// and inserts one, so both members have records and one meta page
 	// changes.
 	const parts = 2
 	mv := &memView{files: map[string][]byte{}}
@@ -428,10 +352,11 @@ func FuzzRecoverWAL(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	names := []string{partName("db", 0), partName("db", 1)}
 	home := map[string][]byte{}
 	for round := 0; round < 2; round++ {
-		for i := 0; i < parts; i++ {
-			home[partName("db", i)] = append([]byte(nil), mv.files[partName("db", i)]...)
+		for _, name := range names {
+			home[name] = append([]byte(nil), mv.files[name]...)
 		}
 		for i := 0; i < 20+round; i++ {
 			if err := tab.Put(u64key(i), []byte(fmt.Sprintf("row-%d-%d", i, round))); err != nil {
@@ -442,7 +367,7 @@ func FuzzRecoverWAL(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	wal := mv.files["db.p0.wal"]
+	wal := mv.files["db.wal"]
 	// Replaying the seed must turn the first commit's member files into the
 	// second's.
 	for name, img := range replayOracle(f, "db", home, wal) {
@@ -453,10 +378,10 @@ func FuzzRecoverWAL(f *testing.F) {
 	valid := wal[:walHdrEnd+binary.BigEndian.Uint64(wal[walHdrLen:])]
 	if string(valid[:8]) != walMagic || binary.BigEndian.Uint64(valid[walHdrCount:]) < 2 ||
 		binary.BigEndian.Uint64(valid[walHdrMembers:]) != parts {
-		f.Fatalf("seed journal %q holds %d records of %d members, want a group journal of 2 or more records",
+		f.Fatalf("seed journal %q holds %d records of %d members, want a journal of 2 or more records",
 			valid[:8], binary.BigEndian.Uint64(valid[walHdrCount:]), binary.BigEndian.Uint64(valid[walHdrMembers:]))
 	}
-	recs, err := parseJournal(valid[walHdrEnd:], int(binary.BigEndian.Uint64(valid[walHdrCount:])), 3, parts)
+	recs, err := parseJournal(valid[walHdrEnd:], int(binary.BigEndian.Uint64(valid[walHdrCount:])), parts)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -494,48 +419,63 @@ func FuzzRecoverWAL(f *testing.F) {
 	f.Add(edit(valid, func(j []byte) { // a record naming no member
 		binary.BigEndian.PutUint32(j[walHdrEnd:], parts)
 	}), true)
-	for _, n := range []uint64{0, 1, parts + 1, maxPartitions + 1} { // member counts the records do not match
+	for _, n := range []uint64{0, 1, parts + 1, maxPartitions + 1} { // member counts the table does not have
 		f.Add(edit(valid, func(j []byte) { binary.BigEndian.PutUint64(j[walHdrMembers:], n) }), true)
 	}
-	// v2 seed: partition 0's records of the second commit as one file's
-	// journal, and the same mangled.
-	var p0 []walRecord
-	for _, r := range recs {
-		if r.member == 0 {
-			p0 = append(p0, r)
+	// A complete commit of a three-member table, found on this two-member
+	// one: a record names the third member. It must be refused with no
+	// member touched.
+	foreign := groupJournal(2, parts+1, append(slices.Clone(recs), walRecord{member: parts, id: 1, data: []byte("third")}))
+	v := &memView{files: map[string][]byte{"db.wal": foreign}}
+	for name, img := range home {
+		v.files[name] = append([]byte(nil), img...)
+	}
+	if replayed, err := replayJournal(v, "db.wal", names); replayed || err == nil {
+		f.Fatalf("a three-member journal on a two-member table: replayed %v, err %v; want a refusal", replayed, err)
+	}
+	for name, img := range home {
+		if !bytes.Equal(v.files[name], img) {
+			f.Fatalf("refusing a three-member journal changed %s", name)
 		}
 	}
-	v2 := v2Journal(2, p0)
-	f.Add(v2, true)
-	f.Add(v2[:walHdrMembers+8], true)
-	f.Add(edit(v2, func(j []byte) { binary.BigEndian.PutUint32(j[walHdrMembers+8+8:], PageSize-1) }), true)
-	// v1 seeds: partition 0 as whole pages, and the same mangled.
-	ids := []int64{1, 0}
-	first := home["db.p0"]
-	imgs := [][]byte{first[PageSize : 2*PageSize], first[:PageSize]}
-	v1 := compactV1Journal(v1Journal(2, ids, imgs))
-	f.Add(v1, true)
-	f.Add(v1, false) // stubbed images do not match the body CRC
-	f.Add(v1[:walHdrEnd], true)
-	f.Add(v1[:walHdrEnd+walStub], true) // body shorter than the header claims
-	f.Add(edit(v1, func(j []byte) {
-		binary.BigEndian.PutUint64(j[walHdrCount:], walMaxRecords)
-		binary.BigEndian.PutUint64(j[walHdrLen:], walMaxRecords*walV1RecordSize)
+	f.Add(foreign, true)
+	for _, magic := range []string{"SGWL0002", "SGWL0001"} { // journal formats this version does not replay
+		f.Add(edit(valid, func(j []byte) { copy(j, magic) }), true)
+	}
+	f.Add(edit(valid, func(j []byte) { // a negative page id
+		binary.BigEndian.PutUint64(j[walHdrEnd+4:], 1<<63)
 	}), true)
-	f.Add(edit(v1, func(j []byte) { binary.BigEndian.PutUint64(j[walHdrEnd:], 1<<19) }), true)
-	f.Add(edit(v1, func(j []byte) { binary.BigEndian.PutUint64(j[len(j)-walStub:], 1<<63) }), true)
+	f.Add(edit(valid[:walHdrEnd], func(j []byte) { // a commit of no records
+		binary.BigEndian.PutUint64(j[walHdrCount:], 0)
+		binary.BigEndian.PutUint64(j[walHdrLen:], 0)
+	}), true)
+	// A torn header, and the journal file as a commit left it, page-padded.
+	f.Add(edit(valid, func(j []byte) { j[walHdrEpoch]++ }), false)
+	f.Add(wal, true)
+	f.Add(edit(valid, func(j []byte) { // a record's length running past the body
+		binary.BigEndian.PutUint32(j[walHdrEnd+16:], 1<<31)
+	}), true)
+	var p1 []walRecord
+	for _, r := range recs {
+		if r.member == 1 {
+			p1 = append(p1, r)
+		}
+	}
+	f.Add(groupJournal(2, parts, p1), true) // records of one member only
+	grow := int64(len(home[names[1]])/PageSize + 3)
+	f.Add(groupJournal(2, parts, []walRecord{{member: 1, id: grow, off: 100, data: []byte("past the end")}}), true)
 	f.Add([]byte{}, false)
 
 	f.Fuzz(func(t *testing.T, input []byte, fixCRC bool) {
-		journal := journalFile(input)
+		journal := append([]byte(nil), input...)
 		if fixCRC {
 			sealJournal(journal)
 		}
-		v := &memView{files: map[string][]byte{"db.p0.wal": journal}}
+		v := &memView{files: map[string][]byte{"db.wal": journal}}
 		for name, img := range home {
 			v.files[name] = append([]byte(nil), img...)
 		}
-		n, err := replayJournal(v, "db.p0.wal", partMembers("db"))
+		replayed, err := replayJournal(v, "db.wal", names)
 		untouched := true
 		for name, img := range home {
 			if err != nil {
@@ -546,12 +486,22 @@ func FuzzRecoverWAL(f *testing.F) {
 				untouched = untouched && bytes.Equal(v.files[name], img)
 			}
 		}
+		foreign := len(journal) >= walHdrEnd && binary.BigEndian.Uint64(journal[walHdrMembers:]) != parts
 		switch {
 		case err != nil && !untouched:
 			t.Fatalf("recovery failed (%v) after changing a member file", err)
-		case n == 0 && !untouched:
+		case !replayed && !untouched:
 			t.Fatal("recovery replayed no journal but changed a member file")
-		case n == 0:
+		case foreign && replayed:
+			t.Fatal("recovery replayed a journal of another member count")
+		case foreign:
+			for name, img := range home {
+				if !bytes.Equal(v.files[name], img) {
+					t.Fatalf("refusing a journal of another member count changed %s", name)
+				}
+			}
+			return
+		case !replayed:
 			return // rejected
 		}
 		// Replayed: every member must be exactly the full replay.

@@ -91,10 +91,7 @@ func TestTreeIterReturnsBuffers(t *testing.T) {
 	if testing.CoverMode() != "" || raceEnabled {
 		t.Skip("coverage and race instrumentation allocate")
 	}
-	pg, err := CreatePager(&memView{files: map[string][]byte{}}, "t")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pg := newTestPager(t, &memView{files: map[string][]byte{}}, "t")
 	tree := NewBTree(pg)
 	for i := 0; i < 400; i++ {
 		if err := tree.Put(u64key(i), bytes.Repeat([]byte{'v'}, 100)); err != nil {
@@ -106,10 +103,7 @@ func TestTreeIterReturnsBuffers(t *testing.T) {
 
 	// A second tree whose second leaf is corrupt: a Range over it fails
 	// when it crosses to that leaf.
-	pg2, err := CreatePager(&memView{files: map[string][]byte{}}, "u")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pg2 := newTestPager(t, &memView{files: map[string][]byte{}}, "u")
 	tree2 := NewBTree(pg2)
 	for i := 0; i < 400; i++ {
 		if err := tree2.Put(u64key(i), bytes.Repeat([]byte{'v'}, 100)); err != nil {

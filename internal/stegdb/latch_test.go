@@ -33,7 +33,7 @@ func checkPageDirtyIndex(t *testing.T, tab *PartitionedTable) {
 }
 
 // TestStegDBPageCacheDirtyIndex drives the page-cache dirty index through
-// each transition directly: a clearDirty with a stale generation keeps the
+// each transition directly: a clearDirty with an outdated generation keeps the
 // frame indexed, dirtyEntries returns ascending ids each pinned once, and a
 // matching clearDirty or an unmarkDirty removes the frame.
 func TestStegDBPageCacheDirtyIndex(t *testing.T) {
@@ -48,13 +48,13 @@ func TestStegDBPageCacheDirtyIndex(t *testing.T) {
 		frames[id] = e
 	}
 
-	stale := c.gen(frames[3])
+	before := c.gen(frames[3])
 	frames[3].latch.Lock()
 	if !c.markDirty(frames[3]) {
 		t.Fatal("markDirty on a dirty frame reported it clean")
 	}
 	frames[3].latch.Unlock()
-	c.clearDirty(frames[3], stale) // a write landed since stale: keep it
+	c.clearDirty(frames[3], before) // a write landed since before: keep it
 	c.clearDirty(frames[12], c.gen(frames[12]))
 	frames[5].latch.Lock()
 	c.unmarkDirty(frames[5])

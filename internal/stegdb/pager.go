@@ -6,7 +6,7 @@
 // The package provides a page store (Pager) over a hidden file, a B-link
 // tree over the pager (BTree: rows, per-key shards, splits and their
 // separator posts), and one table type, PartitionedTable, keeping one
-// tree in each of N >= 1 hidden files (N = 1 is the plain one-file table).
+// tree in each of N >= 1 hidden files plus one journal file.
 // The tree serves every lookup; each row is stored once. Everything an
 // adversary can observe is the same encrypted, unlisted blocks as any other
 // hidden file; even the fact that a database exists is hidden behind the
@@ -19,16 +19,16 @@
 // over the B-link tree (btree.go); readers that
 // must not block behind writers take copy-on-write snapshots
 // (BeginSnapshot) pinned at an epoch; see snapshot.go. Durability point:
-// WritePage is write-back — dirty pages reach the hidden file only at
-// Sync/Close, which commits through a physical redo journal (commit.go):
-// journal + header, barrier, home writes, barrier. Crash recovery replays a
-// CRC-valid journal at open, so the on-device state is always exactly
-// some committed epoch (old-or-new, never a mix). Lock order inside the
-// package, outermost first: PartitionedTable snapGate → BTree key
-// shards → Pager commit locks → tree latches → BTree rootMu →
-// Pager.allocMu → page latches → Pager.snapMu → Pager.metaMu → the
-// pageCache mutex. This order is not just
-// prose: each lock carries a lockcheck:level annotation in the stegdb
+// WritePage is write-back — dirty pages reach the hidden file only when
+// their table commits (PartitionedTable.Sync/Close) through its physical
+// redo journal (commit.go): journal + header, barrier, home writes,
+// barrier. Crash recovery replays a CRC-valid journal at open, so the
+// on-device state is always exactly some committed epoch (old-or-new,
+// never a mix). Lock order inside the package, outermost first:
+// PartitionedTable snapGate → BTree key shards → Pager commit locks →
+// tree latches → BTree rootMu → Pager.allocMu → page latches →
+// Pager.snapMu → Pager.metaMu → the pageCache mutex. This order is not
+// just prose: each lock carries a lockcheck:level annotation in the stegdb
 // domain and cmd/lockcheck enforces it in CI — see docs/ANALYSIS.md for the
 // grammar and the level map, and docs/STEGDB.md for the protocols that rely
 // on it.
@@ -36,7 +36,6 @@ package stegdb
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"sync"
@@ -48,22 +47,28 @@ import (
 // block size; the pager maps pages onto hidden-file offsets.
 const PageSize = 4096
 
-// pagerMagic marks page 0 of a database file.
-const pagerMagic = "SGDB0001"
+// pagerMagic marks page 0 of a database file. The magic never changes
+// after createPager writes it, so a table's format can be read before its
+// journal is replayed. pagerMagicV1 marks the format before it, whose
+// layouts and journals this code does not read: such tables are refused
+// by that name (checkMagic).
+const (
+	pagerMagic   = "SGDB0002"
+	pagerMagicV1 = "SGDB0001"
+)
 
 // metaLayout (page 0): magic(8) numPages(8) freeHead(8) btreeRoot(8)
 // hashRoot(8) rows(8) commitEpoch(8) partCount(8) partIndex(8).
-// partCount/partIndex are zero for plain tables and identify the shard for
-// partitioned ones (partition.go). freeHead, hashRoot and commitEpoch are
-// reserved: they held a page free list, a hash index and a per-commit
-// epoch stamp that older versions kept. Pages are never freed now,
-// NewBTree clears a leftover hashRoot, and nothing reads or writes
-// commitEpoch, so a commit that changes no meta field leaves page 0 alone.
+// partCount (N >= 1) and partIndex identify the member within its table
+// (partition.go). freeHead, hashRoot and commitEpoch are reserved and
+// always zero: pages are never freed, there is no hash index, and nothing
+// stamps a commit epoch, so a commit that changes no meta field leaves
+// page 0 alone.
 const (
 	metaNumPages  = 8
 	_             = 16 // freeHead, reserved
 	metaBTreeRoot = 24
-	metaHashRoot  = 32
+	_             = 32 // hashRoot, reserved
 	metaRows      = 40
 	_             = 48 // commitEpoch, reserved
 	metaPartCount = 56
@@ -97,15 +102,12 @@ type View interface {
 }
 
 // Pager provides page-granular storage inside one hidden file, with
-// amortized-doubling growth (pages are never freed), and a physical redo
-// journal (a sibling hidden file, name + ".wal") making every Sync an
-// atomic commit.
+// amortized-doubling growth (pages are never freed). It commits only as a
+// member of its table, whose one journal file makes every commit atomic
+// (commit.go).
 type Pager struct {
 	view View
 	name string
-
-	// walName is the sibling journal file every commit goes through.
-	walName string
 
 	// commitMu serializes the commit pipeline of this pager (journal write
 	// through home writes). It is held across hidden-file I/O by design and
@@ -164,7 +166,6 @@ func newPager(view View, name string) *Pager {
 	return &Pager{
 		view:      view,
 		name:      name,
-		walName:   name + walSuffix,
 		cache:     newPageCache(defaultPageCacheSize),
 		epoch:     1,
 		snaps:     make(map[int64]int64),
@@ -173,64 +174,57 @@ func newPager(view View, name string) *Pager {
 	}
 }
 
-// CreatePager creates the named hidden file (plus its journal sibling) and
-// initializes an empty database in it. The file starts with capacity for a
-// handful of pages and doubles as needed.
-func CreatePager(view View, name string) (*Pager, error) {
+// createPager creates the named hidden file and initializes an empty
+// database in it, member index of a table of parts members. The file
+// starts with capacity for a handful of pages and doubles as needed.
+func createPager(view View, name string, parts, index int) (*Pager, error) {
 	if err := view.Create(name, make([]byte, 8*PageSize)); err != nil {
 		return nil, err
 	}
 	p := newPager(view, name)
-	// An all-zero journal header has no magic, so it never replays.
-	if err := view.Create(p.walName, make([]byte, PageSize)); err != nil {
-		return nil, fmt.Errorf("stegdb: create journal: %w", err)
-	}
-	// lockcheck:ignore the pager has not been published yet; CreatePager has it to itself
+	// lockcheck:ignore the pager has not been published yet; createPager has it to itself
 	copy(p.meta[:], pagerMagic)
-	// lockcheck:ignore the pager has not been published yet; CreatePager has it to itself
+	// lockcheck:ignore the pager has not been published yet; createPager has it to itself
 	p.setMeta(metaNumPages, 1) // the meta page itself
+	// lockcheck:ignore the pager has not been published yet; createPager has it to itself
+	p.setMeta(metaPartCount, int64(parts))
+	// lockcheck:ignore the pager has not been published yet; createPager has it to itself
+	p.setMeta(metaPartIndex, int64(index))
 	if err := p.flushMetaNow(); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// OpenPager opens an existing database file, first replaying the sibling
-// journal if it holds a complete commit (crash recovery). The journal file
-// must be readable through view (adopt name + ".wal" alongside name): every
-// commit goes through it, so a database without one cannot be opened. A
-// journal of a commit across several files (a partitioned table's) is
-// refused: OpenPartitionedTable recovers those.
-func OpenPager(view View, name string) (*Pager, error) {
-	n, err := replayJournal(view, name+walSuffix, soleMember(name))
-	if err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		if err := view.Sync(); err != nil {
-			return nil, fmt.Errorf("stegdb: barrier after recovery: %w", err)
-		}
-	}
-	return openPager(view, name)
-}
-
-// openPager reads the meta page of a database file whose journal has
-// already been recovered.
+// openPager reads the meta page of a database file whose table's journal
+// has already been recovered.
 func openPager(view View, name string) (*Pager, error) {
 	p := newPager(view, name)
 	// lockcheck:ignore the pager has not been published yet; openPager has it to itself
 	if _, err := view.ReadAt(name, p.meta[:], 0); err != nil {
-		return nil, fmt.Errorf("stegdb: read meta page: %w", err)
+		return nil, fmt.Errorf("stegdb: read meta page of %s: %w", name, err)
 	}
 	// lockcheck:ignore the pager has not been published yet; openPager has it to itself
-	if string(p.meta[:8]) != pagerMagic {
-		return nil, errors.New("stegdb: not a stegdb file (bad magic)")
+	if err := checkMagic(name, p.meta[:8]); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
 
+// checkMagic accepts the magic of a database file of this format. A file
+// of the format before it is refused by that format's name.
+func checkMagic(name string, magic []byte) error {
+	switch string(magic) {
+	case pagerMagic:
+		return nil
+	case pagerMagicV1:
+		return fmt.Errorf("stegdb: %s is in the older %s format, which this version does not open", name, pagerMagicV1)
+	}
+	return fmt.Errorf("stegdb: %s is not a stegdb file (bad magic)", name)
+}
+
 // getMeta/setMeta access the meta buffer; callers hold metaMu (or have the
-// pager to themselves, as in CreatePager/openPager, which carry audited
+// pager to themselves, as in createPager/openPager, which carry audited
 // lockcheck:ignore annotations for exactly that reason).
 //
 // lockcheck:holds stegdb/metaMu
@@ -251,7 +245,7 @@ func (p *Pager) metaField(off int) int64 {
 }
 
 // setMetaField updates one meta page field. The change is write-back: it
-// reaches the device at the next Sync.
+// reaches the device at the next commit.
 func (p *Pager) setMetaField(off int, v int64) {
 	p.metaMu.Lock()
 	p.setMeta(off, v)
@@ -322,8 +316,8 @@ func (p *Pager) ensureLoaded(e *pageEntry) error {
 
 // WritePage writes buf (len PageSize) to page id. The write is write-back:
 // the frame is marked dirty and reaches the hidden file at the next commit
-// (Sync/Close). If a snapshot could still see the page's previous content,
-// that content is saved as a copy-on-write version first.
+// (its table's Sync/Close). If a snapshot could still see the page's
+// previous content, that content is saved as a copy-on-write version first.
 //
 // The frame is marked dirty BEFORE the epoch stamp inside
 // saveVersionLocked: a commit pins its epoch under snapMu, so a write
@@ -387,16 +381,6 @@ func (p *Pager) AllocPage() (int64, error) {
 	return id, nil
 }
 
-// Sync is the durability barrier and commit point: it journals a
-// consistent cut of the dirty pages plus the meta page, barriers, writes
-// everything home, and barriers again. After a torn crash anywhere inside,
-// recovery at OpenPager leaves the database at exactly the old or the new
-// epoch. Concurrent callers serialize on the commit lock; tables batch
-// theirs into group commits (PartitionedTable.Sync), and a table's
-// partitions are committed only through their table: the table's journal
-// lives with its first partition.
-func (p *Pager) Sync() error { return commit(p.view, []*Pager{p}) }
-
 // bumpEpoch opens a new epoch after a commit, so snapshots taken afterwards
 // are pinned at a post-commit boundary.
 func (p *Pager) bumpEpoch() {
@@ -404,6 +388,3 @@ func (p *Pager) bumpEpoch() {
 	p.epoch++
 	p.snapMu.Unlock()
 }
-
-// Close is the database shutdown path: everything durable on the device.
-func (p *Pager) Close() error { return p.Sync() }

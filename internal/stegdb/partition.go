@@ -1,6 +1,7 @@
 package stegdb
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 )
@@ -11,7 +12,7 @@ import (
 // scaling multiplied file writes: Put/Delete on different partitions share
 // no pager, no tree and no latch, so a write-heavy workload scales with the
 // partition count instead of funneling into one file's allocator. N = 1 is
-// the plain one-file table.
+// the plain table: the same type and layout with one partition.
 //
 // Composition rules:
 //   - Put/Delete route by partFor(key) — a mixing hash deliberately
@@ -30,20 +31,15 @@ import (
 //     caller count. The table commits as a whole: a crash leaves every
 //     partition at the old epoch or every partition at the new one.
 //
-// Layout: a one-partition table lives in hidden file "t" (plus its ".wal"
-// journal sibling) and its meta page records partition count 0. Partition
-// i of an N-partition table lives in "t.p<i>", plus "t.p<i>.wal"; each
-// partition's meta page records N and its own index, so fsck and Open can
-// discover and validate the set from any one member. The group journal
-// lives in "t.p0.wal"; the other members' journal files are kept (created,
-// listed by Files, adopted by CheckAny) but only legacy per-file journals
-// are ever found in them (commit.go).
+// Layout: for every N >= 1, partition i lives in hidden file "t.p<i>",
+// and the table's one journal in "t.wal" (commit.go). Each partition's
+// meta page records N and its own index, so fsck and Open can discover
+// and validate the set from its first member: a table occupies exactly
+// N + 1 hidden files.
 type PartitionedTable struct {
 	view  View
 	parts []*BTree // one tree per partition, each in its own Pager
-	// layout is the partition count every member's meta page records:
-	// 0 for the plain one-file layout.
-	layout int64
+	wal   string   // the journal file every commit goes through
 
 	// snapGate makes cross-partition snapshots atomic: Put/Delete hold it
 	// shared for the operation's duration, Snapshot holds it exclusive
@@ -63,111 +59,70 @@ const maxPartitions = 64
 // partName names partition i of a partitioned table.
 func partName(base string, i int) string { return fmt.Sprintf("%s.p%d", base, i) }
 
-// partMembers is the files argument of replayJournal for the group
-// journal of the partitioned table name: member i is partition i.
-func partMembers(name string) func(n int) ([]string, error) {
-	return func(n int) ([]string, error) {
-		names := make([]string, n)
-		for i := range names {
-			names[i] = partName(name, i)
-		}
-		return names, nil
-	}
-}
-
 // CreatePartitionedTable creates a table sharded across nParts hidden
-// files; nParts = 1 creates the plain one-file layout. withHash and
-// nBuckets are accepted and ignored: every lookup goes through the tree.
+// files, plus its journal file. withHash and nBuckets are accepted and
+// ignored: every lookup goes through the tree.
 func CreatePartitionedTable(view View, name string, nParts int, withHash bool, nBuckets int) (*PartitionedTable, error) {
 	if nParts < 1 || nParts > maxPartitions {
 		return nil, fmt.Errorf("stegdb: partition count %d out of range [1,%d]", nParts, maxPartitions)
 	}
-	pt := &PartitionedTable{view: view, parts: make([]*BTree, nParts)}
-	if nParts == 1 {
-		pg, err := CreatePager(view, name)
-		if err != nil {
-			return nil, err
-		}
-		pt.parts[0] = NewBTree(pg)
-		return pt, nil
-	}
-	pt.layout = int64(nParts)
+	pt := &PartitionedTable{view: view, parts: make([]*BTree, nParts), wal: name + walSuffix}
 	for i := range pt.parts {
-		pg, err := CreatePager(view, partName(name, i))
+		pg, err := createPager(view, partName(name, i), nParts, i)
 		if err != nil {
-			return nil, err
-		}
-		pg.setMetaField(metaPartCount, pt.layout)
-		pg.setMetaField(metaPartIndex, int64(i))
-		if err := pg.flushMetaNow(); err != nil {
 			return nil, err
 		}
 		pt.parts[i] = NewBTree(pg)
 	}
+	// An all-zero journal header has no magic, so it never replays.
+	if err := view.Create(pt.wal, make([]byte, PageSize)); err != nil {
+		return nil, fmt.Errorf("stegdb: create journal: %w", err)
+	}
 	return pt, nil
 }
 
-// OpenPartitionedTable opens an existing table. The layout is discovered
-// from the view: the plain file name if it is there, else name.p0, whose
-// meta page gives the partition count; every partition file (name.p0 ..
-// name.p<N-1>) and its journal file must then be visible in the view too.
-// Each member's meta is validated against its position.
+// OpenPartitionedTable opens an existing table. Its first member, name.p0,
+// is read first: its magic must be this format's (a table of the format
+// before it is refused by name, and left as it is) and its meta page gives
+// the partition count N. Every member file (name.p0 .. name.p<N-1>) and
+// the journal name.wal must be visible in the view.
 //
-// Crash recovery runs first: the group journal in the first member's
-// journal file is replayed into every member file before any meta page is
-// read. A legacy per-file journal in another member's journal file is
-// replayed into that member and then invalidated, so no later commit can
-// be rolled back by it (commit.go).
+// Crash recovery runs next: the journal is replayed into the member files,
+// and one barrier makes the replay durable, before the members' meta
+// pages are read. A commit never changes a member's magic or partition
+// count, so the first read sees the same values before and after the
+// replay. Each member's meta is then validated against its position.
 func OpenPartitionedTable(view View, name string) (*PartitionedTable, error) {
-	first, members := partName(name, 0), partMembers(name)
-	if _, err := view.Stat(name); err == nil {
-		first, members = name, soleMember(name)
-	}
-	replayed, err := replayJournal(view, first+walSuffix, members)
-	if err != nil {
-		return nil, fmt.Errorf("stegdb: recover %s: %w", first, err)
-	}
-	pg0, err := openPager(view, first)
-	if err != nil {
+	first := partName(name, 0)
+	var meta [metaPartCount + 8]byte
+	if _, err := view.ReadAt(first, meta[:], 0); err != nil {
 		return nil, fmt.Errorf("stegdb: open %s: %w", first, err)
 	}
-	pt := &PartitionedTable{view: view, parts: []*BTree{NewBTree(pg0)}}
-	var stale []string // legacy journals replayed past the first member
-	if first != name {
-		pt.layout = pg0.metaField(metaPartCount)
-		if pt.layout < 1 || pt.layout > maxPartitions {
-			return nil, fmt.Errorf("stegdb: %s declares %d partitions (max %d)", first, pt.layout, maxPartitions)
-		}
-		for i := 1; i < int(pt.layout); i++ {
-			part := partName(name, i)
-			n, err := replayJournal(view, part+walSuffix, soleMember(part))
-			if err != nil {
-				return nil, fmt.Errorf("stegdb: recover partition %d: %w", i, err)
-			}
-			if n > 0 {
-				stale = append(stale, part+walSuffix)
-			}
-		}
+	if err := checkMagic(first, meta[:8]); err != nil {
+		return nil, err
 	}
-	if replayed > 0 || len(stale) > 0 {
-		if err := view.Sync(); err != nil { // every replay durable before an invalidation lands
+	n := binary.BigEndian.Uint64(meta[metaPartCount:])
+	if n < 1 || n > maxPartitions {
+		return nil, fmt.Errorf("stegdb: %s declares %d partitions (max %d)", first, n, maxPartitions)
+	}
+	names := make([]string, n)
+	for i := range names {
+		names[i] = partName(name, i)
+	}
+	pt := &PartitionedTable{view: view, wal: name + walSuffix}
+	replayed, err := replayJournal(view, pt.wal, names)
+	if err != nil {
+		return nil, fmt.Errorf("stegdb: recover %s: %w", name, err)
+	}
+	if replayed {
+		if err := view.Sync(); err != nil {
 			return nil, fmt.Errorf("stegdb: barrier after recovery: %w", err)
 		}
 	}
-	if len(stale) > 0 {
-		for _, wal := range stale {
-			if _, err := view.WriteAt(wal, make([]byte, len(walMagic)), 0); err != nil {
-				return nil, fmt.Errorf("stegdb: invalidate %s: %w", wal, err)
-			}
-		}
-		if err := view.Sync(); err != nil {
-			return nil, fmt.Errorf("stegdb: barrier after invalidation: %w", err)
-		}
-	}
-	for i := 1; i < int(pt.layout); i++ {
-		pg, err := openPager(view, partName(name, i))
+	for _, part := range names {
+		pg, err := openPager(view, part)
 		if err != nil {
-			return nil, fmt.Errorf("stegdb: open partition %d: %w", i, err)
+			return nil, fmt.Errorf("stegdb: open %s: %w", part, err)
 		}
 		pt.parts = append(pt.parts, NewBTree(pg))
 	}
@@ -181,8 +136,8 @@ func OpenPartitionedTable(view View, name string) (*PartitionedTable, error) {
 // the same partition count, and its own index.
 func (pt *PartitionedTable) checkLayout() error {
 	for i, p := range pt.parts {
-		if got := p.pg.metaField(metaPartCount); got != pt.layout {
-			return fmt.Errorf("stegdb: %s declares %d partitions, expected %d", p.pg.name, got, pt.layout)
+		if got := p.pg.metaField(metaPartCount); got != int64(len(pt.parts)) {
+			return fmt.Errorf("stegdb: %s declares %d partitions, expected %d", p.pg.name, got, len(pt.parts))
 		}
 		if got := p.pg.metaField(metaPartIndex); got != int64(i) {
 			return fmt.Errorf("stegdb: %s declares partition index %d, expected %d", p.pg.name, got, i)
@@ -194,14 +149,14 @@ func (pt *PartitionedTable) checkLayout() error {
 // Partitions returns the partition count.
 func (pt *PartitionedTable) Partitions() int { return len(pt.parts) }
 
-// Files returns the hidden-file names the table occupies, journal siblings
-// included — the set fsck must find and verify.
+// Files returns the hidden-file names the table occupies: every member
+// in order, then the journal — the set fsck must find and verify.
 func (pt *PartitionedTable) Files() []string {
-	out := make([]string, 0, 2*len(pt.parts))
+	out := make([]string, 0, len(pt.parts)+1)
 	for _, p := range pt.parts {
-		out = append(out, p.pg.name, p.pg.walName)
+		out = append(out, p.pg.name)
 	}
-	return out
+	return append(out, pt.wal)
 }
 
 // partFor routes a key to its partition. The hash mixes harder than the
@@ -419,43 +374,37 @@ func (pt *PartitionedTable) Sync() error {
 		for i, p := range pt.parts {
 			pgs[i] = p.pg
 		}
-		return commit(pt.view, pgs)
+		return commit(pt.view, pt.wal, pgs)
 	})
 }
 
 // Close is the shutdown path: one final cross-partition commit.
 func (pt *PartitionedTable) Close() error { return pt.Sync() }
 
-// CheckAny opens and checks the named table in either layout, adopting
-// each constituent hidden file into the view via adopt (e.g.
-// (*stegfs.HiddenView).Adopt, which derives per-file keys from the view's
-// deterministic key schedule): the plain file name if it adopts, else
-// name.p0, name.p1, ... for as long as they adopt; OpenPartitionedTable
-// then validates the set. It returns the names of every hidden file
-// adopted — journal siblings included when present — so callers like
+// CheckAny opens and checks the named table, adopting each of its hidden
+// files into the view via adopt (e.g. (*stegfs.HiddenView).Adopt, which
+// derives per-file keys from the view's deterministic key schedule):
+// name.p0, name.p1, ... for as long as they adopt, then the journal
+// name.wal, which must adopt too; OpenPartitionedTable then validates the
+// set. It returns the names of every hidden file adopted, so callers like
 // stegfsck can verify each one's block-level integrity too.
 func CheckAny(view View, adopt func(name string) error, name string) ([]string, error) {
 	var files []string
-	adoptFile := func(f string) error {
-		if err := adopt(f); err != nil {
-			return err
-		}
-		files = append(files, f)
-		if adopt(f+walSuffix) == nil {
-			files = append(files, f+walSuffix)
-		}
-		return nil
-	}
-	if adoptFile(name) != nil {
-		if err := adoptFile(partName(name, 0)); err != nil {
-			return nil, fmt.Errorf("stegdb: table %q not found as plain file or partition 0: %w", name, err)
-		}
-		for i := 1; i < maxPartitions; i++ {
-			if adoptFile(partName(name, i)) != nil {
-				break
+	for i := 0; i < maxPartitions; i++ {
+		part := partName(name, i)
+		if err := adopt(part); err != nil {
+			if i == 0 {
+				return nil, fmt.Errorf("stegdb: table %q not found: %w", name, err)
 			}
+			break
 		}
+		files = append(files, part)
 	}
+	wal := name + walSuffix
+	if err := adopt(wal); err != nil {
+		return files, fmt.Errorf("stegdb: table %q has no journal %s: %w", name, wal, err)
+	}
+	files = append(files, wal)
 	pt, err := OpenPartitionedTable(view, name)
 	if err != nil {
 		return files, err

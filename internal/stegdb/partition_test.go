@@ -1,9 +1,12 @@
 package stegdb
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -104,9 +107,9 @@ func TestPartitionedTableRemountAndCheckAny(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CheckAny: %v (files %v)", err, files)
 	}
-	// 3 partitions + 3 journals must all be discovered.
-	if len(files) != 6 {
-		t.Fatalf("CheckAny found files %v, want 3 partitions + 3 journals", files)
+	// 3 partitions + the journal must all be discovered.
+	if !slices.Equal(files, pt.Files()) {
+		t.Fatalf("CheckAny found files %v, want %v", files, pt.Files())
 	}
 	pt2, err := OpenPartitionedTable(view2, "pt")
 	if err != nil {
@@ -150,7 +153,7 @@ func TestCheckAnyPlainTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) != 2 || files[0] != "plain" || files[1] != "plain.wal" {
+	if len(files) != 2 || files[0] != "plain.p0" || files[1] != "plain.wal" {
 		t.Fatalf("files = %v", files)
 	}
 	if _, err := CheckAny(view2, view2.Adopt, "no-such-table"); err == nil {
@@ -396,11 +399,7 @@ func TestStegDBSnapshotUnderSplitStress(t *testing.T) {
 // split path and root growth under contention.
 func TestBTreeParallelWritersDisjoint(t *testing.T) {
 	view, _ := newView(t, 64<<10)
-	pg, err := CreatePager(view, "blink")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree := NewBTree(pg)
+	tree := NewBTree(newTestPager(t, view, "blink"))
 	const (
 		goroutines = 8
 		keysPerG   = 300
@@ -462,148 +461,148 @@ func TestBTreeParallelWritersDisjoint(t *testing.T) {
 	}
 }
 
-// TestOnePartitionLayout pins the on-disk layouts a one-partition table can
-// have. CreatePartitionedTable(..., 1, ...) writes the plain layout: exactly
-// the home file and its journal, with partition count 0 in the meta page. A
-// one-partition table in the name.p0 layout (partition count 1) still opens
-// and checks.
-func TestOnePartitionLayout(t *testing.T) {
-	mv := &memView{files: map[string][]byte{}}
-	pt, err := CreatePartitionedTable(mv, "t", 1, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mv.files) != 2 || mv.files["t"] == nil || mv.files["t.wal"] == nil {
-		t.Fatalf("one-partition table created files %v, want t and t.wal", keys(mv.files))
-	}
-	if got := binary.BigEndian.Uint64(mv.files["t"][metaPartCount:]); got != 0 {
-		t.Fatalf("plain layout records partition count %d, want 0", got)
-	}
-	if got := pt.Files(); len(got) != 2 || got[0] != "t" || got[1] != "t.wal" {
-		t.Fatalf("Files() = %v", got)
-	}
+// TestTableLayout pins the one table layout. For N = 1 and N = 3 a
+// created table occupies exactly name.p0 .. name.p<N-1> and name.wal, and
+// every member's meta page records N and its own index; Files() and the
+// files CheckAny adopts are that set. A table whose journal is not
+// reachable through the view does not open, and the error names the
+// journal: the table would otherwise run without crash-atomic commits.
+func TestTableLayout(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		want := []string{}
+		for i := 0; i < n; i++ {
+			want = append(want, partName("t", i))
+		}
+		want = append(want, "t.wal")
 
-	view, store := newView(t, 64<<10)
-	pg0, err := CreatePager(view, "legacy.p0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p0 := NewBTree(pg0)
-	p0.pg.setMetaField(metaPartCount, 1)
-	p0.pg.setMetaField(metaPartIndex, 0)
-	if err := p0.pg.flushMetaNow(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 30; i++ {
-		if err := p0.Put(u64key(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
+		mv := &memView{files: map[string][]byte{}}
+		pt, err := CreatePartitionedTable(mv, "t", n, false, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := p0.pg.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	fs2, err := stegfs.Mount(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	view2 := fs2.NewHiddenView("db")
-	files, err := CheckAny(view2, view2.Adopt, "legacy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != 2 || files[0] != "legacy.p0" || files[1] != "legacy.p0.wal" {
-		t.Fatalf("CheckAny files = %v", files)
-	}
-	pt2, err := OpenPartitionedTable(view2, "legacy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pt2.Partitions() != 1 {
-		t.Fatalf("partitions = %d, want 1", pt2.Partitions())
-	}
-	if rows, _ := pt2.Rows(); rows != 30 {
-		t.Fatalf("rows = %d, want 30", rows)
-	}
-	if v, ok, err := pt2.Get(u64key(7)); err != nil || !ok || string(v) != "v7" {
-		t.Fatalf("Get = %q %v %v", v, ok, err)
+		if got := keys(mv.files); !slices.Equal(got, want) {
+			t.Fatalf("N=%d: table created files %v, want %v", n, got, want)
+		}
+		if got := pt.Files(); !slices.Equal(got, want) {
+			t.Fatalf("N=%d: Files() = %v, want %v", n, got, want)
+		}
+		for i := 0; i < n; i++ {
+			m := mv.files[partName("t", i)]
+			if string(m[:8]) != pagerMagic || binary.BigEndian.Uint64(m[metaPartCount:]) != uint64(n) ||
+				binary.BigEndian.Uint64(m[metaPartIndex:]) != uint64(i) {
+				t.Fatalf("N=%d: member %d meta %q count %d index %d", n, i, m[:8],
+					binary.BigEndian.Uint64(m[metaPartCount:]), binary.BigEndian.Uint64(m[metaPartIndex:]))
+			}
+		}
+
+		view, store := newView(t, 64<<10)
+		pt, err = CreatePartitionedTable(view, "t", n, false, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 30; i++ {
+			if err := pt.Put(u64key(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := pt.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		fs2, err := stegfs.Mount(store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		view2 := fs2.NewHiddenView("db")
+		files, err := CheckAny(view2, view2.Adopt, "t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(files, want) {
+			t.Fatalf("N=%d: CheckAny adopted %v, want %v", n, files, want)
+		}
+
+		fs3, err := stegfs.Mount(store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		view3 := fs3.NewHiddenView("db")
+		for _, f := range want[:n] {
+			if err := view3.Adopt(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := OpenPartitionedTable(view3, "t"); err == nil || !strings.Contains(err.Error(), "t.wal") {
+			t.Fatalf("N=%d: open without the journal = %v, want an error naming t.wal", n, err)
+		}
+		if err := view3.Adopt("t.wal"); err != nil {
+			t.Fatal(err)
+		}
+		pt3, err := OpenPartitionedTable(view3, "t")
+		if err != nil {
+			t.Fatalf("N=%d: open with the journal adopted: %v", n, err)
+		}
+		if rows, _ := pt3.Rows(); pt3.Partitions() != n || rows != 30 {
+			t.Fatalf("N=%d: reopened %d partitions holding %d rows", n, pt3.Partitions(), rows)
+		}
 	}
 }
 
-// TestOpenDropsLegacyHashIndex: older versions kept a hash index beside the
-// tree and named it in metaHashRoot. Such a table opens with every row
-// served by the tree, and the next commit clears the field, so an older
-// binary reopening the table reads its tree too instead of a stale index.
-func TestOpenDropsLegacyHashIndex(t *testing.T) {
-	mv := &memView{files: map[string][]byte{}}
-	pt, err := CreatePartitionedTable(mv, "t", 1, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := map[string]string{}
-	for i := 0; i < 300; i++ {
-		ref[string(u64key(i))] = fmt.Sprintf("v%d", i)
-		if err := pt.Put(u64key(i), []byte(ref[string(u64key(i))])); err != nil {
+// TestStegDBRefusesOldFormat: a table of the format before this one
+// (SGDB0001) is refused by that format's name, and opening it changes no
+// byte of it. Such a table kept a journal file beside every member, the
+// table's own in name.p0.wal, and none named name.wal. Here each member is
+// rolled back to its first commit and name.p0.wal holds the second
+// commit's journal, so an open that replayed it would change the members.
+func TestStegDBRefusesOldFormat(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		mv := &memView{files: map[string][]byte{}}
+		tab, err := CreatePartitionedTable(mv, "old", n, false, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	pg := pt.parts[0].pg
-	dir, err := pg.AllocPage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg.setMetaField(metaHashRoot, dir)
-	if err := pt.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	hashRoot := func() int64 { return int64(binary.BigEndian.Uint64(mv.files["t"][metaHashRoot:])) }
-	if got := hashRoot(); got != dir {
-		t.Fatalf("setup: metaHashRoot on disk = %d, want %d", got, dir)
-	}
+		first := map[string][]byte{}
+		for round := 0; round < 2; round++ {
+			if round == 1 {
+				for i := 0; i < n; i++ {
+					first[partName("old", i)] = slices.Clone(mv.files[partName("old", i)])
+				}
+			}
+			for i := 0; i < 100; i++ {
+				if err := tab.Put(u64key(i), []byte(fmt.Sprintf("row-%d-%d", i, round))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tab.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wal := mv.files["old.wal"]
+		if string(wal[:8]) != walMagic {
+			t.Fatalf("N=%d: the second commit left journal magic %q", n, wal[:8])
+		}
+		delete(mv.files, "old.wal")
+		for name, img := range first {
+			copy(img, pagerMagicV1)
+			mv.files[name] = img
+			mv.files[name+walSuffix] = make([]byte, PageSize)
+		}
+		mv.files["old.p0.wal"] = wal
+		before := map[string][]byte{}
+		for name, img := range mv.files {
+			before[name] = slices.Clone(img)
+		}
 
-	pt2, err := OpenPartitionedTable(mv, "t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 300; i += 3 {
-		ref[string(u64key(i))] = fmt.Sprintf("r%d", i)
-		if err := pt2.Put(u64key(i), []byte(ref[string(u64key(i))])); err != nil {
-			t.Fatal(err)
+		if _, err := OpenPartitionedTable(mv, "old"); err == nil || !strings.Contains(err.Error(), pagerMagicV1) {
+			t.Fatalf("N=%d: opening an %s table = %v, want an error naming %s", n, pagerMagicV1, err, pagerMagicV1)
 		}
-	}
-	for i := 1; i < 300; i += 7 {
-		delete(ref, string(u64key(i)))
-		if found, err := pt2.Delete(u64key(i)); err != nil || !found {
-			t.Fatalf("Delete %d = %v %v", i, found, err)
+		if !slices.Equal(keys(mv.files), keys(before)) {
+			t.Fatalf("N=%d: open changed the file set %v to %v", n, keys(before), keys(mv.files))
 		}
-	}
-	if err := pt2.Sync(); err != nil {
-		t.Fatal(err)
-	}
-
-	pt3, err := OpenPartitionedTable(mv, "t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, want := range ref {
-		if v, ok, err := pt3.Get([]byte(k)); err != nil || !ok || string(v) != want {
-			t.Fatalf("Get %x = %q %v %v, want %q", k, v, ok, err, want)
+		for name, img := range before {
+			if !bytes.Equal(mv.files[name], img) {
+				t.Fatalf("N=%d: refusing the table changed %s", n, name)
+			}
 		}
-	}
-	scanned := 0
-	if err := pt3.Scan(func(k, v []byte) bool {
-		scanned++
-		if ref[string(k)] != string(v) {
-			t.Errorf("Scan %x = %q, want %q", k, v, ref[string(k)])
-		}
-		return true
-	}); err != nil || scanned != len(ref) {
-		t.Fatalf("Scan saw %d rows (%v), want %d", scanned, err, len(ref))
-	}
-	if err := pt3.Check(); err != nil {
-		t.Fatal(err)
-	}
-	if got := hashRoot(); got != nilPage {
-		t.Fatalf("metaHashRoot on disk = %d after a commit, want nilPage", got)
 	}
 }
 

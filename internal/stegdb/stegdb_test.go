@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -31,6 +30,29 @@ func newView(t *testing.T, blocks int64) (*stegfs.HiddenView, *vdisk.MemStore) {
 		t.Fatal(err)
 	}
 	return fs.NewHiddenView("db"), store
+}
+
+// newTestPager creates a lone pager, outside any table, for tests of the
+// pager and of the bare tree.
+func newTestPager(t testing.TB, view View, name string) *Pager {
+	t.Helper()
+	pg, err := createPager(view, name, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pg
+}
+
+// syncPager commits a lone pager through the journal file name + ".wal",
+// creating that file on first use: the commit a one-member table runs.
+func syncPager(pg *Pager) error {
+	wal := pg.name + walSuffix
+	if _, err := pg.view.Stat(wal); err != nil {
+		if err := pg.view.Create(wal, make([]byte, PageSize)); err != nil {
+			return err
+		}
+	}
+	return commit(pg.view, wal, []*Pager{pg})
 }
 
 // u64key encodes an integer row key big-endian, so keys sort numerically.
@@ -58,10 +80,7 @@ func scanTree(bt *BTree, fn func(key, val []byte) bool) error {
 
 func TestPagerAllocReadWrite(t *testing.T) {
 	view, _ := newView(t, 16<<10)
-	pg, err := CreatePager(view, "db1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pg := newTestPager(t, view, "db1")
 	ids := make([]int64, 10)
 	for i := range ids {
 		id, err := pg.AllocPage()
@@ -94,20 +113,17 @@ func TestPagerAllocReadWrite(t *testing.T) {
 
 func TestPagerPersistence(t *testing.T) {
 	view, _ := newView(t, 16<<10)
-	pg, err := CreatePager(view, "db1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pg := newTestPager(t, view, "db1")
 	id, _ := pg.AllocPage()
 	want := bytes.Repeat([]byte{0x5c}, PageSize)
 	if err := pg.WritePage(id, want); err != nil {
 		t.Fatal(err)
 	}
-	// Pages are write-back: Sync is the durability point before reopening.
-	if err := pg.Sync(); err != nil {
+	// Pages are write-back: a commit is the durability point before reopening.
+	if err := syncPager(pg); err != nil {
 		t.Fatal(err)
 	}
-	pg2, err := OpenPager(view, "db1")
+	pg2, err := openPager(view, "db1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,46 +134,14 @@ func TestPagerPersistence(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("pager state lost across reopen")
 	}
-	if _, err := OpenPager(view, "nosuch"); err == nil {
+	if _, err := openPager(view, "nosuch"); err == nil {
 		t.Fatal("opening a missing database should fail")
-	}
-}
-
-// TestOpenPagerRequiresJournal: every commit goes through the journal, so a
-// database whose journal sibling is not reachable through the view must not
-// open (it would otherwise run without crash-atomic commits).
-func TestOpenPagerRequiresJournal(t *testing.T) {
-	view, store := newView(t, 16<<10)
-	pg, err := CreatePager(view, "db1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pg.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	fs2, err := stegfs.Mount(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	view2 := fs2.NewHiddenView("db")
-	if err := view2.Adopt("db1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenPager(view2, "db1"); err == nil || !strings.Contains(err.Error(), "db1.wal") {
-		t.Fatalf("OpenPager without its journal = %v, want an error naming db1.wal", err)
-	}
-	if err := view2.Adopt("db1.wal"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenPager(view2, "db1"); err != nil {
-		t.Fatalf("OpenPager with its journal adopted: %v", err)
 	}
 }
 
 func TestBTreeBasicCRUD(t *testing.T) {
 	view, _ := newView(t, 16<<10)
-	pg, _ := CreatePager(view, "db1")
-	bt := NewBTree(pg)
+	bt := NewBTree(newTestPager(t, view, "db1"))
 	if _, ok, _ := bt.Get([]byte("missing")); ok {
 		t.Fatal("empty tree found a key")
 	}
@@ -200,8 +184,7 @@ func TestBTreeBasicCRUD(t *testing.T) {
 
 func TestBTreeManyKeysSplitsAndOrder(t *testing.T) {
 	view, _ := newView(t, 64<<10)
-	pg, _ := CreatePager(view, "db1")
-	bt := NewBTree(pg)
+	bt := NewBTree(newTestPager(t, view, "db1"))
 	const n = 3000
 	rng := rand.New(rand.NewSource(7))
 	perm := rng.Perm(n)
@@ -244,8 +227,7 @@ func TestBTreeManyKeysSplitsAndOrder(t *testing.T) {
 
 func TestBTreeDeleteHalf(t *testing.T) {
 	view, _ := newView(t, 64<<10)
-	pg, _ := CreatePager(view, "db1")
-	bt := NewBTree(pg)
+	bt := NewBTree(newTestPager(t, view, "db1"))
 	const n = 800
 	for i := 0; i < n; i++ {
 		if err := bt.Put([]byte(fmt.Sprintf("k%05d", i)), []byte("v")); err != nil {
@@ -271,8 +253,7 @@ func TestBTreeDeleteHalf(t *testing.T) {
 
 func TestBTreeLargeValues(t *testing.T) {
 	view, _ := newView(t, 64<<10)
-	pg, _ := CreatePager(view, "db1")
-	bt := NewBTree(pg)
+	bt := NewBTree(newTestPager(t, view, "db1"))
 	big := bytes.Repeat([]byte{7}, MaxEntry-10)
 	if err := bt.Put([]byte("big"), big); err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync"
 
 	"stegfs/internal/fsapi"
@@ -36,7 +37,7 @@ const (
 // hdrFixedLen is the length of the fixed part of a hidden header:
 // sig(32) magic(4) flags(1) crc(4) pad(3) size(8) nblocks(8)
 // direct(24*8) single(8) double(8) freeCount(2).
-const hdrFixedLen = 32 + 4 + 1 + 4 + 3 + 8 + 8 + hdrNumDirect*8 + 8 + 8 + 2
+const hdrFixedLen = 32 + 4 + 1 + 4 + 3 + 8 + 8 + (hdrNumDirect+2)*ptree.PtrSize + 2
 
 // header is the in-memory form of a hidden object's header block (Figure 2:
 // signature, link to inode table, free-blocks list).
@@ -74,13 +75,7 @@ func encodeHeader(h *header, buf []byte) error {
 	if len(h.root.Direct) != hdrNumDirect {
 		return fmt.Errorf("stegfs: header root has %d direct slots, want %d", len(h.root.Direct), hdrNumDirect)
 	}
-	for i := 0; i < hdrNumDirect; i++ {
-		binary.BigEndian.PutUint64(buf[off+i*8:], uint64(h.root.Direct[i]))
-	}
-	off += hdrNumDirect * 8
-	binary.BigEndian.PutUint64(buf[off:], uint64(h.root.Single))
-	binary.BigEndian.PutUint64(buf[off+8:], uint64(h.root.Double))
-	off += 16
+	off += h.root.Put(buf[off:])
 	binary.BigEndian.PutUint16(buf[off:], uint16(len(h.free)))
 	off += 2
 	for i, b := range h.free {
@@ -120,34 +115,18 @@ func decodeHeaderInto(buf []byte, wantSig [sgcrypto.SignatureLen]byte, h *header
 	if got := crc32.ChecksumIEEE(buf[hdrBodyOff:]); got != binary.BigEndian.Uint32(buf[hdrCRCOff:]) {
 		return false, fmt.Errorf("stegfs: header content checksum mismatch")
 	}
-	if cap(h.root.Direct) >= hdrNumDirect {
-		h.root.Direct = h.root.Direct[:hdrNumDirect]
-	} else {
-		h.root.Direct = make([]int64, hdrNumDirect)
-	}
 	copy(h.sig[:], buf[:32])
 	h.flags = buf[36]
 	off := 44
 	h.size = int64(binary.BigEndian.Uint64(buf[off:]))
 	h.nblocks = int64(binary.BigEndian.Uint64(buf[off+8:]))
-	off += 16
-	for i := 0; i < hdrNumDirect; i++ {
-		h.root.Direct[i] = int64(binary.BigEndian.Uint64(buf[off+i*8:]))
-	}
-	off += hdrNumDirect * 8
-	h.root.Single = int64(binary.BigEndian.Uint64(buf[off:]))
-	h.root.Double = int64(binary.BigEndian.Uint64(buf[off+8:]))
-	off += 16
+	off += 16 + h.root.Get(buf[off+16:], hdrNumDirect)
 	n := int(binary.BigEndian.Uint16(buf[off:]))
 	off += 2
 	if n > freeCapacity(len(buf)) {
 		return false, fmt.Errorf("stegfs: corrupt header: free count %d", n)
 	}
-	if cap(h.free) >= n {
-		h.free = h.free[:n]
-	} else {
-		h.free = make([]int64, n)
-	}
+	h.free = slices.Grow(h.free[:0], n)[:n]
 	for i := 0; i < n; i++ {
 		h.free[i] = int64(binary.BigEndian.Uint64(buf[off+i*8:]))
 	}
