@@ -461,42 +461,85 @@ func TestBTreeParallelWritersDisjoint(t *testing.T) {
 	}
 }
 
-// TestTableLayout pins the one table layout. For N = 1 and N = 3 a
-// created table occupies exactly name.p0 .. name.p<N-1> and name.wal, and
-// every member's meta page records N and its own index; Files() and the
-// files CheckAny adopts are that set. A table whose journal is not
-// reachable through the view does not open, and the error names the
-// journal: the table would otherwise run without crash-atomic commits.
-func TestTableLayout(t *testing.T) {
-	for _, n := range []int{1, 3} {
-		want := []string{}
-		for i := 0; i < n; i++ {
-			want = append(want, partName("t", i))
-		}
-		want = append(want, "t.wal")
+// TestOnePartitionLayout: a one-partition table has the one table layout,
+// name.p0 and name.wal, like every other table (see checkTableLayout).
+func TestOnePartitionLayout(t *testing.T) { checkTableLayout(t, 1) }
 
-		mv := &memView{files: map[string][]byte{}}
-		pt, err := CreatePartitionedTable(mv, "t", n, false, 0)
-		if err != nil {
+// TestTableLayout pins the one table layout for a table of several
+// partitions (see checkTableLayout).
+func TestTableLayout(t *testing.T) { checkTableLayout(t, 3) }
+
+// tableFiles is the file set of table "t" with n partitions.
+func tableFiles(n int) []string {
+	want := []string{}
+	for i := 0; i < n; i++ {
+		want = append(want, partName("t", i))
+	}
+	return append(want, "t.wal")
+}
+
+// checkTableLayout: a created table of n partitions occupies exactly
+// name.p0 .. name.p<n-1> and name.wal, and every member's meta page
+// records n and its own index; Files() and the files CheckAny adopts are
+// that set.
+func checkTableLayout(t *testing.T, n int) {
+	t.Helper()
+	want := tableFiles(n)
+	mv := &memView{files: map[string][]byte{}}
+	pt, err := CreatePartitionedTable(mv, "t", n, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := keys(mv.files); !slices.Equal(got, want) {
+		t.Fatalf("N=%d: table created files %v, want %v", n, got, want)
+	}
+	if got := pt.Files(); !slices.Equal(got, want) {
+		t.Fatalf("N=%d: Files() = %v, want %v", n, got, want)
+	}
+	for i := 0; i < n; i++ {
+		m := mv.files[partName("t", i)]
+		if string(m[:8]) != pagerMagic || binary.BigEndian.Uint64(m[metaPartCount:]) != uint64(n) ||
+			binary.BigEndian.Uint64(m[metaPartIndex:]) != uint64(i) {
+			t.Fatalf("N=%d: member %d meta %q count %d index %d", n, i, m[:8],
+				binary.BigEndian.Uint64(m[metaPartCount:]), binary.BigEndian.Uint64(m[metaPartIndex:]))
+		}
+	}
+
+	view, store := newView(t, 64<<10)
+	pt, err = CreatePartitionedTable(view, "t", n, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 30; i++ {
+		if err := pt.Put(u64key(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
 		}
-		if got := keys(mv.files); !slices.Equal(got, want) {
-			t.Fatalf("N=%d: table created files %v, want %v", n, got, want)
-		}
-		if got := pt.Files(); !slices.Equal(got, want) {
-			t.Fatalf("N=%d: Files() = %v, want %v", n, got, want)
-		}
-		for i := 0; i < n; i++ {
-			m := mv.files[partName("t", i)]
-			if string(m[:8]) != pagerMagic || binary.BigEndian.Uint64(m[metaPartCount:]) != uint64(n) ||
-				binary.BigEndian.Uint64(m[metaPartIndex:]) != uint64(i) {
-				t.Fatalf("N=%d: member %d meta %q count %d index %d", n, i, m[:8],
-					binary.BigEndian.Uint64(m[metaPartCount:]), binary.BigEndian.Uint64(m[metaPartIndex:]))
-			}
-		}
+	}
+	if err := pt.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	fs2, err := stegfs.Mount(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view2 := fs2.NewHiddenView("db")
+	files, err := CheckAny(view2, view2.Adopt, "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(files, want) {
+		t.Fatalf("N=%d: CheckAny adopted %v, want %v", n, files, want)
+	}
+}
 
+// TestOpenPagerRequiresJournal: every commit goes through the table's
+// journal, so a table whose journal is not reachable through the view must
+// not open (it would otherwise run without crash-atomic commits), and the
+// error names the journal. Checked for N = 1 and N = 3.
+func TestOpenPagerRequiresJournal(t *testing.T) {
+	for _, n := range []int{1, 3} {
 		view, store := newView(t, 64<<10)
-		pt, err = CreatePartitionedTable(view, "t", n, false, 0)
+		pt, err := CreatePartitionedTable(view, "t", n, false, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -513,36 +556,23 @@ func TestTableLayout(t *testing.T) {
 			t.Fatal(err)
 		}
 		view2 := fs2.NewHiddenView("db")
-		files, err := CheckAny(view2, view2.Adopt, "t")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(files, want) {
-			t.Fatalf("N=%d: CheckAny adopted %v, want %v", n, files, want)
-		}
-
-		fs3, err := stegfs.Mount(store)
-		if err != nil {
-			t.Fatal(err)
-		}
-		view3 := fs3.NewHiddenView("db")
-		for _, f := range want[:n] {
-			if err := view3.Adopt(f); err != nil {
+		for _, f := range tableFiles(n)[:n] {
+			if err := view2.Adopt(f); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := OpenPartitionedTable(view3, "t"); err == nil || !strings.Contains(err.Error(), "t.wal") {
+		if _, err := OpenPartitionedTable(view2, "t"); err == nil || !strings.Contains(err.Error(), "t.wal") {
 			t.Fatalf("N=%d: open without the journal = %v, want an error naming t.wal", n, err)
 		}
-		if err := view3.Adopt("t.wal"); err != nil {
+		if err := view2.Adopt("t.wal"); err != nil {
 			t.Fatal(err)
 		}
-		pt3, err := OpenPartitionedTable(view3, "t")
+		pt2, err := OpenPartitionedTable(view2, "t")
 		if err != nil {
 			t.Fatalf("N=%d: open with the journal adopted: %v", n, err)
 		}
-		if rows, _ := pt3.Rows(); pt3.Partitions() != n || rows != 30 {
-			t.Fatalf("N=%d: reopened %d partitions holding %d rows", n, pt3.Partitions(), rows)
+		if rows, _ := pt2.Rows(); pt2.Partitions() != n || rows != 30 {
+			t.Fatalf("N=%d: reopened %d partitions holding %d rows", n, pt2.Partitions(), rows)
 		}
 	}
 }
