@@ -79,10 +79,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return usage("-table must be uid/name")
 		}
 		opts.Tables = []stegfs.TableRef{{UID: u, Name: n}}
-		// CheckAny discovers whether the name is a plain table or partition
-		// zero of a partitioned one, adopts every constituent hidden file
-		// (partitions and journal siblings), and checks the whole structure;
-		// the returned file list feeds stegfs block accounting.
+		// CheckAny adopts every hidden file of the table — its members
+		// name.p0, name.p1, ... and its journal name.wal — and checks the
+		// whole structure (a table of an older stegdb format is reported
+		// by that format's name); the returned file list feeds stegfs
+		// block accounting.
 		opts.CheckTable = func(view *stegfs.HiddenView, name string) ([]string, error) {
 			return stegdb.CheckAny(view, view.Adopt, name)
 		}

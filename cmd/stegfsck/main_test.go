@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"os"
 	"path/filepath"
@@ -80,9 +81,11 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
-// TestOldFormatTable: a table of the stegdb format before this one
-// (magic SGDB0001 in its first member) is not checked as if it were
-// current: -table reports it and exits non-zero.
+// TestOldFormatTable: a table of the stegdb format before this one is not
+// checked as if it were current: -table reports it by that format's name
+// and exits non-zero. Both old layouts are covered: magic SGDB0001 in a
+// first member (db/accounts), and the one-file layout, a lone hidden file
+// with no first member (db/legacy), whose bytes the check must not change.
 func TestOldFormatTable(t *testing.T) {
 	img := newImage(t)
 	if got := run([]string{"-table", "db/accounts", img}, io.Discard, io.Discard); got != exitClean {
@@ -104,17 +107,35 @@ func TestOldFormatTable(t *testing.T) {
 	if _, err := view.WriteAt("accounts.p0", []byte("SGDB0001"), 0); err != nil {
 		t.Fatal(err)
 	}
+	legacy := append([]byte("SGDB0001"), make([]byte, 8*4096-8)...)
+	if err := view.Create("legacy", legacy); err != nil {
+		t.Fatal(err)
+	}
 	if err := fs.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	var out strings.Builder
-	if got := run([]string{"-table", "db/accounts", img}, &out, io.Discard); got == exitClean {
-		t.Fatalf("an SGDB0001 table checked clean:\n%s", out.String())
+	for _, table := range []string{"db/accounts", "db/legacy"} {
+		var out strings.Builder
+		if got := run([]string{"-table", table, img}, &out, io.Discard); got == exitClean {
+			t.Fatalf("%s: an SGDB0001 table checked clean:\n%s", table, out.String())
+		}
+		if !strings.Contains(out.String(), "SGDB0001") {
+			t.Fatalf("%s: the report does not name the old format:\n%s", table, out.String())
+		}
 	}
-	if !strings.Contains(out.String(), "SGDB0001") {
-		t.Fatalf("the report does not name the old format:\n%s", out.String())
+	fs, err = stegfs.Mount(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view = fs.NewHiddenView("db")
+	if err := view.Adopt("legacy"); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(legacy))
+	if _, err := view.ReadAt("legacy", got, 0); err != nil || !bytes.Equal(got, legacy) {
+		t.Fatalf("checking the one-file table changed its bytes (err %v)", err)
 	}
 }

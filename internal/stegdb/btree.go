@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 )
 
@@ -68,28 +67,16 @@ const nKeyShards = 64
 // T <= PageSize + (4+MaxEntry); MaxEntry = 768 keeps that under PageSize.
 const MaxEntry = 768
 
+// A page is the header, the high key, and nkeys records sorted by key:
+// leaf entries [klen u16][vlen u16][key][val], or, after an internal
+// page's children[0] (u64), separators [klen u16][key][child u64], each
+// child the subtree from its key up. The bytes past the last record are
+// zero.
 const (
 	nodeHdr      = 14 // type(1) + level(1) + nkeys(2) + right(8) + hklen(2)
 	nodeLeaf     = 1
 	nodeInternal = 2
 )
-
-// kv is one leaf entry.
-type kv struct {
-	key, val []byte
-}
-
-// node is the in-memory form of a B-link tree page.
-type node struct {
-	leaf  bool
-	level uint8  // 0 = leaf, parents count up; the root is the highest level
-	right int64  // right sibling at the same level (nilPage = rightmost)
-	high  []byte // exclusive upper bound of this node's range (nil = +inf)
-
-	entries  []kv     // leaf: key/value pairs, sorted
-	keys     [][]byte // internal: separator keys, sorted
-	children []int64  // internal: len(keys)+1 child pages
-}
 
 // NewBTree opens the tree rooted in the pager's meta (creating an empty
 // tree if none exists).
@@ -172,41 +159,7 @@ func (t *treeLatches) unlock(id int64) {
 	t.mu.Unlock()
 }
 
-// --- node codec --------------------------------------------------------------
-
-func encodeNode(n *node, buf []byte) error {
-	if size := n.encodedSize(); size > len(buf) {
-		return fmt.Errorf("stegdb: %d-byte node overflows its page", size)
-	}
-	clear(buf)
-	buf[0], buf[1] = nodeInternal, n.level
-	count := len(n.keys)
-	if n.leaf {
-		buf[0], count = nodeLeaf, len(n.entries)
-	}
-	binary.BigEndian.PutUint16(buf[2:], uint16(count))
-	binary.BigEndian.PutUint64(buf[4:], uint64(n.right))
-	binary.BigEndian.PutUint16(buf[12:], uint16(len(n.high)))
-	off := nodeHdr + copy(buf[nodeHdr:], n.high)
-	if n.leaf {
-		for _, e := range n.entries {
-			binary.BigEndian.PutUint16(buf[off:], uint16(len(e.key)))
-			binary.BigEndian.PutUint16(buf[off+2:], uint16(len(e.val)))
-			off += 4 + copy(buf[off+4:], e.key)
-			off += copy(buf[off:], e.val)
-		}
-		return nil
-	}
-	binary.BigEndian.PutUint64(buf[off:], uint64(n.children[0]))
-	off += 8
-	for i, k := range n.keys {
-		binary.BigEndian.PutUint16(buf[off:], uint16(len(k)))
-		off += 2 + copy(buf[off+2:], k)
-		binary.BigEndian.PutUint64(buf[off:], uint64(n.children[i+1]))
-		off += 8
-	}
-	return nil
-}
+// --- page format --------------------------------------------------------------
 
 // pagePool recycles the PageSize buffers the read paths walk pages in, so a
 // warm Get, descent or Range allocates only what it returns.
@@ -249,18 +202,6 @@ func (c *kvCursor) next() (key, val []byte, ok bool, err error) {
 	return nil, nil, false, errCorruptPage
 }
 
-// all returns the remaining entries, leaving c where it is.
-func (c kvCursor) all() ([]kv, error) {
-	out := make([]kv, 0, min(c.left, len(c.buf)/4))
-	for {
-		k, v, ok, err := c.next()
-		if !ok {
-			return out, err
-		}
-		out = append(out, kv{key: k, val: v})
-	}
-}
-
 // seek advances past every entry whose key sorts before key, returning the
 // first remaining entry (ok false when none is left).
 func (c *kvCursor) seek(key []byte) (k, v []byte, ok bool, err error) {
@@ -271,10 +212,10 @@ func (c *kvCursor) seek(key []byte) (k, v []byte, ok bool, err error) {
 	}
 }
 
-// nodeView is a B-link page read in place: the one parser of the node
-// format. Read paths walk it without copying; decodeNode copies a page out
-// through it for writers. Bounds are checked against the page length, so
-// a corrupt page is an error, never a panic.
+// nodeView is a B-link page read in place: the one parser of the page
+// format. Read paths walk it without copying; writers parse their private
+// copy with it (editPage.read). Bounds are checked against the page
+// length, so a corrupt page is an error, never a panic.
 type nodeView struct {
 	leaf    bool
 	level   uint8
@@ -334,69 +275,10 @@ func (v *nodeView) child(key []byte) (int64, error) {
 	return id, nil
 }
 
-// decodeNode copies a page out into the writers' node form, parsing it with
-// the in-place accessors. Keys and values share one private copy of buf.
-func decodeNode(buf []byte) (*node, error) {
-	v, err := parseNode(bytes.Clone(buf))
-	if err != nil {
-		return nil, err
-	}
-	n := &node{leaf: v.leaf, level: v.level, right: v.right, high: v.high}
-	if n.entries, err = v.entries.all(); err != nil || n.leaf {
-		return n, err
-	}
-	n.keys, n.children = make([][]byte, len(n.entries)), make([]int64, len(n.entries)+1)
-	n.children[0] = v.child0()
-	for i, e := range n.entries {
-		n.keys[i], n.children[i+1] = e.key, int64(binary.BigEndian.Uint64(e.val))
-	}
-	n.entries = nil
-	return n, nil
-}
-
-// encodedSize returns the byte size the node needs.
-func (n *node) encodedSize() int {
-	size := nodeHdr + len(n.high)
-	if n.leaf {
-		for _, e := range n.entries {
-			size += 4 + len(e.key) + len(e.val)
-		}
-		return size
-	}
-	size += 8
-	for _, k := range n.keys {
-		size += 2 + len(k) + 8
-	}
-	return size
-}
-
 // pageReader is the read side shared by the live pager and snapshots, so
 // one descent/scan implementation serves both.
 type pageReader interface {
 	ReadPage(id int64, buf []byte) error
-}
-
-// load reads and decodes page id for a writer.
-func (t *BTree) load(id int64) (*node, error) {
-	buf := pagePool.Get().(*[PageSize]byte)
-	defer pagePool.Put(buf)
-	if err := t.pg.ReadPage(id, buf[:]); err != nil {
-		return nil, err
-	}
-	return decodeNode(buf[:])
-}
-
-// store writes node n to page id. rows is the change the write makes to
-// the tree's key count (+1 or -1 for a leaf store that inserts or removes
-// a key, else 0); the pager applies it to the row counter atomically with
-// the page write, so no snapshot or commit cut sees one without the other.
-func (t *BTree) store(id int64, n *node, rows int64) error {
-	buf := pagePool.Get().(*[PageSize]byte)
-	defer pagePool.Put(buf)
-	if err := encodeNode(n, buf[:]); err != nil {
-		return err
-	}
-	return t.pg.writePage(id, buf[:], rows)
 }
 
 // covers reports whether key falls below a node's high key (move right
@@ -521,31 +403,6 @@ func (t *BTree) Get(key []byte) ([]byte, bool, error) {
 	return getFrom(t.pg, t.root(), key)
 }
 
-// putResult carries the replaced value out of the leaf apply step, so a
-// failed split can undo the leaf change exactly.
-type putResult struct {
-	prev    []byte
-	existed bool
-}
-
-// findEntry returns the position of key among a leaf's sorted entries.
-func (n *node) findEntry(key []byte) (int, bool) {
-	return slices.BinarySearchFunc(n.entries, key, func(e kv, k []byte) int { return bytes.Compare(e.key, k) })
-}
-
-// setEntry inserts or replaces key in a leaf, returning what it replaced
-// and the change to the row count.
-func (n *node) setEntry(key, val []byte) (putResult, int64) {
-	i, found := n.findEntry(key)
-	if found {
-		prev := n.entries[i].val
-		n.entries[i].val = val
-		return putResult{prev: bytes.Clone(prev), existed: true}, 0
-	}
-	n.entries = slices.Insert(n.entries, i, kv{key: key, val: val})
-	return putResult{}, 1
-}
-
 // shardFor hashes the key (FNV-1a) onto a shard lock.
 //
 // lockcheck:returns stegdb/shard
@@ -582,23 +439,26 @@ func (t *BTree) Put(key, val []byte) error {
 	if err := t.ensureRoot(); err != nil {
 		return err
 	}
-	id, n, err := t.lockOwner(key, 0)
+	id, p, err := t.lockOwner(key, 0)
 	if err != nil {
 		return err
 	}
-	res, rows := n.setEntry(key, val)
-	if n.encodedSize() <= PageSize {
-		err := t.store(id, n, rows)
-		t.latches.unlock(id)
-		return err
+	off, old := p.find(key)
+	var prev []byte // the value replaced, kept only for a splitting Put's undo
+	rows := int64(1)
+	if old > 0 {
+		vlen := int(binary.BigEndian.Uint16(p.buf[off+2:]))
+		if rows = 0; p.end-old+4+len(key)+len(val) > PageSize {
+			prev = append([]byte{}, p.buf[off+old-vlen:off+old]...)
+		}
 	}
-	sep, rightID, level, err := t.splitStore(id, n, rows)
-	t.latches.unlock(id)
-	if err != nil {
+	p.setLeaf(off, old, key, val)
+	sep, rightID, level, err := t.splitStore(id, p, rows)
+	if err != nil || sep == nil {
 		return err
 	}
 	if err := t.postSep(sep, rightID, level); err != nil {
-		if uerr := t.undoLeafChange(key, res); uerr != nil {
+		if uerr := t.undoLeafChange(key, prev); uerr != nil {
 			return errors.Join(err, fmt.Errorf("stegdb: put rollback failed: %w", uerr))
 		}
 		return err
@@ -620,7 +480,9 @@ func (t *BTree) ensureRoot() error {
 	if err != nil {
 		return err
 	}
-	if err := t.store(id, &node{leaf: true}, 0); err != nil {
+	leaf := make([]byte, PageSize)
+	leaf[0] = nodeLeaf
+	if err := t.pg.writePage(id, leaf, 0); err != nil {
 		return err
 	}
 	t.setRoot(id)
@@ -629,71 +491,81 @@ func (t *BTree) ensureRoot() error {
 
 // lockOwner latches the node at level that currently owns key: it
 // descends latch-free from the root, latches the node it lands on,
-// re-reads it, and moves right (latch coupling) while key is at or beyond
-// the node's high key — nodes only ever shed range to the right. On
-// success the caller holds the latch on the returned id; on error no latch
-// is held.
+// re-reads it into a private image, and moves right (latch coupling) while
+// key is at or beyond the node's high key — nodes only ever shed range to
+// the right. On success the caller holds the latch on the returned id and
+// the image, which release gives back; on error no latch is held.
 // lockcheck:acquire stegdb/treelatch
-func (t *BTree) lockOwner(key []byte, level uint8) (int64, *node, error) {
-	buf := pagePool.Get().(*[PageSize]byte)
-	id, _, err := seekLevel(t.pg, t.root(), key, level, buf)
-	pagePool.Put(buf)
+func (t *BTree) lockOwner(key []byte, level uint8) (int64, *editPage, error) {
+	p := editPool.Get().(*editPage)
+	id, _, err := seekLevel(t.pg, t.root(), key, level, p.page())
 	if err != nil {
+		editPool.Put(p)
 		return 0, nil, err
 	}
 	t.latches.lock(id)
 	for {
-		n, err := t.load(id)
+		v, err := p.read(t.pg, id)
 		if err != nil {
-			t.latches.unlock(id)
+			t.release(id, p)
 			return 0, nil, err
 		}
-		if covers(n.high, key) {
-			return id, n, nil
+		if covers(v.high, key) {
+			return id, p, nil
 		}
-		next := n.right
+		next := v.right
 		t.latches.lock(next)
 		t.latches.unlock(id)
 		id = next
 	}
 }
 
-// splitStore divides the latched, overflowing node in two. Write order is
-// the B-link commit protocol: the new right sibling is stored first (it is
-// unreachable until the left half's right pointer lands), then the shrunken
-// left half — the moment the left store succeeds the split is committed and
-// every key stays reachable through the right link. An error before the
-// left store leaves the tree unchanged (at worst one leaked free page).
-// The caller holds the node's tree latch.
-// lockcheck:holds stegdb/treelatch
-func (t *BTree) splitStore(id int64, n *node, rows int64) (sep []byte, rightID int64, level uint8, err error) {
-	rightID, err = t.pg.AllocPage()
-	if err != nil {
+// release unlatches page id and returns its image to the pool.
+// lockcheck:release stegdb/treelatch
+func (t *BTree) release(id int64, p *editPage) {
+	t.latches.unlock(id)
+	editPool.Put(p)
+}
+
+// write stores image p as page id, adding rows to the row counter in the
+// same step (+1 or -1 for a leaf write that inserts or removes a key, else
+// 0): the pager applies both at one snapshot epoch, so no snapshot or
+// commit cut sees one without the other.
+func (t *BTree) write(id int64, p *editPage, rows int64) error {
+	if p.end > PageSize {
+		return fmt.Errorf("stegdb: %d-byte node overflows its page", p.end)
+	}
+	return t.pg.writePage(id, p.buf[:PageSize], rows)
+}
+
+// splitStore writes the edited image p of latched page id and releases
+// the page; an over-full image is first cut in two (editPage.split), and
+// the separator, the new right sibling and their level are returned for
+// postSep (sep is nil when p fits). Write order is the B-link commit
+// protocol: the new right sibling is stored first (it is unreachable until
+// the left half's right pointer lands), then the shrunken left half — the
+// moment the left store succeeds the split is committed and every key
+// stays reachable through the right link. An error before the left store
+// leaves the tree unchanged (at worst one leaked free page).
+// lockcheck:release stegdb/treelatch
+func (t *BTree) splitStore(id int64, p *editPage, rows int64) (sep []byte, rightID int64, level uint8, err error) {
+	defer t.release(id, p)
+	if p.end <= PageSize {
+		return nil, nilPage, 0, t.write(id, p, rows)
+	}
+	if rightID, err = t.pg.AllocPage(); err != nil {
 		return nil, nilPage, 0, err
 	}
-	right := &node{leaf: n.leaf, level: n.level, right: n.right, high: n.high}
-	if n.leaf {
-		mid := splitPointLeaf(n.entries)
-		right.entries = append([]kv(nil), n.entries[mid:]...)
-		sep = append([]byte(nil), n.entries[mid].key...)
-		n.entries = n.entries[:mid]
-	} else {
-		mid := splitPointInternal(n.keys)
-		sep = append([]byte(nil), n.keys[mid]...)
-		right.keys = append([][]byte(nil), n.keys[mid+1:]...)
-		right.children = append([]int64(nil), n.children[mid+1:]...)
-		n.keys = n.keys[:mid]
-		n.children = n.children[:mid+1]
-	}
-	n.right = rightID
-	n.high = sep
-	if err := t.store(rightID, right, 0); err != nil {
+	r := editPool.Get().(*editPage)
+	defer editPool.Put(r)
+	sep = p.split(r, rightID)
+	if err := t.write(rightID, r, 0); err != nil {
 		return nil, nilPage, 0, err
 	}
-	if err := t.store(id, n, rows); err != nil {
+	if err := t.write(id, p, rows); err != nil {
 		return nil, nilPage, 0, err
 	}
-	return sep, rightID, n.level, nil
+	return sep, rightID, p.buf[1], nil
 }
 
 // postSep inserts the separator sep of a split at level, which points at
@@ -704,32 +576,25 @@ func (t *BTree) splitStore(id int64, n *node, rows int64) (sep []byte, rightID i
 // with a root grown over the level's chain and is skipped: a node's low
 // bound never changes, so it already points at rightID.
 func (t *BTree) postSep(sep []byte, rightID int64, level uint8) error {
-	for {
+	for sep != nil {
 		if err := t.growRoot(level); err != nil {
 			return err
 		}
-		id, n, err := t.lockOwner(sep, level+1)
+		id, p, err := t.lockOwner(sep, level+1)
 		if err != nil {
 			return err
 		}
-		ci, found := slices.BinarySearchFunc(n.keys, sep, bytes.Compare)
-		if found {
-			t.latches.unlock(id)
+		off, found := p.find(sep)
+		if found > 0 {
+			t.release(id, p)
 			return nil
 		}
-		n.keys = slices.Insert(n.keys, ci, sep)
-		n.children = slices.Insert(n.children, ci+1, rightID)
-		if n.encodedSize() <= PageSize {
-			err := t.store(id, n, 0)
-			t.latches.unlock(id)
-			return err
-		}
-		sep, rightID, level, err = t.splitStore(id, n, 0)
-		t.latches.unlock(id)
-		if err != nil {
+		putSep(p.splice(off, 0, 10+len(sep)), sep, rightID)
+		if sep, rightID, level, err = t.splitStore(id, p, 0); err != nil {
 			return err
 		}
 	}
+	return nil
 }
 
 // growRoot makes the tree one level taller if its root is still at level
@@ -742,29 +607,30 @@ func (t *BTree) postSep(sep []byte, rightID int64, level uint8) error {
 func (t *BTree) growRoot(below uint8) error {
 	t.rootMu.Lock()
 	defer t.rootMu.Unlock()
-	buf := pagePool.Get().(*[PageSize]byte)
+	buf, root := pagePool.Get().(*[PageSize]byte), pagePool.Get().(*[PageSize]byte)
 	defer pagePool.Put(buf)
+	defer pagePool.Put(root)
 	id := t.root()
 	v, err := readNode(t.pg, id, buf)
 	if err != nil || v.level != below {
 		return err
 	}
-	rn := &node{level: below + 1, children: []int64{id}}
-	for size := nodeHdr + 8; v.right != nilPage; {
-		if size += 10 + len(v.high); size > PageSize {
-			break
-		}
-		rn.keys = append(rn.keys, bytes.Clone(v.high))
-		rn.children = append(rn.children, v.right)
+	clear(root[:])
+	root[0], root[1] = nodeInternal, below+1
+	binary.BigEndian.PutUint64(root[nodeHdr:], uint64(id))
+	off, n := nodeHdr+8, 0
+	for ; v.right != nilPage && off+10+len(v.high) <= PageSize; n++ {
+		off += putSep(root[off:], v.high, v.right)
 		if v, err = readNode(t.pg, v.right, buf); err != nil {
 			return err
 		}
 	}
+	binary.BigEndian.PutUint16(root[2:], uint16(n))
 	newRoot, err := t.pg.AllocPage()
 	if err != nil {
 		return err
 	}
-	if err := t.store(newRoot, rn, 0); err != nil {
+	if err := t.pg.writePage(newRoot, root[:], 0); err != nil {
 		return err
 	}
 	t.setRoot(newRoot)
@@ -772,67 +638,24 @@ func (t *BTree) growRoot(below uint8) error {
 }
 
 // undoLeafChange reverses a committed leaf mutation after a later step of
-// the same Put failed, restoring the exact prior row state.
-func (t *BTree) undoLeafChange(key []byte, res putResult) error {
-	id, n, err := t.lockOwner(key, 0)
+// the same Put failed, restoring the exact prior row state: the value prev
+// the Put replaced, or no row when prev is nil.
+func (t *BTree) undoLeafChange(key, prev []byte) error {
+	id, p, err := t.lockOwner(key, 0)
 	if err != nil {
 		return err
 	}
-	defer t.latches.unlock(id)
-	if res.existed {
-		_, rows := n.setEntry(key, res.prev)
-		return t.store(id, n, rows)
-	}
-	i, found := n.findEntry(key)
-	if !found {
+	defer t.release(id, p)
+	off, old := p.find(key)
+	switch {
+	case old == 0:
 		return fmt.Errorf("stegdb: undo lost key %q", key)
+	case prev != nil:
+		p.setLeaf(off, old, key, prev)
+		return t.write(id, p, 0)
 	}
-	n.entries = slices.Delete(n.entries, i, i+1)
-	return t.store(id, n, -1)
-}
-
-// splitPointLeaf finds the entry index closest to half the encoded size.
-func splitPointLeaf(entries []kv) int {
-	total := 0
-	for _, e := range entries {
-		total += 4 + len(e.key) + len(e.val)
-	}
-	acc := 0
-	for i, e := range entries {
-		acc += 4 + len(e.key) + len(e.val)
-		if acc*2 >= total {
-			if i+1 >= len(entries) {
-				return len(entries) - 1
-			}
-			return i + 1
-		}
-	}
-	return len(entries) / 2
-}
-
-// splitPointInternal picks the promoted-key index balancing the two halves
-// by encoded byte size (a count split can overfill one half when key sizes
-// are skewed).
-func splitPointInternal(keys [][]byte) int {
-	if len(keys) < 3 {
-		return len(keys) / 2
-	}
-	total := 0
-	for _, k := range keys {
-		total += 10 + len(k)
-	}
-	acc := 0
-	for i, k := range keys {
-		acc += 10 + len(k)
-		if acc*2 >= total {
-			m := i + 1
-			if m > len(keys)-2 {
-				m = len(keys) - 2
-			}
-			return m
-		}
-	}
-	return len(keys) / 2
+	p.splice(off, old, 0)
+	return t.write(id, p, -1)
 }
 
 // Delete removes key if present, reporting whether it was found. Pages are
@@ -847,20 +670,169 @@ func (t *BTree) Delete(key []byte) (bool, error) {
 	if t.root() == nilPage {
 		return false, nil
 	}
-	id, n, err := t.lockOwner(key, 0)
+	id, p, err := t.lockOwner(key, 0)
 	if err != nil {
 		return false, err
 	}
-	defer t.latches.unlock(id)
-	i, found := n.findEntry(key)
-	if !found {
+	defer t.release(id, p)
+	off, old := p.find(key)
+	if old == 0 {
 		return false, nil
 	}
-	n.entries = slices.Delete(n.entries, i, i+1)
-	if err := t.store(id, n, -1); err != nil {
+	p.splice(off, old, 0)
+	if err := t.write(id, p, -1); err != nil {
 		return false, err
 	}
 	return true, nil
+}
+
+// --- writers' page images -----------------------------------------------------
+
+// editPage is a writer's private copy of a latched page, which it edits in
+// place and writes back whole. The buffer has room past PageSize for the
+// largest record (a separator with a MaxEntry-byte key), so an edit can
+// leave an over-full image for splitStore to cut in two. The bytes past
+// end are zero, as on a written page.
+type editPage struct {
+	buf [PageSize + 10 + MaxEntry]byte
+	end int // offset past the last record
+}
+
+// editPool recycles writers' page images, so an edit that fits its page
+// allocates nothing.
+var editPool = sync.Pool{New: func() any { return new(editPage) }}
+
+func (p *editPage) page() *[PageSize]byte { return (*[PageSize]byte)(p.buf[:PageSize]) }
+
+// read copies page id into p, checking that every record parses.
+func (p *editPage) read(r pageReader, id int64) (nodeView, error) {
+	v, err := readNode(r, id, p.page())
+	if err != nil {
+		return v, err
+	}
+	c := v.entries
+	for {
+		if _, _, ok, err := c.next(); err != nil {
+			return v, err
+		} else if !ok {
+			break
+		}
+	}
+	p.end = c.off
+	clear(p.buf[p.end:])
+	return v, nil
+}
+
+// records walks p's records in place.
+func (p *editPage) records() kvCursor {
+	v, _ := parseNode(p.buf[:p.end]) // checked by read, and kept valid by every edit
+	return v.entries
+}
+
+// find returns the offset where key's record is or would go, and the
+// length of the record there if it holds key (0 when key is absent).
+func (p *editPage) find(key []byte) (off, n int) {
+	c := p.records()
+	for {
+		off = c.off
+		k, _, ok, _ := c.next()
+		cmp := bytes.Compare(k, key)
+		if !ok || cmp > 0 {
+			return off, 0
+		} else if cmp == 0 {
+			return off, c.off - off
+		}
+	}
+}
+
+// splice replaces the old-byte record at off (0: none) with room for an
+// n-byte one (0: none), which it returns for the caller to fill. It moves
+// the tail, zeroes the bytes it frees and keeps nkeys the record count.
+func (p *editPage) splice(off, old, n int) []byte {
+	end := p.end + n - old
+	copy(p.buf[off+n:end], p.buf[off+old:p.end])
+	if end < p.end {
+		clear(p.buf[end:p.end])
+	}
+	p.end = end
+	nkeys := binary.BigEndian.Uint16(p.buf[2:])
+	if old == 0 {
+		nkeys++
+	}
+	if n == 0 {
+		nkeys--
+	}
+	binary.BigEndian.PutUint16(p.buf[2:], nkeys)
+	return p.buf[off : off+n]
+}
+
+// setLeaf puts the leaf record of key and val in place of the old-byte
+// record at off.
+func (p *editPage) setLeaf(off, old int, key, val []byte) {
+	rec := p.splice(off, old, 4+len(key)+len(val))
+	binary.BigEndian.PutUint16(rec, uint16(len(key)))
+	binary.BigEndian.PutUint16(rec[2:], uint16(len(val)))
+	copy(rec[4+copy(rec[4:], key):], val)
+}
+
+// putSep writes the separator record of key and child at rec, returning
+// its length.
+func putSep(rec, key []byte, child int64) int {
+	binary.BigEndian.PutUint16(rec, uint16(len(key)))
+	n := 2 + copy(rec[2:], key)
+	binary.BigEndian.PutUint64(rec[n:], uint64(child))
+	return n + 8
+}
+
+// split cuts the over-full image p in two by record byte lengths. The cut
+// falls after the first record that reaches half of the record bytes,
+// clamped so a leaf's right half keeps a record and, from three
+// separators on, each internal half keeps one (below three it is the
+// middle one). A leaf's right half starts with the record at the cut,
+// whose key is the separator; an internal page promotes that record's key
+// and makes its child the right half's children[0]. The right half, built
+// in r, takes p's high key and right link; p keeps the left half, with the
+// returned separator as high key and rightID as right link.
+func (p *editPage) split(r *editPage, rightID int64) []byte {
+	leaf, n := p.buf[0] == nodeLeaf, int(binary.BigEndian.Uint16(p.buf[2:]))
+	c := p.records()
+	total, acc, mid := p.end-c.off, 0, 0
+	for at := c.off; acc*2 < total; at = c.off {
+		c.next()
+		acc, mid = acc+c.off-at, mid+1
+	}
+	switch {
+	case leaf:
+		mid = min(mid, n-1)
+	case n < 3:
+		mid = n / 2
+	default:
+		mid = min(mid, n-2)
+	}
+	c = p.records()
+	for range mid {
+		c.next()
+	}
+	off := c.off
+	k, _, _, _ := c.next()
+	sep := bytes.Clone(k)
+	from, right := off, n-mid
+	if !leaf {
+		from, right = c.off-8, n-mid-1
+	}
+	hi := nodeHdr + int(binary.BigEndian.Uint16(p.buf[12:])) // past the high key
+	r.end = copy(r.buf[:], p.buf[:hi])
+	r.end += copy(r.buf[r.end:], p.buf[from:p.end])
+	clear(r.buf[r.end:])
+	binary.BigEndian.PutUint16(r.buf[2:], uint16(right))
+	end := nodeHdr + len(sep) + copy(p.buf[nodeHdr+len(sep):], p.buf[hi:off])
+	copy(p.buf[nodeHdr:], sep)
+	clear(p.buf[end:p.end])
+	p.end = end
+	binary.BigEndian.PutUint16(p.buf[2:], uint16(mid))
+	binary.BigEndian.PutUint64(p.buf[4:], uint64(rightID))
+	binary.BigEndian.PutUint16(p.buf[12:], uint16(len(sep)))
+	return sep
 }
 
 // --- checking ------------------------------------------------------------------

@@ -220,37 +220,44 @@ func TestStegDBFaultDelete(t *testing.T) {
 // TestStegDBFaultPutSplitGrowsRoot: a Put into a full root leaf splits it —
 // the leaf store commits the split — and then grows a new root. A fault in
 // the root growth fails postSep after the leaf store, and
-// undoLeafChange must take the new row back out, so after every fault of
-// every kind the table equals ref.
+// undoLeafChange must undo the leaf change, so after every fault of every
+// kind the table equals ref. An insert's undo takes the new row back out;
+// a replace's (the replace- cases, whose longer value is what splits the
+// leaf) puts back the value it overwrote.
 func TestStegDBFaultPutSplitGrowsRoot(t *testing.T) {
-	const key = "fk0008"
 	val := func(i int) string { return fmt.Sprintf("%03d", i) + strings.Repeat("v", 477) }
-	late := 0 // faults that struck after the split's leaf store
-	for _, kind := range []string{"read", "write", "resize"} {
-		t.Run(kind, func(t *testing.T) {
-			// Eight 490-byte entries fill the root leaf; a ninth splits it.
-			tab, ev, ref := seededFaultTable(t, 8, val)
-			if h := treeHeight(t, tab.parts[0]); h != 1 {
-				t.Fatalf("seeded tree height %d, want a single leaf", h)
-			}
-			// Pad the file so the split's right sibling takes its last page
-			// and the new root's page must grow it: the resize fault then
-			// lands after the leaf store.
-			padToLastPages(t, tab, ev, 1)
-			sweepFaults(t, tab, ev, kind, ref,
-				func(round int) error {
-					pages := tab.Pages()
-					err := tab.Put([]byte(key), []byte(val(8)))
-					if err != nil && tab.Pages() > pages {
-						late++
-					}
-					return err
-				},
-				func(round int) { ref[key] = val(8) })
-		})
-	}
-	if late == 0 {
-		t.Fatal("no fault struck after the leaf store; undoLeafChange never ran")
+	for _, c := range []struct{ prefix, key, val string }{
+		{"", "fk0008", val(8)},
+		{"replace-", "fk0003", strings.Repeat("r", 700)}, // 220 bytes more than the row it replaces
+	} {
+		late := 0 // faults that struck after the split's leaf store
+		for _, kind := range []string{"read", "write", "resize"} {
+			t.Run(c.prefix+kind, func(t *testing.T) {
+				// Eight 490-byte entries fill the root leaf; a ninth, or a
+				// longer value for one of them, splits it.
+				tab, ev, ref := seededFaultTable(t, 8, val)
+				if h := treeHeight(t, tab.parts[0]); h != 1 {
+					t.Fatalf("seeded tree height %d, want a single leaf", h)
+				}
+				// Pad the file so the split's right sibling takes its last page
+				// and the new root's page must grow it: the resize fault then
+				// lands after the leaf store.
+				padToLastPages(t, tab, ev, 1)
+				sweepFaults(t, tab, ev, kind, ref,
+					func(round int) error {
+						pages := tab.Pages()
+						err := tab.Put([]byte(c.key), []byte(c.val))
+						if err != nil && tab.Pages() > pages {
+							late++
+						}
+						return err
+					},
+					func(round int) { ref[c.key] = c.val })
+			})
+		}
+		if late == 0 {
+			t.Fatalf("%s%s: no fault struck after the leaf store; undoLeafChange never ran", c.prefix, c.key)
+		}
 	}
 }
 
@@ -312,7 +319,7 @@ func faultedGrowthTable(t *testing.T) (*PartitionedTable, map[string]string, fun
 		t.Fatalf("Put with the root growth faulted = %v, want the injected fault", err)
 	}
 	ev.arm("", 0)
-	if root, err := tab.parts[0].load(tab.parts[0].root()); err != nil || !root.leaf || root.right == nilPage {
+	if root, err := loadNode(tab.parts[0], tab.parts[0].root()); err != nil || !root.leaf || root.right == nilPage {
 		t.Fatalf("after the faulted growth the root should be a leaf with a right sibling (err %v)", err)
 	}
 	verifyAgainst(t, tab, ref)
@@ -340,7 +347,7 @@ func TestStegDBFaultRootGrowthLeavesChain(t *testing.T) {
 func TestStegDBSecondPostIsSkipped(t *testing.T) {
 	tab, ref, _ := faultedGrowthTable(t)
 	tree := tab.parts[0]
-	leaf, err := tree.load(tree.root())
+	leaf, err := loadNode(tree, tree.root())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +356,7 @@ func TestStegDBSecondPostIsSkipped(t *testing.T) {
 			t.Fatalf("post %d: %v", i+1, err)
 		}
 	}
-	if root, err := tree.load(tree.root()); err != nil || len(root.keys) != 1 {
+	if root, err := loadNode(tree, tree.root()); err != nil || len(root.keys) != 1 {
 		t.Fatalf("the root holds %d separators (err %v), want 1", len(root.keys), err)
 	}
 	verifyAgainst(t, tab, ref)
@@ -385,7 +392,7 @@ func chainTable(t *testing.T, failAt, stop int) (*PartitionedTable, *errView, ma
 				t.Fatalf("row %d: Put with the root growth faulted = %v, want the injected fault", i, err)
 			}
 			ev.arm("", 0)
-			root, err := tree.load(tree.root())
+			root, err := loadNode(tree, tree.root())
 			if err != nil || root.level != 1 || root.right == nilPage {
 				t.Fatalf("row %d: the faulted growth should leave a level-1 root with a right sibling (err %v)", i, err)
 			}
@@ -438,7 +445,7 @@ func TestStegDBFaultPutSplitsParentGrowsChain(t *testing.T) {
 					return err
 				},
 				func(round int) { ref[key] = chainVal })
-			root, err := tree.load(tree.root())
+			root, err := loadNode(tree, tree.root())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -477,17 +484,17 @@ func TestStegDBCheckCatchesBadSeparator(t *testing.T) {
 				t.Fatalf("before the corruption: %v", err)
 			}
 			tree := tab.parts[0]
-			root, err := tree.load(tree.root())
+			root, err := loadNode(tree, tree.root())
 			if err != nil || root.level != 2 {
 				t.Fatalf("want a level-2 root, got err %v", err)
 			}
 			id := root.children[0]
-			n, err := tree.load(id)
+			n, err := loadNode(tree, id)
 			if err != nil || len(n.keys) < 2 {
 				t.Fatalf("want a level-1 node with 2 separators, got err %v", err)
 			}
 			c.edit(n)
-			if err := tree.store(id, n, 0); err != nil {
+			if err := storeNode(tree, id, n); err != nil {
 				t.Fatal(err)
 			}
 			if err := tab.Check(); err == nil || !strings.Contains(err.Error(), "level 0") {

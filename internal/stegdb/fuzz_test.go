@@ -6,62 +6,409 @@ import (
 	"fmt"
 	"hash/crc64"
 	"io"
-	"reflect"
 	"slices"
 	"testing"
 
 	"stegfs/internal/fsapi"
 )
 
-// FuzzDecodeNode drives the B-link node codec's corruption paths: a mangled
-// tree page must never panic the decoder, and any page it accepts must
-// survive an encode/decode round trip.
-func FuzzDecodeNode(f *testing.F) {
-	for _, n := range []*node{
-		{leaf: true, right: 9, high: []byte("m"), entries: []kv{{key: []byte("a"), val: []byte("1")}, {key: []byte("b")}}},
-		{level: 1, keys: [][]byte{[]byte("k"), []byte("q")}, children: []int64{3, 4, 5}},
-	} {
-		buf := make([]byte, PageSize)
-		if err := encodeNode(n, buf); err != nil {
-			f.Fatal(err)
+// --- the reference page codec -------------------------------------------------
+
+// node is a B-link page decoded into Go slices: the reference the page
+// editor (editPage) is checked against, and the form tests inspect and
+// hand-edit pages in (loadNode, storeNode).
+type node struct {
+	leaf  bool
+	level uint8  // 0 = leaf, parents count up; the root is the highest level
+	right int64  // right sibling at the same level (nilPage = rightmost)
+	high  []byte // exclusive upper bound of this node's range (nil = +inf)
+
+	entries  []kv     // leaf: key/value pairs, sorted
+	keys     [][]byte // internal: separator keys, sorted
+	children []int64  // internal: len(keys)+1 child pages
+}
+
+// kv is one leaf entry.
+type kv struct {
+	key, val []byte
+}
+
+func encodeNode(n *node, buf []byte) error {
+	if size := n.encodedSize(); size > len(buf) {
+		return fmt.Errorf("stegdb: %d-byte node overflows its page", size)
+	}
+	clear(buf)
+	buf[0], buf[1] = nodeInternal, n.level
+	count := len(n.keys)
+	if n.leaf {
+		buf[0], count = nodeLeaf, len(n.entries)
+	}
+	binary.BigEndian.PutUint16(buf[2:], uint16(count))
+	binary.BigEndian.PutUint64(buf[4:], uint64(n.right))
+	binary.BigEndian.PutUint16(buf[12:], uint16(len(n.high)))
+	off := nodeHdr + copy(buf[nodeHdr:], n.high)
+	if n.leaf {
+		for _, e := range n.entries {
+			binary.BigEndian.PutUint16(buf[off:], uint16(len(e.key)))
+			binary.BigEndian.PutUint16(buf[off+2:], uint16(len(e.val)))
+			off += 4 + copy(buf[off+4:], e.key)
+			off += copy(buf[off:], e.val)
 		}
-		f.Add(buf)
-		f.Add(buf[:nodeHdr+4]) // truncated mid-entries
+		return nil
+	}
+	binary.BigEndian.PutUint64(buf[off:], uint64(n.children[0]))
+	off += 8
+	for i, k := range n.keys {
+		binary.BigEndian.PutUint16(buf[off:], uint16(len(k)))
+		off += 2 + copy(buf[off+2:], k)
+		binary.BigEndian.PutUint64(buf[off:], uint64(n.children[i+1]))
+		off += 8
+	}
+	return nil
+}
+
+// decodeNode copies a page out into a node, parsing it with the in-place
+// accessors. Keys and values share one private copy of buf.
+func decodeNode(buf []byte) (*node, error) {
+	v, err := parseNode(bytes.Clone(buf))
+	if err != nil {
+		return nil, err
+	}
+	n := &node{leaf: v.leaf, level: v.level, right: v.right, high: v.high}
+	if n.entries, err = v.entries.all(); err != nil || n.leaf {
+		return n, err
+	}
+	n.keys, n.children = make([][]byte, len(n.entries)), make([]int64, len(n.entries)+1)
+	n.children[0] = v.child0()
+	for i, e := range n.entries {
+		n.keys[i], n.children[i+1] = e.key, int64(binary.BigEndian.Uint64(e.val))
+	}
+	n.entries = nil
+	return n, nil
+}
+
+// all returns the remaining entries, leaving c where it is.
+func (c kvCursor) all() ([]kv, error) {
+	out := make([]kv, 0, min(c.left, len(c.buf)/4))
+	for {
+		k, v, ok, err := c.next()
+		if !ok {
+			return out, err
+		}
+		out = append(out, kv{key: k, val: v})
+	}
+}
+
+// encodedSize returns the byte size the node needs.
+func (n *node) encodedSize() int {
+	size := nodeHdr + len(n.high)
+	if n.leaf {
+		for _, e := range n.entries {
+			size += 4 + len(e.key) + len(e.val)
+		}
+		return size
+	}
+	size += 8
+	for _, k := range n.keys {
+		size += 2 + len(k) + 8
+	}
+	return size
+}
+
+// loadNode reads and decodes page id of tree t.
+func loadNode(t *BTree, id int64) (*node, error) {
+	buf := make([]byte, PageSize)
+	if err := t.pg.ReadPage(id, buf); err != nil {
+		return nil, err
+	}
+	return decodeNode(buf)
+}
+
+// storeNode encodes n and writes it to page id of tree t.
+func storeNode(t *BTree, id int64, n *node) error {
+	buf := make([]byte, PageSize)
+	if err := encodeNode(n, buf); err != nil {
+		return err
+	}
+	return t.pg.writePage(id, buf, 0)
+}
+
+// findEntry returns the position of key among a leaf's sorted entries.
+func (n *node) findEntry(key []byte) (int, bool) {
+	return slices.BinarySearchFunc(n.entries, key, func(e kv, k []byte) int { return bytes.Compare(e.key, k) })
+}
+
+// splitNode is the reference split of an over-full node, as writers split
+// decoded nodes: n keeps the left half, with high key sep and right link
+// rightID, and the right half takes n's old high key and right link.
+func splitNode(n *node, rightID int64) (right *node, sep []byte) {
+	right = &node{leaf: n.leaf, level: n.level, right: n.right, high: n.high}
+	if n.leaf {
+		mid := splitPointLeaf(n.entries)
+		right.entries = append([]kv(nil), n.entries[mid:]...)
+		sep = append([]byte(nil), n.entries[mid].key...)
+		n.entries = n.entries[:mid]
+	} else {
+		mid := splitPointInternal(n.keys)
+		sep = append([]byte(nil), n.keys[mid]...)
+		right.keys = append([][]byte(nil), n.keys[mid+1:]...)
+		right.children = append([]int64(nil), n.children[mid+1:]...)
+		n.keys = n.keys[:mid]
+		n.children = n.children[:mid+1]
+	}
+	n.right = rightID
+	n.high = sep
+	return right, sep
+}
+
+// splitPointLeaf finds the entry index closest to half the encoded size.
+func splitPointLeaf(entries []kv) int {
+	total := 0
+	for _, e := range entries {
+		total += 4 + len(e.key) + len(e.val)
+	}
+	acc := 0
+	for i, e := range entries {
+		acc += 4 + len(e.key) + len(e.val)
+		if acc*2 >= total {
+			if i+1 >= len(entries) {
+				return len(entries) - 1
+			}
+			return i + 1
+		}
+	}
+	return len(entries) / 2
+}
+
+// splitPointInternal picks the promoted-key index balancing the two halves
+// by encoded byte size (a count split can overfill one half when key sizes
+// are skewed).
+func splitPointInternal(keys [][]byte) int {
+	if len(keys) < 3 {
+		return len(keys) / 2
+	}
+	total := 0
+	for _, k := range keys {
+		total += 10 + len(k)
+	}
+	acc := 0
+	for i, k := range keys {
+		acc += 10 + len(k)
+		if acc*2 >= total {
+			m := i + 1
+			if m > len(keys)-2 {
+				m = len(keys) - 2
+			}
+			return m
+		}
+	}
+	return len(keys) / 2
+}
+
+// rawPage is a pageReader holding one page image.
+type rawPage []byte
+
+func (r rawPage) ReadPage(id int64, buf []byte) error {
+	copy(buf, r)
+	return nil
+}
+
+// junkEdit returns an image full of junk, as a pooled one may be.
+func junkEdit() *editPage {
+	p := new(editPage)
+	for i := range p.buf {
+		p.buf[i] = 0xa5
+	}
+	return p
+}
+
+// editOf returns an editor image of n's encoding.
+func editOf(t *testing.T, n *node) *editPage {
+	t.Helper()
+	page := make([]byte, PageSize)
+	if err := encodeNode(n, page); err != nil {
+		t.Fatal(err)
+	}
+	p := junkEdit()
+	if _, err := p.read(rawPage(page), 1); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// samePage fails the test unless image p holds exactly n's encoding, with
+// zeros past it.
+func samePage(t *testing.T, what string, n *node, p *editPage) {
+	t.Helper()
+	want := make([]byte, len(p.buf))
+	if err := encodeNode(n, want[:PageSize]); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if p.end != n.encodedSize() || !bytes.Equal(p.buf[:], want) {
+		t.Fatalf("%s: the edited image (end %d) is not the reference encoding (%d bytes)", what, p.end, n.encodedSize())
+	}
+}
+
+// checkEdit compares image p with the reference node n after an edit.
+// When n fits its page, p must hold its encoding; otherwise both are split,
+// and the halves and separators must agree. It returns the node and image
+// to go on editing: the right halves if right is set.
+func checkEdit(t *testing.T, n *node, p *editPage, right bool) (*node, *editPage) {
+	t.Helper()
+	if n.encodedSize() <= PageSize {
+		samePage(t, "page", n, p)
+		return n, p
+	}
+	const rightID = 77
+	rn, sep := splitNode(n, rightID)
+	r := junkEdit()
+	if got := p.split(r, rightID); !bytes.Equal(got, sep) {
+		t.Fatalf("split separator %q, reference %q", got, sep)
+	}
+	samePage(t, "left half", n, p)
+	samePage(t, "right half", rn, r)
+	if right {
+		return rn, r
+	}
+	return n, p
+}
+
+// FuzzPageEdit checks the writers' in-place page editor against the
+// reference codec. The script drives a leaf and an internal page, three
+// bytes an op (the op, a key byte, a value byte): leaf inserts and
+// replaces, leaf deletes, and separator inserts, each applied to an
+// editPage and to a node. After every op the image must be the node's
+// encoding byte for byte; an over-full pair must split into identical
+// halves (bit 2 of the op picks the half to go on with). Then a root is
+// grown over a leaf chain whose high keys are the leaf's keys, and must be
+// the encoding of the root node that chain gives, cut where it would
+// overflow its page; the chain's high keys are the keys left in both
+// pages.
+func FuzzPageEdit(f *testing.F) {
+	script := func(n int, op func(i int) (byte, byte, byte)) []byte {
+		var s []byte
+		for i := range n {
+			a, b, c := op(i)
+			s = append(s, a, b, c)
+		}
+		return s
 	}
 	f.Add([]byte{})
-	f.Add([]byte{nodeLeaf, 0, 0xff, 0xff})                                   // claims 65535 entries
-	f.Add([]byte{nodeInternal, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff}) // high key past the page
-	f.Add([]byte{7})                                                         // unknown node type
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		page := make([]byte, PageSize) // the pager hands the decoder whole pages
-		copy(page, data)
-		n, err := decodeNode(page)
-		if err != nil {
-			return // rejected: fine, as long as it didn't panic
+	f.Add([]byte{0, 8, 5, 0, 0, 5, 0, 16, 5, 2, 8, 0, 0, 0, 9, 3, 17, 1, 3, 9, 2, 3, 17, 3})
+	f.Add(script(60, func(i int) (byte, byte, byte) { return 0, byte(i * 37), 255 }))                      // leaf splits, going left
+	f.Add(script(60, func(i int) (byte, byte, byte) { return 4, byte(i * 37), byte(100 + i) }))            // leaf splits, going right
+	f.Add(script(40, func(i int) (byte, byte, byte) { return 3, byte(i*53 + 200), byte(i) }))              // internal splits
+	f.Add(script(40, func(i int) (byte, byte, byte) { return 7, byte(i*29 + 128), byte(i) }))              // internal splits, going right
+	f.Add(script(90, func(i int) (byte, byte, byte) { return byte(i % 3), byte(i % 24 * 8), 200 }))        // replace, delete, reinsert
+	f.Add(script(32, func(i int) (byte, byte, byte) { return byte(i%2) * 3, byte(32 + i/2 + i%2*32), 0 })) // the grown root is cut
+	f.Add([]byte{3, 248, 1, 3, 240, 2, 3, 232, 3, 3, 224, 4, 3, 216, 5, 3, 176, 6, 0, 7, 0, 0, 15, 0})     // pages filled to the byte
+	f.Fuzz(func(t *testing.T, script []byte) {
+		leaf, inner := &node{leaf: true}, &node{level: 1, children: []int64{100}}
+		el, ei := editOf(t, leaf), editOf(t, inner)
+		for ; len(script) >= 3; script = script[3:] {
+			op, kb, vb := script[0], script[1], script[2]
+			key := bytes.Repeat([]byte{'a' + kb%8}, 1+int(kb/8)*24)
+			off, old := el.find(key)
+			i, found := leaf.findEntry(key)
+			if op%4 == 3 {
+				off, old = ei.find(key)
+				i, found = slices.BinarySearchFunc(inner.keys, key, bytes.Compare)
+			}
+			if found != (old > 0) {
+				t.Fatalf("key %q: editor finds it %v, reference %v", key, old > 0, found)
+			}
+			switch op % 4 {
+			case 0, 1:
+				val := bytes.Repeat([]byte{vb}, min(int(vb)*3, MaxEntry-len(key)))
+				if found {
+					leaf.entries[i].val = val
+				} else {
+					leaf.entries = slices.Insert(leaf.entries, i, kv{key: key, val: val})
+				}
+				el.setLeaf(off, old, key, val)
+			case 2:
+				if found {
+					leaf.entries = slices.Delete(leaf.entries, i, i+1)
+					el.splice(off, old, 0)
+				}
+			case 3:
+				if !found {
+					inner.keys = slices.Insert(inner.keys, i, key)
+					inner.children = slices.Insert(inner.children, i+1, 200+int64(vb))
+					putSep(ei.splice(off, 0, 10+len(key)), key, 200+int64(vb))
+				}
+				inner, ei = checkEdit(t, inner, ei, op&4 != 0)
+				continue
+			}
+			leaf, el = checkEdit(t, leaf, el, op&4 != 0)
 		}
-		if n.encodedSize() > PageSize {
-			t.Fatalf("accepted node claims %d bytes", n.encodedSize())
+		highs := slices.Clone(inner.keys)
+		for _, e := range leaf.entries {
+			highs = append(highs, e.key)
 		}
-		buf := make([]byte, PageSize)
-		if err := encodeNode(n, buf); err != nil {
-			t.Fatalf("re-encode of accepted node failed: %v", err)
-		}
-		n2, err := decodeNode(buf)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if !reflect.DeepEqual(n, n2) {
-			t.Fatalf("round trip mismatch:\n%+v\n%+v", n, n2)
-		}
+		slices.SortFunc(highs, bytes.Compare)
+		highs = slices.CompactFunc(highs, bytes.Equal)
+		checkGrowRoot(t, highs[:min(len(highs), 100)])
 	})
+}
+
+// checkGrowRoot builds a leaf chain with high keys highs in a fresh tree, grows a root over it, and checks the root page against
+// the reference encoding. The chain starts at the empty leaf root
+// ensureRoot writes, which is checked first.
+func checkGrowRoot(t *testing.T, highs [][]byte) {
+	t.Helper()
+	tree := NewBTree(newTestPager(t, &memView{files: map[string][]byte{}}, "g"))
+	if err := tree.ensureRoot(); err != nil {
+		t.Fatal(err)
+	}
+	samePageAt(t, "ensureRoot's leaf", tree, &node{leaf: true})
+	ids := []int64{tree.root()}
+	for range highs {
+		id, err := tree.pg.AllocPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	want, cut := &node{level: 1, children: ids[:1]}, false
+	for i, id := range ids {
+		chain := &node{leaf: true}
+		if i < len(highs) {
+			chain.high, chain.right = highs[i], ids[i+1]
+			if cut = cut || want.encodedSize()+10+len(chain.high) > PageSize; !cut {
+				want.keys, want.children = append(want.keys, chain.high), append(want.children, chain.right)
+			}
+		}
+		if err := storeNode(tree, id, chain); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tree.growRoot(0); err != nil {
+		t.Fatal(err)
+	}
+	samePageAt(t, "grown root", tree, want)
+}
+
+// samePageAt fails the test unless tree's root page is exactly n's
+// encoding.
+func samePageAt(t *testing.T, what string, tree *BTree, n *node) {
+	t.Helper()
+	got, want := make([]byte, PageSize), make([]byte, PageSize)
+	if err := tree.pg.ReadPage(tree.root(), got); err != nil {
+		t.Fatal(err)
+	}
+	if err := encodeNode(n, want); err != nil || !bytes.Equal(got, want) {
+		gotNode, _ := decodeNode(got)
+		t.Fatalf("%s is %+v, want %+v (err %v)", what, gotNode, n, err)
+	}
 }
 
 // FuzzNodeInPlace is the differential check of the in-place read path. Each
 // input yields two pages: the raw bytes (mostly corrupt), and a valid node
 // built from them — sorted, distinct keys cut from the input, as a leaf or
 // an internal node. On every page the in-place accessors must never panic,
-// and a full in-place walk fails exactly when decodeNode does. On pages
+// and a writer's page read (editPage.read, a full in-place walk) fails
+// exactly when decodeNode does. On pages
 // with sorted keys, the lookup, child choice and leaf iteration the read
 // paths run must match decodeNode followed by a linear scan.
 func FuzzNodeInPlace(f *testing.F) {
@@ -69,6 +416,7 @@ func FuzzNodeInPlace(f *testing.F) {
 	f.Add([]byte("\x03abc\x01d\x02ef\x04ghij\x00\x02mn"), []byte("e"), false)
 	f.Add([]byte{nodeLeaf, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 'a', 'b'}, []byte("a"), true)
 	f.Add([]byte{nodeInternal, 1, 0xff, 0xff}, []byte{}, false)
+	f.Add([]byte{nodeLeaf, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 'a', 'b', 0xee, 0xee}, []byte("a"), true) // bytes past the records
 	f.Fuzz(func(t *testing.T, data, probe []byte, leaf bool) {
 		page := make([]byte, PageSize) // the pager hands the parsers whole pages
 		copy(page, data)
@@ -116,13 +464,13 @@ func nodeFromBytes(data []byte, leaf bool) (*node, bool) {
 
 func checkNodeInPlace(t *testing.T, page, probe []byte) {
 	n, derr := decodeNode(page)
-	v, err := parseNode(page)
-	if err == nil {
-		c := v.entries
-		_, err = c.all()
-	}
+	var p editPage
+	v, err := p.read(rawPage(page), 1)
 	if (err != nil) != (derr != nil) {
-		t.Fatalf("in-place walk err %v, decodeNode err %v", err, derr)
+		t.Fatalf("writer's page read err %v, decodeNode err %v", err, derr)
+	}
+	if err == nil {
+		samePage(t, "writer's image", n, &p) // bytes past the records dropped, as re-encoding drops them
 	}
 	if err != nil {
 		// Corrupt: the partial walks the read paths run must not panic.

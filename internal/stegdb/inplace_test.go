@@ -110,12 +110,12 @@ func TestTreeIterReturnsBuffers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	root, err := tree2.load(tree2.root())
+	root, err := loadNode(tree2, tree2.root())
 	if err != nil || root.leaf {
 		t.Fatalf("want an internal root, got err %v", err)
 	}
 	junk := bytes.Repeat([]byte{0xEE}, PageSize)
-	if err := pg2.WritePage(root.children[1], junk); err != nil {
+	if err := pg2.writePage(root.children[1], junk, 0); err != nil {
 		t.Fatal(err)
 	}
 	bad := pg2.BeginSnapshot()

@@ -19,7 +19,7 @@
 // over the B-link tree (btree.go); readers that
 // must not block behind writers take copy-on-write snapshots
 // (BeginSnapshot) pinned at an epoch; see snapshot.go. Durability point:
-// WritePage is write-back — dirty pages reach the hidden file only when
+// page writes are write-back — dirty pages reach the hidden file only when
 // their table commits (PartitionedTable.Sync/Close) through its physical
 // redo journal (commit.go): journal + header, barrier, home writes,
 // barrier. Crash recovery replays a CRC-valid journal at open, so the
@@ -314,20 +314,18 @@ func (p *Pager) ensureLoaded(e *pageEntry) error {
 	return nil
 }
 
-// WritePage writes buf (len PageSize) to page id. The write is write-back:
-// the frame is marked dirty and reaches the hidden file at the next commit
-// (its table's Sync/Close). If a snapshot could still see the page's
-// previous content, that content is saved as a copy-on-write version first.
+// writePage writes buf (len PageSize) to page id and adds rows to the row
+// counter, at the same snapshot epoch (see saveVersionLocked). The write is
+// write-back: the frame is marked dirty and reaches the hidden file at the
+// next commit (its table's Sync/Close). If a snapshot could still see the
+// page's previous content, that content is saved as a copy-on-write
+// version first.
 //
 // The frame is marked dirty BEFORE the epoch stamp inside
 // saveVersionLocked: a commit pins its epoch under snapMu, so a write
 // stamped at or before that epoch must already be visible to the commit's
 // dirty-list capture — the reverse order could journal a cut that silently
 // misses this page.
-func (p *Pager) WritePage(id int64, buf []byte) error { return p.writePage(id, buf, 0) }
-
-// writePage is WritePage that also adds rows to the row counter, at the
-// same snapshot epoch as the page write (see saveVersionLocked).
 func (p *Pager) writePage(id int64, buf []byte, rows int64) error {
 	if len(buf) != PageSize {
 		return fmt.Errorf("stegdb: page buffer %d != %d", len(buf), PageSize)

@@ -387,16 +387,26 @@ func (pt *PartitionedTable) Close() error { return pt.Sync() }
 // name.p0, name.p1, ... for as long as they adopt, then the journal
 // name.wal, which must adopt too; OpenPartitionedTable then validates the
 // set. It returns the names of every hidden file adopted, so callers like
-// stegfsck can verify each one's block-level integrity too.
+// stegfsck can verify each one's block-level integrity too. A table of the
+// one-file layout before SGDB0002 is the hidden file name with no name.p0;
+// it is reported by its magic (checkMagic), read without changing a byte.
 func CheckAny(view View, adopt func(name string) error, name string) ([]string, error) {
 	var files []string
 	for i := 0; i < maxPartitions; i++ {
 		part := partName(name, i)
 		if err := adopt(part); err != nil {
-			if i == 0 {
-				return nil, fmt.Errorf("stegdb: table %q not found: %w", name, err)
+			if i > 0 {
+				break
 			}
-			break
+			var magic [8]byte
+			if adopt(name) == nil {
+				if _, rerr := view.ReadAt(name, magic[:], 0); rerr == nil {
+					if merr := checkMagic(name, magic[:]); merr != nil {
+						return nil, merr
+					}
+				}
+			}
+			return nil, fmt.Errorf("stegdb: table %q not found: %w", name, err)
 		}
 		files = append(files, part)
 	}

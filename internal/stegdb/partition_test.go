@@ -161,6 +161,44 @@ func TestCheckAnyPlainTable(t *testing.T) {
 	}
 }
 
+// TestCheckAnyOneFileOldTable: a table of the one-file layout before
+// SGDB0002 (hidden file "old", magic SGDB0001, no "old.p0") is reported by
+// its format, not as missing, and checking it changes none of its bytes. A
+// lone file that is no stegdb file at all is reported as such.
+func TestCheckAnyOneFileOldTable(t *testing.T) {
+	view, store := newView(t, 64<<10)
+	old := make([]byte, 8*PageSize)
+	copy(old, pagerMagicV1)
+	binary.BigEndian.PutUint64(old[metaNumPages:], 1)
+	if err := view.Create("old", old); err != nil {
+		t.Fatal(err)
+	}
+	if err := view.Create("junk", bytes.Repeat([]byte{0xAB}, PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	if err := view.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	fs2, err := stegfs.Mount(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view2 := fs2.NewHiddenView("db")
+	for _, c := range []struct{ name, want string }{
+		{"old", pagerMagicV1},
+		{"junk", "not a stegdb file"},
+		{"missing", "not found"},
+	} {
+		if files, err := CheckAny(view2, view2.Adopt, c.name); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("CheckAny(%q) = %v, %v; want an error naming %q", c.name, files, err, c.want)
+		}
+	}
+	got := make([]byte, len(old))
+	if _, err := view2.ReadAt("old", got, 0); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("checking the old table changed its bytes (err %v)", err)
+	}
+}
+
 // TestStegDBPartitionedSnapshotAtomic: a cross-partition snapshot pins one
 // instant — under concurrent single-key "transfers" that keep an invariant
 // across two partitions (total token count constant), every snapshot must

@@ -121,7 +121,7 @@ func (s *Snapshot) ReadPage(id int64, buf []byte) error {
 	if err := p.ensureLoaded(e); err != nil {
 		return err
 	}
-	// Lock order: page latch, then snapMu (same as WritePage's version
+	// Lock order: page latch, then snapMu (same as writePage's version
 	// save). Holding the latch shared pins the frame content while we
 	// decide whether it is the version this snapshot should see.
 	e.latch.RLock()

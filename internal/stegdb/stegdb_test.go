@@ -64,7 +64,7 @@ func treeHeight(t *testing.T, bt *BTree) int {
 	if bt.root() == nilPage {
 		return 0
 	}
-	n, err := bt.load(bt.root())
+	n, err := loadNode(bt, bt.root())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestPagerAllocReadWrite(t *testing.T) {
 		}
 		ids[i] = id
 		buf := bytes.Repeat([]byte{byte(i + 1)}, PageSize)
-		if err := pg.WritePage(id, buf); err != nil {
+		if err := pg.writePage(id, buf, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -116,7 +116,7 @@ func TestPagerPersistence(t *testing.T) {
 	pg := newTestPager(t, view, "db1")
 	id, _ := pg.AllocPage()
 	want := bytes.Repeat([]byte{0x5c}, PageSize)
-	if err := pg.WritePage(id, want); err != nil {
+	if err := pg.writePage(id, want, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Pages are write-back: a commit is the durability point before reopening.

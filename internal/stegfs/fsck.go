@@ -44,9 +44,9 @@ type CheckOptions struct {
 	Tables []TableRef
 	// CheckTable structurally checks one embedded database table through a
 	// view and returns the hidden file names the table lives in. Callers
-	// wire it to stegdb (CheckAny discovers plain and partitioned layouts,
-	// adopts every constituent file — partitions, journal siblings — into
-	// the view, and runs the structural check); stegfs cannot import stegdb
+	// wire it to stegdb (CheckAny adopts every file of the table — its
+	// members and its journal — into the view, and runs the structural
+	// check); stegfs cannot import stegdb
 	// itself — the database is a layer *above* the filesystem. The checker
 	// then gives each returned file the full hidden-object verification so
 	// all of the table's blocks are accounted. Nil limits table checks to
