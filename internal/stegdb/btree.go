@@ -59,12 +59,14 @@ type BTree struct {
 // nKeyShards is the Put/Delete key striping factor.
 const nKeyShards = 64
 
-// MaxEntry bounds key+value length. The bound keeps every split half
-// encodable: a post-split node holds at least one max-size entry, a
-// separator-length high key and the 22-byte fixed header, and the split
-// point can overshoot the byte midpoint by one max-size entry, so the worst
-// half is nodeHdr + MaxEntry (high key) + T/2 + (4+MaxEntry) bytes with
-// T <= PageSize + (4+MaxEntry); MaxEntry = 768 keeps that under PageSize.
+// MaxEntry bounds key+value length, so no record is longer than 10+MaxEntry
+// bytes (a separator with a MaxEntry-byte key) and no high key longer than
+// MaxEntry. editPage.split cuts after the record that reaches half of the
+// record bytes, which keeps both halves sound (TestSplitBounds computes
+// the bounds from the constants): each half fits its page, and an
+// over-full page holds more than PageSize-nodeHdr-8-MaxEntry = 3306 record
+// bytes, over four longest records, so at least two records lie right of
+// the cut. An internal page with fewer than 3 separators is never over-full.
 const MaxEntry = 768
 
 // A page is the header, the high key, and nkeys records sorted by key:
@@ -161,10 +163,6 @@ func (t *treeLatches) unlock(id int64) {
 
 // --- page format --------------------------------------------------------------
 
-// pagePool recycles the PageSize buffers the read paths walk pages in, so a
-// warm Get, descent or Range allocates only what it returns.
-var pagePool = sync.Pool{New: func() any { return new([PageSize]byte) }}
-
 var errCorruptPage = errors.New("stegdb: corrupt page entry")
 
 // kvCursor walks the remaining entries of a page in place: leaf entries
@@ -213,9 +211,9 @@ func (c *kvCursor) seek(key []byte) (k, v []byte, ok bool, err error) {
 }
 
 // nodeView is a B-link page read in place: the one parser of the page
-// format. Read paths walk it without copying; writers parse their private
-// copy with it (editPage.read). Bounds are checked against the page
-// length, so a corrupt page is an error, never a panic.
+// format. Read paths walk the latched frame with it; writers and the
+// iterator parse their private copies with it. Bounds are checked against
+// the page length, so a corrupt page is an error, never a panic.
 type nodeView struct {
 	leaf    bool
 	level   uint8
@@ -247,12 +245,19 @@ func parseNode(buf []byte) (nodeView, error) {
 	return v, nil
 }
 
-// readNode reads page id into buf and parses it in place.
-func readNode(r pageReader, id int64, buf *[PageSize]byte) (nodeView, error) {
-	if err := r.ReadPage(id, buf[:]); err != nil {
-		return nodeView{}, err
+// readNode read-latches page id as snapshot s sees it (nil: the live
+// page) and parses it in place. v aliases the frame until the caller
+// hands e to pg.readUnlatch; on error nothing is held.
+//
+// lockcheck:acquire stegdb/latch shared
+func readNode(pg *Pager, s *Snapshot, id int64) (v nodeView, e *pageEntry, err error) {
+	img, e, err := pg.readLatch(id, s)
+	if err == nil {
+		if v, err = parseNode(img); err != nil {
+			pg.readUnlatch(e)
+		}
 	}
-	return parseNode(buf[:])
+	return v, e, err
 }
 
 // child0 is an internal node's leftmost child.
@@ -275,29 +280,23 @@ func (v *nodeView) child(key []byte) (int64, error) {
 	return id, nil
 }
 
-// pageReader is the read side shared by the live pager and snapshots, so
-// one descent/scan implementation serves both.
-type pageReader interface {
-	ReadPage(id int64, buf []byte) error
-}
-
 // covers reports whether key falls below a node's high key (move right
 // otherwise).
 func covers(high, key []byte) bool { return high == nil || bytes.Compare(key, high) < 0 }
 
 // --- reads --------------------------------------------------------------------
 
-// getFrom looks key up in place, copying out only the value it returns.
-func getFrom(r pageReader, id int64, key []byte) ([]byte, bool, error) {
+// getFrom looks key up in place in the tree rooted at id as snapshot s
+// sees it (nil: the live tree), copying out only the value it returns.
+func getFrom(pg *Pager, s *Snapshot, id int64, key []byte) ([]byte, bool, error) {
 	if id == nilPage {
 		return nil, false, nil
 	}
-	buf := pagePool.Get().(*[PageSize]byte)
-	defer pagePool.Put(buf)
-	_, leaf, err := seekLevel(r, id, key, 0, buf)
+	_, leaf, e, err := seekLevel(pg, s, id, key, 0)
 	if err != nil {
 		return nil, false, err
 	}
+	defer pg.readUnlatch(e)
 	k, val, ok, err := leaf.entries.seek(key)
 	if !ok || err != nil || !bytes.Equal(k, key) {
 		return nil, false, err
@@ -305,37 +304,46 @@ func getFrom(r pageReader, id int64, key []byte) ([]byte, bool, error) {
 	return append([]byte(nil), val...), true, nil
 }
 
-// seekLevel descends in place in buf from page id to the node at level
-// (0 = leaf) owning key (nil: the leftmost), moving right past splits.
-func seekLevel(r pageReader, id int64, key []byte, level uint8, buf *[PageSize]byte) (int64, nodeView, error) {
+// seekLevel descends in place from page id to the node at level (0 =
+// leaf) owning key (nil: the leftmost), moving right past splits. It
+// latches one page at a time and returns the node it lands on still
+// latched, for the caller to hand e to pg.readUnlatch; on error nothing
+// is held.
+//
+// lockcheck:acquire stegdb/latch shared
+func seekLevel(pg *Pager, s *Snapshot, id int64, key []byte, level uint8) (int64, nodeView, *pageEntry, error) {
 	for {
-		v, err := readNode(r, id, buf)
+		v, e, err := readNode(pg, s, id)
 		switch {
 		case err != nil:
-			return 0, v, err
+			return 0, v, nil, err
 		case !covers(v.high, key):
 			id = v.right
 		case v.level == level && v.leaf == (level == 0):
-			return id, v, nil
+			return id, v, e, nil
 		case v.leaf || v.level < level:
-			return 0, v, fmt.Errorf("stegdb: btree level %d unreachable from root", level)
+			err = fmt.Errorf("stegdb: btree level %d unreachable from root", level)
 		default:
-			if id, err = v.child(key); err != nil {
-				return 0, v, err
-			}
+			id, err = v.child(key)
+		}
+		pg.readUnlatch(e)
+		if err != nil {
+			return 0, nodeView{}, nil, err
 		}
 	}
 }
 
 // treeIter is a pull iterator over one snapshot's [lo, hi) range: descend
-// toward lo, then follow the leaf chain rightward until hi, walking each
-// leaf in place in a pooled page buffer. Both Range methods k-way-merge one
-// per snapshot (mergeRange). done() true means exhausted, and the buffer is
-// back in the pool; key()/val() alias the buffer, valid only until next().
+// toward lo, then follow the leaf chain rightward until hi. It walks a
+// copy of each leaf in a pooled image, not the frame: Range hands key()
+// and val() to a callback that may write to the same table, so no latch
+// may be held across it. Both Range methods k-way-merge one per snapshot
+// (mergeRange). done() true means exhausted, and the image is back in the
+// pool; key()/val() alias the image, valid only until next().
 type treeIter struct {
-	r     pageReader
-	buf   *[PageSize]byte // nil once done
-	right int64           // the current leaf's right sibling
+	s     *Snapshot
+	p     *editPage // nil once done
+	right int64     // the current leaf's right sibling
 	c     kvCursor
 	k, v  []byte
 	hi    []byte
@@ -343,17 +351,28 @@ type treeIter struct {
 
 // seek positions it at the first key >= lo of the snapshot.
 func (it *treeIter) seek(s *Snapshot, lo, hi []byte) error {
-	if *it = (treeIter{r: s, hi: hi}); s.btreeRoot == nilPage {
+	if *it = (treeIter{s: s, hi: hi}); s.btreeRoot == nilPage {
 		return nil
 	}
-	it.buf = pagePool.Get().(*[PageSize]byte)
-	_, leaf, err := seekLevel(it.r, s.btreeRoot, lo, 0, it.buf)
+	it.p = editPool.Get().(*editPage)
+	_, leaf, e, err := seekLevel(s.pg, s, s.btreeRoot, lo, 0)
 	if err != nil {
 		it.close()
 		return err
 	}
-	it.right, it.c = leaf.right, leaf.entries
+	it.keep(leaf, e)
 	return it.settle(lo)
+}
+
+// keep copies the latched leaf v into the iterator's image, unlatches it
+// and walks on in the copy.
+//
+// lockcheck:release stegdb/latch shared
+func (it *treeIter) keep(v nodeView, e *pageEntry) {
+	copy(it.p.buf[:], v.entries.buf)
+	it.s.pg.readUnlatch(e)
+	it.right, it.c = v.right, v.entries
+	it.c.buf = it.p.buf[:PageSize]
 }
 
 // settle moves to the first entry >= lo, crossing to right siblings past
@@ -370,24 +389,24 @@ func (it *treeIter) settle(lo []byte) error {
 			it.close()
 			return err
 		}
-		leaf, err := readNode(it.r, it.right, it.buf)
+		leaf, e, err := readNode(it.s.pg, it.s, it.right)
 		if err != nil {
 			it.close()
 			return err
 		}
-		it.right, it.c = leaf.right, leaf.entries
+		it.keep(leaf, e)
 	}
 }
 
-// close returns the buffer to the pool; the iterator is done afterwards.
+// close returns the image to the pool; the iterator is done afterwards.
 func (it *treeIter) close() {
-	if it.buf != nil {
-		pagePool.Put(it.buf)
+	if it.p != nil {
+		editPool.Put(it.p)
 	}
 	*it = treeIter{}
 }
 
-func (it *treeIter) done() bool  { return it.buf == nil }
+func (it *treeIter) done() bool  { return it.p == nil }
 func (it *treeIter) key() []byte { return it.k }
 func (it *treeIter) val() []byte { return it.v }
 
@@ -400,7 +419,7 @@ func (it *treeIter) next() error { return it.settle(nil) }
 // latch-free: it descends the live tree moving right past in-flight splits,
 // never blocking behind a writer.
 func (t *BTree) Get(key []byte) ([]byte, bool, error) {
-	return getFrom(t.pg, t.root(), key)
+	return getFrom(t.pg, nil, t.root(), key)
 }
 
 // shardFor hashes the key (FNV-1a) onto a shard lock.
@@ -497,15 +516,20 @@ func (t *BTree) ensureRoot() error {
 // the image, which release gives back; on error no latch is held.
 // lockcheck:acquire stegdb/treelatch
 func (t *BTree) lockOwner(key []byte, level uint8) (int64, *editPage, error) {
-	p := editPool.Get().(*editPage)
-	id, _, err := seekLevel(t.pg, t.root(), key, level, p.page())
+	id, _, e, err := seekLevel(t.pg, nil, t.root(), key, level)
 	if err != nil {
-		editPool.Put(p)
 		return 0, nil, err
 	}
+	t.pg.readUnlatch(e)
+	p := editPool.Get().(*editPage)
 	t.latches.lock(id)
 	for {
-		v, err := p.read(t.pg, id)
+		img, e, err := t.pg.readLatch(id, nil)
+		var v nodeView
+		if err == nil {
+			v, err = p.read(img)
+			t.pg.readUnlatch(e)
+		}
 		if err != nil {
 			t.release(id, p)
 			return 0, nil, err
@@ -607,30 +631,34 @@ func (t *BTree) postSep(sep []byte, rightID int64, level uint8) error {
 func (t *BTree) growRoot(below uint8) error {
 	t.rootMu.Lock()
 	defer t.rootMu.Unlock()
-	buf, root := pagePool.Get().(*[PageSize]byte), pagePool.Get().(*[PageSize]byte)
-	defer pagePool.Put(buf)
-	defer pagePool.Put(root)
 	id := t.root()
-	v, err := readNode(t.pg, id, buf)
-	if err != nil || v.level != below {
+	v, e, err := readNode(t.pg, nil, id)
+	if err != nil {
 		return err
 	}
-	clear(root[:])
+	if v.level != below {
+		t.pg.readUnlatch(e)
+		return nil
+	}
+	root := make([]byte, PageSize)
 	root[0], root[1] = nodeInternal, below+1
 	binary.BigEndian.PutUint64(root[nodeHdr:], uint64(id))
 	off, n := nodeHdr+8, 0
 	for ; v.right != nilPage && off+10+len(v.high) <= PageSize; n++ {
 		off += putSep(root[off:], v.high, v.right)
-		if v, err = readNode(t.pg, v.right, buf); err != nil {
+		next := v.right
+		t.pg.readUnlatch(e)
+		if v, e, err = readNode(t.pg, nil, next); err != nil {
 			return err
 		}
 	}
+	t.pg.readUnlatch(e)
 	binary.BigEndian.PutUint16(root[2:], uint16(n))
 	newRoot, err := t.pg.AllocPage()
 	if err != nil {
 		return err
 	}
-	if err := t.pg.writePage(newRoot, root[:], 0); err != nil {
+	if err := t.pg.writePage(newRoot, root, 0); err != nil {
 		return err
 	}
 	t.setRoot(newRoot)
@@ -702,11 +730,10 @@ type editPage struct {
 // allocates nothing.
 var editPool = sync.Pool{New: func() any { return new(editPage) }}
 
-func (p *editPage) page() *[PageSize]byte { return (*[PageSize]byte)(p.buf[:PageSize]) }
-
-// read copies page id into p, checking that every record parses.
-func (p *editPage) read(r pageReader, id int64) (nodeView, error) {
-	v, err := readNode(r, id, p.page())
+// read copies the page image img into p, checking that every record
+// parses.
+func (p *editPage) read(img []byte) (nodeView, error) {
+	v, err := parseNode(p.buf[:copy(p.buf[:], img)])
 	if err != nil {
 		return v, err
 	}
@@ -786,9 +813,8 @@ func putSep(rec, key []byte, child int64) int {
 
 // split cuts the over-full image p in two by record byte lengths. The cut
 // falls after the first record that reaches half of the record bytes,
-// clamped so a leaf's right half keeps a record and, from three
-// separators on, each internal half keeps one (below three it is the
-// middle one). A leaf's right half starts with the record at the cut,
+// which leaves at least two records right of it (see MaxEntry). A leaf's
+// right half starts with the record at the cut,
 // whose key is the separator; an internal page promotes that record's key
 // and makes its child the right half's children[0]. The right half, built
 // in r, takes p's high key and right link; p keeps the left half, with the
@@ -796,21 +822,8 @@ func putSep(rec, key []byte, child int64) int {
 func (p *editPage) split(r *editPage, rightID int64) []byte {
 	leaf, n := p.buf[0] == nodeLeaf, int(binary.BigEndian.Uint16(p.buf[2:]))
 	c := p.records()
-	total, acc, mid := p.end-c.off, 0, 0
-	for at := c.off; acc*2 < total; at = c.off {
-		c.next()
-		acc, mid = acc+c.off-at, mid+1
-	}
-	switch {
-	case leaf:
-		mid = min(mid, n-1)
-	case n < 3:
-		mid = n / 2
-	default:
-		mid = min(mid, n-2)
-	}
-	c = p.records()
-	for range mid {
+	first, mid := c.off, 0
+	for ; (c.off-first)*2 < p.end-first; mid++ {
 		c.next()
 	}
 	off := c.off
@@ -853,14 +866,12 @@ type downlink struct {
 // downlink (a failed post leaves one) is legal. Then every row must be one
 // owns accepts, and the row counter must match a full scan.
 func checkTree(s *Snapshot, owns func(key []byte) bool) error {
-	buf := pagePool.Get().(*[PageSize]byte)
-	defer pagePool.Put(buf)
 	for level, above := -1, []downlink{{child: s.btreeRoot}}; s.btreeRoot != nilPage; level-- {
 		var below []downlink
 		var low []byte // the left neighbour's high key
 		next := 0      // the first downlink of above not yet met
 		for id := above[0].child; id != nilPage; {
-			v, err := readNode(s, id, buf)
+			v, e, err := readNode(s.pg, s, id)
 			if err != nil {
 				return err
 			}
@@ -869,30 +880,31 @@ func checkTree(s *Snapshot, owns func(key []byte) bool) error {
 			}
 			switch {
 			case int(v.level) != level || v.leaf != (level == 0):
-				return fmt.Errorf("stegdb: page %d of level %d is in the level-%d chain", id, v.level, level)
+				err = fmt.Errorf("stegdb: page %d of level %d is in the level-%d chain", id, v.level, level)
 			case (v.high == nil) != (v.right == nilPage):
-				return fmt.Errorf("stegdb: page %d: high key and right link disagree", id)
+				err = fmt.Errorf("stegdb: page %d: high key and right link disagree", id)
 			case low != nil && v.high != nil && bytes.Compare(v.high, low) <= 0:
-				return fmt.Errorf("stegdb: level %d: high keys out of order at page %d", level, id)
+				err = fmt.Errorf("stegdb: level %d: high keys out of order at page %d", level, id)
 			case next < len(above) && above[next].child == id:
 				if !bytes.Equal(above[next].low, low) {
-					return fmt.Errorf("stegdb: level %d: separator %q points at page %d, right of high key %q", level, above[next].low, id, low)
+					err = fmt.Errorf("stegdb: level %d: separator %q points at page %d, right of high key %q", level, above[next].low, id, low)
 				}
 				next++
 			}
-			if !v.leaf {
+			if !v.leaf && err == nil {
 				below = append(below, downlink{low, v.child0()})
-				for c := v.entries; ; {
-					k, ptr, ok, err := c.next()
-					if err != nil {
-						return err
-					} else if !ok {
-						break
+				var k, ptr []byte
+				for ok, c := true, v.entries; ok; {
+					if k, ptr, ok, err = c.next(); ok {
+						below = append(below, downlink{bytes.Clone(k), int64(binary.BigEndian.Uint64(ptr))})
 					}
-					below = append(below, downlink{bytes.Clone(k), int64(binary.BigEndian.Uint64(ptr))})
 				}
 			}
 			low, id = bytes.Clone(v.high), v.right
+			s.pg.readUnlatch(e)
+			if err != nil {
+				return err
+			}
 		}
 		if next < len(above) {
 			return fmt.Errorf("stegdb: level %d: downlink to page %d is out of chain order or off the chain", level, above[next].child)

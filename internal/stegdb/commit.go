@@ -303,7 +303,7 @@ func (p *Pager) commitPrepare() (*commitState, error) {
 			continue
 		}
 		c := pageCut{e: e, img: make([]byte, PageSize)}
-		ok, cerr := p.captureAsOf(&c, s.epoch)
+		ok, cerr := p.captureAsOf(&c, s)
 		if cerr != nil || !ok {
 			if err = cerr; err != nil {
 				break
@@ -330,37 +330,25 @@ func (p *Pager) commitPrepare() (*commitState, error) {
 	return st, nil
 }
 
-// captureAsOf copies c.e's page as of epoch E into c.img: the live frame
-// when its last write is stamped at or before E (c.live, with the
-// generation to clear after homing), else the newest saved version at or
-// before E. It sets c.lo/c.hi against the frame's base. ok=false means the
-// frame holds nothing persistable (a write that failed before loading
-// content). Lock order: page latch -> snapMu, same as Snapshot.ReadPage.
-func (p *Pager) captureAsOf(c *pageCut, epoch int64) (ok bool, err error) {
+// captureAsOf copies c.e's page as snapshot s sees it (imageAt) into
+// c.img: the live frame (c.live, with the generation to clear after
+// homing) or a saved version. It sets c.lo/c.hi against the frame's base.
+// ok=false means the frame holds nothing persistable (a write that failed
+// before loading content); such a frame is skipped without a device read.
+func (p *Pager) captureAsOf(c *pageCut, s *Snapshot) (ok bool, err error) {
 	e := c.e
 	e.latch.RLock()
 	defer e.latch.RUnlock()
-	p.snapMu.Lock()
-	if p.liveEpoch[e.id] <= epoch {
-		p.snapMu.Unlock()
-		if !e.valid {
-			return false, nil
-		}
+	img, live, err := p.imageAt(e, s)
+	switch {
+	case err != nil:
+		return false, err
+	case live && !e.valid:
+		return false, nil
+	case live:
 		c.live, c.gen = true, p.cache.gen(e)
-		copy(c.img, e.buf[:])
-	} else {
-		vs := p.versions[e.id]
-		i := len(vs) - 1
-		for i >= 0 && vs[i].epoch > epoch {
-			i--
-		}
-		if i < 0 {
-			p.snapMu.Unlock()
-			return false, errors.New("stegdb: commit lost page version")
-		}
-		copy(c.img, vs[i].data)
-		p.snapMu.Unlock()
 	}
+	copy(c.img, img)
 	c.lo, c.hi = changedRange(e.base, c.img)
 	return true, nil
 }

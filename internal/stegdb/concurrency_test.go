@@ -1,12 +1,14 @@
 package stegdb
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"stegfs/internal/stegfs"
 )
@@ -380,5 +382,78 @@ func TestStegDBConcurrentFirstSplits(t *testing.T) {
 		if err := tab.Check(); err != nil {
 			t.Fatalf("round %d: %v", r, err)
 		}
+	}
+}
+
+// TestStegDBRangeCallbackWrites: a Range callback may write to the table it
+// walks, since the walk holds no page latch while the callback runs. Each
+// callback deletes the row it is handed and inserts a 600-byte row next to
+// it, which splits the leaf being walked every few rows. Range must return
+// exactly the rows of its snapshot, in order, and must not deadlock.
+func TestStegDBRangeCallbackWrites(t *testing.T) {
+	const rows = 300
+	for _, parts := range []int{1, 3} {
+		t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {
+			tab, err := CreatePartitionedTable(&memView{files: map[string][]byte{}}, "cb", parts, false, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < rows; i++ {
+				if err := tab.Put(u64key(2*i), []byte(fmt.Sprintf("row-%d", i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pages := func(tab *PartitionedTable) (n int) {
+				for _, p := range tab.parts {
+					n += int(p.pg.NumPages())
+				}
+				return n
+			}
+			before := pages(tab)
+			big := []byte(strings.Repeat("n", 600))
+			var seen []int
+			done := make(chan error, 1)
+			go func() {
+				done <- tab.Range(nil, nil, func(k, v []byte) bool {
+					i := int(binary.BigEndian.Uint64(k)) / 2
+					if want := fmt.Sprintf("row-%d", i); string(v) != want {
+						t.Errorf("row %d = %q, want %q", i, v, want)
+					}
+					seen = append(seen, i)
+					if ok, err := tab.Delete(k); err != nil || !ok {
+						t.Errorf("Delete(row %d) in the callback = %v, %v", i, ok, err)
+					}
+					if err := tab.Put(u64key(2*i+1), big); err != nil {
+						t.Errorf("Put next to row %d in the callback: %v", i, err)
+					}
+					return true
+				})
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("Range with a writing callback did not return: deadlock")
+			}
+			if len(seen) != rows {
+				t.Fatalf("Range saw %d rows, want the snapshot's %d", len(seen), rows)
+			}
+			for n, i := range seen {
+				if i != n {
+					t.Fatalf("Range row %d is row %d: out of order", n, i)
+				}
+			}
+			if got, err := tab.Rows(); err != nil || got != rows {
+				t.Fatalf("table holds %d rows after the walk (err %v), want %d", got, err, rows)
+			}
+			if grown := pages(tab) - before; grown < rows*len(big)/PageSize {
+				t.Fatalf("the callbacks' Puts added %d pages: too few splits to test", grown)
+			}
+			if err := tab.Check(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

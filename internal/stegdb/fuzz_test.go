@@ -115,10 +115,20 @@ func (n *node) encodedSize() int {
 	return size
 }
 
+// readPage returns a copy of the live page id of pg.
+func readPage(pg *Pager, id int64) ([]byte, error) {
+	img, e, err := pg.readLatch(id, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer pg.readUnlatch(e)
+	return bytes.Clone(img), nil
+}
+
 // loadNode reads and decodes page id of tree t.
 func loadNode(t *BTree, id int64) (*node, error) {
-	buf := make([]byte, PageSize)
-	if err := t.pg.ReadPage(id, buf); err != nil {
+	buf, err := readPage(t.pg, id)
+	if err != nil {
 		return nil, err
 	}
 	return decodeNode(buf)
@@ -205,14 +215,6 @@ func splitPointInternal(keys [][]byte) int {
 	return len(keys) / 2
 }
 
-// rawPage is a pageReader holding one page image.
-type rawPage []byte
-
-func (r rawPage) ReadPage(id int64, buf []byte) error {
-	copy(buf, r)
-	return nil
-}
-
 // junkEdit returns an image full of junk, as a pooled one may be.
 func junkEdit() *editPage {
 	p := new(editPage)
@@ -230,7 +232,7 @@ func editOf(t *testing.T, n *node) *editPage {
 		t.Fatal(err)
 	}
 	p := junkEdit()
-	if _, err := p.read(rawPage(page), 1); err != nil {
+	if _, err := p.read(page); err != nil {
 		t.Fatal(err)
 	}
 	return p
@@ -352,6 +354,30 @@ func FuzzPageEdit(f *testing.F) {
 	})
 }
 
+// TestSplitBounds computes from PageSize, nodeHdr and MaxEntry the two
+// bounds editPage.split relies on, in place of clamping its cut: the
+// cut, after the record that reaches half of the record bytes, leaves the
+// right half at least two records (so a leaf's right half is not empty and
+// each internal half keeps a separator), and both halves fit their pages.
+func TestSplitBounds(t *testing.T) {
+	longest := 10 + MaxEntry // a separator with a MaxEntry-byte key
+	// A half holds at most (total-1)/2 record bytes plus the record that
+	// reaches half of total.
+	maxHalf := func(total int) int { return (total-1)/2 + longest }
+	// An over-full page with a MaxEntry-byte high key holds the fewest
+	// record bytes; the right half gets the least of them.
+	fewest := PageSize - nodeHdr - 8 - MaxEntry + 1
+	if right := fewest - maxHalf(fewest); right <= longest {
+		t.Errorf("a split's right half may hold %d record bytes, one record of up to %d", right, longest)
+	}
+	// An edit adds at most one record to a page that fit, so an over-full
+	// page holds at most PageSize+longest-nodeHdr record bytes.
+	most := PageSize + longest - nodeHdr
+	if half := nodeHdr + 8 + MaxEntry + maxHalf(most); half > PageSize {
+		t.Errorf("a split half may need %d bytes, more than the %d-byte page", half, PageSize)
+	}
+}
+
 // checkGrowRoot builds a leaf chain with high keys highs in a fresh tree, grows a root over it, and checks the root page against
 // the reference encoding. The chain starts at the empty leaf root
 // ensureRoot writes, which is checked first.
@@ -393,8 +419,9 @@ func checkGrowRoot(t *testing.T, highs [][]byte) {
 // encoding.
 func samePageAt(t *testing.T, what string, tree *BTree, n *node) {
 	t.Helper()
-	got, want := make([]byte, PageSize), make([]byte, PageSize)
-	if err := tree.pg.ReadPage(tree.root(), got); err != nil {
+	want := make([]byte, PageSize)
+	got, err := readPage(tree.pg, tree.root())
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := encodeNode(n, want); err != nil || !bytes.Equal(got, want) {
@@ -465,7 +492,7 @@ func nodeFromBytes(data []byte, leaf bool) (*node, bool) {
 func checkNodeInPlace(t *testing.T, page, probe []byte) {
 	n, derr := decodeNode(page)
 	var p editPage
-	v, err := p.read(rawPage(page), 1)
+	v, err := p.read(page)
 	if (err != nil) != (derr != nil) {
 		t.Fatalf("writer's page read err %v, decodeNode err %v", err, derr)
 	}

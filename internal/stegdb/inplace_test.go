@@ -30,8 +30,9 @@ func allocTable(t *testing.T, rows int) *PartitionedTable {
 	return tab
 }
 
-// TestCachedGetAllocatesOnlyValue: a cached Get walks the B-link descent in
-// pooled page buffers, so its one allocation is the value it returns.
+// TestCachedGetAllocatesOnlyValue: a cached Get walks each page of the
+// B-link descent in its latched frame, copying nothing, so its one
+// allocation is the value it returns.
 func TestCachedGetAllocatesOnlyValue(t *testing.T) {
 	tab := allocTable(t, 2000)
 	key := u64key(1234)
@@ -82,11 +83,11 @@ func bytesPerRun(runs int, f func()) float64 {
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
-// TestTreeIterReturnsBuffers: every treeIter hands its page buffer back to
+// TestTreeIterReturnsBuffers: every treeIter hands its leaf image back to
 // the pool on every exit — exhaustion, fn returning false, and an iterator
-// error — so repeated Ranges draw their buffers from the pool and allocate
-// less than one page per call. A leaked buffer would cost a fresh PageSize
-// allocation each time.
+// error — so repeated Ranges draw their images from the pool and allocate
+// less than one page per call. A leaked image would cost a fresh
+// allocation of more than PageSize bytes each time.
 func TestTreeIterReturnsBuffers(t *testing.T) {
 	if testing.CoverMode() != "" || raceEnabled {
 		t.Skip("coverage and race instrumentation allocate")
@@ -141,7 +142,7 @@ func TestTreeIterReturnsBuffers(t *testing.T) {
 		b := bytesPerRun(50, run)
 		t.Logf("%s: %.0f bytes/op", c.name, b)
 		if b >= PageSize {
-			t.Errorf("%s: Range allocates %.0f bytes per call, a page buffer leaked", c.name, b)
+			t.Errorf("%s: Range allocates %.0f bytes per call, a leaf image leaked", c.name, b)
 		}
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // pageEntry is one frame of the in-pager page cache. The latch guards the
-// frame contents (buf, valid): shared for readers copying out, exclusive
-// for writers and for load/flush. The bookkeeping fields (refs, dirty, gen,
+// frame contents (buf, valid): shared for readers walking the frame,
+// exclusive for writers and for load/flush. The bookkeeping fields (refs, dirty, gen,
 // elem) belong to the cache mutex, so eviction and flush can inspect them
 // without taking the latch.
 type pageEntry struct {

@@ -275,43 +275,77 @@ func (p *Pager) Rows() int64 { return p.metaField(metaRows) }
 // frames; dirty frames stay cached until the next commit (no-steal).
 func (p *Pager) SetPageCacheSize(n int) { p.cache.setCap(n) }
 
-// ReadPage reads page id into buf (len PageSize).
-func (p *Pager) ReadPage(id int64, buf []byte) error {
-	if len(buf) != PageSize {
-		return fmt.Errorf("stegdb: page buffer %d != %d", len(buf), PageSize)
+// readLatch pins page id, loads it if needed, read-latches its frame and
+// returns the image a reader at snapshot s sees (imageAt; nil s: the live
+// frame). The image stays valid, and must not be written, until the
+// caller hands e to readUnlatch; it holds no other page's latch and does
+// no I/O in between. On error nothing is held.
+//
+// lockcheck:acquire stegdb/latch shared
+func (p *Pager) readLatch(id int64, s *Snapshot) (img []byte, e *pageEntry, err error) {
+	var n int64
+	if s != nil {
+		n = s.numPages
+	} else {
+		n = p.NumPages()
 	}
-	if id <= nilPage || id >= p.NumPages() {
-		return fmt.Errorf("stegdb: page %d out of range [1,%d)", id, p.NumPages())
+	if id <= nilPage || id >= n {
+		return nil, nil, fmt.Errorf("stegdb: page %d out of range [1,%d)", id, n)
 	}
-	e := p.cache.pin(id)
-	defer p.cache.unpin(e)
-	if err := p.ensureLoaded(e); err != nil {
-		return err
-	}
+	e = p.cache.pin(id)
 	e.latch.RLock()
-	copy(buf, e.buf[:])
-	e.latch.RUnlock()
-	return nil
+	if !e.valid { // load the empty frame from the hidden file
+		e.latch.RUnlock()
+		e.latch.Lock()
+		if !e.valid {
+			_, err = p.view.ReadAt(p.name, e.buf[:], e.id*PageSize)
+			e.valid = err == nil
+		}
+		e.latch.Unlock()
+		e.latch.RLock()
+	}
+	if err == nil {
+		if img, _, err = p.imageAt(e, s); err == nil {
+			return img, e, nil
+		}
+	}
+	p.readUnlatch(e)
+	return nil, nil, err
 }
 
-// ensureLoaded fills e.buf from the hidden file if the frame is empty.
-func (p *Pager) ensureLoaded(e *pageEntry) error {
-	e.latch.RLock()
-	ok := e.valid
+// readUnlatch ends a readLatch: it unlatches and unpins e.
+//
+// lockcheck:release stegdb/latch shared
+func (p *Pager) readUnlatch(e *pageEntry) {
 	e.latch.RUnlock()
-	if ok {
-		return nil
+	p.cache.unpin(e)
+}
+
+// imageAt returns the image of the latched frame e that a reader at
+// snapshot s sees: the live frame when s is nil or the page's last write
+// is stamped at or before s's epoch, else the newest saved version at or
+// before it. live reports which. Every page read — live, snapshot and a
+// commit's capture — decides here. Saved versions are never written, so
+// one stays valid after snapMu is released.
+//
+// lockcheck:holds stegdb/latch shared
+func (p *Pager) imageAt(e *pageEntry, s *Snapshot) (img []byte, live bool, err error) {
+	if s == nil {
+		return e.buf[:], true, nil
 	}
-	e.latch.Lock()
-	defer e.latch.Unlock()
-	if e.valid {
-		return nil
+	p.snapMu.Lock()
+	defer p.snapMu.Unlock()
+	if p.liveEpoch[e.id] <= s.epoch {
+		return e.buf[:], true, nil
 	}
-	if _, err := p.view.ReadAt(p.name, e.buf[:], e.id*PageSize); err != nil {
-		return err
+	// Versions are appended in epoch order.
+	vs := p.versions[e.id]
+	for i := len(vs) - 1; i >= 0; i-- {
+		if vs[i].epoch <= s.epoch {
+			return vs[i].data, false, nil
+		}
 	}
-	e.valid = true
-	return nil
+	return nil, false, fmt.Errorf("stegdb: page %d lost its version as of epoch %d", e.id, s.epoch)
 }
 
 // writePage writes buf (len PageSize) to page id and adds rows to the row

@@ -280,7 +280,7 @@ func (s *PartitionedSnapshot) Rows() int64 {
 // Get returns the value stored under key as of the snapshot.
 func (s *PartitionedSnapshot) Get(key []byte) ([]byte, bool, error) {
 	ts := s.snaps[s.pt.partFor(key)]
-	return getFrom(ts, ts.btreeRoot, key)
+	return getFrom(ts.pg, ts, ts.btreeRoot, key)
 }
 
 // Scan visits every row of every partition in global key order.

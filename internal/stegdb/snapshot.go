@@ -1,12 +1,8 @@
 package stegdb
 
-import (
-	"errors"
-	"fmt"
-)
-
 // Snapshot reads: a Snapshot pins the pager at an epoch and serves page
-// reads as of that instant, no matter how many writes land afterwards.
+// reads as of that instant (Pager.readLatch; Pager.imageAt picks the
+// image), no matter how many writes land afterwards.
 // Writers pay a copy-on-write: the first overwrite of a page whose old
 // content some snapshot can still see saves that content as a version
 // (in memory, keyed by epoch). Readers holding a snapshot therefore never
@@ -103,48 +99,6 @@ func (s *Snapshot) Close() {
 		p.maxSnapEpoch = max
 	}
 	p.snapMu.Unlock()
-}
-
-// ReadPage reads page id as of the snapshot's epoch: the live frame when
-// the page has not been rewritten since, else the newest saved pre-image
-// the snapshot is allowed to see.
-func (s *Snapshot) ReadPage(id int64, buf []byte) error {
-	if len(buf) != PageSize {
-		return fmt.Errorf("stegdb: page buffer %d != %d", len(buf), PageSize)
-	}
-	if id <= nilPage || id >= s.numPages {
-		return fmt.Errorf("stegdb: snapshot page %d out of range [1,%d)", id, s.numPages)
-	}
-	p := s.pg
-	e := p.cache.pin(id)
-	defer p.cache.unpin(e)
-	if err := p.ensureLoaded(e); err != nil {
-		return err
-	}
-	// Lock order: page latch, then snapMu (same as writePage's version
-	// save). Holding the latch shared pins the frame content while we
-	// decide whether it is the version this snapshot should see.
-	e.latch.RLock()
-	defer e.latch.RUnlock()
-	p.snapMu.Lock()
-	if p.liveEpoch[id] <= s.epoch {
-		p.snapMu.Unlock()
-		copy(buf, e.buf[:])
-		return nil
-	}
-	// The live page is too new; find the newest saved version the snapshot
-	// may see. Versions are appended in epoch order.
-	vs := p.versions[id]
-	for i := len(vs) - 1; i >= 0; i-- {
-		if vs[i].epoch <= s.epoch {
-			data := vs[i].data
-			p.snapMu.Unlock()
-			copy(buf, data)
-			return nil
-		}
-	}
-	p.snapMu.Unlock()
-	return errors.New("stegdb: snapshot lost page version")
 }
 
 // saveVersionLocked runs on the write path: if any active snapshot could

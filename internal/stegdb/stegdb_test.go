@@ -94,8 +94,8 @@ func TestPagerAllocReadWrite(t *testing.T) {
 		}
 	}
 	for i, id := range ids {
-		buf := make([]byte, PageSize)
-		if err := pg.ReadPage(id, buf); err != nil {
+		buf, err := readPage(pg, id)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if buf[0] != byte(i+1) || buf[PageSize-1] != byte(i+1) {
@@ -103,10 +103,10 @@ func TestPagerAllocReadWrite(t *testing.T) {
 		}
 	}
 	// Bounds.
-	if err := pg.ReadPage(0, make([]byte, PageSize)); err == nil {
+	if _, err := readPage(pg, 0); err == nil {
 		t.Fatal("meta page must not be readable as data")
 	}
-	if err := pg.ReadPage(999, make([]byte, PageSize)); err == nil {
+	if _, err := readPage(pg, 999); err == nil {
 		t.Fatal("out-of-range page read should fail")
 	}
 }
@@ -127,8 +127,8 @@ func TestPagerPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make([]byte, PageSize)
-	if err := pg2.ReadPage(id, got); err != nil {
+	got, err := readPage(pg2, id)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
