@@ -246,6 +246,147 @@ ctrloop1:
 ctrdone:
 	RET
 
+// Per-lane counter offsets for the VAES body: lane j of the first ZMM
+// counter register holds (lo+j, hi) as two little-endian qwords.
+DATA vaesCtrOffsets<>+0x00(SB)/8, $0
+DATA vaesCtrOffsets<>+0x08(SB)/8, $0
+DATA vaesCtrOffsets<>+0x10(SB)/8, $1
+DATA vaesCtrOffsets<>+0x18(SB)/8, $0
+DATA vaesCtrOffsets<>+0x20(SB)/8, $2
+DATA vaesCtrOffsets<>+0x28(SB)/8, $0
+DATA vaesCtrOffsets<>+0x30(SB)/8, $3
+DATA vaesCtrOffsets<>+0x38(SB)/8, $0
+GLOBL vaesCtrOffsets<>(SB), RODATA|NOPTR, $64
+
+// One ZMM register covers four counters, so each lane steps by 4.
+DATA vaesCtrStep<>+0x00(SB)/8, $4
+DATA vaesCtrStep<>+0x08(SB)/8, $0
+GLOBL vaesCtrStep<>(SB), RODATA|NOPTR, $16
+
+// VPSHUFB mask reversing the 16 bytes of a lane: the little-endian
+// (lo, hi) qword pair becomes the big-endian counter block stdlib CTR
+// encrypts.
+DATA vaesBswap<>+0x00(SB)/8, $0x08090a0b0c0d0e0f
+DATA vaesBswap<>+0x08(SB)/8, $0x0001020304050607
+GLOBL vaesBswap<>(SB), RODATA|NOPTR, $16
+
+// One middle round applied to the 32 blocks in Z0-Z7.
+#define VENC8(rk) \
+	VAESENC rk, Z0, Z0 \
+	VAESENC rk, Z1, Z1 \
+	VAESENC rk, Z2, Z2 \
+	VAESENC rk, Z3, Z3 \
+	VAESENC rk, Z4, Z4 \
+	VAESENC rk, Z5, Z5 \
+	VAESENC rk, Z6, Z6 \
+	VAESENC rk, Z7, Z7
+
+// Next four big-endian counter blocks into zreg; advance Z8 by 4 per lane.
+#define VCTR4(zreg) \
+	VPSHUFB Z31, Z8, zreg \
+	VPADDQ  Z9, Z8, Z8
+
+// func ctrXor256VAESAsm(xk *byte, dst, src *byte, nblocks int64, hi, lo uint64)
+//
+// The same CTR keystream as ctrXor256Asm, 32 blocks per iteration: eight
+// ZMM registers of four AES blocks each. nblocks must be a positive
+// multiple of 32, and lo+nblocks must not wrap, because VPADDQ does not
+// carry into hi; the Go caller sends every other call to ctrXor256Asm. The
+// 15 round keys stay broadcast in Z16-Z30 for the whole call.
+TEXT ·ctrXor256VAESAsm(SB), NOSPLIT, $0-48
+	MOVQ xk+0(FP), AX
+	MOVQ dst+8(FP), DI
+	MOVQ src+16(FP), SI
+	MOVQ nblocks+24(FP), CX
+	MOVQ hi+32(FP), R8
+	MOVQ lo+40(FP), R9
+
+	VBROADCASTI32X4 0(AX), Z16
+	VBROADCASTI32X4 16(AX), Z17
+	VBROADCASTI32X4 32(AX), Z18
+	VBROADCASTI32X4 48(AX), Z19
+	VBROADCASTI32X4 64(AX), Z20
+	VBROADCASTI32X4 80(AX), Z21
+	VBROADCASTI32X4 96(AX), Z22
+	VBROADCASTI32X4 112(AX), Z23
+	VBROADCASTI32X4 128(AX), Z24
+	VBROADCASTI32X4 144(AX), Z25
+	VBROADCASTI32X4 160(AX), Z26
+	VBROADCASTI32X4 176(AX), Z27
+	VBROADCASTI32X4 192(AX), Z28
+	VBROADCASTI32X4 208(AX), Z29
+	VBROADCASTI32X4 224(AX), Z30
+	VBROADCASTI32X4 vaesBswap<>(SB), Z31
+	VBROADCASTI32X4 vaesCtrStep<>(SB), Z9
+
+	// Z8 = (lo+j, hi) in lane j.
+	VMOVQ      R9, X8
+	VPINSRQ    $1, R8, X8, X8
+	VSHUFI64X2 $0, Z8, Z8, Z8
+	VPADDQ     vaesCtrOffsets<>(SB), Z8, Z8
+
+vaesloop:
+	VCTR4(Z0)
+	VCTR4(Z1)
+	VCTR4(Z2)
+	VCTR4(Z3)
+	VCTR4(Z4)
+	VCTR4(Z5)
+	VCTR4(Z6)
+	VCTR4(Z7)
+	VPXORQ Z16, Z0, Z0
+	VPXORQ Z16, Z1, Z1
+	VPXORQ Z16, Z2, Z2
+	VPXORQ Z16, Z3, Z3
+	VPXORQ Z16, Z4, Z4
+	VPXORQ Z16, Z5, Z5
+	VPXORQ Z16, Z6, Z6
+	VPXORQ Z16, Z7, Z7
+	VENC8(Z17)
+	VENC8(Z18)
+	VENC8(Z19)
+	VENC8(Z20)
+	VENC8(Z21)
+	VENC8(Z22)
+	VENC8(Z23)
+	VENC8(Z24)
+	VENC8(Z25)
+	VENC8(Z26)
+	VENC8(Z27)
+	VENC8(Z28)
+	VENC8(Z29)
+	VAESENCLAST Z30, Z0, Z0
+	VAESENCLAST Z30, Z1, Z1
+	VAESENCLAST Z30, Z2, Z2
+	VAESENCLAST Z30, Z3, Z3
+	VAESENCLAST Z30, Z4, Z4
+	VAESENCLAST Z30, Z5, Z5
+	VAESENCLAST Z30, Z6, Z6
+	VAESENCLAST Z30, Z7, Z7
+	VPXORQ    0(SI), Z0, Z0
+	VPXORQ    64(SI), Z1, Z1
+	VPXORQ    128(SI), Z2, Z2
+	VPXORQ    192(SI), Z3, Z3
+	VPXORQ    256(SI), Z4, Z4
+	VPXORQ    320(SI), Z5, Z5
+	VPXORQ    384(SI), Z6, Z6
+	VPXORQ    448(SI), Z7, Z7
+	VMOVDQU64 Z0, 0(DI)
+	VMOVDQU64 Z1, 64(DI)
+	VMOVDQU64 Z2, 128(DI)
+	VMOVDQU64 Z3, 192(DI)
+	VMOVDQU64 Z4, 256(DI)
+	VMOVDQU64 Z5, 320(DI)
+	VMOVDQU64 Z6, 384(DI)
+	VMOVDQU64 Z7, 448(DI)
+	ADDQ $512, SI
+	ADDQ $512, DI
+	SUBQ $32, CX
+	JNZ  vaesloop
+
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX
@@ -255,4 +396,15 @@ TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL BX, ebx+12(FP)
 	MOVL CX, ecx+16(FP)
 	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+//
+// Reads XCR0, the state components the OS saves across context switches.
+// Only valid when CPUID.1:ECX.OSXSAVE is set.
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
 	RET

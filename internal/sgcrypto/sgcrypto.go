@@ -123,10 +123,13 @@ func writeLenPrefixed(w io.Writer, b []byte) {
 //
 // On amd64 with AES-NI the sealer carries an expanded key schedule and runs
 // a fused counter-mode kernel: counters are materialized, encrypted 8 at a
-// time and XORed with the payload in a single assembly pass — byte-identical
-// to stdlib CTR (the stdlib stream increments the whole 16-byte counter
-// big-endian with carry, mirrored here in the hi/lo split) but with no
-// per-call stream allocation and no keystream buffer traffic.
+// time (32 at a time, four per VAESENC, where the CPU has VAES and
+// AVX-512) and XORed with the payload in a single assembly pass. The
+// output is byte-identical to stdlib CTR (the stdlib stream increments the
+// whole 16-byte counter big-endian with carry, mirrored here in the hi/lo
+// split) but with no per-call stream allocation and no keystream buffer
+// traffic. Both kernels seal with the same per-block keystream, so the
+// reuse on rewrite described above holds for either.
 type Sealer struct {
 	block cipher.Block
 	nonce [16]byte
@@ -172,28 +175,36 @@ func (s *Sealer) iv(blockNo int64) [16]byte {
 	return iv
 }
 
-// ctrXorFast runs the fused CTR kernel over dst/src for the counter
-// starting at (hi, lo): the 16-byte-aligned body goes through the assembly
+// ctrXorFast sets dst = src XOR the CTR keystream starting at counter
+// block (hi, lo): the 16-byte-aligned body goes through the assembly
 // kernel in one pass (counters materialized, encrypted and XORed without a
-// keystream buffer); a trailing partial block encrypts one counter on the
-// stack.
-func (s *Sealer) ctrXorFast(dst, src []byte, hi, lo uint64) {
+// keystream buffer); a trailing partial block of rem bytes encrypts one
+// counter into ks and uses ks[:rem]. It returns the counter after the last
+// block touched, partial or not, which is where a stream continues.
+func ctrXorFast(xk *[240]byte, dst, src []byte, hi, lo uint64, ks *[16]byte) (uint64, uint64) {
 	full := len(src) &^ 15
 	if full > 0 {
-		ctrXor256(&s.xk, dst[:full], src[:full], hi, lo)
+		ctrXor256(xk, dst[:full], src[:full], hi, lo)
+		hi, lo = ctrAdd(hi, lo, uint64(full/16))
 	}
 	if rem := len(src) - full; rem > 0 {
-		lo2 := lo + uint64(full/16)
-		hi2 := hi
-		if lo2 < lo {
-			hi2++
-		}
-		var ctr [16]byte
-		binary.BigEndian.PutUint64(ctr[:8], hi2)
-		binary.BigEndian.PutUint64(ctr[8:], lo2)
-		encryptBlocks256(&s.xk, ctr[:])
-		subtle.XORBytes(dst[full:], src[full:], ctr[:rem])
+		binary.BigEndian.PutUint64(ks[:8], hi)
+		binary.BigEndian.PutUint64(ks[8:], lo)
+		encryptBlocks256(xk, ks[:])
+		subtle.XORBytes(dst[full:], src[full:], ks[:rem])
+		hi, lo = ctrAdd(hi, lo, 1)
 	}
+	return hi, lo
+}
+
+// ctrAdd advances the 128-bit counter (hi, lo) by n, carrying into hi as
+// stdlib CTR's big-endian increment does.
+func ctrAdd(hi, lo, n uint64) (uint64, uint64) {
+	lo2 := lo + n
+	if lo2 < lo {
+		hi++
+	}
+	return hi, lo2
 }
 
 // Seal encrypts src (one disk block belonging to logical block blockNo) into
@@ -210,7 +221,8 @@ func (s *Sealer) Seal(blockNo int64, dst, src []byte) error {
 		cipher.NewCTR(s.block, iv[:]).XORKeyStream(dst, src)
 		return nil
 	}
-	s.ctrXorFast(dst, src, s.ivHi, s.ivLo^uint64(blockNo))
+	var ks [16]byte
+	ctrXorFast(&s.xk, dst, src, s.ivHi, s.ivLo^uint64(blockNo), &ks)
 	return nil
 }
 
@@ -225,26 +237,54 @@ func (s *Sealer) Open(blockNo int64, dst, src []byte) error {
 // abandoned blocks and dummy hidden files. Determinism keeps experiments
 // repeatable; indistinguishability from true randomness is exactly the
 // property format-time filling needs.
+//
+// Where hasFastCTR holds, the stream comes from the same CTR kernel the
+// Sealer uses, starting at counter block 0; the bytes are those of stdlib
+// cipher.NewCTR with a zero IV for any sequence of Fill lengths.
 type RandomFiller struct {
-	stream cipher.Stream
+	stream cipher.Stream // stdlib CTR, used where hasFastCTR is false
+
+	xk     [240]byte
+	hi, lo uint64   // next unused counter block
+	ks     [16]byte // keystream of the last partial block
+	left   []byte   // unused tail of ks
 }
 
 // NewRandomFiller creates a filler whose output is fixed by seed.
 func NewRandomFiller(seed []byte) *RandomFiller {
 	key := sha256.Sum256(append([]byte("stegfs.filler\x00"), seed...))
+	f := &RandomFiller{}
+	if hasFastCTR {
+		expandKeyAES256(&key, &f.xk)
+		return f
+	}
 	blk, err := aes.NewCipher(key[:])
 	if err != nil {
 		// aes.NewCipher only fails on bad key sizes; 32 bytes is valid.
 		panic(err)
 	}
 	var iv [16]byte
-	return &RandomFiller{stream: cipher.NewCTR(blk, iv[:])}
+	f.stream = cipher.NewCTR(blk, iv[:])
+	return f
 }
 
 // Fill overwrites buf with the next bytes of the pseudorandom stream.
 func (f *RandomFiller) Fill(buf []byte) {
 	clear(buf)
-	f.stream.XORKeyStream(buf, buf)
+	if f.stream != nil {
+		f.stream.XORKeyStream(buf, buf)
+		return
+	}
+	n := copy(buf, f.left)
+	f.left = f.left[n:]
+	buf = buf[n:]
+	if len(buf) == 0 {
+		return
+	}
+	f.hi, f.lo = ctrXorFast(&f.xk, buf, buf, f.hi, f.lo, &f.ks)
+	if rem := len(buf) & 15; rem > 0 {
+		f.left = f.ks[rem:]
+	}
 }
 
 // --- Sharing protocol (Figure 4) -------------------------------------------
