@@ -98,8 +98,9 @@ func stampBlocks(buf []byte, bs int, v uint64) {
 // block cache), so the rows measure the sealed software path — open, header
 // reload, tree walk, batched cache read, per-block open/seal — rather than
 // the simulated disk; a smaller cache makes the rows that cycle over more
-// than it holds time the miss path instead.
-func speedVolume(cfg Config, cacheBlocks int) (*stegfs.HiddenView, error) {
+// than it holds time the miss path instead. fill formats with FillVolume,
+// which writes (and so dirties in the cache) every block once.
+func speedVolume(cfg Config, cacheBlocks int, fill bool) (*stegfs.HiddenView, error) {
 	bs := cfg.BlockSize
 	nBlocks := int64(32<<20) / int64(bs)
 	store, err := vdisk.NewMemStore(nBlocks, bs)
@@ -108,7 +109,7 @@ func speedVolume(cfg Config, cacheBlocks int) (*stegfs.HiddenView, error) {
 	}
 	p := cfg.Steg
 	p.Seed = cfg.Seed
-	p.FillVolume = false
+	p.FillVolume = fill
 	p.DeterministicKeys = true
 	p.NDummy = 4
 	p.DummyAvgSize = int64(4 * bs)
@@ -164,7 +165,7 @@ func SpeedSuite(cfg Config, budget time.Duration) ([]SpeedRow, error) {
 	}))
 
 	// End-to-end cached data path through a hidden file.
-	v, err := speedVolume(cfg, 0)
+	v, err := speedVolume(cfg, 0, false)
 	if err != nil {
 		return nil, err
 	}
@@ -191,7 +192,7 @@ func SpeedSuite(cfg Config, budget time.Duration) ([]SpeedRow, error) {
 	// block of a read was evicted since that file's last read, and every
 	// call misses and evicts all 66 of its blocks (64 data blocks, the
 	// header and a pointer block).
-	mv, err := speedVolume(cfg, 256)
+	mv, err := speedVolume(cfg, 256, false)
 	if err != nil {
 		return nil, err
 	}
@@ -275,6 +276,28 @@ func SpeedSuite(cfg Config, budget time.Duration) ([]SpeedRow, error) {
 		return nil, err
 	}
 	if err := v.Close(); err != nil {
+		return nil, err
+	}
+
+	// A barrier over 8 dirty blocks on a volume whose format filled, and
+	// so once dirtied, every block of the cache: FS.Sync must cost what is
+	// dirty, not what the cache has held. Each call stamps 8 data blocks
+	// of a hidden file and syncs; the unchanged bitmap is absorbed.
+	sv, err := speedVolume(cfg, 0, true)
+	if err != nil {
+		return nil, err
+	}
+	sbuf := make([]byte, 8*bs)
+	if err := sv.Create("s", sbuf); err != nil {
+		return nil, err
+	}
+	add(speedMeasure("fs-sync-dirty-8", 0, budget, func() {
+		stamp++
+		stampBlocks(sbuf, bs, stamp)
+		_, _ = sv.WriteAt("s", sbuf, 0)
+		_ = sv.Sync()
+	}))
+	if err := sv.Close(); err != nil {
 		return nil, err
 	}
 	return rows, nil

@@ -11,6 +11,7 @@
 package bitmapvec
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -326,16 +327,16 @@ func NewlySet(prev, cur *Bitmap) []int64 {
 func MarshaledLen(n int64) int { return int((n + 7) / 8) }
 
 // Marshal serializes the bitmap to a compact little-endian byte slice.
+// Whole words are stored eight bytes at a time; only the last word's
+// bytes that fit are stored one by one.
 func (b *Bitmap) Marshal() []byte {
 	out := make([]byte, MarshaledLen(b.n))
-	for i, w := range b.words {
-		for j := 0; j < 8; j++ {
-			idx := i*8 + j
-			if idx >= len(out) {
-				break
-			}
-			out[idx] = byte(w >> uint(8*j))
-		}
+	full := len(out) / 8
+	for i, w := range b.words[:full] {
+		binary.LittleEndian.PutUint64(out[i*8:], w)
+	}
+	for j := full * 8; j < len(out); j++ {
+		out[j] = byte(b.words[full] >> uint(8*(j-full*8)))
 	}
 	return out
 }

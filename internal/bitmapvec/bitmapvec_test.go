@@ -1,6 +1,7 @@
 package bitmapvec
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
@@ -262,6 +263,47 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 	}
 	if _, err := Unmarshal(100, make([]byte, 3)); err == nil {
 		t.Fatal("short unmarshal should fail")
+	}
+}
+
+// marshalBytewise is the byte-at-a-time encoding Marshal must reproduce:
+// byte k holds bits 8k..8k+7, least significant bit first.
+func marshalBytewise(b *Bitmap) []byte {
+	out := make([]byte, MarshaledLen(b.n))
+	for i, w := range b.words {
+		for j := 0; j < 8 && i*8+j < len(out); j++ {
+			out[i*8+j] = byte(w >> uint(8*j))
+		}
+	}
+	return out
+}
+
+// TestMarshalMatchesBytewise pins the word-at-a-time Marshal to the
+// byte-loop encoding at every tail shape, including the empty bitmap and a
+// volume-sized one, and round-trips each through Unmarshal.
+func TestMarshalMatchesBytewise(t *testing.T) {
+	for _, n := range []int64{0, 1, 7, 63, 64, 65, 127, 131077} {
+		b := New(n)
+		rng := rand.New(rand.NewSource(n + 1))
+		for i := int64(0); i < n; i++ {
+			if rng.Intn(3) == 0 {
+				_ = b.Set(i)
+			}
+		}
+		if n > 0 {
+			_ = b.Set(n - 1) // the last bit exercises the tail bytes
+		}
+		got := b.Marshal()
+		if want := marshalBytewise(b); !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: Marshal differs from the byte loop", n)
+		}
+		back, err := Unmarshal(n, got)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if !bytes.Equal(back.Marshal(), got) || back.CountSet() != b.CountSet() {
+			t.Fatalf("n=%d: Marshal→Unmarshal is not the identity", n)
+		}
 	}
 }
 

@@ -135,6 +135,7 @@ type entry struct {
 	dirty    bool
 	flushing bool   // a staged copy is being written by the flush pipeline
 	gen      uint64 // bumped on every write; detects re-dirty during a flight
+	slot     int    // position in Cache.dirty while dirty
 }
 
 // maxFlushRun caps how many blocks one pipeline submission stages (and
@@ -196,7 +197,7 @@ type Cache struct {
 	// lockcheck:guardedby mu
 	inflight map[int64]*fetch // miss fetches in progress (see ReadBlocks)
 	// lockcheck:guardedby mu
-	dirty map[int64]*entry // every resident dirty entry, staged ones included
+	dirty []*entry // every resident dirty entry, staged ones included; e.slot is its index
 	// lockcheck:guardedby mu
 	staged int // dirty blocks currently flush-in-flight
 	// lockcheck:guardedby mu
@@ -266,7 +267,6 @@ func NewWithOptions(dev vdisk.Device, o Options) (*Cache, error) {
 		policy:    pol,
 		entries:   make(map[int64]*entry, o.Capacity),
 		inflight:  make(map[int64]*fetch),
-		dirty:     make(map[int64]*entry),
 	}
 	c.bgWake = sync.NewCond(&c.mu)
 	c.flushDone = sync.NewCond(&c.mu)
@@ -341,8 +341,7 @@ func (c *Cache) writeLocked(n int64, buf []byte) {
 		copy(e.data, buf)
 		e.gen++
 		if !e.dirty {
-			e.dirty = true
-			c.dirty[n] = e
+			c.markDirtyLocked(e)
 		}
 	} else {
 		c.insertLocked(n, buf, true)
@@ -546,11 +545,11 @@ func (c *Cache) WriteBlocks(ns []int64, bufs [][]byte) error {
 // lockcheck:holds volume/cacheMu
 func (c *Cache) insertLocked(n int64, buf []byte, dirty bool) {
 	e := c.newEntryLocked(len(buf))
-	*e = entry{block: n, data: e.data, dirty: dirty}
+	*e = entry{block: n, data: e.data}
 	copy(e.data, buf)
 	c.entries[n] = e
 	if dirty {
-		c.dirty[n] = e
+		c.markDirtyLocked(e)
 	}
 	c.policy.Insert(n)
 	for len(c.entries) > c.cap {
@@ -619,8 +618,7 @@ func (c *Cache) evictLocked() bool {
 			return false
 		}
 		c.stats.WriteBacks++
-		victim.dirty = false
-		delete(c.dirty, n)
+		c.markCleanLocked(victim)
 	}
 	c.policy.Remove(n)
 	delete(c.entries, n)
@@ -629,9 +627,31 @@ func (c *Cache) evictLocked() bool {
 	return true
 }
 
+// markDirtyLocked sets e dirty and appends it to the dirty index.
+// lockcheck:holds volume/cacheMu
+func (c *Cache) markDirtyLocked(e *entry) {
+	e.dirty = true
+	e.slot = len(c.dirty)
+	c.dirty = append(c.dirty, e)
+}
+
+// markCleanLocked clears e's dirty state and removes it from the dirty
+// index in O(1): the last indexed entry moves into e's slot.
+// lockcheck:holds volume/cacheMu
+func (c *Cache) markCleanLocked(e *entry) {
+	last := c.dirty[len(c.dirty)-1]
+	last.slot = e.slot
+	c.dirty[e.slot] = last
+	c.dirty[len(c.dirty)-1] = nil
+	c.dirty = c.dirty[:len(c.dirty)-1]
+	e.dirty = false
+}
+
 // dirtyRunLocked returns up to limit unstaged dirty entries (limit <= 0
-// means all, in ascending block order — the barrier path). It reads the
-// dirty index, so its cost follows the dirty set, not the resident set.
+// means all, in ascending block order — the barrier path). It walks the
+// dirty index, a slice as long as the dirty set, so its cost follows the
+// dirty set, not the resident set (nor the largest dirty set ever held, as
+// a map's buckets would).
 //
 // When the limit truncates the backlog, selection is an elevator (C-SCAN):
 // the run starts at the first dirty block at or above the sweep cursor left
@@ -748,8 +768,7 @@ func (c *Cache) flushEntriesLocked(run []*entry, background bool) error {
 		e := c.entries[n]
 		e.flushing = false
 		if err == nil && e.dirty && e.gen == gens[i] {
-			e.dirty = false
-			delete(c.dirty, n)
+			c.markCleanLocked(e)
 		}
 	}
 	c.staged -= len(run)

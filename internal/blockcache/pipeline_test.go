@@ -26,8 +26,8 @@ func waitUntil(t *testing.T, cond func() bool) {
 }
 
 // checkDirtyIndex asserts the dirty index holds exactly the resident entries
-// whose dirty flag is set, and that Dirty reports its size. Call it only
-// where no flush is in flight.
+// whose dirty flag is set, each at the slot it records, and that
+// Dirty reports its size. Call it only where no flush is in flight.
 func checkDirtyIndex(t *testing.T, c *Cache) {
 	t.Helper()
 	c.mu.Lock()
@@ -37,13 +37,19 @@ func checkDirtyIndex(t *testing.T, c *Cache) {
 			continue
 		}
 		want++
-		if c.dirty[n] != e {
-			t.Errorf("dirty block %d missing from the dirty index", n)
+		if e.slot < 0 || e.slot >= len(c.dirty) || c.dirty[e.slot] != e {
+			t.Errorf("dirty block %d is not at its recorded slot %d of the dirty index", n, e.slot)
 		}
 	}
-	for n, e := range c.dirty {
-		if c.entries[n] != e || !e.dirty {
-			t.Errorf("dirty index holds block %d, which is not a resident dirty entry", n)
+	for i, e := range c.dirty {
+		// An entry records one slot, so matching it rules out duplicates.
+		switch {
+		case e == nil:
+			t.Errorf("dirty index slot %d is empty", i)
+		case c.entries[e.block] != e || !e.dirty:
+			t.Errorf("dirty index holds block %d, which is not a resident dirty entry", e.block)
+		case e.slot != i:
+			t.Errorf("dirty index slot %d holds block %d, which records slot %d", i, e.block, e.slot)
 		}
 	}
 	if len(c.dirty) != want {

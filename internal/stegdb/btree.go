@@ -335,15 +335,16 @@ func seekLevel(pg *Pager, s *Snapshot, id int64, key []byte, level uint8) (int64
 
 // treeIter is a pull iterator over one snapshot's [lo, hi) range: descend
 // toward lo, then follow the leaf chain rightward until hi. It walks a
-// copy of each leaf in a pooled image, not the frame: Range hands key()
-// and val() to a callback that may write to the same table, so no latch
-// may be held across it. Both Range methods k-way-merge one per snapshot
-// (mergeRange). done() true means exhausted, and the image is back in the
-// pool; key()/val() alias the image, valid only until next().
+// copy of each leaf's in-range rows in a pooled image, not the frame:
+// Range hands key() and val() to a callback that may write to the same
+// table, so no latch may be held across it. Both Range methods k-way-merge
+// one per snapshot (mergeRange). done() true means exhausted, and the
+// image is back in the pool; key()/val() alias the image, valid only until
+// next().
 type treeIter struct {
 	s     *Snapshot
 	p     *editPage // nil once done
-	right int64     // the current leaf's right sibling
+	right int64     // the next leaf to visit; nilPage once hi was reached
 	c     kvCursor
 	k, v  []byte
 	hi    []byte
@@ -360,32 +361,57 @@ func (it *treeIter) seek(s *Snapshot, lo, hi []byte) error {
 		it.close()
 		return err
 	}
-	it.keep(leaf, e)
+	it.keep(leaf, e, lo)
 	return it.settle(lo)
 }
 
-// keep copies the latched leaf v into the iterator's image, unlatches it
-// and walks on in the copy.
+// keep copies the rows of the latched leaf v with lo <= key < hi into the
+// iterator's image, at their page offsets, unlatches the leaf and walks
+// on in the copy. It scans the frame in place to find that span, so a
+// Range pays for the rows it serves, not for the page. A key >= hi ends
+// the iterator at this leaf: no right sibling is visited. A corrupt entry
+// keeps the rest of the page from the span's start, so the copy's cursor
+// meets it where the frame's did and settle reports it.
 //
 // lockcheck:release stegdb/latch shared
-func (it *treeIter) keep(v nodeView, e *pageEntry) {
-	copy(it.p.buf[:], v.entries.buf)
+func (it *treeIter) keep(v nodeView, e *pageEntry, lo []byte) {
+	from, c, rows := v.entries, v.entries, 0
+	end, right := from.off, v.right
+scan:
+	for {
+		k, _, ok, err := c.next()
+		switch {
+		case err != nil:
+			end, rows = len(c.buf), from.left
+			break scan
+		case !ok:
+			break scan
+		case bytes.Compare(k, lo) < 0:
+			from, end = c, c.off
+		case it.hi != nil && bytes.Compare(k, it.hi) >= 0:
+			right = nilPage
+			break scan
+		default:
+			end, rows = c.off, rows+1
+		}
+	}
+	copy(it.p.buf[from.off:end], v.entries.buf[from.off:end])
 	it.s.pg.readUnlatch(e)
-	it.right, it.c = v.right, v.entries
-	it.c.buf = it.p.buf[:PageSize]
+	it.right, it.c = right, from
+	it.c.buf, it.c.left = it.p.buf[:len(v.entries.buf)], rows
 }
 
-// settle moves to the first entry >= lo, crossing to right siblings past
-// exhausted leaves. It closes the iterator at hi, at the end of the leaf
-// chain and on error.
+// settle moves to the next kept row, crossing to right siblings (kept
+// from lo on) past exhausted leaves. It closes the iterator once the rows
+// in range run out, at the end of the leaf chain and on error.
 func (it *treeIter) settle(lo []byte) error {
 	for {
-		k, v, ok, err := it.c.seek(lo)
+		k, v, ok, err := it.c.next()
 		switch {
-		case ok && (it.hi == nil || bytes.Compare(k, it.hi) < 0):
+		case ok:
 			it.k, it.v = k, v
 			return nil
-		case ok || err != nil || it.right == nilPage:
+		case err != nil || it.right == nilPage:
 			it.close()
 			return err
 		}
@@ -394,7 +420,7 @@ func (it *treeIter) settle(lo []byte) error {
 			it.close()
 			return err
 		}
-		it.keep(leaf, e)
+		it.keep(leaf, e, lo)
 	}
 }
 

@@ -395,15 +395,19 @@ func (s *syncStore) take() []int64 {
 // An uncached mount rewrites every metadata block and starts at the
 // superblock (block 0); a cached mount writes only the metadata blocks
 // that changed, so the first write below DataStart marks its metadata.
+// The cached mount is also run over the timing simulator (vdisk.Disk),
+// which must pass each barrier through to its store.
 func TestSyncBarrierReachesDevice(t *testing.T) {
+	cachedMeta := func(b, dataStart int64) bool { return b >= 0 && b < dataStart }
 	for _, tc := range []struct {
 		name   string
 		opts   []Option
 		isMeta func(b, dataStart int64) bool
+		disk   bool // mount through a vdisk.Disk over the store
 	}{
-		{"uncached", nil, func(b, _ int64) bool { return b == 0 }},
-		{"cached", []Option{WithCache(crashCacheCap), WithWriteBehind(crashWBehind)},
-			func(b, dataStart int64) bool { return b >= 0 && b < dataStart }},
+		{"uncached", nil, func(b, _ int64) bool { return b == 0 }, false},
+		{"cached", []Option{WithCache(crashCacheCap), WithWriteBehind(crashWBehind)}, cachedMeta, false},
+		{"cached-over-disk", []Option{WithCache(crashCacheCap), WithWriteBehind(crashWBehind)}, cachedMeta, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mem, err := vdisk.NewMemStore(crashBlocks, crashBS)
@@ -411,7 +415,11 @@ func TestSyncBarrierReachesDevice(t *testing.T) {
 				t.Fatal(err)
 			}
 			st := &syncStore{Store: mem}
-			fs, err := Format(st, crashParams(), tc.opts...)
+			var dev vdisk.Device = st
+			if tc.disk {
+				dev = vdisk.NewDisk(st, vdisk.DefaultGeometry())
+			}
+			fs, err := Format(dev, crashParams(), tc.opts...)
 			if err != nil {
 				t.Fatal(err)
 			}

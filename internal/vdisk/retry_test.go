@@ -143,6 +143,64 @@ func TestRetryDeviceBatchRetry(t *testing.T) {
 	}
 }
 
+// TestRetryDeviceAbsorbsOneShotReadIncident: a k-read incident armed with
+// FailNextReads fails exactly the next k reads of its block. Within the
+// retry budget the retry layer absorbs it and counts k retries, in a
+// single read and in a batch; past the budget it gives up once, and the
+// spent incident leaves the next read clean.
+func TestRetryDeviceAbsorbsOneShotReadIncident(t *testing.T) {
+	fs, dev, rec := newRetryFixture(t, RetryPolicy{MaxRetries: 4})
+	ns := []int64{20, 21, 22}
+	for _, n := range ns {
+		if err := fs.WriteBlock(n, fillBlock(byte(n), 512)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]byte, 512)
+	fs.FailNextReads(21, 3)
+	if err := dev.ReadBlock(21, got); err != nil {
+		t.Fatalf("retry should absorb a 3-read incident: %v", err)
+	}
+	if !bytes.Equal(got, fillBlock(21, 512)) {
+		t.Fatal("payload mismatch after the absorbed incident")
+	}
+	if st := dev.Stats(); st.Retries != 3 || st.GiveUps != 0 || len(rec.waits) != 3 {
+		t.Fatalf("want 3 retries, 0 give-ups and 3 backoffs, got %+v and %d backoffs", dev.Stats(), len(rec.waits))
+	}
+	if err := dev.ReadBlock(21, got); err != nil || dev.Stats().Retries != 3 {
+		t.Fatalf("a spent incident must not fail again: err %v, %+v", err, dev.Stats())
+	}
+
+	// In a batch: the whole-batch attempt meets the first failure (one
+	// retry), then the per-block pass meets the second (another).
+	fs.FailNextReads(22, 2)
+	bufs := [][]byte{make([]byte, 512), make([]byte, 512), make([]byte, 512)}
+	if err := dev.ReadBlocks(ns, bufs); err != nil {
+		t.Fatalf("batch retry should absorb a 2-read incident: %v", err)
+	}
+	for i, n := range ns {
+		if !bytes.Equal(bufs[i], fillBlock(byte(n), 512)) {
+			t.Fatalf("block %d mismatch after the batch retry", n)
+		}
+	}
+	if st := dev.Stats(); st.Retries != 5 || st.GiveUps != 0 {
+		t.Fatalf("want 5 retries and 0 give-ups after the batch, got %+v", st)
+	}
+
+	// Past the budget: 5 failures exhaust 4 retries, and the incident is
+	// spent by the time the caller reads again.
+	fs.FailNextReads(20, 5)
+	if err := dev.ReadBlock(20, got); !errors.Is(err, ErrTransient) {
+		t.Fatalf("want a give-up wrapping ErrTransient, got %v", err)
+	}
+	if st := dev.Stats(); st.Retries != 9 || st.GiveUps != 1 {
+		t.Fatalf("want 9 retries and 1 give-up, got %+v", st)
+	}
+	if err := dev.ReadBlock(20, got); err != nil || !bytes.Equal(got, fillBlock(20, 512)) {
+		t.Fatalf("read after the spent incident: %v", err)
+	}
+}
+
 // TestRetryDeviceThroughDisk checks the intended stack order: a Disk over a
 // FaultStore, wrapped by RetryDevice. A failed store pass charges the Disk
 // nothing, so the retry reissues an uncharged batch and only the successful

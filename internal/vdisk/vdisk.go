@@ -500,6 +500,16 @@ func (d *Disk) chargeLocked(n int64, read bool) time.Duration {
 	return cost
 }
 
+// Sync passes a barrier through to the store when it supports one (a
+// FileStore fsyncs), as RetryDevice and FaultStore do. It charges no
+// simulated time: the timing model prices block transfers, not barriers.
+func (d *Disk) Sync() error {
+	if s, ok := d.store.(interface{ Sync() error }); ok {
+		return s.Sync()
+	}
+	return nil
+}
+
 // String summarizes the disk for logs.
 func (d *Disk) String() string {
 	return fmt.Sprintf("vdisk.Disk{blocks=%d bs=%d}", d.NumBlocks(), d.BlockSize())

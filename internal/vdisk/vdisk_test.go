@@ -269,6 +269,39 @@ func TestDiskStatsAccounting(t *testing.T) {
 	}
 }
 
+// countSyncs is a store that counts the barriers reaching it.
+type countSyncs struct {
+	Store
+	syncs int
+}
+
+func (c *countSyncs) Sync() error { c.syncs++; return nil }
+
+// TestDiskSyncPassesThrough: a barrier on the timing simulator reaches a
+// store that supports one, exactly once, and charges no simulated time;
+// over a store without Sync it is a no-op.
+func TestDiskSyncPassesThrough(t *testing.T) {
+	disk, mem := newTestDisk(t, 64, 512)
+	if err := disk.Sync(); err != nil {
+		t.Fatalf("Sync over a MemStore: %v", err)
+	}
+	cs := &countSyncs{Store: mem}
+	disk = NewDisk(cs, testGeom())
+	if err := disk.WriteBlock(3, make([]byte, 512)); err != nil {
+		t.Fatal(err)
+	}
+	before, st := disk.Elapsed(), disk.Stats()
+	if err := disk.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if cs.syncs != 1 {
+		t.Fatalf("store saw %d Syncs, want 1", cs.syncs)
+	}
+	if disk.Elapsed() != before || disk.Stats() != st {
+		t.Fatalf("Sync charged the simulator: %v -> %v, %+v -> %+v", before, disk.Elapsed(), st, disk.Stats())
+	}
+}
+
 // TestFailedIODoesNotMutateSimulator is the regression test for the timing
 // bug where Disk charged the clock, advanced the head and bumped Stats
 // before delegating to the store: a rejected request (out of range, bad
