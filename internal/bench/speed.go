@@ -8,6 +8,7 @@ import (
 	"runtime/debug"
 	"time"
 
+	"stegfs/internal/blockcache"
 	"stegfs/internal/sgcrypto"
 	"stegfs/internal/stegdb"
 	"stegfs/internal/stegfs"
@@ -164,6 +165,16 @@ func SpeedSuite(cfg Config, budget time.Duration) ([]SpeedRow, error) {
 		filler.Fill(dst)
 	}))
 
+	// The block cache alone: an 8-block ReadBlocks on a bare LRU cache of
+	// 1024 blocks over a MemStore. cache-hit-8 reads resident blocks, so it
+	// times the hit path's lookup, copy and policy touch; cache-miss-evict-8
+	// sweeps a store twice the cache's size in order, so every block it
+	// reads was evicted since its last read and every call misses and
+	// evicts 8 clean blocks.
+	if err := speedCacheRows(bs, budget, add); err != nil {
+		return nil, err
+	}
+
 	// End-to-end cached data path through a hidden file.
 	v, err := speedVolume(cfg, 0, false)
 	if err != nil {
@@ -301,6 +312,41 @@ func SpeedSuite(cfg Config, budget time.Duration) ([]SpeedRow, error) {
 		return nil, err
 	}
 	return rows, nil
+}
+
+// speedCacheRows adds the cache-hit-8 and cache-miss-evict-8 rows.
+func speedCacheRows(bs int, budget time.Duration, add func(SpeedRow)) error {
+	const capacity, batch = 1024, 8
+	store, err := vdisk.NewMemStore(2*capacity, bs)
+	if err != nil {
+		return err
+	}
+	c, err := blockcache.NewWithOptions(store, blockcache.Options{Capacity: capacity, Policy: blockcache.PolicyLRU})
+	if err != nil {
+		return err
+	}
+	ns := make([]int64, batch)
+	bufs := make([][]byte, batch)
+	for i := range bufs {
+		bufs[i] = make([]byte, bs)
+	}
+	// readFrom reads the batch of blocks starting at first.
+	readFrom := func(first int64) {
+		for i := range ns {
+			ns[i] = first + int64(i)
+		}
+		_ = c.ReadBlocks(ns, bufs)
+	}
+	for n := int64(0); n < capacity; n += batch {
+		readFrom(n) // fill the cache with blocks [0, capacity)
+	}
+	add(speedMeasure("cache-hit-8", batch*bs, budget, func() { readFrom(0) }))
+	next := int64(capacity)
+	add(speedMeasure("cache-miss-evict-8", batch*bs, budget, func() {
+		readFrom(next)
+		next = (next + batch) % (2 * capacity)
+	}))
+	return c.Close()
 }
 
 // FormatSpeedRows renders the table body for cmd/stegbench.

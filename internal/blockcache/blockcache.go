@@ -136,6 +136,7 @@ type entry struct {
 	flushing bool   // a staged copy is being written by the flush pipeline
 	gen      uint64 // bumped on every write; detects re-dirty during a flight
 	slot     int    // position in Cache.dirty while dirty
+	node     int32  // the policy's handle for this entry while resident
 }
 
 // maxFlushRun caps how many blocks one pipeline submission stages (and
@@ -333,7 +334,7 @@ func (c *Cache) writeLocked(n int64, buf []byte) {
 		f.stale = true
 	}
 	if e, ok := c.entries[n]; ok {
-		c.policy.Touch(n)
+		c.policy.Touch(e)
 		if bytes.Equal(e.data, buf) {
 			c.stats.Unchanged++
 			return
@@ -393,42 +394,39 @@ func (c *Cache) ReadBlocks(ns []int64, bufs [][]byte) error {
 			return fmt.Errorf("%w: %d != %d", vdisk.ErrBadBuffer, len(b), bs)
 		}
 	}
-	// Fast path: when every block is resident, serve the batch under one
-	// lock hold with no bookkeeping allocations (the slow path's index
-	// slices and single-flight registrations exist only for misses). The
-	// copy pass stops at the first absent block, and stats and policy are
-	// updated only once the whole batch hit, so a partial hit does not
-	// double-count its prefix against the stats below.
+	// Fast path: serve the resident prefix of the batch under one lock hold
+	// with no bookkeeping allocations (the slow path's index slices and
+	// single-flight registrations exist only for misses), touching each hit
+	// through the entry its one lookup found. A fully resident batch ends
+	// here; otherwise the slow path resumes at the first absent block, so
+	// the prefix is counted once and the policy sees the same touches, in
+	// the same order, as if the slow path had served it.
 	c.mu.Lock()
 	hit := 0
-	for i, n := range ns {
-		e, ok := c.entries[n]
+	for ; hit < len(ns); hit++ {
+		e, ok := c.entries[ns[hit]]
 		if !ok {
 			break
 		}
-		copy(bufs[i], e.data)
-		hit++
+		copy(bufs[hit], e.data)
+		c.policy.Touch(e)
 	}
+	c.stats.Hits += int64(hit)
+	c.mu.Unlock()
 	if hit == len(ns) {
-		for _, n := range ns {
-			c.policy.Touch(n)
-		}
-		c.stats.Hits += int64(len(ns))
-		c.mu.Unlock()
 		return nil
 	}
-	c.mu.Unlock()
 
 	// One allocation holds the batch's index lists, each with room for
-	// every block: those left to resolve, those this pass fetches, those to
-	// retry on the next pass, and the fetched block numbers. Indices are
-	// int64 so the block numbers can share it.
-	k := len(ns)
+	// every block left: those left to resolve, those this pass fetches,
+	// those to retry on the next pass, and the fetched block numbers.
+	// Indices are int64 so the block numbers can share it.
+	k := len(ns) - hit
 	scratch := make([]int64, 4*k)
 	remaining, mine, retry := scratch[0:k:k], scratch[k:k:2*k], scratch[2*k:2*k:3*k]
 	missNs := scratch[3*k : 3*k : 4*k]
 	for i := range remaining {
-		remaining[i] = int64(i)
+		remaining[i] = int64(hit + i)
 	}
 	for len(remaining) > 0 {
 		mine, retry, missNs = mine[:0], retry[:0], missNs[:0]
@@ -441,7 +439,7 @@ func (c *Cache) ReadBlocks(ns []int64, bufs [][]byte) error {
 			n := ns[i]
 			if e, ok := c.entries[n]; ok {
 				c.stats.Hits++
-				c.policy.Touch(n)
+				c.policy.Touch(e)
 				copy(bufs[i], e.data)
 				continue
 			}
@@ -480,22 +478,25 @@ func (c *Cache) ReadBlocks(ns []int64, bufs [][]byte) error {
 				if err != nil {
 					continue
 				}
+				if !flight[j].stale {
+					// Only a write inserts a block while its fetch is
+					// registered, and it marks the fetch stale first, so
+					// the block is still absent.
+					c.stats.Misses++
+					c.insertLocked(n, bufs[i], false)
+					continue
+				}
 				if e, ok := c.entries[n]; ok {
 					// A write raced the fetch and inserted newer data; the
 					// cache is authoritative.
 					c.stats.Hits++
-					c.policy.Touch(n)
+					c.policy.Touch(e)
 					copy(bufs[i], e.data)
 					continue
 				}
-				if flight[j].stale {
-					// Written and already flushed and dropped during the
-					// fetch: the bytes read may predate that write. Refetch.
-					retry = append(retry, i)
-					continue
-				}
-				c.stats.Misses++
-				c.insertLocked(n, bufs[i], false)
+				// Written and already flushed and dropped during the fetch:
+				// the bytes read may predate that write. Refetch.
+				retry = append(retry, i)
 			}
 			close(done)
 			c.mu.Unlock()
@@ -551,7 +552,7 @@ func (c *Cache) insertLocked(n int64, buf []byte, dirty bool) {
 	if dirty {
 		c.markDirtyLocked(e)
 	}
-	c.policy.Insert(n)
+	c.policy.Insert(e)
 	for len(c.entries) > c.cap {
 		if !c.evictLocked() {
 			break // over capacity until the device (or the pipeline) recovers
@@ -588,19 +589,13 @@ func (c *Cache) newEntryLocked(bs int) *entry {
 // returns false.
 // lockcheck:holds volume/cacheMu
 func (c *Cache) evictLocked() bool {
-	n, ok := c.policy.Victim()
+	victim, ok := c.policy.Victim()
 	if !ok {
 		return false
 	}
-	victim, ok := c.entries[n]
-	if !ok {
-		// Policy/resident-set desync would be an internal bug; drop the
-		// stale policy entry and report progress so the loop retries.
-		c.policy.Remove(n)
-		return true
-	}
+	n := victim.block
 	if victim.flushing {
-		c.policy.Touch(n)
+		c.policy.Touch(victim)
 		return false
 	}
 	if victim.dirty {
@@ -614,13 +609,13 @@ func (c *Cache) evictLocked() bool {
 				// sleep until some OTHER goroutine reached a barrier.
 				c.flushDone.Broadcast()
 			}
-			c.policy.Touch(n)
+			c.policy.Touch(victim)
 			return false
 		}
 		c.stats.WriteBacks++
 		c.markCleanLocked(victim)
 	}
-	c.policy.Remove(n)
+	c.policy.Remove(victim)
 	delete(c.entries, n)
 	c.free = append(c.free, victim)
 	c.stats.Evictions++
@@ -762,10 +757,9 @@ func (c *Cache) flushEntriesLocked(run []*entry, background bool) error {
 	err := vdisk.WriteBlocks(c.dev, ns, bufs)
 
 	c.mu.Lock()
-	for i, n := range ns {
-		// The entry cannot have been evicted or invalidated mid-flight:
-		// eviction skips flushing entries and Invalidate drains first.
-		e := c.entries[n]
+	for i, e := range run {
+		// The entry still holds its block: a flushing entry is pinned, since
+		// eviction skips it and Invalidate drains first.
 		e.flushing = false
 		if err == nil && e.dirty && e.gen == gens[i] {
 			c.markCleanLocked(e)

@@ -15,35 +15,40 @@ const (
 func PolicyNames() []string { return []string{PolicyLRU, Policy2Q} }
 
 // Policy decides which resident block the cache evicts under capacity
-// pressure. The Cache owns the data and the dirty state; the policy only
-// tracks block numbers. Implementations are not safe for concurrent use —
-// the Cache calls them with its mutex held.
+// pressure. The Cache owns the data, the dirty state and the block-number
+// index; the policy orders the resident entries and addresses each one by
+// the node handle it stores in entry.node, so no hook looks a block number
+// up. Only 2Q keeps a block-number map, for its A1out ghosts, which are no
+// longer resident. Implementations are not safe for concurrent use — the
+// Cache calls them with its mutex held — and only this package can
+// implement the interface.
 //
-// Lifecycle of a block through the hooks:
+// Lifecycle of an entry through the hooks:
 //
-//	Insert(n)  n became resident (read miss fill or fresh write)
-//	Touch(n)   a resident n was hit again (read or overwrite)
-//	Victim()   peek the block the policy wants evicted next
-//	Remove(n)  n left the resident set after a successful eviction
+//	Insert(e)  e became resident (read miss fill or fresh write); sets e.node
+//	Touch(e)   a resident e was hit again (read or overwrite)
+//	Victim()   peek the entry the policy wants evicted next
+//	Remove(e)  e left the resident set after a successful eviction
 //	Reset()    drop all state, resident and ghost (cache Invalidate)
 //
 // Victim does not remove: the cache must first write the victim back if it
 // is dirty, and only calls Remove once the device write succeeded. If the
 // write-back fails the cache calls Touch(victim) instead, so the policy
-// re-prioritizes it and the data stays resident.
+// re-prioritizes it and the data stays resident. Touch, Victim and Remove
+// see only entries inserted since the last Reset and not removed since.
 type Policy interface {
 	// Name returns the policy's registry name (e.g. "lru").
 	Name() string
-	// Touch records a hit on resident block n.
-	Touch(n int64)
-	// Insert records block n becoming resident.
-	Insert(n int64)
+	// Touch records a hit on resident entry e.
+	Touch(e *entry)
+	// Insert records e, holding e.block, becoming resident.
+	Insert(e *entry)
 	// Victim returns the preferred eviction candidate without removing it.
 	// ok is false when nothing is resident.
-	Victim() (n int64, ok bool)
-	// Remove records resident block n being evicted. Scan-resistant
-	// policies move n to a ghost list here.
-	Remove(n int64)
+	Victim() (e *entry, ok bool)
+	// Remove records resident entry e being evicted. Scan-resistant
+	// policies keep e.block as a ghost here.
+	Remove(e *entry)
 	// Reset drops all policy state.
 	Reset()
 }
@@ -65,20 +70,22 @@ func NewPolicy(name string, capacity int) (Policy, error) {
 
 // --- Slot-indexed lists ------------------------------------------------------
 
-// slotLists threads up to three doubly linked lists of block numbers through
-// one slice of nodes addressed by slot index. Node i < lists is list i's
-// sentinel. A removed node is chained onto a free list and reused before the
-// slice grows, and moving a node within or between lists only relinks it, so
-// a policy in steady state — one insert per eviction — allocates nothing.
+// slotLists threads up to three doubly linked lists of entries through one
+// slice of nodes addressed by slot index; a resident entry records its slot
+// in entry.node. Node i < lists is list i's sentinel. A removed node is
+// chained onto a free list and reused before the slice grows, and moving a
+// node within or between lists only relinks it, so a policy in steady state
+// — one insert per eviction — allocates nothing.
 type slotLists struct {
 	nodes []slotNode
-	lens  [3]int // resident nodes per list
+	lens  [3]int // linked nodes per list
 	lists int32
 	free  int32 // head of the free chain through next; -1 when empty
 }
 
 type slotNode struct {
-	block      int64
+	e          *entry // the resident entry; stale once the node is a ghost
+	block      int64  // a ghost's block number (2Q's A1out only)
 	prev, next int32
 	list       int32 // which list the node is linked into
 }
@@ -99,9 +106,9 @@ func (s *slotLists) reset() {
 	s.free = -1
 }
 
-// pushFront links a node holding block at the front of list and returns its
-// slot.
-func (s *slotLists) pushFront(list int32, block int64) int32 {
+// pushFront links a node holding e at the front of list and records its
+// slot in e.node.
+func (s *slotLists) pushFront(list int32, e *entry) {
 	i := s.free
 	if i >= 0 {
 		s.free = s.nodes[i].next
@@ -109,9 +116,9 @@ func (s *slotLists) pushFront(list int32, block int64) int32 {
 		i = int32(len(s.nodes))
 		s.nodes = append(s.nodes, slotNode{})
 	}
-	s.nodes[i].block = block
+	s.nodes[i].e = e
+	e.node = i
 	s.link(list, i)
-	return i
 }
 
 // moveToFront relinks slot i at the front of list, which may be the list it
@@ -156,47 +163,23 @@ func (s *slotLists) unlink(i int32) {
 // the capacity — exactly the regime 2Q exists for.
 type lruPolicy struct {
 	order slotLists // one list; front = most recently used
-	slot  map[int64]int32
 }
 
-func newLRUPolicy() *lruPolicy {
-	return &lruPolicy{order: newSlotLists(1), slot: make(map[int64]int32)}
-}
+func newLRUPolicy() *lruPolicy { return &lruPolicy{order: newSlotLists(1)} }
 
 func (p *lruPolicy) Name() string { return PolicyLRU }
 
-func (p *lruPolicy) Touch(n int64) {
-	if i, ok := p.slot[n]; ok {
-		p.order.moveToFront(0, i)
-	}
-}
+func (p *lruPolicy) Touch(e *entry) { p.order.moveToFront(0, e.node) }
 
-func (p *lruPolicy) Insert(n int64) {
-	if i, ok := p.slot[n]; ok {
-		p.order.moveToFront(0, i)
-		return
-	}
-	p.slot[n] = p.order.pushFront(0, n)
-}
+func (p *lruPolicy) Insert(e *entry) { p.order.pushFront(0, e) }
 
-func (p *lruPolicy) Victim() (int64, bool) {
+func (p *lruPolicy) Victim() (*entry, bool) {
 	i, ok := p.order.back(0)
-	if !ok {
-		return 0, false
-	}
-	return p.order.nodes[i].block, true
+	return p.order.nodes[i].e, ok
 }
 
-func (p *lruPolicy) Remove(n int64) {
-	if i, ok := p.slot[n]; ok {
-		p.order.remove(i)
-		delete(p.slot, n)
-	}
-}
+func (p *lruPolicy) Remove(e *entry) { p.order.remove(e.node) }
 
-func (p *lruPolicy) Reset() {
-	p.order.reset()
-	clear(p.slot)
-}
+func (p *lruPolicy) Reset() { p.order.reset() }
 
 var _ Policy = (*lruPolicy)(nil)

@@ -461,6 +461,83 @@ func TestPolicyConcurrentAccess(t *testing.T) {
 	}
 }
 
+// blockPolicy is the replacement-policy contract stated in block numbers:
+// the oracles below implement it, and nodePolicy adapts a node-addressed
+// Policy to it.
+type blockPolicy interface {
+	Name() string
+	Touch(n int64)
+	Insert(n int64)
+	Victim() (n int64, ok bool)
+	Remove(n int64)
+	Reset()
+}
+
+// nodePolicy drives a Policy by block number, standing in for the cache's
+// index: it keeps one entry per resident block and hands the policy that
+// entry, whose node the policy set on Insert. Touch of a block that is not
+// resident is a no-op, as it is for the oracles; Remove must name a
+// resident block, because a node-addressed policy has no handle for any
+// other (the cache removes only victims).
+type nodePolicy struct {
+	p        Policy
+	resident map[int64]*entry
+}
+
+func newNodePolicy(p Policy) *nodePolicy {
+	return &nodePolicy{p: p, resident: make(map[int64]*entry)}
+}
+
+func (a *nodePolicy) Name() string { return a.p.Name() }
+
+func (a *nodePolicy) Touch(n int64) {
+	if e, ok := a.resident[n]; ok {
+		a.p.Touch(e)
+	}
+}
+
+func (a *nodePolicy) Insert(n int64) {
+	e := &entry{block: n}
+	a.resident[n] = e
+	a.p.Insert(e)
+}
+
+func (a *nodePolicy) Victim() (int64, bool) {
+	e, ok := a.p.Victim()
+	if !ok {
+		return 0, false
+	}
+	return e.block, true
+}
+
+func (a *nodePolicy) Remove(n int64) {
+	a.p.Remove(a.resident[n])
+	delete(a.resident, n)
+}
+
+func (a *nodePolicy) Reset() {
+	a.p.Reset()
+	clear(a.resident)
+}
+
+// checkGhosts asserts 2Q's block map holds exactly its A1out ghosts: as many
+// keys as A1out has nodes, each naming an A1out node that records that block.
+func checkGhosts(t *testing.T, p Policy) {
+	t.Helper()
+	q, ok := p.(*twoQPolicy)
+	if !ok {
+		return
+	}
+	if len(q.ghosts) != q.queues.lens[twoQA1out] {
+		t.Fatalf("2Q ghost map has %d blocks, A1out has %d", len(q.ghosts), q.queues.lens[twoQA1out])
+	}
+	for n, i := range q.ghosts {
+		if node := q.queues.nodes[i]; node.list != twoQA1out || node.block != n {
+			t.Fatalf("2Q ghost map sends block %d to node %d, which holds block %d in queue %d", n, i, node.block, node.list)
+		}
+	}
+}
+
 // refLRU and refTwoQ are the container/list implementations the slot-indexed
 // lruPolicy and twoQPolicy replaced, kept as oracles: the replacement must
 // choose exactly the same victims.
@@ -608,23 +685,25 @@ func (p *refTwoQ) Reset() {
 	p.where = make(map[int64]*refTwoQEntry)
 }
 
-// TestPolicyMatchesReference drives each policy and its oracle through the
-// same seeded random sequence of Insert, Touch, Victim, Remove and Reset —
-// inserting past capacity and evicting the way the cache does, sometimes
-// failing the write-back (Touch instead of Remove) — and requires every
-// Victim to agree.
+// TestPolicyMatchesReference drives each policy, through nodePolicy, and its
+// oracle through the same seeded random sequence of Insert, Touch, Victim,
+// Remove and Reset — inserting past capacity and evicting the way the cache
+// does, sometimes failing the write-back (Touch instead of Remove) — and
+// requires every Victim to agree and 2Q's map to hold only ghosts. Remove
+// names resident blocks only; see nodePolicy.
 func TestPolicyMatchesReference(t *testing.T) {
-	oracles := map[string]func(int) Policy{
-		PolicyLRU: func(int) Policy { return newRefLRU() },
-		Policy2Q:  func(capacity int) Policy { return newRefTwoQ(capacity) },
+	oracles := map[string]func(int) blockPolicy{
+		PolicyLRU: func(int) blockPolicy { return newRefLRU() },
+		Policy2Q:  func(capacity int) blockPolicy { return newRefTwoQ(capacity) },
 	}
 	for _, name := range PolicyNames() {
 		for _, capacity := range []int{1, 3, 64} {
 			for seed := int64(1); seed <= 8; seed++ {
-				got, err := NewPolicy(name, capacity)
+				pol, err := NewPolicy(name, capacity)
 				if err != nil {
 					t.Fatal(err)
 				}
+				got := newNodePolicy(pol)
 				want := oracles[name](capacity)
 				rng := rand.New(rand.NewSource(seed))
 				universe := int64(4*capacity + 4) // residents, ghosts and strangers
@@ -640,6 +719,7 @@ func TestPolicyMatchesReference(t *testing.T) {
 					return gn, gok
 				}
 				for ; step < 5000; step++ {
+					checkGhosts(t, pol)
 					n := rng.Int63n(universe)
 					switch r := rng.Intn(200); {
 					case r < 90: // a miss fill or fresh write, then eviction
@@ -666,6 +746,9 @@ func TestPolicyMatchesReference(t *testing.T) {
 					case r < 175:
 						victim()
 					case r < 199:
+						if !resident[n] {
+							continue
+						}
 						got.Remove(n)
 						want.Remove(n)
 						delete(resident, n)
@@ -685,7 +768,7 @@ func TestPolicyMatchesReference(t *testing.T) {
 // victim, because A1in is within its share and Am's only block is the new
 // one. The cache must insert first, evict the new block, and keep the old.
 func TestPolicyTwoQEvictsItsOwnInsert(t *testing.T) {
-	for _, p := range []Policy{newTwoQPolicy(1), newRefTwoQ(1)} {
+	for _, p := range []blockPolicy{newNodePolicy(newTwoQPolicy(1)), newRefTwoQ(1)} {
 		p.Insert(1)
 		p.Insert(2)
 		if v, _ := p.Victim(); v != 1 {

@@ -14,7 +14,9 @@ package blockcache
 //
 // The three queues share one slotLists, so a block moving from A1in to the
 // A1out ghost queue, or from A1out to Am, keeps its node, and a ghost
-// trimmed off A1out's tail frees its node for the next insert.
+// trimmed off A1out's tail frees its node for the next insert. Resident
+// blocks are addressed through entry.node; only ghosts, which have no
+// entry, are found by block number, in ghosts.
 type twoQPolicy struct {
 	kin  int // max A1in residents before the FIFO is preferred for eviction
 	kout int // max A1out ghost entries
@@ -22,7 +24,7 @@ type twoQPolicy struct {
 	// queues holds A1in (resident FIFO; front = newest), Am (resident LRU;
 	// front = MRU) and A1out (ghost FIFO of block numbers; front = newest).
 	queues slotLists
-	where  map[int64]int32 // block → its node in queues
+	ghosts map[int64]int32 // A1out block → its node in queues
 }
 
 // 2Q queue numbers in twoQPolicy.queues.
@@ -40,7 +42,7 @@ func newTwoQPolicy(capacity int) *twoQPolicy {
 		kin:    max(1, capacity/4),
 		kout:   max(1, 2*capacity),
 		queues: newSlotLists(3),
-		where:  make(map[int64]int32),
+		ghosts: make(map[int64]int32),
 	}
 }
 
@@ -52,68 +54,58 @@ func (p *twoQPolicy) Name() string { return Policy2Q }
 // re-front is a deliberate deviation from the paper's pure FIFO — the
 // Policy contract requires Touch(victim) after a failed write-back to
 // de-prioritize the victim so eviction can make progress on other blocks.
-func (p *twoQPolicy) Touch(n int64) {
-	i, ok := p.where[n]
-	if !ok {
-		return
-	}
-	if q := p.queues.nodes[i].list; q != twoQA1out {
-		p.queues.moveToFront(q, i)
-	}
+func (p *twoQPolicy) Touch(e *entry) {
+	p.queues.moveToFront(p.queues.nodes[e.node].list, e.node)
 }
 
 // Insert admits a block: ghosts of recently evicted FIFO blocks go to Am
 // (their re-reference proves reuse beyond a single pass), everything else
 // starts in A1in.
-func (p *twoQPolicy) Insert(n int64) {
-	if i, ok := p.where[n]; ok {
-		if p.queues.nodes[i].list == twoQA1out {
-			p.queues.moveToFront(twoQAm, i)
-		} else {
-			p.Touch(n) // defensive; the cache never double-inserts
-		}
+func (p *twoQPolicy) Insert(e *entry) {
+	i, ok := p.ghosts[e.block]
+	if !ok {
+		p.queues.pushFront(twoQA1in, e)
 		return
 	}
-	p.where[n] = p.queues.pushFront(twoQA1in, n)
+	delete(p.ghosts, e.block)
+	p.queues.nodes[i].e = e
+	e.node = i
+	p.queues.moveToFront(twoQAm, i)
 }
 
 // Victim prefers draining the FIFO once it exceeds its share, so scans
 // evict their own blocks instead of Am's.
-func (p *twoQPolicy) Victim() (int64, bool) {
+func (p *twoQPolicy) Victim() (*entry, bool) {
 	if p.queues.lens[twoQA1in] > p.kin || p.queues.lens[twoQAm] == 0 {
 		if i, ok := p.queues.back(twoQA1in); ok {
-			return p.queues.nodes[i].block, true
+			return p.queues.nodes[i].e, true
 		}
 	}
-	if i, ok := p.queues.back(twoQAm); ok {
-		return p.queues.nodes[i].block, true
-	}
-	return 0, false
+	i, ok := p.queues.back(twoQAm)
+	return p.queues.nodes[i].e, ok
 }
 
 // Remove retires an evicted block: FIFO evictions leave a ghost in A1out,
 // Am evictions are forgotten entirely.
-func (p *twoQPolicy) Remove(n int64) {
-	i, ok := p.where[n]
-	if !ok {
-		return
-	}
+func (p *twoQPolicy) Remove(e *entry) {
+	i := e.node
 	if p.queues.nodes[i].list != twoQA1in {
 		p.queues.remove(i)
-		delete(p.where, n)
 		return
 	}
+	p.queues.nodes[i].block = e.block
+	p.ghosts[e.block] = i
 	p.queues.moveToFront(twoQA1out, i)
 	for p.queues.lens[twoQA1out] > p.kout {
 		old, _ := p.queues.back(twoQA1out)
-		delete(p.where, p.queues.nodes[old].block)
+		delete(p.ghosts, p.queues.nodes[old].block)
 		p.queues.remove(old)
 	}
 }
 
 func (p *twoQPolicy) Reset() {
 	p.queues.reset()
-	clear(p.where)
+	clear(p.ghosts)
 }
 
 var _ Policy = (*twoQPolicy)(nil)

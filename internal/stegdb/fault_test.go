@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"maps"
 	"strings"
 	"sync"
 	"testing"
@@ -539,7 +538,11 @@ func TestStegDBFaultHomeDropsBase(t *testing.T) {
 		dirty := func() map[int64]*pageEntry {
 			pg.cache.mu.Lock()
 			defer pg.cache.mu.Unlock()
-			return maps.Clone(pg.cache.dirty)
+			m := make(map[int64]*pageEntry, len(pg.cache.dirty))
+			for _, e := range pg.cache.dirty {
+				m[e.id] = e
+			}
+			return m
 		}
 		before := dirty()
 		if err := tab.Put([]byte(fmt.Sprintf("fk%04d", i)), []byte(val(i, "new"))); err != nil {

@@ -36,6 +36,8 @@ type pageEntry struct {
 	// lockcheck:guardedby stegdb/cacheMu
 	gen uint64 // bumped on every markDirty; write-wins on flush
 	// lockcheck:guardedby stegdb/cacheMu
+	slot int // position in pageCache.dirty while dirty
+	// lockcheck:guardedby stegdb/cacheMu
 	elem *list.Element // position in the LRU list
 }
 
@@ -52,7 +54,7 @@ type pageCache struct {
 	// lockcheck:guardedby mu
 	lru *list.List // front = most recently used; holds *pageEntry
 	// lockcheck:guardedby mu
-	dirty map[int64]*pageEntry // every frame with dirty set
+	dirty []*pageEntry // every frame with dirty set, each at its slot
 }
 
 func newPageCache(capacity int) *pageCache {
@@ -63,7 +65,6 @@ func newPageCache(capacity int) *pageCache {
 		cap:     capacity,
 		entries: make(map[int64]*pageEntry),
 		lru:     list.New(),
-		dirty:   make(map[int64]*pageEntry),
 	}
 }
 
@@ -135,9 +136,10 @@ func (c *pageCache) unpin(e *pageEntry) {
 func (c *pageCache) markDirty(e *pageEntry) (wasDirty bool) {
 	c.mu.Lock()
 	wasDirty = e.dirty
-	e.dirty = true
+	if !wasDirty {
+		c.indexDirtyLocked(e)
+	}
 	e.gen++
-	c.dirty[e.id] = e
 	c.mu.Unlock()
 	return wasDirty
 }
@@ -148,9 +150,34 @@ func (c *pageCache) markDirty(e *pageEntry) (wasDirty bool) {
 // lockcheck:holds stegdb/latch
 func (c *pageCache) unmarkDirty(e *pageEntry) {
 	c.mu.Lock()
-	e.dirty = false
-	delete(c.dirty, e.id)
+	if e.dirty {
+		c.unindexDirtyLocked(e)
+	}
 	c.mu.Unlock()
+}
+
+// indexDirtyLocked sets the frame's dirty flag and appends it to the dirty
+// index, recording its slot; caller holds c.mu and knows the frame is clean.
+//
+// lockcheck:holds stegdb/cacheMu
+func (c *pageCache) indexDirtyLocked(e *pageEntry) {
+	e.dirty = true
+	e.slot = len(c.dirty)
+	c.dirty = append(c.dirty, e)
+}
+
+// unindexDirtyLocked clears the frame's dirty flag and removes it from the
+// dirty index in O(1): the last indexed frame moves into its slot. Caller
+// holds c.mu and knows the frame is dirty.
+//
+// lockcheck:holds stegdb/cacheMu
+func (c *pageCache) unindexDirtyLocked(e *pageEntry) {
+	last := c.dirty[len(c.dirty)-1]
+	last.slot = e.slot
+	c.dirty[e.slot] = last
+	c.dirty[len(c.dirty)-1] = nil
+	c.dirty = c.dirty[:len(c.dirty)-1]
+	e.dirty = false
 }
 
 // gen reads the frame's dirty generation.
@@ -173,16 +200,16 @@ func (c *pageCache) isDirty(e *pageEntry) bool {
 // was observed (write-wins: a concurrent re-dirty keeps the flag).
 func (c *pageCache) clearDirty(e *pageEntry, g uint64) {
 	c.mu.Lock()
-	if e.gen == g {
-		e.dirty = false
-		delete(c.dirty, e.id)
+	if e.gen == g && e.dirty {
+		c.unindexDirtyLocked(e)
 	}
 	c.mu.Unlock()
 }
 
 // dirtyEntries returns every dirty frame, pinned and sorted by page id.
-// It reads the dirty index, so a commit's cut costs O(dirty), not
-// O(resident). The caller flushes them and unpins.
+// It walks the dirty index, a slice as long as the dirty set, so a commit's
+// cut costs O(dirty), not O(resident) (nor the largest dirty set the table
+// ever held, as a map's buckets would). The caller flushes them and unpins.
 func (c *pageCache) dirtyEntries() []*pageEntry {
 	c.mu.Lock()
 	out := make([]*pageEntry, 0, len(c.dirty))

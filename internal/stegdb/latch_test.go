@@ -1,34 +1,51 @@
 package stegdb
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // checkPageDirtyIndex asserts that every partition's page-cache dirty index
-// holds exactly the resident frames whose dirty flag is set. Call it only
-// where no operation or commit is running on tab.
+// holds exactly the resident frames whose dirty flag is set, each at the
+// slot it records. Call it only where no operation or commit is running on
+// tab.
 func checkPageDirtyIndex(t *testing.T, tab *PartitionedTable) {
 	t.Helper()
 	for i, part := range tab.parts {
-		c := part.pg.cache
-		c.mu.Lock()
-		want := 0
-		for id, e := range c.entries {
-			if !e.dirty {
-				continue
-			}
-			want++
-			if c.dirty[id] != e {
-				t.Errorf("partition %d: dirty page %d missing from the dirty index", i, id)
-			}
+		checkPageCacheDirtyIndex(t, fmt.Sprintf("partition %d", i), part.pg.cache)
+	}
+}
+
+// checkPageCacheDirtyIndex checks one page cache's dirty index both ways:
+// every resident dirty frame sits at its recorded slot, and every slot holds
+// a resident dirty frame that records that slot.
+func checkPageCacheDirtyIndex(t *testing.T, where string, c *pageCache) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	want := 0
+	for id, e := range c.entries {
+		if !e.dirty {
+			continue
 		}
-		for id, e := range c.dirty {
-			if c.entries[id] != e || !e.dirty {
-				t.Errorf("partition %d: dirty index holds page %d, which is not a resident dirty frame", i, id)
-			}
+		want++
+		if e.slot < 0 || e.slot >= len(c.dirty) || c.dirty[e.slot] != e {
+			t.Errorf("%s: dirty page %d is not at its recorded slot %d of the dirty index", where, id, e.slot)
 		}
-		if len(c.dirty) != want {
-			t.Errorf("partition %d: dirty index has %d frames, want %d", i, len(c.dirty), want)
+	}
+	for i, e := range c.dirty {
+		// A frame records one slot, so matching it rules out duplicates.
+		switch {
+		case e == nil:
+			t.Errorf("%s: dirty index slot %d is empty", where, i)
+		case c.entries[e.id] != e || !e.dirty:
+			t.Errorf("%s: dirty index holds page %d, which is not a resident dirty frame", where, e.id)
+		case e.slot != i:
+			t.Errorf("%s: dirty index slot %d holds page %d, which records slot %d", where, i, e.id, e.slot)
 		}
-		c.mu.Unlock()
+	}
+	if len(c.dirty) != want {
+		t.Errorf("%s: dirty index has %d frames, want %d", where, len(c.dirty), want)
 	}
 }
 
@@ -74,10 +91,11 @@ func TestStegDBPageCacheDirtyIndex(t *testing.T) {
 			t.Errorf("page %d pinned %d times, want 1", e.id, e.refs)
 		}
 	}
-	if len(c.dirty) != 2 || c.dirty[3] != frames[3] || c.dirty[9] != frames[9] {
-		t.Errorf("dirty index = %v, want pages 3 and 9", c.dirty)
+	if len(c.dirty) != 2 || !frames[3].dirty || !frames[9].dirty {
+		t.Errorf("dirty index holds %d frames, want pages 3 and 9", len(c.dirty))
 	}
 	c.mu.Unlock()
+	checkPageCacheDirtyIndex(t, "page cache", c)
 	for _, e := range got {
 		c.unpin(e)
 	}
