@@ -30,8 +30,9 @@
 //
 // All deferred device writes run through one pipeline: dirty entries are
 // collected into runs sorted by block number, marked flush-in-flight, and
-// submitted via vdisk.WriteBlocks OUTSIDE the cache mutex, so a writer
-// hitting the cache never waits behind the device. Write-behind
+// their own buffers are submitted via vdisk.WriteBlocks OUTSIDE the cache
+// mutex, so a writer hitting the cache never waits behind the device and
+// staging a run copies no block bytes. Write-behind
 // (Options.WriteBehind) hands those runs to a bounded pool of background
 // flusher goroutines (Options.FlushWorkers); barriers (Flush/Sync/Close/
 // Invalidate) drain the in-flight runs and then batch the remainder
@@ -45,13 +46,18 @@
 // evicted entry goes on a free list with its one-block buffer, and the next
 // insert takes it. New entries and buffers come from slabs that grow with
 // the resident set, never past the capacity ahead of need. The rule that
-// makes reuse safe is that an entry's buffer never leaves c.mu: readers
-// copy out of it and writers into it under the lock, a flush run copies
-// its blocks into a staging slab of its own before it drops the lock, and
-// eviction write-back runs under the lock. Code that waits across an
-// unlocked window keeps block numbers, not entries, and re-resolves them
-// when it holds the lock again, since the entry may hold another block by
-// then (see drainLocked).
+// makes reuse safe is that an entry's buffer is only written under c.mu:
+// readers copy out of it and writers into it under the lock, and eviction
+// write-back runs under the lock. The one buffer read outside the lock is a
+// flight's: while a flush run is in the air the device reads its entries'
+// buffers, so a write that changes such a block first moves the entry onto
+// a spare buffer (copy-on-write, see writeLocked) and the flight keeps the
+// old one, which returns to the spare list when the flight lands. Flushing
+// entries are pinned — eviction skips them and Invalidate drains first — so
+// no buffer the device is reading ever reaches the free list. Code that
+// waits across an unlocked window keeps block numbers, not entries, and
+// re-resolves them when it holds the lock again, since the entry may hold
+// another block by then (see drainLocked).
 //
 // # Unchanged writes
 //
@@ -92,30 +98,32 @@ import (
 // failed device read or write leaves every counter untouched, so windowed
 // ablation stats stay honest under injected faults.
 type Stats struct {
-	Hits         int64 // reads served from the cache
-	Misses       int64 // reads that went to the device
-	Evictions    int64 // entries displaced by capacity pressure
-	WriteBacks   int64 // dirty blocks written to the device
-	Flushes      int64 // explicit Flush/Sync barriers
-	WriteBehinds int64 // write-behind runs triggered by the high-water mark
-	FlushBatches int64 // batched (sorted, multi-block) flush submissions to the device
-	FlushStalls  int64 // writers stalled at the hard dirty cap waiting for the flusher
-	Unchanged    int64 // block writes absorbed because the resident block already held those bytes
+	Hits           int64 // reads served from the cache
+	Misses         int64 // reads that went to the device
+	Evictions      int64 // entries displaced by capacity pressure
+	WriteBacks     int64 // dirty blocks written to the device
+	Flushes        int64 // explicit Flush/Sync barriers
+	WriteBehinds   int64 // write-behind runs triggered by the high-water mark
+	FlushBatches   int64 // batched (sorted, multi-block) flush submissions to the device
+	FlushStalls    int64 // writers stalled at the hard dirty cap waiting for the flusher
+	Unchanged      int64 // block writes absorbed because the resident block already held those bytes
+	FlightRewrites int64 // writes that changed a block during its write-back flight and so took a spare buffer (once per flight)
 }
 
 // Sub returns s - o counter-wise. Benchmarks snapshot the counters before a
 // measurement window and subtract to get windowed stats.
 func (s Stats) Sub(o Stats) Stats {
 	return Stats{
-		Hits:         s.Hits - o.Hits,
-		Misses:       s.Misses - o.Misses,
-		Evictions:    s.Evictions - o.Evictions,
-		WriteBacks:   s.WriteBacks - o.WriteBacks,
-		Flushes:      s.Flushes - o.Flushes,
-		WriteBehinds: s.WriteBehinds - o.WriteBehinds,
-		FlushBatches: s.FlushBatches - o.FlushBatches,
-		FlushStalls:  s.FlushStalls - o.FlushStalls,
-		Unchanged:    s.Unchanged - o.Unchanged,
+		Hits:           s.Hits - o.Hits,
+		Misses:         s.Misses - o.Misses,
+		Evictions:      s.Evictions - o.Evictions,
+		WriteBacks:     s.WriteBacks - o.WriteBacks,
+		Flushes:        s.Flushes - o.Flushes,
+		WriteBehinds:   s.WriteBehinds - o.WriteBehinds,
+		FlushBatches:   s.FlushBatches - o.FlushBatches,
+		FlushStalls:    s.FlushStalls - o.FlushStalls,
+		Unchanged:      s.Unchanged - o.Unchanged,
+		FlightRewrites: s.FlightRewrites - o.FlightRewrites,
 	}
 }
 
@@ -133,16 +141,24 @@ type entry struct {
 	block    int64
 	data     []byte
 	dirty    bool
-	flushing bool   // a staged copy is being written by the flush pipeline
+	flushing bool   // in a flush run that has not landed; pins the entry
+	lent     bool   // data is the buffer that run is writing; a changing write swaps first
 	gen      uint64 // bumped on every write; detects re-dirty during a flight
 	slot     int    // position in Cache.dirty while dirty
 	node     int32  // the policy's handle for this entry while resident
 }
 
-// maxFlushRun caps how many blocks one pipeline submission stages (and
-// copies) at a time; barriers loop until clean, so the cap bounds staging
-// memory without bounding a drain.
+// maxFlushRun caps how many blocks one pipeline submission carries, so it
+// bounds a device batch's length; barriers loop until clean, so it never
+// bounds a drain.
 const maxFlushRun = 4096
+
+// maxSpare caps the spare list at one full run's worth of buffers; a landing
+// flight's swapped-out buffers beyond it go to the garbage collector. The
+// list never holds more buffers than were in flight at once either: a buffer
+// joins it only when the flight that wrote it lands, and a swap allocates a
+// fresh one only when the list is empty.
+const maxSpare = maxFlushRun
 
 // maxFlushWorkers bounds the background flusher pool.
 const maxFlushWorkers = 16
@@ -201,6 +217,8 @@ type Cache struct {
 	dirty []*entry // every resident dirty entry, staged ones included; e.slot is its index
 	// lockcheck:guardedby mu
 	staged int // dirty blocks currently flush-in-flight
+	// lockcheck:guardedby mu
+	spare [][]byte // one-block buffers of landed flights, for writeLocked's swaps; at most maxSpare
 	// lockcheck:guardedby mu
 	draining bool // write-behind hysteresis: past high water, not yet at low
 	// lockcheck:guardedby mu
@@ -326,6 +344,11 @@ func (c *Cache) WriteBlock(n int64, buf []byte) error {
 // clean entry holds what the device holds, a dirty one is written at the
 // next barrier anyway, and a flight whose generation still matches carries
 // these same bytes, so clearing dirty on its completion stays correct.
+//
+// writeLocked is the only code that changes a resident entry's bytes, so it
+// keeps the flight ownership rule: an entry whose buffer is lent to a flight
+// in the air takes a spare buffer before the copy, and the device goes on
+// reading the bytes as of staging.
 // lockcheck:holds volume/cacheMu
 func (c *Cache) writeLocked(n int64, buf []byte) {
 	if f, ok := c.inflight[n]; ok {
@@ -338,6 +361,11 @@ func (c *Cache) writeLocked(n int64, buf []byte) {
 		if bytes.Equal(e.data, buf) {
 			c.stats.Unchanged++
 			return
+		}
+		if e.lent {
+			e.data = c.spareLocked(len(buf))
+			e.lent = false
+			c.stats.FlightRewrites++
 		}
 		copy(e.data, buf)
 		e.gen++
@@ -581,6 +609,21 @@ func (c *Cache) newEntryLocked(bs int) *entry {
 	return e
 }
 
+// spareLocked takes a one-block buffer off the spare list, allocating one
+// when the list is empty. Its bytes are stale; the caller overwrites the
+// whole block. Caller holds c.mu.
+// lockcheck:holds volume/cacheMu
+func (c *Cache) spareLocked(bs int) []byte {
+	k := len(c.spare)
+	if k == 0 {
+		return make([]byte, bs)
+	}
+	b := c.spare[k-1]
+	c.spare[k-1] = nil
+	c.spare = c.spare[:k-1]
+	return b
+}
+
 // evictLocked removes the policy's victim, writing it back first when dirty.
 // A victim whose flush is in flight cannot be dropped (the pipeline still
 // addresses its entry); it is rotated and eviction reports no progress. A
@@ -726,11 +769,15 @@ func (c *Cache) flushRunLocked(lowTarget, runCap int, background bool) error {
 }
 
 // flushEntriesLocked is the heart of the flush pipeline: it stages the given
-// run of dirty entries — sorted ascending by the caller, marked
-// flush-in-flight, data copied — releases c.mu, submits the run to the
-// device as one batched write, and completes it under the lock again. A
-// block re-dirtied while the run was in flight stays dirty (write-wins: its
-// entry's generation moved, so the next run writes the fresh data).
+// run of dirty entries — sorted ascending by the caller — by recording their
+// block numbers and generations and marking them flush-in-flight with their
+// buffers lent to the flight, releases c.mu, submits those buffers to the
+// device as one batched write, and completes the run under the lock again.
+// Staging allocates no data buffer and copies no block bytes. A block
+// re-dirtied while the run was in flight stays dirty (write-wins: its
+// entry's generation moved, so the next run writes the fresh data), and the
+// write moved it onto a spare buffer, so the buffer the flight wrote returns
+// to the spare list.
 //
 // When background is true a device failure becomes the sticky write-back
 // error surfaced at the next barrier; the error is also returned either way
@@ -739,17 +786,15 @@ func (c *Cache) flushRunLocked(lowTarget, runCap int, background bool) error {
 // every entry is dirty and not already flushing; the lock is held on return.
 // lockcheck:holds volume/cacheMu
 func (c *Cache) flushEntriesLocked(run []*entry, background bool) error {
-	bs := c.dev.BlockSize()
 	ns := make([]int64, len(run))
 	gens := make([]uint64, len(run))
-	slab := make([]byte, len(run)*bs)
 	bufs := make([][]byte, len(run))
 	for i, e := range run {
 		ns[i] = e.block
 		gens[i] = e.gen
-		bufs[i] = slab[i*bs : (i+1)*bs]
-		copy(bufs[i], e.data)
+		bufs[i] = e.data
 		e.flushing = true
+		e.lent = true
 	}
 	c.staged += len(run)
 	c.mu.Unlock()
@@ -761,6 +806,13 @@ func (c *Cache) flushEntriesLocked(run []*entry, background bool) error {
 		// The entry still holds its block: a flushing entry is pinned, since
 		// eviction skips it and Invalidate drains first.
 		e.flushing = false
+		if e.lent {
+			e.lent = false
+		} else if len(c.spare) < maxSpare {
+			// A write moved e onto a spare mid-flight; the flight's
+			// buffer is free again.
+			c.spare = append(c.spare, bufs[i])
+		}
 		if err == nil && e.dirty && e.gen == gens[i] {
 			c.markCleanLocked(e)
 		}

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -62,14 +65,16 @@ func checkDirtyIndex(t *testing.T, c *Cache) {
 }
 
 // pipeDev is a BatchDevice test double for the flush pipeline: it records
-// every batch submission, can park batch writes on a gate, and can fail
-// them. Per-block writes (evictions) pass straight through.
+// every batch submission and a copy of the bytes it carried as the gate
+// released it, can park batch writes on a gate, and can fail them.
+// Per-block writes (evictions) pass straight through.
 type pipeDev struct {
 	*vdisk.MemStore
 	mu       sync.Mutex
-	gate     chan struct{} // nil = ungated; batch writes park until closed
+	gate     chan struct{} // nil = ungated; a batch write parks until closed or sent a token
 	entered  chan int      // batch length signaled when a batch write arrives
 	batches  [][]int64
+	payloads [][][]byte // payloads[i]: batch i's buffers, copied once its gate opened
 	writeErr error
 }
 
@@ -94,6 +99,8 @@ func (d *pipeDev) ReadBlocks(ns []int64, bufs [][]byte) error {
 func (d *pipeDev) WriteBlocks(ns []int64, bufs [][]byte) error {
 	d.mu.Lock()
 	d.batches = append(d.batches, append([]int64(nil), ns...))
+	d.payloads = append(d.payloads, nil)
+	idx := len(d.batches) - 1
 	gate := d.gate
 	failErr := d.writeErr
 	d.mu.Unlock()
@@ -104,6 +111,13 @@ func (d *pipeDev) WriteBlocks(ns []int64, bufs [][]byte) error {
 	if gate != nil {
 		<-gate
 	}
+	payload := make([][]byte, len(bufs))
+	for i, b := range bufs {
+		payload[i] = bytes.Clone(b)
+	}
+	d.mu.Lock()
+	d.payloads[idx] = payload
+	d.mu.Unlock()
 	if failErr != nil {
 		return failErr
 	}
@@ -238,6 +252,227 @@ func TestPipelineWriteWins(t *testing.T) {
 	if !bytes.Equal(buf, fresh) {
 		t.Fatal("device holds stale data: write-wins violated")
 	}
+}
+
+// TestPipelineFlightWritesStagedBytes: a flight writes its entries' own
+// buffers, so a write that changes a block while its flight is parked in the
+// device must move the entry onto a spare buffer first. The flight then
+// writes the bytes as of staging, reads see the newest bytes, the next
+// barrier writes them, and the swapped-out buffer returns to the spare list
+// when the flight lands.
+func TestPipelineFlightWritesStagedBytes(t *testing.T) {
+	dev := newPipeDev(t, 64, 32)
+	dev.gate = make(chan struct{})
+	c := newCache(t, dev, Options{Capacity: 32, WriteBehind: 2, FlushWorkers: 1})
+	defer c.Close()
+	staged := blockPayload(32, 0xAA)
+	for _, n := range []int64{10, 11, 12} {
+		if err := c.WriteBlock(n, staged); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-dev.entered // a write-behind flight is parked inside the device
+	dev.mu.Lock()
+	parked := dev.batches[0]
+	dev.mu.Unlock()
+	at := slices.Index(parked, 10)
+	if at < 0 {
+		t.Fatalf("parked flight %v does not carry block 10", parked)
+	}
+
+	pre := c.Stats()
+	buf := make([]byte, 32)
+	var newest []byte
+	for _, tag := range []byte{0x55, 0x66} {
+		newest = blockPayload(32, tag)
+		if err := c.WriteBlock(10, newest); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.ReadBlock(10, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, newest) {
+			t.Fatalf("read of block 10 during its flight = %#x..., want %#x...", buf[0], newest[0])
+		}
+	}
+	// The first change took a spare buffer; the second wrote that spare.
+	if got := c.Stats().Sub(pre).FlightRewrites; got != 1 {
+		t.Fatalf("FlightRewrites = %d after two changes in one flight, want 1", got)
+	}
+	c.mu.Lock()
+	spares := len(c.spare)
+	c.mu.Unlock()
+	if spares != 0 {
+		t.Fatalf("spare list holds %d buffers while the only swapped one is in the air", spares)
+	}
+
+	close(dev.gate)
+	dev.mu.Lock()
+	dev.gate = nil
+	dev.mu.Unlock()
+	waitUntil(t, func() bool {
+		dev.mu.Lock()
+		defer dev.mu.Unlock()
+		return dev.payloads[0] != nil
+	})
+	dev.mu.Lock()
+	flown := dev.payloads[0][at]
+	dev.mu.Unlock()
+	if !bytes.Equal(flown, staged) {
+		t.Fatalf("parked flight wrote %#x... for block 10, want the staged %#x...", flown[0], staged[0])
+	}
+	waitUntil(t, func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return len(c.spare) == 1
+	})
+
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	dev.mu.Lock()
+	for i, b := range dev.batches[1:] {
+		if j := slices.Index(b, 10); j >= 0 && !bytes.Equal(dev.payloads[i+1][j], newest) {
+			t.Errorf("batch %d after the flight wrote %#x... for block 10, want the newest %#x...", i+1, dev.payloads[i+1][j][0], newest[0])
+		}
+	}
+	dev.mu.Unlock()
+	if err := dev.MemStore.ReadBlock(10, buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, newest) {
+		t.Fatal("device does not hold the newest bytes of block 10 after the barrier")
+	}
+	if d := c.Dirty(); d != 0 {
+		t.Fatalf("dirty after barrier = %d, want 0", d)
+	}
+	c.mu.Lock()
+	spares = len(c.spare)
+	c.mu.Unlock()
+	if spares != 1 {
+		t.Fatalf("spare list holds %d buffers after the barrier, want 1", spares)
+	}
+}
+
+// TestPipelineFlushAllocBytes: staging a run copies no block bytes, so a
+// barrier over 1024 dirty blocks allocates bookkeeping only; and the spare
+// list that copy-on-write draws from never outgrows the blocks in flight.
+func TestPipelineFlushAllocBytes(t *testing.T) {
+	t.Run("flush", func(t *testing.T) {
+		const blocks, bs = 1024, 1024
+		store, err := vdisk.NewMemStore(blocks, bs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := newCache(t, store, Options{Capacity: blocks})
+		defer c.Close()
+		for n := int64(0); n < blocks; n++ {
+			if err := c.WriteBlock(n, blockPayload(bs, byte(n))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		// The bookkeeping is five pointer- or word-sized slices per block
+		// (about 56 bytes a block); copying the run would add bs a block.
+		got := after.TotalAlloc - before.TotalAlloc
+		if limit := uint64(blocks * bs / 8); got > limit {
+			t.Fatalf("Flush of %d dirty %d-byte blocks allocated %d bytes, want <= %d", blocks, bs, got, limit)
+		}
+		if d := c.Dirty(); d != 0 {
+			t.Fatalf("dirty after Flush = %d, want 0", d)
+		}
+	})
+
+	// Writers rewrite their blocks without pause while one barrier at a
+	// time parks its flight in the device; without write-behind and with
+	// every block resident, that flight is the only one in the air, so the
+	// largest batch is the most blocks ever in flight at once.
+	t.Run("spare-bound", func(t *testing.T) {
+		const writers, perWriter, bs = 4, 16, 32
+		dev := newPipeDev(t, writers*perWriter, bs)
+		dev.gate = make(chan struct{})
+		c := newCache(t, dev, Options{Capacity: writers * perWriter})
+		stop := make(chan struct{})
+		last := make([]int, writers)
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				buf := make([]byte, bs)
+				for round := 0; ; round++ {
+					for i := 0; i < perWriter; i++ {
+						n := int64(w*perWriter + i)
+						p := blockPayload(bs, byte(n)+byte(round))
+						if err := c.WriteBlock(n, p); err != nil {
+							t.Error(err)
+							return
+						}
+						if err := c.ReadBlock(n, buf); err != nil {
+							t.Error(err)
+							return
+						}
+						if !bytes.Equal(buf, p) {
+							t.Errorf("writer %d block %d: read-your-writes violated", w, n)
+							return
+						}
+					}
+					select {
+					case <-stop:
+						last[w] = round
+						return
+					default:
+					}
+				}
+			}(w)
+		}
+		// A failure must not leave writers allocating under later tests'
+		// allocation counts.
+		stopWriters := sync.OnceFunc(func() { close(stop); wg.Wait() })
+		defer stopWriters()
+		maxBatch := 0
+		for flight := 0; flight < 50; flight++ {
+			waitUntil(t, func() bool { return c.Dirty() > 0 })
+			pre := c.Stats().FlightRewrites
+			done := make(chan error, 1)
+			go func() { done <- c.Flush() }()
+			if k := <-dev.entered; k > maxBatch {
+				maxBatch = k
+			}
+			// Let the writers change blocks of the parked flight.
+			waitUntil(t, func() bool { return c.Stats().FlightRewrites > pre })
+			dev.gate <- struct{}{}
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			c.mu.Lock()
+			spares := len(c.spare)
+			c.mu.Unlock()
+			if spares > maxBatch {
+				t.Fatalf("after flight %d the spare list holds %d buffers; the largest flight carried %d", flight, spares, maxBatch)
+			}
+		}
+		stopWriters()
+		close(dev.gate)
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		img := dev.Snapshot()
+		for w := 0; w < writers; w++ {
+			for i := 0; i < perWriter; i++ {
+				n := w*perWriter + i
+				if !bytes.Equal(img[n*bs:(n+1)*bs], blockPayload(bs, byte(n)+byte(last[w]))) {
+					t.Fatalf("block %d on the device is not writer %d's last write", n, w)
+				}
+			}
+		}
+	})
 }
 
 // TestPipelineStickyAsyncError: a background flush failure is recorded and

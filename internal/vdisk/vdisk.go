@@ -54,6 +54,16 @@ func IsFault(err error) bool {
 
 // Device is the block-level interface the file systems are written against.
 // Both raw stores (no timing) and Disk (timing simulator) implement it.
+//
+// Buffer ownership: a device reads a write's buffer only until the call
+// returns, never writes into it, and never retains it; a read's buffer is
+// the caller's again once the call returns. The block cache relies on this
+// to hand its own resident buffers to a write-back flight (see
+// blockcache's flush pipeline). Wrappers keep the rule by passing buffers
+// down within the call: Disk's latency emulation sleeps after the store
+// pass is done with them, RetryDevice reissues from the caller's buffers
+// before it returns, and FaultStore's torn and dropped writes only decide
+// whether the store sees the buffer.
 type Device interface {
 	// ReadBlock reads block n into buf. len(buf) must equal BlockSize().
 	//
@@ -75,7 +85,8 @@ type Device interface {
 // streaming reward of the timing model) and acquire their internal locks once
 // per batch instead of once per block. The data read or written is exactly
 // what the equivalent sequence of per-block calls would produce; only the
-// submission order and the locking cost differ.
+// submission order and the locking cost differ. Every bufs[i] follows the
+// Device buffer-ownership rule.
 type BatchDevice interface {
 	Device
 	// ReadBlocks reads block ns[i] into bufs[i] for every i. len(ns) must
